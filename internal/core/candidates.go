@@ -89,53 +89,45 @@ func splitAxis(op *graph.Op, dim tensor.SplitDim) int {
 
 // uses returns the schedule indices of t's consumers, ascending.
 func uses(t *graph.Tensor, sched *graph.Schedule) []int {
-	idx := make([]int, 0, len(t.Consumers))
+	return appendUses(make([]int, 0, len(t.Consumers)), t, sched)
+}
+
+// appendUses appends the schedule indices of t's consumers to buf and
+// sorts the appended part ascending.
+func appendUses(buf []int, t *graph.Tensor, sched *graph.Schedule) []int {
+	n := len(buf)
 	for _, c := range t.Consumers {
-		idx = append(idx, sched.Index[c])
+		buf = append(buf, sched.Index[c])
 	}
+	idx := buf[n:]
 	for i := 1; i < len(idx); i++ { // insertion sort; consumer lists are short
 		for j := i; j > 0 && idx[j] < idx[j-1]; j-- {
 			idx[j], idx[j-1] = idx[j-1], idx[j]
 		}
 	}
-	return idx
+	return buf
 }
+
+// availFunc adapts a caller-supplied predicate to the chain walker.
+type availFunc func(*graph.Tensor) bool
+
+func (f availFunc) ok(t *graph.Tensor) bool { return f(t) }
 
 // RecomputeChain returns the forward operators that must re-execute to
 // rebuild t, in execution order, walking producers until every leaf
 // input satisfies avail. maxLen bounds the chain (beyond it recompute
 // is not a sensible candidate and an error is returned).
 func RecomputeChain(t *graph.Tensor, avail func(*graph.Tensor) bool, maxLen int) ([]*graph.Op, error) {
-	var chain []*graph.Op
-	visited := make(map[*graph.Op]bool)
-	var walk func(x *graph.Tensor) error
-	walk = func(x *graph.Tensor) error {
-		p := x.Producer
-		if p == nil {
-			return fmt.Errorf("core: recompute source %s has no producer and is not available", x.Name)
-		}
-		if visited[p] {
-			return nil
-		}
-		visited[p] = true
-		if len(visited) > maxLen {
-			return fmt.Errorf("core: recompute chain for %s exceeds %d ops", t.Name, maxLen)
-		}
-		for _, in := range p.Inputs {
-			if avail(in) {
-				continue
-			}
-			if err := walk(in); err != nil {
-				return err
-			}
-		}
-		chain = append(chain, p)
-		return nil
+	var w chainWalker // the visited set grows to the target's producer ID on the first visit
+	chain, err := walkChain(&w, t, availFunc(avail), maxLen, nil)
+	switch err {
+	case nil:
+		return chain, nil
+	case errChainNoProducer:
+		return nil, fmt.Errorf("core: recompute source %s has no producer and is not available", w.failed.Name)
+	default:
+		return nil, fmt.Errorf("core: recompute chain for %s exceeds %d ops", t.Name, maxLen)
 	}
-	if err := walk(t); err != nil {
-		return nil, err
-	}
-	return chain, nil
 }
 
 // chainTransientBytes estimates the extra device memory a

@@ -529,7 +529,7 @@ func (ci *candIndex) refreshCandChains() {
 		pl.touchScratch = pl.touchScratch[:0]
 		t := pl.G.Tensors[id]
 		h := &ci.hot[id]
-		chain, err := pl.walker.walk(t, availQuery{pl, int(h.restoreAt)}, pl.Opts.MaxRecomputeChain, &pl.touchScratch)
+		chain, err := walkChain(pl.walker, t, availQuery{pl, int(h.restoreAt)}, pl.Opts.MaxRecomputeChain, &pl.touchScratch)
 		ci.registerDeps(int32(id), pl.touchScratch)
 		if err != nil {
 			h.chainOK = false
@@ -898,7 +898,7 @@ func (ci *candIndex) buildCfg(op *graph.Op, p int, in, out *graph.Tensor, dim te
 		_, restoreAt, _ = pl.evictionWindowAfterFast(in, p)
 		if restoreAt >= 0 {
 			pl.touchScratch = pl.touchScratch[:0]
-			chain, err := pl.walker.walk(in, availQuery{pl, restoreAt}, pl.Opts.MaxRecomputeChain, &pl.touchScratch)
+			chain, err := walkChain(pl.walker, in, availQuery{pl, restoreAt}, pl.Opts.MaxRecomputeChain, &pl.touchScratch)
 			// The viability verdict depends on the availability answers
 			// queried up to the success or abort point: register them
 			// either way so any change rebuilds this position.

@@ -240,13 +240,23 @@ func TestRecomputeChain(t *testing.T) {
 	if chain[0] != a.Producer || chain[2] != c.Producer {
 		t.Fatal("chain out of order")
 	}
-	// Bounded length.
-	if _, err := RecomputeChain(c, avail, 2); err == nil {
-		t.Fatal("chain over maxLen should fail")
+	// Bounded length. The messages are quoted by the OOM and verify
+	// goldens, so they are pinned to the byte: the bound names the
+	// target, the missing producer names the source.
+	_, err = RecomputeChain(c, avail, 2)
+	if err == nil || err.Error() != "core: recompute chain for c.y exceeds 2 ops" {
+		t.Fatalf("chain over maxLen: %v", err)
 	}
 	// Unavailable source.
-	if _, err := RecomputeChain(c, func(*graph.Tensor) bool { return false }, 10); err == nil {
-		t.Fatal("unavailable source should fail")
+	_, err = RecomputeChain(c, func(*graph.Tensor) bool { return false }, 10)
+	if err == nil || err.Error() != "core: recompute source x has no producer and is not available" {
+		t.Fatalf("unavailable source: %v", err)
+	}
+	// A diamond visits the shared producer once: a feeds both branches.
+	d := g.Add("d", b, g.ReLU("b2", a))
+	chain, err = RecomputeChain(d, avail, 4)
+	if err != nil || len(chain) != 4 || chain[0] != a.Producer || chain[3] != d.Producer {
+		t.Fatalf("diamond chain %v, %v", chain, err)
 	}
 }
 

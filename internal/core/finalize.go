@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sort"
 
 	"tsplit/internal/graph"
@@ -37,15 +38,15 @@ func FinalizeWindows(g *graph.Graph, sched *graph.Schedule, lv *graph.Liveness, 
 		return lv.FirstUse[ta] < lv.FirstUse[tb]
 	})
 
+	var points []int // production point, then the uses; one buffer for the whole call
 	for _, id := range ids {
 		tp := plan.Tensors[id]
 		t := tp.Tensor
-		points := uses(t, sched)
 		prod := lv.FirstUse[t]
 		if prod < 0 {
 			prod = 0
 		}
-		points = append([]int{prod}, points...)
+		points = appendUses(append(points[:0], prod), t, sched)
 
 		evictAt, restoreAt, gap := -1, -1, 0
 		for k := 0; k+1 < len(points); k++ {
@@ -93,22 +94,23 @@ func FinalizeWindows(g *graph.Graph, sched *graph.Schedule, lv *graph.Liveness, 
 	// plan.ChainTransients. (The TSPLIT planner instead maintains
 	// per-tensor ChainBytes estimates for the shallow chains it creates.)
 	var chainT []int64
+	var w chainWalker    // one walker for the whole call; its visited set grows on first use
+	var q finalizedAvail // q.until is built at the first recompute decision
 	for _, id := range ids {
 		tp, ok := plan.Tensors[id]
 		if !ok || tp.Opt != Recompute || tp.ChainBytes > 0 {
 			continue
+		}
+		if q.until == nil {
+			q.until = availableUntil(g, lv, plan)
 		}
 		for _, c := range tp.Tensor.Consumers {
 			u := sched.Index[c]
 			if u < tp.RestoreAt {
 				continue
 			}
-			chain, err := RecomputeChain(tp.Tensor, func(x *graph.Tensor) bool {
-				if xp, planned := plan.Tensors[x.ID]; planned && xp.Opt == Recompute {
-					return xp.EvictAt >= u
-				}
-				return lv.LastUse[x] < 0 || lv.LastUse[x] >= u
-			}, len(g.Ops))
+			q.u = u
+			chain, err := walkChain(&w, tp.Tensor, q, len(g.Ops), nil)
 			if err != nil {
 				continue // the verifier reports unrecoverable chains
 			}
@@ -135,4 +137,31 @@ func FinalizeWindows(g *graph.Graph, sched *graph.Schedule, lv *graph.Liveness, 
 		}
 	}
 	plan.ChainTransients = chainT
+}
+
+// finalizedAvail is chain-source availability under a finalized plan
+// at consumer position u.
+type finalizedAvail struct {
+	until []int // by tensor ID, from availableUntil
+	u     int
+}
+
+func (q finalizedAvail) ok(x *graph.Tensor) bool { return q.until[x.ID] >= q.u }
+
+// availableUntil returns, by tensor ID, the last schedule position at
+// which a finalized plan still has the tensor on device: a
+// recompute-planned tensor until its own eviction point, anything
+// else until its last scheduled use (forever when it has none).
+func availableUntil(g *graph.Graph, lv *graph.Liveness, plan *Plan) []int {
+	until := make([]int, len(g.Tensors)) // a tensor's ID is its index in g.Tensors
+	for _, t := range g.Tensors {
+		until[t.ID] = lv.LastUse[t]
+		if until[t.ID] < 0 {
+			until[t.ID] = math.MaxInt
+		}
+		if tp, planned := plan.Tensors[t.ID]; planned && tp.Opt == Recompute {
+			until[t.ID] = tp.EvictAt
+		}
+	}
+	return until
 }

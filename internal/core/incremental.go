@@ -524,49 +524,67 @@ func (q availQuery) ok(t *graph.Tensor) bool {
 
 // Walk failures are sentinel errors: scoring probes thousands of
 // infeasible chains per plan and a formatted error per probe would
-// dominate the allocation budget. The outcome is only ever used as a
-// feasibility verdict, never surfaced to callers.
+// dominate the allocation budget. Inside the planner the outcome is
+// only a feasibility verdict; RecomputeChain turns the sentinels into
+// its quoted messages from the walker's failed field.
 var (
 	errChainNoProducer = errors.New("core: recompute source has no producer and is not available")
 	errChainTooLong    = errors.New("core: recompute chain exceeds the op limit")
 )
 
-// chainWalker is a reusable-scratch implementation of RecomputeChain.
-// The visited set is an epoch-stamped array indexed by op ID and the
-// chain slice is recycled, so a walk allocates nothing; scoring runs
-// hundreds of thousands of walks per plan.
-type chainWalker struct {
-	seen  []int
-	epoch int
-	chain []*graph.Op
-	count int
+// chainAvail is the availability predicate of one chain walk: whether
+// a chain source is on device where the chain runs. It is a type
+// parameter rather than a func value so that each caller's query is a
+// plain struct and a walk allocates no closure.
+type chainAvail interface {
+	ok(*graph.Tensor) bool
 }
 
+// chainWalker is the one recompute-chain walker: the planner's
+// scoring, FinalizeWindows and the exported RecomputeChain all derive
+// chains through walkChain. The visited set is an epoch-stamped array
+// indexed by op ID and the chain slice is recycled, so a walk
+// allocates nothing; scoring runs hundreds of thousands of walks per
+// plan.
+type chainWalker struct {
+	seen   []int
+	epoch  int
+	chain  []*graph.Op
+	count  int
+	failed *graph.Tensor // the producer-less source of the last errChainNoProducer
+}
+
+// newChainWalker sizes the visited set for op IDs up to maxOpID; a
+// walk that meets a larger ID grows it.
 func newChainWalker(maxOpID int) *chainWalker {
 	return &chainWalker{seen: make([]int, maxOpID+1)}
 }
 
-// walk mirrors RecomputeChain exactly: producers are walked
-// depth-first in input order until every leaf satisfies q, the chain
-// is returned in execution order, and exceeding maxLen distinct ops is
-// an error. When touched is non-nil, the ID of every tensor whose
-// availability was queried is appended to it (possibly with
-// duplicates) — the dependency set of the derivation. The returned
-// slice is valid until the next walk.
-func (w *chainWalker) walk(t *graph.Tensor, q availQuery, maxLen int, touched *[]int32) ([]*graph.Op, error) {
+// walkChain returns the forward operators that must re-execute to
+// rebuild t: producers are walked depth-first in input order until
+// every leaf satisfies q, the chain is returned in execution order,
+// and exceeding maxLen distinct ops is an error. When touched is
+// non-nil, the ID of every tensor whose availability was queried is
+// appended to it (possibly with duplicates) — the dependency set of
+// the derivation. The returned slice is valid until the next walk.
+func walkChain[Q chainAvail](w *chainWalker, t *graph.Tensor, q Q, maxLen int, touched *[]int32) ([]*graph.Op, error) {
 	w.epoch++
 	w.chain = w.chain[:0]
 	w.count = 0
-	if err := w.visit(t, t, q, maxLen, touched); err != nil {
+	if err := visitChain(w, t, q, maxLen, touched); err != nil {
 		return nil, err
 	}
 	return w.chain, nil
 }
 
-func (w *chainWalker) visit(x, target *graph.Tensor, q availQuery, maxLen int, touched *[]int32) error {
+func visitChain[Q chainAvail](w *chainWalker, x *graph.Tensor, q Q, maxLen int, touched *[]int32) error {
 	p := x.Producer
 	if p == nil {
+		w.failed = x
 		return errChainNoProducer
+	}
+	if p.ID >= len(w.seen) {
+		w.seen = append(w.seen, make([]int, p.ID+1-len(w.seen))...)
 	}
 	if w.seen[p.ID] == w.epoch {
 		return nil
@@ -583,7 +601,7 @@ func (w *chainWalker) visit(x, target *graph.Tensor, q availQuery, maxLen int, t
 		if q.ok(in) {
 			continue
 		}
-		if err := w.visit(in, target, q, maxLen, touched); err != nil {
+		if err := visitChain(w, in, q, maxLen, touched); err != nil {
 			return err
 		}
 	}
@@ -656,7 +674,7 @@ func (pl *Planner) refreshChainsDirty() int {
 		tp := pl.tpMirror[id]
 		rederived++
 		pl.touchScratch = pl.touchScratch[:0]
-		chain, err := pl.walker.walk(tp.Tensor, availQuery{pl, tp.RestoreAt}, len(pl.G.Ops), &pl.touchScratch)
+		chain, err := walkChain(pl.walker, tp.Tensor, availQuery{pl, tp.RestoreAt}, len(pl.G.Ops), &pl.touchScratch)
 		ct.setDeps(id, pl.touchScratch)
 		if err != nil {
 			continue // as refreshChains: keep the last estimate

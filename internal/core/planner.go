@@ -775,7 +775,7 @@ func (pl *Planner) refreshChains() int {
 			continue
 		}
 		n++
-		chain, err := pl.walker.walk(tp.Tensor, availQuery{pl, tp.RestoreAt}, len(pl.G.Ops), nil)
+		chain, err := walkChain(pl.walker, tp.Tensor, availQuery{pl, tp.RestoreAt}, len(pl.G.Ops), nil)
 		if err != nil {
 			continue
 		}
@@ -893,7 +893,7 @@ func (pl *Planner) scoreEvictInto(t *graph.Tensor, i int, c *candidate, wk *chai
 	recompT := math.Inf(1)
 	var chainBytes int64
 	if t.Kind == tensor.FeatureMap && !pl.Opts.DisableRecompute {
-		if chain, err := wk.walk(t, availQuery{pl, restoreAt}, pl.Opts.MaxRecomputeChain, nil); err == nil {
+		if chain, err := walkChain(wk, t, availQuery{pl, restoreAt}, pl.Opts.MaxRecomputeChain, nil); err == nil {
 			recompT = pl.chainCostFast(chain) * float64(pl.backwardUsesFast(t, restoreAt))
 			chainBytes = chainTransientBytes(chain, t)
 		}
@@ -1249,7 +1249,7 @@ func (pl *Planner) scoreSplitConfigInto(op *graph.Op, i int, in, out *graph.Tens
 	case inOpt == Recompute:
 		_, restoreAt, _ = pl.evictionWindowAfterFast(in, i)
 		if restoreAt >= 0 {
-			chain, err := wk.walk(in, availQuery{pl, restoreAt}, pl.Opts.MaxRecomputeChain, nil)
+			chain, err := walkChain(wk, in, availQuery{pl, restoreAt}, pl.Opts.MaxRecomputeChain, nil)
 			if err != nil {
 				return false
 			}

@@ -1,9 +1,11 @@
 // Package experiments reproduces the paper's evaluation (Sec. VI):
 // it prepares workloads, runs every memory-management policy on the
 // simulated devices, searches maximum trainable scales, and renders
-// the tables and figure series the paper reports. Both the
-// cmd/tsplit-bench binary and the repository's bench_test.go are thin
-// wrappers over this package.
+// the tables and figure series the paper reports. A sweep prepares
+// each distinct workload once and runs it under every policy that asks
+// for it (scale.go, figures.go); planner and simulator arenas are
+// pooled. Both the cmd/tsplit-bench binary and the repository's
+// bench_test.go are thin wrappers over this package.
 package experiments
 
 import (
@@ -20,15 +22,19 @@ import (
 )
 
 // Prepared bundles everything derived from one (model, config, device)
-// triple: the training graph, its schedule, liveness, and profile.
+// triple: the training graph, its schedule, liveness, and profile,
+// plus the planner arenas built for them. Planning and simulating
+// leave all of it but the pool's free list unchanged, so one Prepared
+// serves every policy, in any order and from several goroutines.
 type Prepared struct {
-	Model string
-	Cfg   models.Config
-	Dev   device.Device
-	G     *graph.Graph
-	Sched *graph.Schedule
-	Lv    *graph.Liveness
-	Prof  *profiler.Profile
+	Model    string
+	Cfg      models.Config
+	Dev      device.Device
+	G        *graph.Graph
+	Sched    *graph.Schedule
+	Lv       *graph.Liveness
+	Prof     *profiler.Profile
+	Planners *core.PlannerPool
 }
 
 // Prepare builds and profiles a workload.
@@ -42,10 +48,11 @@ func Prepare(model string, cfg models.Config, dev device.Device) (*Prepared, err
 		return nil, err
 	}
 	lv := graph.AnalyzeLiveness(g, sched)
+	prof := profiler.New(dev, sched)
 	return &Prepared{
 		Model: model, Cfg: cfg, Dev: dev,
-		G: g, Sched: sched, Lv: lv,
-		Prof: profiler.New(dev, sched),
+		G: g, Sched: sched, Lv: lv, Prof: prof,
+		Planners: core.NewPlannerPool(g, sched, lv, prof, dev),
 	}, nil
 }
 
@@ -86,8 +93,12 @@ func planPolicyReserve(p *Prepared, policy string, capacity, reserve int64) (*co
 			OffloadOptimizer:     policy == "tsplit-offload",
 			FragmentationReserve: reserve,
 		}
-		pl := core.NewPlanner(p.G, p.Sched, p.Lv, p.Prof, p.Dev, opts)
-		return pl.Plan()
+		// TSPLIT's reserve ladder and the policies sharing this
+		// workload all plan on one set of recycled arenas.
+		pl := p.Planners.Get(opts)
+		plan, err := pl.Plan()
+		p.Planners.Put(pl)
+		return plan, err
 	default:
 		b, ok := baselines.Registry[policy]
 		if !ok {
@@ -174,14 +185,4 @@ func runPolicy(p *Prepared, policy string, capacity int64, timeline bool) Policy
 		return r
 	}
 	return r
-}
-
-// Feasible reports whether a (model, config, policy) trains on the
-// device.
-func Feasible(model string, cfg models.Config, dev device.Device, policy string, capacity int64) bool {
-	p, err := Prepare(model, cfg, dev)
-	if err != nil {
-		return false
-	}
-	return RunPolicy(p, policy, capacity).Feasible
 }

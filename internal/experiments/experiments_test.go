@@ -31,15 +31,51 @@ func TestRunPolicyUnknown(t *testing.T) {
 }
 
 func TestFeasibleRespectsCapacity(t *testing.T) {
-	cfg := models.Config{BatchSize: 64}
-	if !Feasible("vgg16", cfg, device.TitanRTX, "base", 0) {
+	feasible := func(dev device.Device) bool {
+		p, err := Prepare("vgg16", models.Config{BatchSize: 64}, dev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return RunPolicy(p, "base", 0).Feasible
+	}
+	if !feasible(device.TitanRTX) {
 		t.Fatal("vgg16 batch 64 should fit a 24 GB device")
 	}
 	tiny := device.TitanRTX
 	tiny.MemBytes = 1 << 30
-	if Feasible("vgg16", cfg, tiny, "base", 0) {
+	if feasible(tiny) {
 		t.Fatal("vgg16 batch 64 cannot fit 1 GiB unmanaged")
 	}
+}
+
+// searchMax is the closed-loop form of the max-scale search and the
+// oracle for scaleCursor: it returns the largest n in [0, hi] with
+// feasible(n), probing exponentially from 1 and binary-searching the
+// failing octave.
+func searchMax(feasible func(int) bool, hi int) int {
+	if !feasible(1) {
+		return 0
+	}
+	lo := 1
+	probe := 2
+	for probe <= hi && feasible(probe) {
+		lo = probe
+		probe *= 2
+	}
+	up := probe
+	if up > hi {
+		up = hi + 1
+	}
+	// Invariant: feasible(lo), !feasible(up) (or up == hi+1).
+	for lo+1 < up {
+		mid := (lo + up) / 2
+		if feasible(mid) {
+			lo = mid
+		} else {
+			up = mid
+		}
+	}
+	return lo
 }
 
 func TestSearchMax(t *testing.T) {

@@ -38,42 +38,40 @@ var fig12Batches = map[string][]int{
 // fig12Models are the four workloads of Figs. 12/13/15.
 var fig12Models = []string{"vgg16", "resnet50", "inceptionv4", "transformer"}
 
-// throughputFigure sweeps batch sizes for the given policies. Each
-// (model, policy) series prepares and simulates its own workloads, so
-// the series run concurrently and are stitched back in legend order.
+// throughputFigure sweeps batch sizes for the given policies. One
+// (model, batch) workload is prepared once and run under every
+// applicable policy, so the workloads run concurrently and their
+// throughputs are stitched into per-policy series in legend order.
 func throughputFigure(title string, dev device.Device, policies []string, cfg models.Config) *ThroughputFigure {
 	f := &ThroughputFigure{Title: title, Dev: dev, Series: map[string][]ThroughputSeries{}}
 	type cell struct {
-		model  string
-		policy string
+		model string
+		bi    int // index into fig12Batches[model]
 	}
-	cells := make([]cell, 0, len(fig12Models)*len(policies))
+	var cells []cell
 	for _, m := range fig12Models {
+		for bi := range fig12Batches[m] {
+			cells = append(cells, cell{m, bi})
+		}
 		for _, pol := range policies {
-			cells = append(cells, cell{m, pol})
+			batches := fig12Batches[m]
+			f.Series[m] = append(f.Series[m], ThroughputSeries{Policy: pol, Batch: batches, Thr: make([]float64, len(batches))})
 		}
 	}
-	results := make([]ThroughputSeries, len(cells))
 	forEach(len(cells), func(k int) {
-		m, pol := cells[k].model, cells[k].policy
-		batches := fig12Batches[m]
-		s := ThroughputSeries{Policy: pol, Batch: batches, Thr: make([]float64, len(batches))}
-		if applicable(m, pol) {
-			for i, b := range batches {
-				c := cfg
-				c.BatchSize = b
-				p, err := Prepare(m, c, dev)
-				if err != nil {
-					continue
-				}
-				s.Thr[i] = RunPolicy(p, pol, 0).Throughput(b)
+		m, bi := cells[k].model, cells[k].bi
+		c := cfg
+		c.BatchSize = fig12Batches[m][bi]
+		p, err := Prepare(m, c, dev)
+		if err != nil {
+			return
+		}
+		for pi, pol := range policies {
+			if applicable(m, pol) {
+				f.Series[m][pi].Thr[bi] = RunPolicy(p, pol, 0).Throughput(c.BatchSize)
 			}
 		}
-		results[k] = s
 	})
-	for k, c := range cells {
-		f.Series[c.model] = append(f.Series[c.model], results[k])
-	}
 	return f
 }
 

@@ -8,38 +8,43 @@ import (
 	"tsplit/internal/obs"
 )
 
-// Obs, when set before a sweep starts, receives per-cell metrics from
+// Obs, when set before a sweep starts, receives per-unit metrics from
 // every experiment in this package: tsplit_experiments_cells_total and
-// the tsplit_experiments_cell_seconds histogram. The Registry is
-// thread-safe, so the parallel sweeps record into it concurrently.
+// the tsplit_experiments_cell_seconds histogram, one count and one
+// sample per forEach unit. The Registry is thread-safe, so the
+// parallel sweeps record into it concurrently.
 var Obs obs.Recorder
 
-// Clock times each sweep cell for the cell_seconds histogram. Tests
+// Clock times each sweep unit for the cell_seconds histogram. Tests
 // that assert on recorded metrics substitute a fake; everything the
 // sweeps *compute* is independent of it.
 var Clock obs.Clock = obs.Wall
 
 // Trace, when set before a sweep starts, records one "experiments.cell"
-// span per sweep cell. Tracer.StartSpan is mutex-protected, so the
+// span per forEach unit. Tracer.StartSpan is mutex-protected, so the
 // concurrent pool records root spans safely; within a worker the cell
 // span is single-goroutine, honoring the per-span-tree contract.
 var Trace *obs.Tracer
 
-// The experiment sweeps are embarrassingly parallel: every (model,
-// batch, device, policy) cell prepares its own graph, schedule and
-// profile, so cells share no mutable state. forEach fans the cell
-// indices out over a bounded worker pool; each cell writes its result
-// into its own index of a caller-owned slice, so the assembled tables
-// and figures are identical to a sequential sweep regardless of
+// The experiment sweeps parallelise over workloads. In the scale
+// tables one forEach unit is a (model, probe point) group, in the
+// throughput figures a (model, batch): the unit prepares that workload
+// once, runs it under every policy that needs it, and drops it, so the
+// units share no mutable state and at most one Prepared per worker is
+// live. The cell counter and the "experiments.cell" span therefore
+// count workloads built, not (model, policy) table cells. Each unit
+// writes its results into slots no other unit writes, so the assembled
+// tables and figures are identical to a sequential sweep regardless of
 // completion order.
 
 // forEach runs fn(i) for every i in [0, n), on up to GOMAXPROCS
-// workers. Work is handed out dynamically (cells vary wildly in cost:
-// an infeasible cell fails fast, a near-frontier scale search plans
-// dozens of times). The Add-before-spawn / deferred-Done / Wait shape
-// is load-bearing: the gojoin lint rule proves every goroutine spawned
-// here is joined before forEach returns, so no worker can outlive the
-// sweep holding references into the caller-owned results slice.
+// workers. Work is handed out dynamically (units vary wildly in cost:
+// an infeasible workload fails fast, one near TSPLIT's frontier plans
+// up its whole reserve ladder). The Add-before-spawn / deferred-Done /
+// Wait shape is load-bearing: the gojoin lint rule proves every
+// goroutine spawned here is joined before forEach returns, so no
+// worker can outlive the sweep holding references into the
+// caller-owned results slice.
 func forEach(n int, fn func(int)) {
 	if rec := Obs; rec != nil {
 		inner := fn

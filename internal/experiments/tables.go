@@ -66,33 +66,18 @@ func applicable(model, policy string) bool {
 	return policy != "vdnn-conv" && policy != "superneurons"
 }
 
-// maxScaleTable runs one scale sweep. The (model, policy) cells are
-// independent — every search prepares its own workload — so they run
-// concurrently; results land in per-cell slots and the table is
-// assembled in the sequential order afterwards.
-func maxScaleTable(title string, policies []string, dev device.Device, hi int, search func(model, policy string, hi int) int) *ScaleTable {
+// scaleTable lays a joint search's scales[model][policy] out as a
+// table over EvalModels, marking the inapplicable cells.
+func scaleTable(title string, policies []string, scales [][]int) *ScaleTable {
 	t := &ScaleTable{Title: title, Models: EvalModels, Policies: policies, Cells: map[string]map[string]int{}}
-	type cell struct{ model, policy string }
-	cells := make([]cell, 0, len(EvalModels)*len(policies))
-	for _, m := range EvalModels {
-		for _, p := range policies {
-			cells = append(cells, cell{m, p})
+	for m, model := range EvalModels {
+		t.Cells[model] = map[string]int{}
+		for p, policy := range policies {
+			t.Cells[model][policy] = scales[m][p]
+			if !applicable(model, policy) {
+				t.Cells[model][policy] = -1
+			}
 		}
-	}
-	results := make([]int, len(cells))
-	forEach(len(cells), func(i int) {
-		c := cells[i]
-		if !applicable(c.model, c.policy) {
-			results[i] = -1
-			return
-		}
-		results[i] = search(c.model, c.policy, hi)
-	})
-	for i, c := range cells {
-		if t.Cells[c.model] == nil {
-			t.Cells[c.model] = map[string]int{}
-		}
-		t.Cells[c.model][c.policy] = results[i]
 	}
 	return t
 }
@@ -101,47 +86,35 @@ func maxScaleTable(title string, policies []string, dev device.Device, hi int, s
 // size each policy trains per model on the Titan RTX. hi bounds the
 // search (0 = 4096; tests pass smaller bounds).
 func Table4MaxSampleScale(dev device.Device, hi int) *ScaleTable {
-	return maxScaleTable(
-		fmt.Sprintf("Table IV: max sample scale on %s", dev.Name),
-		scalePolicies, dev, hi,
-		func(model, policy string, hi int) int {
-			return MaxSampleScale(model, policy, dev, models.Config{}, hi)
-		})
+	return scaleTable(
+		fmt.Sprintf("Table IV: max sample scale on %s", dev.Name), scalePolicies,
+		sampleScales(EvalModels, scalePolicies, dev, models.Config{}, hi))
 }
 
 // Table5MaxParamScale reproduces paper Table V: the largest
 // parameter-scale multiplier (channels / hidden ×k) trainable at
 // batch 16.
 func Table5MaxParamScale(dev device.Device, hi int) *ScaleTable {
-	return maxScaleTable(
-		fmt.Sprintf("Table V: max parameter scale (batch 16) on %s", dev.Name),
-		scalePolicies, dev, hi,
-		func(model, policy string, hi int) int {
-			return MaxParamScale(model, policy, dev, models.Config{BatchSize: 16}, hi)
-		})
+	return scaleTable(
+		fmt.Sprintf("Table V: max parameter scale (batch 16) on %s", dev.Name), scalePolicies,
+		paramScales(EvalModels, scalePolicies, dev, models.Config{BatchSize: 16}, hi))
 }
 
 // Table6MaxSampleVsOffload reproduces paper Table VI: sample scale
 // against the PyTorch offload baselines (Adam optimizer states give
 // ZeRO-Offload something to offload, as in the paper's setting).
 func Table6MaxSampleVsOffload(dev device.Device, hi int) *ScaleTable {
-	return maxScaleTable(
-		fmt.Sprintf("Table VI: max sample scale vs offload baselines on %s", dev.Name),
-		offloadPolicies, dev, hi,
-		func(model, policy string, hi int) int {
-			return MaxSampleScale(model, policy, dev, models.Config{Optimizer: graph.Adam}, hi)
-		})
+	return scaleTable(
+		fmt.Sprintf("Table VI: max sample scale vs offload baselines on %s", dev.Name), offloadPolicies,
+		sampleScales(EvalModels, offloadPolicies, dev, models.Config{Optimizer: graph.Adam}, hi))
 }
 
 // Table7MaxParamVsOffload reproduces paper Table VII: parameter scale
 // against the offload baselines.
 func Table7MaxParamVsOffload(dev device.Device, hi int) *ScaleTable {
-	return maxScaleTable(
-		fmt.Sprintf("Table VII: max parameter scale (batch 16) vs offload baselines on %s", dev.Name),
-		offloadPolicies, dev, hi,
-		func(model, policy string, hi int) int {
-			return MaxParamScale(model, policy, dev, models.Config{BatchSize: 16, Optimizer: graph.Adam}, hi)
-		})
+	return scaleTable(
+		fmt.Sprintf("Table VII: max parameter scale (batch 16) vs offload baselines on %s", dev.Name), offloadPolicies,
+		paramScales(EvalModels, offloadPolicies, dev, models.Config{BatchSize: 16, Optimizer: graph.Adam}, hi))
 }
 
 // SizeBucket is one row of the paper's Table II tensor-size histogram.

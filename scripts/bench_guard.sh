@@ -1,15 +1,20 @@
 #!/bin/sh
-# bench_guard.sh — planner and simulator hot-path regression guard.
+# bench_guard.sh — planner, simulator and sweep regression guard.
 #
 # Runs the Plan() benchmarks (with the default nil Recorder, i.e. the
-# observability no-op path) and the simulator benchmarks (cold, pooled
-# arena, and peak-only fast path) and fails if any regresses against
-# the recorded baseline in bench_results.txt:
+# observability no-op path), the simulator benchmarks (cold, pooled
+# arena, and peak-only fast path) and one Table IV sweep, and fails if
+# any regresses against the recorded baseline in bench_results.txt:
 #
 #   - allocs/op: > +10% (allocation counts are deterministic, so the
 #     tolerance only absorbs map-rehash jitter) — plus an absolute
 #     slack of 2 allocs for the zero-alloc pooled paths, where +10% of
 #     ~0 would reject harmless jitter;
+#   - B/op:      > +10%, on the Table IV sweep only: a sweep that goes
+#     back to building a workload per (model, policy) cell, or to
+#     unpooled planners, more than doubles it, while the pooled hot
+#     paths' residual B/op is amortized buffer growth and too jittery
+#     to bound;
 #   - ns/op:     > +50% (wall time on a shared box is noisy; the wide
 #     bar still catches an accidental return to full-rebuild scans,
 #     which cost 4-10x).
@@ -35,17 +40,22 @@ trap 'rm -f "$OUT"' EXIT
 GOMAXPROCS=1 go test -run '^$' \
     -bench 'Benchmark(PlannerPlan_(VGG16|ResNet50|BERTLarge)|SimRun_(VGG16|ResNet50|BERTLarge)|SimRunPooled_BERTLarge|PredictPeak_BERTLarge)$' \
     -benchtime 100x . >"$OUT" 2>&1 || { cat "$OUT"; exit 1; }
+# The sweep is ~0.4 s an iteration; its allocation counts repeat to
+# within a fraction of a percent, so three iterations are enough.
+GOMAXPROCS=1 go test -run '^$' -bench 'BenchmarkTable4_MaxSampleScale$' \
+    -benchtime 3x -benchmem . >>"$OUT" 2>&1 || { cat "$OUT"; exit 1; }
 
 awk '
     function field(unit,    i) { for (i = 2; i <= NF; i++) if ($i == unit) return $(i-1); return -1 }
     FNR == NR {
-        if ($1 ~ /^Benchmark(PlannerPlan|SimRun|SimRunPooled|PredictPeak)_/ && field("allocs/op") >= 0) {
+        if ($1 ~ /^Benchmark(PlannerPlan|SimRun|SimRunPooled|PredictPeak|Table4)_/ && field("allocs/op") >= 0) {
             base_allocs[$1] = field("allocs/op")
+            base_bytes[$1] = field("B/op")
             base_ns[$1] = field("ns/op")
         }
         next
     }
-    $1 ~ /^Benchmark(PlannerPlan|SimRun|SimRunPooled|PredictPeak)_/ {
+    $1 ~ /^Benchmark(PlannerPlan|SimRun|SimRunPooled|PredictPeak|Table4)_/ {
         name = $1; sub(/-[0-9]+$/, "", name)   # strip the GOMAXPROCS suffix
         allocs = field("allocs/op"); ns = field("ns/op")
         if (allocs < 0) next
@@ -59,6 +69,10 @@ awk '
             printf "bench-guard: FAIL %-32s %8d allocs/op > baseline %d +10%%\n", name, allocs, base_allocs[name]
             bad = 1; ok = 0
         }
+        if (name ~ /^BenchmarkTable4_/ && field("B/op") > base_bytes[name] * 1.10) {
+            printf "bench-guard: FAIL %-32s %8d B/op > baseline %d +10%%\n", name, field("B/op"), base_bytes[name]
+            bad = 1; ok = 0
+        }
         if (base_ns[name] > 0 && ns > base_ns[name] * 1.50) {
             printf "bench-guard: FAIL %-32s %8d ns/op > baseline %d +50%%\n", name, ns, base_ns[name]
             bad = 1; ok = 0
@@ -69,7 +83,7 @@ awk '
         }
     }
     END {
-        if (seen < 8) { printf "bench-guard: only %d benchmark results parsed, want 8\n", seen; bad = 1 }
+        if (seen < 9) { printf "bench-guard: only %d benchmark results parsed, want 9\n", seen; bad = 1 }
         exit bad
     }
 ' "$BASELINE" "$OUT" || { cat "$OUT"; exit 1; }
