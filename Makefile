@@ -40,7 +40,7 @@ race:
 # the benchmarks build and run, not a measurement (use -benchtime=100x
 # for numbers worth recording in bench_results.txt).
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkPlannerPlan|BenchmarkSimRun|BenchmarkPredictPeak' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkPlannerPlan|BenchmarkSimRun' -benchtime 1x .
 
 # Fail if the Plan() hot path (nil Recorder) regresses more than 10%
 # allocs/op against the baseline recorded in bench_results.txt.
@@ -70,8 +70,8 @@ serve-smoke:
 	sh scripts/serve_smoke.sh
 
 # Simulation-latency smoke: the simlat experiment across the zoo at
-# quick rounds — exercises the pooled-arena and peak-only paths
-# end-to-end through the CLI.
+# quick rounds — exercises the cold and pooled-arena paths end-to-end
+# through the CLI.
 simlat-smoke:
 	$(GO) run ./cmd/tsplit-bench -exp simlat -quick >/dev/null
 

@@ -396,24 +396,6 @@ func BenchmarkSimRunPooled_BERTLarge(b *testing.B) {
 	}
 }
 
-// BenchmarkPredictPeak_BERTLarge times the peak-only fast path on a
-// pooled arena: timing, stream contention, and timeline recording are
-// all skipped while the alloc/free event sequence stays identical, so
-// the reported peak is bit-for-bit the full Run() peak.
-func BenchmarkPredictPeak_BERTLarge(b *testing.B) {
-	p, plan, opts := benchSimWorkload(b, "bert-large", 64)
-	pool := sim.NewSimPool()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := pool.Get(p.G, p.Sched, p.Lv, plan, p.Dev, opts)
-		if _, err := s.PredictPeak(); err != nil {
-			b.Fatal(err)
-		}
-		pool.Put(s)
-	}
-}
-
 // BenchmarkAblation_DesignChoices runs every DESIGN.md §4 ablation
 // sweep (candidate selection, recomputation strategy, split lookahead,
 // tie-break, pool placement).

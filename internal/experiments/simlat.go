@@ -12,9 +12,8 @@ import (
 )
 
 // SimLatRow is the simulation-latency profile of one zoo model: a cold
-// sim.New(...).Run() against the pooled-arena path and the peak-only
-// fast path, each sampled `rounds` times and summarized as p50/p99
-// wall time.
+// sim.New(...).Run() against the pooled-arena path, each sampled
+// `rounds` times and summarized as p50/p99 wall time.
 type SimLatRow struct {
 	Model     string
 	Ops       int
@@ -23,8 +22,6 @@ type SimLatRow struct {
 	ColdP99   time.Duration
 	PooledP50 time.Duration
 	PooledP99 time.Duration
-	PeakP50   time.Duration
-	PeakP99   time.Duration
 }
 
 // PooledSpeedup is the p50 cold/pooled ratio, the number the ISSUE
@@ -36,21 +33,12 @@ func (r SimLatRow) PooledSpeedup() float64 {
 	return float64(r.ColdP50) / float64(r.PooledP50)
 }
 
-// PeakSpeedup is the p50 cold/peak-only ratio.
-func (r SimLatRow) PeakSpeedup() float64 {
-	if r.PeakP50 <= 0 {
-		return 0
-	}
-	return float64(r.ColdP50) / float64(r.PeakP50)
-}
-
 // SimLatency measures simulation latency across the model zoo. Each
 // model runs its tsplit plan at a tight budget (70% of its unmanaged
 // peak), the pressured regime where swaps, recomputation, and split
 // execution are all live. Cold samples pay a fresh simulator per run;
-// pooled samples recycle one arena through a SimPool; peak samples run
-// PredictPeak on the same arena. All three replay the identical
-// alloc/free event sequence, so the spread is pure bookkeeping cost.
+// pooled samples recycle one arena through a SimPool. Both replay the
+// identical event sequence, so the spread is pure bookkeeping cost.
 //
 // The reported durations come from the wall clock and vary run to run;
 // everything else about the rows (models, sizes, outcomes) is
@@ -104,23 +92,11 @@ func SimLatency(dev device.Device, rounds int) ([]SimLatRow, error) {
 				return nil, fmt.Errorf("simlat %s: pooled round %d: %w", model, i, err)
 			}
 		}
-		peak := make([]time.Duration, rounds)
-		for i := range peak {
-			s := pool.Get(p.G, p.Sched, p.Lv, plan, p.Dev, opts)
-			start := Clock()
-			_, err := s.PredictPeak()
-			peak[i] = Clock().Sub(start)
-			pool.Put(s)
-			if err != nil {
-				return nil, fmt.Errorf("simlat %s: peak round %d: %w", model, i, err)
-			}
-		}
 
 		rows = append(rows, SimLatRow{
 			Model: model, Ops: len(p.Sched.Ops), Tensors: len(p.G.Tensors),
 			ColdP50: percentile(cold, 50), ColdP99: percentile(cold, 99),
 			PooledP50: percentile(pooled, 50), PooledP99: percentile(pooled, 99),
-			PeakP50: percentile(peak, 50), PeakP99: percentile(peak, 99),
 		})
 	}
 	return rows, nil
@@ -130,16 +106,15 @@ func SimLatency(dev device.Device, rounds int) ([]SimLatRow, error) {
 func RenderSimLat(rows []SimLatRow) string {
 	var b strings.Builder
 	b.WriteString("Simulation latency (tsplit plan at 70% of unmanaged peak)\n")
-	fmt.Fprintf(&b, "%-14s %6s %8s %10s %10s %10s %10s %10s %10s %8s %8s\n",
+	fmt.Fprintf(&b, "%-14s %6s %8s %10s %10s %10s %10s %8s\n",
 		"model", "ops", "tensors", "cold p50", "cold p99",
-		"pooled p50", "pooled p99", "peak p50", "peak p99", "pooled×", "peak×")
+		"pooled p50", "pooled p99", "pooled×")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-14s %6d %8d %10s %10s %10s %10s %10s %10s %7.1fx %7.1fx\n",
+		fmt.Fprintf(&b, "%-14s %6d %8d %10s %10s %10s %10s %7.1fx\n",
 			r.Model, r.Ops, r.Tensors,
 			fmtDur(r.ColdP50), fmtDur(r.ColdP99),
 			fmtDur(r.PooledP50), fmtDur(r.PooledP99),
-			fmtDur(r.PeakP50), fmtDur(r.PeakP99),
-			r.PooledSpeedup(), r.PeakSpeedup())
+			r.PooledSpeedup())
 	}
 	return b.String()
 }

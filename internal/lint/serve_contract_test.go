@@ -34,9 +34,9 @@ func TestServeConcurrencyContract(t *testing.T) {
 			guarded++
 		}
 	}
-	// Cache LRU (4), workload LRU (3), singleflight table (1), and the
-	// admission counters (3) are the floor; dropping below it means a
-	// shared field lost its contract.
+	// Plan cache (2), workload cache (1), singleflight table (1), and
+	// the admission counters (3) are the floor; dropping below it means
+	// a shared field lost its contract.
 	if guarded < 4 {
 		t.Errorf("internal/serve declares %d lint:guardedby fields, want at least 4: the server's shared state must carry explicit lock contracts", guarded)
 	}

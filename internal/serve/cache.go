@@ -7,83 +7,44 @@ import (
 )
 
 // planCache is the content-addressed response cache: plan key →
-// serialized response body. Bounded by entry count with strict LRU
-// eviction — every get/put moves the entry to the front of an
-// intrusive list and eviction always removes the list tail, so the
-// eviction sequence is a deterministic function of the access
-// sequence (pinned by a fake-clock test). A hit serves the stored
+// serialized response body, bounded by entry count with strict LRU
+// eviction (pinned by a fake-clock test). A hit serves the stored
 // bytes verbatim: cached responses are byte-identical to the miss
 // that created them.
 type planCache struct {
-	mu      sync.Mutex
-	cap     int
-	entries map[string]*cacheEntry // lint:guardedby mu
-	head    *cacheEntry            // lint:guardedby mu — most recently used
-	tail    *cacheEntry            // lint:guardedby mu — least recently used, evicted first
-	bytes   int64                  // lint:guardedby mu — total cached body bytes
+	mu    sync.Mutex
+	lru   *lru[[]byte] // lint:guardedby mu
+	bytes int64        // lint:guardedby mu — total cached body bytes
 
 	rec    obs.Recorder // thread-safe; not guarded
 	flight *obs.Flight  // nil-safe; not guarded
 }
 
-type cacheEntry struct {
-	key        string
-	body       []byte
-	peakBytes  int64
-	prev, next *cacheEntry
-}
-
 func newPlanCache(capacity int, rec obs.Recorder, flight *obs.Flight) *planCache {
-	if capacity <= 0 {
-		capacity = 512
-	}
-	return &planCache{cap: capacity, entries: make(map[string]*cacheEntry), rec: rec, flight: flight}
+	return &planCache{lru: newLRU[[]byte](capacity, 512), rec: rec, flight: flight}
 }
 
 // get returns the cached body for key, marking it most recently used.
 // The caller must treat the returned slice as immutable.
 func (c *planCache) get(key string) ([]byte, bool) {
 	c.mu.Lock()
-	var body []byte
-	e, ok := c.entries[key]
-	if ok {
-		c.moveToFront(e)
-		body = e.body // read under mu: a concurrent re-put may swap it
-	}
-	c.mu.Unlock()
-	return body, ok
+	defer c.mu.Unlock()
+	return c.lru.get(key)
 }
 
 // put inserts a response body, evicting the least-recently-used entry
 // when the cache is full. Re-putting an existing key (two coalesced
 // leaders racing a cache clear) refreshes its body and recency.
-func (c *planCache) put(key string, body []byte, peakBytes int64) {
-	var evicted []string
+func (c *planCache) put(key string, body []byte) {
 	c.mu.Lock()
-	if e, ok := c.entries[key]; ok {
-		c.bytes += int64(len(body)) - int64(len(e.body))
-		e.body = body
-		e.peakBytes = peakBytes
-		c.moveToFront(e)
-	} else {
-		e := &cacheEntry{key: key, body: body, peakBytes: peakBytes}
-		c.entries[key] = e
-		c.pushFront(e)
-		c.bytes += int64(len(body))
-		for len(c.entries) > c.cap {
-			lru := c.tail
-			c.unlink(lru)
-			delete(c.entries, lru.key)
-			c.bytes -= int64(len(lru.body))
-			evicted = append(evicted, lru.key)
-		}
-	}
+	out, displaced := c.lru.put(key, body)
+	c.bytes += int64(len(body)) - int64(len(out.val))
 	c.mu.Unlock()
-	for _, k := range evicted {
+	if displaced && out.key != key {
 		if c.rec != nil {
 			c.rec.Add("tsplit_serve_cache_evictions_total", 1)
 		}
-		c.flight.Record("serve.cache.evict", "plan cache full: evicted LRU entry", obs.L("key", k))
+		c.flight.Record("serve.cache.evict", "plan cache full: evicted LRU entry", obs.L("key", out.key))
 	}
 }
 
@@ -92,55 +53,5 @@ func (c *planCache) put(key string, body []byte, peakBytes int64) {
 func (c *planCache) stats() (entries int, bodyBytes int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.entries), c.bytes
-}
-
-// keysLRU returns the cached keys from most to least recently used —
-// the exact reverse of the order eviction would take them. Test and
-// introspection surface.
-func (c *planCache) keysLRU() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	keys := make([]string, 0, len(c.entries))
-	for e := c.head; e != nil; e = e.next {
-		keys = append(keys, e.key)
-	}
-	return keys
-}
-
-// moveToFront marks e most recently used. Callers hold c.mu.
-func (c *planCache) moveToFront(e *cacheEntry) {
-	if c.head == e {
-		return
-	}
-	c.unlink(e)
-	c.pushFront(e)
-}
-
-// pushFront links e as the head. Callers hold c.mu.
-func (c *planCache) pushFront(e *cacheEntry) {
-	e.prev = nil
-	e.next = c.head
-	if c.head != nil {
-		c.head.prev = e
-	}
-	c.head = e
-	if c.tail == nil {
-		c.tail = e
-	}
-}
-
-// unlink removes e from the list. Callers hold c.mu.
-func (c *planCache) unlink(e *cacheEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		c.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		c.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
+	return c.lru.len(), c.bytes
 }

@@ -111,18 +111,23 @@ func TestPeakEndpointMatchesSimulator(t *testing.T) {
 	}
 }
 
-func TestPeakEndpointErrors(t *testing.T) {
+// TestPeakWithReportOption: "report" is part of the plan key, so
+// /v1/peak echoes the key /v1/plan gives the same request, and the
+// answer is the one the request gets without it.
+func TestPeakWithReportOption(t *testing.T) {
 	s := New(Config{})
-	if w := postPeak(t, s, `{"model":"nosuch"}`); w.Code != http.StatusNotFound {
-		t.Fatalf("unknown model: status %d", w.Code)
+	base := `{"model":"vgg16","config":{"batch_size":96},"device":"GTX 1080Ti"`
+	plain := decodePeak(t, postPeak(t, s, base+`}`))
+	withBody := base + `,"options":{"report":true}}`
+	w := postPeak(t, s, withBody)
+	if w.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", w.Code, w.Body.String())
 	}
-	if w := postPeak(t, s, `{broken`); w.Code != http.StatusBadRequest {
-		t.Fatalf("malformed body: status %d", w.Code)
+	with := decodePeak(t, w)
+	if want := decodeResponse(t, postPlan(t, s, withBody)).Key; with.Key != want || with.Key == plain.Key {
+		t.Fatalf("key %s, want the report:true plan key %s (plain key %s)", with.Key, want, plain.Key)
 	}
-	req := httptest.NewRequest(http.MethodGet, "/v1/peak", nil)
-	w := httptest.NewRecorder()
-	s.ServeHTTP(w, req)
-	if w.Code != http.StatusMethodNotAllowed {
-		t.Fatalf("GET: status %d", w.Code)
+	if with.SimulatedPeakBytes != plain.SimulatedPeakBytes || with.PlannerPeakBytes != plain.PlannerPeakBytes {
+		t.Fatalf("report option changed the answer: %+v vs %+v", with, plain)
 	}
 }

@@ -262,13 +262,15 @@ func TestAdmissionShedsOnlyAboveBound(t *testing.T) {
 	})
 
 	// Above concurrency + queue: these must shed, immediately, with
-	// 429 and the configured Retry-After.
+	// 429 and the configured Retry-After — on either endpoint, since
+	// both queue for the same planner slots.
 	for i := 0; i < extra; i++ {
-		req := httptest.NewRequest(http.MethodPost, "/v1/plan", strings.NewReader(specReq(400+i)))
+		path := []string{"/v1/plan", "/v1/peak"}[i%2]
+		req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(specReq(400+i)))
 		w := httptest.NewRecorder()
 		s.ServeHTTP(w, req)
 		if w.Code != http.StatusTooManyRequests {
-			t.Fatalf("overflow request %d: status %d, want 429 (body %s)", i, w.Code, w.Body.String())
+			t.Fatalf("overflow %s request %d: status %d, want 429 (body %s)", path, i, w.Code, w.Body.String())
 		}
 		if got := w.Header().Get("Retry-After"); got != "7" {
 			t.Fatalf("Retry-After = %q, want 7", got)

@@ -84,10 +84,9 @@ type PlanResponse struct {
 	Report               *core.PlanReport `json:"report,omitempty"`
 }
 
-// PeakResponse is the POST /v1/peak success body: the simulator's
-// exact peak for the requested plan (PredictPeak replays the full
-// runtime's alloc/free event sequence on a pooled arena), alongside
-// the planner's static estimate for comparison.
+// PeakResponse is the POST /v1/peak success body: the peak of the
+// requested plan's simulated iteration (a Run() on a pooled arena),
+// alongside the planner's static estimate for comparison.
 type PeakResponse struct {
 	Key                string  `json:"key"`
 	Model              string  `json:"model"`

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -70,7 +71,7 @@ type Config struct {
 }
 
 // Server is the planning service: an http.Handler exposing
-// POST /v1/plan, GET /healthz, and GET /metrics, with a
+// POST /v1/plan, POST /v1/peak, GET /healthz, and GET /metrics, with a
 // content-addressed plan cache, request coalescing, and admission
 // control in front of the planner.
 type Server struct {
@@ -132,12 +133,12 @@ func New(cfg Config) *Server {
 	s.reg.SetHelp("tsplit_serve_inflight", "Requests currently being handled.")
 	s.reg.SetHelp("tsplit_serve_request_seconds", "End-to-end request latency.")
 	s.reg.SetHelp("tsplit_serve_plan_seconds", "Planner-run latency (cache misses only).")
-	s.reg.SetHelp("tsplit_serve_peak_seconds", "Peak-prediction latency (plan + PredictPeak, /v1/peak only).")
+	s.reg.SetHelp("tsplit_serve_peak_seconds", "Peak-prediction latency (plan + simulation, /v1/peak only).")
 	s.reg.SetHelp("tsplit_simpool_gets_total", "Simulators borrowed from per-workload SimPools.")
 	s.reg.SetHelp("tsplit_simpool_reuse_hits_total", "SimPool borrows that recycled a warm arena instead of allocating one.")
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/plan", s.handlePlan)
-	mux.HandleFunc("/v1/peak", s.handlePeak)
+	mux.HandleFunc("/v1/plan", s.accept("serve.request", s.handlePlan))
+	mux.HandleFunc("/v1/peak", s.accept("serve.peak", s.handlePeak))
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	s.mux = mux
@@ -189,28 +190,24 @@ func (s *Server) end() {
 	s.inflight.Done()
 }
 
-// admission verdicts.
-type verdict int
-
-const (
-	admitted verdict = iota
-	shed             // queue full: 429
-	expired          // context done while queued: 503
-)
-
 // admit acquires a planner slot, queueing up to MaxQueue requests
-// when all slots are busy. It returns a release function exactly when
-// the verdict is admitted.
-func (s *Server) admit(ctx context.Context) (release func(), v verdict) {
+// when all slots are busy. It returns a release function, or the
+// refusal: 429 when the queue is full (the request is shed), 503 when
+// ctx expires while queued.
+func (s *Server) admit(ctx context.Context, key string) (release func(), herr *httpError) {
 	select {
 	case s.sem <- struct{}{}:
-		return func() { <-s.sem }, admitted
+		return func() { <-s.sem }, nil
 	default:
 	}
 	s.mu.Lock()
 	if s.waiting >= s.cfg.MaxQueue {
 		s.mu.Unlock()
-		return nil, shed
+		s.reg.Add("tsplit_serve_shed_total", 1)
+		s.cfg.Flight.Record("serve.shed", "admission queue full", obs.L("key", key))
+		return nil, &httpError{status: http.StatusTooManyRequests,
+			code: "overloaded", message: fmt.Sprintf("admission queue full (%d running, %d queued)",
+				s.cfg.MaxConcurrent, s.cfg.MaxQueue)}
 	}
 	s.waiting++
 	s.mu.Unlock()
@@ -221,230 +218,203 @@ func (s *Server) admit(ctx context.Context) (release func(), v verdict) {
 	}()
 	select {
 	case s.sem <- struct{}{}:
-		return func() { <-s.sem }, admitted
+		return func() { <-s.sem }, nil
 	case <-ctx.Done():
-		return nil, expired
+		return nil, &httpError{status: http.StatusServiceUnavailable,
+			code: "timeout", message: "request expired in the admission queue"}
 	}
 }
 
-// handlePlan is POST /v1/plan.
-func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
-	start := s.clock()
-	if !s.begin() {
-		s.finish(w, start, nil, &httpError{status: http.StatusServiceUnavailable,
-			code: "draining", message: "server is draining"})
-		return
-	}
-	defer s.end()
+// maxBodyBytes bounds a request body; a larger one answers 413.
+const maxBodyBytes = 1 << 20
 
-	sp := s.cfg.Trace.StartSpan("serve.request")
-	defer sp.End()
+// accepted is a planning request that has passed every step /v1/plan
+// and /v1/peak share: it is decoded and validated, its workload is
+// resolved, and its plan key is known.
+type accepted struct {
+	w     http.ResponseWriter
+	start time.Time
+	sp    *obs.Span       // the request span, named by the endpoint
+	ctx   context.Context // carries RequestTimeout
+	req   *PlanRequest
+	wl    *prepared
+	key   string
+}
 
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		s.finish(w, start, sp, &httpError{status: http.StatusMethodNotAllowed,
-			code: "method_not_allowed", message: "use POST"})
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err != nil {
-		s.finish(w, start, sp, errBadRequest("reading body: %v", err))
-		return
-	}
-	req, herr := decodeRequest(body)
-	if herr != nil {
-		s.finish(w, start, sp, herr)
-		return
-	}
+// accept returns the handler of one planning endpoint. It runs the
+// shared front of the pipeline — drain gate, request span, POST check,
+// bounded body read, decode, timeout, workload resolution, plan key —
+// answers every failure of those itself, and hands what passed to
+// handle.
+func (s *Server) accept(spanName string, handle func(accepted)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		start := s.clock()
+		if !s.begin() {
+			s.finish(w, start, nil, &httpError{status: http.StatusServiceUnavailable,
+				code: "draining", message: "server is draining"})
+			return
+		}
+		defer s.end()
 
-	ctx := r.Context()
-	if s.cfg.RequestTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
-		defer cancel()
-	}
+		sp := s.cfg.Trace.StartSpan(spanName)
+		defer sp.End()
 
-	wl, herr := s.workloads.get(req)
-	if herr != nil {
-		s.finish(w, start, sp, herr)
-		return
-	}
-	key := planKey(wl.digest, wl.dev, req.Options)
-	sp.SetAttr("key", key)
+		if r.Method != http.MethodPost {
+			w.Header().Set("Allow", http.MethodPost)
+			s.finish(w, start, sp, &httpError{status: http.StatusMethodNotAllowed,
+				code: "method_not_allowed", message: "use POST"})
+			return
+		}
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+		if err != nil {
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				s.finish(w, start, sp, &httpError{status: http.StatusRequestEntityTooLarge,
+					code: "payload_too_large", message: fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit)})
+				return
+			}
+			s.finish(w, start, sp, errBadRequest("reading body: %v", err))
+			return
+		}
+		req, herr := decodeRequest(body)
+		if herr != nil {
+			s.finish(w, start, sp, herr)
+			return
+		}
 
+		ctx := r.Context()
+		if s.cfg.RequestTimeout > 0 {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
+			defer cancel()
+		}
+
+		wl, herr := s.workloads.get(req)
+		if herr != nil {
+			s.finish(w, start, sp, herr)
+			return
+		}
+		key := planKey(wl.digest, wl.dev, req.Options)
+		sp.SetAttr("key", key)
+		handle(accepted{w: w, start: start, sp: sp, ctx: ctx, req: req, wl: wl, key: key})
+	}
+}
+
+// handlePlan is POST /v1/plan: serve the plan from the cache, or from
+// one coalesced planner run.
+func (s *Server) handlePlan(a accepted) {
 	// Fast path: content-addressed cache hit — no admission needed,
 	// the stored bytes answer the request.
-	if cached, ok := s.cache.get(key); ok {
+	if cached, ok := s.cache.get(a.key); ok {
 		s.reg.Add("tsplit_serve_cache_hits_total", 1)
-		s.cfg.Flight.Record("serve.cache.hit", "served cached plan", obs.L("key", key))
-		sp.SetAttr("cache", "hit")
-		s.writePlan(w, start, cached, "hit", key)
+		s.cfg.Flight.Record("serve.cache.hit", "served cached plan", obs.L("key", a.key))
+		a.sp.SetAttr("cache", "hit")
+		s.writePlan(a.w, a.start, cached, "hit", a.key)
 		return
 	}
 	s.reg.Add("tsplit_serve_cache_misses_total", 1)
-	s.cfg.Flight.Record("serve.cache.miss", "no cached plan", obs.L("key", key))
+	s.cfg.Flight.Record("serve.cache.miss", "no cached plan", obs.L("key", a.key))
 
-	res, coalesced, waitErr := s.group.do(ctx, key, func() planResult {
-		return s.runPlanner(ctx, sp, req, wl, key)
+	res, coalesced, waitErr := s.group.do(a.ctx, a.key, func() planResult {
+		return s.runPlanner(a)
 	})
-	if coalesced {
-		sp.SetAttr("cache", "coalesced")
-	} else {
-		sp.SetAttr("cache", "miss")
-	}
-	if waitErr != nil {
-		s.finish(w, start, sp, &httpError{status: http.StatusServiceUnavailable,
-			code: "timeout", message: "request expired waiting for the planner"})
-		return
-	}
-	if res.herr != nil {
-		s.finish(w, start, sp, res.herr)
-		return
-	}
 	state := "miss"
 	if coalesced {
 		state = "coalesced"
 	}
-	s.writePlan(w, start, res.body, state, key)
+	a.sp.SetAttr("cache", state)
+	if waitErr != nil {
+		s.finish(a.w, a.start, a.sp, &httpError{status: http.StatusServiceUnavailable,
+			code: "timeout", message: "request expired waiting for the planner"})
+		return
+	}
+	if res.herr != nil {
+		s.finish(a.w, a.start, a.sp, res.herr)
+		return
+	}
+	s.writePlan(a.w, a.start, res.body, state, a.key)
 }
 
-// handlePeak is POST /v1/peak: plan the requested policy, then replay
-// the plan through the simulator's peak-only fast path on the
-// workload's pooled arenas. The peak it returns is bit-for-bit the
-// peak a full simulation (and the verify tooling) reports — the
-// fleet-packing signal the planner's static estimate approximates.
-// Peak responses are not plan-cache entries: they share the planner
-// pool and admission control but leave the /v1/plan key space (and
-// its goldens) untouched.
-func (s *Server) handlePeak(w http.ResponseWriter, r *http.Request) {
-	start := s.clock()
-	if !s.begin() {
-		s.finish(w, start, nil, &httpError{status: http.StatusServiceUnavailable,
-			code: "draining", message: "server is draining"})
-		return
-	}
-	defer s.end()
-
-	sp := s.cfg.Trace.StartSpan("serve.peak")
-	defer sp.End()
-
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		s.finish(w, start, sp, &httpError{status: http.StatusMethodNotAllowed,
-			code: "method_not_allowed", message: "use POST"})
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err != nil {
-		s.finish(w, start, sp, errBadRequest("reading body: %v", err))
-		return
-	}
-	req, herr := decodeRequest(body)
+// handlePeak is POST /v1/peak: plan the requested policy, then run the
+// plan through the simulator on the workload's pooled arenas. The peak
+// it returns is the peak a fresh simulation (and the verify tooling)
+// reports — the fleet-packing signal the planner's static estimate
+// approximates. Peak responses are not plan-cache entries: they share
+// the planner pool and admission control but leave the /v1/plan key
+// space (and its goldens) untouched.
+func (s *Server) handlePeak(a accepted) {
+	release, herr := s.admit(a.ctx, a.key)
 	if herr != nil {
-		s.finish(w, start, sp, herr)
-		return
-	}
-
-	ctx := r.Context()
-	if s.cfg.RequestTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
-		defer cancel()
-	}
-	wl, herr := s.workloads.get(req)
-	if herr != nil {
-		s.finish(w, start, sp, herr)
-		return
-	}
-	key := planKey(wl.digest, wl.dev, req.Options)
-	sp.SetAttr("key", key)
-
-	release, v := s.admit(ctx)
-	switch v {
-	case shed:
-		s.reg.Add("tsplit_serve_shed_total", 1)
-		s.cfg.Flight.Record("serve.shed", "admission queue full", obs.L("key", key))
-		s.finish(w, start, sp, &httpError{status: http.StatusTooManyRequests,
-			code: "overloaded", message: fmt.Sprintf("admission queue full (%d running, %d queued)",
-				s.cfg.MaxConcurrent, s.cfg.MaxQueue)})
-		return
-	case expired:
-		s.finish(w, start, sp, &httpError{status: http.StatusServiceUnavailable,
-			code: "timeout", message: "request expired in the admission queue"})
+		s.finish(a.w, a.start, a.sp, herr)
 		return
 	}
 	defer release()
 
 	peakStart := s.clock()
-	plan, _, herr := s.buildPlan(req, wl)
+	opts := a.req.Options
+	opts.Report = false // the response carries no report; the key still echoes the request's
+	plan, _, herr := s.buildPlan(opts, a.wl)
 	if herr != nil {
-		s.finish(w, start, sp, herr)
+		s.finish(a.w, a.start, a.sp, herr)
 		return
 	}
-	simOpts := sim.Options{Capacity: req.Options.CapacityBytes, Recompute: sim.LRURecompute}
-	simr := wl.sims.Get(wl.g, wl.sched, wl.lv, plan, wl.dev, simOpts)
-	peak, perr := simr.PredictPeak()
+	wl := a.wl
+	simr := wl.sims.Get(wl.g, wl.sched, wl.lv, plan, wl.dev,
+		sim.Options{Capacity: opts.CapacityBytes, Recompute: sim.LRURecompute})
+	res, rerr := simr.Run()
 	wl.sims.Put(simr)
 	s.reg.Observe("tsplit_serve_peak_seconds", s.clock().Sub(peakStart).Seconds())
-	if perr != nil {
-		s.finish(w, start, sp, &httpError{status: http.StatusUnprocessableEntity,
-			code: "infeasible", message: perr.Error()})
+	if rerr != nil {
+		s.finish(a.w, a.start, a.sp, &httpError{status: http.StatusUnprocessableEntity,
+			code: "infeasible", message: rerr.Error()})
 		return
 	}
 	respBody, err := json.Marshal(&PeakResponse{
-		Key:                key,
-		Model:              req.displayName(),
+		Key:                a.key,
+		Model:              a.req.displayName(),
 		Device:             wl.dev.Name,
-		Policy:             req.Options.Policy,
-		SimulatedPeakBytes: peak,
-		SimulatedPeakGiB:   float64(peak) / (1 << 30),
+		Policy:             opts.Policy,
+		SimulatedPeakBytes: res.PeakBytes,
+		SimulatedPeakGiB:   float64(res.PeakBytes) / (1 << 30),
 		PlannerPeakBytes:   plan.PredictedPeak,
 	})
 	if err != nil {
-		s.finish(w, start, sp, &httpError{status: http.StatusInternalServerError,
+		s.finish(a.w, a.start, a.sp, &httpError{status: http.StatusInternalServerError,
 			code: "internal", message: fmt.Sprintf("encoding response: %v", err)})
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Tsplit-Key", key)
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(respBody) // client gone: nothing useful to do
-	s.observe(start, http.StatusOK)
+	a.w.Header().Set("Content-Type", "application/json")
+	a.w.Header().Set("X-Tsplit-Key", a.key)
+	a.w.WriteHeader(http.StatusOK)
+	_, _ = a.w.Write(respBody) // client gone: nothing useful to do
+	s.observe(a.start, http.StatusOK)
 }
 
 // runPlanner is the singleflight leader body: acquire a planner slot
 // (admission control), plan, serialize, and cache.
-func (s *Server) runPlanner(ctx context.Context, parent *obs.Span, req *PlanRequest, wl *prepared, key string) planResult {
-	release, v := s.admit(ctx)
-	switch v {
-	case shed:
-		s.reg.Add("tsplit_serve_shed_total", 1)
-		s.cfg.Flight.Record("serve.shed", "admission queue full", obs.L("key", key))
-		return planResult{herr: &httpError{status: http.StatusTooManyRequests,
-			code: "overloaded", message: fmt.Sprintf("admission queue full (%d running, %d queued)",
-				s.cfg.MaxConcurrent, s.cfg.MaxQueue)}}
-	case expired:
-		return planResult{herr: &httpError{status: http.StatusServiceUnavailable,
-			code: "timeout", message: "request expired in the admission queue"}}
+func (s *Server) runPlanner(a accepted) planResult {
+	release, herr := s.admit(a.ctx, a.key)
+	if herr != nil {
+		return planResult{herr: herr}
 	}
 	defer release()
 	if hook := s.cfg.testHookPlanStart; hook != nil {
-		hook(key)
+		hook(a.key)
 	}
 
 	// Double-check the cache: a previous leader may have finished
 	// between our miss and this run.
-	if cached, ok := s.cache.get(key); ok {
+	if cached, ok := s.cache.get(a.key); ok {
 		return planResult{body: cached}
 	}
 	if s.cfg.PlanDelay > 0 {
 		time.Sleep(s.cfg.PlanDelay)
 	}
 
-	sp := parent.StartSpan("serve.plan")
+	sp := a.sp.StartSpan("serve.plan")
 	defer sp.End()
 	planStart := s.clock()
-	resp, herr := s.buildResponse(req, wl, key)
+	resp, herr := s.buildResponse(a.req, a.wl, a.key)
 	s.reg.Observe("tsplit_serve_plan_seconds", s.clock().Sub(planStart).Seconds())
 	s.reg.Add("tsplit_serve_planner_runs_total", 1)
 	if herr != nil {
@@ -455,7 +425,7 @@ func (s *Server) runPlanner(ctx context.Context, parent *obs.Span, req *PlanRequ
 		return planResult{herr: &httpError{status: http.StatusInternalServerError,
 			code: "internal", message: fmt.Sprintf("encoding response: %v", err)}}
 	}
-	s.cache.put(key, body, resp.PredictedPeakBytes)
+	s.cache.put(a.key, body)
 	entries, bodyBytes := s.cache.stats()
 	s.reg.Set("tsplit_serve_cache_entries", float64(entries))
 	s.reg.Set("tsplit_serve_cache_bytes", float64(bodyBytes))
@@ -464,28 +434,28 @@ func (s *Server) runPlanner(ctx context.Context, parent *obs.Span, req *PlanRequ
 
 // buildPlan runs the requested policy on pooled planner arenas,
 // returning the plan (and its report when asked for).
-func (s *Server) buildPlan(req *PlanRequest, wl *prepared) (*core.Plan, *core.PlanReport, *httpError) {
+func (s *Server) buildPlan(o PlanOptions, wl *prepared) (*core.Plan, *core.PlanReport, *httpError) {
 	var plan *core.Plan
 	var report *core.PlanReport
 	var err error
-	switch req.Options.Policy {
+	switch o.Policy {
 	case "tsplit", "tsplit-nosplit":
 		opts := core.Options{
-			Capacity:      req.Options.CapacityBytes,
-			DisableSplit:  req.Options.DisableSplit || req.Options.Policy == "tsplit-nosplit",
-			PNums:         req.Options.PNums,
-			SafetyMargin:  req.Options.SafetyMargin,
-			CollectReport: req.Options.Report,
+			Capacity:      o.CapacityBytes,
+			DisableSplit:  o.DisableSplit || o.Policy == "tsplit-nosplit",
+			PNums:         o.PNums,
+			SafetyMargin:  o.SafetyMargin,
+			CollectReport: o.Report,
 			Clock:         s.clock,
 		}
 		pl := wl.pool.Get(opts)
 		plan, err = pl.Plan()
-		if err == nil && req.Options.Report {
+		if err == nil && o.Report {
 			report = pl.Report()
 		}
 		wl.pool.Put(pl)
 	default:
-		plan, err = baselines.Registry[req.Options.Policy](baselines.Inputs{
+		plan, err = baselines.Registry[o.Policy](baselines.Inputs{
 			G: wl.g, Sched: wl.sched, Lv: wl.lv, Prof: wl.prof, Dev: wl.dev,
 		})
 	}
@@ -499,7 +469,7 @@ func (s *Server) buildPlan(req *PlanRequest, wl *prepared) (*core.Plan, *core.Pl
 // buildResponse runs the requested policy and assembles the response
 // value that will be cached and served.
 func (s *Server) buildResponse(req *PlanRequest, wl *prepared, key string) (*PlanResponse, *httpError) {
-	plan, report, herr := s.buildPlan(req, wl)
+	plan, report, herr := s.buildPlan(req.Options, wl)
 	if herr != nil {
 		return nil, herr
 	}

@@ -200,9 +200,13 @@ func TestReportRequested(t *testing.T) {
 	}
 }
 
-// TestErrorResponses covers the structured 4xx surface.
+// TestErrorResponses covers the structured error surface. /v1/plan and
+// /v1/peak share the pipeline that produces it, so every row must hold
+// on both.
 func TestErrorResponses(t *testing.T) {
 	s := New(Config{})
+	drained := New(Config{})
+	drained.Drain()
 	cases := []struct {
 		name       string
 		body       string
@@ -223,45 +227,47 @@ func TestErrorResponses(t *testing.T) {
 		{"spec with config", `{"spec":{"seed":1},"config":{"batch_size":8}}`, http.StatusBadRequest, "bad_request"},
 		{"baseline with planner knobs", `{"model":"vgg16","options":{"policy":"vdnn-all","disable_split":true}}`, http.StatusBadRequest, "bad_request"},
 		{"infeasible", `{"model":"bert-large","config":{"batch_size":512},"device":"P100","options":{"capacity_bytes":1048576}}`, http.StatusUnprocessableEntity, "infeasible"},
+		{"body too large", `{"model":"` + strings.Repeat("a", maxBodyBytes) + `"}`, http.StatusRequestEntityTooLarge, "payload_too_large"},
+		{"not POST", ``, http.StatusMethodNotAllowed, "method_not_allowed"},
+		{"draining", `{"model":"vgg16"}`, http.StatusServiceUnavailable, "draining"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			w := postPlan(t, s, tc.body)
-			if w.Code != tc.wantStatus {
-				t.Fatalf("status %d, want %d; body: %s", w.Code, tc.wantStatus, w.Body.String())
-			}
-			eb := decodeError(t, w)
-			if eb.Error.Code != tc.wantCode {
-				t.Fatalf("error code %q, want %q (message: %s)", eb.Error.Code, tc.wantCode, eb.Error.Message)
-			}
-			if eb.Error.Message == "" {
-				t.Fatal("empty error message")
+			for _, path := range []string{"/v1/plan", "/v1/peak"} {
+				t.Run(path[len("/v1/"):], func(t *testing.T) {
+					srv, method := s, http.MethodPost
+					switch tc.wantCode {
+					case "method_not_allowed":
+						method = http.MethodGet
+					case "draining":
+						srv = drained
+					}
+					w := httptest.NewRecorder()
+					srv.ServeHTTP(w, httptest.NewRequest(method, path, strings.NewReader(tc.body)))
+					if w.Code != tc.wantStatus {
+						t.Fatalf("status %d, want %d; body: %.200s", w.Code, tc.wantStatus, w.Body.String())
+					}
+					eb := decodeError(t, w)
+					if eb.Error.Code != tc.wantCode {
+						t.Fatalf("error code %q, want %q (message: %s)", eb.Error.Code, tc.wantCode, eb.Error.Message)
+					}
+					if eb.Error.Message == "" {
+						t.Fatal("empty error message")
+					}
+					if got := w.Header().Get("Allow"); (got == http.MethodPost) != (w.Code == http.StatusMethodNotAllowed) {
+						t.Fatalf("Allow = %q on a %d", got, w.Code)
+					}
+				})
 			}
 		})
 	}
 }
 
-// TestMethodNotAllowed rejects non-POST plan calls.
-func TestMethodNotAllowed(t *testing.T) {
-	s := New(Config{})
-	req := httptest.NewRequest(http.MethodGet, "/v1/plan", nil)
+// healthz fetches the liveness probe's body.
+func healthz(t *testing.T, s *Server) map[string]any {
+	t.Helper()
 	w := httptest.NewRecorder()
-	s.ServeHTTP(w, req)
-	if w.Code != http.StatusMethodNotAllowed {
-		t.Fatalf("status %d, want 405", w.Code)
-	}
-	if got := w.Header().Get("Allow"); got != http.MethodPost {
-		t.Fatalf("Allow = %q, want POST", got)
-	}
-}
-
-// TestHealthz round-trips the liveness probe.
-func TestHealthz(t *testing.T) {
-	s := New(Config{})
-	postPlan(t, s, `{"model":"vgg16","config":{"batch_size":32}}`)
-	req := httptest.NewRequest(http.MethodGet, "/healthz", nil)
-	w := httptest.NewRecorder()
-	s.ServeHTTP(w, req)
+	s.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/healthz", nil))
 	if w.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", w.Code, w.Body.String())
 	}
@@ -269,6 +275,14 @@ func TestHealthz(t *testing.T) {
 	if err := json.Unmarshal(w.Body.Bytes(), &h); err != nil {
 		t.Fatalf("healthz body: %v", err)
 	}
+	return h
+}
+
+// TestHealthz round-trips the liveness probe.
+func TestHealthz(t *testing.T) {
+	s := New(Config{})
+	postPlan(t, s, `{"model":"vgg16","config":{"batch_size":32}}`)
+	h := healthz(t, s)
 	if h["status"] != "ok" {
 		t.Fatalf("status %v", h["status"])
 	}

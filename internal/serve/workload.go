@@ -45,24 +45,12 @@ type prepared struct {
 type workloadCache struct {
 	rec obs.Recorder // receives each workload's simulator-pool counters
 
-	mu      sync.Mutex
-	cap     int
-	entries map[string]*wlEntry // lint:guardedby mu
-	head    *wlEntry            // lint:guardedby mu — most recently used
-	tail    *wlEntry            // lint:guardedby mu — least recently used, evicted first
-}
-
-type wlEntry struct {
-	id         string
-	w          *prepared
-	prev, next *wlEntry
+	mu  sync.Mutex
+	lru *lru[*prepared] // lint:guardedby mu
 }
 
 func newWorkloadCache(capacity int, rec obs.Recorder) *workloadCache {
-	if capacity <= 0 {
-		capacity = 32
-	}
-	return &workloadCache{rec: rec, cap: capacity, entries: make(map[string]*wlEntry)}
+	return &workloadCache{rec: rec, lru: newLRU[*prepared](capacity, 32)}
 }
 
 // get resolves a validated request to its prepared workload, building
@@ -71,22 +59,14 @@ func (wc *workloadCache) get(req *PlanRequest) (*prepared, *httpError) {
 	id := req.workloadID()
 	wc.mu.Lock()
 	defer wc.mu.Unlock()
-	if e, ok := wc.entries[id]; ok {
-		wc.moveToFront(e)
-		return e.w, nil
+	if w, ok := wc.lru.get(id); ok {
+		return w, nil
 	}
 	w, herr := buildWorkload(req, wc.rec)
 	if herr != nil {
 		return nil, herr
 	}
-	e := &wlEntry{id: id, w: w}
-	wc.entries[id] = e
-	wc.pushFront(e)
-	if len(wc.entries) > wc.cap {
-		lru := wc.tail
-		wc.unlink(lru)
-		delete(wc.entries, lru.id)
-	}
+	wc.lru.put(id, w)
 	return w, nil
 }
 
@@ -94,44 +74,7 @@ func (wc *workloadCache) get(req *PlanRequest) (*prepared, *httpError) {
 func (wc *workloadCache) len() int {
 	wc.mu.Lock()
 	defer wc.mu.Unlock()
-	return len(wc.entries)
-}
-
-// moveToFront marks e most recently used. Callers hold wc.mu.
-func (wc *workloadCache) moveToFront(e *wlEntry) {
-	if wc.head == e {
-		return
-	}
-	wc.unlink(e)
-	wc.pushFront(e)
-}
-
-// pushFront links e as the head. Callers hold wc.mu.
-func (wc *workloadCache) pushFront(e *wlEntry) {
-	e.prev = nil
-	e.next = wc.head
-	if wc.head != nil {
-		wc.head.prev = e
-	}
-	wc.head = e
-	if wc.tail == nil {
-		wc.tail = e
-	}
-}
-
-// unlink removes e from the list. Callers hold wc.mu.
-func (wc *workloadCache) unlink(e *wlEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		wc.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		wc.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
+	return wc.lru.len()
 }
 
 // buildWorkload constructs the graph a validated request names and

@@ -4,11 +4,9 @@ import (
 	"fmt"
 
 	"tsplit/internal/core"
-	"tsplit/internal/device"
 	"tsplit/internal/faults"
 	"tsplit/internal/graph"
 	"tsplit/internal/memorypool"
-	"tsplit/internal/obs"
 	"tsplit/internal/tensor"
 )
 
@@ -21,41 +19,24 @@ func (s *Simulator) Run() (Result, error) {
 	return res, err
 }
 
-// PredictPeak runs the plan's allocation/free/eviction event sequence
-// with the stream clocks frozen and answers "does this plan fit, and
-// at what peak" — the fleet packer's query. The event sequence the
-// simulator executes is independent of simulated time (deferred frees
-// drain in issue order either way), so the returned peak — and any
-// OOM error — is bit-for-bit what a full Run() would report,
-// including fault-injected capacity pressure, at a fraction of the
-// cost: no cost-model evaluation, stream arithmetic, spans, timeline,
-// or metrics. Nothing is emitted to Obs/Trace/Flight.
+// PredictPeak answers "does this plan fit, and at what peak" — the
+// fleet packer's query. It is Run() with Obs, Trace, Flight and
+// CollectTimeline off for the call, so nothing is emitted and no
+// timeline is built; the peak and any OOM error are Run()'s own.
 func (s *Simulator) PredictPeak() (int64, error) {
-	s.peakOnly = true
-	res, err := s.run()
-	s.peakOnly = false
+	saved := s.Opts
+	s.Opts.Obs, s.Opts.Trace, s.Opts.Flight, s.Opts.CollectTimeline = nil, nil, nil, false
+	res, err := s.Run()
+	s.Opts = saved
 	if err != nil {
 		return 0, err
 	}
 	return res.PeakBytes, nil
 }
 
-// PredictPeak is the one-shot form of (*Simulator).PredictPeak.
-func PredictPeak(g *graph.Graph, sched *graph.Schedule, lv *graph.Liveness, plan *core.Plan, dev device.Device, opts Options) (int64, error) {
-	return New(g, sched, lv, plan, dev, opts).PredictPeak()
-}
-
-// rootSpan opens the run's trace span; peak-only runs trace nothing.
-func (s *Simulator) rootSpan() *obs.Span {
-	if s.peakOnly {
-		return nil
-	}
-	return s.Opts.Trace.StartSpan("sim.run")
-}
-
 func (s *Simulator) run() (Result, error) {
 	s.reset()
-	rootSpan := s.rootSpan()
+	rootSpan := s.Opts.Trace.StartSpan("sim.run")
 	defer rootSpan.End()
 	if err := s.stageResidents(); err != nil {
 		return s.res, err
@@ -76,9 +57,7 @@ func (s *Simulator) run() (Result, error) {
 			}
 		}
 		var err error
-		if !s.peakOnly {
-			pureCompute += s.opTime[i]
-		}
+		pureCompute += s.opTime[i]
 		if si := s.splitIdx[op.ID]; si >= 0 {
 			err = s.execSplit(i, op, s.splitList[si])
 		} else {
@@ -227,12 +206,10 @@ func (s *Simulator) allocWait(bytes int64, at float64) (memorypool.Block, float6
 					s.hogs[k].blk.Offset = no
 				}
 			}
-			if !s.peakOnly {
-				cost := 2 * float64(moved) / s.Dev.MemBandwidth // read + write
-				s.tc += cost
-				at += cost
-				s.res.CompactTime += cost
-			}
+			cost := 2 * float64(moved) / s.Dev.MemBandwidth // read + write
+			s.tc += cost
+			at += cost
+			s.res.CompactTime += cost
 			s.res.Compactions++
 			s.compactions++
 			s.res.MovedBytes += moved
@@ -255,8 +232,6 @@ func (s *Simulator) startSwapOut(t *graph.Tensor, at float64, alreadyCopied bool
 	switch {
 	case alreadyCopied:
 		s.pool.FreeBlock(blk)
-	case s.peakOnly:
-		s.pushPending(0, blk, t)
 	default:
 		start := s.td
 		if at > start {
@@ -292,9 +267,6 @@ func (s *Simulator) startSwapIn(t *graph.Tensor, at float64) error {
 	}
 	s.block[t.ID] = blk
 	s.state[t.ID] = onDevice
-	if s.peakOnly {
-		return nil
-	}
 	start := s.th
 	if ready > start {
 		start = ready
@@ -381,12 +353,6 @@ func (s *Simulator) execWhole(i int, op *graph.Op) error {
 		ready = r
 		s.block[out.ID] = blk
 		s.state[out.ID] = onDevice
-	}
-	if s.peakOnly {
-		if wsBlock != nil {
-			s.pool.FreeBlock(*wsBlock)
-		}
-		return nil
 	}
 
 	start := s.tc

@@ -112,21 +112,18 @@ func (s *Simulator) execSplit(i int, op *graph.Op, sp core.OpSplit) error {
 		mode = core.MergePhysical
 	}
 
-	var perPart float64
-	if !s.peakOnly {
-		perPart, _ = s.Cost.SplitTimes(op, pn)
-		if effectiveKindOf(op) == graph.BatchNorm {
-			// Micro-tensor batch normalization: a second pass finalizes
-			// the batch statistics before normalizing each micro-tensor.
-			perPart += float64(in.Bytes()) / float64(pn) / s.Dev.MemBandwidth
-		}
-		if s.noise != nil {
-			// The same misprediction factor applies to every micro-op of
-			// the split (they are the same kernel on smaller tensors).
-			np := perPart * s.noise[i]
-			s.res.Faults.OpNoiseSeconds += (np - perPart) * float64(pn)
-			perPart = np
-		}
+	perPart, _ := s.Cost.SplitTimes(op, pn)
+	if effectiveKindOf(op) == graph.BatchNorm {
+		// Micro-tensor batch normalization: a second pass finalizes
+		// the batch statistics before normalizing each micro-tensor.
+		perPart += float64(in.Bytes()) / float64(pn) / s.Dev.MemBandwidth
+	}
+	if s.noise != nil {
+		// The same misprediction factor applies to every micro-op of
+		// the split (they are the same kernel on smaller tensors).
+		np := perPart * s.noise[i]
+		s.res.Faults.OpNoiseSeconds += (np - perPart) * float64(pn)
+		perPart = np
 	}
 
 	var wsBlock *memorypool.Block
@@ -237,18 +234,16 @@ func (s *Simulator) execSplit(i int, op *graph.Op, sp core.OpSplit) error {
 				}
 				microPtrs = append(microPtrs, s.holdVal(blk))
 			}
-			if !s.peakOnly {
-				start := s.th
-				if kready > start {
-					start = kready
-				}
-				dur := s.xfer(part)
-				s.th = start + dur
-				s.res.H2DBusy += dur
-				s.res.SwapInBytes += part
-				if s.th > kready {
-					kready = s.th
-				}
+			start := s.th
+			if kready > start {
+				start = kready
+			}
+			dur := s.xfer(part)
+			s.th = start + dur
+			s.res.H2DBusy += dur
+			s.res.SwapInBytes += part
+			if s.th > kready {
+				kready = s.th
 			}
 		}
 
@@ -270,27 +265,24 @@ func (s *Simulator) execSplit(i int, op *graph.Op, sp core.OpSplit) error {
 		}
 		s.hold(oblk)
 
-		var end float64
-		if !s.peakOnly {
-			start := s.tc
-			if kready > start {
-				start = kready
-			}
-			if k == 0 {
-				s.chargeStall(start, readyIn)
-			} else if st := start - s.tc; st > 0 {
-				// Later micro-parts wait on the streaming restore (when one
-				// is active) or on pool memory.
-				if nMicro > 0 {
-					s.res.InputStallTime += st
-				} else {
-					s.res.AllocStallTime += st
-				}
-			}
-			end = start + perPart
-			s.tc = end
-			s.res.ComputeTime += perPart
+		start := s.tc
+		if kready > start {
+			start = kready
 		}
+		if k == 0 {
+			s.chargeStall(start, readyIn)
+		} else if st := start - s.tc; st > 0 {
+			// Later micro-parts wait on the streaming restore (when one
+			// is active) or on pool memory.
+			if nMicro > 0 {
+				s.res.InputStallTime += st
+			} else {
+				s.res.AllocStallTime += st
+			}
+		}
+		end := start + perPart
+		s.tc = end
+		s.res.ComputeTime += perPart
 
 		// Retire this micro-part of the carved inputs; in carve-staging
 		// mode the primary input's freed slot receives the staged
@@ -307,24 +299,18 @@ func (s *Simulator) execSplit(i int, op *graph.Op, sp core.OpSplit) error {
 						return err
 					}
 				}
-				if !s.peakOnly {
-					s.chargeCopy(osz)
-				}
+				s.chargeCopy(osz)
 				*oblk = ab
 			case sp.InOpt == core.Swap:
-				if s.peakOnly {
-					s.pushPending(0, blk, c.t)
-				} else {
-					ds := s.td
-					if end > ds {
-						ds = end
-					}
-					dur := s.xfer(blk.Size)
-					s.td = ds + dur
-					s.res.D2HBusy += dur
-					s.res.SwapOutBytes += blk.Size
-					s.pushPending(s.td, blk, c.t)
+				ds := s.td
+				if end > ds {
+					ds = end
 				}
+				dur := s.xfer(blk.Size)
+				s.td = ds + dur
+				s.res.D2HBusy += dur
+				s.res.SwapOutBytes += blk.Size
+				s.pushPending(s.td, blk, c.t)
 			default:
 				s.pool.FreeBlock(blk)
 			}
@@ -332,15 +318,13 @@ func (s *Simulator) execSplit(i int, op *graph.Op, sp core.OpSplit) error {
 		if mode == core.MergeRestoreInPlace {
 			// Overwrite slot k (holding the consumed restore slice)
 			// with the staged micro-output.
-			if !s.peakOnly {
-				s.chargeCopy(osz)
-			}
+			s.chargeCopy(osz)
 			*oblk = restoreSlots[k]
 		}
 		for _, p := range microPtrs {
 			s.pool.FreeBlock(*p)
 		}
-		if earlyOut && !s.peakOnly {
+		if earlyOut {
 			ds := s.td
 			if end > ds {
 				ds = end
@@ -376,13 +360,11 @@ func (s *Simulator) execSplit(i int, op *graph.Op, sp core.OpSplit) error {
 		if err != nil {
 			return fmt.Errorf("merging %s: %w", out.Name, err)
 		}
-		if !s.peakOnly {
-			if r > s.tc {
-				s.res.AllocStallTime += r - s.tc
-				s.tc = r
-			}
-			s.chargeCopy(outB)
+		if r > s.tc {
+			s.res.AllocStallTime += r - s.tc
+			s.tc = r
 		}
+		s.chargeCopy(outB)
 		for _, b := range outBlocks {
 			s.pool.FreeBlock(b)
 		}
@@ -394,9 +376,6 @@ func (s *Simulator) execSplit(i int, op *graph.Op, sp core.OpSplit) error {
 	}
 	if wsBlock != nil {
 		s.pool.FreeBlock(*wsBlock)
-	}
-	if s.peakOnly {
-		return nil
 	}
 	s.readyAt[out.ID] = s.tc
 	for _, o := range op.Outputs {

@@ -8,13 +8,13 @@ import (
 	"tsplit/internal/core"
 	"tsplit/internal/faults"
 	"tsplit/internal/models"
+	"tsplit/internal/obs"
 )
 
-// PredictPeak skips timing, stream contention, observation, and the
-// timeline — but the alloc/free event sequence it replays must be the
-// full Run()'s exactly, so the peak it reports (and any OOM it hits)
-// is bit-for-bit identical. These tests sweep the model zoo × every
-// policy, plus fault-injected and over-committed configurations.
+// These tests drive Run() and PredictPeak() on fresh simulators across
+// the model zoo × every policy, plus over-committed and fault-injected
+// configurations, and hold the two to the same feasibility, the same
+// OOM string and the same peak.
 
 func peakPlan(t *testing.T, b *bed, policy string, cap int64) *core.Plan {
 	t.Helper()
@@ -36,6 +36,27 @@ func peakPlan(t *testing.T, b *bed, policy string, cap int64) *core.Plan {
 	return plan
 }
 
+// checkPeakMatchesRun runs the plan on two fresh simulators, one per
+// entry point, with options from mk (called twice so a fault injector
+// is not shared).
+func checkPeakMatchesRun(t *testing.T, b *bed, plan *core.Plan, mk func() Options) {
+	t.Helper()
+	res, runErr := New(b.g, b.sched, b.lv, plan, b.dev, mk()).Run()
+	peak, peakErr := New(b.g, b.sched, b.lv, plan, b.dev, mk()).PredictPeak()
+	if (runErr == nil) != (peakErr == nil) {
+		t.Fatalf("feasibility diverges: run err=%v, peak err=%v", runErr, peakErr)
+	}
+	if runErr != nil {
+		if runErr.Error() != peakErr.Error() {
+			t.Fatalf("OOM strings diverge:\nrun:  %s\npeak: %s", runErr, peakErr)
+		}
+		return
+	}
+	if peak != res.PeakBytes {
+		t.Fatalf("peak diverges: PredictPeak=%d Run=%d", peak, res.PeakBytes)
+	}
+}
+
 func TestPredictPeakMatchesRunAcrossZoo(t *testing.T) {
 	zoo := []struct {
 		model string
@@ -52,21 +73,9 @@ func TestPredictPeakMatchesRunAcrossZoo(t *testing.T) {
 		for _, policy := range policies {
 			t.Run(w.model+"/"+policy, func(t *testing.T) {
 				plan := peakPlan(t, b, policy, b.dev.MemBytes)
-				opts := Options{Recompute: LRURecompute}
-				res, runErr := New(b.g, b.sched, b.lv, plan, b.dev, opts).Run()
-				peak, peakErr := PredictPeak(b.g, b.sched, b.lv, plan, b.dev, opts)
-				if (runErr == nil) != (peakErr == nil) {
-					t.Fatalf("feasibility diverges: run err=%v, peak err=%v", runErr, peakErr)
-				}
-				if runErr != nil {
-					if runErr.Error() != peakErr.Error() {
-						t.Fatalf("OOM strings diverge:\nrun:  %s\npeak: %s", runErr, peakErr)
-					}
-					return
-				}
-				if peak != res.PeakBytes {
-					t.Fatalf("peak diverges: PredictPeak=%d Run=%d", peak, res.PeakBytes)
-				}
+				checkPeakMatchesRun(t, b, plan, func() Options {
+					return Options{Recompute: LRURecompute}
+				})
 			})
 		}
 	}
@@ -74,8 +83,7 @@ func TestPredictPeakMatchesRunAcrossZoo(t *testing.T) {
 
 // TestPredictPeakUnderPressure forces the simulator through its
 // degradation machinery — LRU eviction, the pressure valve, and
-// compaction — where the peak path has the most opportunities to
-// diverge from the timed path.
+// compaction.
 func TestPredictPeakUnderPressure(t *testing.T) {
 	for _, tc := range []struct {
 		model string
@@ -90,61 +98,34 @@ func TestPredictPeakUnderPressure(t *testing.T) {
 			b := mkbed(t, tc.model, models.Config{BatchSize: tc.batch})
 			cap := b.lv.Peak * tc.pct / 100
 			plan := peakPlan(t, b, "tsplit", cap)
-			opts := Options{Capacity: cap, Recompute: LRURecompute}
-			res, runErr := New(b.g, b.sched, b.lv, plan, b.dev, opts).Run()
-			peak, peakErr := PredictPeak(b.g, b.sched, b.lv, plan, b.dev, opts)
-			if (runErr == nil) != (peakErr == nil) {
-				t.Fatalf("feasibility diverges: run err=%v, peak err=%v", runErr, peakErr)
-			}
-			if runErr != nil {
-				if runErr.Error() != peakErr.Error() {
-					t.Fatalf("OOM strings diverge:\nrun:  %s\npeak: %s", runErr, peakErr)
-				}
-				return
-			}
-			if peak != res.PeakBytes {
-				t.Fatalf("peak diverges: PredictPeak=%d Run=%d", peak, res.PeakBytes)
-			}
+			checkPeakMatchesRun(t, b, plan, func() Options {
+				return Options{Capacity: cap, Recompute: LRURecompute}
+			})
 		})
 	}
 }
 
-// TestPredictPeakWithFaults checks the peak path under injection:
-// capacity hogs perturb the peak and must be replayed; op noise and
-// bandwidth degradation are timing-only and must not.
+// TestPredictPeakWithFaults checks the peak under injection: capacity
+// hogs hold pool memory and move it.
 func TestPredictPeakWithFaults(t *testing.T) {
 	b := mkbed(t, "vgg16", models.Config{BatchSize: 256})
 	cap := b.lv.Peak * 70 / 100
 	plan := peakPlan(t, b, "tsplit", cap)
 	for _, seed := range []uint64{7, 123} {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			mk := func() Options {
+			checkPeakMatchesRun(t, b, plan, func() Options {
 				return Options{
 					Capacity:  cap,
 					Recompute: LRURecompute,
 					Faults:    faults.New(faults.Config{Seed: seed, Severity: faults.DefaultSeverity}),
 				}
-			}
-			res, runErr := New(b.g, b.sched, b.lv, plan, b.dev, mk()).Run()
-			peak, peakErr := PredictPeak(b.g, b.sched, b.lv, plan, b.dev, mk())
-			if (runErr == nil) != (peakErr == nil) {
-				t.Fatalf("feasibility diverges: run err=%v, peak err=%v", runErr, peakErr)
-			}
-			if runErr != nil {
-				if runErr.Error() != peakErr.Error() {
-					t.Fatalf("OOM strings diverge:\nrun:  %s\npeak: %s", runErr, peakErr)
-				}
-				return
-			}
-			if peak != res.PeakBytes {
-				t.Fatalf("peak diverges under faults: PredictPeak=%d Run=%d", peak, res.PeakBytes)
-			}
+			})
 		})
 	}
 }
 
-// TestPredictPeakPooled runs the peak path on a recycled arena,
-// interleaved with full runs, checking neither contaminates the other.
+// TestPredictPeakPooled interleaves PredictPeak and Run on a recycled
+// arena, checking neither contaminates the other.
 func TestPredictPeakPooled(t *testing.T) {
 	b := mkbed(t, "resnet50", models.Config{BatchSize: 256})
 	cap := b.lv.Peak * 70 / 100
@@ -169,9 +150,64 @@ func TestPredictPeakPooled(t *testing.T) {
 			t.Fatalf("pooled Run after PredictPeak: %v", err)
 		}
 		if res.PeakBytes != want.PeakBytes || res.Time != want.Time {
-			t.Fatalf("full run after peak-only diverges: peak %d vs %d, time %v vs %v",
+			t.Fatalf("Run after PredictPeak diverges: peak %d vs %d, time %v vs %v",
 				res.PeakBytes, want.PeakBytes, res.Time, want.Time)
 		}
 		pool.Put(s)
+	}
+}
+
+// TestPredictPeakIsSilent holds PredictPeak to its contract on a
+// simulator with every sink set: nothing reaches Obs, Trace or Flight
+// (not even the OOM event of an over-committed run), no timeline is
+// built, Opts comes back as it was, and the answer is Run()'s.
+func TestPredictPeakIsSilent(t *testing.T) {
+	b := mkbed(t, "vgg16", models.Config{BatchSize: 64})
+	plan := b.baseline(t, "vdnn-all")
+	for _, tc := range []struct {
+		name string
+		cap  int64
+	}{
+		{"fits", 0},
+		{"oom", 1 << 24},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			tr := obs.NewTracer(nil)
+			fl := obs.NewFlight(16, nil)
+			s := New(b.g, b.sched, b.lv, plan, b.dev, Options{
+				Capacity: tc.cap, Obs: reg, Trace: tr, Flight: fl, CollectTimeline: true,
+			})
+			before := s.Opts
+			peak, peakErr := s.PredictPeak()
+			if s.Opts != before {
+				t.Fatalf("Opts changed: %+v -> %+v", before, s.Opts)
+			}
+			if n := len(reg.Snapshot()); n != 0 {
+				t.Fatalf("%d metric series emitted", n)
+			}
+			if n := len(tr.Tree()); n != 0 {
+				t.Fatalf("%d root spans emitted", n)
+			}
+			if n := fl.Len(); n != 0 {
+				t.Fatalf("%d flight events emitted", n)
+			}
+			if n := len(s.res.Timeline); n != 0 {
+				t.Fatalf("timeline has %d points", n)
+			}
+			res, runErr := s.Run()
+			if (runErr == nil) != (peakErr == nil) || (runErr != nil && runErr.Error() != peakErr.Error()) {
+				t.Fatalf("errors diverge: run err=%v, peak err=%v", runErr, peakErr)
+			}
+			if (tc.name == "oom") != (runErr != nil) {
+				t.Fatalf("case %s: run err=%v", tc.name, runErr)
+			}
+			if runErr == nil && peak != res.PeakBytes {
+				t.Fatalf("PredictPeak=%d, Run=%d", peak, res.PeakBytes)
+			}
+			if len(reg.Snapshot()) == 0 || len(tr.Tree()) == 0 {
+				t.Fatal("Run after PredictPeak emitted nothing: sinks were not restored")
+			}
+		})
 	}
 }

@@ -206,10 +206,8 @@ const (
 var ErrOOM = fmt.Errorf("sim: out of device memory")
 
 // freeEvent is a pending deferred free (a swap-out completing). seq is
-// the issue order; it breaks ties so the peak-only mode — which
-// freezes every stream clock at zero — pops events in exactly the
-// order a timed run would (the D2H clock advances strictly between
-// pushes, so a timed run's pop order is the issue order too).
+// the issue order; it breaks ties between equal completion times, so
+// the pop order never depends on the heap's shape.
 type freeEvent struct {
 	at    float64
 	seq   int64
@@ -431,12 +429,6 @@ type Simulator struct {
 	bwMul []float64
 	hogs  []hogEvent
 
-	// peakOnly freezes the stream clocks: the run executes the exact
-	// allocation/free/eviction event sequence (which is independent of
-	// simulated time) while skipping all timing, noise, span, and
-	// timeline work. See PredictPeak.
-	peakOnly bool
-
 	res Result
 }
 
@@ -479,8 +471,7 @@ func (s *Simulator) pin(op *graph.Op) {
 }
 
 // pushPending schedules blk to be freed when t's swap-out completes at
-// time at. The issue sequence keeps the heap FIFO when clocks are
-// frozen (peak-only mode).
+// time at. Events with equal completion times pop in issue order.
 func (s *Simulator) pushPending(at float64, blk memorypool.Block, t *graph.Tensor) {
 	s.pendSeq++
 	s.pending.push(freeEvent{at: at, seq: s.pendSeq, block: blk, t: t})
@@ -544,15 +535,11 @@ func (s *Simulator) reset() {
 	s.noise, s.bwMul = nil, nil
 	s.hogs = s.hogs[:0]
 	if s.inj != nil {
-		if !s.peakOnly {
-			// Noise and bandwidth multipliers only perturb timing; the
-			// peak-only mode never reads them.
-			s.noise = make([]float64, nSched)
-			s.bwMul = make([]float64, nSched)
-			for i := 0; i < nSched; i++ {
-				s.noise[i] = s.inj.OpTimeFactor(i)
-				s.bwMul[i] = s.inj.TransferFactor(i)
-			}
+		s.noise = make([]float64, nSched)
+		s.bwMul = make([]float64, nSched)
+		for i := 0; i < nSched; i++ {
+			s.noise[i] = s.inj.OpTimeFactor(i)
+			s.bwMul[i] = s.inj.TransferFactor(i)
 		}
 		for _, ev := range s.inj.CapacityEvents(nSched, s.Opts.Capacity) {
 			s.hogs = append(s.hogs, hogEvent{ev: ev})
@@ -613,7 +600,7 @@ func (s *Simulator) reset() {
 		}
 	}
 
-	if !s.peakOnly && (s.opTimeG != s.G || s.opTimeDev != s.Cost.Dev) {
+	if s.opTimeG != s.G || s.opTimeDev != s.Cost.Dev {
 		s.opTime = grow(s.opTime, nSched)
 		for i, op := range s.Sched.Ops {
 			s.opTime[i] = s.Cost.OpTime(op)

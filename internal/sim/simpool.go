@@ -36,8 +36,8 @@ type SimPool struct {
 func NewSimPool() *SimPool { return &SimPool{} }
 
 // Get returns a Simulator targeted at the given workload, recycling a
-// pooled arena when one is free. The caller runs it (Run, PredictPeak)
-// on one goroutine and should Put it back when done.
+// pooled arena when one is free. The caller runs it on one goroutine
+// and should Put it back when done.
 func (p *SimPool) Get(g *graph.Graph, sched *graph.Schedule, lv *graph.Liveness, plan *core.Plan, dev device.Device, opts Options) *Simulator {
 	if opts.Capacity == 0 {
 		opts.Capacity = dev.MemBytes

@@ -2,9 +2,9 @@
 # bench_guard.sh — planner, simulator and sweep regression guard.
 #
 # Runs the Plan() benchmarks (with the default nil Recorder, i.e. the
-# observability no-op path), the simulator benchmarks (cold, pooled
-# arena, and peak-only fast path) and one Table IV sweep, and fails if
-# any regresses against the recorded baseline in bench_results.txt:
+# observability no-op path), the simulator benchmarks (cold and pooled
+# arena) and one Table IV sweep, and fails if any regresses against the
+# recorded baseline in bench_results.txt:
 #
 #   - allocs/op: > +10% (allocation counts are deterministic, so the
 #     tolerance only absorbs map-rehash jitter) — plus an absolute
@@ -27,7 +27,7 @@ cd "$(dirname "$0")/.."
 BASELINE=bench_results.txt
 if [ ! -f "$BASELINE" ]; then
     echo "bench-guard: FAIL: baseline file $BASELINE not found in $(pwd)" >&2
-    echo "bench-guard: record one with: go test -run '^\$' -bench 'BenchmarkPlannerPlan|BenchmarkSimRun|BenchmarkPredictPeak' -benchtime 100x . | tee $BASELINE" >&2
+    echo "bench-guard: record one with: go test -run '^\$' -bench 'BenchmarkPlannerPlan|BenchmarkSimRun' -benchtime 100x . | tee $BASELINE" >&2
     exit 1
 fi
 OUT=$(mktemp)
@@ -38,7 +38,7 @@ trap 'rm -f "$OUT"' EXIT
 # simulator pool) dominated allocs/op; 100x measures the steady state
 # the baseline records.
 GOMAXPROCS=1 go test -run '^$' \
-    -bench 'Benchmark(PlannerPlan_(VGG16|ResNet50|BERTLarge)|SimRun_(VGG16|ResNet50|BERTLarge)|SimRunPooled_BERTLarge|PredictPeak_BERTLarge)$' \
+    -bench 'Benchmark(PlannerPlan_(VGG16|ResNet50|BERTLarge)|SimRun_(VGG16|ResNet50|BERTLarge)|SimRunPooled_BERTLarge)$' \
     -benchtime 100x . >"$OUT" 2>&1 || { cat "$OUT"; exit 1; }
 # The sweep is ~0.4 s an iteration; its allocation counts repeat to
 # within a fraction of a percent, so three iterations are enough.
@@ -48,14 +48,14 @@ GOMAXPROCS=1 go test -run '^$' -bench 'BenchmarkTable4_MaxSampleScale$' \
 awk '
     function field(unit,    i) { for (i = 2; i <= NF; i++) if ($i == unit) return $(i-1); return -1 }
     FNR == NR {
-        if ($1 ~ /^Benchmark(PlannerPlan|SimRun|SimRunPooled|PredictPeak|Table4)_/ && field("allocs/op") >= 0) {
+        if ($1 ~ /^Benchmark(PlannerPlan|SimRun|SimRunPooled|Table4)_/ && field("allocs/op") >= 0) {
             base_allocs[$1] = field("allocs/op")
             base_bytes[$1] = field("B/op")
             base_ns[$1] = field("ns/op")
         }
         next
     }
-    $1 ~ /^Benchmark(PlannerPlan|SimRun|SimRunPooled|PredictPeak|Table4)_/ {
+    $1 ~ /^Benchmark(PlannerPlan|SimRun|SimRunPooled|Table4)_/ {
         name = $1; sub(/-[0-9]+$/, "", name)   # strip the GOMAXPROCS suffix
         allocs = field("allocs/op"); ns = field("ns/op")
         if (allocs < 0) next
@@ -83,7 +83,7 @@ awk '
         }
     }
     END {
-        if (seen < 9) { printf "bench-guard: only %d benchmark results parsed, want 9\n", seen; bad = 1 }
+        if (seen < 8) { printf "bench-guard: only %d benchmark results parsed, want 8\n", seen; bad = 1 }
         exit bad
     }
 ' "$BASELINE" "$OUT" || { cat "$OUT"; exit 1; }
