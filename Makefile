@@ -63,7 +63,7 @@ cover:
 doctor-smoke:
 	sh scripts/doctor_smoke.sh
 
-# Planning-service smoke: tsplit-serve -smoke (plan miss ->
+# Planning-service smoke: tsplit-serve -smoke (plan and peak: miss ->
 # byte-identical hit over a real listener) -> metrics + dump artifacts
 # -> tsplit-doctor reads the dump back with the serve phases present.
 serve-smoke:

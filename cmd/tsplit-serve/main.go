@@ -1,10 +1,12 @@
 // Command tsplit-serve runs the TSPLIT planner as a service:
 // POST /v1/plan takes a model name (or an inline graph spec), a device
 // profile, and planner options, and answers with the plan, its
-// predicted peak, and optionally the planner's decision report.
-// Identical requests are answered from a content-addressed plan cache
-// or coalesced onto one in-flight planner run; overload sheds with
-// 429 + Retry-After instead of queueing without bound.
+// predicted peak, and optionally the planner's decision report;
+// POST /v1/peak takes the same body and answers with the peak the
+// simulated runtime reaches under that plan. On either endpoint,
+// identical requests are answered from a content-addressed cache or
+// coalesced onto one in-flight run; overload sheds with 429 +
+// Retry-After instead of queueing without bound.
 //
 // GET /healthz reports liveness and cache occupancy; GET /metrics is
 // Prometheus text exposition. On SIGINT/SIGTERM the server drains:
@@ -12,10 +14,10 @@
 // -metrics-out files are written before exit.
 //
 // -smoke runs a self-test against an ephemeral listener instead of
-// serving: plan twice (miss then byte-identical hit), scrape the
-// endpoints, write the observability artifacts, and exit nonzero on
-// any mismatch. CI drives it via scripts/serve_smoke.sh and feeds the
-// dump to tsplit-doctor.
+// serving: plan twice and peak twice (miss then byte-identical hit),
+// scrape the endpoints, write the observability artifacts, and exit
+// nonzero on any mismatch. CI drives it via scripts/serve_smoke.sh and
+// feeds the dump to tsplit-doctor.
 package main
 
 import (
@@ -128,8 +130,8 @@ func main() {
 }
 
 // runSmoke exercises the full service surface over a real listener:
-// plan (miss), plan again (byte-identical hit), reject an unknown
-// model, and read back /healthz and /metrics. It leaves the
+// plan and peak (miss), each again (byte-identical hit), reject an
+// unknown model, and read back /healthz and /metrics. It leaves the
 // observability artifacts behind for tsplit-doctor.
 func runSmoke(srv *serve.Server, writeArtifacts func() error) error {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -143,8 +145,8 @@ func runSmoke(srv *serve.Server, writeArtifacts func() error) error {
 	client := &http.Client{Timeout: time.Minute}
 
 	const body = `{"model":"vgg16","config":{"batch_size":32},"options":{"report":true}}`
-	post := func() ([]byte, string, error) {
-		resp, err := client.Post(base+"/v1/plan", "application/json", strings.NewReader(body))
+	post := func(path string) ([]byte, string, error) {
+		resp, err := client.Post(base+path, "application/json", strings.NewReader(body))
 		if err != nil {
 			return nil, "", err
 		}
@@ -154,26 +156,33 @@ func runSmoke(srv *serve.Server, writeArtifacts func() error) error {
 			return nil, "", err
 		}
 		if resp.StatusCode != http.StatusOK {
-			return nil, "", fmt.Errorf("plan: status %d: %s", resp.StatusCode, b)
+			return nil, "", fmt.Errorf("%s: status %d: %s", path, resp.StatusCode, b)
 		}
 		return b, resp.Header.Get("X-Tsplit-Cache"), nil
 	}
-	first, state, err := post()
-	if err != nil {
-		return err
-	}
-	if state != "miss" {
-		return fmt.Errorf("first plan: cache state %q, want miss", state)
-	}
-	second, state, err := post()
-	if err != nil {
-		return err
-	}
-	if state != "hit" {
-		return fmt.Errorf("second plan: cache state %q, want hit", state)
-	}
-	if !bytes.Equal(first, second) {
-		return fmt.Errorf("cache hit is not byte-identical to the miss (%d vs %d bytes)", len(first), len(second))
+	// Each endpoint answers a repeated key from its cache with the
+	// miss's bytes; only /v1/plan says which it was in a header.
+	for _, ep := range []struct{ path, first, second string }{
+		{"/v1/plan", "miss", "hit"},
+		{"/v1/peak", "", ""},
+	} {
+		first, state, err := post(ep.path)
+		if err != nil {
+			return err
+		}
+		if state != ep.first {
+			return fmt.Errorf("first %s: cache state %q, want %q", ep.path, state, ep.first)
+		}
+		second, state, err := post(ep.path)
+		if err != nil {
+			return err
+		}
+		if state != ep.second {
+			return fmt.Errorf("second %s: cache state %q, want %q", ep.path, state, ep.second)
+		}
+		if !bytes.Equal(first, second) {
+			return fmt.Errorf("%s: cache hit is not byte-identical to the miss (%d vs %d bytes)", ep.path, len(first), len(second))
+		}
 	}
 
 	resp, err := client.Post(base+"/v1/plan", "application/json", strings.NewReader(`{"model":"nosuch"}`))
@@ -199,7 +208,7 @@ func runSmoke(srv *serve.Server, writeArtifacts func() error) error {
 		if path == "/metrics" {
 			for _, want := range []string{
 				"tsplit_serve_requests_total", "tsplit_serve_cache_hits_total",
-				"tsplit_serve_planner_runs_total",
+				"tsplit_serve_planner_runs_total", "tsplit_serve_peak_cache_hits_total",
 			} {
 				if !strings.Contains(string(b), want) {
 					return fmt.Errorf("/metrics missing %s", want)

@@ -1,11 +1,11 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"testing"
 
@@ -29,10 +29,38 @@ func fuzzSetup() {
 	})
 }
 
+// fuzzPostTwice posts body to path twice. Both endpoints answer from
+// content-addressed caches, so the repeat must agree with the first
+// answer: the same status, and for a 200 the same bytes. No input may
+// draw a 5xx other than 503. It returns the first answer.
+func fuzzPostTwice(t *testing.T, path string, body []byte) *httptest.ResponseRecorder {
+	t.Helper()
+	var first *httptest.ResponseRecorder
+	for i := 0; i < 2; i++ {
+		w := httptest.NewRecorder()
+		fuzzSrv.ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		if w.Code >= 500 && w.Code != http.StatusServiceUnavailable {
+			t.Fatalf("%s answered %d: %s (body %s)", path, w.Code, body, w.Body.String())
+		}
+		if first == nil {
+			first = w
+			continue
+		}
+		if w.Code != first.Code {
+			t.Fatalf("%s answered %d, then %d, to the same bytes: %s", path, first.Code, w.Code, body)
+		}
+		if w.Code == http.StatusOK && !bytes.Equal(w.Body.Bytes(), first.Body.Bytes()) {
+			t.Fatalf("%s: the repeated 200 is not byte-equal to the first: %s", path, body)
+		}
+	}
+	return first
+}
+
 // FuzzPlanRequest drives arbitrary bytes through the full request
-// path: decoding and validation must never panic, rejected requests
-// must map to non-200 statuses, and every accepted request must yield
-// a plan that passes the core invariant verifier.
+// path of both endpoints, twice each: decoding and validation must
+// never panic, rejected requests must map to non-200 statuses, a
+// repeated input must get its first answer again, and every accepted
+// request must yield a plan that passes the core invariant verifier.
 func FuzzPlanRequest(f *testing.F) {
 	f.Add([]byte(`{"model":"vgg16","config":{"batch_size":16},"device":"GTX 1080Ti"}`))
 	f.Add([]byte(`{"model":"resnet50","config":{"batch_size":8,"param_scale":0.5}}`))
@@ -57,17 +85,13 @@ func FuzzPlanRequest(f *testing.F) {
 		// Decoding and validation must never panic, whatever the bytes.
 		req, herr := decodeRequest(body)
 
-		// Neither must the handler; its verdict must agree with the
+		// Neither must the handlers; their verdicts must agree with the
 		// decoder's.
-		hr := httptest.NewRequest(http.MethodPost, "/v1/plan", strings.NewReader(string(body)))
-		w := httptest.NewRecorder()
-		fuzzSrv.ServeHTTP(w, hr)
+		w := fuzzPostTwice(t, "/v1/plan", body)
+		pw := fuzzPostTwice(t, "/v1/peak", body)
 		if herr != nil {
-			if w.Code == http.StatusOK {
-				t.Fatalf("handler accepted a request the validator rejects (%v): %s", herr, body)
-			}
-			if w.Code != herr.status {
-				t.Fatalf("handler status %d, validator says %d: %s", w.Code, herr.status, body)
+			if w.Code != herr.status || pw.Code != herr.status {
+				t.Fatalf("handler statuses %d (plan) and %d (peak), validator says %d: %s", w.Code, pw.Code, herr.status, body)
 			}
 			eb := ErrorBody{}
 			if err := json.Unmarshal(w.Body.Bytes(), &eb); err != nil || eb.Error.Code == "" {
@@ -75,17 +99,34 @@ func FuzzPlanRequest(f *testing.F) {
 			}
 			return
 		}
-		switch w.Code {
-		case http.StatusOK, http.StatusUnprocessableEntity:
-		default:
-			t.Fatalf("valid request answered %d: %s (body %s)", w.Code, body, w.Body.String())
+		for _, a := range []*httptest.ResponseRecorder{w, pw} {
+			switch a.Code {
+			case http.StatusOK, http.StatusUnprocessableEntity:
+			default:
+				t.Fatalf("valid request answered %d: %s (body %s)", a.Code, body, a.Body.String())
+			}
 		}
 		if w.Code != http.StatusOK {
+			// The runtime can refuse a plan the planner believes in, never
+			// run one the planner refused.
+			if pw.Code == http.StatusOK {
+				t.Fatalf("/v1/peak answered 200 to a request /v1/plan answers %d: %s", w.Code, body)
+			}
 			return
 		}
 		var resp PlanResponse
 		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 			t.Fatalf("200 body does not decode: %v", err)
+		}
+		if pw.Code == http.StatusOK {
+			var peak PeakResponse
+			if err := json.Unmarshal(pw.Body.Bytes(), &peak); err != nil {
+				t.Fatalf("/v1/peak 200 body does not decode: %v", err)
+			}
+			if peak.Key != resp.Key || peak.PlannerPeakBytes != resp.PredictedPeakBytes {
+				t.Fatalf("/v1/peak (key %s, planner peak %d) and /v1/plan (key %s, predicted peak %d) disagree on %s",
+					peak.Key, peak.PlannerPeakBytes, resp.Key, resp.PredictedPeakBytes, body)
+			}
 		}
 		isTsplit := req.Options.Policy == "tsplit" || req.Options.Policy == "tsplit-nosplit"
 		if isTsplit && resp.PredictedPeakBytes <= 0 {

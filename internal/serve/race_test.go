@@ -58,8 +58,10 @@ type result struct {
 	body  []byte
 }
 
-func post(s *Server, body string) result {
-	req := httptest.NewRequest(http.MethodPost, "/v1/plan", strings.NewReader(body))
+func post(s *Server, body string) result { return postTo(s, "/v1/plan", body) }
+
+func postTo(s *Server, path, body string) result {
+	req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(body))
 	w := httptest.NewRecorder()
 	s.ServeHTTP(w, req)
 	return result{
@@ -70,12 +72,12 @@ func post(s *Server, body string) result {
 	}
 }
 
-// TestCoalescingCollapsesIdenticalRequests holds the planner open
-// while N identical requests arrive: exactly one planner run must
-// serve all of them with identical bytes, and the N-1 waiters must be
-// visible as coalesced while the leader is still planning.
-func TestCoalescingCollapsesIdenticalRequests(t *testing.T) {
-	const n = 24
+// floodBehindLeader posts n identical requests to path while the
+// first of them, the leader, is held in its run slot, lets the leader
+// go once the other n-1 are visible as coalesced, and returns the
+// server and every result. Exactly one leader must have run.
+func floodBehindLeader(t *testing.T, path string, n int) (*Server, []result) {
+	t.Helper()
 	release := make(chan struct{})
 	started := make(chan string, n)
 	cfg := Config{MaxConcurrent: 4}
@@ -91,27 +93,41 @@ func TestCoalescingCollapsesIdenticalRequests(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i] = post(s, specReq(7))
+			results[i] = postTo(s, path, specReq(7))
 		}(i)
 	}
-	<-started // the leader is inside the planner
+	<-started // the leader holds its slot
 	waitUntil(t, "all waiters coalesced", func() bool {
-		return s.Metrics().Counter("tsplit_serve_coalesced_total") == n-1
+		return s.Metrics().Counter("tsplit_serve_coalesced_total") == int64(n-1)
 	})
 	close(release)
 	wg.Wait()
+	if len(started) != 0 {
+		t.Fatalf("%d further leaders ran, want one for all %d requests", len(started), n)
+	}
+	for i, r := range results {
+		if r.code != http.StatusOK {
+			t.Fatalf("request %d: status %d, body %s", i, r.code, r.body)
+		}
+		if !bytes.Equal(r.body, results[0].body) || r.key != results[0].key {
+			t.Fatalf("request %d returned different bytes or another key", i)
+		}
+	}
+	return s, results
+}
 
+// TestCoalescingCollapsesIdenticalRequests holds the planner open
+// while N identical requests arrive: exactly one planner run must
+// serve all of them with identical bytes, and the N-1 waiters must be
+// visible as coalesced while the leader is still planning.
+func TestCoalescingCollapsesIdenticalRequests(t *testing.T) {
+	const n = 24
+	s, results := floodBehindLeader(t, "/v1/plan", n)
 	if runs := s.Metrics().Counter("tsplit_serve_planner_runs_total"); runs != 1 {
 		t.Fatalf("planner runs = %d, want 1", runs)
 	}
 	var missCount, coalescedCount int
 	for i, r := range results {
-		if r.code != http.StatusOK {
-			t.Fatalf("request %d: status %d, body %s", i, r.code, r.body)
-		}
-		if !bytes.Equal(r.body, results[0].body) {
-			t.Fatalf("request %d returned different bytes", i)
-		}
 		switch r.cache {
 		case "miss":
 			missCount++
@@ -123,6 +139,81 @@ func TestCoalescingCollapsesIdenticalRequests(t *testing.T) {
 	}
 	if missCount != 1 || coalescedCount != n-1 {
 		t.Fatalf("states: %d miss / %d coalesced, want 1 / %d", missCount, coalescedCount, n-1)
+	}
+}
+
+// TestPeakCoalescingCollapsesIdenticalRequests is the /v1/peak twin:
+// N identical peak requests held behind one leader cost one plan and
+// one simulator run, and all N get the leader's bytes.
+func TestPeakCoalescingCollapsesIdenticalRequests(t *testing.T) {
+	const n = 24
+	s, results := floodBehindLeader(t, "/v1/peak", n)
+	if runs := s.Metrics().Counter("tsplit_simpool_gets_total"); runs != 1 {
+		t.Fatalf("simulator runs = %d, want 1", runs)
+	}
+	if misses := s.Metrics().Counter("tsplit_serve_peak_cache_misses_total"); misses != n {
+		t.Fatalf("peak cache misses = %d, want %d", misses, n)
+	}
+	for i, r := range results {
+		if r.cache != "" {
+			t.Fatalf("request %d: /v1/peak wrote X-Tsplit-Cache %q", i, r.cache)
+		}
+	}
+	if got := postTo(s, "/v1/peak", specReq(7)); !bytes.Equal(got.body, results[0].body) ||
+		s.Metrics().Counter("tsplit_simpool_gets_total") != 1 {
+		t.Fatal("a request after the leader finished did not hit the leader's cached bytes")
+	}
+}
+
+// TestPlanAndPeakOfOneKeyDoNotCoalesce holds a /v1/plan leader and a
+// /v1/peak leader of the same key open at once: each endpoint has its
+// own singleflight table, so neither joins the other, and each gets a
+// body of its own schema.
+func TestPlanAndPeakOfOneKeyDoNotCoalesce(t *testing.T) {
+	release := make(chan struct{})
+	started := make(chan string, 2)
+	cfg := Config{MaxConcurrent: 2}
+	cfg.testHookPlanStart = func(key string) {
+		started <- key
+		<-release
+	}
+	s := New(cfg)
+
+	var plan, peak result
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { defer wg.Done(); plan = postTo(s, "/v1/plan", specReq(9)) }()
+	go func() { defer wg.Done(); peak = postTo(s, "/v1/peak", specReq(9)) }()
+	if a, b := <-started, <-started; a != b {
+		t.Fatalf("the two leaders hold different keys: %s and %s", a, b)
+	}
+	close(release)
+	wg.Wait()
+
+	if plan.code != http.StatusOK || peak.code != http.StatusOK {
+		t.Fatalf("statuses %d (plan) and %d (peak), want 200 and 200", plan.code, peak.code)
+	}
+	if joined := s.Metrics().Counter("tsplit_serve_coalesced_total"); joined != 0 {
+		t.Fatalf("coalesced = %d, want 0: a plan and a peak must not share a flight", joined)
+	}
+	if plan.cache != "miss" || peak.cache != "" || plan.key != peak.key {
+		t.Fatalf("plan: cache %q key %s; peak: cache %q key %s", plan.cache, plan.key, peak.cache, peak.key)
+	}
+	var planBody PlanResponse
+	var peakBody PeakResponse
+	strict := func(b []byte, v any) error {
+		dec := json.NewDecoder(bytes.NewReader(b))
+		dec.DisallowUnknownFields()
+		return dec.Decode(v)
+	}
+	if err := strict(plan.body, &planBody); err != nil || len(planBody.Plan) == 0 {
+		t.Fatalf("/v1/plan body is not a PlanResponse (%v): %s", err, plan.body)
+	}
+	if err := strict(peak.body, &peakBody); err != nil || peakBody.SimulatedPeakBytes <= 0 {
+		t.Fatalf("/v1/peak body is not a PeakResponse (%v): %s", err, peak.body)
+	}
+	if peakBody.PlannerPeakBytes != planBody.PredictedPeakBytes {
+		t.Fatalf("planner peak %d (peak) vs %d (plan) for one key", peakBody.PlannerPeakBytes, planBody.PredictedPeakBytes)
 	}
 }
 
@@ -173,6 +264,23 @@ func TestDistinctKeysEachPlanOnce(t *testing.T) {
 	}
 }
 
+// eventKeys returns the "key" attribute of every flight event of the
+// given kind, in recording order.
+func eventKeys(fl *obs.Flight, kind string) []string {
+	var keys []string
+	for _, ev := range fl.Events() {
+		if ev.Kind != kind {
+			continue
+		}
+		for _, a := range ev.Attrs {
+			if a.Key == "key" {
+				keys = append(keys, a.Value)
+			}
+		}
+	}
+	return keys
+}
+
 // TestEvictionOrderIsDeterministic drives a capacity-2 cache through
 // a fixed access sequence under a fake clock and asserts the exact
 // eviction order via flight events.
@@ -193,17 +301,7 @@ func TestEvictionOrderIsDeterministic(t *testing.T) {
 	}
 	_ = post(s, specReq(2)) // B was evicted: miss, plans again, evicts D
 
-	var evictions []string
-	for _, ev := range fl.Events() {
-		if ev.Kind != "serve.cache.evict" {
-			continue
-		}
-		for _, a := range ev.Attrs {
-			if a.Key == "key" {
-				evictions = append(evictions, a.Value)
-			}
-		}
-	}
+	evictions := eventKeys(fl, "serve.cache.evict")
 	want := []string{keyB, keyA, keyD}
 	if len(evictions) != len(want) {
 		t.Fatalf("evictions: %v, want 3 in order [B A D]", evictions)
@@ -389,8 +487,9 @@ func TestDrainLosesNoInflightRequest(t *testing.T) {
 	}
 }
 
-// TestConcurrentChaos hammers the server from many goroutines mixing
-// hits, misses, coalesced waits, and invalid requests under -race.
+// TestConcurrentChaos hammers both endpoints from many goroutines
+// mixing hits, misses, coalesced waits, and invalid requests under
+// -race.
 func TestConcurrentChaos(t *testing.T) {
 	s := New(Config{MaxConcurrent: 4, MaxQueue: 1024, CacheEntries: 8})
 	const workers = 64
@@ -406,7 +505,8 @@ func TestConcurrentChaos(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				r := post(s, bodies[(w+i)%len(bodies)])
+				path := []string{"/v1/plan", "/v1/peak"}[(w/len(bodies)+i)%2]
+				r := postTo(s, path, bodies[(w+i)%len(bodies)])
 				codes[w] = append(codes[w], r.code)
 			}
 		}(w)
@@ -428,5 +528,8 @@ func TestConcurrentChaos(t *testing.T) {
 	}
 	if runs := s.Metrics().Counter("tsplit_serve_planner_runs_total"); runs != 4 {
 		t.Fatalf("planner runs = %d, want 4 (one per distinct valid key)", runs)
+	}
+	if runs := s.Metrics().Counter("tsplit_simpool_gets_total"); runs != 4 {
+		t.Fatalf("simulator runs = %d, want 4 (one per distinct valid key)", runs)
 	}
 }

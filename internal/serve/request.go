@@ -86,7 +86,10 @@ type PlanResponse struct {
 
 // PeakResponse is the POST /v1/peak success body: the peak of the
 // requested plan's simulated iteration (a Run() on a pooled arena),
-// alongside the planner's static estimate for comparison.
+// alongside the planner's static estimate for comparison. Like a
+// PlanResponse it is a pure function of Key and is cached as
+// serialized bytes, so it carries no cache status; unlike one, no
+// header carries it either.
 type PeakResponse struct {
 	Key                string  `json:"key"`
 	Model              string  `json:"model"`

@@ -22,24 +22,27 @@ import (
 // Config tunes a planning server. The zero value is usable: every
 // field has a production default.
 type Config struct {
-	// CacheEntries bounds the content-addressed plan cache (default
-	// 512 plans).
+	// CacheEntries bounds each content-addressed response cache — the
+	// /v1/plan bodies and, separately, the /v1/peak bodies (default 512
+	// entries each).
 	CacheEntries int
 	// WorkloadEntries bounds the prepared-workload cache (default 32).
 	WorkloadEntries int
-	// MaxConcurrent bounds simultaneous planner runs (default
-	// GOMAXPROCS). Cache hits and coalesced waits do not occupy a
-	// slot.
+	// MaxConcurrent bounds simultaneous runs — a /v1/plan miss's planner
+	// run or a /v1/peak miss's plan + simulation (default GOMAXPROCS).
+	// Cache hits and coalesced waits, on either endpoint, do not occupy
+	// a slot.
 	MaxConcurrent int
-	// MaxQueue bounds requests waiting for a planner slot; one more
-	// sheds with 429 (default 4×MaxConcurrent).
+	// MaxQueue bounds requests waiting for a run slot; one more sheds
+	// with 429 (default 4×MaxConcurrent).
 	MaxQueue int
 	// RequestTimeout caps one request's total time in queue + planner
 	// (0 = no timeout). Expired requests answer 503.
 	RequestTimeout time.Duration
-	// PlanDelay adds synthetic latency to every planner run, while the
-	// run holds its admission slot. Load experiments use it to model
-	// planners slower than the zoo's (larger graphs, remote profilers)
+	// PlanDelay adds synthetic latency to every run (either endpoint's
+	// miss), while the run holds its admission slot. Load experiments
+	// use it to model planners slower than the zoo's (larger graphs,
+	// remote profilers)
 	// so queueing, coalescing, and shedding are reproducible on any
 	// machine — a real planner run is 1–2 ms of non-yielding CPU, which
 	// a single-core runner serializes before a queue can ever form.
@@ -56,38 +59,41 @@ type Config struct {
 	// histograms; tests inject a fake (default obs.Wall). It never
 	// influences what a request returns.
 	Clock obs.Clock
-	// Trace, when set, records one serve.request span per request with
-	// a serve.plan child per planner run.
+	// Trace, when set, records one span per request — serve.request on
+	// /v1/plan, serve.peak on /v1/peak — carrying the key and a cache
+	// attribute (hit | miss | coalesced), with a serve.plan child per
+	// /v1/plan planner run.
 	Trace *obs.Tracer
-	// Flight, when set, receives serve.cache.hit/miss/evict,
+	// Flight, when set, receives serve.cache.hit/miss/evict (plan
+	// bodies), serve.peak.cache.hit/miss/evict (peak bodies),
 	// serve.coalesce, and serve.shed events — the stream tsplit-doctor
 	// reads out of a dump.
 	Flight *obs.Flight
 
-	// testHookPlanStart, when set (tests only), runs at the start of
-	// every planner run, before any planning work, with the plan key.
-	// Tests use it to hold planner slots open deterministically.
+	// testHookPlanStart, when set (tests only), runs in the leader of
+	// every miss on either endpoint, once it holds its slot and before
+	// any planning work, with the plan key. Tests use it to hold slots
+	// open deterministically.
 	testHookPlanStart func(key string)
 }
 
 // Server is the planning service: an http.Handler exposing
 // POST /v1/plan, POST /v1/peak, GET /healthz, and GET /metrics, with a
-// content-addressed plan cache, request coalescing, and admission
-// control in front of the planner.
+// content-addressed response cache per endpoint, request coalescing,
+// and admission control in front of the planner and the simulator.
 type Server struct {
 	cfg   Config
 	reg   *obs.Registry
 	clock obs.Clock
 	mux   *http.ServeMux
 
-	cache     *planCache
-	workloads *workloadCache
-	group     *flightGroup
+	plans, peaks endpoint
+	workloads    *workloadCache
 
-	sem chan struct{} // planner slots; len(sem) == running planner runs
+	sem chan struct{} // run slots; len(sem) == running leaders
 
 	mu        sync.Mutex
-	waiting   int  // lint:guardedby mu — requests queued for a planner slot
+	waiting   int  // lint:guardedby mu — requests queued for a run slot
 	inflightN int  // lint:guardedby mu — requests currently being handled
 	draining  bool // lint:guardedby mu — Drain() called; new requests answer 503
 
@@ -115,30 +121,38 @@ func New(cfg Config) *Server {
 		cfg:       cfg,
 		reg:       cfg.Metrics,
 		clock:     cfg.Clock,
-		cache:     newPlanCache(cfg.CacheEntries, cfg.Metrics, cfg.Flight),
 		workloads: newWorkloadCache(cfg.WorkloadEntries, cfg.Metrics),
 		sem:       make(chan struct{}, cfg.MaxConcurrent),
 	}
-	s.group = newFlightGroup(func(key string) {
+	onJoin := func(key string) {
 		s.reg.Add("tsplit_serve_coalesced_total", 1)
-		s.cfg.Flight.Record("serve.coalesce", "joined in-flight planner run", obs.L("key", key))
-	})
+		s.cfg.Flight.Record("serve.coalesce", "joined in-flight run", obs.L("key", key))
+	}
+	s.plans = endpoint{
+		cache:       newPlanCache(cfg.CacheEntries, "tsplit_serve_cache", "serve.cache", "plan", s.reg, cfg.Flight),
+		group:       newFlightGroup(onJoin),
+		run:         s.handlePlan,
+		cacheHeader: true,
+	}
+	s.peaks = endpoint{
+		cache:      newPlanCache(cfg.CacheEntries, "tsplit_serve_peak_cache", "serve.peak.cache", "peak", s.reg, cfg.Flight),
+		group:      newFlightGroup(onJoin),
+		run:        s.handlePeak,
+		hitSeconds: "tsplit_serve_peak_seconds",
+	}
 	s.reg.SetHelp("tsplit_serve_requests_total", "Requests by final HTTP status code.")
-	s.reg.SetHelp("tsplit_serve_cache_hits_total", "Plan requests served from the content-addressed cache.")
-	s.reg.SetHelp("tsplit_serve_cache_misses_total", "Plan requests that required a planner run or a coalesced wait.")
-	s.reg.SetHelp("tsplit_serve_cache_evictions_total", "Plans evicted from the cache (LRU).")
-	s.reg.SetHelp("tsplit_serve_coalesced_total", "Requests that joined another request's in-flight planner run.")
-	s.reg.SetHelp("tsplit_serve_planner_runs_total", "Actual planner executions (distinct keys planned).")
+	s.reg.SetHelp("tsplit_serve_coalesced_total", "Requests, on either endpoint, that joined another request's in-flight run.")
+	s.reg.SetHelp("tsplit_serve_planner_runs_total", "Actual /v1/plan planner executions (distinct keys planned).")
 	s.reg.SetHelp("tsplit_serve_shed_total", "Requests shed with 429 because the admission queue was full.")
 	s.reg.SetHelp("tsplit_serve_inflight", "Requests currently being handled.")
 	s.reg.SetHelp("tsplit_serve_request_seconds", "End-to-end request latency.")
-	s.reg.SetHelp("tsplit_serve_plan_seconds", "Planner-run latency (cache misses only).")
-	s.reg.SetHelp("tsplit_serve_peak_seconds", "Peak-prediction latency (plan + simulation, /v1/peak only).")
+	s.reg.SetHelp("tsplit_serve_plan_seconds", "Planner-run latency (/v1/plan cache misses only).")
+	s.reg.SetHelp("tsplit_serve_peak_seconds", "Time to obtain a /v1/peak answer once the request is keyed: plan + simulation on a cache miss, the lookup on a hit.")
 	s.reg.SetHelp("tsplit_simpool_gets_total", "Simulators borrowed from per-workload SimPools.")
 	s.reg.SetHelp("tsplit_simpool_reuse_hits_total", "SimPool borrows that recycled a warm arena instead of allocating one.")
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/plan", s.accept("serve.request", s.handlePlan))
-	mux.HandleFunc("/v1/peak", s.accept("serve.peak", s.handlePeak))
+	mux.HandleFunc("/v1/plan", s.accept("serve.request", &s.plans))
+	mux.HandleFunc("/v1/peak", s.accept("serve.peak", &s.peaks))
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	s.mux = mux
@@ -190,7 +204,7 @@ func (s *Server) end() {
 	s.inflight.Done()
 }
 
-// admit acquires a planner slot, queueing up to MaxQueue requests
+// admit acquires a run slot, queueing up to MaxQueue requests
 // when all slots are busy. It returns a release function, or the
 // refusal: 429 when the queue is full (the request is shed), 503 when
 // ctx expires while queued.
@@ -245,8 +259,8 @@ type accepted struct {
 // shared front of the pipeline — drain gate, request span, POST check,
 // bounded body read, decode, timeout, workload resolution, plan key —
 // answers every failure of those itself, and hands what passed to
-// handle.
-func (s *Server) accept(spanName string, handle func(accepted)) http.HandlerFunc {
+// answer.
+func (s *Server) accept(spanName string, ep *endpoint) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := s.clock()
 		if !s.begin() {
@@ -296,103 +310,83 @@ func (s *Server) accept(spanName string, handle func(accepted)) http.HandlerFunc
 		}
 		key := planKey(wl.digest, wl.dev, req.Options)
 		sp.SetAttr("key", key)
-		handle(accepted{w: w, start: start, sp: sp, ctx: ctx, req: req, wl: wl, key: key})
+		s.answer(accepted{w: w, start: start, sp: sp, ctx: ctx, req: req, wl: wl, key: key}, ep)
 	}
 }
 
-// handlePlan is POST /v1/plan: serve the plan from the cache, or from
-// one coalesced planner run.
-func (s *Server) handlePlan(a accepted) {
-	// Fast path: content-addressed cache hit — no admission needed,
-	// the stored bytes answer the request.
-	if cached, ok := s.cache.get(a.key); ok {
-		s.reg.Add("tsplit_serve_cache_hits_total", 1)
-		s.cfg.Flight.Record("serve.cache.hit", "served cached plan", obs.L("key", a.key))
-		a.sp.SetAttr("cache", "hit")
-		s.writePlan(a.w, a.start, cached, "hit", a.key)
-		return
-	}
-	s.reg.Add("tsplit_serve_cache_misses_total", 1)
-	s.cfg.Flight.Record("serve.cache.miss", "no cached plan", obs.L("key", a.key))
+// endpoint is everything that differs between /v1/plan and /v1/peak
+// once a request is accepted. Each has its own body cache and its own
+// singleflight table: a plan and a peak of one key carry different
+// bodies, so neither a cache entry nor an in-flight result may cross.
+type endpoint struct {
+	cache *planCache
+	group *flightGroup
+	// run is the leader's run step: produce the key's response body.
+	run func(accepted) ([]byte, *httpError)
+	// cacheHeader: 200s carry X-Tsplit-Cache (hit | miss | coalesced).
+	// Without it the cache state shows in the request span's "cache"
+	// attribute, the counters and the flight events only.
+	cacheHeader bool
+	// hitSeconds, when set, names the histogram a hit's lookup time
+	// goes to: the series the run step observes into, which then holds
+	// one observation per request that obtained its body itself, by
+	// run or by lookup. /v1/peak sets it because bench/ reads the count
+	// of tsplit_serve_peak_seconds as one per answered peak request.
+	hitSeconds string
+}
 
-	res, coalesced, waitErr := s.group.do(a.ctx, a.key, func() planResult {
-		return s.runPlanner(a)
-	})
-	state := "miss"
-	if coalesced {
-		state = "coalesced"
+// answer serves an accepted request of either endpoint: from the
+// endpoint's cache — no admission, no planner, no simulator, the
+// stored bytes answer the request — or from one coalesced run.
+func (s *Server) answer(a accepted, ep *endpoint) {
+	var lookupStart time.Time
+	if ep.hitSeconds != "" {
+		lookupStart = s.clock()
+	}
+	body, ok := ep.cache.lookup(a.key)
+	state := "hit"
+	if !ok {
+		var herr *httpError
+		if body, state, herr = s.miss(a, ep); herr != nil {
+			a.sp.SetAttr("cache", state)
+			s.finish(a.w, a.start, a.sp, herr)
+			return
+		}
+	} else if ep.hitSeconds != "" {
+		s.reg.Observe(ep.hitSeconds, s.clock().Sub(lookupStart).Seconds())
 	}
 	a.sp.SetAttr("cache", state)
-	if waitErr != nil {
-		s.finish(a.w, a.start, a.sp, &httpError{status: http.StatusServiceUnavailable,
-			code: "timeout", message: "request expired waiting for the planner"})
-		return
+	h := a.w.Header()
+	h.Set("Content-Type", "application/json")
+	if ep.cacheHeader {
+		h.Set("X-Tsplit-Cache", state)
 	}
-	if res.herr != nil {
-		s.finish(a.w, a.start, a.sp, res.herr)
-		return
-	}
-	s.writePlan(a.w, a.start, res.body, state, a.key)
-}
-
-// handlePeak is POST /v1/peak: plan the requested policy, then run the
-// plan through the simulator on the workload's pooled arenas. The peak
-// it returns is the peak a fresh simulation (and the verify tooling)
-// reports — the fleet-packing signal the planner's static estimate
-// approximates. Peak responses are not plan-cache entries: they share
-// the planner pool and admission control but leave the /v1/plan key
-// space (and its goldens) untouched.
-func (s *Server) handlePeak(a accepted) {
-	release, herr := s.admit(a.ctx, a.key)
-	if herr != nil {
-		s.finish(a.w, a.start, a.sp, herr)
-		return
-	}
-	defer release()
-
-	peakStart := s.clock()
-	opts := a.req.Options
-	opts.Report = false // the response carries no report; the key still echoes the request's
-	plan, _, herr := s.buildPlan(opts, a.wl)
-	if herr != nil {
-		s.finish(a.w, a.start, a.sp, herr)
-		return
-	}
-	wl := a.wl
-	simr := wl.sims.Get(wl.g, wl.sched, wl.lv, plan, wl.dev,
-		sim.Options{Capacity: opts.CapacityBytes, Recompute: sim.LRURecompute})
-	res, rerr := simr.Run()
-	wl.sims.Put(simr)
-	s.reg.Observe("tsplit_serve_peak_seconds", s.clock().Sub(peakStart).Seconds())
-	if rerr != nil {
-		s.finish(a.w, a.start, a.sp, &httpError{status: http.StatusUnprocessableEntity,
-			code: "infeasible", message: rerr.Error()})
-		return
-	}
-	respBody, err := json.Marshal(&PeakResponse{
-		Key:                a.key,
-		Model:              a.req.displayName(),
-		Device:             wl.dev.Name,
-		Policy:             opts.Policy,
-		SimulatedPeakBytes: res.PeakBytes,
-		SimulatedPeakGiB:   float64(res.PeakBytes) / (1 << 30),
-		PlannerPeakBytes:   plan.PredictedPeak,
-	})
-	if err != nil {
-		s.finish(a.w, a.start, a.sp, &httpError{status: http.StatusInternalServerError,
-			code: "internal", message: fmt.Sprintf("encoding response: %v", err)})
-		return
-	}
-	a.w.Header().Set("Content-Type", "application/json")
-	a.w.Header().Set("X-Tsplit-Key", a.key)
+	h.Set("X-Tsplit-Key", a.key)
 	a.w.WriteHeader(http.StatusOK)
-	_, _ = a.w.Write(respBody) // client gone: nothing useful to do
+	_, _ = a.w.Write(body) // client gone: nothing useful to do
 	s.observe(a.start, http.StatusOK)
 }
 
-// runPlanner is the singleflight leader body: acquire a planner slot
-// (admission control), plan, serialize, and cache.
-func (s *Server) runPlanner(a accepted) planResult {
+// miss obtains the body of a key the cache does not hold: as the
+// singleflight leader, or by waiting on the leader already running.
+// The leader closure is built here, off the hit path.
+func (s *Server) miss(a accepted, ep *endpoint) (body []byte, state string, herr *httpError) {
+	res, coalesced, waitErr := ep.group.do(a.ctx, a.key, func() planResult { return s.lead(a, ep) })
+	state = "miss"
+	if coalesced {
+		state = "coalesced"
+	}
+	if waitErr != nil {
+		return nil, state, &httpError{status: http.StatusServiceUnavailable,
+			code: "timeout", message: "request expired waiting for the in-flight run"}
+	}
+	return res.body, state, res.herr
+}
+
+// lead is the singleflight leader body: acquire a run slot (admission
+// control), run the endpoint's step, and cache the body. Errors (422,
+// 429, 503) are shared with the waiters but never cached.
+func (s *Server) lead(a accepted, ep *endpoint) planResult {
 	release, herr := s.admit(a.ctx, a.key)
 	if herr != nil {
 		return planResult{herr: herr}
@@ -404,13 +398,23 @@ func (s *Server) runPlanner(a accepted) planResult {
 
 	// Double-check the cache: a previous leader may have finished
 	// between our miss and this run.
-	if cached, ok := s.cache.get(a.key); ok {
+	if cached, ok := ep.cache.get(a.key); ok {
 		return planResult{body: cached}
 	}
 	if s.cfg.PlanDelay > 0 {
 		time.Sleep(s.cfg.PlanDelay)
 	}
+	body, herr := ep.run(a)
+	if herr != nil {
+		return planResult{herr: herr}
+	}
+	ep.cache.put(a.key, body)
+	return planResult{body: body}
+}
 
+// handlePlan is /v1/plan's run step: plan the requested policy and
+// serialize the plan, its predicted peak and the optional report.
+func (s *Server) handlePlan(a accepted) ([]byte, *httpError) {
 	sp := a.sp.StartSpan("serve.plan")
 	defer sp.End()
 	planStart := s.clock()
@@ -418,18 +422,55 @@ func (s *Server) runPlanner(a accepted) planResult {
 	s.reg.Observe("tsplit_serve_plan_seconds", s.clock().Sub(planStart).Seconds())
 	s.reg.Add("tsplit_serve_planner_runs_total", 1)
 	if herr != nil {
-		return planResult{herr: herr}
+		return nil, herr
 	}
+	return marshalBody(resp)
+}
+
+// handlePeak is /v1/peak's run step: plan the requested policy, then
+// run the plan through the simulator on the workload's pooled arenas.
+// The peak it returns is the peak a fresh simulation (and the verify
+// tooling) reports — the fleet-packing signal the planner's static
+// estimate approximates. Plan and peak are pure functions of the key,
+// so the body is cached like a plan's, in the peak cache: the
+// /v1/plan entries (and their goldens) are untouched by peak traffic.
+func (s *Server) handlePeak(a accepted) ([]byte, *httpError) {
+	peakStart := s.clock()
+	opts := a.req.Options
+	opts.Report = false // the response carries no report; the key still echoes the request's
+	plan, _, herr := s.buildPlan(opts, a.wl)
+	if herr != nil {
+		return nil, herr
+	}
+	wl := a.wl
+	simr := wl.sims.Get(wl.g, wl.sched, wl.lv, plan, wl.dev,
+		sim.Options{Capacity: opts.CapacityBytes, Recompute: sim.LRURecompute})
+	res, rerr := simr.Run()
+	wl.sims.Put(simr)
+	s.reg.Observe("tsplit_serve_peak_seconds", s.clock().Sub(peakStart).Seconds())
+	if rerr != nil {
+		return nil, &httpError{status: http.StatusUnprocessableEntity,
+			code: "infeasible", message: rerr.Error()}
+	}
+	return marshalBody(&PeakResponse{
+		Key:                a.key,
+		Model:              a.req.displayName(),
+		Device:             wl.dev.Name,
+		Policy:             opts.Policy,
+		SimulatedPeakBytes: res.PeakBytes,
+		SimulatedPeakGiB:   float64(res.PeakBytes) / (1 << 30),
+		PlannerPeakBytes:   plan.PredictedPeak,
+	})
+}
+
+// marshalBody serializes a success response value.
+func marshalBody(resp any) ([]byte, *httpError) {
 	body, err := json.Marshal(resp)
 	if err != nil {
-		return planResult{herr: &httpError{status: http.StatusInternalServerError,
-			code: "internal", message: fmt.Sprintf("encoding response: %v", err)}}
+		return nil, &httpError{status: http.StatusInternalServerError,
+			code: "internal", message: fmt.Sprintf("encoding response: %v", err)}
 	}
-	s.cache.put(a.key, body)
-	entries, bodyBytes := s.cache.stats()
-	s.reg.Set("tsplit_serve_cache_entries", float64(entries))
-	s.reg.Set("tsplit_serve_cache_bytes", float64(bodyBytes))
-	return planResult{body: body}
+	return body, nil
 }
 
 // buildPlan runs the requested policy on pooled planner arenas,
@@ -491,17 +532,6 @@ func (s *Server) buildResponse(req *PlanRequest, wl *prepared, key string) (*Pla
 	}, nil
 }
 
-// writePlan sends a success body with its cache-state headers and
-// records the request metrics.
-func (s *Server) writePlan(w http.ResponseWriter, start time.Time, body []byte, cacheState, key string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Tsplit-Cache", cacheState)
-	w.Header().Set("X-Tsplit-Key", key)
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(body) // client gone: nothing useful to do
-	s.observe(start, http.StatusOK)
-}
-
 // finish sends a structured error response and records the request
 // metrics. sp may be nil (pre-span failures).
 func (s *Server) finish(w http.ResponseWriter, start time.Time, sp *obs.Span, herr *httpError) {
@@ -529,7 +559,8 @@ func (s *Server) observe(start time.Time, status int) {
 // handleHealthz is GET /healthz: a liveness probe with cache
 // occupancy.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	entries, bodyBytes := s.cache.stats()
+	plans, planBytes := s.plans.cache.stats()
+	peaks, _ := s.peaks.cache.stats()
 	s.mu.Lock()
 	draining := s.draining
 	waiting := s.waiting
@@ -544,8 +575,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(code)
 	body, err := json.Marshal(map[string]any{
 		"status":           status,
-		"plans_cached":     entries,
-		"plan_cache_bytes": bodyBytes,
+		"plans_cached":     plans,
+		"plan_cache_bytes": planBytes,
+		"peaks_cached":     peaks,
 		"workloads_cached": s.workloads.len(),
 		"queued":           waiting,
 	})

@@ -102,8 +102,9 @@ type (
 	// Diagnosis is tsplit-doctor's structured analysis of a Dump.
 	Diagnosis = obs.Diagnosis
 	// PlanServer is the planning service: an http.Handler exposing
-	// POST /v1/plan with a content-addressed plan cache, request
-	// coalescing, and admission control, plus /healthz and /metrics.
+	// POST /v1/plan and POST /v1/peak, each with a content-addressed
+	// response cache, request coalescing, and admission control, plus
+	// /healthz and /metrics.
 	PlanServer = serve.Server
 	// PlanServerConfig tunes a PlanServer; the zero value is a usable
 	// production default.
@@ -119,7 +120,7 @@ const DefaultFaultSeverity = faults.DefaultSeverity
 
 // NewPlanServer builds a planning server from cfg, applying defaults
 // to zero fields. Serve it with net/http: the returned value is the
-// handler for /v1/plan, /healthz, and /metrics.
+// handler for /v1/plan, /v1/peak, /healthz, and /metrics.
 func NewPlanServer(cfg PlanServerConfig) *PlanServer { return serve.New(cfg) }
 
 // NewRegistry returns an empty metrics Registry.
