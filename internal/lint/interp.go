@@ -577,7 +577,9 @@ func (w *lockSim) checkFieldAccess(sel *ast.SelectorExpr, mode lockMode) {
 	if !ok {
 		return
 	}
-	spec := w.in.Ann.Guarded[v]
+	// Origin: inside a generic type's methods a field resolves to the
+	// instantiated type's copy of the declared *types.Var.
+	spec := w.in.Ann.Guarded[v.Origin()]
 	if spec == nil {
 		return
 	}

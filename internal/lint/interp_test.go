@@ -45,6 +45,22 @@ func (s *S) Bump() {
 			want: nil,
 		},
 		{
+			name: "a generic type's guarded field fires and clears the same way",
+			src: `package core
+import "sync"
+type G[V any] struct {
+	mu sync.Mutex
+	m  map[string]V // lint:guardedby mu
+}
+func (g *G[V]) Drop(k string) { delete(g.m, k) }
+func (g *G[V]) Put(k string, v V) {
+	g.mu.Lock()
+	g.m[k] = v
+	g.mu.Unlock()
+}`,
+			want: []string{"7:guardedby"},
+		},
+		{
 			name: "access after Unlock fires",
 			src: `package core
 import "sync"

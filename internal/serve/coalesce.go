@@ -5,31 +5,26 @@ import (
 	"sync"
 )
 
-// planResult is what one leader's run produces and every coalesced
-// waiter shares: either a response body (already cached) or an error.
-type planResult struct {
-	body []byte
+// call is one in-flight run. done closes when val and herr are set;
+// after that they are immutable, so waiters read them without locks.
+type call[V any] struct {
+	done chan struct{}
+	val  V
 	herr *httpError
 }
 
-// call is one in-flight run. done closes when res is set;
-// after that res is immutable, so waiters read it without locks.
-type call struct {
-	done chan struct{}
-	res  planResult
-}
-
-// flightGroup coalesces concurrent identical requests of one endpoint
-// onto one run (singleflight): the first requester for a key becomes
-// the leader and runs fn; everyone else arriving before the leader
-// finishes blocks on the same call and shares its result. The entry
-// is removed when the leader completes, so a later request for the
-// same key consults the endpoint's cache (which the leader populated)
-// rather than running again. /v1/plan and /v1/peak each hold their
-// own group: their results for one key are different bodies.
-type flightGroup struct {
+// flightGroup coalesces concurrent identical pieces of work onto one
+// run (singleflight): the first requester for a key becomes the leader
+// and runs fn; everyone else arriving before the leader finishes
+// blocks on the same call and shares its result — a value or an error.
+// The entry is removed when the leader completes, so a later request
+// for the same key consults the cache the leader populated rather than
+// running again. The server holds three: /v1/plan bodies and /v1/peak
+// bodies by plan key (their results for one key are different bodies),
+// and prepared workloads by workload id.
+type flightGroup[V any] struct {
 	mu    sync.Mutex
-	calls map[string]*call // lint:guardedby mu
+	calls map[string]*call[V] // lint:guardedby mu
 
 	// onJoin, when set, runs as soon as a waiter attaches to an
 	// existing call — before it blocks — so coalescing is observable
@@ -37,8 +32,8 @@ type flightGroup struct {
 	onJoin func(key string)
 }
 
-func newFlightGroup(onJoin func(key string)) *flightGroup {
-	return &flightGroup{calls: make(map[string]*call), onJoin: onJoin}
+func newFlightGroup[V any](onJoin func(key string)) *flightGroup[V] {
+	return &flightGroup[V]{calls: make(map[string]*call[V]), onJoin: onJoin}
 }
 
 // do runs fn for key unless a run is already in flight, in which case
@@ -47,16 +42,16 @@ func newFlightGroup(onJoin func(key string)) *flightGroup {
 // finishes gets ctx.Err() mapped by the caller; the leader itself
 // always runs to completion (runs are milliseconds and the result
 // feeds the cache for everyone).
-func (g *flightGroup) do(ctx context.Context, key string, fn func() planResult) (res planResult, coalesced bool, err error) {
+func (g *flightGroup[V]) do(ctx context.Context, key string, fn func() (V, *httpError)) (val V, herr *httpError, coalesced bool, err error) {
 	g.mu.Lock()
 	c, joined := g.calls[key]
 	if !joined {
-		c = &call{done: make(chan struct{})}
+		c = &call[V]{done: make(chan struct{})}
 		// If fn panics (it should not), waiters still unblock — with
 		// this placeholder error rather than a zero result — and the key
 		// is freed for the next request; the panic itself propagates to
 		// net/http's handler recovery.
-		c.res = planResult{herr: &httpError{status: 500, code: "internal", message: "run did not complete"}}
+		c.herr = &httpError{status: 500, code: "internal", message: "run did not complete"}
 		g.calls[key] = c
 	}
 	g.mu.Unlock()
@@ -67,9 +62,9 @@ func (g *flightGroup) do(ctx context.Context, key string, fn func() planResult) 
 		}
 		select {
 		case <-c.done:
-			return c.res, true, nil
+			return c.val, c.herr, true, nil
 		case <-ctx.Done():
-			return planResult{}, true, ctx.Err()
+			return val, nil, true, ctx.Err()
 		}
 	}
 
@@ -79,6 +74,6 @@ func (g *flightGroup) do(ctx context.Context, key string, fn func() planResult) 
 		delete(g.calls, key)
 		g.mu.Unlock()
 	}()
-	c.res = fn()
-	return c.res, false, nil
+	c.val, c.herr = fn()
+	return c.val, c.herr, false, nil
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math"
 	"net/http"
@@ -25,7 +26,7 @@ var (
 func fuzzSetup() {
 	fuzzOnce.Do(func() {
 		fuzzSrv = New(Config{MaxConcurrent: 2, MaxQueue: 64, CacheEntries: 128})
-		fuzzVerify = newWorkloadCache(16, nil)
+		fuzzVerify = New(Config{WorkloadEntries: 16}).workloads
 	})
 }
 
@@ -140,7 +141,7 @@ func FuzzPlanRequest(f *testing.F) {
 		// must fit their effective capacity; baseline policies only
 		// guarantee structural invariants (some deliberately OOM), so they
 		// verify against an unbounded capacity.
-		wl, herr2 := fuzzVerify.get(req)
+		wl, _, herr2 := fuzzVerify.get(context.Background(), req)
 		if herr2 != nil {
 			t.Fatalf("workload for accepted request does not build: %v", herr2)
 		}

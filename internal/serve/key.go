@@ -13,39 +13,42 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"hash"
 	"math"
 
 	"tsplit/internal/device"
 	"tsplit/internal/graph"
 )
 
-// digestWriter wraps a hash with length-prefixed primitive writes so
+// The digests below serialise their input as a stream of 8-byte
+// little-endian words, a string as its length then its bytes, so
 // adjacent fields can never alias each other (the classic "ab"+"c" ==
-// "a"+"bc" collision).
-type digestWriter struct{ h hash.Hash }
+// "a"+"bc" collision). The append helpers build that stream in a
+// caller-owned buffer; the bytes, not the helpers, are the format.
 
-func (d digestWriter) u64(v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	_, _ = d.h.Write(b[:]) // hash.Hash.Write never errors
+func appendU64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }
+func appendI64(b []byte, v int64) []byte  { return appendU64(b, uint64(v)) }
+func appendInt(b []byte, v int) []byte    { return appendU64(b, uint64(int64(v))) }
+func appendF64(b []byte, v float64) []byte {
+	return appendU64(b, math.Float64bits(v))
 }
 
-func (d digestWriter) i64(v int64)   { d.u64(uint64(v)) }
-func (d digestWriter) i(v int)       { d.u64(uint64(int64(v))) }
-func (d digestWriter) f64(v float64) { d.u64(math.Float64bits(v)) }
-func (d digestWriter) bool(v bool) {
+func appendBool(b []byte, v bool) []byte {
 	if v {
-		d.u64(1)
-	} else {
-		d.u64(0)
+		return appendU64(b, 1)
 	}
+	return appendU64(b, 0)
 }
 
-func (d digestWriter) str(s string) {
-	d.u64(uint64(len(s)))
-	_, _ = d.h.Write([]byte(s)) // hash.Hash.Write never errors
+func appendStr(b []byte, s string) []byte {
+	return append(appendU64(b, uint64(len(s))), s...)
 }
+
+// digestChunk is how many serialised bytes graphDigest gathers before
+// it hands them to SHA-256: large enough that the per-Write cost of
+// the hash.Hash interface (one call per 8-byte field made the digest
+// as dear as building the graph) disappears, small enough that the
+// buffer is not worth counting against a build's allocation.
+const digestChunk = 4 << 10
 
 // graphDigest hashes the structural content of a graph: every tensor
 // (name, shape, dtype, kind) and every op (name, kind, phase, attrs,
@@ -54,57 +57,76 @@ func (d digestWriter) str(s string) {
 // Two graphs with the same digest plan identically on the same device
 // under the same options.
 func graphDigest(g *graph.Graph) [sha256.Size]byte {
-	d := digestWriter{h: sha256.New()}
-	d.str("tsplit.graph.v1")
-	d.i(len(g.Tensors))
-	for _, t := range g.Tensors {
-		d.i(t.ID)
-		d.str(t.Name)
-		d.i(len(t.Shape))
-		for _, dim := range t.Shape {
-			d.i(dim)
+	h := sha256.New()
+	// One buffer for the whole graph, flushed after the record that
+	// fills a chunk. A record (one tensor or op) is a few hundred bytes;
+	// one with a longer name grows the buffer once and the rest reuse it.
+	b := make([]byte, 0, 2*digestChunk)
+	flushFull := func() {
+		if len(b) >= digestChunk {
+			_, _ = h.Write(b) // hash.Hash.Write never errors
+			b = b[:0]
 		}
-		d.i(int(t.DType))
-		d.i(int(t.Kind))
 	}
-	d.i(len(g.Ops))
+	b = appendStr(b, "tsplit.graph.v1")
+	b = appendInt(b, len(g.Tensors))
+	for _, t := range g.Tensors {
+		b = appendInt(b, t.ID)
+		b = appendStr(b, t.Name)
+		b = appendInt(b, len(t.Shape))
+		for _, dim := range t.Shape {
+			b = appendInt(b, dim)
+		}
+		b = appendInt(b, int(t.DType))
+		b = appendInt(b, int(t.Kind))
+		flushFull()
+	}
+	b = appendInt(b, len(g.Ops))
 	for _, op := range g.Ops {
-		d.i(op.ID)
-		d.str(op.Name)
-		d.i(int(op.Kind))
-		d.i(int(op.Phase))
-		d.i64(op.Workspace)
+		b = appendInt(b, op.ID)
+		b = appendStr(b, op.Name)
+		b = appendInt(b, int(op.Kind))
+		b = appendInt(b, int(op.Phase))
+		b = appendI64(b, op.Workspace)
 		a := op.Attrs
-		d.i(a.KernelH)
-		d.i(a.KernelW)
-		d.i(a.StrideH)
-		d.i(a.StrideW)
-		d.i(a.PadH)
-		d.i(a.PadW)
-		d.i(a.Axis)
-		d.f64(a.Prob)
-		d.i(len(op.Inputs))
+		b = appendInt(b, a.KernelH)
+		b = appendInt(b, a.KernelW)
+		b = appendInt(b, a.StrideH)
+		b = appendInt(b, a.StrideW)
+		b = appendInt(b, a.PadH)
+		b = appendInt(b, a.PadW)
+		b = appendInt(b, a.Axis)
+		b = appendF64(b, a.Prob)
+		b = appendInt(b, len(op.Inputs))
 		for _, t := range op.Inputs {
-			d.i(t.ID)
+			b = appendInt(b, t.ID)
 		}
-		d.i(len(op.Outputs))
+		b = appendInt(b, len(op.Outputs))
 		for _, t := range op.Outputs {
-			d.i(t.ID)
+			b = appendInt(b, t.ID)
 		}
-		d.i(len(op.ControlDeps))
+		b = appendInt(b, len(op.ControlDeps))
 		for _, c := range op.ControlDeps {
-			d.i(c.ID)
+			b = appendInt(b, c.ID)
 		}
 		if op.FwdOp != nil {
-			d.i(op.FwdOp.ID)
+			b = appendInt(b, op.FwdOp.ID)
 		} else {
-			d.i(-1)
+			b = appendInt(b, -1)
 		}
+		flushFull()
 	}
+	_, _ = h.Write(b) // hash.Hash.Write never errors
 	var out [sha256.Size]byte
-	d.h.Sum(out[:0])
+	h.Sum(out[:0])
 	return out
 }
+
+// planKeyBytes holds the serialised fields of any key a validated
+// request can produce: ~190 bytes of fixed fields and digest, the
+// longest device and policy names (under 20 bytes each) and MaxPNums
+// split counts.
+const planKeyBytes = 384
 
 // planKey derives the content address of one plan: the graph digest,
 // the device profile fields the planner and cost model read, and the
@@ -112,25 +134,33 @@ func graphDigest(g *graph.Graph) [sha256.Size]byte {
 // and whether the cached body carries a plan report — the report is
 // deterministic for a key, so it is part of the cached bytes rather
 // than recomputed per request).
+//
+// It runs on every request, hits included, so it serialises into a
+// stack array and hashes once: the only allocation is the returned
+// string. (Input past planKeyBytes — no validated request — spills to
+// the heap through append and still keys correctly.)
 func planKey(gd [sha256.Size]byte, dev device.Device, o PlanOptions) string {
-	d := digestWriter{h: sha256.New()}
-	d.str("tsplit.plan.v1")
-	_, _ = d.h.Write(gd[:]) // hash.Hash.Write never errors
-	d.str(dev.Name)
-	d.i64(dev.MemBytes)
-	d.f64(dev.PeakFLOPS)
-	d.f64(dev.MemBandwidth)
-	d.f64(dev.PCIeBandwidth)
-	d.f64(dev.KernelLaunch)
-	d.f64(dev.SaturationFLOP)
-	d.str(o.Policy)
-	d.i64(o.CapacityBytes)
-	d.bool(o.DisableSplit)
-	d.f64(o.SafetyMargin)
-	d.i(len(o.PNums))
+	var arr [planKeyBytes]byte
+	b := appendStr(arr[:0], "tsplit.plan.v1")
+	b = append(b, gd[:]...)
+	b = appendStr(b, dev.Name)
+	b = appendI64(b, dev.MemBytes)
+	b = appendF64(b, dev.PeakFLOPS)
+	b = appendF64(b, dev.MemBandwidth)
+	b = appendF64(b, dev.PCIeBandwidth)
+	b = appendF64(b, dev.KernelLaunch)
+	b = appendF64(b, dev.SaturationFLOP)
+	b = appendStr(b, o.Policy)
+	b = appendI64(b, o.CapacityBytes)
+	b = appendBool(b, o.DisableSplit)
+	b = appendF64(b, o.SafetyMargin)
+	b = appendInt(b, len(o.PNums))
 	for _, p := range o.PNums {
-		d.i(p)
+		b = appendInt(b, p)
 	}
-	d.bool(o.Report)
-	return hex.EncodeToString(d.h.Sum(nil))
+	b = appendBool(b, o.Report)
+	sum := sha256.Sum256(b)
+	var hx [2 * sha256.Size]byte
+	hex.Encode(hx[:], sum[:])
+	return string(hx[:])
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"testing"
@@ -61,7 +62,7 @@ func TestWorkloadEvictionRebuilds(t *testing.T) {
 		if herr != nil {
 			t.Fatal(herr)
 		}
-		wl, herr := s.workloads.get(req)
+		wl, _, herr := s.workloads.get(context.Background(), req)
 		if herr != nil {
 			t.Fatal(herr)
 		}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -76,7 +77,7 @@ func TestPeakEndpointMatchesSimulator(t *testing.T) {
 	lv := graph.AnalyzeLiveness(g, sched)
 	// The serve workload cache holds the same prepared graph the
 	// endpoint planned against; rebuild is only for the simulator run.
-	wl, herr := s.workloads.get(&PlanRequest{Model: "vgg16",
+	wl, _, herr := s.workloads.get(context.Background(), &PlanRequest{Model: "vgg16",
 		Config: ModelConfig{BatchSize: 96}, Device: "GTX 1080Ti",
 		Options: PlanOptions{Policy: "tsplit"}})
 	if herr != nil {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
+	"strconv"
 
 	"tsplit/internal/baselines"
 	"tsplit/internal/core"
@@ -121,6 +122,12 @@ type httpError struct {
 }
 
 func (e *httpError) Error() string { return fmt.Sprintf("%d %s: %s", e.status, e.code, e.message) }
+
+// errTimeout is the 503 of a request whose context expired while it
+// waited; where names what it waited in or for.
+func errTimeout(where string) *httpError {
+	return &httpError{status: http.StatusServiceUnavailable, code: "timeout", message: "request expired " + where}
+}
 
 func errBadRequest(format string, args ...any) *httpError {
 	return &httpError{status: http.StatusBadRequest, code: "bad_request", message: fmt.Sprintf(format, args...)}
@@ -244,14 +251,33 @@ func validateRequest(req *PlanRequest) *httpError {
 
 // workloadID is the normalized identity of a (graph source, config,
 // device) triple — the workload cache key. It is a human-readable
-// string rather than a hash so flight events and tests can name it.
+// string rather than a hash so flight events and tests can name it:
+// "spec:<seed>|dev:<device>" or
+// "model:<name>|b:<batch>|ps:<scale %g>|img:<size>|seq:<len>|dev:<device>".
+// Every request computes it, so it is appended into a stack buffer
+// and allocates only the string.
 func (req *PlanRequest) workloadID() string {
+	var arr [128]byte
+	b := arr[:0]
 	if req.Spec != nil {
-		return fmt.Sprintf("spec:%d|dev:%s", req.Spec.Seed, req.Device)
+		b = append(b, "spec:"...)
+		b = strconv.AppendUint(b, req.Spec.Seed, 10)
+	} else {
+		c := req.Config
+		b = append(b, "model:"...)
+		b = append(b, req.Model...)
+		b = append(b, "|b:"...)
+		b = strconv.AppendInt(b, int64(c.BatchSize), 10)
+		b = append(b, "|ps:"...)
+		b = strconv.AppendFloat(b, c.ParamScale, 'g', -1, 64)
+		b = append(b, "|img:"...)
+		b = strconv.AppendInt(b, int64(c.ImageSize), 10)
+		b = append(b, "|seq:"...)
+		b = strconv.AppendInt(b, int64(c.SeqLen), 10)
 	}
-	c := req.Config
-	return fmt.Sprintf("model:%s|b:%d|ps:%g|img:%d|seq:%d|dev:%s",
-		req.Model, c.BatchSize, c.ParamScale, c.ImageSize, c.SeqLen, req.Device)
+	b = append(b, "|dev:"...)
+	b = append(b, req.Device...)
+	return string(b)
 }
 
 // displayName is the model label echoed in responses.

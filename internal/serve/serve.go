@@ -31,12 +31,14 @@ type Config struct {
 	// MaxConcurrent bounds simultaneous runs — a /v1/plan miss's planner
 	// run or a /v1/peak miss's plan + simulation (default GOMAXPROCS).
 	// Cache hits and coalesced waits, on either endpoint, do not occupy
-	// a slot.
+	// a slot. The same number, counted separately, bounds simultaneous
+	// workload builds.
 	MaxConcurrent int
 	// MaxQueue bounds requests waiting for a run slot; one more sheds
 	// with 429 (default 4×MaxConcurrent).
 	MaxQueue int
-	// RequestTimeout caps one request's total time in queue + planner
+	// RequestTimeout caps the time one request may spend waiting: for
+	// its workload's build, in the admission queue, on an in-flight run
 	// (0 = no timeout). Expired requests answer 503.
 	RequestTimeout time.Duration
 	// PlanDelay adds synthetic latency to every run (either endpoint's
@@ -75,6 +77,10 @@ type Config struct {
 	// any planning work, with the plan key. Tests use it to hold slots
 	// open deterministically.
 	testHookPlanStart func(key string)
+	// testHookBuildStart, when set (tests only), runs in the leader of
+	// every workload build, once it holds its build slot and before it
+	// builds, with the workload id.
+	testHookBuildStart func(id string)
 }
 
 // Server is the planning service: an http.Handler exposing
@@ -121,7 +127,7 @@ func New(cfg Config) *Server {
 		cfg:       cfg,
 		reg:       cfg.Metrics,
 		clock:     cfg.Clock,
-		workloads: newWorkloadCache(cfg.WorkloadEntries, cfg.Metrics),
+		workloads: newWorkloadCache(cfg),
 		sem:       make(chan struct{}, cfg.MaxConcurrent),
 	}
 	onJoin := func(key string) {
@@ -130,13 +136,13 @@ func New(cfg Config) *Server {
 	}
 	s.plans = endpoint{
 		cache:       newPlanCache(cfg.CacheEntries, "tsplit_serve_cache", "serve.cache", "plan", s.reg, cfg.Flight),
-		group:       newFlightGroup(onJoin),
+		group:       newFlightGroup[[]byte](onJoin),
 		run:         s.handlePlan,
 		cacheHeader: true,
 	}
 	s.peaks = endpoint{
 		cache:      newPlanCache(cfg.CacheEntries, "tsplit_serve_peak_cache", "serve.peak.cache", "peak", s.reg, cfg.Flight),
-		group:      newFlightGroup(onJoin),
+		group:      newFlightGroup[[]byte](onJoin),
 		run:        s.handlePeak,
 		hitSeconds: "tsplit_serve_peak_seconds",
 	}
@@ -234,8 +240,7 @@ func (s *Server) admit(ctx context.Context, key string) (release func(), herr *h
 	case s.sem <- struct{}{}:
 		return func() { <-s.sem }, nil
 	case <-ctx.Done():
-		return nil, &httpError{status: http.StatusServiceUnavailable,
-			code: "timeout", message: "request expired in the admission queue"}
+		return nil, errTimeout("in the admission queue")
 	}
 }
 
@@ -303,7 +308,8 @@ func (s *Server) accept(spanName string, ep *endpoint) http.HandlerFunc {
 			defer cancel()
 		}
 
-		wl, herr := s.workloads.get(req)
+		wl, how, herr := s.workloads.get(ctx, req)
+		sp.SetAttr("workload", how)
 		if herr != nil {
 			s.finish(w, start, sp, herr)
 			return
@@ -320,7 +326,7 @@ func (s *Server) accept(spanName string, ep *endpoint) http.HandlerFunc {
 // bodies, so neither a cache entry nor an in-flight result may cross.
 type endpoint struct {
 	cache *planCache
-	group *flightGroup
+	group *flightGroup[[]byte]
 	// run is the leader's run step: produce the key's response body.
 	run func(accepted) ([]byte, *httpError)
 	// cacheHeader: 200s carry X-Tsplit-Cache (hit | miss | coalesced).
@@ -370,26 +376,25 @@ func (s *Server) answer(a accepted, ep *endpoint) {
 // miss obtains the body of a key the cache does not hold: as the
 // singleflight leader, or by waiting on the leader already running.
 // The leader closure is built here, off the hit path.
-func (s *Server) miss(a accepted, ep *endpoint) (body []byte, state string, herr *httpError) {
-	res, coalesced, waitErr := ep.group.do(a.ctx, a.key, func() planResult { return s.lead(a, ep) })
-	state = "miss"
+func (s *Server) miss(a accepted, ep *endpoint) ([]byte, string, *httpError) {
+	body, herr, coalesced, waitErr := ep.group.do(a.ctx, a.key, func() ([]byte, *httpError) { return s.lead(a, ep) })
+	state := "miss"
 	if coalesced {
 		state = "coalesced"
 	}
 	if waitErr != nil {
-		return nil, state, &httpError{status: http.StatusServiceUnavailable,
-			code: "timeout", message: "request expired waiting for the in-flight run"}
+		return nil, state, errTimeout("waiting for the in-flight run")
 	}
-	return res.body, state, res.herr
+	return body, state, herr
 }
 
 // lead is the singleflight leader body: acquire a run slot (admission
 // control), run the endpoint's step, and cache the body. Errors (422,
 // 429, 503) are shared with the waiters but never cached.
-func (s *Server) lead(a accepted, ep *endpoint) planResult {
+func (s *Server) lead(a accepted, ep *endpoint) ([]byte, *httpError) {
 	release, herr := s.admit(a.ctx, a.key)
 	if herr != nil {
-		return planResult{herr: herr}
+		return nil, herr
 	}
 	defer release()
 	if hook := s.cfg.testHookPlanStart; hook != nil {
@@ -399,17 +404,17 @@ func (s *Server) lead(a accepted, ep *endpoint) planResult {
 	// Double-check the cache: a previous leader may have finished
 	// between our miss and this run.
 	if cached, ok := ep.cache.get(a.key); ok {
-		return planResult{body: cached}
+		return cached, nil
 	}
 	if s.cfg.PlanDelay > 0 {
 		time.Sleep(s.cfg.PlanDelay)
 	}
 	body, herr := ep.run(a)
 	if herr != nil {
-		return planResult{herr: herr}
+		return nil, herr
 	}
 	ep.cache.put(a.key, body)
-	return planResult{body: body}
+	return body, nil
 }
 
 // handlePlan is /v1/plan's run step: plan the requested policy and

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"crypto/sha256"
 	"net/http"
 	"sync"
@@ -34,40 +35,101 @@ type prepared struct {
 
 // workloadCache memoizes request → prepared workload resolution with
 // a bounded LRU. Building a workload (graph construction, scheduling,
-// liveness, profiling) costs orders of magnitude more than a cache
-// probe, and the digest it yields is what makes plan-cache hits cheap:
-// a warm probe never re-hashes the graph.
+// liveness, profiling, digest) costs orders of magnitude more than a
+// cache probe, and the digest it yields is what makes plan-cache hits
+// cheap: a warm probe never re-hashes the graph.
 //
-// Builds happen while holding mu. That serializes concurrent misses on
-// *different* workloads, which is deliberate: it keeps each workload
-// built exactly once without per-entry latches, and the build is
-// milliseconds against a planning request's budget.
+// mu covers the LRU probe and the LRU put, never a build: every
+// request of both endpoints passes through get before it can compute
+// its key, so a build under mu would stall hits on other workloads for
+// its whole length. A miss instead builds as the leader of a
+// per-workload-id flight — concurrent requests for the same cold id
+// wait on that one build — holding one of MaxConcurrent build slots,
+// so a burst of distinct cold ids cannot oversubscribe the CPUs the
+// planner runs share. Both waits honour the request context.
 type workloadCache struct {
-	rec obs.Recorder // receives each workload's simulator-pool counters
+	reg   *obs.Registry // build metrics, and each workload's simulator-pool counters
+	clock obs.Clock
+
+	builds *flightGroup[*prepared]
+	slots  chan struct{}   // build slots; len(slots) == builds running
+	hook   func(id string) // Config.testHookBuildStart
 
 	mu  sync.Mutex
 	lru *lru[*prepared] // lint:guardedby mu
 }
 
-func newWorkloadCache(capacity int, rec obs.Recorder) *workloadCache {
-	return &workloadCache{rec: rec, lru: newLRU[*prepared](capacity, 32)}
+// newWorkloadCache sizes the cache from a Config whose defaults are
+// already applied.
+func newWorkloadCache(cfg Config) *workloadCache {
+	cfg.Metrics.SetHelp("tsplit_serve_workload_builds_total", "Workloads built (graph, schedule, liveness, profile, digest): requests that named a workload id not resident and led its build.")
+	cfg.Metrics.SetHelp("tsplit_serve_workload_build_seconds", "Time to build one workload, once the build holds its slot.")
+	return &workloadCache{
+		reg:    cfg.Metrics,
+		clock:  cfg.Clock,
+		builds: newFlightGroup[*prepared](nil),
+		slots:  make(chan struct{}, cfg.MaxConcurrent),
+		hook:   cfg.testHookBuildStart,
+		lru:    newLRU[*prepared](cfg.WorkloadEntries, 32),
+	}
 }
 
-// get resolves a validated request to its prepared workload, building
-// and caching it on first use.
-func (wc *workloadCache) get(req *PlanRequest) (*prepared, *httpError) {
-	id := req.workloadID()
+// probe returns the resident workload under id, marking it most
+// recently used.
+func (wc *workloadCache) probe(id string) (*prepared, bool) {
 	wc.mu.Lock()
 	defer wc.mu.Unlock()
-	if w, ok := wc.lru.get(id); ok {
+	return wc.lru.get(id)
+}
+
+// get resolves a validated request to its prepared workload. state
+// says how: "cached" (resident), "built" (this request led the build)
+// or "coalesced" (it waited on another request's build of the same
+// id). A failed build is shared with its waiters and not cached: the
+// next request for the id builds again. A request whose ctx expires
+// while it waits — for the same-id build or for a build slot — answers
+// 503.
+func (wc *workloadCache) get(ctx context.Context, req *PlanRequest) (*prepared, string, *httpError) {
+	id := req.workloadID()
+	if w, ok := wc.probe(id); ok {
+		return w, "cached", nil
+	}
+	state := "built"
+	w, herr, coalesced, waitErr := wc.builds.do(ctx, id, func() (*prepared, *httpError) {
+		select {
+		case wc.slots <- struct{}{}:
+		case <-ctx.Done():
+			return nil, errTimeout("waiting for a workload build slot")
+		}
+		defer func() { <-wc.slots }()
+		if wc.hook != nil {
+			wc.hook(id)
+		}
+		// Double-check the LRU: a previous leader may have finished
+		// between our probe and this flight.
+		if w, ok := wc.probe(id); ok {
+			state = "cached"
+			return w, nil
+		}
+		start := wc.clock()
+		w, herr := buildWorkload(req, wc.reg)
+		wc.reg.Observe("tsplit_serve_workload_build_seconds", wc.clock().Sub(start).Seconds())
+		wc.reg.Add("tsplit_serve_workload_builds_total", 1)
+		if herr != nil {
+			return nil, herr
+		}
+		wc.mu.Lock()
+		wc.lru.put(id, w)
+		wc.mu.Unlock()
 		return w, nil
+	})
+	if coalesced {
+		state = "coalesced"
 	}
-	w, herr := buildWorkload(req, wc.rec)
-	if herr != nil {
-		return nil, herr
+	if waitErr != nil {
+		return nil, state, errTimeout("waiting for the workload's in-flight build")
 	}
-	wc.lru.put(id, w)
-	return w, nil
+	return w, state, herr
 }
 
 // len reports the resident workload count (for /healthz).

@@ -25,6 +25,18 @@ for series in tsplit_serve_requests_total tsplit_serve_cache_hits_total \
 	fi
 done
 
+# The self-test names workloads the fresh server has not built: the
+# build counter and its latency histogram must both have counted them.
+for series in tsplit_serve_workload_builds_total tsplit_serve_workload_build_seconds_count; do
+	n=$(awk -v s="$series" '$1 == s { print $2 }' "$dir/metrics.prom")
+	case "$n" in
+	'' | 0 | *[!0-9]*)
+		echo "serve-smoke: $series is '$n' in the metrics exposition, want >= 1" >&2
+		exit 1
+		;;
+	esac
+done
+
 "$GO" run ./cmd/tsplit-doctor -dump "$dir/dump.json" -require-phases -json >"$dir/diag.json"
 
 for key in '"serve.request"' '"serve.plan"' '"serve.peak"' '"serve.cache.hit"' '"serve.cache.miss"' \
