@@ -235,17 +235,15 @@ func tsplitModelConfig(batch int) (c modelsConfig) {
 // benchPlannerPlan times Planner.Plan alone (workload preparation is
 // outside the timer) under real memory pressure: the capacity is a
 // fraction of the unmanaged peak, so the greedy loop must commit many
-// decisions. serial selects the reference single-threaded
-// full-rebuild path; the default exercises the incremental curve and
-// the parallel candidate scoring.
-func benchPlannerPlan(b *testing.B, model string, batch, pctOfPeak int, serial bool) {
+// decisions.
+func benchPlannerPlan(b *testing.B, model string, batch, pctOfPeak int) {
 	b.Helper()
 	p, err := experiments.Prepare(model, tsplitModelConfig(batch), device.TitanRTX)
 	if err != nil {
 		b.Fatal(err)
 	}
 	cap := p.Lv.Peak * int64(pctOfPeak) / 100
-	opts := core.Options{Capacity: cap, FragmentationReserve: -1, Serial: serial}
+	opts := core.Options{Capacity: cap, FragmentationReserve: -1}
 	pl := core.NewPlanner(p.G, p.Sched, p.Lv, p.Prof, p.Dev, opts)
 	// One untimed run so the planner's one-time arena growth does not
 	// bleed into allocs/op: the timed loop measures the steady state a
@@ -263,22 +261,9 @@ func benchPlannerPlan(b *testing.B, model string, batch, pctOfPeak int, serial b
 	}
 }
 
-func BenchmarkPlannerPlan_VGG16(b *testing.B)    { benchPlannerPlan(b, "vgg16", 256, 60, false) }
-func BenchmarkPlannerPlan_ResNet50(b *testing.B) { benchPlannerPlan(b, "resnet50", 256, 60, false) }
-func BenchmarkPlannerPlan_BERTLarge(b *testing.B) {
-	benchPlannerPlan(b, "bert-large", 64, 60, false)
-}
-
-// The _Serial variants run the pre-change planner configuration
-// (single-threaded scoring, full memory-curve rebuild every iteration)
-// on the same workloads, so the speedup is tracked in bench_results.txt.
-func BenchmarkPlannerPlan_VGG16_Serial(b *testing.B) { benchPlannerPlan(b, "vgg16", 256, 60, true) }
-func BenchmarkPlannerPlan_ResNet50_Serial(b *testing.B) {
-	benchPlannerPlan(b, "resnet50", 256, 60, true)
-}
-func BenchmarkPlannerPlan_BERTLarge_Serial(b *testing.B) {
-	benchPlannerPlan(b, "bert-large", 64, 60, true)
-}
+func BenchmarkPlannerPlan_VGG16(b *testing.B)     { benchPlannerPlan(b, "vgg16", 256, 60) }
+func BenchmarkPlannerPlan_ResNet50(b *testing.B)  { benchPlannerPlan(b, "resnet50", 256, 60) }
+func BenchmarkPlannerPlan_BERTLarge(b *testing.B) { benchPlannerPlan(b, "bert-large", 64, 60) }
 
 // BenchmarkPlannerPlanPooled_BERTLarge is the steady-state arena
 // story: Get/Plan/Put against a warmed PlannerPool. allocs/op here is
@@ -305,39 +290,6 @@ func BenchmarkPlannerPlanPooled_BERTLarge(b *testing.B) {
 			b.Fatal(err)
 		}
 		pp.Put(pl)
-	}
-}
-
-// BenchmarkPlannerReplanWarm times a warm Replan on the BERT-Large
-// workload in the direction replay can actually shortcut: a plan built
-// at a tight budget replanned at a slightly looser one (the resilient
-// ladder's de-escalation, or a re-plan after memory frees up). Replay
-// re-applies the journaled decision prefix until the curve fits and
-// rolls the tail back — no candidate scoring at all. Tightening
-// deltas move the first bottleneck earlier, diverge at decision 0,
-// and honestly cost the same as a cold run, so they are not what this
-// measures. Compare against BenchmarkPlannerPlan_BERTLarge for the
-// warm/cold ratio (the ISSUE gate is ≥10×; see bench_results.txt).
-func BenchmarkPlannerReplanWarm(b *testing.B) {
-	p, err := experiments.Prepare("bert-large", tsplitModelConfig(64), device.TitanRTX)
-	if err != nil {
-		b.Fatal(err)
-	}
-	tight := core.Options{Capacity: p.Lv.Peak * 58 / 100, FragmentationReserve: -1}
-	loose := core.Options{Capacity: p.Lv.Peak * 60 / 100, FragmentationReserve: -1}
-	pl := core.NewPlanner(p.G, p.Sched, p.Lv, p.Prof, p.Dev, tight)
-	prev, err := pl.Plan()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		plan, err := pl.Replan(prev, loose)
-		if err != nil {
-			b.Fatal(err)
-		}
-		prev = plan
 	}
 }
 

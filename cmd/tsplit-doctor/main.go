@@ -5,13 +5,12 @@
 //
 //	tsplit-doctor -dump crash.json
 //	tsplit-doctor -metrics out.prom -baseline yesterday.prom
-//	tsplit-doctor -dump crash.json -json | jq .replan.hit_rate
+//	tsplit-doctor -dump crash.json -json | jq '.phases[0]'
 //
 // The report covers planner phase latency (counts, p50/p95/p99, share
-// of total), replan cache-hit and journal-replay rates, simulator
-// stall attribution by cause, the tail of the flight ring, and — when
-// -baseline names an earlier artifact — the top metric and phase
-// regressions against it.
+// of total), simulator stall attribution by cause, the tail of the
+// flight ring, and — when -baseline names an earlier artifact — the top
+// metric and phase regressions against it.
 package main
 
 import (

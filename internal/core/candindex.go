@@ -292,8 +292,8 @@ func (ci *candIndex) buildInputPositions() {
 	}
 }
 
-// deactivate puts the index to sleep between runs (and during warm
-// replay); the next ensure() rebuilds it against the then-current plan.
+// deactivate puts the index to sleep between runs; the next ensure()
+// rebuilds it against the then-current plan.
 func (ci *candIndex) deactivate() { ci.active = false }
 
 // ensure brings the window state to bottleneck i: a full rebuild on
@@ -324,8 +324,7 @@ func (ci *candIndex) ensure(i int) {
 
 // rebuildAll evaluates every tensor's window at bottleneck i from
 // scratch and drops all cached split configurations. Runs once per
-// Plan() (at the first bottleneck) and once more after a warm replay
-// diverges.
+// Plan(), at the first bottleneck.
 func (ci *candIndex) rebuildAll(i int) {
 	pl := ci.pl
 	ci.i = i

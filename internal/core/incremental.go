@@ -14,8 +14,8 @@ import (
 // tensor as MemSim.Curve does), a resumable first-over-capacity scan,
 // dirty tracking for recompute-chain re-derivation, and a reusable
 // chain walker that scoring can run without per-call allocations. The
-// serial reference path (Options.Serial) bypasses all of it and the two
-// paths must produce byte-identical plans — see
+// serial reference planner in the package tests bypasses all of it and
+// the two must produce byte-identical plans — see
 // TestPlannerSerialParallelEquivalence and
 // TestIncrementalCurveMatchesFullRebuild.
 //
@@ -650,9 +650,7 @@ func (pl *Planner) noteChanges(d planDelta) {
 // skipping them cannot diverge from the serial full refresh. It
 // returns the number of chains actually re-derived — planner
 // introspection reports it against the tracked-chain count to quantify
-// the incremental saving. Every applied ChainBytes change is appended
-// to the warm-replan journal so a replay can re-apply the refresh
-// without walking (see replan.go).
+// the incremental saving.
 func (pl *Planner) refreshChainsDirty() int {
 	ct := pl.ct
 	if len(ct.dirtyList) == 0 {
@@ -683,25 +681,8 @@ func (pl *Planner) refreshChainsDirty() int {
 			tp.ChainBytes = nb
 			pl.putTensorPlan(id, tp)
 			pl.curve.update(tp.Tensor)
-			pl.jCur.recordChainUpdate(id, nb)
 		}
 	}
 	ct.dirtyList = ct.dirtyList[:0]
 	return rederived
-}
-
-// markAllChainsDirty conservatively marks every committed recompute
-// decision for re-derivation. The warm-replay path uses it when
-// switching from journal replay to live scoring: replay applies
-// journaled ChainBytes values without walking, so the dependency sets
-// are unknown at the switch point. Re-walking everything re-registers
-// them; chains whose state is unchanged re-derive identical values, so
-// the conservative mark cannot change the plan.
-func (pl *Planner) markAllChainsDirty() {
-	//lint:allow maporder marking is order-independent; the dirty list is sorted before processing
-	for id, tp := range pl.plan.Tensors {
-		if tp.Opt == Recompute {
-			pl.ct.markDirty(id)
-		}
-	}
 }

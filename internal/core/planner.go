@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strconv"
 	"time"
@@ -49,13 +48,6 @@ type Options struct {
 	// CPU-side optimizer state and updates (the configuration used for
 	// the PyTorch offload comparison, paper Sec. VI-D).
 	OffloadOptimizer bool
-	// Serial forces the reference planning path: a full candidate
-	// rescan and a full memory-curve rebuild on every iteration. The
-	// default path (incremental curve + invalidating candidate index +
-	// resumed bottleneck scan) produces byte-identical plans;
-	// benchmarks keep the serial path around as the speedup baseline
-	// and tests as the equivalence oracle.
-	Serial bool
 
 	// --- ablation knobs (DESIGN.md §4) ---
 
@@ -85,14 +77,14 @@ type Options struct {
 	// CollectReport makes Plan() assemble a PlanReport (per-iteration
 	// decision log), retrievable with Planner.Report().
 	CollectReport bool
-	// Trace receives phase spans: the run root ("planner.plan" or
-	// "planner.replan"), the candidate-index build, each iteration's
-	// bottleneck search and winner fold, journal replay, and finalize.
+	// Trace receives phase spans: the run root ("planner.plan"), the
+	// candidate-index build, each iteration's bottleneck search and
+	// winner fold, and finalize.
 	// Nil disables tracing; like Obs, the nil path must add no
 	// allocations to Plan() (bench-guard).
 	Trace *obs.Tracer
-	// Flight receives structured events — plan decisions, failures,
-	// replay divergences — on the postmortem ring buffer. Nil disables.
+	// Flight receives structured events — plan decisions and
+	// failures — on the postmortem ring buffer. Nil disables.
 	Flight *obs.Flight
 
 	// defaulted marks an Options value that already went through
@@ -148,37 +140,6 @@ func (o Options) withDefaults(dev device.Device) Options {
 	return o
 }
 
-// warmCompatible reports whether a completed run journaled under
-// prev can seed a warm replay of a run under next: every option that
-// shapes scoring or the graph interpretation must be identical. The
-// capacity trio (Capacity, SafetyMargin, FragmentationReserve) is
-// deliberately exempt — withDefaults folds all three into the final
-// Capacity, and capacity changes are exactly what warm replanning is
-// for. Obs/Clock/CollectReport/Trace/Flight only shape reporting,
-// never the plan, so they are not compared either.
-func warmCompatible(prev, next Options) bool {
-	if prev.DisableSplit != next.DisableSplit ||
-		prev.MaxRecomputeChain != next.MaxRecomputeChain ||
-		prev.DisableEarlyOut != next.DisableEarlyOut ||
-		prev.MaxIterations != next.MaxIterations ||
-		prev.OffloadOptimizer != next.OffloadOptimizer ||
-		prev.PreferLargest != next.PreferLargest ||
-		prev.DisableRecompute != next.DisableRecompute ||
-		prev.SplitLookahead != next.SplitLookahead ||
-		prev.DisableGenTieBreak != next.DisableGenTieBreak {
-		return false
-	}
-	if len(prev.PNums) != len(next.PNums) {
-		return false
-	}
-	for i := range prev.PNums {
-		if prev.PNums[i] != next.PNums[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Planner implements the model-guided planning of paper Algorithm 2:
 // simulate the memory requirement along the schedule; at each memory
 // bottleneck score every candidate action — swap or recompute of a
@@ -187,8 +148,8 @@ func warmCompatible(prev, next Options) bool {
 // cheapest (Step 3), and repeat until the whole schedule fits the
 // device.
 //
-// A planner is reusable: every Plan()/Replan() call resets the pooled
-// per-run state (occupancy, curve, candidate index, journals) in place,
+// A planner is reusable: every Plan() call resets the pooled per-run
+// state (occupancy, curve, chain tracker, candidate index) in place,
 // so steady-state planning allocates almost nothing (see PlannerPool
 // and DESIGN.md §7). A planner is not safe for concurrent use.
 type Planner struct {
@@ -215,20 +176,13 @@ type Planner struct {
 	curve *memCurve
 	ct    *chainTracker
 	ci    *candIndex
-	// incremental is the per-run mode latch (= !Opts.Serial at
-	// beginRun); the pooled curve may be stale while a serial run is in
-	// flight, so mid-run code must consult this, not Opts.
-	incremental bool
 	// ID-indexed mirrors of the liveness/schedule maps: the scoring
 	// loops run millions of lookups per plan and array indexing is
 	// several times cheaper than map access.
-	genOf  []int   // Lv.FirstUse by tensor ID
-	lastOf []int   // Lv.LastUse by tensor ID
-	usesOf [][]int // sorted consumer schedule indices by tensor ID
-	opIdx  []int   // schedule position by op ID
-	// cands is the serial path's scoring buffer: one slot per task,
-	// folded in task-index order.
-	cands       []candidate
+	genOf       []int   // Lv.FirstUse by tensor ID
+	lastOf      []int   // Lv.LastUse by tensor ID
+	usesOf      [][]int // sorted consumer schedule indices by tensor ID
+	opIdx       []int   // schedule position by op ID
 	walker      *chainWalker
 	maxTensorID int
 	// touchScratch collects the tensor IDs a chain walk queried — the
@@ -251,15 +205,9 @@ type Planner struct {
 	deltaO1 [1]*graph.Op
 	deltaTN []*graph.Tensor
 
-	// --- warm replanning state (see replan.go) ---
-
-	// jCur records the run in flight; jPrev holds the previous
-	// completed run's journal so Replan can replay it while recording
-	// anew. beginRun swaps them.
-	jCur, jPrev planJournal
-	// lastPlan is the plan returned by the last successful run; Replan
-	// only warm-starts when handed exactly this plan.
-	lastPlan *Plan
+	// lastTensors/lastSplits are the decision counts of the last
+	// successful run: beginRun pre-sizes the next plan's maps from them.
+	lastTensors, lastSplits int
 
 	// --- observability state (see report.go) ---
 
@@ -271,7 +219,6 @@ type Planner struct {
 	statRederived int64
 	statSkipped   int64
 	statRescored  int64
-	statReplayed  int64
 	// nRecompute counts committed recompute decisions — the number of
 	// chains the refresh passes are responsible for.
 	nRecompute int
@@ -299,14 +246,11 @@ func (pl *Planner) SetOptions(opts Options) {
 	pl.Opts = opts.withDefaults(pl.Dev)
 }
 
-// Reset drops all cross-run state — the warm-replan journal and the
-// last plan — so the next Plan() is guaranteed cold. The pooled scratch
-// (curve, candidate index, occupancy) is kept for reuse; it is reset in
-// place at the top of every run regardless.
+// Reset drops the last run's report before the planner is pooled. The
+// pooled scratch (curve, candidate index, occupancy) and the plan-size
+// hint are kept for reuse; the scratch is reset in place at the top of
+// every run regardless.
 func (pl *Planner) Reset() {
-	pl.jCur = planJournal{entries: pl.jCur.entries[:0], updates: pl.jCur.updates[:0]}
-	pl.jPrev = planJournal{entries: pl.jPrev.entries[:0], updates: pl.jPrev.updates[:0]}
-	pl.lastPlan = nil
 	pl.report = nil
 }
 
@@ -406,35 +350,25 @@ func (pl *Planner) Plan() (*Plan, error) {
 	sp := pl.Opts.Trace.StartSpan("planner.plan")
 	pl.runSpan = sp
 	pl.beginRun()
-	var runErr error
-	if pl.incremental {
-		runErr = pl.greedyIncremental(0, 0)
-	} else {
-		runErr = pl.greedySerial()
-	}
-	plan, err := pl.finishRun(runErr)
+	plan, err := pl.finishRun(pl.greedyIncremental())
 	sp.End()
 	pl.runSpan = nil
 	return plan, err
 }
 
 // beginRun resets all per-run state in place: a fresh Plan (the only
-// per-run allocation — previously returned plans must stay valid), the
-// pooled occupancy/curve/chain-tracker/candidate-index scratch, and the
-// journal double-buffer (the previous completed journal moves to jPrev,
-// where a warm replay can read it while jCur records the new run).
+// per-run allocation — previously returned plans must stay valid) and
+// the pooled occupancy/curve/chain-tracker/candidate-index scratch.
 func (pl *Planner) beginRun() {
 	pl.plan = NewPlan("tsplit", pl.Dev)
-	if prev := pl.lastPlan; prev != nil {
-		// Similar workloads commit similar decision counts: pre-size the
-		// maps to the previous run's so steady-state pooled runs skip
-		// the incremental-growth rehashes.
-		if n := len(prev.Tensors); n > 0 {
-			pl.plan.Tensors = make(map[int]TensorPlan, n)
-		}
-		if n := len(prev.Splits); n > 0 {
-			pl.plan.Splits = make(map[int]OpSplit, n)
-		}
+	// Similar workloads commit similar decision counts: pre-size the maps
+	// to the last run's so steady-state runs skip the incremental-growth
+	// rehashes.
+	if n := pl.lastTensors; n > 0 {
+		pl.plan.Tensors = make(map[int]TensorPlan, n)
+	}
+	if n := pl.lastSplits; n > 0 {
+		pl.plan.Splits = make(map[int]OpSplit, n)
 	}
 	if pl.Opts.DisableSplit {
 		pl.plan.Name = "tsplit-nosplit"
@@ -457,7 +391,7 @@ func (pl *Planner) beginRun() {
 	}
 	pl.extraTime = 0
 	pl.statIters, pl.statCands, pl.statRederived, pl.statSkipped = 0, 0, 0, 0
-	pl.statRescored, pl.statReplayed = 0, 0
+	pl.statRescored = 0
 	pl.nRecompute = 0
 	pl.report = nil
 	if pl.Opts.Obs != nil {
@@ -469,121 +403,49 @@ func (pl *Planner) beginRun() {
 			CapacityBytes: pl.Opts.Capacity, SafetyMargin: pl.Opts.SafetyMargin,
 		}
 	}
-	pl.incremental = !pl.Opts.Serial
-	pl.jPrev, pl.jCur = pl.jCur, pl.jPrev
-	pl.jCur.begin(pl.Opts, pl.incremental)
-	if pl.incremental {
-		if pl.curve == nil {
-			pl.curve = newMemCurve(pl.ms, pl.plan, pl.maxTensorID)
-			// Route the curve's plan-entry reads through the tpMirror
-			// arrays: same answers as plan.Tensors, no map hashing on
-			// the span re-derivation hot path.
-			pl.curve.look = pl.tensorPlanByID
-			pl.ct = newChainTracker(pl.maxTensorID)
-			pl.ci = newCandIndex(pl)
-		} else {
-			pl.curve.reset(pl.plan)
-			pl.ct.reset()
-		}
-		pl.ci.deactivate()
+	if pl.curve == nil {
+		pl.curve = newMemCurve(pl.ms, pl.plan, pl.maxTensorID)
+		// Route the curve's plan-entry reads through the tpMirror
+		// arrays: same answers as plan.Tensors, no map hashing on the
+		// span re-derivation hot path.
+		pl.curve.look = pl.tensorPlanByID
+		pl.ct = newChainTracker(pl.maxTensorID)
+		pl.ci = newCandIndex(pl)
+	} else {
+		pl.curve.reset(pl.plan)
+		pl.ct.reset()
 	}
+	pl.ci.deactivate()
 }
 
 // finishRun completes a run: the early-out refinement, the final peak
-// (from the incremental curve when available — the serial reference
-// rebuilds from scratch), observation, and the journal/lastPlan
-// hand-off that arms the next Replan.
+// from the incremental curve, observation, and the plan-size hint for
+// the next run.
 func (pl *Planner) finishRun(err error) (*Plan, error) {
 	if err != nil {
-		pl.jCur.valid, pl.jCur.completed = false, false
-		pl.lastPlan = nil
 		return pl.plan, err
 	}
 	fsp := pl.runSpan.StartSpan("planner.finalize")
 	if !pl.Opts.DisableSplit && !pl.Opts.DisableEarlyOut {
 		pl.earlyOutPass()
 	}
-	var peak int64
-	if pl.incremental {
-		_, peak, _ = pl.curve.scan()
-	} else {
-		_, peak, _ = pl.ms.Curve(pl.plan)
-	}
+	_, peak, _ := pl.curve.scan()
 	fsp.End()
 	pl.plan.PredictedPeak = peak
 	pl.plan.PredictedTime = pl.Prof.Total() + pl.extraTime
 	pl.finishObservation(peak)
-	pl.jCur.completed = pl.jCur.valid
-	pl.lastPlan = pl.plan
+	pl.lastTensors, pl.lastSplits = len(pl.plan.Tensors), len(pl.plan.Splits)
 	return pl.plan, nil
 }
 
-// greedySerial is the reference greedy loop: full chain refresh, full
-// curve rebuild, front-to-back bottleneck scan, and a full candidate
-// rescan, every iteration. Byte-identical plans from the incremental
-// loop are the correctness bar (TestPlannerSerialParallelEquivalence).
-func (pl *Planner) greedySerial() error {
-	capB := pl.Opts.Capacity
-	for iter := 0; ; iter++ {
-		if iter >= pl.Opts.MaxIterations {
-			pl.countFailure("nonconverged")
-			return fmt.Errorf("core: planning did not converge in %d iterations", iter)
-		}
-		rederived := pl.refreshChains()
-		memAt, peak, _ := pl.ms.Curve(pl.plan)
-		pl.statRederived += int64(rederived)
-		if skipped := pl.nRecompute - rederived; skipped > 0 {
-			pl.statSkipped += int64(skipped)
-		}
-		if pl.report != nil {
-			// The scan that follows a commit reveals its effect: fill
-			// the previous decision's PeakAfter now.
-			if n := len(pl.report.Decisions); n > 0 {
-				pl.report.Decisions[n-1].PeakAfter = peak
-			} else {
-				pl.report.InitialPeakBytes = peak
-			}
-		}
-		if peak <= capB {
-			return nil
-		}
-		// First bottleneck position (Algorithm 2 walks the schedule).
-		bsp := pl.runSpan.StartSpan("planner.bottleneck")
-		i := 0
-		for ; i < len(memAt); i++ {
-			if memAt[i] > capB {
-				break
-			}
-		}
-		bsp.End()
-		fsp := pl.runSpan.StartSpan("planner.fold")
-		best, scored := pl.bestCandidate(i)
-		fsp.End()
-		pl.statCands += int64(scored)
-		if best == nil {
-			pl.countFailure("infeasible")
-			return fmt.Errorf("%w (bottleneck at op %d %s: need %.1f MiB over capacity)",
-				ErrInfeasible, i, pl.Sched.Ops[i], float64(memAt[i]-capB)/(1<<20))
-		}
-		pl.statIters++
-		if pl.report != nil {
-			pl.report.Decisions = append(pl.report.Decisions,
-				pl.decisionRecord(iter, i, memAt[i]-capB, peak, scored, rederived, best))
-		}
-		pl.applyCandidate(best)
-		pl.recordDecisionEvent(iter, i, best)
-		pl.extraTime += best.deltaT
-	}
-}
-
-// greedyIncremental is the default loop: dirty-set chain refresh, a
+// greedyIncremental is the greedy loop: dirty-set chain refresh, a
 // bottleneck scan resumed from min(previous bottleneck, lowest index
 // where memory may have increased), and candidate pricing through the
-// invalidating index. startIter/prevBtl are zero on a cold Plan();
-// warm replay hands over its resume point.
-func (pl *Planner) greedyIncremental(startIter, prevBtl int) error {
+// invalidating index.
+func (pl *Planner) greedyIncremental() error {
 	capB := pl.Opts.Capacity
-	for iter := startIter; ; iter++ {
+	prevBtl := 0
+	for iter := 0; ; iter++ {
 		if iter >= pl.Opts.MaxIterations {
 			pl.countFailure("nonconverged")
 			return fmt.Errorf("core: planning did not converge in %d iterations", iter)
@@ -625,7 +487,6 @@ func (pl *Planner) greedyIncremental(startIter, prevBtl int) error {
 				pl.decisionRecord(iter, i, memAtI-capB, peak, scored, rederived, best))
 		}
 		delta := pl.applyCandidate(best)
-		pl.jCur.recordDecision(i, best, scored, rederived)
 		pl.noteChanges(delta)
 		pl.recordDecisionEvent(iter, i, best)
 		pl.extraTime += best.deltaT
@@ -717,8 +578,6 @@ func (pl *Planner) finishObservation(finalPeak int64) {
 		r.ChainsRederived = pl.statRederived
 		r.ChainsSkipped = pl.statSkipped
 		r.CandidatesRescored = pl.statRescored
-		r.DecisionsReplayed = pl.statReplayed
-		r.WarmStart = pl.statReplayed > 0
 		r.MeanPCIeOccupancy = pl.occ.Mean()
 		ids := make([]int, 0, len(pl.plan.Splits))
 		for id, sp := range pl.plan.Splits {
@@ -741,7 +600,6 @@ func (pl *Planner) finishObservation(finalPeak int64) {
 	rec.Add("tsplit_planner_chains_rederived_total", pl.statRederived)
 	rec.Add("tsplit_planner_chains_skipped_total", pl.statSkipped)
 	rec.Add("tsplit_planner_candidates_rescored_total", pl.statRescored)
-	rec.Add("tsplit_planner_decisions_replayed_total", pl.statReplayed)
 	rec.Add("tsplit_planner_decisions_total", int64(counts.Swap), obs.L("kind", "swap"))
 	rec.Add("tsplit_planner_decisions_total", int64(counts.Recompute), obs.L("kind", "recompute"))
 	rec.Add("tsplit_planner_decisions_total", int64(counts.SplitOps), obs.L("kind", "split"))
@@ -751,38 +609,6 @@ func (pl *Planner) finishObservation(finalPeak int64) {
 	rec.Set("tsplit_planner_predicted_extra_seconds", pl.extraTime)
 	rec.Set("tsplit_planner_mean_pcie_occupancy", pl.occ.Mean())
 	rec.Observe("tsplit_planner_plan_seconds", pl.Opts.Clock().Sub(pl.statStart).Seconds())
-}
-
-// refreshChains recomputes the transient-memory estimate of every
-// recompute decision against the *current* plan: a chain recorded
-// earlier may have grown because a tensor it sourced from was itself
-// evicted by a later decision. This is the serial reference;
-// refreshChainsDirty (incremental.go) re-derives only affected chains.
-// It returns the number of chains re-derived (here: all of them).
-func (pl *Planner) refreshChains() int {
-	// Each re-derivation is independent, but walk in tensor-ID order so
-	// the reference path touches the plan deterministically (maporder).
-	//lint:allow scratchreuse the serial reference path is not pooled
-	ids := make([]int, 0, len(pl.plan.Tensors))
-	for id := range pl.plan.Tensors {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	n := 0
-	for _, id := range ids {
-		tp := pl.plan.Tensors[id]
-		if tp.Opt != Recompute {
-			continue
-		}
-		n++
-		chain, err := walkChain(pl.walker, tp.Tensor, availQuery{pl, tp.RestoreAt}, len(pl.G.Ops), nil)
-		if err != nil {
-			continue
-		}
-		tp.ChainBytes = chainTransientBytes(chain, tp.Tensor)
-		pl.putTensorPlan(id, tp)
-	}
-	return n
 }
 
 // better implements the greedy preference: smaller ΔT/ΔM wins, and on
@@ -818,117 +644,6 @@ func (pl *Planner) better(a, b *candidate) bool {
 		return a.ratio < b.ratio
 	}
 	return a.genIdx < b.genIdx
-}
-
-// bestCandidate is the serial reference scorer: it rescans Step 1
-// (swap/recompute of every live tensor) and Step 2 (split of ops in
-// the bottleneck's lookahead window) from scratch and returns the
-// winner of Step 3 plus the number of viable candidates scored. The
-// incremental path prices the same pool through candIndex and must
-// fold in this exact task order.
-func (pl *Planner) bestCandidate(i int) (*candidate, int) {
-	nT := len(pl.G.Tensors)
-	nS := 0
-	if !pl.Opts.DisableSplit {
-		last := i + pl.Opts.SplitLookahead
-		if last > len(pl.Sched.Ops)-1 {
-			last = len(pl.Sched.Ops) - 1
-		}
-		if last >= i {
-			nS = last - i + 1
-		}
-	}
-	total := nT + nS
-	if cap(pl.cands) < total {
-		pl.cands = make([]candidate, total)
-	}
-	cands := pl.cands[:total]
-	for k := 0; k < total; k++ {
-		if k < nT {
-			pl.scoreEvictInto(pl.G.Tensors[k], i, &cands[k], pl.walker)
-		} else {
-			pl.scoreSplitInto(i+(k-nT), &cands[k], pl.walker)
-		}
-	}
-	var best *candidate
-	viable := 0
-	for k := range cands {
-		if c := &cands[k]; c.valid {
-			viable++
-			if pl.better(c, best) {
-				best = c
-			}
-		}
-	}
-	return best, viable
-}
-
-// scoreEvictInto scores swap vs recompute for one live tensor at
-// bottleneck i (paper Eqs. 2-5) into c, leaving c invalid when t is
-// not a candidate.
-func (pl *Planner) scoreEvictInto(t *graph.Tensor, i int, c *candidate, wk *chainWalker) {
-	c.valid = false
-	if !t.Kind.Evictable() {
-		return
-	}
-	if _, planned := pl.plan.Tensors[t.ID]; planned {
-		return
-	}
-	evictAt, restoreAt, ok := pl.evictionWindowFast(t, i)
-	if !ok {
-		return
-	}
-	size := t.Bytes()
-	transfer := pl.Prof.TransferTime(size)
-
-	// Swap (Eq. 3): unhidden transfer time out (between the tensor's
-	// last use and the bottleneck) plus in (between the bottleneck and
-	// the restoring consumer).
-	stallOut := pl.occ.Stall(transfer, evictAt+1, i-1)
-	stallIn := pl.occ.Stall(transfer, i, restoreAt-1)
-	swapT := stallOut + stallIn
-
-	// Recompute (Eq. 5): chain cost per backward consumer
-	// (memory-centric strategy).
-	recompT := math.Inf(1)
-	var chainBytes int64
-	if t.Kind == tensor.FeatureMap && !pl.Opts.DisableRecompute {
-		if chain, err := walkChain(wk, t, availQuery{pl, restoreAt}, pl.Opts.MaxRecomputeChain, nil); err == nil {
-			recompT = pl.chainCostFast(chain) * float64(pl.backwardUsesFast(t, restoreAt))
-			chainBytes = chainTransientBytes(chain, t)
-		}
-	}
-
-	opt, dT := Swap, swapT
-	if recompT < swapT {
-		opt, dT = Recompute, recompT
-	}
-	// Tensors whose restoring consumer is splittable can later be
-	// streamed back at micro-tensor granularity (their swap-in memory
-	// shrinks to size/p), which recompute cannot match: keep them
-	// swappable unless recompute is far cheaper.
-	if opt == Recompute && swapT <= 4*recompT+1e-6 && pl.microRestorable(t, restoreAt) {
-		opt, dT = Swap, swapT
-	}
-	gen := pl.genOf[t.ID]
-	if gen < 0 {
-		gen = 0
-	}
-	*c = candidate{
-		valid:      true,
-		ratio:      dT / float64(size),
-		deltaT:     dT,
-		deltaM:     size,
-		genIdx:     gen,
-		pos:        i,
-		evictAt:    evictAt,
-		restoreAt:  restoreAt,
-		t:          t,
-		opt:        opt,
-		transfer:   transfer,
-		stallOut:   stallOut,
-		chainBytes: chainBytes,
-	}
 }
 
 // applyCandidate commits the winning decision to the plan and returns
@@ -1050,53 +765,6 @@ var (
 	splitDimsSearched = []tensor.SplitDim{tensor.DimSample, tensor.DimParam}
 )
 
-// scoreSplitInto scores splitting the operator at schedule position j
-// jointly with a memory option for its input micro-tensors (paper
-// Eq. 6), searching p_num and the split dimension, into c. An operator
-// that is already split may be upgraded to a larger p_num with the
-// same dimension and input option when the bottleneck persists.
-func (pl *Planner) scoreSplitInto(j int, c *candidate, wk *chainWalker) {
-	c.valid = false
-	op := pl.Sched.Ops[j]
-	cur, has := pl.plan.Splits[op.ID]
-	var best *candidate
-	var tmp candidate
-	var curOpt [1]MemOpt
-	for _, dim := range splitDimsSearched {
-		if has && dim != cur.Dim {
-			continue
-		}
-		in, out := SplitTensors(op, dim)
-		if in == nil {
-			continue
-		}
-		axis := 0
-		if dim == tensor.DimParam {
-			axis = 0 // weight's output axis is axis 0 (OIHW) / last (matmul): extent check below
-			if op.Kind != graph.Conv2D && in.Shape.Rank() >= 2 {
-				axis = in.Shape.Rank() - 1
-			}
-		}
-		maxP := tensor.MaxSplit(in.Shape, axis)
-		inOpts := pl.splitInOpts(in, dim, j)
-		if has {
-			curOpt[0] = cur.InOpt
-			inOpts = curOpt[:]
-		}
-		for _, pnum := range pl.Opts.PNums {
-			if pnum < 2 || pnum > maxP || (has && pnum <= cur.PNum) {
-				continue
-			}
-			for _, inOpt := range inOpts {
-				if pl.scoreSplitConfigInto(op, j, in, out, dim, pnum, inOpt, has, &cur, &tmp, wk) && pl.better(&tmp, best) {
-					*c = tmp
-					best = c
-				}
-			}
-		}
-	}
-}
-
 // carvableSecondInput returns the second activation input of a binary
 // operator that can also be carved and freed micro-part by micro-part:
 // it must die at the bottleneck, share the batch axis, and be
@@ -1149,136 +817,6 @@ func (pl *Planner) splitInOpts(in *graph.Tensor, dim tensor.SplitDim, i int) []M
 		return inOptsReside
 	}
 	return inOptsSwapRecRes
-}
-
-// scoreSplitConfigInto prices one (op, p_num, dim, inOpt)
-// configuration into c, measuring ΔM relative to the op's current
-// (possibly already split) footprint. It reports whether the
-// configuration is a viable candidate.
-func (pl *Planner) scoreSplitConfigInto(op *graph.Op, i int, in, out *graph.Tensor, dim tensor.SplitDim, pnum int, inOpt MemOpt, has bool, cur *OpSplit, c *candidate, wk *chainWalker) bool {
-	inB, outB := in.Bytes(), out.Bytes()
-	in2 := pl.carvableSecondInput(op, in, out, dim, i)
-
-	newSplit := OpSplit{Op: op, PNum: pnum, Dim: dim, InOpt: inOpt, In2: in2}
-	curAdj := op.Workspace
-	baseT := pl.Prof.T[i]
-	if has {
-		curAdj = splitAdjustment(op, *cur)
-		_, baseT = pl.Prof.Cost.SplitTimes(op, cur.PNum)
-	}
-
-	// Micro-granular swap-in: swapped inputs restored exactly for this
-	// operator can be streamed back one micro-tensor at a time, so only
-	// size/p re-occupies the device (joint split+swap optimization).
-	var microIns []*graph.Tensor
-	var microB int64
-	if dim == tensor.DimSample {
-		for _, t := range op.Inputs {
-			tp, planned := pl.plan.Tensors[t.ID]
-			if !planned || tp.Opt != Swap || tp.MicroRestore > 1 || tp.RestoreAt != i {
-				continue
-			}
-			if t.Shape.Rank() < 1 || t.Shape[0] != op.Outputs[0].Shape[0] {
-				continue
-			}
-			if pl.lastOf[t.ID] != i {
-				continue // another consumer still needs it whole
-			}
-			//lint:allow scratchreuse the serial reference path is not pooled
-			microIns = append(microIns, t)
-			microB += t.Bytes()
-		}
-	}
-
-	newSplit.MicroIns = microIns
-	deltaM := curAdj - splitAdjustment(op, newSplit)
-	// Micro-restored inputs shrink from full size to size/p on the
-	// device (they were previously charged whole from their prefetch).
-	deltaM += microB - microB/int64(pnum)
-	if deltaM <= 0 {
-		return false
-	}
-
-	// Time cost (Eq. 6): kernel degradation + merge copy + micro
-	// eviction costs.
-	_, totalSplit := pl.Prof.Cost.SplitTimes(op, pnum)
-	deltaT := totalSplit - baseT
-	if deltaT < 0 {
-		deltaT = 0
-	}
-	if effectiveKind(op) == graph.BatchNorm {
-		// Micro-tensor batch normalization needs a second pass to
-		// finalize the batch statistics before normalizing.
-		deltaT += float64(inB) / pl.Dev.MemBandwidth
-	}
-	if microB > 0 {
-		// Streaming restores hide under the micro-operators; the
-		// un-hidden remainder stalls.
-		transfer := pl.Prof.TransferTime(microB)
-		hide := totalSplit * float64(pnum-1) / float64(pnum)
-		if stall := transfer - hide; stall > 0 {
-			deltaT += stall
-		}
-	}
-	// Merge of the output micro-tensors for the (unsplit) consumer; a
-	// sample-axis carve of the input is an in-place view and free.
-	if !has {
-		deltaT += float64(outB) / pl.Dev.MemBandwidth
-		if dim == tensor.DimParam {
-			deltaT += float64(inB) / pl.Dev.MemBandwidth // strided weight carve
-		}
-	}
-
-	evictAt, restoreAt := i, -1
-	switch {
-	case has:
-		// Upgrade: the input's eviction (if any) was priced and
-		// committed with the original split decision.
-	case inOpt == Swap:
-		transfer := pl.Prof.TransferTime(inB)
-		_, restoreAt, _ = pl.evictionWindowAfterFast(in, i)
-		if restoreAt < 0 {
-			return false
-		}
-		// Micro swap-outs overlap the remaining micro-operators.
-		hide := totalSplit * float64(pnum-1) / float64(pnum)
-		if stall := transfer - hide; stall > 0 {
-			deltaT += stall
-		}
-		deltaT += pl.occ.Stall(transfer, i+1, restoreAt-1)
-	case inOpt == Recompute:
-		_, restoreAt, _ = pl.evictionWindowAfterFast(in, i)
-		if restoreAt >= 0 {
-			chain, err := walkChain(wk, in, availQuery{pl, restoreAt}, pl.Opts.MaxRecomputeChain, nil)
-			if err != nil {
-				return false
-			}
-			deltaT += pl.chainCostFast(chain) * float64(pl.backwardUsesFast(in, restoreAt))
-		}
-		// restoreAt == -1: the input dies here; micro-tensors are
-		// simply freed as consumed, no regeneration ever needed.
-	}
-
-	gen := pl.genOf[in.ID]
-	if gen < 0 {
-		gen = 0
-	}
-	*c = candidate{
-		valid:     true,
-		isSplit:   true,
-		ratio:     deltaT / float64(deltaM),
-		deltaT:    deltaT,
-		deltaM:    deltaM,
-		genIdx:    gen,
-		pos:       i,
-		evictAt:   evictAt,
-		restoreAt: restoreAt,
-		split:     newSplit,
-		splitNew:  !has,
-		in:        in,
-		inOpt:     inOpt,
-	}
-	return true
 }
 
 // --- ID-indexed fast equivalents of the candidates.go helpers ---
@@ -1395,11 +933,9 @@ func (pl *Planner) earlyOutPass() {
 			continue
 		}
 		pl.plan.Splits[prod.ID] = OpSplit{Op: prod, PNum: pnum, Dim: tensor.DimSample, InOpt: Reside, EarlyOut: true}
-		if pl.incremental {
-			// Keep the pooled curve coherent: the final peak comes from
-			// curve.scan(), which must see the split's footprint change.
-			pl.curve.setAdj(pi, pl.ms.opFootprintAdjustment(prod, pl.plan))
-		}
+		// Keep the curve coherent: the final peak comes from
+		// curve.scan(), which must see the split's footprint change.
+		pl.curve.setAdj(pi, pl.ms.opFootprintAdjustment(prod, pl.plan))
 		pl.extraTime -= gain - degrade
 	}
 }

@@ -16,13 +16,11 @@ import (
 // keeps all of them and resets in place at the top of each run, so
 // steady-state Plan() calls allocate only the returned Plan itself.
 //
-// Callers that replan the same workload repeatedly (hyper-parameter
-// sweeps, the resilient capacity ladder, benchmark drivers) Get a
-// planner per task and Put it back when the plan has been consumed.
-// Put severs all cross-run state (journal, last plan), so a pooled
-// planner never warm-starts from another borrower's run; warm
-// replanning is available to a single borrower that calls Replan
-// between Get and Put.
+// Callers that plan the same workload repeatedly (hyper-parameter
+// sweeps, the serve path, benchmark drivers) Get a planner per task and
+// Put it back when the plan has been consumed. Every Plan() is a full
+// run from the empty plan, so a recycled planner's output never depends
+// on the previous borrower's.
 type PlannerPool struct {
 	g     *graph.Graph
 	sched *graph.Schedule

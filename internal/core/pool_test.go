@@ -7,9 +7,7 @@ import (
 )
 
 // TestPlannerPoolReuseIdentical checks the pool's core contract: a
-// recycled planner produces byte-identical plans to a fresh one, and
-// Put severs journal state so a pooled planner never warm-starts from
-// another borrower's run.
+// recycled planner produces byte-identical plans to a fresh one.
 func TestPlannerPoolReuseIdentical(t *testing.T) {
 	tb := newTestbed(t, "resnet50", models.Config{BatchSize: 32})
 	_, peak, _ := NewMemSim(tb.g, tb.sched, tb.lv).Curve(NewPlan("none", tb.dev))
@@ -40,17 +38,6 @@ func TestPlannerPoolReuseIdentical(t *testing.T) {
 		if pp.Size() != 1 {
 			t.Fatalf("round %d: pool size %d, want 1", round, pp.Size())
 		}
-	}
-
-	// Put must sever the journal: a Replan right after Get cannot
-	// warm-start from the previous borrower's plan.
-	pl := pp.Get(opts)
-	plan, err := pl.Replan(fresh, opts)
-	if err != nil {
-		t.Fatalf("replan after pool cycle: %v", err)
-	}
-	if got := plan.Describe(); got != want {
-		t.Errorf("replan after pool cycle diverged:\n%s", got)
 	}
 }
 
@@ -102,4 +89,26 @@ func TestPlannerPoolSteadyStateAllocs(t *testing.T) {
 		t.Errorf("steady-state pooled Plan() allocates %.0f times, want <= 100", allocs)
 	}
 	t.Logf("steady-state pooled Plan(): %.0f allocs", allocs)
+}
+
+// TestPlannerRepeatPlanAllocs pins a non-pooled planner's steady
+// state: repeated Plan() calls on one planner, with no Put between
+// them, pre-size the plan's maps from the previous run's counts. A lost
+// size hint shows up here as map-growth allocations.
+func TestPlannerRepeatPlanAllocs(t *testing.T) {
+	tb := newTestbed(t, "bert-large", models.Config{BatchSize: 8})
+	_, peak, _ := NewMemSim(tb.g, tb.sched, tb.lv).Curve(NewPlan("none", tb.dev))
+	pl := NewPlanner(tb.g, tb.sched, tb.lv, tb.prof, tb.dev,
+		Options{Capacity: peak * 60 / 100, FragmentationReserve: -1})
+	if _, err := pl.Plan(); err != nil {
+		t.Fatalf("warm-up plan: %v", err)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := pl.Plan(); err != nil {
+			t.Fatalf("repeat plan: %v", err)
+		}
+	})
+	if allocs > 9 {
+		t.Errorf("repeated Plan() allocates %.0f times, want <= 9", allocs)
+	}
 }

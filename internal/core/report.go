@@ -82,10 +82,6 @@ type PlanReport struct {
 	// candidate index actually performed (chain re-walks plus split
 	// configuration rebuilds) — the work the lazy index could not skip.
 	CandidatesRescored int64 `json:"candidates_rescored,omitempty"`
-	// DecisionsReplayed counts decisions re-applied from the previous
-	// run's journal by a warm Replan; WarmStart marks such runs.
-	DecisionsReplayed int64 `json:"decisions_replayed,omitempty"`
-	WarmStart         bool  `json:"warm_start,omitempty"`
 	// MeanPCIeOccupancy is the time-weighted mean of the planner's
 	// final per-op PCIe reservation array (Oc_u, paper Eq. 3).
 	MeanPCIeOccupancy float64 `json:"mean_pcie_occupancy"`

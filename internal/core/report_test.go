@@ -138,8 +138,12 @@ func TestPlanReportSerialParallelEquivalence(t *testing.T) {
 	reports := make([]*PlanReport, 2)
 	for i, serial := range []bool{false, true} {
 		pl := NewPlanner(tb.g, tb.sched, tb.lv, tb.prof, tb.dev,
-			Options{Capacity: capacity, FragmentationReserve: -1, Serial: serial, CollectReport: true})
-		if _, err := pl.Plan(); err != nil {
+			Options{Capacity: capacity, FragmentationReserve: -1, CollectReport: true})
+		run := pl.Plan
+		if serial {
+			run = pl.planSerial
+		}
+		if _, err := run(); err != nil {
 			t.Fatal(err)
 		}
 		reports[i] = pl.Report()

@@ -11,35 +11,22 @@ import (
 	"tsplit/internal/models"
 )
 
-// PlanLatRow is the planning-latency profile of one zoo model: cold
-// Plan() against warm Replan() on the pooled planner, each sampled
-// `rounds` times and summarized as p50/p99 wall time.
+// PlanLatRow is the planning-latency profile of one zoo model: Plan()
+// on a reused planner, sampled `rounds` times and summarized as
+// p50/p99 wall time.
 type PlanLatRow struct {
 	Model   string
 	Ops     int
 	Tensors int
-	ColdP50 time.Duration
-	ColdP99 time.Duration
-	WarmP50 time.Duration
-	WarmP99 time.Duration
+	P50     time.Duration
+	P99     time.Duration
 }
 
-// Speedup is the p50 cold/warm ratio, the number the ISSUE gates at
-// >= 10x on BERT-Large.
-func (r PlanLatRow) Speedup() float64 {
-	if r.WarmP50 <= 0 {
-		return 0
-	}
-	return float64(r.ColdP50) / float64(r.WarmP50)
-}
-
-// PlanLatency measures planning latency across the model zoo. Each
-// model plans at a tight budget (58% of its unmanaged peak); the warm
-// samples replan the result at a slightly looser budget (60%), the
-// direction journal replay shortcuts — the resilient ladder's
-// de-escalation step. Cold samples run the full greedy loop on the
-// same pooled planner, so both paths reuse the same arenas and the
-// difference is algorithmic, not allocator noise.
+// PlanLatency measures planning latency across the model zoo at a
+// tight budget (58% of each model's unmanaged peak). Every sample runs
+// the full greedy loop on the same planner after one unsampled run, so
+// the rows measure the steady state of a reused planner's arenas, not
+// their first-run growth.
 //
 // The reported durations come from the wall clock and vary run to
 // run; everything else about the rows (models, sizes, plan outcomes)
@@ -55,48 +42,22 @@ func PlanLatency(dev device.Device, rounds int) ([]PlanLatRow, error) {
 		if err != nil {
 			return nil, fmt.Errorf("planlat %s: %w", model, err)
 		}
-		tight := core.Options{Capacity: p.Lv.Peak * 58 / 100, FragmentationReserve: -1}
-		loose := core.Options{Capacity: p.Lv.Peak * 60 / 100, FragmentationReserve: -1}
-
-		pl := core.NewPlanner(p.G, p.Sched, p.Lv, p.Prof, p.Dev, tight)
+		opts := core.Options{Capacity: p.Lv.Peak * 58 / 100, FragmentationReserve: -1}
+		pl := core.NewPlanner(p.G, p.Sched, p.Lv, p.Prof, p.Dev, opts)
 		if _, err := pl.Plan(); err != nil { // warm the arenas
-			return nil, fmt.Errorf("planlat %s: tight plan: %w", model, err)
+			return nil, fmt.Errorf("planlat %s: plan: %w", model, err)
 		}
-		cold := make([]time.Duration, rounds)
-		for i := range cold {
+		samples := make([]time.Duration, rounds)
+		for i := range samples {
 			start := Clock()
 			if _, err := pl.Plan(); err != nil {
-				return nil, fmt.Errorf("planlat %s: cold round %d: %w", model, i, err)
+				return nil, fmt.Errorf("planlat %s: round %d: %w", model, i, err)
 			}
-			cold[i] = Clock().Sub(start)
+			samples[i] = Clock().Sub(start)
 		}
-
-		prev, err := pl.Plan()
-		if err != nil {
-			return nil, fmt.Errorf("planlat %s: re-base: %w", model, err)
-		}
-		// One unsampled replan so the tight->loose transition itself
-		// (which replays and rolls back the longest journal tail) does
-		// not dominate p99; the samples measure the steady state the
-		// resilient ladder sits in.
-		if prev, err = pl.Replan(prev, loose); err != nil {
-			return nil, fmt.Errorf("planlat %s: warm-up replan: %w", model, err)
-		}
-		warm := make([]time.Duration, rounds)
-		for i := range warm {
-			start := Clock()
-			plan, err := pl.Replan(prev, loose)
-			if err != nil {
-				return nil, fmt.Errorf("planlat %s: warm round %d: %w", model, i, err)
-			}
-			warm[i] = Clock().Sub(start)
-			prev = plan
-		}
-
 		rows = append(rows, PlanLatRow{
 			Model: model, Ops: len(p.Sched.Ops), Tensors: len(p.G.Tensors),
-			ColdP50: percentile(cold, 50), ColdP99: percentile(cold, 99),
-			WarmP50: percentile(warm, 50), WarmP99: percentile(warm, 99),
+			P50: percentile(samples, 50), P99: percentile(samples, 99),
 		})
 	}
 	return rows, nil
@@ -116,14 +77,11 @@ func percentile(samples []time.Duration, p int) time.Duration {
 // RenderPlanLat renders the latency table.
 func RenderPlanLat(rows []PlanLatRow) string {
 	var b strings.Builder
-	b.WriteString("Planning latency (pooled planner; warm = Replan at +2% capacity)\n")
-	fmt.Fprintf(&b, "%-14s %6s %8s %12s %12s %12s %12s %9s\n",
-		"model", "ops", "tensors", "cold p50", "cold p99", "warm p50", "warm p99", "speedup")
+	b.WriteString("Planning latency (reused planner, 58% of peak)\n")
+	fmt.Fprintf(&b, "%-14s %6s %8s %12s %12s\n", "model", "ops", "tensors", "p50", "p99")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-14s %6d %8d %12s %12s %12s %12s %8.1fx\n",
-			r.Model, r.Ops, r.Tensors,
-			fmtDur(r.ColdP50), fmtDur(r.ColdP99), fmtDur(r.WarmP50), fmtDur(r.WarmP99),
-			r.Speedup())
+		fmt.Fprintf(&b, "%-14s %6d %8d %12s %12s\n",
+			r.Model, r.Ops, r.Tensors, fmtDur(r.P50), fmtDur(r.P99))
 	}
 	return b.String()
 }

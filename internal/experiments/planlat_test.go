@@ -27,9 +27,8 @@ func TestPlanLatency(t *testing.T) {
 		if r.Ops <= 0 || r.Tensors <= 0 {
 			t.Errorf("%s: empty workload (ops=%d tensors=%d)", r.Model, r.Ops, r.Tensors)
 		}
-		if r.ColdP50 <= 0 || r.ColdP99 < r.ColdP50 || r.WarmP50 <= 0 || r.WarmP99 < r.WarmP50 {
-			t.Errorf("%s: implausible percentiles: cold %v/%v warm %v/%v",
-				r.Model, r.ColdP50, r.ColdP99, r.WarmP50, r.WarmP99)
+		if r.P50 <= 0 || r.P99 < r.P50 {
+			t.Errorf("%s: implausible percentiles: %v/%v", r.Model, r.P50, r.P99)
 		}
 	}
 	out := RenderPlanLat(rows)

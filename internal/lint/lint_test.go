@@ -573,7 +573,7 @@ func f(arena [][]int, xs []int, p int) []int {
 		},
 		{
 			name:     "loop inside a closure uses the closure's own resets",
-			filename: "replan.go",
+			filename: "incremental.go",
 			src: `package core
 func f(xs []int) func() []int {
 	return func() []int {

@@ -26,8 +26,8 @@ import (
 // The rule is scoped to the files that hold the pooled per-iteration
 // machinery; construction, export, verification, and graph-rewrite
 // code allocates freely off the hot path. It is advisory in spirit:
-// the serial reference path and per-run setup allocate legitimately
-// and carry allows with the reason spelled out.
+// per-run setup allocates legitimately and carries allows with the
+// reason spelled out.
 var ScratchReuse = &Analyzer{
 	Name:     "scratchreuse",
 	Doc:      "allocation (make / growing append) inside a loop in pooled planner or simulator code",
@@ -36,20 +36,19 @@ var ScratchReuse = &Analyzer{
 }
 
 // scratchFiles are the internal/core and internal/sim files on the
-// pooled hot paths: a Plan()/Replan() call or a pooled simulation
+// pooled hot paths: a Plan() call or a pooled simulation
 // spends its steady-state time here, so in-loop allocations in these
 // files erode the near-zero allocs/op budgets. (File names don't
 // collide across the two packages today; scope by package if they
 // ever do.)
 var scratchFiles = map[string]bool{
-	// internal/core — the planner's Plan()/Replan() hot path.
+	// internal/core — the planner's Plan() hot path.
 	"planner.go":     true,
 	"candidates.go":  true,
 	"candindex.go":   true,
 	"incremental.go": true,
 	"memsim.go":      true,
 	"finalize.go":    true,
-	"replan.go":      true,
 	"pool.go":        true,
 	// internal/sim — the simulator's per-op event loop.
 	"sim.go":       true,

@@ -95,6 +95,13 @@ func Build(name string, cfg Config) (*graph.Graph, error) {
 	return b(cfg)
 }
 
+// Known reports whether name is a registered model, without the
+// allocation and sort Names pays.
+func Known(name string) bool {
+	_, ok := registry[name]
+	return ok
+}
+
 // Names lists the registered models in sorted order.
 func Names() []string {
 	names := make([]string, 0, len(registry))

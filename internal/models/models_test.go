@@ -142,3 +142,17 @@ func TestUnknownModel(t *testing.T) {
 		t.Fatal("expected error for unknown model")
 	}
 }
+
+// TestKnownMatchesNames: Known answers membership in Names exactly.
+func TestKnownMatchesNames(t *testing.T) {
+	for _, name := range Names() {
+		if !Known(name) {
+			t.Errorf("Known(%q) = false for a registered model", name)
+		}
+	}
+	for _, name := range []string{"", "alexnet", "VGG16"} {
+		if Known(name) {
+			t.Errorf("Known(%q) = true for an unregistered name", name)
+		}
+	}
+}

@@ -14,9 +14,8 @@ import (
 // This file is the analysis half of the flight-recorder subsystem:
 // it turns a Dump (or a bare metrics/trace export) into the diagnosis
 // tsplit-doctor prints — phase latency percentiles from the span
-// tree, replan cache-hit rates and stall attribution from the metrics
-// snapshot, the event tail from the ring, and regressions against an
-// optional baseline dump.
+// tree, stall attribution from the metrics snapshot, the event tail
+// from the ring, and regressions against an optional baseline dump.
 
 // PhaseStat aggregates every span sharing one name: the doctor's
 // phase-latency breakdown. Durations are integer microseconds
@@ -31,20 +30,6 @@ type PhaseStat struct {
 	P99Micros   int64   `json:"p99_us"`
 	MaxMicros   int64   `json:"max_us"`
 	Pct         float64 `json:"pct"` // share of summed root-span time
-}
-
-// ReplanStats is the planner cache-hit analysis derived from the
-// metrics snapshot.
-type ReplanStats struct {
-	Plans             int64   `json:"plans"`
-	WarmReplans       int64   `json:"warm_replans"`
-	ColdReplans       int64   `json:"cold_replans"`
-	HitRate           float64 `json:"hit_rate"` // warm / (warm + cold)
-	Iterations        int64   `json:"iterations"`
-	DecisionsReplayed int64   `json:"decisions_replayed"`
-	// ReplayShare is the fraction of all decisions that came from
-	// journal replay instead of a fresh greedy iteration.
-	ReplayShare float64 `json:"replay_share"`
 }
 
 // StallStat attributes simulated stall time to one cause.
@@ -72,7 +57,6 @@ type Regression struct {
 type Diagnosis struct {
 	Reason        string       `json:"reason,omitempty"`
 	Phases        []PhaseStat  `json:"phases,omitempty"`
-	Replan        *ReplanStats `json:"replan,omitempty"`
 	Stalls        []StallStat  `json:"stalls,omitempty"`
 	EventCounts   []EventCount `json:"event_counts,omitempty"`
 	LastEvents    []Event      `json:"last_events,omitempty"`
@@ -96,7 +80,6 @@ func Diagnose(d *Dump, baseline *Dump) *Diagnosis {
 	diag := &Diagnosis{
 		Reason:        d.Reason,
 		Phases:        phaseStats(d.Spans),
-		Replan:        replanStats(d.Metrics),
 		Stalls:        stallStats(d.Metrics),
 		DroppedEvents: d.DroppedEvents,
 	}
@@ -189,58 +172,6 @@ func metricValue(m Metric) float64 {
 		return float64(m.Int)
 	}
 	return m.Value
-}
-
-// findCounter returns the summed Int of every counter with the given
-// name whose labels include all of want.
-func findCounter(ms []Metric, name string, want ...Label) int64 {
-	var total int64
-	for _, m := range ms {
-		if m.Name != name || m.Kind != "counter" {
-			continue
-		}
-		ok := true
-		for _, w := range want {
-			has := false
-			for _, l := range m.Labels {
-				if l == w {
-					has = true
-					break
-				}
-			}
-			if !has {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			total += m.Int
-		}
-	}
-	return total
-}
-
-func replanStats(ms []Metric) *ReplanStats {
-	if len(ms) == 0 {
-		return nil
-	}
-	rs := &ReplanStats{
-		Plans:             findCounter(ms, "tsplit_planner_plans_total"),
-		WarmReplans:       findCounter(ms, "tsplit_planner_replans_total", L("mode", "warm")),
-		ColdReplans:       findCounter(ms, "tsplit_planner_replans_total", L("mode", "cold")),
-		Iterations:        findCounter(ms, "tsplit_planner_iterations_total"),
-		DecisionsReplayed: findCounter(ms, "tsplit_planner_decisions_replayed_total"),
-	}
-	if rs.Plans == 0 && rs.WarmReplans == 0 && rs.ColdReplans == 0 {
-		return nil
-	}
-	if n := rs.WarmReplans + rs.ColdReplans; n > 0 {
-		rs.HitRate = float64(rs.WarmReplans) / float64(n)
-	}
-	if n := rs.Iterations + rs.DecisionsReplayed; n > 0 {
-		rs.ReplayShare = float64(rs.DecisionsReplayed) / float64(n)
-	}
-	return rs
 }
 
 func stallStats(ms []Metric) []StallStat {
@@ -384,14 +315,6 @@ func (d *Diagnosis) Render() string {
 				us(p.P99Micros), us(p.MaxMicros), p.Pct, note)
 		}
 		b.WriteByte('\n')
-	}
-	if d.Replan != nil {
-		r := d.Replan
-		b.WriteString("Replanning\n")
-		fmt.Fprintf(&b, "  plans %d, replans %d warm / %d cold (hit rate %.0f%%)\n",
-			r.Plans, r.WarmReplans, r.ColdReplans, 100*r.HitRate)
-		fmt.Fprintf(&b, "  decisions: %d replayed, %d fresh iterations (replay share %.0f%%)\n\n",
-			r.DecisionsReplayed, r.Iterations, 100*r.ReplayShare)
 	}
 	if len(d.Stalls) > 0 {
 		b.WriteString("Stall attribution (simulated)\n")

@@ -45,10 +45,7 @@ func TestPhaseStats(t *testing.T) {
 func TestDiagnoseFromDump(t *testing.T) {
 	reg := NewRegistry()
 	reg.Add("tsplit_planner_plans_total", 1)
-	reg.Add("tsplit_planner_replans_total", 3, L("mode", "warm"))
-	reg.Add("tsplit_planner_replans_total", 1, L("mode", "cold"))
 	reg.Add("tsplit_planner_iterations_total", 25)
-	reg.Add("tsplit_planner_decisions_replayed_total", 75)
 	reg.Add("tsplit_sim_stall_microseconds_total", 900, L("cause", "alloc"))
 	reg.Add("tsplit_sim_stall_microseconds_total", 100, L("cause", "input"))
 
@@ -69,12 +66,6 @@ func TestDiagnoseFromDump(t *testing.T) {
 	if diag.Reason != "escalation" || diag.DroppedEvents != 2 {
 		t.Fatalf("header = %+v", diag)
 	}
-	if diag.Replan == nil || diag.Replan.WarmReplans != 3 || diag.Replan.ColdReplans != 1 {
-		t.Fatalf("replan = %+v", diag.Replan)
-	}
-	if diag.Replan.HitRate != 0.75 || diag.Replan.ReplayShare != 0.75 {
-		t.Fatalf("rates = %+v", diag.Replan)
-	}
 	if len(diag.Stalls) != 2 || diag.Stalls[0].Cause != "alloc" || diag.Stalls[0].Pct != 90 {
 		t.Fatalf("stalls = %+v", diag.Stalls)
 	}
@@ -89,8 +80,6 @@ func TestDiagnoseFromDump(t *testing.T) {
 	for _, want := range []string{
 		"dump reason: escalation",
 		"planner.plan",
-		"hit rate 75%",
-		"replay share 75%",
 		"alloc",
 		"ladder.escalate",
 		"(2 older events overwritten)",
@@ -104,8 +93,8 @@ func TestDiagnoseFromDump(t *testing.T) {
 	if err := diag.WriteJSON(&buf); err != nil {
 		t.Fatalf("WriteJSON: %v", err)
 	}
-	if !strings.Contains(buf.String(), `"hit_rate": 0.75`) {
-		t.Fatalf("JSON missing hit_rate:\n%s", buf.String())
+	if !strings.Contains(buf.String(), `"cause": "alloc"`) {
+		t.Fatalf("JSON missing the stall attribution:\n%s", buf.String())
 	}
 }
 
@@ -264,4 +253,33 @@ func TestParsePrometheusFileAndChromeTraceFile(t *testing.T) {
 	if _, err := ParseChromeTraceFile(badTrace); err == nil {
 		t.Fatal("bad trace JSON must error")
 	}
+}
+
+// findCounter returns the summed Int of every counter with the given
+// name whose labels include all of want.
+func findCounter(ms []Metric, name string, want ...Label) int64 {
+	var total int64
+	for _, m := range ms {
+		if m.Name != name || m.Kind != "counter" {
+			continue
+		}
+		ok := true
+		for _, w := range want {
+			has := false
+			for _, l := range m.Labels {
+				if l == w {
+					has = true
+					break
+				}
+			}
+			if !has {
+				ok = false
+				break
+			}
+		}
+		if ok {
+			total += m.Int
+		}
+	}
+	return total
 }

@@ -132,13 +132,9 @@ func Run(in baselines.Inputs, cfg Config) (Outcome, error) {
 		cfg.Dumper.Trigger("ladder escalation: " + kind)
 	}
 
-	// One planner serves the whole ladder: rung 0 plans cold, escalated
-	// rungs warm-replan from the previous rung's plan — the tighter
-	// budget replays the journaled decision prefix and resumes the
-	// greedy loop live, producing a byte-identical plan to a cold run at
-	// the new margin for a fraction of the work.
+	// One planner serves the whole ladder: each rung plans afresh at its
+	// margin, reusing the planner's arenas.
 	pl := core.NewPlanner(in.G, in.Sched, in.Lv, in.Prof, in.Dev, cfg.Planner)
-	var prev *core.Plan
 	for i, m := range margins {
 		kind := "plan"
 		if i > 0 {
@@ -154,14 +150,8 @@ func Run(in baselines.Inputs, cfg Config) (Outcome, error) {
 		sp := rsp.StartSpan("resilient.rung")
 		sp.SetAttr("kind", kind)
 		sp.SetAttr("margin", fmt.Sprintf("%.2f", m))
-		var plan *core.Plan
-		var err error
-		if i == 0 {
-			pl.SetOptions(popts)
-			plan, err = pl.Plan()
-		} else {
-			plan, err = pl.Replan(prev, popts)
-		}
+		pl.SetOptions(popts)
+		plan, err := pl.Plan()
 		if err != nil {
 			// Infeasible at this margin: tighter margins only shrink the
 			// budget further. Go straight to the fallback.
@@ -183,7 +173,6 @@ func Run(in baselines.Inputs, cfg Config) (Outcome, error) {
 			return out, rerr
 		}
 		fail(kind, m, rerr)
-		prev = plan
 	}
 
 	// Final rung: the swap-all baseline trades throughput for the

@@ -166,18 +166,9 @@ func validateRequest(req *PlanRequest) *httpError {
 	if (req.Model == "") == (req.Spec == nil) {
 		return errBadRequest("exactly one of \"model\" and \"spec\" must be set")
 	}
-	if req.Model != "" {
-		known := false
-		for _, name := range models.Names() {
-			if name == req.Model {
-				known = true
-				break
-			}
-		}
-		if !known {
-			return &httpError{status: http.StatusNotFound, code: "unknown_model",
-				message: fmt.Sprintf("unknown model %q (have %v)", req.Model, models.Names())}
-		}
+	if req.Model != "" && !models.Known(req.Model) {
+		return &httpError{status: http.StatusNotFound, code: "unknown_model",
+			message: fmt.Sprintf("unknown model %q (have %v)", req.Model, models.Names())}
 	}
 	c := req.Config
 	if c.BatchSize < 0 || c.BatchSize > MaxBatchSize {

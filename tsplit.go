@@ -88,8 +88,8 @@ type (
 	// SpanNode is the exported (JSON-ready) form of a span tree.
 	SpanNode = obs.SpanNode
 	// Flight is a fixed-size ring of recent structured events (plan
-	// decisions, replan divergences, fault injections, ladder
-	// escalations). A nil *Flight is valid everywhere.
+	// decisions, fault injections, ladder escalations). A nil *Flight
+	// is valid everywhere.
 	Flight = obs.Flight
 	// FlightEvent is one recorded flight-ring event.
 	FlightEvent = obs.Event
@@ -407,12 +407,9 @@ func (w *Workload) AutoPlan(opts PlanOptions) (*Plan, Report, error) {
 	if cap == 0 {
 		cap = w.Dev.MemBytes
 	}
-	// One planner serves the whole reserve ladder: retries warm-replan
-	// from the previous attempt (the fragmentation reserve is part of
-	// the capacity trio Replan can change), replaying the still-valid
-	// decision prefix instead of replanning from scratch.
+	// One planner serves the whole reserve ladder: each attempt plans
+	// afresh at its reserve, reusing the planner's arenas.
 	pl := core.NewPlanner(w.G, w.Sched, w.Lv, w.Prof, w.Dev, core.Options{})
-	var prev *Plan
 	for _, reserve := range []int64{0, cap * 6 / 100, cap * 13 / 100, cap * 21 / 100, -1} {
 		popts := core.Options{
 			Capacity:             opts.CapacityBytes,
@@ -421,19 +418,12 @@ func (w *Workload) AutoPlan(opts PlanOptions) (*Plan, Report, error) {
 			FragmentationReserve: reserve,
 			Obs:                  opts.Observe,
 		}
-		var plan *Plan
-		var err error
-		if prev == nil {
-			pl.SetOptions(popts)
-			plan, err = pl.Plan()
-		} else {
-			plan, err = pl.Replan(prev, popts)
-		}
+		pl.SetOptions(popts)
+		plan, err := pl.Plan()
 		if err != nil {
 			lastErr = err
 			continue
 		}
-		prev = plan
 		rep, err := w.Run(plan)
 		if err != nil {
 			lastErr = err
