@@ -6,38 +6,46 @@ import (
 	"tsplit/internal/models"
 )
 
-// TestPlannerPoolReuseIdentical checks the pool's core contract: a
-// recycled planner produces byte-identical plans to a fresh one.
+// TestPlannerPoolReuseIdentical checks the pool's core contract on
+// every zoo model at a tight budget (58% of the unmanaged peak, the
+// default config): a recycled planner produces byte-identical plans to
+// a fresh one, round after round.
 func TestPlannerPoolReuseIdentical(t *testing.T) {
-	tb := newTestbed(t, "resnet50", models.Config{BatchSize: 32})
-	_, peak, _ := NewMemSim(tb.g, tb.sched, tb.lv).Curve(NewPlan("none", tb.dev))
-	opts := Options{Capacity: peak * 70 / 100, FragmentationReserve: -1}
+	for _, model := range models.Names() {
+		t.Run(model, func(t *testing.T) {
+			tb := newTestbed(t, model, models.Config{})
+			opts := Options{Capacity: tb.lv.Peak * 58 / 100, FragmentationReserve: -1}
 
-	pp := NewPlannerPool(tb.g, tb.sched, tb.lv, tb.prof, tb.dev)
-	fresh, err := NewPlanner(tb.g, tb.sched, tb.lv, tb.prof, tb.dev, opts).Plan()
-	if err != nil {
-		t.Fatalf("fresh plan: %v", err)
-	}
-	want := fresh.Describe()
+			pp := NewPlannerPool(tb.g, tb.sched, tb.lv, tb.prof, tb.dev)
+			fresh, err := NewPlanner(tb.g, tb.sched, tb.lv, tb.prof, tb.dev, opts).Plan()
+			if err != nil {
+				t.Fatalf("fresh plan: %v", err)
+			}
+			if len(fresh.Tensors)+len(fresh.Splits) == 0 {
+				t.Fatal("the budget left the planner nothing to decide")
+			}
+			want := fresh.Describe()
 
-	var last *Planner
-	for round := 0; round < 4; round++ {
-		pl := pp.Get(opts)
-		if round > 0 && pl != last {
-			t.Fatalf("round %d: pool did not recycle the planner", round)
-		}
-		plan, err := pl.Plan()
-		if err != nil {
-			t.Fatalf("round %d: %v", round, err)
-		}
-		if got := plan.Describe(); got != want {
-			t.Errorf("round %d: pooled plan diverged from fresh plan\n--- pooled ---\n%s--- fresh ---\n%s", round, got, want)
-		}
-		last = pl
-		pp.Put(pl)
-		if pp.Size() != 1 {
-			t.Fatalf("round %d: pool size %d, want 1", round, pp.Size())
-		}
+			var last *Planner
+			for round := 0; round < 4; round++ {
+				pl := pp.Get(opts)
+				if round > 0 && pl != last {
+					t.Fatalf("round %d: pool did not recycle the planner", round)
+				}
+				plan, err := pl.Plan()
+				if err != nil {
+					t.Fatalf("round %d: %v", round, err)
+				}
+				if got := plan.Describe(); got != want {
+					t.Errorf("round %d: pooled plan diverged from fresh plan\n--- pooled ---\n%s--- fresh ---\n%s", round, got, want)
+				}
+				last = pl
+				pp.Put(pl)
+				if pp.Size() != 1 {
+					t.Fatalf("round %d: pool size %d, want 1", round, pp.Size())
+				}
+			}
+		})
 	}
 }
 

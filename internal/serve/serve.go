@@ -42,15 +42,6 @@ type Config struct {
 	// its workload's build, in the admission queue, on an in-flight run
 	// (0 = no timeout). Expired requests answer 503.
 	RequestTimeout time.Duration
-	// PlanDelay adds synthetic latency to every run (either endpoint's
-	// miss), while the run holds its admission slot. Load experiments
-	// use it to model planners slower than the zoo's (larger graphs,
-	// remote profilers)
-	// so queueing, coalescing, and shedding are reproducible on any
-	// machine — a real planner run is 1–2 ms of non-yielding CPU, which
-	// a single-core runner serializes before a queue can ever form.
-	// Zero (production) adds nothing.
-	PlanDelay time.Duration
 	// RetryAfterSeconds is the Retry-After hint on 429 responses
 	// (default 1).
 	RetryAfterSeconds int
@@ -406,9 +397,6 @@ func (s *Server) lead(a accepted, ep *endpoint) ([]byte, *httpError) {
 	// between our miss and this run.
 	if cached, ok := ep.cache.get(a.key); ok {
 		return cached, nil
-	}
-	if s.cfg.PlanDelay > 0 {
-		time.Sleep(s.cfg.PlanDelay)
 	}
 	body, herr := ep.run(a)
 	if herr != nil {

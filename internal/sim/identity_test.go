@@ -18,9 +18,9 @@ import (
 // Prometheus metrics text — including under fault injection. Any
 // leaked state in Reset/Put shows up here as a diff.
 
-// identityBed plans a memory-pressured tsplit workload, the
-// configuration that exercises every simulator subsystem (swaps,
-// recomputation, splits, compaction).
+// identityBed plans a memory-pressured tsplit workload (70% of the
+// unmanaged peak), the configuration that exercises every simulator
+// subsystem (swaps, recomputation, splits, compaction).
 func identityBed(t *testing.T, model string, batch int) (*bed, *core.Plan, int64) {
 	t.Helper()
 	b := mkbed(t, model, models.Config{BatchSize: batch})
@@ -29,6 +29,9 @@ func identityBed(t *testing.T, model string, batch int) (*bed, *core.Plan, int64
 		core.Options{Capacity: cap, FragmentationReserve: -1}).Plan()
 	if err != nil {
 		t.Fatalf("planning: %v", err)
+	}
+	if len(plan.Tensors)+len(plan.Splits) == 0 {
+		t.Fatal("the budget left the planner nothing to decide")
 	}
 	return b, plan, cap
 }
@@ -68,19 +71,32 @@ func identityOpts(cap int64, seed uint64) (Options, *obs.Registry) {
 	return o, reg
 }
 
+// TestPooledRunByteIdentity runs three seeds on the pressured vgg16 and
+// resnet50 beds, and the fault-free seed on every zoo model at its
+// default config (batch 0).
 func TestPooledRunByteIdentity(t *testing.T) {
-	for _, tc := range []struct {
+	type identityCase struct {
 		model string
 		batch int
-	}{
-		{"vgg16", 256},
-		{"resnet50", 256},
-	} {
+		seeds []uint64
+	}
+	// Seed 0 is the fault-free path; the two non-zero seeds follow
+	// different injected schedules (noise, bandwidth, capacity hogs).
+	cases := []identityCase{
+		{"vgg16", 256, []uint64{0, 123, 321}},
+		{"resnet50", 256, []uint64{0, 123, 321}},
+	}
+	for _, model := range models.Names() {
+		cases = append(cases, identityCase{model, 0, []uint64{0}})
+	}
+	for _, tc := range cases {
 		b, plan, cap := identityBed(t, tc.model, tc.batch)
-		// Seed 0 is the fault-free path; the two non-zero seeds follow
-		// different injected schedules (noise, bandwidth, capacity hogs).
-		for _, seed := range []uint64{0, 123, 321} {
-			t.Run(fmt.Sprintf("%s/seed%d", tc.model, seed), func(t *testing.T) {
+		for _, seed := range tc.seeds {
+			name := fmt.Sprintf("%s/seed%d", tc.model, seed)
+			if tc.batch == 0 {
+				name = "default/" + name
+			}
+			t.Run(name, func(t *testing.T) {
 				oF, regF := identityOpts(cap, seed)
 				resF, traceF, metF, errF := runArtifacts(t, New(b.g, b.sched, b.lv, plan, b.dev, oF), regF)
 

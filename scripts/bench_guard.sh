@@ -3,8 +3,8 @@
 #
 # Runs the Plan() benchmarks (with the default nil Recorder, i.e. the
 # observability no-op path), the simulator benchmarks (cold and pooled
-# arena) and one Table IV sweep, and fails if any regresses against the
-# recorded baseline in bench_results.txt:
+# arena) and one Table IV sweep, and fails if a deterministic count
+# regresses against the recorded baseline in bench_results.txt:
 #
 #   - allocs/op: > +10% (allocation counts are deterministic, so the
 #     tolerance only absorbs map-rehash jitter) — plus an absolute
@@ -14,10 +14,11 @@
 #     back to building a workload per (model, policy) cell, or to
 #     unpooled planners, more than doubles it, while the pooled hot
 #     paths' residual B/op is amortized buffer growth and too jittery
-#     to bound;
-#   - ns/op:     > +50% (wall time on a shared box is noisy; the wide
-#     bar still catches an accidental return to full-rebuild scans,
-#     which cost 4-10x).
+#     to bound.
+#
+# ns/op is printed beside its baseline but never fails the run: wall
+# time on a shared machine moves on untouched code. Wall-clock claims
+# are judged by bench/run.sh, which alternates parent and change runs.
 #
 # The baseline is the LAST occurrence of each benchmark name in that
 # file, so appending a fresh measurement section updates the bar.
@@ -64,23 +65,14 @@ awk '
             printf "bench-guard: no baseline for %s in %s\n", name, ARGV[1]
             bad = 1; next
         }
-        ok = 1
-        if (allocs > base_allocs[name] * 1.10 + 2) {
-            printf "bench-guard: FAIL %-32s %8d allocs/op > baseline %d +10%%\n", name, allocs, base_allocs[name]
-            bad = 1; ok = 0
-        }
-        if (name ~ /^BenchmarkTable4_/ && field("B/op") > base_bytes[name] * 1.10) {
-            printf "bench-guard: FAIL %-32s %8d B/op > baseline %d +10%%\n", name, field("B/op"), base_bytes[name]
-            bad = 1; ok = 0
-        }
-        if (base_ns[name] > 0 && ns > base_ns[name] * 1.50) {
-            printf "bench-guard: FAIL %-32s %8d ns/op > baseline %d +50%%\n", name, ns, base_ns[name]
-            bad = 1; ok = 0
-        }
-        if (ok) {
-            printf "bench-guard: ok   %-32s %8d ns/op, %6d allocs/op (baseline %d ns, %d allocs)\n", \
-                name, ns, allocs, base_ns[name], base_allocs[name]
-        }
+        why = ""
+        if (allocs > base_allocs[name] * 1.10 + 2) why = why "; allocs/op over baseline +10%"
+        if (name ~ /^BenchmarkTable4_/ && field("B/op") > base_bytes[name] * 1.10)
+            why = why sprintf("; %d B/op over baseline %d +10%%", field("B/op"), base_bytes[name])
+        if (why != "") bad = 1
+        # ns/op is reported, never judged.
+        printf "bench-guard: %-4s %-32s %6d allocs/op (baseline %d), %10d ns/op (baseline %d)%s\n", \
+            (why == "" ? "ok" : "FAIL"), name, allocs, base_allocs[name], ns, base_ns[name], why
     }
     END {
         if (seen < 8) { printf "bench-guard: only %d benchmark results parsed, want 8\n", seen; bad = 1 }
