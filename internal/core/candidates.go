@@ -87,11 +87,6 @@ func splitAxis(op *graph.Op, dim tensor.SplitDim) int {
 	return op.Outputs[0].Shape.Rank() - 1 // hidden axis of matmul
 }
 
-// uses returns the schedule indices of t's consumers, ascending.
-func uses(t *graph.Tensor, sched *graph.Schedule) []int {
-	return appendUses(make([]int, 0, len(t.Consumers)), t, sched)
-}
-
 // appendUses appends the schedule indices of t's consumers to buf and
 // sorts the appended part ascending.
 func appendUses(buf []int, t *graph.Tensor, sched *graph.Schedule) []int {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 
 	"tsplit/internal/graph"
 	"tsplit/internal/tensor"
@@ -23,6 +24,11 @@ import (
 //     dependency registry), and the split configurations of every
 //     position where x is an operator input;
 //   - a committed split on op o invalidates position o's configurations.
+//
+// Split configurations also outlive the run: a position's list is a
+// pure function of the plan entries it reads, so the list built while
+// all of them were undecided is the one an empty plan builds, and a
+// reused planner keeps it for the next run (posSlot.pristine).
 //
 // What remains per iteration is O(1) per live candidate: the occupancy
 // stall terms (answered from the occupancy prefix sums) and the fold.
@@ -94,6 +100,33 @@ type evictHot struct {
 	microOK   bool
 }
 
+// posState is where one schedule position's configuration list stands
+// against the current plan.
+type posState uint8
+
+const (
+	// posUnbuilt: not derived for the current plan — not yet touched
+	// this run, or an op input or the op's split changed. The next touch
+	// derives it, or reuses the pristine list if the op and its inputs
+	// are undecided.
+	posUnbuilt posState = iota
+	// posBuilt: the list is current.
+	posBuilt
+	// posStale: a tensor the list's chain walks queried gained a plan
+	// entry. The next touch derives it.
+	posStale
+)
+
+// posSlot is the cache state of one position's list (posCfgs).
+type posSlot struct {
+	state posState
+	// pristine is 1 + the number of configurations the list's derivation
+	// priced when the list is the one an empty plan builds at this
+	// position under the option key (0: it is not, or it priced more
+	// than 254).
+	pristine uint8
+}
+
 type candIndex struct {
 	pl     *Planner
 	nT     int // tensor ID space (maxTensorID+1)
@@ -131,8 +164,7 @@ type candIndex struct {
 	revDep   [][]depRef
 
 	// --- per-position split configuration cache ---
-	posBuilt []bool
-	posStale []bool // chain dependency changed: rebuild on next touch
+	pos      []posSlot
 	posCfgs  [][]splitCfg
 	posMicro [][]*graph.Tensor
 	// inPosIdx[inPosOff[id]:inPosOff[id+1]] lists the schedule
@@ -145,6 +177,17 @@ type candIndex struct {
 	// exactly through revDep.
 	inPosOff []int32
 	inPosIdx []int32
+
+	// The option key of the pristine lists: the only options buildPos
+	// reads. Prof and Dev are fixed per planner.
+	keyPNums []int
+	keyChain int
+	// touchedDecided records that a chain walk of the derivation in
+	// flight queried a tensor with a plan entry.
+	touchedDecided bool
+	// derived counts the configurations this run priced by derivation
+	// rather than by reusing a pristine list.
+	derived int64
 }
 
 func newCandIndex(pl *Planner) *candIndex {
@@ -160,8 +203,7 @@ func newCandIndex(pl *Planner) *candIndex {
 		chainBytes: make([]int64, nT),
 		depEpoch:   make([]int32, nT+n),
 		revDep:     make([][]depRef, nT),
-		posBuilt:   make([]bool, n),
-		posStale:   make([]bool, n),
+		pos:        make([]posSlot, n),
 		posCfgs:    make([][]splitCfg, n),
 		posMicro:   make([][]*graph.Tensor, n),
 	}
@@ -294,7 +336,10 @@ func (ci *candIndex) buildInputPositions() {
 
 // deactivate puts the index to sleep between runs; the next ensure()
 // rebuilds it against the then-current plan.
-func (ci *candIndex) deactivate() { ci.active = false }
+func (ci *candIndex) deactivate() {
+	ci.active = false
+	ci.derived = 0
+}
 
 // ensure brings the window state to bottleneck i: a full rebuild on
 // first use, otherwise only the events between the previous bottleneck
@@ -323,8 +368,10 @@ func (ci *candIndex) ensure(i int) {
 }
 
 // rebuildAll evaluates every tensor's window at bottleneck i from
-// scratch and drops all cached split configurations. Runs once per
-// Plan(), at the first bottleneck.
+// scratch and marks every cached split configuration list unbuilt,
+// keeping the pristine ones for buildPos to reuse. Runs once per
+// Plan(), at the first bottleneck, before any commit: the plan is
+// empty here.
 func (ci *candIndex) rebuildAll(i int) {
 	pl := ci.pl
 	ci.i = i
@@ -354,8 +401,15 @@ func (ci *candIndex) rebuildAll(i int) {
 		ci.state[id] = candValid
 		ci.live = append(ci.live, int32(id)) // ID order: fold order
 	}
-	for p := range ci.posBuilt {
-		ci.posBuilt[p] = false
+	if ci.keyChain != pl.Opts.MaxRecomputeChain || !slices.Equal(ci.keyPNums, pl.Opts.PNums) {
+		for p := range ci.pos {
+			ci.pos[p].pristine = 0
+		}
+		ci.keyPNums = append(ci.keyPNums[:0], pl.Opts.PNums...)
+		ci.keyChain = pl.Opts.MaxRecomputeChain
+	}
+	for p := range ci.pos {
+		ci.pos[p].state = posUnbuilt
 	}
 	ci.active = true
 }
@@ -456,12 +510,12 @@ func (ci *candIndex) noteTensorPlanChanged(id int) {
 		if int(ref.owner) < ci.nT {
 			ci.chainStale[ref.owner] = true
 		} else {
-			ci.posStale[int(ref.owner)-ci.nT] = true
+			ci.pos[int(ref.owner)-ci.nT].state = posStale
 		}
 	}
 	ci.revDep[id] = refs[:w]
 	for k := ci.inPosOff[id]; k < ci.inPosOff[id+1]; k++ {
-		ci.posBuilt[ci.inPosIdx[k]] = false
+		ci.pos[ci.inPosIdx[k]].state = posUnbuilt
 	}
 	// The micro-restore scan at the entry's restore position reads it
 	// dynamically (buildPos requires RestoreAt == p); the static roles
@@ -469,7 +523,7 @@ func (ci *candIndex) noteTensorPlanChanged(id int) {
 	pl := ci.pl
 	if pl.tpSet[id] {
 		if r := pl.tpMirror[id].RestoreAt; r >= 0 && r < ci.n {
-			ci.posBuilt[r] = false
+			ci.pos[r].state = posUnbuilt
 		}
 	}
 }
@@ -477,7 +531,7 @@ func (ci *candIndex) noteTensorPlanChanged(id int) {
 // noteSplitChanged drops the configuration cache of a position whose
 // op just gained or upgraded a split decision.
 func (ci *candIndex) noteSplitChanged(pos int) {
-	ci.posBuilt[pos] = false
+	ci.pos[pos].state = posUnbuilt
 }
 
 // registerDeps records the dependency set of a fresh derivation under
@@ -650,7 +704,7 @@ func (ci *candIndex) best(i int) (*candidate, int) {
 			last = ci.n - 1
 		}
 		for p := i; p <= last; p++ {
-			if !ci.posBuilt[p] || ci.posStale[p] {
+			if ci.pos[p].state != posBuilt {
 				ci.buildPos(p)
 			}
 			cfgs := ci.posCfgs[p]
@@ -754,13 +808,29 @@ func (ci *candIndex) priceSplit(cfg *splitCfg, p int, c *candidate) {
 // the cached counterpart of scoreSplitInto, generating configurations
 // in the exact serial order (dims, then p_nums, then inOpts). The
 // config and micro-input slices are pooled per position.
+//
+// The list reads the plan entries of the op's inputs, of the tensors
+// its chain walks query, and the op's own split. While all of them are
+// undecided the derivation is the empty plan's, so a pristine list is
+// reused as is. Its chain dependencies are still registered under the
+// position's epoch (reuse does not bump it), and any of them gaining
+// an entry since the run began has marked the slot stale.
 func (ci *candIndex) buildPos(p int) {
 	pl := ci.pl
 	op := pl.Sched.Ops[p]
+	s := &ci.pos[p]
+	cur, has := pl.plan.Splits[op.ID]
+	undecided := !has && pl.inputsUndecided(op)
+	if undecided && s.pristine > 0 && s.state != posStale {
+		pl.statRescored += int64(s.pristine - 1)
+		s.state = posBuilt
+		return
+	}
 	ci.depEpoch[ci.nT+p]++ // retire chain deps of the old configs
+	ci.touchedDecided = false
+	priced := pl.statRescored
 	cfgs := ci.posCfgs[p][:0]
 	micro := ci.posMicro[p][:0]
-	cur, has := pl.plan.Splits[op.ID]
 	// The current-footprint terms are per-position constants across the
 	// whole configuration product; the serial scorer re-derives them per
 	// configuration to identical values.
@@ -832,8 +902,10 @@ func (ci *candIndex) buildPos(p int) {
 	}
 	ci.posCfgs[p] = cfgs
 	ci.posMicro[p] = micro
-	ci.posBuilt[p] = true
-	ci.posStale[p] = false
+	s.state, s.pristine = posBuilt, 0
+	if n := pl.statRescored - priced; undecided && !ci.touchedDecided && n < math.MaxUint8 {
+		s.pristine = uint8(n + 1)
+	}
 }
 
 // buildCfg prices the occupancy-independent part of one configuration
@@ -842,6 +914,7 @@ func (ci *candIndex) buildPos(p int) {
 func (ci *candIndex) buildCfg(op *graph.Op, p int, in, out *graph.Tensor, dim tensor.SplitDim, pnum int, inOpt MemOpt, has bool, curAdj int64, baseT float64, microIns []*graph.Tensor, microB int64) (splitCfg, bool) {
 	pl := ci.pl
 	pl.statRescored++
+	ci.derived++
 	inB, outB := in.Bytes(), out.Bytes()
 	in2 := pl.carvableSecondInput(op, in, out, dim, p)
 
@@ -902,6 +975,12 @@ func (ci *candIndex) buildCfg(op *graph.Op, p int, in, out *graph.Tensor, dim te
 			// queried up to the success or abort point: register them
 			// either way so any change rebuilds this position.
 			ci.registerDeps(int32(ci.nT+p), pl.touchScratch)
+			for _, id := range pl.touchScratch {
+				if pl.tpSet[id] {
+					ci.touchedDecided = true
+					break
+				}
+			}
 			if err != nil {
 				return splitCfg{}, false
 			}

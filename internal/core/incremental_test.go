@@ -10,6 +10,11 @@ import (
 	"tsplit/internal/tensor"
 )
 
+// uses returns the schedule indices of t's consumers, ascending.
+func uses(t *graph.Tensor, sched *graph.Schedule) []int {
+	return appendUses(make([]int, 0, len(t.Consumers)), t, sched)
+}
+
 // TestIncrementalCurveMatchesFullRebuild drives a memCurve through a
 // long random sequence of eviction, split, and chain-estimate
 // decisions and checks after every step that its live delta array

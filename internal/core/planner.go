@@ -247,9 +247,9 @@ func (pl *Planner) SetOptions(opts Options) {
 }
 
 // Reset drops the last run's report before the planner is pooled. The
-// pooled scratch (curve, candidate index, occupancy) and the plan-size
-// hint are kept for reuse; the scratch is reset in place at the top of
-// every run regardless.
+// pooled scratch (curve, candidate index, occupancy), the plan-size
+// hint and the pristine split configuration lists are kept for reuse;
+// the scratch is reset in place at the top of every run regardless.
 func (pl *Planner) Reset() {
 	pl.report = nil
 }
@@ -272,10 +272,20 @@ func (pl *Planner) initAccel() {
 	pl.genOf = make([]int, maxT+1)
 	pl.lastOf = make([]int, maxT+1)
 	pl.usesOf = make([][]int, maxT+1)
+	// The usesOf rows are carved from one array sized by the total
+	// consumer count; the 3-index slices keep any row from growing into
+	// the next.
+	nUses := 0
+	for _, t := range pl.G.Tensors {
+		nUses += len(t.Consumers)
+	}
+	all := make([]int, 0, nUses)
 	for _, t := range pl.G.Tensors {
 		pl.genOf[t.ID] = pl.Lv.FirstUse[t]
 		pl.lastOf[t.ID] = pl.Lv.LastUse[t]
-		pl.usesOf[t.ID] = uses(t, pl.Sched)
+		start := len(all)
+		all = appendUses(all, t, pl.Sched)
+		pl.usesOf[t.ID] = all[start:len(all):len(all)]
 	}
 	pl.opIdx = make([]int, maxO+1)
 	for i, op := range pl.Sched.Ops {
@@ -293,6 +303,16 @@ func (pl *Planner) putTensorPlan(id int, tp TensorPlan) {
 	pl.plan.Tensors[id] = tp
 	pl.tpMirror[id] = tp
 	pl.tpSet[id] = true
+}
+
+// inputsUndecided reports whether none of op's inputs has a plan entry.
+func (pl *Planner) inputsUndecided(op *graph.Op) bool {
+	for _, t := range op.Inputs {
+		if pl.tpSet[t.ID] {
+			return false
+		}
+	}
+	return true
 }
 
 // tensorPlanByID answers plan.Tensors[id] from the ID-indexed mirror

@@ -55,7 +55,10 @@ func canonicalPlan(p *Plan) string {
 // TestPlannerSerialParallelEquivalence plans every zoo model at two
 // over-subscription levels with Plan() and the serial reference and
 // requires identical output — including infeasible outcomes, whose
-// partial plans and errors must also agree.
+// partial plans and errors must also agree. Plan() runs twice: on a
+// fresh planner, and on a reused one that first planned the other
+// budget, so the oracle also checks the pristine split configuration
+// lists a reused planner takes over instead of deriving.
 func TestPlannerSerialParallelEquivalence(t *testing.T) {
 	// Historical: the incremental path once fanned scoring out to a
 	// GOMAXPROCS-sized worker pool. The fold is single-threaded now
@@ -64,29 +67,35 @@ func TestPlannerSerialParallelEquivalence(t *testing.T) {
 	// parallelism inherits the race check.
 	old := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(old)
+	pcts := []int64{75, 55}
 	for _, model := range models.Names() {
-		for _, pct := range []int64{75, 55} {
-			tb := newTestbed(t, model, models.Config{})
-			capacity := tb.lv.Peak * pct / 100
-			run := func(serial bool) (*Plan, error) {
-				opts := Options{Capacity: capacity, FragmentationReserve: -1}
-				pl := NewPlanner(tb.g, tb.sched, tb.lv, tb.prof, tb.dev, opts)
-				if serial {
-					return pl.planSerial()
+		tb := newTestbed(t, model, models.Config{})
+		opts := func(pct int64) Options {
+			return Options{Capacity: tb.lv.Peak * pct / 100, FragmentationReserve: -1}
+		}
+		for k, pct := range pcts {
+			sp, serr := NewPlanner(tb.g, tb.sched, tb.lv, tb.prof, tb.dev, opts(pct)).planSerial()
+			cs := canonicalPlan(sp)
+			reused := NewPlanner(tb.g, tb.sched, tb.lv, tb.prof, tb.dev, opts(pcts[1-k]))
+			_, _ = reused.Plan() // the warm-up only has to leave lists behind
+			reused.SetOptions(opts(pct))
+			for _, side := range []struct {
+				name string
+				pl   *Planner
+			}{
+				{"fresh", NewPlanner(tb.g, tb.sched, tb.lv, tb.prof, tb.dev, opts(pct))},
+				{"reused", reused},
+			} {
+				pp, perr := side.pl.Plan()
+				if (serr == nil) != (perr == nil) {
+					t.Fatalf("%s@%d%% %s: error mismatch: serial=%v incremental=%v", model, pct, side.name, serr, perr)
 				}
-				return pl.Plan()
-			}
-			sp, serr := run(true)
-			pp, perr := run(false)
-			if (serr == nil) != (perr == nil) {
-				t.Fatalf("%s@%d%%: error mismatch: serial=%v parallel=%v", model, pct, serr, perr)
-			}
-			if serr != nil && serr.Error() != perr.Error() {
-				t.Fatalf("%s@%d%%: error text mismatch:\nserial:   %v\nparallel: %v", model, pct, serr, perr)
-			}
-			cs, cp := canonicalPlan(sp), canonicalPlan(pp)
-			if cs != cp {
-				t.Errorf("%s@%d%%: plans differ\n--- serial ---\n%s--- parallel ---\n%s", model, pct, cs, cp)
+				if serr != nil && serr.Error() != perr.Error() {
+					t.Fatalf("%s@%d%% %s: error text mismatch:\nserial:      %v\nincremental: %v", model, pct, side.name, serr, perr)
+				}
+				if cp := canonicalPlan(pp); cs != cp {
+					t.Errorf("%s@%d%% %s: plans differ\n--- serial ---\n%s--- incremental ---\n%s", model, pct, side.name, cs, cp)
+				}
 			}
 		}
 	}

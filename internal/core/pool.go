@@ -19,8 +19,11 @@ import (
 // Callers that plan the same workload repeatedly (hyper-parameter
 // sweeps, the serve path, benchmark drivers) Get a planner per task and
 // Put it back when the plan has been consumed. Every Plan() is a full
-// run from the empty plan, so a recycled planner's output never depends
-// on the previous borrower's.
+// run from the empty plan. What a recycled planner carries across runs
+// is scratch, a plan-size hint, and the split configuration lists an
+// empty plan builds under the current option key — all functions of
+// the workload and options, not of any plan — so its output never
+// depends on the previous borrower's (TestPlannerPoolHistoryIndependent).
 type PlannerPool struct {
 	g     *graph.Graph
 	sched *graph.Schedule
@@ -58,9 +61,10 @@ func (pp *PlannerPool) Get(opts Options) *Planner {
 
 // Put returns a planner to the pool. Planners built for a different
 // configuration are dropped rather than pooled — handing them out
-// later would plan the wrong model. Put(nil) is a no-op.
+// later would plan the wrong model, or price it for the wrong device.
+// Put(nil) is a no-op.
 func (pp *PlannerPool) Put(pl *Planner) {
-	if pl == nil || pl.G != pp.g || pl.Sched != pp.sched || pl.Lv != pp.lv || pl.Prof != pp.prof {
+	if pl == nil || pl.G != pp.g || pl.Sched != pp.sched || pl.Lv != pp.lv || pl.Prof != pp.prof || pl.Dev != pp.dev {
 		return
 	}
 	pl.Reset()

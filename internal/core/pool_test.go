@@ -1,8 +1,14 @@
 package core
 
 import (
+	"encoding/json"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
+	"tsplit/internal/device"
 	"tsplit/internal/models"
 )
 
@@ -64,6 +70,13 @@ func TestPlannerPoolDropsForeign(t *testing.T) {
 	if pp.Size() != 0 {
 		t.Fatalf("pool accepted nil (size %d)", pp.Size())
 	}
+	// Device bandwidth prices splits and the device sets the default
+	// capacity: a planner for another device plans this graph wrongly.
+	other := device.P100
+	pp.Put(NewPlanner(a.g, a.sched, a.lv, a.prof, other, Options{}))
+	if pp.Size() != 0 {
+		t.Fatalf("pool accepted a planner for device %s (size %d)", other.Name, pp.Size())
+	}
 	pp.Put(NewPlanner(a.g, a.sched, a.lv, a.prof, a.dev, Options{}))
 	if pp.Size() != 1 {
 		t.Fatalf("pool rejected its own planner (size %d)", pp.Size())
@@ -119,4 +132,204 @@ func TestPlannerRepeatPlanAllocs(t *testing.T) {
 	if allocs > 9 {
 		t.Errorf("repeated Plan() allocates %.0f times, want <= 9", allocs)
 	}
+}
+
+// historyCase is one graph the history-independence test walks.
+type historyCase struct {
+	name  string
+	tb    *testbed
+	floor int64 // bytes no decision can move (inputs, parameters)
+}
+
+func historyCases(t *testing.T) []historyCase {
+	var cs []historyCase
+	add := func(name string, tb *testbed) {
+		var floor int64
+		for _, x := range tb.g.Tensors {
+			if x.Producer == nil {
+				floor += x.Bytes()
+			}
+		}
+		cs = append(cs, historyCase{name, tb, floor})
+	}
+	for _, model := range models.Names() {
+		add(model, newTestbed(t, model, models.Config{}))
+	}
+	for seed := uint64(0); seed < 16; seed++ {
+		add(fmt.Sprintf("rand%d", seed), fuzzRandTestbed(t, seed))
+	}
+	return cs
+}
+
+// planOutcome renders everything a run returns: the canonical plan (a
+// failed run's partial plan included), the error text and the report
+// JSON.
+func planOutcome(t *testing.T, pl *Planner) string {
+	t.Helper()
+	plan, err := pl.Plan()
+	out := canonicalPlan(plan)
+	if err != nil {
+		out += "error: " + err.Error() + "\n"
+	}
+	if r := pl.Report(); r != nil {
+		b, jerr := json.Marshal(r)
+		if jerr != nil {
+			t.Fatal(jerr)
+		}
+		out += string(b) + "\n"
+	}
+	return out
+}
+
+// currentListsDiffer returns the first position at which two planners'
+// candidate indexes disagree on which configuration lists are current
+// for the last run's final plan, or on a current list's contents; -1
+// when they agree.
+func currentListsDiffer(a, b *candIndex) int {
+	for p := range a.pos {
+		ab, bb := a.pos[p].state == posBuilt, b.pos[p].state == posBuilt
+		if ab != bb {
+			return p
+		}
+		if !ab {
+			continue
+		}
+		x, y := a.posCfgs[p], b.posCfgs[p]
+		if len(x) != len(y) {
+			return p
+		}
+		for c := range x {
+			if !reflect.DeepEqual(x[c], y[c]) {
+				return p
+			}
+		}
+	}
+	return -1
+}
+
+// TestPlannerPoolHistoryIndependent holds a pooled planner to a fresh
+// one while its history varies: each graph's planner walks a seeded
+// sequence of budgets (40–95 % of the manageable peak) interleaved with
+// changes to the options split pricing reads (PNums, MaxRecomputeChain)
+// and to ones it does not (SafetyMargin, DisableSplit, CollectReport).
+// Every run — plan, error and report — must equal a fresh planner's,
+// so nothing a planner carries across runs (the pristine split
+// configuration lists above all) can leak one borrower's state into
+// the next. The configuration lists current at the end of the run
+// must agree too: a list priced against a stale plan rarely moves a
+// winner, so the outcome alone would hide one.
+func TestPlannerPoolHistoryIndependent(t *testing.T) {
+	variants := []func(*Options){
+		func(*Options) {},
+		func(o *Options) { o.PNums = []int{2, 8} },
+		func(o *Options) { o.MaxRecomputeChain = 6 },
+		func(o *Options) { o.SafetyMargin = 0.1 },
+		func(o *Options) { o.DisableSplit = true },
+	}
+	for k, c := range historyCases(t) {
+		pp := NewPlannerPool(c.tb.g, c.tb.sched, c.tb.lv, c.tb.prof, c.tb.dev)
+		rng := rand.New(rand.NewSource(int64(k) + 1))
+		for step := 0; step < 40; step++ {
+			pct := int64(40 + rng.Intn(56))
+			opts := Options{Capacity: c.floor + (c.tb.lv.Peak-c.floor)*pct/100, FragmentationReserve: -1}
+			v := rng.Intn(len(variants))
+			variants[v](&opts)
+			opts.CollectReport = rng.Intn(3) == 0
+
+			fresh := NewPlanner(c.tb.g, c.tb.sched, c.tb.lv, c.tb.prof, c.tb.dev, opts)
+			want := planOutcome(t, fresh)
+			pl := pp.Get(opts)
+			got := planOutcome(t, pl)
+			pp.Put(pl)
+			where := fmt.Sprintf("%s step %d (%d%% of peak, variant %d, report %v)", c.name, step, pct, v, opts.CollectReport)
+			if got != want {
+				t.Fatalf("%s: pooled run diverged from a fresh planner\n--- pooled ---\n%s--- fresh ---\n%s", where, got, want)
+			}
+			if fresh.ci.active != pl.ci.active {
+				t.Fatalf("%s: the pooled index is active=%v, the fresh one %v", where, pl.ci.active, fresh.ci.active)
+			}
+			if !fresh.ci.active {
+				continue // no bottleneck: neither index ran
+			}
+			if p := currentListsDiffer(pl.ci, fresh.ci); p >= 0 {
+				t.Fatalf("%s: position %d's current configuration list differs from a fresh planner's", where, p)
+			}
+		}
+	}
+}
+
+// TestPlannerPoolReusesPristineConfigs pins the reuse itself, which the
+// identity tests cannot see: after one warm-up run at another budget, a
+// pooled BERT-Large plan derives fewer than 5 % of the split
+// configurations a fresh planner derives, and reuses the rest. The
+// warm-up budget is the tighter one, so its lookahead has visited the
+// positions the measured run visits.
+func TestPlannerPoolReusesPristineConfigs(t *testing.T) {
+	tb := newTestbed(t, "bert-large", models.Config{BatchSize: 64})
+	opts := Options{Capacity: tb.lv.Peak * 60 / 100, FragmentationReserve: -1}
+	warm := Options{Capacity: tb.lv.Peak * 50 / 100, FragmentationReserve: -1}
+
+	fresh := NewPlanner(tb.g, tb.sched, tb.lv, tb.prof, tb.dev, opts)
+	if _, err := fresh.Plan(); err != nil {
+		t.Fatalf("fresh plan: %v", err)
+	}
+	pp := NewPlannerPool(tb.g, tb.sched, tb.lv, tb.prof, tb.dev)
+	pl := pp.Get(warm)
+	if _, err := pl.Plan(); err != nil {
+		t.Fatalf("warm-up plan: %v", err)
+	}
+	pp.Put(pl)
+	pl = pp.Get(opts)
+	if _, err := pl.Plan(); err != nil {
+		t.Fatalf("pooled plan: %v", err)
+	}
+	want, got := fresh.ci.derived, pl.ci.derived
+	if want == 0 {
+		t.Fatal("the fresh run derived no split configurations")
+	}
+	if got*20 >= want {
+		t.Errorf("pooled run derived %d split configurations, fresh run %d: want fewer than 5 %%", got, want)
+	}
+	t.Logf("derived configurations: fresh %d, pooled %d", want, got)
+}
+
+// TestPristineListRederivedAfterChainDependency pins buildPos's
+// chain-dependency check, which the history walk exercises only
+// rarely: a pristine list is reused while the plan is empty, and
+// derived again once a tensor its chain walks queried gains a plan
+// entry, though the op and its inputs are still undecided.
+func TestPristineListRederivedAfterChainDependency(t *testing.T) {
+	tb := newTestbed(t, "inceptionv4", models.Config{})
+	pl := NewPlanner(tb.g, tb.sched, tb.lv, tb.prof, tb.dev, Options{Capacity: tb.lv.Peak * 50 / 100, FragmentationReserve: -1})
+	if _, err := pl.Plan(); err != nil {
+		t.Fatalf("first plan: %v", err)
+	}
+	pl.beginRun()
+	ci := pl.ci
+	ci.ensure(0)
+	for id, refs := range ci.revDep {
+		for _, ref := range refs {
+			p := int(ref.owner) - ci.nT
+			if p < 0 || ci.depEpoch[ref.owner] != ref.epoch || ci.pos[p].pristine == 0 {
+				continue
+			}
+			op := pl.Sched.Ops[p]
+			if slices.Contains(op.Inputs, pl.G.Tensors[id]) {
+				continue
+			}
+			ci.buildPos(p)
+			if ci.derived != 0 {
+				t.Fatalf("position %d (%s): pristine list derived again under the empty plan", p, op.Name)
+			}
+			x := pl.G.Tensors[id]
+			pl.putTensorPlan(id, TensorPlan{Tensor: x, Opt: Recompute, EvictAt: p, RestoreAt: p + 1, PrefetchAt: p + 1})
+			ci.noteTensorPlanChanged(id)
+			ci.buildPos(p)
+			if ci.derived == 0 {
+				t.Fatalf("position %d (%s): pristine list reused after its chain dependency %s gained a plan entry", p, op.Name, x.Name)
+			}
+			return
+		}
+	}
+	t.Fatal("no pristine list with a chain dependency outside its op's inputs")
 }

@@ -78,9 +78,10 @@ type PlanReport struct {
 	CandidatesScored int64 `json:"candidates_scored"`
 	ChainsRederived  int64 `json:"chains_rederived"`
 	ChainsSkipped    int64 `json:"chains_skipped"`
-	// CandidatesRescored counts the cache refreshes the invalidating
-	// candidate index actually performed (chain re-walks plus split
-	// configuration rebuilds) — the work the lazy index could not skip.
+	// CandidatesRescored counts the chain re-walks the invalidating
+	// candidate index performed plus the split configurations the run
+	// priced, whether derived or reused from a pooled planner's pristine
+	// lists, so the count is the same on a fresh and a reused planner.
 	CandidatesRescored int64 `json:"candidates_rescored,omitempty"`
 	// MeanPCIeOccupancy is the time-weighted mean of the planner's
 	// final per-op PCIe reservation array (Oc_u, paper Eq. 3).
