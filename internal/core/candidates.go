@@ -17,10 +17,7 @@ func SplitTensors(op *graph.Op, dim tensor.SplitDim) (in, out *graph.Tensor) {
 		return nil, nil
 	}
 	o := op.Outputs[0]
-	kind := op.Kind
-	if kind == graph.GradOp && op.FwdOp != nil {
-		kind = op.FwdOp.Kind
-	}
+	kind := op.EffectiveKind()
 	switch dim {
 	case tensor.DimSample:
 		switch kind {
@@ -63,25 +60,12 @@ func SplitTensors(op *graph.Op, dim tensor.SplitDim) (in, out *graph.Tensor) {
 	return nil, nil
 }
 
-// effectiveKind resolves a GradOp to the operator kind it
-// differentiates.
-func effectiveKind(op *graph.Op) graph.OpKind {
-	if op.Kind == graph.GradOp && op.FwdOp != nil {
-		return op.FwdOp.Kind
-	}
-	return op.Kind
-}
-
 // splitAxis returns the concrete axis of the carved output for dim.
 func splitAxis(op *graph.Op, dim tensor.SplitDim) int {
 	if dim == tensor.DimSample {
 		return 0
 	}
-	kind := op.Kind
-	if kind == graph.GradOp && op.FwdOp != nil {
-		kind = op.FwdOp.Kind
-	}
-	if kind == graph.Conv2D {
+	if op.EffectiveKind() == graph.Conv2D {
 		return 1 // NCHW channel axis
 	}
 	return op.Outputs[0].Shape.Rank() - 1 // hidden axis of matmul
@@ -103,18 +87,13 @@ func appendUses(buf []int, t *graph.Tensor, sched *graph.Schedule) []int {
 	return buf
 }
 
-// availFunc adapts a caller-supplied predicate to the chain walker.
-type availFunc func(*graph.Tensor) bool
-
-func (f availFunc) ok(t *graph.Tensor) bool { return f(t) }
-
-// RecomputeChain returns the forward operators that must re-execute to
-// rebuild t, in execution order, walking producers until every leaf
-// input satisfies avail. maxLen bounds the chain (beyond it recompute
-// is not a sensible candidate and an error is returned).
-func RecomputeChain(t *graph.Tensor, avail func(*graph.Tensor) bool, maxLen int) ([]*graph.Op, error) {
-	var w chainWalker // the visited set grows to the target's producer ID on the first visit
-	chain, err := walkChain(&w, t, availFunc(avail), maxLen, nil)
+// WalkChain returns the forward operators that must re-execute to
+// rebuild t, in execution order, walking producers depth-first in
+// input order until every leaf satisfies q. Exceeding maxLen distinct
+// ops, or reaching a producer-less tensor q rejects, is an error. The
+// returned slice belongs to w and is valid until its next walk.
+func WalkChain[Q ChainAvail](w *ChainWalker, t *graph.Tensor, q Q, maxLen int) ([]*graph.Op, error) {
+	chain, err := walkChain(w, t, q, maxLen, nil)
 	switch err {
 	case nil:
 		return chain, nil
@@ -123,6 +102,17 @@ func RecomputeChain(t *graph.Tensor, avail func(*graph.Tensor) bool, maxLen int)
 	default:
 		return nil, fmt.Errorf("core: recompute chain for %s exceeds %d ops", t.Name, maxLen)
 	}
+}
+
+// availFunc adapts a caller-supplied predicate to the chain walker.
+type availFunc func(*graph.Tensor) bool
+
+func (f availFunc) Avail(t *graph.Tensor) bool { return f(t) }
+
+// RecomputeChain is WalkChain over a predicate, on a throwaway walker.
+func RecomputeChain(t *graph.Tensor, avail func(*graph.Tensor) bool, maxLen int) ([]*graph.Op, error) {
+	var w ChainWalker // the visited set grows to the target's producer ID on the first visit
+	return WalkChain(&w, t, availFunc(avail), maxLen)
 }
 
 // chainTransientBytes estimates the extra device memory a

@@ -35,7 +35,7 @@ import (
 // The fold runs in exactly the serial task order — tensors by
 // ascending ID (== G.Tensors order), then lookahead positions
 // ascending, each position folding its configurations in generation
-// order — because better()'s tie window is not associative and any
+// order — because betterKey's tie window is not associative and any
 // other order could crown a different winner. Byte-identical plans
 // against the serial reference are pinned by
 // TestPlannerSerialParallelEquivalence.
@@ -595,7 +595,7 @@ func (ci *candIndex) refreshCandChains() {
 }
 
 // candKey is the comparator-relevant projection of a candidate —
-// better() reads only ratio, ΔM (PreferLargest) and genIdx, so the
+// betterKey reads only ratio, ΔM (PreferLargest) and genIdx, so the
 // fold can decide the winner on 24-byte keys and materialize the full
 // candidate exactly once per iteration, instead of copying a
 // pointer-bearing ~200-byte struct (and paying its GC write barriers)
@@ -606,9 +606,14 @@ type candKey struct {
 	genIdx int
 }
 
-// betterKey is better() restated over keys: identical comparisons in
-// identical order, so the key fold crowns the same winner as the
-// serial struct fold.
+// betterKey implements the greedy preference: smaller ΔT/ΔM wins, and
+// on near-ties the earlier-generated tensor wins (the paper's key
+// observation: swapping an earlier-generated tensor starts its
+// transfer sooner and holds the reduction longer). The ablation knobs
+// switch to largest-ΔM-first or disable the tie-break.
+//
+// The relative tie window makes betterKey non-associative, so any
+// reduction over candidates must fold in the serial scan order.
 func (pl *Planner) betterKey(a, b candKey) bool {
 	if pl.Opts.PreferLargest {
 		if a.deltaM != b.deltaM {
@@ -616,6 +621,8 @@ func (pl *Planner) betterKey(a, b candKey) bool {
 		}
 		return a.genIdx < b.genIdx
 	}
+	// Ratios are seconds-per-byte (~1e-12 for interesting candidates),
+	// so the tie window must be relative, not absolute.
 	const tieAbs = 1e-16
 	lo, hi := a.ratio, b.ratio
 	if lo > hi {
@@ -930,7 +937,7 @@ func (ci *candIndex) buildCfg(op *graph.Op, p int, in, out *graph.Tensor, dim te
 	if deltaT < 0 {
 		deltaT = 0
 	}
-	if effectiveKind(op) == graph.BatchNorm {
+	if op.EffectiveKind() == graph.BatchNorm {
 		deltaT += float64(inB) / pl.Dev.MemBandwidth
 	}
 	if microB > 0 {

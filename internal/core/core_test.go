@@ -99,7 +99,7 @@ func TestPlannerMeetsCapacity(t *testing.T) {
 	cap := tb.lv.Peak * 60 / 100
 	p := tb.plan(t, Options{Capacity: cap, FragmentationReserve: -1})
 	ms := NewMemSim(tb.g, tb.sched, tb.lv)
-	if !ms.PeakUnder(p, cap) {
+	if _, peak, _ := ms.Curve(p); peak > cap {
 		t.Fatal("planned peak exceeds the capacity constraint")
 	}
 	if p.PredictedPeak > cap {

@@ -94,7 +94,7 @@ func FinalizeWindows(g *graph.Graph, sched *graph.Schedule, lv *graph.Liveness, 
 	// plan.ChainTransients. (The TSPLIT planner instead maintains
 	// per-tensor ChainBytes estimates for the shallow chains it creates.)
 	var chainT []int64
-	var w chainWalker    // one walker for the whole call; its visited set grows on first use
+	var w ChainWalker    // one walker for the whole call; its visited set grows on first use
 	var q finalizedAvail // q.until is built at the first recompute decision
 	for _, id := range ids {
 		tp, ok := plan.Tensors[id]
@@ -146,7 +146,7 @@ type finalizedAvail struct {
 	u     int
 }
 
-func (q finalizedAvail) ok(x *graph.Tensor) bool { return q.until[x.ID] >= q.u }
+func (q finalizedAvail) Avail(x *graph.Tensor) bool { return q.until[x.ID] >= q.u }
 
 // availableUntil returns, by tensor ID, the last schedule position at
 // which a finalized plan still has the tensor on device: a

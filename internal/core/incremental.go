@@ -496,7 +496,7 @@ type availQuery struct {
 	r  int
 }
 
-func (q availQuery) ok(t *graph.Tensor) bool {
+func (q availQuery) Avail(t *graph.Tensor) bool {
 	pl := q.pl
 	switch t.Kind {
 	case tensor.Parameter, tensor.OptState:
@@ -525,28 +525,28 @@ func (q availQuery) ok(t *graph.Tensor) bool {
 // Walk failures are sentinel errors: scoring probes thousands of
 // infeasible chains per plan and a formatted error per probe would
 // dominate the allocation budget. Inside the planner the outcome is
-// only a feasibility verdict; RecomputeChain turns the sentinels into
-// its quoted messages from the walker's failed field.
+// only a feasibility verdict; WalkChain turns the sentinels into its
+// quoted messages from the walker's failed field.
 var (
 	errChainNoProducer = errors.New("core: recompute source has no producer and is not available")
 	errChainTooLong    = errors.New("core: recompute chain exceeds the op limit")
 )
 
-// chainAvail is the availability predicate of one chain walk: whether
+// ChainAvail is the availability predicate of one chain walk: whether
 // a chain source is on device where the chain runs. It is a type
 // parameter rather than a func value so that each caller's query is a
 // plain struct and a walk allocates no closure.
-type chainAvail interface {
-	ok(*graph.Tensor) bool
+type ChainAvail interface {
+	Avail(*graph.Tensor) bool
 }
 
-// chainWalker is the one recompute-chain walker: the planner's
-// scoring, FinalizeWindows and the exported RecomputeChain all derive
-// chains through walkChain. The visited set is an epoch-stamped array
-// indexed by op ID and the chain slice is recycled, so a walk
-// allocates nothing; scoring runs hundreds of thousands of walks per
-// plan.
-type chainWalker struct {
+// ChainWalker is the one recompute-chain walker: the planner's
+// scoring, FinalizeWindows, RecomputeChain and the simulator's
+// regeneration all derive chains through it. The visited set is an
+// epoch-stamped array indexed by op ID and the chain slice is
+// recycled, so a walk allocates nothing; scoring runs hundreds of
+// thousands of walks per plan. The zero value is ready to use.
+type ChainWalker struct {
 	seen   []int
 	epoch  int
 	chain  []*graph.Op
@@ -556,18 +556,15 @@ type chainWalker struct {
 
 // newChainWalker sizes the visited set for op IDs up to maxOpID; a
 // walk that meets a larger ID grows it.
-func newChainWalker(maxOpID int) *chainWalker {
-	return &chainWalker{seen: make([]int, maxOpID+1)}
+func newChainWalker(maxOpID int) *ChainWalker {
+	return &ChainWalker{seen: make([]int, maxOpID+1)}
 }
 
-// walkChain returns the forward operators that must re-execute to
-// rebuild t: producers are walked depth-first in input order until
-// every leaf satisfies q, the chain is returned in execution order,
-// and exceeding maxLen distinct ops is an error. When touched is
-// non-nil, the ID of every tensor whose availability was queried is
-// appended to it (possibly with duplicates) — the dependency set of
-// the derivation. The returned slice is valid until the next walk.
-func walkChain[Q chainAvail](w *chainWalker, t *graph.Tensor, q Q, maxLen int, touched *[]int32) ([]*graph.Op, error) {
+// walkChain is WalkChain with the planner's sentinel errors. When
+// touched is non-nil, the ID of every tensor whose availability was
+// queried is appended to it (possibly with duplicates) — the
+// dependency set of the derivation.
+func walkChain[Q ChainAvail](w *ChainWalker, t *graph.Tensor, q Q, maxLen int, touched *[]int32) ([]*graph.Op, error) {
 	w.epoch++
 	w.chain = w.chain[:0]
 	w.count = 0
@@ -577,7 +574,7 @@ func walkChain[Q chainAvail](w *chainWalker, t *graph.Tensor, q Q, maxLen int, t
 	return w.chain, nil
 }
 
-func visitChain[Q chainAvail](w *chainWalker, x *graph.Tensor, q Q, maxLen int, touched *[]int32) error {
+func visitChain[Q ChainAvail](w *ChainWalker, x *graph.Tensor, q Q, maxLen int, touched *[]int32) error {
 	p := x.Producer
 	if p == nil {
 		w.failed = x
@@ -598,7 +595,7 @@ func visitChain[Q chainAvail](w *chainWalker, x *graph.Tensor, q Q, maxLen int, 
 		if touched != nil {
 			*touched = append(*touched, int32(in.ID))
 		}
-		if q.ok(in) {
+		if q.Avail(in) {
 			continue
 		}
 		if err := visitChain(w, in, q, maxLen, touched); err != nil {

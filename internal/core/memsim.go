@@ -303,10 +303,3 @@ func RestoreStageTensor(op *graph.Op, sp OpSplit) *graph.Tensor {
 	}
 	return nil
 }
-
-// PeakUnder reports whether the plan fits the device capacity at every
-// operation (the constraint of paper Eq. 1).
-func (ms *MemSim) PeakUnder(p *Plan, capacity int64) bool {
-	_, peak, _ := ms.Curve(p)
-	return peak <= capacity
-}

@@ -93,6 +93,16 @@ type Options struct {
 	defaulted bool
 }
 
+// ReserveLadder lists the FragmentationReserve values the plan →
+// trial-execution loop escalates through on a device of the given
+// capacity: the default reserve (0), then 6, 13 and 21 percent of
+// capacity, and finally -1, which disables the reserve (when resident
+// parameters leave no slack, a reserve-free plan is the only feasible
+// one and the runtime validation still gates it).
+func ReserveLadder(capacity int64) []int64 {
+	return []int64{0, capacity * 6 / 100, capacity * 13 / 100, capacity * 21 / 100, -1}
+}
+
 func (o Options) withDefaults(dev device.Device) Options {
 	if o.defaulted {
 		return o
@@ -183,7 +193,7 @@ type Planner struct {
 	lastOf      []int   // Lv.LastUse by tensor ID
 	usesOf      [][]int // sorted consumer schedule indices by tensor ID
 	opIdx       []int   // schedule position by op ID
-	walker      *chainWalker
+	walker      *ChainWalker
 	maxTensorID int
 	// touchScratch collects the tensor IDs a chain walk queried — the
 	// dependency set the chain tracker and candidate index register.
@@ -517,7 +527,7 @@ func (pl *Planner) greedyIncremental() error {
 // bestIncremental prices the candidate pool through the index: advance
 // the liveness windows to bottleneck i, re-derive only the stale
 // cached chains and split configurations, then fold every live
-// candidate in exactly the serial scan order (better() is not
+// candidate in exactly the serial scan order (betterKey is not
 // associative, so the order is load-bearing).
 func (pl *Planner) bestIncremental(i int) (*candidate, int) {
 	pl.ci.ensure(i)
@@ -629,41 +639,6 @@ func (pl *Planner) finishObservation(finalPeak int64) {
 	rec.Set("tsplit_planner_predicted_extra_seconds", pl.extraTime)
 	rec.Set("tsplit_planner_mean_pcie_occupancy", pl.occ.Mean())
 	rec.Observe("tsplit_planner_plan_seconds", pl.Opts.Clock().Sub(pl.statStart).Seconds())
-}
-
-// better implements the greedy preference: smaller ΔT/ΔM wins, and on
-// near-ties the earlier-generated tensor wins (the paper's key
-// observation: swapping an earlier-generated tensor starts its
-// transfer sooner and holds the reduction longer). The ablation knobs
-// switch to largest-ΔM-first or disable the tie-break.
-//
-// The relative tie window makes better non-associative, so any
-// reduction over candidates must fold in the serial scan order (see
-// bestCandidate and candIndex.best).
-func (pl *Planner) better(a, b *candidate) bool {
-	if b == nil {
-		return true
-	}
-	if pl.Opts.PreferLargest {
-		if a.deltaM != b.deltaM {
-			return a.deltaM > b.deltaM
-		}
-		return a.genIdx < b.genIdx
-	}
-	// Ratios are seconds-per-byte (~1e-12 for interesting candidates),
-	// so the tie window must be relative, not absolute.
-	const tieAbs = 1e-16
-	lo, hi := a.ratio, b.ratio
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	if hi-lo > tieAbs && lo < 0.99*hi {
-		return a.ratio < b.ratio
-	}
-	if pl.Opts.DisableGenTieBreak {
-		return a.ratio < b.ratio
-	}
-	return a.genIdx < b.genIdx
 }
 
 // applyCandidate commits the winning decision to the plan and returns

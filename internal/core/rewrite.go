@@ -410,11 +410,7 @@ func hostParts(ag *graph.Graph, in *graph.Tensor, pnum int) []*graph.Tensor {
 // weightSplitAxis is the carved axis of the weight operand for a
 // parameter-dimension split.
 func weightSplitAxis(op *graph.Op) int {
-	kind := op.Kind
-	if kind == graph.GradOp && op.FwdOp != nil {
-		kind = op.FwdOp.Kind
-	}
-	if kind == graph.Conv2D {
+	if op.EffectiveKind() == graph.Conv2D {
 		return 0 // OIHW output-channel axis
 	}
 	for _, t := range op.Inputs {

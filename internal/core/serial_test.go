@@ -171,10 +171,37 @@ func (pl *Planner) bestCandidate(i int) (*candidate, int) {
 	return best, viable
 }
 
+// better is the serial oracle's own restatement of betterKey over
+// full candidates, kept independent so the key fold is checked against
+// it rather than against itself.
+func (pl *Planner) better(a, b *candidate) bool {
+	if b == nil {
+		return true
+	}
+	if pl.Opts.PreferLargest {
+		if a.deltaM != b.deltaM {
+			return a.deltaM > b.deltaM
+		}
+		return a.genIdx < b.genIdx
+	}
+	const tieAbs = 1e-16
+	lo, hi := a.ratio, b.ratio
+	if lo > hi {
+		lo, hi = hi, lo
+	}
+	if hi-lo > tieAbs && lo < 0.99*hi {
+		return a.ratio < b.ratio
+	}
+	if pl.Opts.DisableGenTieBreak {
+		return a.ratio < b.ratio
+	}
+	return a.genIdx < b.genIdx
+}
+
 // scoreEvictInto scores swap vs recompute for one live tensor at
 // bottleneck i (paper Eqs. 2-5) into c, leaving c invalid when t is
 // not a candidate.
-func (pl *Planner) scoreEvictInto(t *graph.Tensor, i int, c *candidate, wk *chainWalker) {
+func (pl *Planner) scoreEvictInto(t *graph.Tensor, i int, c *candidate, wk *ChainWalker) {
 	c.valid = false
 	if !t.Kind.Evictable() {
 		return
@@ -244,7 +271,7 @@ func (pl *Planner) scoreEvictInto(t *graph.Tensor, i int, c *candidate, wk *chai
 // Eq. 6), searching p_num and the split dimension, into c. An operator
 // that is already split may be upgraded to a larger p_num with the
 // same dimension and input option when the bottleneck persists.
-func (pl *Planner) scoreSplitInto(j int, c *candidate, wk *chainWalker) {
+func (pl *Planner) scoreSplitInto(j int, c *candidate, wk *ChainWalker) {
 	c.valid = false
 	op := pl.Sched.Ops[j]
 	cur, has := pl.plan.Splits[op.ID]
@@ -290,7 +317,7 @@ func (pl *Planner) scoreSplitInto(j int, c *candidate, wk *chainWalker) {
 // configuration into c, measuring ΔM relative to the op's current
 // (possibly already split) footprint. It reports whether the
 // configuration is a viable candidate.
-func (pl *Planner) scoreSplitConfigInto(op *graph.Op, i int, in, out *graph.Tensor, dim tensor.SplitDim, pnum int, inOpt MemOpt, has bool, cur *OpSplit, c *candidate, wk *chainWalker) bool {
+func (pl *Planner) scoreSplitConfigInto(op *graph.Op, i int, in, out *graph.Tensor, dim tensor.SplitDim, pnum int, inOpt MemOpt, has bool, cur *OpSplit, c *candidate, wk *ChainWalker) bool {
 	inB, outB := in.Bytes(), out.Bytes()
 	in2 := pl.carvableSecondInput(op, in, out, dim, i)
 
@@ -340,7 +367,7 @@ func (pl *Planner) scoreSplitConfigInto(op *graph.Op, i int, in, out *graph.Tens
 	if deltaT < 0 {
 		deltaT = 0
 	}
-	if effectiveKind(op) == graph.BatchNorm {
+	if op.EffectiveKind() == graph.BatchNorm {
 		// Micro-tensor batch normalization needs a second pass to
 		// finalize the batch statistics before normalizing.
 		deltaT += float64(inB) / pl.Dev.MemBandwidth

@@ -333,7 +333,7 @@ func (v *verifier) walkChain(x, target *graph.Tensor, r int, onStack, resolved m
 // availableAt reports whether tensor t is *recoverable* at backward
 // index r without re-running its producer: on device, on host (swap or
 // staged), or permanently resident. This is deliberately looser than
-// the planner's cost predicate (availQuery.ok), which also rejects
+// the planner's cost predicate (availQuery.Avail), which also rejects
 // recoverable-but-expensive sources — the verifier checks safety, not
 // optimality: a chain is only broken when a dependency is irrecoverably
 // gone.

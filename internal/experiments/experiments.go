@@ -163,10 +163,7 @@ func runPolicy(p *Prepared, policy string, capacity int64, timeline bool) Policy
 		if cap == 0 {
 			cap = p.Dev.MemBytes
 		}
-		// The final -1 disables the reserve entirely: when resident
-		// parameters leave no slack, a reserve-free plan is the only
-		// feasible one and the runtime validation still gates it.
-		reserves = []int64{0, cap * 6 / 100, cap * 13 / 100, cap * 21 / 100, -1}
+		reserves = core.ReserveLadder(cap)
 	}
 	for _, rv := range reserves {
 		plan, err := planPolicyReserve(p, policy, capacity, rv)

@@ -214,6 +214,15 @@ type Op struct {
 // String renders "name(kind)".
 func (o *Op) String() string { return fmt.Sprintf("%s(%s)", o.Name, o.Kind) }
 
+// EffectiveKind resolves a GradOp to the operator kind it
+// differentiates; any other op is its own kind.
+func (o *Op) EffectiveKind() OpKind {
+	if o.Kind == GradOp && o.FwdOp != nil {
+		return o.FwdOp.Kind
+	}
+	return o.Kind
+}
+
 // HasInput reports whether t is one of o's data inputs.
 func (o *Op) HasInput(t *Tensor) bool {
 	for _, in := range o.Inputs {

@@ -55,7 +55,6 @@ var scratchFiles = map[string]bool{
 	"exec.go":      true,
 	"execsplit.go": true,
 	"postop.go":    true,
-	"walker.go":    true,
 	"simpool.go":   true,
 }
 

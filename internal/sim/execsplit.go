@@ -113,7 +113,7 @@ func (s *Simulator) execSplit(i int, op *graph.Op, sp core.OpSplit) error {
 	}
 
 	perPart, _ := s.Cost.SplitTimes(op, pn)
-	if effectiveKindOf(op) == graph.BatchNorm {
+	if op.EffectiveKind() == graph.BatchNorm {
 		// Micro-tensor batch normalization: a second pass finalizes
 		// the batch statistics before normalizing each micro-tensor.
 		perPart += float64(in.Bytes()) / float64(pn) / s.Dev.MemBandwidth
@@ -396,14 +396,6 @@ func (s *Simulator) chargeCopy(bytes int64) {
 	t := float64(bytes) / s.Dev.MemBandwidth
 	s.tc += t
 	s.res.ComputeTime += t
-}
-
-// effectiveKindOf resolves GradOps to their forward kind.
-func effectiveKindOf(op *graph.Op) graph.OpKind {
-	if op.Kind == graph.GradOp && op.FwdOp != nil {
-		return op.FwdOp.Kind
-	}
-	return op.Kind
 }
 
 // hasUseAfter reports whether t has any consumer scheduled after i.

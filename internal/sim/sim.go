@@ -407,12 +407,11 @@ type Simulator struct {
 	microPtrs    []*memorypool.Block
 	microOn      []bool
 
-	// Recompute-chain scratch: an epoch-stamped DFS walker plus
-	// free-lists of chain/frame/fresh buffers (free-lists, not single
-	// buffers, because regeneration re-enters through ensureInput).
-	walker    chainWalker
+	// Recompute-chain scratch: core's chain walker plus free lists of
+	// chain/fresh buffers (free lists, not single buffers, because
+	// regeneration re-enters through ensureInput).
+	walker    core.ChainWalker
 	chainFree [][]*graph.Op
-	frameFree [][]chainFrame
 	freshFree [][]*graph.Tensor
 
 	// compactions counts defragmentation passes this run (bounded to

@@ -2,7 +2,9 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"tsplit/internal/baselines"
@@ -11,6 +13,7 @@ import (
 	"tsplit/internal/graph"
 	"tsplit/internal/models"
 	"tsplit/internal/profiler"
+	"tsplit/internal/tensor"
 )
 
 type bed struct {
@@ -250,5 +253,128 @@ func TestCompactionAccounting(t *testing.T) {
 	}
 	if r.Compactions > 0 && r.MovedBytes == 0 {
 		t.Fatal("compactions recorded without moved bytes")
+	}
+}
+
+// TestRegenerateFailureError evicts a producer-less graph input as
+// Recompute, so its next use must regenerate a chain that cannot
+// exist. Run() reports core's quoted chain error, on a fresh simulator
+// and on pooled ones whose walker state carries over between runs.
+func TestRegenerateFailureError(t *testing.T) {
+	b := mkbed(t, "vgg16", models.Config{BatchSize: 16})
+	var x *graph.Tensor
+	var uses []int
+	for _, tt := range b.g.Tensors {
+		if tt.Kind != tensor.Input || tt.Producer != nil || len(tt.Consumers) < 2 {
+			continue
+		}
+		x = tt
+		for _, c := range tt.Consumers {
+			uses = append(uses, b.sched.Index[c])
+		}
+		break
+	}
+	if x == nil {
+		t.Fatal("vgg16 has no graph input with two consumers")
+	}
+	slices.Sort(uses)
+	if uses[0] == uses[len(uses)-1] {
+		t.Fatalf("%s has a single use position %d", x.Name, uses[0])
+	}
+	plan := core.NewPlan("recompute-input", b.dev)
+	plan.Tensors[x.ID] = core.TensorPlan{Tensor: x, Opt: core.Recompute, EvictAt: uses[0], RestoreAt: uses[1]}
+	want := fmt.Sprintf("sim: op %d %s: regenerating %s: core: recompute source %s has no producer and is not available",
+		uses[1], b.sched.Ops[uses[1]], x.Name, x.Name)
+	check := func(label string, s *Simulator) {
+		t.Helper()
+		if _, err := s.Run(); err == nil || err.Error() != want {
+			t.Fatalf("%s Run() error = %v, want %q", label, err, want)
+		}
+	}
+	check("fresh", New(b.g, b.sched, b.lv, plan, b.dev, Options{}))
+	pool := NewSimPool()
+	for i := 0; i < 3; i++ {
+		s := pool.Get(b.g, b.sched, b.lv, plan, b.dev, Options{Recompute: LRURecompute})
+		check(fmt.Sprintf("pooled #%d", i), s)
+		pool.Put(s)
+	}
+}
+
+// TestRegenerateReenters pins the re-entrant regeneration path: while
+// the simulator replays one chain, memory pressure drops a source a
+// later op of that chain reads, so ensureInput regenerates the source
+// through a nested, longer chain; the outer chain must still run to
+// its target. Every tensor is one unit (1 MiB) and the capacity is 9.5
+// units, so allocations never fragment.
+//
+//	op     schedule                  effect
+//	 0-2   a0, a1, y                 x a1 y resident (a0 freed)
+//	 3-8   c1 .. c5, w               a chain from y to w (c* freed)
+//	 9     sink(w)                   w dropped (Recompute)
+//	10-12  p = f(x), q = f(p, y), t  p, q and y freed
+//	13     sink(t)                   t dropped (Recompute)
+//	14     sink(w)                   regenerates [y c1 .. c5 w]: the
+//	                                 LRU cache is y, c1 .. c5
+//	15     sink(a1)                  a1 freed
+//	16-17  h1, h2                    device full: x y c1..c5 h1 h2
+//	18     sink(t)                   regenerates [p q t]: allocating p
+//	                                 drops y (the LRU head), so q first
+//	                                 regenerates y through [a0 a1 y]
+//	19     sink(h1, h2)
+func TestRegenerateReenters(t *testing.T) {
+	const unit = 1 << 20
+	g := graph.New()
+	x := g.Input("x", tensor.NewShape(unit/4), tensor.Float32)
+	sinks := 0
+	op := func(out string, ins ...*graph.Tensor) *graph.Tensor {
+		shape := tensor.NewShape(unit / 4)
+		if out == "" {
+			sinks++
+			out, shape = fmt.Sprintf("sink%d", sinks), tensor.NewShape(1)
+		}
+		o := g.NewTensor(out, shape, tensor.Float32, tensor.FeatureMap)
+		g.NewOp("f"+out, graph.ReLU, graph.Forward, ins, []*graph.Tensor{o}, graph.Attrs{})
+		return o
+	}
+	a1 := op("a1", op("a0", x))
+	y := op("y", a1)
+	c := y
+	for i := 1; i <= 5; i++ {
+		c = op(fmt.Sprintf("c%d", i), c)
+	}
+	w := op("w", c)
+	op("", w)
+	tt := op("t", op("q", op("p", x), y))
+	op("", tt)
+	op("", w)
+	op("", a1)
+	h1, h2 := op("h1", x), op("h2", x)
+	op("", tt)
+	op("", h1, h2)
+	sched := &graph.Schedule{Ops: g.Ops, Index: map[*graph.Op]int{}}
+	for i, o := range g.Ops {
+		sched.Index[o] = i
+	}
+	lv := graph.AnalyzeLiveness(g, sched)
+	plan := core.NewPlan("reenter", device.TitanRTX)
+	plan.Tensors[w.ID] = core.TensorPlan{Tensor: w, Opt: core.Recompute, EvictAt: 9, RestoreAt: 14}
+	plan.Tensors[tt.ID] = core.TensorPlan{Tensor: tt, Opt: core.Recompute, EvictAt: 13, RestoreAt: 18}
+	opts := Options{Recompute: LRURecompute, Capacity: 9*unit + unit/2}
+	want, err := New(g, sched, lv, plan, device.TitanRTX, opts).Run()
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	// [y c1 .. c5 w] + [p a0 a1 y q t]
+	if want.RecomputedOps != 13 {
+		t.Fatalf("RecomputedOps = %d, want 13", want.RecomputedOps)
+	}
+	pool := NewSimPool()
+	for i := 0; i < 3; i++ {
+		s := pool.Get(g, sched, lv, plan, device.TitanRTX, opts)
+		got, err := s.Run()
+		if err != nil || fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("pooled run %d = %+v, %v; want %+v", i, got, err, want)
+		}
+		pool.Put(s)
 	}
 }

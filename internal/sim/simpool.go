@@ -12,9 +12,11 @@ import (
 
 // SimPool recycles Simulators so steady-state simulation allocates
 // (almost) nothing: the event heap, the per-tensor mirrors, the
-// allocator's free list and used table, the split scratch, and the
-// recompute walker all carry over and are reinitialized in place by
-// the next run's reset(). Unlike core.PlannerPool — whose planners are
+// allocator's free list and used table and the split scratch carry
+// over and are reinitialized in place by the next run's reset(); the
+// recompute-chain scratch (core's chain walker, whose epoch-stamped
+// visited set needs no reset, and the chain buffers' free lists)
+// carries over as is. Unlike core.PlannerPool — whose planners are
 // bound to one workload — a SimPool is workload-free: Get retargets a
 // recycled arena to any (graph, schedule, plan, device), because sweep
 // cells change workloads run to run while a serving process replays

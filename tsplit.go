@@ -410,7 +410,7 @@ func (w *Workload) AutoPlan(opts PlanOptions) (*Plan, Report, error) {
 	// One planner serves the whole reserve ladder: each attempt plans
 	// afresh at its reserve, reusing the planner's arenas.
 	pl := core.NewPlanner(w.G, w.Sched, w.Lv, w.Prof, w.Dev, core.Options{})
-	for _, reserve := range []int64{0, cap * 6 / 100, cap * 13 / 100, cap * 21 / 100, -1} {
+	for _, reserve := range core.ReserveLadder(cap) {
 		popts := core.Options{
 			Capacity:             opts.CapacityBytes,
 			DisableSplit:         opts.DisableSplit,
