@@ -3,9 +3,12 @@
 // simulated devices, searches maximum trainable scales, and renders
 // the tables and figure series the paper reports. A sweep prepares
 // each distinct workload once and runs it under every policy that asks
-// for it (scale.go, figures.go); planner and simulator arenas are
-// pooled. Both the cmd/tsplit-bench binary and the repository's
-// bench_test.go are thin wrappers over this package.
+// for it (scale.go, figures.go). Along the batch axis it does not build
+// the workload either: each model is built at batch 1 and 2 into a
+// graph.Template once per call, and every batch size is rebatched from
+// it (templates.go). Planner and simulator arenas are pooled. Both the
+// cmd/tsplit-bench binary and the repository's bench_test.go are thin
+// wrappers over this package.
 package experiments
 
 import (
@@ -23,9 +26,11 @@ import (
 
 // Prepared bundles everything derived from one (model, config, device)
 // triple: the training graph, its schedule, liveness, and profile,
-// plus the planner arenas built for them. Planning and simulating
-// leave all of it but the pool's free list unchanged, so one Prepared
-// serves every policy, in any order and from several goroutines.
+// plus the planner arenas built for them. Prepare builds one from
+// scratch; a batch-axis sweep rebatches it from the model's template,
+// with the same result field for field. Planning and simulating leave
+// all of it but the pool's free list unchanged, so one Prepared serves
+// every policy, in any order and from several goroutines.
 type Prepared struct {
 	Model    string
 	Cfg      models.Config
@@ -37,9 +42,11 @@ type Prepared struct {
 	Planners *core.PlannerPool
 }
 
-// Prepare builds and profiles a workload.
+// Prepare builds and profiles a workload from scratch. Calls that
+// prepare one model at several batch sizes rebatch it from a template
+// instead (templates.go).
 func Prepare(model string, cfg models.Config, dev device.Device) (*Prepared, error) {
-	g, err := models.Build(model, cfg)
+	g, err := buildGraph(model, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -47,13 +54,28 @@ func Prepare(model string, cfg models.Config, dev device.Device) (*Prepared, err
 	if err != nil {
 		return nil, err
 	}
-	lv := graph.AnalyzeLiveness(g, sched)
+	return prepared(model, cfg, dev, g, sched, graph.AnalyzeLiveness(g, sched)), nil
+}
+
+// buildGraph builds a model's training graph and counts the build in
+// Obs as tsplit_experiments_graph_builds_total; every graph this
+// package builds goes through it.
+func buildGraph(model string, cfg models.Config) (*graph.Graph, error) {
+	if rec := Obs; rec != nil {
+		rec.Add("tsplit_experiments_graph_builds_total", 1)
+	}
+	return models.Build(model, cfg)
+}
+
+// prepared profiles a scheduled workload and builds its planner pool,
+// the step a fresh build and a rebatched template share.
+func prepared(model string, cfg models.Config, dev device.Device, g *graph.Graph, sched *graph.Schedule, lv *graph.Liveness) *Prepared {
 	prof := profiler.New(dev, sched)
 	return &Prepared{
 		Model: model, Cfg: cfg, Dev: dev,
 		G: g, Sched: sched, Lv: lv, Prof: prof,
 		Planners: core.NewPlannerPool(g, sched, lv, prof, dev),
-	}, nil
+	}
 }
 
 // Policies lists every policy the evaluation compares, in table order.

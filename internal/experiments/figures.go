@@ -39,11 +39,13 @@ var fig12Batches = map[string][]int{
 var fig12Models = []string{"vgg16", "resnet50", "inceptionv4", "transformer"}
 
 // throughputFigure sweeps batch sizes for the given policies. One
-// (model, batch) workload is prepared once and run under every
-// applicable policy, so the workloads run concurrently and their
-// throughputs are stitched into per-policy series in legend order.
+// (model, batch) workload is rebatched from the model's template and
+// run under every applicable policy, so the workloads run concurrently
+// and their throughputs are stitched into per-policy series in legend
+// order.
 func throughputFigure(title string, dev device.Device, policies []string, cfg models.Config) *ThroughputFigure {
 	f := &ThroughputFigure{Title: title, Dev: dev, Series: map[string][]ThroughputSeries{}}
+	ts := newTemplates(dev)
 	type cell struct {
 		model string
 		bi    int // index into fig12Batches[model]
@@ -62,7 +64,7 @@ func throughputFigure(title string, dev device.Device, policies []string, cfg mo
 		m, bi := cells[k].model, cells[k].bi
 		c := cfg
 		c.BatchSize = fig12Batches[m][bi]
-		p, err := Prepare(m, c, dev)
+		p, err := ts.prepare(m, c)
 		if err != nil {
 			return
 		}
@@ -273,7 +275,7 @@ type SplitCurve struct {
 // Fig5OpSplitCurves reproduces paper Fig. 5: how operator execution
 // time changes with the partition number, per operator type.
 func Fig5OpSplitCurves(dev device.Device, batch int) ([]SplitCurve, error) {
-	g, err := models.Build("vgg16", models.Config{BatchSize: batch, ForwardOnly: true})
+	g, err := buildGraph("vgg16", models.Config{BatchSize: batch, ForwardOnly: true})
 	if err != nil {
 		return nil, err
 	}

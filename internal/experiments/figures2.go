@@ -40,7 +40,7 @@ func Fig1BERTMemoryScale() ([]MemoryScalePoint, map[string]int64, error) {
 	errs := make([]error, len(cells))
 	forEach(len(cells), func(i int) {
 		b, k := cells[i].batch, cells[i].scale
-		g, err := models.Build("bert-large", models.Config{BatchSize: b, ParamScale: k})
+		g, err := buildGraph("bert-large", models.Config{BatchSize: b, ParamScale: k})
 		if err != nil {
 			errs[i] = err
 			return
@@ -114,17 +114,22 @@ func Fig14aScaleUnderThroughput(dev device.Device, hi int) ([]ThroughputConstrai
 	pols := []string{"superneurons", "tsplit-nosplit", "tsplit"}
 	// Per-model reference throughput first (cheap), then the expensive
 	// (model, policy) frontier searches concurrently; each produces its
-	// two pct rows, stitched back in sweep order.
+	// two pct rows, stitched back in sweep order. Every workload of
+	// the call is rebatched from one template per model.
+	ts := newTemplates(dev)
+	maxScale := func(m, pol string) int {
+		return sampleScales(ts, []string{m}, []string{pol}, models.Config{}, hi)[0][0]
+	}
 	baseThr := make([]float64, len(mods))
 	errs := make([]error, len(mods))
 	forEach(len(mods), func(mi int) {
 		m := mods[mi]
-		baseMax := MaxSampleScale(m, "base", dev, models.Config{}, hi)
+		baseMax := maxScale(m, "base")
 		if baseMax == 0 {
 			errs[mi] = fmt.Errorf("experiments: base cannot train %s at all", m)
 			return
 		}
-		p, err := Prepare(m, models.Config{BatchSize: baseMax}, dev)
+		p, err := ts.prepare(m, models.Config{BatchSize: baseMax})
 		if err != nil {
 			errs[mi] = err
 			return
@@ -141,9 +146,9 @@ func Fig14aScaleUnderThroughput(dev device.Device, hi int) ([]ThroughputConstrai
 		// constraint binds on the falling side: start from the
 		// policy's feasibility limit and step down until the
 		// throughput floor is met.
-		polMax := MaxSampleScale(m, pol, dev, models.Config{}, hi)
+		polMax := maxScale(m, pol)
 		thrAt := func(b int) float64 {
-			pp, err := Prepare(m, models.Config{BatchSize: b}, dev)
+			pp, err := ts.prepare(m, models.Config{BatchSize: b})
 			if err != nil {
 				return 0
 			}

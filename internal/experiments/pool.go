@@ -11,7 +11,8 @@ import (
 // Obs, when set before a sweep starts, receives per-unit metrics from
 // every experiment in this package: tsplit_experiments_cells_total and
 // the tsplit_experiments_cell_seconds histogram, one count and one
-// sample per forEach unit. The Registry is thread-safe, so the
+// sample per forEach unit, and tsplit_experiments_graph_builds_total,
+// one count per model graph built. The Registry is thread-safe, so the
 // parallel sweeps record into it concurrently.
 var Obs obs.Recorder
 
@@ -29,13 +30,15 @@ var Trace *obs.Tracer
 // The experiment sweeps parallelise over workloads. In the scale
 // tables one forEach unit is a (model, probe point) group, in the
 // throughput figures a (model, batch): the unit prepares that workload
-// once, runs it under every policy that needs it, and drops it, so the
-// units share no mutable state and at most one Prepared per worker is
-// live. The cell counter and the "experiments.cell" span therefore
-// count workloads built, not (model, policy) table cells. Each unit
-// writes its results into slots no other unit writes, so the assembled
-// tables and figures are identical to a sequential sweep regardless of
-// completion order.
+// once — along the batch axis by rebatching the model's template, which
+// the call's units share read-only — runs it under every policy that
+// needs it, and drops it, so at most one Prepared per worker is live.
+// The cell counter and the "experiments.cell" span therefore count
+// workloads prepared, not (model, policy) table cells; the graph-build
+// counter (buildGraph) counts the models.Build calls behind them. Each
+// unit writes its results into slots no other unit writes, so the
+// assembled tables and figures are identical to a sequential sweep
+// regardless of completion order.
 
 // forEach runs fn(i) for every i in [0, n), on up to GOMAXPROCS
 // workers. Work is handed out dynamically (units vary wildly in cost:

@@ -11,7 +11,7 @@ import (
 // (paper Table IV / VI) by exponential probing followed by binary
 // search. hi bounds the search (0 = 4096).
 func MaxSampleScale(model, policy string, dev device.Device, cfg models.Config, hi int) int {
-	return sampleScales([]string{model}, []string{policy}, dev, cfg, hi)[0][0]
+	return sampleScales(newTemplates(dev), []string{model}, []string{policy}, cfg, hi)[0][0]
 }
 
 // MaxParamScale finds the largest integer parameter-scale multiplier k
@@ -22,15 +22,17 @@ func MaxParamScale(model, policy string, dev device.Device, cfg models.Config, h
 }
 
 // sampleScales is MaxSampleScale for every (model, policy) pair at
-// once: result[m][p] is the largest trainable batch size.
-func sampleScales(mods, policies []string, dev device.Device, cfg models.Config, hi int) [][]int {
+// once: result[m][p] is the largest trainable batch size. Every probe
+// point is rebatched from ts, so each model is built twice however
+// many points the searches visit.
+func sampleScales(ts *templates, mods, policies []string, cfg models.Config, hi int) [][]int {
 	if hi == 0 {
 		hi = 4096
 	}
-	return searchScales(mods, policies, dev, hi, func(b int) models.Config {
+	return searchScales(mods, policies, hi, func(model string, b int) (*Prepared, error) {
 		c := cfg
 		c.BatchSize = b
-		return c
+		return ts.prepare(model, c)
 	})
 }
 
@@ -42,10 +44,10 @@ func paramScales(mods, policies []string, dev device.Device, cfg models.Config, 
 	if cfg.BatchSize == 0 {
 		cfg.BatchSize = 16
 	}
-	return searchScales(mods, policies, dev, hi, func(k int) models.Config {
+	return searchScales(mods, policies, hi, func(model string, k int) (*Prepared, error) {
 		c := cfg
 		c.ParamScale = float64(k)
-		return c
+		return Prepare(model, c, dev)
 	})
 }
 
@@ -93,10 +95,12 @@ func (c *scaleCursor) report(feasible bool) {
 // with the same powers of two — so a round prepares each distinct
 // (model, point) workload once, runs it under every policy whose
 // cursor is waiting on that point, and drops it. The groups of a
-// round share nothing and fan out over forEach; each cursor waits on
-// exactly one point, so exactly one group writes its verdict. at maps
-// a probe point to the workload configuration.
-func searchScales(mods, policies []string, dev device.Device, hi int, at func(n int) models.Config) [][]int {
+// round fan out over forEach and share nothing mutable (prepare must
+// be safe for concurrent use); each cursor waits on exactly one
+// point, so exactly one group writes its verdict. prepare returns a
+// model's workload at a probe point: rebatched from a template along
+// the batch axis, built fresh along the parameter axis.
+func searchScales(mods, policies []string, hi int, prepare func(model string, n int) (*Prepared, error)) [][]int {
 	type group struct{ model, n int }
 	cur := make([][]scaleCursor, len(mods))
 	feasible := make([][]bool, len(mods))
@@ -134,7 +138,7 @@ func searchScales(mods, policies []string, dev device.Device, hi int, at func(n 
 		}
 		forEach(len(distinct), func(k int) {
 			g := distinct[k]
-			prep, err := Prepare(mods[g.model], at(g.n), dev)
+			prep, err := prepare(mods[g.model], g.n)
 			for p := range policies {
 				if cur[g.model][p].probe == g.n {
 					feasible[g.model][p] = err == nil && RunPolicy(prep, policies[p], 0).Feasible

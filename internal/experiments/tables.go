@@ -88,7 +88,7 @@ func scaleTable(title string, policies []string, scales [][]int) *ScaleTable {
 func Table4MaxSampleScale(dev device.Device, hi int) *ScaleTable {
 	return scaleTable(
 		fmt.Sprintf("Table IV: max sample scale on %s", dev.Name), scalePolicies,
-		sampleScales(EvalModels, scalePolicies, dev, models.Config{}, hi))
+		sampleScales(newTemplates(dev), EvalModels, scalePolicies, models.Config{}, hi))
 }
 
 // Table5MaxParamScale reproduces paper Table V: the largest
@@ -106,7 +106,7 @@ func Table5MaxParamScale(dev device.Device, hi int) *ScaleTable {
 func Table6MaxSampleVsOffload(dev device.Device, hi int) *ScaleTable {
 	return scaleTable(
 		fmt.Sprintf("Table VI: max sample scale vs offload baselines on %s", dev.Name), offloadPolicies,
-		sampleScales(EvalModels, offloadPolicies, dev, models.Config{Optimizer: graph.Adam}, hi))
+		sampleScales(newTemplates(dev), EvalModels, offloadPolicies, models.Config{Optimizer: graph.Adam}, hi))
 }
 
 // Table7MaxParamVsOffload reproduces paper Table VII: parameter scale
@@ -129,7 +129,7 @@ type SizeBucket struct {
 // tensor sizes in BERT-Large, demonstrating how many >500 MB tensors a
 // large model carries.
 func Table2TensorSizes(batch, seqLen int) ([]SizeBucket, error) {
-	g, err := models.Build("bert-large", models.Config{BatchSize: batch, SeqLen: seqLen})
+	g, err := buildGraph("bert-large", models.Config{BatchSize: batch, SeqLen: seqLen})
 	if err != nil {
 		return nil, err
 	}

@@ -3,8 +3,9 @@
 // operations, edges are tensors. It provides builders for forward
 // graphs, automatic generation of the backward (gradient) graph and
 // optimizer updates, the depth-first execution scheduler of the paper's
-// Algorithm 1, and the liveness analysis that yields per-operation
-// memory requirements (paper Sec. IV-A).
+// Algorithm 1, the liveness analysis that yields per-operation
+// memory requirements (paper Sec. IV-A), and batch templates that
+// produce all three at a new batch size without rebuilding them.
 package graph
 
 import (

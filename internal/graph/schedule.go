@@ -18,51 +18,77 @@ type Schedule struct {
 // dependency retires, and its successors are explored depth-first in
 // creation order. The result is deterministic for a given graph.
 func BuildSchedule(g *Graph) (*Schedule, error) {
-	// Dependency counts: data inputs with a producer + control deps.
-	refcnt := make(map[*Op]int, len(g.Ops))
-	// dependents[op] lists ops waiting on op, in creation order.
-	dependents := make(map[*Op][]*Op, len(g.Ops))
-	for _, op := range g.Ops {
-		n := 0
-		seen := make(map[*Op]bool)
+	n := len(g.Ops)
+	pos := make(map[*Op]int, n) // op -> creation position
+	edges := 0
+	for i, op := range g.Ops {
+		pos[op] = i
+		edges += len(op.Inputs) + len(op.ControlDeps)
+	}
+	// refcnt[i] counts op i's dependency edges: one per data input with
+	// a producer, one per control dep. deps[depOff[i]:depOff[i+1]] are
+	// the edges' source positions. A source outside g.Ops is counted
+	// but never retires. A repeated source is harmless: its edges sit
+	// side by side in its dependents and retire together.
+	refcnt := make([]int, n)
+	deps := make([]int, 0, edges)
+	depOff := make([]int, n+1)
+	// start[j+1] first counts, then offsets, op j's dependents.
+	start := make([]int, n+1)
+	for i, op := range g.Ops {
+		dep := func(p *Op) {
+			refcnt[i]++
+			if j, ok := pos[p]; ok {
+				deps = append(deps, j)
+				start[j+1]++
+			}
+		}
 		for _, in := range op.Inputs {
-			if p := in.Producer; p != nil && !seen[p] {
-				seen[p] = true
-				n++
-				dependents[p] = append(dependents[p], op)
+			if p := in.Producer; p != nil {
+				dep(p)
 			}
 		}
-		for _, dep := range op.ControlDeps {
-			if !seen[dep] {
-				seen[dep] = true
-				n++
-				dependents[dep] = append(dependents[dep], op)
-			}
+		for _, d := range op.ControlDeps {
+			dep(d)
 		}
-		refcnt[op] = n
+		depOff[i+1] = len(deps)
+	}
+	// dependents[start[j]:start[j+1]] are the ops waiting on op j, in
+	// creation order.
+	for j := 0; j < n; j++ {
+		start[j+1] += start[j]
+	}
+	dependents := make([]int, len(deps))
+	fill := append([]int(nil), start[:n]...) // next free slot per op
+	for i := 0; i < n; i++ {
+		for _, j := range deps[depOff[i]:depOff[i+1]] {
+			dependents[fill[j]] = i
+			fill[j]++
+		}
 	}
 
-	s := &Schedule{Index: make(map[*Op]int, len(g.Ops))}
-	var visit func(op *Op)
-	visit = func(op *Op) {
+	s := &Schedule{Ops: make([]*Op, 0, n), Index: make(map[*Op]int, n)}
+	var visit func(i int)
+	visit = func(i int) {
+		op := g.Ops[i]
 		s.Index[op] = len(s.Ops)
 		s.Ops = append(s.Ops, op)
-		for _, next := range dependents[op] {
-			refcnt[next]--
-			if refcnt[next] == 0 {
-				visit(next)
+		for _, k := range dependents[start[i]:start[i+1]] {
+			refcnt[k]--
+			if refcnt[k] == 0 {
+				visit(k)
 			}
 		}
 	}
-	for _, op := range g.Ops {
-		if refcnt[op] == 0 {
+	for i, op := range g.Ops {
+		if refcnt[i] == 0 {
 			if _, done := s.Index[op]; !done {
-				visit(op)
+				visit(i)
 			}
 		}
 	}
-	if len(s.Ops) != len(g.Ops) {
-		return nil, fmt.Errorf("graph: schedule covered %d of %d ops (cycle via control deps?)", len(s.Ops), len(g.Ops))
+	if len(s.Ops) != n {
+		return nil, fmt.Errorf("graph: schedule covered %d of %d ops (cycle via control deps?)", len(s.Ops), n)
 	}
 	return s, nil
 }
@@ -95,12 +121,7 @@ type Liveness struct {
 // curve M_i of paper Sec. IV-A for the given schedule.
 func AnalyzeLiveness(g *Graph, s *Schedule) *Liveness {
 	n := len(s.Ops)
-	lv := &Liveness{
-		Sched:    s,
-		FirstUse: make(map[*Tensor]int, len(g.Tensors)),
-		LastUse:  make(map[*Tensor]int, len(g.Tensors)),
-		MemAt:    make([]int64, n),
-	}
+	lv := newLiveness(s, len(g.Tensors))
 	// delta[i] accumulates alloc(+)/free(-) transitions at op i.
 	delta := make([]int64, n+1)
 	for _, t := range g.Tensors {
@@ -117,25 +138,46 @@ func AnalyzeLiveness(g *Graph, s *Schedule) *Liveness {
 				last = i
 			}
 		}
-		lv.FirstUse[t] = first
-		lv.LastUse[t] = last
-		if first == -1 {
-			lv.Resident += t.Bytes()
-			continue
-		}
-		delta[first] += t.Bytes()
-		delta[last+1] -= t.Bytes()
+		lv.account(t, first, last, delta)
 	}
+	lv.curve(delta)
+	return lv
+}
+
+func newLiveness(s *Schedule, tensors int) *Liveness {
+	return &Liveness{
+		Sched:    s,
+		FirstUse: make(map[*Tensor]int, tensors),
+		LastUse:  make(map[*Tensor]int, tensors),
+		MemAt:    make([]int64, len(s.Ops)),
+	}
+}
+
+// account records t's lifetime [first, last] and adds its bytes to
+// Resident (first == -1) or to the alloc/free transitions in delta.
+func (lv *Liveness) account(t *Tensor, first, last int, delta []int64) {
+	lv.FirstUse[t] = first
+	lv.LastUse[t] = last
+	if first == -1 {
+		lv.Resident += t.Bytes()
+		return
+	}
+	delta[first] += t.Bytes()
+	delta[last+1] -= t.Bytes()
+}
+
+// curve integrates delta over the schedule into MemAt, Peak and
+// PeakIdx, adding each op's workspace.
+func (lv *Liveness) curve(delta []int64) {
 	run := lv.Resident
-	for i := 0; i < n; i++ {
+	for i, op := range lv.Sched.Ops {
 		run += delta[i]
-		lv.MemAt[i] = run + s.Ops[i].Workspace
+		lv.MemAt[i] = run + op.Workspace
 		if lv.MemAt[i] > lv.Peak {
 			lv.Peak = lv.MemAt[i]
 			lv.PeakIdx = i
 		}
 	}
-	return lv
 }
 
 // LiveAt reports whether t occupies device memory while op index i
