@@ -178,8 +178,10 @@ type candIndex struct {
 	inPosOff []int32
 	inPosIdx []int32
 
-	// The option key of the pristine lists: the only options buildPos
-	// reads. Prof and Dev are fixed per planner.
+	// The key of the pristine lists: the graph generation whose sizes
+	// priced them and the only options buildPos reads. Prof and Dev are
+	// fixed per planner.
+	keyGen   uint64
 	keyPNums []int
 	keyChain int
 	// touchedDecided records that a chain walk of the derivation in
@@ -210,19 +212,30 @@ func newCandIndex(pl *Planner) *candIndex {
 	for _, t := range pl.G.Tensors {
 		ci.never[t.ID] = !t.Kind.Evictable()
 		ci.isFM[t.ID] = t.Kind == tensor.FeatureMap
-		h := &ci.hot[t.ID]
-		h.size = t.Bytes()
-		h.sizeF = float64(h.size)
-		h.transfer = pl.Prof.TransferTime(h.size)
 		g := pl.genOf[t.ID]
 		if g < 0 {
 			g = 0
 		}
-		h.genIdx = int32(g)
+		ci.hot[t.ID].genIdx = int32(g)
 	}
 	ci.buildEvents()
-	ci.buildInputPositions()
 	return ci
+}
+
+// derive re-reads what the index caches of tensor sizes: each tensor's
+// size and transfer time, and the input positions (SplitTensors and
+// carvableSecondInput compare batch extents, so which tensor a
+// position carves can change with the sizes). The pristine lists
+// follow from their key (rebuildAll).
+func (ci *candIndex) derive() {
+	pl := ci.pl
+	for _, t := range pl.G.Tensors {
+		h := &ci.hot[t.ID]
+		h.size = t.Bytes()
+		h.sizeF = float64(h.size)
+		h.transfer = pl.Prof.TransferTime(h.size)
+	}
+	ci.buildInputPositions()
 }
 
 // buildEvents assembles the static window-change event lists. A
@@ -303,35 +316,40 @@ func splitDepIDs(op *graph.Op, emit func(id int)) {
 	}
 }
 
-// buildInputPositions assembles the static tensor→position CSR used to
-// invalidate split caches when a tensor's plan entry changes. Listing
-// only the positions that actually read the entry (splitDepIDs) —
-// rather than every consumer — keeps commit-time invalidation from
-// rebuilding configuration lists whose pricing cannot have moved.
+// buildInputPositions assembles the tensor→position CSR used to
+// invalidate split caches when a tensor's plan entry changes, in the
+// index's existing arrays. Listing only the positions that actually
+// read the entry (splitDepIDs) — rather than every consumer — keeps
+// commit-time invalidation from rebuilding configuration lists whose
+// pricing cannot have moved.
 func (ci *candIndex) buildInputPositions() {
 	pl := ci.pl
-	counts := make([]int32, ci.nT)
+	if ci.inPosOff == nil {
+		ci.inPosOff = make([]int32, ci.nT+1)
+	}
+	off := ci.inPosOff
+	clear(off)
 	for _, op := range pl.Sched.Ops {
-		splitDepIDs(op, func(id int) { counts[id]++ })
+		splitDepIDs(op, func(id int) { off[id+1]++ })
 	}
-	ci.inPosOff = make([]int32, ci.nT+1)
-	var total int32
 	for id := 0; id < ci.nT; id++ {
-		ci.inPosOff[id] = total
-		total += counts[id]
+		off[id+1] += off[id]
 	}
-	ci.inPosOff[ci.nT] = total
-	ci.inPosIdx = make([]int32, total)
-	cursor := make([]int32, ci.nT)
-	for id := range cursor {
-		cursor[id] = ci.inPosOff[id]
+	if total := int(off[ci.nT]); cap(ci.inPosIdx) < total {
+		ci.inPosIdx = make([]int32, total)
+	} else {
+		ci.inPosIdx = ci.inPosIdx[:total]
 	}
+	// Fill with off[id] as tensor id's cursor, which leaves it at the
+	// start of id+1's row; shifting by one restores the offsets.
 	for p, op := range pl.Sched.Ops {
 		splitDepIDs(op, func(id int) {
-			ci.inPosIdx[cursor[id]] = int32(p)
-			cursor[id]++
+			ci.inPosIdx[off[id]] = int32(p)
+			off[id]++
 		})
 	}
+	copy(off[1:], off[:ci.nT])
+	off[0] = 0
 }
 
 // deactivate puts the index to sleep between runs; the next ensure()
@@ -401,10 +419,11 @@ func (ci *candIndex) rebuildAll(i int) {
 		ci.state[id] = candValid
 		ci.live = append(ci.live, int32(id)) // ID order: fold order
 	}
-	if ci.keyChain != pl.Opts.MaxRecomputeChain || !slices.Equal(ci.keyPNums, pl.Opts.PNums) {
+	if ci.keyGen != pl.graphGen || ci.keyChain != pl.Opts.MaxRecomputeChain || !slices.Equal(ci.keyPNums, pl.Opts.PNums) {
 		for p := range ci.pos {
 			ci.pos[p].pristine = 0
 		}
+		ci.keyGen = pl.graphGen
 		ci.keyPNums = append(ci.keyPNums[:0], pl.Opts.PNums...)
 		ci.keyChain = pl.Opts.MaxRecomputeChain
 	}

@@ -2,7 +2,7 @@ package core
 
 import (
 	"errors"
-	"sort"
+	"slices"
 
 	"tsplit/internal/graph"
 	"tsplit/internal/tensor"
@@ -67,10 +67,17 @@ type memCurve struct {
 	applied [][]span
 
 	// Pristine (empty-plan) snapshot for O(n) reset between Plan()
-	// calls on a pooled planner.
-	memAt0  []int64
-	rawMax0 []int64
-	adj0    []int64
+	// calls on a pooled planner. It holds for one set of tensor sizes
+	// — the owner sets stale when they change — and one
+	// OffloadOptimizer setting, which moves optimizer state and
+	// parameter gradients off the device even in an empty plan.
+	memAt0   []int64
+	rawMax0  []int64
+	adj0     []int64
+	stale    bool
+	offload0 bool
+	// delta is derive's scratch: alloc/free transitions by position.
+	delta []int64
 	// changedIDs lists tensors whose applied spans diverged from the
 	// pristine state since the last reset.
 	changedIDs  []int32
@@ -91,54 +98,38 @@ type memCurve struct {
 	minInc int
 }
 
-// newMemCurve builds the curve for the plan's current state (normally
-// the empty plan at the top of Planner.Plan) in one full pass — the
-// only full pass the incremental path ever performs.
-func newMemCurve(ms *MemSim, p *Plan, maxTensorID int) *memCurve {
+// newMemCurve sizes a curve for the schedule. The first reset derives
+// it.
+func newMemCurve(ms *MemSim, maxTensorID int) *memCurve {
 	n := len(ms.Sched.Ops)
 	nBlocks := (n + (1 << curveBlockShift) - 1) >> curveBlockShift
-	c := &memCurve{
-		ms: ms, plan: p, n: n,
+	return &memCurve{
+		ms: ms, n: n,
 		memAt:       make([]int64, n),
 		blockAdd:    make([]int64, nBlocks),
 		rawMax:      make([]int64, nBlocks),
 		adj:         make([]int64, n),
 		applied:     make([][]span, maxTensorID+1),
 		changedMark: make([]bool, maxTensorID+1),
+		memAt0:      make([]int64, n),
+		rawMax0:     make([]int64, nBlocks),
+		adj0:        make([]int64, n),
+		delta:       make([]int64, n+1),
+		stale:       true,
 	}
-	for i, op := range ms.Sched.Ops {
-		c.adj[i] = ms.opFootprintAdjustment(op, p)
-	}
-	delta := make([]int64, n+1)
-	for _, t := range ms.G.Tensors {
-		spans := c.contributionsInto(t, nil)
-		for _, iv := range spans {
-			delta[iv.a] += iv.bytes
-			delta[iv.b+1] -= iv.bytes
-		}
-		c.applied[t.ID] = spans
-	}
-	var run int64
-	for u := 0; u < n; u++ {
-		run += delta[u]
-		c.memAt[u] = run + c.adj[u]
-	}
-	for b := range c.rawMax {
-		c.fixMax(b)
-	}
-	c.memAt0 = append([]int64(nil), c.memAt...)
-	c.rawMax0 = append([]int64(nil), c.rawMax...)
-	c.adj0 = append([]int64(nil), c.adj...)
-	c.minInc = n + 1
-	return c
 }
 
-// reset restores the pristine empty-plan state for a new Plan() call:
-// the materialized arrays are copied back and only tensors whose
-// spans diverged get their applied set recomputed (under the new,
-// empty plan) into their existing backing arrays.
+// reset brings the curve to the empty plan p for a new Plan() call.
+// While the pristine snapshot holds, the materialized arrays are
+// copied back and only tensors whose spans diverged get their applied
+// set recomputed (under the new, empty plan) into their existing
+// backing arrays; otherwise derive rebuilds everything.
 func (c *memCurve) reset(p *Plan) {
 	c.plan = p
+	if c.stale || c.offload0 != p.OffloadOptimizer {
+		c.derive()
+		return
+	}
 	copy(c.memAt, c.memAt0)
 	copy(c.rawMax, c.rawMax0)
 	copy(c.adj, c.adj0)
@@ -151,6 +142,42 @@ func (c *memCurve) reset(p *Plan) {
 		c.applied[id] = c.contributionsInto(t, c.applied[id][:0])
 	}
 	c.changedIDs = c.changedIDs[:0]
+	c.minInc = c.n + 1
+}
+
+// derive builds the curve for the current, empty plan in one full pass
+// — the only full pass the incremental path ever performs — and
+// snapshots it as the pristine state.
+func (c *memCurve) derive() {
+	for i, op := range c.ms.Sched.Ops {
+		c.adj[i] = c.ms.opFootprintAdjustment(op, c.plan)
+	}
+	clear(c.delta)
+	for _, t := range c.ms.G.Tensors {
+		spans := c.contributionsInto(t, c.applied[t.ID][:0])
+		for _, iv := range spans {
+			c.delta[iv.a] += iv.bytes
+			c.delta[iv.b+1] -= iv.bytes
+		}
+		c.applied[t.ID] = spans
+	}
+	var run int64
+	for u := 0; u < c.n; u++ {
+		run += c.delta[u]
+		c.memAt[u] = run + c.adj[u]
+	}
+	clear(c.blockAdd)
+	for b := range c.rawMax {
+		c.fixMax(b)
+	}
+	for _, id := range c.changedIDs {
+		c.changedMark[id] = false
+	}
+	c.changedIDs = c.changedIDs[:0]
+	copy(c.memAt0, c.memAt)
+	copy(c.rawMax0, c.rawMax)
+	copy(c.adj0, c.adj)
+	c.stale, c.offload0 = false, c.plan.OffloadOptimizer
 	c.minInc = c.n + 1
 }
 
@@ -477,7 +504,7 @@ func sortDedupIDs(ids *[]int32) {
 	if len(s) < 2 {
 		return
 	}
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	slices.Sort(s)
 	w := 1
 	for i := 1; i < len(s); i++ {
 		if s[i] != s[w-1] {
@@ -657,7 +684,7 @@ func (pl *Planner) refreshChainsDirty() int {
 	// Re-derive in ID order: each walk is independent, but curve.update
 	// touches shared state and the obs counters should not depend on
 	// mark order.
-	sort.Slice(owners, func(i, j int) bool { return owners[i] < owners[j] })
+	slices.Sort(owners)
 	rederived := 0
 	for _, id32 := range owners {
 		id := int(id32)

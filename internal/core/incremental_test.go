@@ -31,7 +31,8 @@ func TestIncrementalCurveMatchesFullRebuild(t *testing.T) {
 				maxID = x.ID
 			}
 		}
-		curve := newMemCurve(ms, plan, maxID)
+		curve := newMemCurve(ms, maxID)
+		curve.reset(plan)
 		rng := rand.New(rand.NewSource(42))
 
 		check := func(step int) {
@@ -135,7 +136,8 @@ func TestBottleneckResumeMatchesFullScan(t *testing.T) {
 					maxID = x.ID
 				}
 			}
-			curve := newMemCurve(ms, plan, maxID)
+			curve := newMemCurve(ms, maxID)
+			curve.reset(plan)
 			_, basePeak, _ := ms.Curve(plan)
 			cap := basePeak * capPct / 100
 			rng := rand.New(rand.NewSource(7))

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"time"
 
@@ -195,6 +195,8 @@ type Planner struct {
 	opIdx       []int   // schedule position by op ID
 	walker      *ChainWalker
 	maxTensorID int
+	// graphGen is the graph generation the arenas were derived for.
+	graphGen uint64
 	// touchScratch collects the tensor IDs a chain walk queried — the
 	// dependency set the chain tracker and candidate index register.
 	touchScratch []int32
@@ -239,15 +241,10 @@ type Planner struct {
 	runSpan *obs.Span
 }
 
-// NewPlanner assembles a planner for one (graph, schedule, device).
+// NewPlanner returns an empty planner for one (graph, schedule,
+// device). It derives its arenas from the workload on its first run.
 func NewPlanner(g *graph.Graph, sched *graph.Schedule, lv *graph.Liveness, prof *profiler.Profile, dev device.Device, opts Options) *Planner {
-	pl := &Planner{
-		G: g, Sched: sched, Lv: lv, Prof: prof, Dev: dev,
-		Opts: opts.withDefaults(dev),
-		ms:   NewMemSim(g, sched, lv),
-	}
-	pl.initAccel()
-	return pl
+	return &Planner{G: g, Sched: sched, Lv: lv, Prof: prof, Dev: dev, Opts: opts.withDefaults(dev)}
 }
 
 // SetOptions replaces the planner's options for subsequent Plan()
@@ -262,6 +259,40 @@ func (pl *Planner) SetOptions(opts Options) {
 // the scratch is reset in place at the top of every run regardless.
 func (pl *Planner) Reset() {
 	pl.report = nil
+}
+
+// derive brings the planner's arenas to the workload its graph holds
+// now, at the top of a run. The graph's pointer fixes its topology,
+// and the first run sizes the arenas and derives what the topology
+// alone decides: the ID-indexed liveness and schedule mirrors, the
+// chain walker, the candidate index's event lists. The graph's
+// generation names its sizes (graph.Template.Rebatch rewrites them in
+// place), and every first run at a generation re-derives, inside the
+// same arenas, what they decide: the occupancy's per-op rates, the
+// curve's pristine snapshot and the candidate index's tensor sizes,
+// transfer times and input positions. The pristine split
+// configuration lists and chain costs follow from their own keys.
+func (pl *Planner) derive() {
+	gen := pl.G.Generation()
+	if pl.ms != nil && pl.graphGen == gen {
+		return
+	}
+	if pl.ms == nil {
+		pl.ms = NewMemSim(pl.G, pl.Sched, pl.Lv)
+		pl.initAccel()
+		pl.occ = profiler.NewOccupancy(pl.Prof)
+		pl.curve = newMemCurve(pl.ms, pl.maxTensorID)
+		// Route the curve's plan-entry reads through the tpMirror
+		// arrays: same answers as plan.Tensors, no map hashing on the
+		// span re-derivation hot path.
+		pl.curve.look = pl.tensorPlanByID
+		pl.ct = newChainTracker(pl.maxTensorID)
+		pl.ci = newCandIndex(pl)
+	}
+	pl.graphGen = gen
+	pl.occ.Retime()
+	pl.curve.stale = true
+	pl.ci.derive()
 }
 
 // initAccel precomputes the ID-indexed lookup arrays and the reusable
@@ -386,10 +417,12 @@ func (pl *Planner) Plan() (*Plan, error) {
 	return plan, err
 }
 
-// beginRun resets all per-run state in place: a fresh Plan (the only
-// per-run allocation — previously returned plans must stay valid) and
-// the pooled occupancy/curve/chain-tracker/candidate-index scratch.
+// beginRun derives the arenas for the workload (derive) and resets all
+// per-run state in place: a fresh Plan (the only per-run allocation —
+// previously returned plans must stay valid) and the pooled
+// occupancy/curve/chain-tracker/candidate-index scratch.
 func (pl *Planner) beginRun() {
+	pl.derive()
 	pl.plan = NewPlan("tsplit", pl.Dev)
 	// Similar workloads commit similar decision counts: pre-size the maps
 	// to the last run's so steady-state runs skip the incremental-growth
@@ -407,11 +440,7 @@ func (pl *Planner) beginRun() {
 		pl.plan.Name = "tsplit-offload"
 		pl.plan.OffloadOptimizer = true
 	}
-	if pl.occ == nil {
-		pl.occ = profiler.NewOccupancy(pl.Prof)
-	} else {
-		pl.occ.Reset()
-	}
+	pl.occ.Reset()
 	for _, id := range pl.swapStallIDs {
 		pl.swapStallOf[id] = 0
 	}
@@ -433,18 +462,8 @@ func (pl *Planner) beginRun() {
 			CapacityBytes: pl.Opts.Capacity, SafetyMargin: pl.Opts.SafetyMargin,
 		}
 	}
-	if pl.curve == nil {
-		pl.curve = newMemCurve(pl.ms, pl.plan, pl.maxTensorID)
-		// Route the curve's plan-entry reads through the tpMirror
-		// arrays: same answers as plan.Tensors, no map hashing on the
-		// span re-derivation hot path.
-		pl.curve.look = pl.tensorPlanByID
-		pl.ct = newChainTracker(pl.maxTensorID)
-		pl.ci = newCandIndex(pl)
-	} else {
-		pl.curve.reset(pl.plan)
-		pl.ct.reset()
-	}
+	pl.curve.reset(pl.plan)
+	pl.ct.reset()
 	pl.ci.deactivate()
 }
 
@@ -615,7 +634,7 @@ func (pl *Planner) finishObservation(finalPeak int64) {
 				ids = append(ids, id)
 			}
 		}
-		sort.Ints(ids)
+		slices.Sort(ids)
 		for _, id := range ids {
 			r.EarlyOutSplits = append(r.EarlyOutSplits, pl.plan.Splits[id].Op.Name)
 		}
@@ -889,9 +908,8 @@ func (pl *Planner) chainCostFast(chain []*graph.Op) float64 {
 // visited in ID order so the floating-point time accumulation is
 // deterministic.
 func (pl *Planner) earlyOutPass() {
-	ids := pl.swapStallIDs
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-	for _, id32 := range ids {
+	slices.Sort(pl.swapStallIDs)
+	for _, id32 := range pl.swapStallIDs {
 		id := int(id32)
 		stall := pl.swapStallOf[id]
 		if stall <= 0 {

@@ -8,13 +8,17 @@ import (
 	"tsplit/internal/profiler"
 )
 
-// PlannerPool recycles planners for one (graph, schedule, liveness,
-// profile, device) configuration. Constructing a planner allocates the
-// per-model arenas — the ID-indexed liveness mirrors, the candidate
-// index CSRs, the occupancy block decomposition, the memory curve —
-// which dominate a cold Plan()'s allocation count. A recycled planner
-// keeps all of them and resets in place at the top of each run, so
-// steady-state Plan() calls allocate only the returned Plan itself.
+// PlannerPool recycles planners for one set of (graph, schedule,
+// liveness, profile, device) objects. A planner's first run allocates
+// the per-model arenas — the ID-indexed liveness mirrors, the
+// candidate index CSRs, the occupancy block decomposition, the memory
+// curve — which dominate a cold Plan()'s allocation count. A recycled
+// planner keeps all of them and resets in place at the top of each
+// run, so steady-state Plan() calls allocate only the returned Plan
+// itself. The objects may be rebatched in place between borrows
+// (graph.Template.Rebatch, with the profile refreshed): a pooled
+// planner's next run sees the graph's new generation and re-derives
+// its size-dependent state inside the same arenas.
 //
 // Callers that plan the same workload repeatedly (hyper-parameter
 // sweeps, the serve path, benchmark drivers) Get a planner per task and
@@ -62,9 +66,14 @@ func (pp *PlannerPool) Get(opts Options) *Planner {
 // Put returns a planner to the pool. Planners built for a different
 // configuration are dropped rather than pooled — handing them out
 // later would plan the wrong model, or price it for the wrong device.
-// Put(nil) is a no-op.
+// So is a planner whose last run planned another generation of the
+// graph: it was held across a rebatch, and whatever it planned no
+// longer exists. Put(nil) is a no-op.
 func (pp *PlannerPool) Put(pl *Planner) {
 	if pl == nil || pl.G != pp.g || pl.Sched != pp.sched || pl.Lv != pp.lv || pl.Prof != pp.prof || pl.Dev != pp.dev {
+		return
+	}
+	if pl.ms != nil && pl.graphGen != pp.g.Generation() {
 		return
 	}
 	pl.Reset()

@@ -9,7 +9,9 @@ import (
 	"testing"
 
 	"tsplit/internal/device"
+	"tsplit/internal/graph"
 	"tsplit/internal/models"
+	"tsplit/internal/profiler"
 )
 
 // TestPlannerPoolReuseIdentical checks the pool's core contract on
@@ -56,7 +58,8 @@ func TestPlannerPoolReuseIdentical(t *testing.T) {
 }
 
 // TestPlannerPoolDropsForeign checks that planners built for another
-// workload are dropped instead of pooled.
+// workload, or held across a rebatch of their own, are dropped instead
+// of pooled.
 func TestPlannerPoolDropsForeign(t *testing.T) {
 	a := newTestbed(t, "vgg16", models.Config{BatchSize: 8})
 	b := newTestbed(t, "resnet50", models.Config{BatchSize: 8})
@@ -80,6 +83,26 @@ func TestPlannerPoolDropsForeign(t *testing.T) {
 	pp.Put(NewPlanner(a.g, a.sched, a.lv, a.prof, a.dev, Options{}))
 	if pp.Size() != 1 {
 		t.Fatalf("pool rejected its own planner (size %d)", pp.Size())
+	}
+	// A planner held across a rebatch of its graph planned a workload
+	// the graph no longer holds.
+	r := newRebatchedCase(t, "vgg16")
+	r.rebatch(t, 8)
+	held := r.pp.Get(Options{})
+	if _, err := held.Plan(); err != nil {
+		t.Fatal(err)
+	}
+	r.rebatch(t, 16)
+	r.pp.Put(held)
+	if r.pp.Size() != 0 {
+		t.Fatalf("pool accepted a planner held across a rebatch (size %d)", r.pp.Size())
+	}
+	if _, err := held.Plan(); err != nil {
+		t.Fatal(err)
+	}
+	r.pp.Put(held)
+	if r.pp.Size() != 1 {
+		t.Fatalf("pool rejected a planner that planned the current generation (size %d)", r.pp.Size())
 	}
 }
 
@@ -141,22 +164,23 @@ type historyCase struct {
 	floor int64 // bytes no decision can move (inputs, parameters)
 }
 
+func newHistoryCase(name string, tb *testbed) historyCase {
+	var floor int64
+	for _, x := range tb.g.Tensors {
+		if x.Producer == nil {
+			floor += x.Bytes()
+		}
+	}
+	return historyCase{name, tb, floor}
+}
+
 func historyCases(t *testing.T) []historyCase {
 	var cs []historyCase
-	add := func(name string, tb *testbed) {
-		var floor int64
-		for _, x := range tb.g.Tensors {
-			if x.Producer == nil {
-				floor += x.Bytes()
-			}
-		}
-		cs = append(cs, historyCase{name, tb, floor})
-	}
 	for _, model := range models.Names() {
-		add(model, newTestbed(t, model, models.Config{}))
+		cs = append(cs, newHistoryCase(model, newTestbed(t, model, models.Config{})))
 	}
 	for seed := uint64(0); seed < 16; seed++ {
-		add(fmt.Sprintf("rand%d", seed), fuzzRandTestbed(t, seed))
+		cs = append(cs, newHistoryCase(fmt.Sprintf("rand%d", seed), fuzzRandTestbed(t, seed)))
 	}
 	return cs
 }
@@ -207,52 +231,122 @@ func currentListsDiffer(a, b *candIndex) int {
 	return -1
 }
 
+// historyVariants are the option changes the history walk draws from:
+// options split pricing reads (PNums, MaxRecomputeChain), ones it does
+// not (SafetyMargin, DisableSplit), and OffloadOptimizer, which moves
+// optimizer state off the device even in an empty plan.
+var historyVariants = []func(*Options){
+	func(*Options) {},
+	func(o *Options) { o.PNums = []int{2, 8} },
+	func(o *Options) { o.MaxRecomputeChain = 6 },
+	func(o *Options) { o.SafetyMargin = 0.1 },
+	func(o *Options) { o.DisableSplit = true },
+	func(o *Options) { o.OffloadOptimizer = true },
+}
+
+// historyStep runs one seeded step of the history walk on a pooled
+// planner for c's workload and holds it to a fresh planner: plan,
+// error and report must be equal, and so must the configuration lists
+// current at the end of the run — a list priced against a stale plan
+// rarely moves a winner, so the outcome alone would hide one.
+func historyStep(t *testing.T, c historyCase, pp *PlannerPool, rng *rand.Rand, where string) {
+	t.Helper()
+	pct := int64(40 + rng.Intn(56))
+	opts := Options{Capacity: c.floor + (c.tb.lv.Peak-c.floor)*pct/100, FragmentationReserve: -1}
+	v := rng.Intn(len(historyVariants))
+	historyVariants[v](&opts)
+	opts.CollectReport = rng.Intn(3) == 0
+
+	fresh := NewPlanner(c.tb.g, c.tb.sched, c.tb.lv, c.tb.prof, c.tb.dev, opts)
+	want := planOutcome(t, fresh)
+	pl := pp.Get(opts)
+	got := planOutcome(t, pl)
+	pp.Put(pl)
+	where = fmt.Sprintf("%s (%d%% of peak, variant %d, report %v)", where, pct, v, opts.CollectReport)
+	if got != want {
+		t.Fatalf("%s: pooled run diverged from a fresh planner\n--- pooled ---\n%s--- fresh ---\n%s", where, got, want)
+	}
+	if fresh.ci.active != pl.ci.active {
+		t.Fatalf("%s: the pooled index is active=%v, the fresh one %v", where, pl.ci.active, fresh.ci.active)
+	}
+	if !fresh.ci.active {
+		return // no bottleneck: neither index ran
+	}
+	if p := currentListsDiffer(pl.ci, fresh.ci); p >= 0 {
+		t.Fatalf("%s: position %d's current configuration list differs from a fresh planner's", where, p)
+	}
+}
+
+// rebatchedCase is a workload recycled along the batch axis: one
+// template, one graph.Workload rewritten in place, one profile
+// refreshed in place and one planner pool that outlives every batch.
+type rebatchedCase struct {
+	model string
+	tp    *graph.Template
+	wl    graph.Workload
+	prof  *profiler.Profile
+	pp    *PlannerPool
+}
+
+func newRebatchedCase(t *testing.T, model string) *rebatchedCase {
+	var gs [2]*graph.Graph
+	for i := range gs {
+		g, err := models.Build(model, models.Config{BatchSize: i + 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gs[i] = g
+	}
+	tp, err := graph.NewTemplate(gs[0], gs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &rebatchedCase{model: model, tp: tp}
+}
+
+// rebatch recycles the workload to batch n and returns it as a
+// history case.
+func (r *rebatchedCase) rebatch(t *testing.T, n int) historyCase {
+	r.tp.Rebatch(n, &r.wl)
+	if r.pp == nil {
+		r.prof = profiler.New(device.TitanRTX, r.wl.Sched)
+		r.pp = NewPlannerPool(r.wl.G, r.wl.Sched, r.wl.Lv, r.prof, device.TitanRTX)
+	} else {
+		r.prof.Refresh()
+	}
+	tb := &testbed{g: r.wl.G, sched: r.wl.Sched, lv: r.wl.Lv, prof: r.prof, dev: device.TitanRTX}
+	return newHistoryCase(fmt.Sprintf("%s@%d", r.model, n), tb)
+}
+
 // TestPlannerPoolHistoryIndependent holds a pooled planner to a fresh
 // one while its history varies: each graph's planner walks a seeded
 // sequence of budgets (40–95 % of the manageable peak) interleaved with
-// changes to the options split pricing reads (PNums, MaxRecomputeChain)
-// and to ones it does not (SafetyMargin, DisableSplit, CollectReport).
-// Every run — plan, error and report — must equal a fresh planner's,
-// so nothing a planner carries across runs (the pristine split
-// configuration lists above all) can leak one borrower's state into
-// the next. The configuration lists current at the end of the run
-// must agree too: a list priced against a stale plan rarely moves a
-// winner, so the outcome alone would hide one.
+// option changes (historyVariants). Every run must equal a fresh
+// planner's (historyStep), so nothing a planner carries across runs
+// (the pristine split configuration lists above all) can leak one
+// borrower's state into the next. The walk then recycles a graph
+// through a scrambled sequence of batch sizes, interleaved with a
+// second model's recycled graph: a pooled planner that survives the
+// batch change must re-derive everything the sizes decide.
 func TestPlannerPoolHistoryIndependent(t *testing.T) {
-	variants := []func(*Options){
-		func(*Options) {},
-		func(o *Options) { o.PNums = []int{2, 8} },
-		func(o *Options) { o.MaxRecomputeChain = 6 },
-		func(o *Options) { o.SafetyMargin = 0.1 },
-		func(o *Options) { o.DisableSplit = true },
-	}
 	for k, c := range historyCases(t) {
 		pp := NewPlannerPool(c.tb.g, c.tb.sched, c.tb.lv, c.tb.prof, c.tb.dev)
 		rng := rand.New(rand.NewSource(int64(k) + 1))
 		for step := 0; step < 40; step++ {
-			pct := int64(40 + rng.Intn(56))
-			opts := Options{Capacity: c.floor + (c.tb.lv.Peak-c.floor)*pct/100, FragmentationReserve: -1}
-			v := rng.Intn(len(variants))
-			variants[v](&opts)
-			opts.CollectReport = rng.Intn(3) == 0
-
-			fresh := NewPlanner(c.tb.g, c.tb.sched, c.tb.lv, c.tb.prof, c.tb.dev, opts)
-			want := planOutcome(t, fresh)
-			pl := pp.Get(opts)
-			got := planOutcome(t, pl)
-			pp.Put(pl)
-			where := fmt.Sprintf("%s step %d (%d%% of peak, variant %d, report %v)", c.name, step, pct, v, opts.CollectReport)
-			if got != want {
-				t.Fatalf("%s: pooled run diverged from a fresh planner\n--- pooled ---\n%s--- fresh ---\n%s", where, got, want)
-			}
-			if fresh.ci.active != pl.ci.active {
-				t.Fatalf("%s: the pooled index is active=%v, the fresh one %v", where, pl.ci.active, fresh.ci.active)
-			}
-			if !fresh.ci.active {
-				continue // no bottleneck: neither index ran
-			}
-			if p := currentListsDiffer(pl.ci, fresh.ci); p >= 0 {
-				t.Fatalf("%s: position %d's current configuration list differs from a fresh planner's", where, p)
+			historyStep(t, c, pp, rng, fmt.Sprintf("%s step %d", c.name, step))
+		}
+	}
+	a, b := newRebatchedCase(t, "vgg16"), newRebatchedCase(t, "resnet50")
+	rng := rand.New(rand.NewSource(7))
+	bBatches := []int{96, 8, 512, 96, 1}
+	for i, n := range []int{1, 2048, 64, 440, 64} {
+		for _, r := range []struct {
+			rc *rebatchedCase
+			n  int
+		}{{a, n}, {b, bBatches[i]}} {
+			c := r.rc.rebatch(t, r.n)
+			for step := 0; step < 6; step++ {
+				historyStep(t, c, r.rc.pp, rng, fmt.Sprintf("%s step %d", c.name, step))
 			}
 		}
 	}

@@ -6,7 +6,8 @@
 // for it (scale.go, figures.go). Along the batch axis it does not build
 // the workload either: each model is built at batch 1 and 2 into a
 // graph.Template once per call, and every batch size is rebatched from
-// it (templates.go). Planner and simulator arenas are pooled. Both the
+// it into a recycled slot — graph, profile and planners included
+// (templates.go). Planner and simulator arenas are pooled. Both the
 // cmd/tsplit-bench binary and the repository's bench_test.go are thin
 // wrappers over this package.
 package experiments
@@ -29,17 +30,19 @@ import (
 // plus the planner arenas built for them. Prepare builds one from
 // scratch; a batch-axis sweep rebatches it from the model's template,
 // with the same result field for field. Planning and simulating leave
-// all of it but the pool's free list unchanged, so one Prepared serves
-// every policy, in any order and from several goroutines.
+// the workload unchanged, so one Prepared serves every policy, in any
+// order and from several goroutines. A rebatched Prepared is a
+// recycled slot: once its user releases it, the next batch size of the
+// model is rebatched into the same objects (templates.go).
 type Prepared struct {
-	Model    string
-	Cfg      models.Config
-	Dev      device.Device
-	G        *graph.Graph
-	Sched    *graph.Schedule
-	Lv       *graph.Liveness
+	Model string
+	Cfg   models.Config
+	Dev   device.Device
+	graph.Workload
 	Prof     *profiler.Profile
 	Planners *core.PlannerPool
+
+	slot *template // the template a rebatched workload returns to
 }
 
 // Prepare builds and profiles a workload from scratch. Calls that
@@ -54,7 +57,9 @@ func Prepare(model string, cfg models.Config, dev device.Device) (*Prepared, err
 	if err != nil {
 		return nil, err
 	}
-	return prepared(model, cfg, dev, g, sched, graph.AnalyzeLiveness(g, sched)), nil
+	p := &Prepared{Workload: graph.Workload{G: g, Sched: sched, Lv: graph.AnalyzeLiveness(g, sched)}}
+	p.fill(model, cfg, dev)
+	return p, nil
 }
 
 // buildGraph builds a model's training graph and counts the build in
@@ -67,15 +72,12 @@ func buildGraph(model string, cfg models.Config) (*graph.Graph, error) {
 	return models.Build(model, cfg)
 }
 
-// prepared profiles a scheduled workload and builds its planner pool,
-// the step a fresh build and a rebatched template share.
-func prepared(model string, cfg models.Config, dev device.Device, g *graph.Graph, sched *graph.Schedule, lv *graph.Liveness) *Prepared {
-	prof := profiler.New(dev, sched)
-	return &Prepared{
-		Model: model, Cfg: cfg, Dev: dev,
-		G: g, Sched: sched, Lv: lv, Prof: prof,
-		Planners: core.NewPlannerPool(g, sched, lv, prof, dev),
-	}
+// fill labels p's workload, profiles it and gives it an empty planner
+// pool: the step a fresh build and a new template slot share.
+func (p *Prepared) fill(model string, cfg models.Config, dev device.Device) {
+	p.Model, p.Cfg, p.Dev = model, cfg, dev
+	p.Prof = profiler.New(dev, p.Sched)
+	p.Planners = core.NewPlannerPool(p.G, p.Sched, p.Lv, p.Prof, dev)
 }
 
 // Policies lists every policy the evaluation compares, in table order.

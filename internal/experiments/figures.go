@@ -73,6 +73,7 @@ func throughputFigure(title string, dev device.Device, policies []string, cfg mo
 				f.Series[m][pi].Thr[bi] = RunPolicy(p, pol, 0).Throughput(c.BatchSize)
 			}
 		}
+		p.release()
 	})
 	return f
 }

@@ -135,6 +135,7 @@ func Fig14aScaleUnderThroughput(dev device.Device, hi int) ([]ThroughputConstrai
 			return
 		}
 		baseThr[mi] = RunPolicy(p, "base", 0).Throughput(baseMax)
+		p.release()
 	})
 	if err := firstError(errs); err != nil {
 		return nil, err
@@ -152,7 +153,9 @@ func Fig14aScaleUnderThroughput(dev device.Device, hi int) ([]ThroughputConstrai
 			if err != nil {
 				return 0
 			}
-			return RunPolicy(pp, pol, 0).Throughput(b)
+			thr := RunPolicy(pp, pol, 0).Throughput(b)
+			pp.release()
+			return thr
 		}
 		for _, pct := range []int{60, 50} {
 			need := baseThr[k/len(pols)] * float64(pct) / 100

@@ -11,8 +11,10 @@ import (
 // Obs, when set before a sweep starts, receives per-unit metrics from
 // every experiment in this package: tsplit_experiments_cells_total and
 // the tsplit_experiments_cell_seconds histogram, one count and one
-// sample per forEach unit, and tsplit_experiments_graph_builds_total,
-// one count per model graph built. The Registry is thread-safe, so the
+// sample per forEach unit, tsplit_experiments_graph_builds_total, one
+// count per model graph built, and
+// tsplit_experiments_workload_slots_total, one count per workload slot
+// allocated (templates.go). The Registry is thread-safe, so the
 // parallel sweeps record into it concurrently.
 var Obs obs.Recorder
 
@@ -31,11 +33,13 @@ var Trace *obs.Tracer
 // tables one forEach unit is a (model, probe point) group, in the
 // throughput figures a (model, batch): the unit prepares that workload
 // once — along the batch axis by rebatching the model's template, which
-// the call's units share read-only — runs it under every policy that
-// needs it, and drops it, so at most one Prepared per worker is live.
+// the call's units share read-only, into a slot — runs it under every
+// policy that needs it, and releases the slot, so at most one slot per
+// worker is live and a sweep allocates about one per worker per model.
 // The cell counter and the "experiments.cell" span therefore count
 // workloads prepared, not (model, policy) table cells; the graph-build
-// counter (buildGraph) counts the models.Build calls behind them. Each
+// counter (buildGraph) counts the models.Build calls behind them, and
+// the slot counter the cold graphs and planners. Each
 // unit writes its results into slots no other unit writes, so the
 // assembled tables and figures are identical to a sequential sweep
 // regardless of completion order.

@@ -94,12 +94,13 @@ func (c *scaleCursor) report(feasible bool) {
 // model ask for the same points again and again — every search starts
 // with the same powers of two — so a round prepares each distinct
 // (model, point) workload once, runs it under every policy whose
-// cursor is waiting on that point, and drops it. The groups of a
+// cursor is waiting on that point, and releases it. The groups of a
 // round fan out over forEach and share nothing mutable (prepare must
 // be safe for concurrent use); each cursor waits on exactly one
 // point, so exactly one group writes its verdict. prepare returns a
-// model's workload at a probe point: rebatched from a template along
-// the batch axis, built fresh along the parameter axis.
+// model's workload at a probe point: rebatched from a template into a
+// slot along the batch axis, which the group releases when its
+// verdicts are in, and built fresh along the parameter axis.
 func searchScales(mods, policies []string, hi int, prepare func(model string, n int) (*Prepared, error)) [][]int {
 	type group struct{ model, n int }
 	cur := make([][]scaleCursor, len(mods))
@@ -143,6 +144,9 @@ func searchScales(mods, policies []string, hi int, prepare func(model string, n 
 				if cur[g.model][p].probe == g.n {
 					feasible[g.model][p] = err == nil && RunPolicy(prep, policies[p], 0).Feasible
 				}
+			}
+			if err == nil {
+				prep.release()
 			}
 		})
 		for m := range cur {

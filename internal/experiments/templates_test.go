@@ -119,7 +119,9 @@ func sameWorkload(rb, fr *Prepared) string {
 // batch-axis sweeps: a workload rebatched from its model's template is
 // field for field the workload Prepare builds, for every evaluation
 // model and BERT-Large, batches from 1 to 2048, both optimizers of the
-// experiments, and a non-default image size and sequence length.
+// experiments, and a non-default image size and sequence length. Each
+// model's batches go through one recycled slot, in a scrambled order,
+// so every one but the first is a rewrite in place of another batch.
 func TestRebatchMatchesFreshBuild(t *testing.T) {
 	dev := device.TitanRTX
 	type workload struct {
@@ -133,9 +135,10 @@ func TestRebatchMatchesFreshBuild(t *testing.T) {
 		}
 	}
 	wls = append(wls, workload{"resnet50", models.Config{ImageSize: 160}}, workload{"transformer", models.Config{SeqLen: 64}})
-	batches := []int{1, 2, 3, 7, 16, 64, 255, 1024, 2048}
+	batches := []int{2048, 1, 255, 3, 1024, 7, 64, 2, 16}
 	for _, w := range wls {
 		ts := newTemplates(dev)
+		var slot *Prepared
 		for _, b := range batches {
 			cfg := w.cfg
 			cfg.BatchSize = b
@@ -143,6 +146,10 @@ func TestRebatchMatchesFreshBuild(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if slot != nil && rb != slot {
+				t.Fatalf("%s %+v: prepare did not recycle the released slot", w.model, cfg)
+			}
+			slot = rb
 			fr, err := Prepare(w.model, cfg, dev)
 			if err != nil {
 				t.Fatal(err)
@@ -153,50 +160,59 @@ func TestRebatchMatchesFreshBuild(t *testing.T) {
 			if rb.Cfg != cfg || rb.Model != w.model || rb.Dev != dev {
 				t.Fatalf("%s %+v: rebatched workload is labelled %s %+v", w.model, cfg, rb.Model, rb.Cfg)
 			}
+			rb.release()
 		}
 	}
 }
 
 // TestTemplatesPrepareConcurrent asks one template set for one model at
-// several batches from several goroutines (run under -race): the
-// template is built once, by two graph builds, and every workload
-// matches a fresh build.
+// several batches from several goroutines (run under -race), each
+// releasing its slot and borrowing again at another batch: the
+// template is built once, by two graph builds, no more slots are
+// allocated than goroutines hold at once, and every workload matches a
+// fresh build.
 func TestTemplatesPrepareConcurrent(t *testing.T) {
 	old := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(old)
+	batches := []int{8, 8, 16, 32, 32, 64, 1, 3}
+	fresh := map[int]*Prepared{}
+	for _, b := range batches {
+		fr, err := Prepare("resnet50", models.Config{BatchSize: b}, device.TitanRTX)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh[b] = fr
+	}
 	reg := obs.NewRegistry()
 	Obs = reg
 	defer func() { Obs = nil }()
 
 	ts := newTemplates(device.TitanRTX)
-	batches := []int{8, 8, 16, 32, 32, 64, 1, 3}
-	preps := make([]*Prepared, len(batches))
 	var wg sync.WaitGroup
-	for i, b := range batches {
+	for i := range batches {
 		wg.Add(1)
-		go func(i, b int) {
+		go func(i int) {
 			defer wg.Done()
-			p, err := ts.prepare("resnet50", models.Config{BatchSize: b})
-			if err != nil {
-				t.Error(err)
-				return
+			for round := 0; round < 3; round++ {
+				b := batches[(i+round*3)%len(batches)]
+				p, err := ts.prepare("resnet50", models.Config{BatchSize: b})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if diff := sameWorkload(p, fresh[b]); diff != "" {
+					t.Errorf("batch %d: differs from a fresh build in %s", b, diff)
+				}
+				p.release()
 			}
-			preps[i] = p
-		}(i, b)
+		}(i)
 	}
 	wg.Wait()
 	if got := reg.Counter("tsplit_experiments_graph_builds_total"); got != 2 {
 		t.Fatalf("%d graph builds for one template, want 2", got)
 	}
-	Obs = nil
-	for i, b := range batches {
-		fr, err := Prepare("resnet50", models.Config{BatchSize: b}, device.TitanRTX)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if diff := sameWorkload(preps[i], fr); diff != "" {
-			t.Fatalf("batch %d: differs from a fresh build in %s", b, diff)
-		}
+	if got := reg.Counter("tsplit_experiments_workload_slots_total"); got < 1 || got > int64(len(batches)) {
+		t.Fatalf("%d workload slots for %d goroutines", got, len(batches))
 	}
 }
 
@@ -212,5 +228,21 @@ func TestTable4GraphBuilds(t *testing.T) {
 	}
 	if cells := reg.Counter("tsplit_experiments_cells_total"); cells <= int64(len(EvalModels)) {
 		t.Fatalf("only %d probe points for %d models", cells, len(EvalModels))
+	}
+}
+
+// TestTable4WorkloadSlots counts the cold graphs and planners behind
+// the Table IV search: on one worker, every probe point of a model
+// recycles the slot the previous one released, so the search allocates
+// one slot per model however many points it probes.
+func TestTable4WorkloadSlots(t *testing.T) {
+	old := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(old)
+	reg := obs.NewRegistry()
+	Obs = reg
+	defer func() { Obs = nil }()
+	Table4MaxSampleScale(device.TitanRTX, 64)
+	if got, want := reg.Counter("tsplit_experiments_workload_slots_total"), int64(len(EvalModels)); got != want {
+		t.Fatalf("Table IV search allocated %d workload slots, want %d", got, want)
 	}
 }

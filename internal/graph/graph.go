@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"tsplit/internal/tensor"
 )
@@ -12,7 +13,8 @@ import (
 //
 // Graphs are not safe for concurrent mutation; build them in one
 // goroutine and treat them as immutable afterwards (the planner and the
-// simulator only read).
+// simulator only read), until their owner rebatches them in place
+// (Template.Rebatch), which draws a new Generation.
 type Graph struct {
 	Ops     []*Op
 	Tensors []*Tensor
@@ -28,10 +30,24 @@ type Graph struct {
 
 	nextTensorID int
 	nextOpID     int
+
+	// gen is the graph's generation: drawn when the graph is built and
+	// drawn again each time Template.Rebatch rewrites it in place.
+	gen uint64
 }
 
+// generations hands out graph generations, process-wide, from 1.
+var generations atomic.Uint64
+
 // New returns an empty graph.
-func New() *Graph { return &Graph{} }
+func New() *Graph { return &Graph{gen: generations.Add(1)} }
+
+// Generation names the graph's current contents. A graph's pointer
+// names its topology — tensors, operators and their wiring — which
+// never changes once built; Template.Rebatch rewrites the sizes in
+// place and draws a new generation, so a cache of anything derived
+// from tensor sizes or workspaces must key on (pointer, generation).
+func (g *Graph) Generation() uint64 { return g.gen }
 
 // NewTensor creates a tensor registered with the graph. Most callers
 // use the typed builders instead; the planner's rewrite uses this

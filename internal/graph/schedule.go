@@ -153,17 +153,22 @@ func newLiveness(s *Schedule, tensors int) *Liveness {
 	}
 }
 
-// account records t's lifetime [first, last] and adds its bytes to
-// Resident (first == -1) or to the alloc/free transitions in delta.
+// account records t's lifetime [first, last] and charges its bytes.
 func (lv *Liveness) account(t *Tensor, first, last int, delta []int64) {
 	lv.FirstUse[t] = first
 	lv.LastUse[t] = last
+	lv.charge(t.Bytes(), first, last, delta)
+}
+
+// charge adds b bytes living over [first, last] to Resident (first ==
+// -1) or to the alloc/free transitions in delta.
+func (lv *Liveness) charge(b int64, first, last int, delta []int64) {
 	if first == -1 {
-		lv.Resident += t.Bytes()
+		lv.Resident += b
 		return
 	}
-	delta[first] += t.Bytes()
-	delta[last+1] -= t.Bytes()
+	delta[first] += b
+	delta[last+1] -= b
 }
 
 // curve integrates delta over the schedule into MemAt, Peak and

@@ -14,10 +14,11 @@ import (
 // per-sample increment of every dimension and workspace, and the
 // batch-1 schedule and lifetimes, and Rebatch produces the graph,
 // schedule and liveness at any batch in O(tensors + ops) without
-// building, scheduling or analysing anything again.
+// building, scheduling or analysing anything again — into a workload
+// it filled before, without allocating either.
 //
 // A Template is immutable once built; Rebatch may be called from
-// several goroutines at once.
+// several goroutines at once, each filling its own workload.
 type Template struct {
 	proto *Graph // the batch-1 build: every batch-independent field
 
@@ -92,14 +93,42 @@ func NewTemplate(g1, g2 *Graph) (*Template, error) {
 	return tp, nil
 }
 
-// Rebatch returns a fresh graph at batch n ≥ 1 with its schedule and
-// liveness, equal field for field to building, scheduling and
-// analysing the model at that batch. The result shares nothing mutable
-// with the template or with other Rebatch results.
-func (tp *Template) Rebatch(n int) (*Graph, *Schedule, *Liveness) {
+// Workload is a graph with its schedule and liveness, as Rebatch fills
+// it. The zero value is empty.
+type Workload struct {
+	G     *Graph
+	Sched *Schedule
+	Lv    *Liveness
+
+	tp    *Template // the template that last filled it
+	delta []int64   // the memory curve's alloc/free transitions, by schedule position
+}
+
+// Rebatch fills w with the workload at batch n ≥ 1, equal field for
+// field to building, scheduling and analysing the model at that batch,
+// and draws the graph a new generation. An empty w, or one filled from
+// another template, gets a fresh graph, schedule and liveness that
+// share nothing mutable with the template or with other workloads. A w
+// this template filled before is rewritten in place: tensor shapes and
+// sizes, operator workspaces and the memory curve (MemAt, Peak,
+// PeakIdx, Resident) change; every *Tensor and *Op, the wiring, the
+// schedule with its Index and the lifetimes stay as they are. Whoever
+// filled w must be done with it, and must not have added to or rewired
+// its graph.
+func (tp *Template) Rebatch(n int, w *Workload) {
 	if n < 1 {
 		panic(fmt.Sprintf("graph: Rebatch(%d): batch must be at least 1", n))
 	}
+	if w.tp != tp || len(w.G.Tensors) != len(tp.proto.Tensors) || len(w.G.Ops) != len(tp.proto.Ops) {
+		tp.alloc(w)
+	}
+	tp.resize(w, n)
+}
+
+// alloc fills w with a fresh copy of everything batch-independent: the
+// graph's tensors and operators with their wiring, the schedule and
+// the lifetimes. Shapes get their own storage; resize writes them.
+func (tp *Template) alloc(w *Workload) {
 	p := tp.proto
 	tensors := make([]Tensor, len(p.Tensors))
 	ops := make([]Op, len(p.Ops))
@@ -143,10 +172,6 @@ func (tp *Template) Rebatch(n int) (*Graph, *Schedule, *Liveness) {
 		*t = *src
 		lo, hi := tp.shapeOff[i], tp.shapeOff[i+1]
 		t.Shape = tensor.Shape(dims[lo:hi:hi])
-		for d, d1 := range src.Shape {
-			t.Shape[d] = d1 + tp.step[lo+d]*(n-1)
-		}
-		t.bytes = t.Shape.Bytes(t.DType)
 		t.Consumers = opList(src.Consumers)
 		if src.Producer != nil {
 			t.Producer = &ops[src.Producer.ID]
@@ -165,7 +190,6 @@ func (tp *Template) Rebatch(n int) (*Graph, *Schedule, *Liveness) {
 		if src.FwdOp != nil {
 			o.FwdOp = &ops[src.FwdOp.ID]
 		}
-		o.Workspace += tp.wsStep[i] * int64(n-1)
 		g.Ops[i] = o
 	}
 	g.Inputs = tensorList(p.Inputs)
@@ -181,12 +205,36 @@ func (tp *Template) Rebatch(n int) (*Graph, *Schedule, *Liveness) {
 		sched.Index[&ops[id]] = i
 	}
 	lv := newLiveness(sched, len(tensors))
-	delta := make([]int64, len(tp.order)+1)
 	for i := range tensors {
-		lv.account(&tensors[i], tp.first[i], tp.last[i], delta)
+		lv.FirstUse[&tensors[i]] = tp.first[i]
+		lv.LastUse[&tensors[i]] = tp.last[i]
 	}
-	lv.curve(delta)
-	return g, sched, lv
+	*w = Workload{G: g, Sched: sched, Lv: lv, tp: tp, delta: make([]int64, len(tp.order)+1)}
+}
+
+// resize writes everything that depends on the batch into a workload
+// alloc filled: dimensions, byte sizes, workspaces and the memory
+// curve, and draws the graph's next generation.
+func (tp *Template) resize(w *Workload, n int) {
+	p, g, lv := tp.proto, w.G, w.Lv
+	for i, src := range p.Tensors {
+		t := g.Tensors[i]
+		lo := tp.shapeOff[i]
+		for d, d1 := range src.Shape {
+			t.Shape[d] = d1 + tp.step[lo+d]*(n-1)
+		}
+		t.bytes = t.Shape.Bytes(t.DType)
+	}
+	for i, src := range p.Ops {
+		g.Ops[i].Workspace = src.Workspace + tp.wsStep[i]*int64(n-1)
+	}
+	clear(w.delta)
+	lv.Resident, lv.Peak, lv.PeakIdx = 0, 0, 0
+	for i, t := range g.Tensors {
+		lv.charge(t.bytes, tp.first[i], tp.last[i], w.delta)
+	}
+	lv.curve(w.delta)
+	g.gen = generations.Add(1)
 }
 
 // sameStructure reports the first difference between two graphs other

@@ -45,11 +45,22 @@ func newTemplate(t *testing.T, build func(*testing.T, int, Optimizer) *Graph, op
 	return tp
 }
 
+// rebatch fills a fresh workload at batch n.
+func rebatch(tp *Template, n int) (*Graph, *Schedule, *Liveness) {
+	var w Workload
+	tp.Rebatch(n, &w)
+	return w.G, w.Sched, w.Lv
+}
+
 // checkRebatch compares a rebatched graph, schedule and liveness with
 // a fresh build at the same batch: the graphs deeply (every field,
 // every link), the schedule and liveness by position.
 func checkRebatch(t *testing.T, g *Graph, s *Schedule, lv *Liveness, fresh *Graph) {
 	t.Helper()
+	if g.gen == fresh.gen || g.gen == 0 {
+		t.Fatalf("rebatched graph has generation %d, a fresh build %d", g.gen, fresh.gen)
+	}
+	fresh.gen = g.gen // the one field that must differ
 	if !reflect.DeepEqual(g, fresh) {
 		t.Fatal("rebatched graph differs from a fresh build")
 	}
@@ -89,11 +100,54 @@ func TestRebatchMatchesBuild(t *testing.T) {
 			tp := newTemplate(t, net.build, opt)
 			for _, n := range []int{1, 2, 3, 17, 1000} {
 				t.Run(fmt.Sprintf("%s/%s/%d", net.name, opt, n), func(t *testing.T) {
-					g, s, lv := tp.Rebatch(n)
+					g, s, lv := rebatch(tp, n)
 					checkRebatch(t, g, s, lv, net.build(t, n, opt))
 				})
 			}
 		}
+	}
+}
+
+// TestRebatchRecyclesWorkload pushes one workload through a scrambled
+// sequence of batches: each rebatch must equal a fresh build, keep
+// every graph, schedule, liveness, tensor and operator pointer, draw a
+// new generation and allocate nothing. A workload another template
+// filled, or one whose graph grew, is refilled from scratch.
+func TestRebatchRecyclesWorkload(t *testing.T) {
+	for _, net := range templateNets {
+		tp := newTemplate(t, net.build, Adam)
+		var w Workload
+		tp.Rebatch(1000, &w)
+		g, s, lv := w.G, w.Sched, w.Lv
+		ptrs := append([]*Tensor(nil), g.Tensors...)
+		seen := map[uint64]bool{g.Generation(): true}
+		for _, n := range []int{1, 17, 3, 1000, 2, 1} {
+			tp.Rebatch(n, &w)
+			if w.G != g || w.Sched != s || w.Lv != lv || !reflect.DeepEqual(w.G.Tensors, ptrs) {
+				t.Fatalf("%s batch %d: the rewrite replaced the workload's objects", net.name, n)
+			}
+			if seen[g.Generation()] {
+				t.Fatalf("%s batch %d: generation %d drawn twice", net.name, n, g.Generation())
+			}
+			seen[g.Generation()] = true
+			checkRebatch(t, w.G, w.Sched, w.Lv, net.build(t, n, Adam))
+		}
+		if a := testing.AllocsPerRun(5, func() { tp.Rebatch(64, &w) }); a != 0 {
+			t.Errorf("%s: an in-place rebatch allocates %.0f times", net.name, a)
+		}
+		other := newTemplate(t, net.build, Adam)
+		other.Rebatch(5, &w)
+		if w.G == g {
+			t.Fatalf("%s: a workload filled from another template was rewritten in place", net.name)
+		}
+		checkRebatch(t, w.G, w.Sched, w.Lv, net.build(t, 5, Adam))
+		g = w.G
+		g.Param("extra", tensor.NewShape(1))
+		other.Rebatch(6, &w)
+		if w.G == g {
+			t.Fatalf("%s: a workload whose graph grew was rewritten in place", net.name)
+		}
+		checkRebatch(t, w.G, w.Sched, w.Lv, net.build(t, 6, Adam))
 	}
 }
 
@@ -113,7 +167,7 @@ func TestRebatchConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(n int) {
 			defer wg.Done()
-			g, _, _ := tp.Rebatch(n)
+			g, _, _ := rebatch(tp, n)
 			consumers := make([][]*Op, len(g.Tensors))
 			for i, tt := range g.Tensors {
 				consumers[i] = append([]*Op(nil), tt.Consumers...)
@@ -139,7 +193,7 @@ func TestRebatchConcurrent(t *testing.T) {
 		}(w + 1)
 	}
 	wg.Wait()
-	g, s, lv := tp.Rebatch(5)
+	g, s, lv := rebatch(tp, 5)
 	checkRebatch(t, g, s, lv, tinyMLP(t, 5, Momentum))
 }
 
@@ -193,8 +247,8 @@ func TestRebatchCopiesEmptyLists(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, _, _ := tp.Rebatch(3)
-	b, _, _ := tp.Rebatch(4)
+	a, _, _ := rebatch(tp, 3)
+	b, _, _ := rebatch(tp, 4)
 	upd := a.Ops[len(a.Ops)-1] // an update op: no outputs
 	for _, g := range []*Graph{a, b} {
 		op := g.Ops[upd.ID]

@@ -26,19 +26,25 @@ type Profile struct {
 
 // New profiles every operator of the schedule on the device.
 func New(dev device.Device, sched *graph.Schedule) *Profile {
-	cm := costmodel.New(dev)
 	p := &Profile{
 		Dev:   dev,
-		Cost:  cm,
+		Cost:  costmodel.New(dev),
 		Sched: sched,
 		T:     make([]float64, len(sched.Ops)),
 		cum:   make([]float64, len(sched.Ops)+1),
 	}
-	for i, op := range sched.Ops {
-		p.T[i] = cm.OpTime(op)
+	p.Refresh()
+	return p
+}
+
+// Refresh profiles every operator again, in place: the schedule's
+// graph was rebatched (graph.Template.Rebatch), which changes its
+// operators' sizes but not the schedule.
+func (p *Profile) Refresh() {
+	for i, op := range p.Sched.Ops {
+		p.T[i] = p.Cost.OpTime(op)
 		p.cum[i+1] = p.cum[i] + p.T[i]
 	}
-	return p
 }
 
 // Total returns the profiled iteration time with no memory management
@@ -131,14 +137,8 @@ const occBlockShift = 6
 
 // NewOccupancy creates an empty tracker for the profile.
 func NewOccupancy(p *Profile) *Occupancy {
-	o := &Occupancy{prof: p, oc: make([]float64, len(p.T))}
-	o.invT = make([]float64, len(p.T))
-	for u, t := range p.T {
-		if t > 0 {
-			o.invT[u] = 1 / t
-		}
-	}
-	o.resetFull()
+	o := &Occupancy{prof: p, oc: make([]float64, len(p.T)), invT: make([]float64, len(p.T))}
+	o.Retime()
 	return o
 }
 
@@ -147,8 +147,20 @@ func (o *Occupancy) Clone() *Occupancy {
 	c := &Occupancy{prof: o.prof, oc: make([]float64, len(o.oc))}
 	copy(c.oc, o.oc)
 	c.full = append([]int16(nil), o.full...)
-	c.invT = o.invT // immutable, shared
+	c.invT = append([]float64(nil), o.invT...) // Retime rewrites o's in place
 	return c
+}
+
+// Retime re-reads the profile's operator times, after Profile.Refresh,
+// and clears every reservation.
+func (o *Occupancy) Retime() {
+	for u, t := range o.prof.T {
+		o.invT[u] = 0
+		if t > 0 {
+			o.invT[u] = 1 / t
+		}
+	}
+	o.Reset()
 }
 
 // Reset clears every reservation so a pooled planner can reuse the

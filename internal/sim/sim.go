@@ -367,9 +367,11 @@ type Simulator struct {
 
 	// opTime caches Cost.OpTime per schedule index. The cost model is
 	// pure in (device, op), so the cache survives pool recycling as
-	// long as the (graph, device) identity holds.
+	// long as the workload — the graph's pointer and generation — and
+	// the device hold.
 	opTime    []float64
 	opTimeG   *graph.Graph
+	opTimeGen uint64
 	opTimeDev device.Device
 
 	// lruCache orders speed-centric/LRU cached regenerations; lruHead
@@ -599,12 +601,12 @@ func (s *Simulator) reset() {
 		}
 	}
 
-	if s.opTimeG != s.G || s.opTimeDev != s.Cost.Dev {
+	if s.opTimeG != s.G || s.opTimeGen != s.G.Generation() || s.opTimeDev != s.Cost.Dev {
 		s.opTime = grow(s.opTime, nSched)
 		for i, op := range s.Sched.Ops {
 			s.opTime[i] = s.Cost.OpTime(op)
 		}
-		s.opTimeG, s.opTimeDev = s.G, s.Cost.Dev
+		s.opTimeG, s.opTimeGen, s.opTimeDev = s.G, s.G.Generation(), s.Cost.Dev
 	}
 }
 

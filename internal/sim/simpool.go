@@ -16,11 +16,14 @@ import (
 // over and are reinitialized in place by the next run's reset(); the
 // recompute-chain scratch (core's chain walker, whose epoch-stamped
 // visited set needs no reset, and the chain buffers' free lists)
-// carries over as is. Unlike core.PlannerPool — whose planners are
-// bound to one workload — a SimPool is workload-free: Get retargets a
-// recycled arena to any (graph, schedule, plan, device), because sweep
-// cells change workloads run to run while a serving process replays
-// the same few. Results are byte-identical to a fresh New(...).Run().
+// carries over as is. Unlike core.PlannerPool — whose planners follow
+// one set of workload objects, rebatched or not — a SimPool is
+// workload-free: Get retargets a recycled arena to any (graph,
+// schedule, plan, device), because sweep cells change workloads run to
+// run while a serving process replays the same few. Results are
+// byte-identical to a fresh New(...).Run(), on a graph rebatched in
+// place too: the op-time cache keys on the graph's generation as well
+// as its pointer.
 //
 // A SimPool is safe for concurrent Get/Put; each borrowed Simulator is
 // still single-goroutine, like the real runtime's scheduling thread.
@@ -72,8 +75,8 @@ func (p *SimPool) Get(g *graph.Graph, sched *graph.Schedule, lv *graph.Liveness,
 // borrower owns — the plan, fault injector, observation sinks, result
 // (and its timeline), and every pointer captured from them — while
 // keeping the warm identity: the graph/schedule/liveness (so the
-// op-time cache hits when the same workload returns, the serve
-// layer's case) and all recycled arena storage.
+// op-time cache hits when the same workload, at the same generation,
+// returns — the serve layer's case) and all recycled arena storage.
 func (p *SimPool) Put(s *Simulator) {
 	if s == nil {
 		return

@@ -1,12 +1,16 @@
 package sim
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
 	"tsplit/internal/core"
+	"tsplit/internal/device"
+	"tsplit/internal/graph"
 	"tsplit/internal/models"
 	"tsplit/internal/obs"
+	"tsplit/internal/profiler"
 )
 
 func TestSimPoolRecyclesAndCounts(t *testing.T) {
@@ -74,6 +78,60 @@ func TestSimPoolPutSeversRunState(t *testing.T) {
 	pool.Put(nil) // must be a no-op
 	if pool.Size() != 1 {
 		t.Fatalf("Size = %d, want 1", pool.Size())
+	}
+}
+
+// TestSimPoolRecycledGraph runs a pooled simulator on a graph that
+// graph.Template.Rebatch rewrites in place between runs: at batch 64,
+// then at 256 with the same graph, schedule and liveness pointers. The
+// second run must equal a fresh simulator's, so the op-time cache must
+// see the new generation rather than the unchanged pointer.
+func TestSimPoolRecycledGraph(t *testing.T) {
+	var gs [2]*graph.Graph
+	for i := range gs {
+		g, err := models.Build("vgg16", models.Config{BatchSize: i + 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gs[i] = g
+	}
+	tp, err := graph.NewTemplate(gs[0], gs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev := device.TitanRTX
+	opts := Options{Recompute: LRURecompute}
+	pool := NewSimPool()
+	var wl graph.Workload
+	var prof *profiler.Profile
+	for _, n := range []int{64, 256} {
+		tp.Rebatch(n, &wl)
+		if prof == nil {
+			prof = profiler.New(dev, wl.Sched)
+		} else {
+			prof.Refresh()
+		}
+		plan, err := core.NewPlanner(wl.G, wl.Sched, wl.Lv, prof, dev, core.Options{}).Plan()
+		if err != nil {
+			t.Fatalf("batch %d: %v", n, err)
+		}
+		want, err := New(wl.G, wl.Sched, wl.Lv, plan, dev, opts).Run()
+		if err != nil {
+			t.Fatalf("batch %d: %v", n, err)
+		}
+		s := pool.Get(wl.G, wl.Sched, wl.Lv, plan, dev, opts)
+		got, err := s.Run()
+		pool.Put(s)
+		if err != nil {
+			t.Fatalf("batch %d: pooled run: %v", n, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("batch %d: pooled run on the recycled graph took %.6fs, a fresh simulator %.6fs",
+				n, got.Time, want.Time)
+		}
+	}
+	if pool.Size() != 1 {
+		t.Fatalf("pool holds %d simulators, want the one recycled arena", pool.Size())
 	}
 }
 
