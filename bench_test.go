@@ -13,6 +13,7 @@ import (
 	"tsplit/internal/device"
 	"tsplit/internal/experiments"
 	"tsplit/internal/models"
+	"tsplit/internal/prep"
 	"tsplit/internal/sim"
 )
 
@@ -196,7 +197,7 @@ func BenchmarkFig15_ThroughputVsOffload(b *testing.B) {
 // the model-guided greedy search on a large transformer graph.
 func BenchmarkAblation_PlannerGreedyRatio(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		p, err := experiments.Prepare("bert-large", tsplitModelConfig(64), device.TitanRTX)
+		p, err := prep.Build("bert-large", tsplitModelConfig(64), device.TitanRTX)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -238,7 +239,7 @@ func tsplitModelConfig(batch int) (c modelsConfig) {
 // decisions.
 func benchPlannerPlan(b *testing.B, model string, batch, pctOfPeak int) {
 	b.Helper()
-	p, err := experiments.Prepare(model, tsplitModelConfig(batch), device.TitanRTX)
+	p, err := prep.Build(model, tsplitModelConfig(batch), device.TitanRTX)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -271,7 +272,7 @@ func BenchmarkPlannerPlan_BERTLarge(b *testing.B) { benchPlannerPlan(b, "bert-la
 // reuses every scratch arena, so what remains is the returned Plan
 // itself and the planner's per-run bookkeeping.
 func BenchmarkPlannerPlanPooled_BERTLarge(b *testing.B) {
-	p, err := experiments.Prepare("bert-large", tsplitModelConfig(64), device.TitanRTX)
+	p, err := prep.Build("bert-large", tsplitModelConfig(64), device.TitanRTX)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -298,9 +299,9 @@ func BenchmarkPlannerPlanPooled_BERTLarge(b *testing.B) {
 // benchSimWorkload prepares a (workload, feasible tsplit plan) pair
 // for the simulator benchmarks, using the same runtime options the
 // experiment sweeps run with (LRU-hybrid recomputation).
-func benchSimWorkload(b *testing.B, model string, batch int) (*experiments.Prepared, *core.Plan, sim.Options) {
+func benchSimWorkload(b *testing.B, model string, batch int) (*prep.Prepared, *core.Plan, sim.Options) {
 	b.Helper()
-	p, err := experiments.Prepare(model, tsplitModelConfig(batch), device.TitanRTX)
+	p, err := prep.Build(model, tsplitModelConfig(batch), device.TitanRTX)
 	if err != nil {
 		b.Fatal(err)
 	}

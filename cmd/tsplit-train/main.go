@@ -28,7 +28,6 @@ import (
 	"tsplit/internal/graph"
 	"tsplit/internal/hostexec"
 	"tsplit/internal/nn"
-	"tsplit/internal/profiler"
 	"tsplit/internal/sim"
 	"tsplit/internal/tensor"
 
@@ -172,14 +171,7 @@ type faultOpts struct {
 // hostile environment, descending the graceful-degradation ladder
 // instead of aborting on injected OOM.
 func runZooFaulted(model string, batch int, budget float64, fo faultOpts, out *outputs) {
-	w, err := tsplit.Load(model, tsplit.ModelConfig{BatchSize: batch}, tsplit.TitanRTX)
-	if err != nil {
-		log.Fatal(err)
-	}
-	cap := int64(float64(w.BaselinePeakBytes()) * budget)
-	if cap > w.Dev.MemBytes {
-		cap = w.Dev.MemBytes
-	}
+	w, cap := loadZoo(model, batch, budget)
 	fmt.Printf("%s batch %d: unmanaged peak %.2f GiB; budget %.2f GiB; faults seed=%d severity=%.2f\n",
 		model, batch, float64(w.BaselinePeakBytes())/(1<<30), float64(cap)/(1<<30), fo.seed, fo.severity)
 
@@ -217,17 +209,20 @@ func runZooFaulted(model string, batch int, budget float64, fo faultOpts, out *o
 	out.finishDump()
 }
 
-// runZoo plans and simulates one iteration of a zoo model under a
-// budget, exporting whatever artifacts were requested.
-func runZoo(model string, batch int, budget float64, out *outputs) {
+// loadZoo prepares a zoo model on the Titan RTX, with its budget:
+// budget × the unmanaged peak, at most the device's memory.
+func loadZoo(model string, batch int, budget float64) (*tsplit.Workload, int64) {
 	w, err := tsplit.Load(model, tsplit.ModelConfig{BatchSize: batch}, tsplit.TitanRTX)
 	if err != nil {
 		log.Fatal(err)
 	}
-	cap := int64(float64(w.BaselinePeakBytes()) * budget)
-	if cap > w.Dev.MemBytes {
-		cap = w.Dev.MemBytes
-	}
+	return w, min(int64(float64(w.BaselinePeakBytes())*budget), w.Dev.MemBytes)
+}
+
+// runZoo plans and simulates one iteration of a zoo model under a
+// budget, exporting whatever artifacts were requested.
+func runZoo(model string, batch int, budget float64, out *outputs) {
+	w, cap := loadZoo(model, batch, budget)
 	fmt.Printf("%s batch %d: unmanaged peak %.2f GiB; budget %.2f GiB\n",
 		model, batch, float64(w.BaselinePeakBytes())/(1<<30), float64(cap)/(1<<30))
 
@@ -294,28 +289,25 @@ func main() {
 	}
 
 	g, images := buildNet(*batch)
-	sched, err := graph.BuildSchedule(g)
+	w, err := tsplit.FromGraph("cnn", g, tsplit.TitanRTX, tsplit.ModelConfig{BatchSize: *batch})
 	if err != nil {
 		log.Fatal(err)
 	}
-	lv := graph.AnalyzeLiveness(g, sched)
-	prof := profiler.New(tsplit.TitanRTX, sched)
-	cap := int64(float64(lv.Peak) * *budget)
-	fmt.Printf("unmanaged peak %.2f MiB; budget %.2f MiB\n", float64(lv.Peak)/(1<<20), float64(cap)/(1<<20))
+	cap := int64(float64(w.Lv.Peak) * *budget)
+	fmt.Printf("unmanaged peak %.2f MiB; budget %.2f MiB\n", float64(w.Lv.Peak)/(1<<20), float64(cap)/(1<<20))
 
-	pl := core.NewPlanner(g, sched, lv, prof, tsplit.TitanRTX, core.Options{
+	plan, report, err := w.Prepared.Plan(core.Options{
 		Capacity: cap * 85 / 100, FragmentationReserve: -1,
 		Obs: out.reg, CollectReport: out.report != "",
 		Trace: out.tr, Flight: out.fl,
 	})
-	plan, err := pl.Plan()
 	if err != nil {
 		log.Fatalf("planning: %v", err)
 	}
 	fmt.Println(plan)
 
-	free := hostexec.New(g, sched, core.NewPlan("base", tsplit.TitanRTX), 42)
-	tight := hostexec.New(g, sched, plan, 42)
+	free := hostexec.New(g, w.Sched, core.NewPlan("base", tsplit.TitanRTX), 42)
+	tight := hostexec.New(g, w.Sched, plan, 42)
 	tight.Capacity = cap
 
 	r := nn.NewRNG(3)
@@ -350,16 +342,13 @@ func main() {
 		float64(free.PeakBytes)/(1<<20), float64(tight.PeakBytes)/(1<<20), float64(cap)/(1<<20),
 		tight.Swaps, tight.Recomputes)
 
-	out.writeReport(pl.Report())
+	out.writeReport(report)
 	if out.wantTrace() {
-		res, err := sim.New(g, sched, lv, plan, tsplit.TitanRTX, sim.Options{
-			Recompute: sim.LRURecompute, CollectTimeline: true, Obs: out.reg,
-			Trace: out.tr, Flight: out.fl,
-		}).Run()
+		rep, err := w.Run(plan, tsplit.WithTimeline(), tsplit.Observe(out.reg), tsplit.WithTrace(out.tr), tsplit.WithFlight(out.fl))
 		if err != nil {
 			log.Fatalf("simulating for trace: %v", err)
 		}
-		out.writeTrace(res.Timeline)
+		out.writeTrace(rep.Raw.Timeline)
 	}
 	out.writeSpans()
 	out.writeMetrics()

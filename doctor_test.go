@@ -10,13 +10,13 @@ import (
 
 	"tsplit/internal/core"
 	"tsplit/internal/device"
-	"tsplit/internal/experiments"
 	"tsplit/internal/models"
 	"tsplit/internal/obs"
+	"tsplit/internal/prep"
 )
 
 func TestDoctorPlanPhaseBreakdown(t *testing.T) {
-	p, err := experiments.Prepare("bert-large", models.Config{BatchSize: 64}, device.TitanRTX)
+	p, err := prep.Build("bert-large", models.Config{BatchSize: 64}, device.TitanRTX)
 	if err != nil {
 		t.Fatalf("prepare: %v", err)
 	}

@@ -15,7 +15,6 @@ import (
 	"tsplit/internal/graph"
 	"tsplit/internal/hostexec"
 	"tsplit/internal/nn"
-	"tsplit/internal/profiler"
 	"tsplit/internal/tensor"
 
 	"tsplit"
@@ -61,24 +60,21 @@ func synthBatch(batch int, r interface{ Intn(int) int }, imgT *graph.Tensor) (*n
 func main() {
 	const batch = 32
 	g, imgT, _ := buildCNN(batch)
-	sched, err := graph.BuildSchedule(g)
+	w, err := tsplit.FromGraph("lenet", g, tsplit.TitanRTX, tsplit.ModelConfig{BatchSize: batch})
 	if err != nil {
 		log.Fatal(err)
 	}
-	lv := graph.AnalyzeLiveness(g, sched)
-	fmt.Printf("model: %d ops, unmanaged peak %.2f MiB\n", len(g.Ops), float64(lv.Peak)/(1<<20))
+	fmt.Printf("model: %d ops, unmanaged peak %.2f MiB\n", len(g.Ops), float64(w.Lv.Peak)/(1<<20))
 
 	// Plan against a budget of ~65% of the unmanaged peak.
-	budget := lv.Peak * 65 / 100
-	prof := profiler.New(tsplit.TitanRTX, sched)
-	planner := core.NewPlanner(g, sched, lv, prof, tsplit.TitanRTX, core.Options{
+	budget := w.Lv.Peak * 65 / 100
+	plan, _, err := w.Prepared.Plan(core.Options{
 		// Plan with ~20% headroom: the host engine charges transient
 		// buffers (e.g. gradient staging) that the planner's analytic
 		// model does not itemize.
 		Capacity:             budget * 85 / 100,
 		FragmentationReserve: -1,
 	})
-	plan, err := planner.Plan()
 	if err != nil {
 		log.Fatalf("planning under %.2f MiB: %v", float64(budget)/(1<<20), err)
 	}
@@ -86,8 +82,8 @@ func main() {
 
 	// Train twice with identical seeds: unconstrained vs planned.
 	basePlan := core.NewPlan("base", tsplit.TitanRTX)
-	free := hostexec.New(g, sched, basePlan, 42)
-	tight := hostexec.New(g, sched, plan, 42)
+	free := hostexec.New(g, w.Sched, basePlan, 42)
+	tight := hostexec.New(g, w.Sched, plan, 42)
 	tight.Capacity = budget
 
 	r := nn.NewRNG(7)

@@ -179,11 +179,10 @@ type candIndex struct {
 	inPosIdx []int32
 
 	// The key of the pristine lists: the graph generation whose sizes
-	// priced them and the only options buildPos reads. Prof and Dev are
-	// fixed per planner.
+	// priced them and PNums, the only option buildPos reads. Prof and
+	// Dev are fixed per planner.
 	keyGen   uint64
 	keyPNums []int
-	keyChain int
 	// touchedDecided records that a chain walk of the derivation in
 	// flight queried a tensor with a plan entry.
 	touchedDecided bool
@@ -419,13 +418,12 @@ func (ci *candIndex) rebuildAll(i int) {
 		ci.state[id] = candValid
 		ci.live = append(ci.live, int32(id)) // ID order: fold order
 	}
-	if ci.keyGen != pl.graphGen || ci.keyChain != pl.Opts.MaxRecomputeChain || !slices.Equal(ci.keyPNums, pl.Opts.PNums) {
+	if ci.keyGen != pl.graphGen || !slices.Equal(ci.keyPNums, pl.Opts.PNums) {
 		for p := range ci.pos {
 			ci.pos[p].pristine = 0
 		}
 		ci.keyGen = pl.graphGen
 		ci.keyPNums = append(ci.keyPNums[:0], pl.Opts.PNums...)
-		ci.keyChain = pl.Opts.MaxRecomputeChain
 	}
 	for p := range ci.pos {
 		ci.pos[p].state = posUnbuilt
@@ -601,7 +599,7 @@ func (ci *candIndex) refreshCandChains() {
 		pl.touchScratch = pl.touchScratch[:0]
 		t := pl.G.Tensors[id]
 		h := &ci.hot[id]
-		chain, err := walkChain(pl.walker, t, availQuery{pl, int(h.restoreAt)}, pl.Opts.MaxRecomputeChain, &pl.touchScratch)
+		chain, err := walkChain(pl.walker, t, availQuery{pl, int(h.restoreAt)}, maxRecomputeChain, &pl.touchScratch)
 		ci.registerDeps(int32(id), pl.touchScratch)
 		if err != nil {
 			h.chainOK = false
@@ -996,7 +994,7 @@ func (ci *candIndex) buildCfg(op *graph.Op, p int, in, out *graph.Tensor, dim te
 		_, restoreAt, _ = pl.evictionWindowAfterFast(in, p)
 		if restoreAt >= 0 {
 			pl.touchScratch = pl.touchScratch[:0]
-			chain, err := walkChain(pl.walker, in, availQuery{pl, restoreAt}, pl.Opts.MaxRecomputeChain, &pl.touchScratch)
+			chain, err := walkChain(pl.walker, in, availQuery{pl, restoreAt}, maxRecomputeChain, &pl.touchScratch)
 			// The viability verdict depends on the availability answers
 			// queried up to the success or abort point: register them
 			// either way so any change rebuilds this position.

@@ -13,9 +13,18 @@ import (
 	"tsplit/internal/tensor"
 )
 
+// The planner's fixed bounds.
+const (
+	// maxRecomputeChain bounds the forward subgraph a recompute may
+	// re-execute, in ops.
+	maxRecomputeChain = 24
+	// maxIterations bounds planning work, in decisions.
+	maxIterations = 20000
+)
+
 // Options tunes the planner. The zero value is the paper's
 // configuration: split enabled, p_num searched over powers of two,
-// recompute chains bounded.
+// recompute chains bounded (maxRecomputeChain).
 type Options struct {
 	// Capacity overrides the device memory budget (0 = dev.MemBytes).
 	// Experiments use it to emulate memory over-subscription.
@@ -25,14 +34,6 @@ type Options struct {
 	DisableSplit bool
 	// PNums is the split-count search space (default 2,4,8,16,32).
 	PNums []int
-	// MaxRecomputeChain bounds the forward subgraph a recompute may
-	// re-execute (default 24 ops).
-	MaxRecomputeChain int
-	// DisableEarlyOut turns off the micro-tensor early swap-out
-	// refinement (ablation).
-	DisableEarlyOut bool
-	// MaxIterations bounds planning work (default 20000 decisions).
-	MaxIterations int
 	// FragmentationReserve is headroom subtracted from the capacity
 	// the planner targets, absorbing allocator fragmentation and
 	// transient regeneration buffers at run time (default
@@ -131,12 +132,6 @@ func (o Options) withDefaults(dev device.Device) Options {
 	}
 	if len(o.PNums) == 0 {
 		o.PNums = []int{2, 4, 8, 16, 32}
-	}
-	if o.MaxRecomputeChain == 0 {
-		o.MaxRecomputeChain = 24
-	}
-	if o.MaxIterations == 0 {
-		o.MaxIterations = 20000
 	}
 	if o.SplitLookahead == 0 {
 		o.SplitLookahead = 8
@@ -475,7 +470,7 @@ func (pl *Planner) finishRun(err error) (*Plan, error) {
 		return pl.plan, err
 	}
 	fsp := pl.runSpan.StartSpan("planner.finalize")
-	if !pl.Opts.DisableSplit && !pl.Opts.DisableEarlyOut {
+	if !pl.Opts.DisableSplit {
 		pl.earlyOutPass()
 	}
 	_, peak, _ := pl.curve.scan()
@@ -495,7 +490,7 @@ func (pl *Planner) greedyIncremental() error {
 	capB := pl.Opts.Capacity
 	prevBtl := 0
 	for iter := 0; ; iter++ {
-		if iter >= pl.Opts.MaxIterations {
+		if iter >= maxIterations {
 			pl.countFailure("nonconverged")
 			return fmt.Errorf("core: planning did not converge in %d iterations", iter)
 		}

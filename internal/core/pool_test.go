@@ -232,13 +232,12 @@ func currentListsDiffer(a, b *candIndex) int {
 }
 
 // historyVariants are the option changes the history walk draws from:
-// options split pricing reads (PNums, MaxRecomputeChain), ones it does
-// not (SafetyMargin, DisableSplit), and OffloadOptimizer, which moves
+// an option split pricing reads (PNums), ones it does not
+// (SafetyMargin, DisableSplit), and OffloadOptimizer, which moves
 // optimizer state off the device even in an empty plan.
 var historyVariants = []func(*Options){
 	func(*Options) {},
 	func(o *Options) { o.PNums = []int{2, 8} },
-	func(o *Options) { o.MaxRecomputeChain = 6 },
 	func(o *Options) { o.SafetyMargin = 0.1 },
 	func(o *Options) { o.DisableSplit = true },
 	func(o *Options) { o.OffloadOptimizer = true },

@@ -49,7 +49,7 @@ func (pl *Planner) planSerial() (*Plan, error) {
 func (pl *Planner) greedySerial() error {
 	capB := pl.Opts.Capacity
 	for iter := 0; ; iter++ {
-		if iter >= pl.Opts.MaxIterations {
+		if iter >= maxIterations {
 			pl.countFailure("nonconverged")
 			return fmt.Errorf("core: planning did not converge in %d iterations", iter)
 		}
@@ -228,7 +228,7 @@ func (pl *Planner) scoreEvictInto(t *graph.Tensor, i int, c *candidate, wk *Chai
 	recompT := math.Inf(1)
 	var chainBytes int64
 	if t.Kind == tensor.FeatureMap && !pl.Opts.DisableRecompute {
-		if chain, err := walkChain(wk, t, availQuery{pl, restoreAt}, pl.Opts.MaxRecomputeChain, nil); err == nil {
+		if chain, err := walkChain(wk, t, availQuery{pl, restoreAt}, maxRecomputeChain, nil); err == nil {
 			recompT = pl.chainCostFast(chain) * float64(pl.backwardUsesFast(t, restoreAt))
 			chainBytes = chainTransientBytes(chain, t)
 		}
@@ -410,7 +410,7 @@ func (pl *Planner) scoreSplitConfigInto(op *graph.Op, i int, in, out *graph.Tens
 	case inOpt == Recompute:
 		_, restoreAt, _ = pl.evictionWindowAfterFast(in, i)
 		if restoreAt >= 0 {
-			chain, err := walkChain(wk, in, availQuery{pl, restoreAt}, pl.Opts.MaxRecomputeChain, nil)
+			chain, err := walkChain(wk, in, availQuery{pl, restoreAt}, maxRecomputeChain, nil)
 			if err != nil {
 				return false
 			}

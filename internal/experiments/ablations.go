@@ -8,6 +8,7 @@ import (
 	"tsplit/internal/device"
 	"tsplit/internal/memorypool"
 	"tsplit/internal/models"
+	"tsplit/internal/prep"
 	"tsplit/internal/sim"
 )
 
@@ -45,14 +46,14 @@ func (r AblationReport) Render() string {
 
 // planWith plans and simulates one planner configuration under a
 // memory budget, returning an ablation row.
-func planWith(p *Prepared, name string, capacity int64, opts core.Options, simOpts sim.Options) AblationRow {
+func planWith(p *prep.Prepared, name string, capacity int64, opts core.Options, simOpts sim.Options) AblationRow {
 	opts.Capacity = capacity
 	plan, err := core.NewPlanner(p.G, p.Sched, p.Lv, p.Prof, p.Dev, opts).Plan()
 	if err != nil {
 		return AblationRow{Name: name}
 	}
 	simOpts.Capacity = capacity
-	res, err := Simulate(p, plan, simOpts)
+	res, err := simulate(p, plan, simOpts)
 	if err != nil {
 		return AblationRow{Name: name}
 	}
@@ -70,7 +71,7 @@ func planWith(p *Prepared, name string, capacity int64, opts core.Options, simOp
 // largest-tensor-first and swap-only candidate selection (DESIGN.md
 // ablation 1) on a memory-over-subscribed VGG-16.
 func AblationGreedyOrdering() (AblationReport, error) {
-	p, err := Prepare("vgg16", models.Config{BatchSize: 256}, device.TitanRTX)
+	p, err := prepare("vgg16", models.Config{BatchSize: 256}, device.TitanRTX)
 	if err != nil {
 		return AblationReport{}, err
 	}
@@ -90,7 +91,7 @@ func AblationGreedyOrdering() (AblationReport, error) {
 // LRU-hybrid recomputation (paper Sec. V-D; DESIGN.md ablation 2) on a
 // checkpoint-heavy plan.
 func AblationRecomputeStrategy() (AblationReport, error) {
-	p, err := Prepare("vgg16", models.Config{BatchSize: 192}, device.TitanRTX)
+	p, err := prepare("vgg16", models.Config{BatchSize: 192}, device.TitanRTX)
 	if err != nil {
 		return AblationReport{}, err
 	}
@@ -100,7 +101,7 @@ func AblationRecomputeStrategy() (AblationReport, error) {
 	}
 	rows := make([]AblationRow, 0, 3)
 	for _, st := range []sim.RecomputeStrategy{sim.MemoryCentric, sim.SpeedCentric, sim.LRURecompute} {
-		res, err := Simulate(p, plan, sim.Options{Recompute: st})
+		res, err := simulate(p, plan, sim.Options{Recompute: st})
 		if err != nil {
 			rows = append(rows, AblationRow{Name: st.String()})
 			continue
@@ -120,7 +121,7 @@ func AblationSplitLookahead() (AblationReport, error) {
 	// Near the feasibility frontier splitting (with micro-granular
 	// restore) is load-bearing, so the lookahead decides whether the
 	// planner finds the split that breaks each backward bottleneck.
-	p, err := Prepare("vgg16", models.Config{BatchSize: 440}, device.TitanRTX)
+	p, err := prepare("vgg16", models.Config{BatchSize: 440}, device.TitanRTX)
 	if err != nil {
 		return AblationReport{}, err
 	}
@@ -139,7 +140,7 @@ func AblationSplitLookahead() (AblationReport, error) {
 // near-tied ratios (the paper's Sec. IV-C observation; DESIGN.md
 // ablation 4).
 func AblationTieBreak() (AblationReport, error) {
-	p, err := Prepare("resnet50", models.Config{BatchSize: 256}, device.TitanRTX)
+	p, err := prepare("resnet50", models.Config{BatchSize: 256}, device.TitanRTX)
 	if err != nil {
 		return AblationReport{}, err
 	}
@@ -158,7 +159,7 @@ func AblationTieBreak() (AblationReport, error) {
 // (paper Sec. V-C's choice; DESIGN.md ablation 5) under the same
 // TSPLIT plan.
 func AblationPoolStrategy() (AblationReport, error) {
-	p, err := Prepare("vgg16", models.Config{BatchSize: 320}, device.TitanRTX)
+	p, err := prepare("vgg16", models.Config{BatchSize: 320}, device.TitanRTX)
 	if err != nil {
 		return AblationReport{}, err
 	}
@@ -168,7 +169,7 @@ func AblationPoolStrategy() (AblationReport, error) {
 	}
 	rows := make([]AblationRow, 0, 2)
 	for _, st := range []memorypool.Strategy{memorypool.BestFit, memorypool.FirstFit} {
-		res, err := Simulate(p, plan, sim.Options{Recompute: sim.LRURecompute, PoolStrategy: st})
+		res, err := simulate(p, plan, sim.Options{Recompute: sim.LRURecompute, PoolStrategy: st})
 		if err != nil {
 			rows = append(rows, AblationRow{Name: st.String()})
 			continue

@@ -1,15 +1,15 @@
 // Package experiments reproduces the paper's evaluation (Sec. VI):
-// it prepares workloads, runs every memory-management policy on the
-// simulated devices, searches maximum trainable scales, and renders
-// the tables and figure series the paper reports. A sweep prepares
-// each distinct workload once and runs it under every policy that asks
-// for it (scale.go, figures.go). Along the batch axis it does not build
-// the workload either: each model is built at batch 1 and 2 into a
-// graph.Template once per call, and every batch size is rebatched from
-// it into a recycled slot — graph, profile and planners included
-// (templates.go). Planner and simulator arenas are pooled. Both the
-// cmd/tsplit-bench binary and the repository's bench_test.go are thin
-// wrappers over this package.
+// it prepares workloads (package prep), runs every memory-management
+// policy on the simulated devices, searches maximum trainable scales,
+// and renders the tables and figure series the paper reports. A sweep
+// prepares each distinct workload once and runs it under every policy
+// that asks for it (scale.go, figures.go). Along the batch axis it
+// does not build the workload either: each model is built at batch 1
+// and 2 into a graph.Template once per call, and every batch size is
+// rebatched from it into a recycled slot — graph, profile and planners
+// included (prep.Templates). Planner and simulator arenas are pooled.
+// Both the cmd/tsplit-bench binary and the repository's bench_test.go
+// are thin wrappers over this package.
 package experiments
 
 import (
@@ -21,63 +21,29 @@ import (
 	"tsplit/internal/device"
 	"tsplit/internal/graph"
 	"tsplit/internal/models"
-	"tsplit/internal/profiler"
+	"tsplit/internal/prep"
 	"tsplit/internal/sim"
 )
 
-// Prepared bundles everything derived from one (model, config, device)
-// triple: the training graph, its schedule, liveness, and profile,
-// plus the planner arenas built for them. Prepare builds one from
-// scratch; a batch-axis sweep rebatches it from the model's template,
-// with the same result field for field. Planning and simulating leave
-// the workload unchanged, so one Prepared serves every policy, in any
-// order and from several goroutines. A rebatched Prepared is a
-// recycled slot: once its user releases it, the next batch size of the
-// model is rebatched into the same objects (templates.go).
-type Prepared struct {
-	Model string
-	Cfg   models.Config
-	Dev   device.Device
-	graph.Workload
-	Prof     *profiler.Profile
-	Planners *core.PlannerPool
-
-	slot *template // the template a rebatched workload returns to
-}
-
-// Prepare builds and profiles a workload from scratch. Calls that
-// prepare one model at several batch sizes rebatch it from a template
-// instead (templates.go).
-func Prepare(model string, cfg models.Config, dev device.Device) (*Prepared, error) {
+// prepare prepares a workload from scratch, counting its graph build.
+// Calls that prepare one model at several batch sizes rebatch it from
+// a template set instead (prep.Templates).
+func prepare(model string, cfg models.Config, dev device.Device) (*prep.Prepared, error) {
 	g, err := buildGraph(model, cfg)
 	if err != nil {
 		return nil, err
 	}
-	sched, err := graph.BuildSchedule(g)
-	if err != nil {
-		return nil, err
-	}
-	p := &Prepared{Workload: graph.Workload{G: g, Sched: sched, Lv: graph.AnalyzeLiveness(g, sched)}}
-	p.fill(model, cfg, dev)
-	return p, nil
+	return prep.FromGraph(model, g, cfg, dev)
 }
 
 // buildGraph builds a model's training graph and counts the build in
-// Obs as tsplit_experiments_graph_builds_total; every graph this
-// package builds goes through it.
+// Obs as prep.GraphBuilds, as the template sets count theirs; every
+// graph this package builds outside a template set goes through it.
 func buildGraph(model string, cfg models.Config) (*graph.Graph, error) {
 	if rec := Obs; rec != nil {
-		rec.Add("tsplit_experiments_graph_builds_total", 1)
+		rec.Add(prep.GraphBuilds, 1)
 	}
 	return models.Build(model, cfg)
-}
-
-// fill labels p's workload, profiles it and gives it an empty planner
-// pool: the step a fresh build and a new template slot share.
-func (p *Prepared) fill(model string, cfg models.Config, dev device.Device) {
-	p.Model, p.Cfg, p.Dev = model, cfg, dev
-	p.Prof = profiler.New(dev, p.Sched)
-	p.Planners = core.NewPlannerPool(p.G, p.Sched, p.Lv, p.Prof, dev)
 }
 
 // Policies lists every policy the evaluation compares, in table order.
@@ -104,11 +70,11 @@ func (r PolicyResult) Throughput(batch int) float64 {
 }
 
 // PlanPolicy produces the plan for a policy without simulating.
-func PlanPolicy(p *Prepared, policy string, capacity int64) (*core.Plan, error) {
+func PlanPolicy(p *prep.Prepared, policy string, capacity int64) (*core.Plan, error) {
 	return planPolicyReserve(p, policy, capacity, 0)
 }
 
-func planPolicyReserve(p *Prepared, policy string, capacity, reserve int64) (*core.Plan, error) {
+func planPolicyReserve(p *prep.Prepared, policy string, capacity, reserve int64) (*core.Plan, error) {
 	switch policy {
 	case "tsplit", "tsplit-nosplit", "tsplit-offload":
 		opts := core.Options{
@@ -119,9 +85,7 @@ func planPolicyReserve(p *Prepared, policy string, capacity, reserve int64) (*co
 		}
 		// TSPLIT's reserve ladder and the policies sharing this
 		// workload all plan on one set of recycled arenas.
-		pl := p.Planners.Get(opts)
-		plan, err := pl.Plan()
-		p.Planners.Put(pl)
+		plan, _, err := p.Plan(opts)
 		return plan, err
 	default:
 		b, ok := baselines.Registry[policy]
@@ -140,10 +104,8 @@ func planPolicyReserve(p *Prepared, policy string, capacity, reserve int64) (*co
 // simulators, so the ordered per-index fold is untouched.
 var simPool = sim.NewSimPool()
 
-// Simulate runs one simulation on a pooled arena and returns its
-// result. Exported so the bench harness and serve layer exercise the
-// same pooled path the sweeps use.
-func Simulate(p *Prepared, plan *core.Plan, opts sim.Options) (sim.Result, error) {
+// simulate runs one simulation on simPool and returns its result.
+func simulate(p *prep.Prepared, plan *core.Plan, opts sim.Options) (sim.Result, error) {
 	s := simPool.Get(p.G, p.Sched, p.Lv, plan, p.Dev, opts)
 	res, err := s.Run()
 	simPool.Put(s)
@@ -166,17 +128,17 @@ func simOptions(policy string, capacity int64, timeline bool) sim.Options {
 
 // RunPolicy plans and simulates one policy on a prepared workload.
 // capacity 0 uses the device's full memory.
-func RunPolicy(p *Prepared, policy string, capacity int64) PolicyResult {
+func RunPolicy(p *prep.Prepared, policy string, capacity int64) PolicyResult {
 	return runPolicy(p, policy, capacity, false)
 }
 
 // RunPolicyTimeline is RunPolicy with execution-trace collection
 // (Fig. 2(a)).
-func RunPolicyTimeline(p *Prepared, policy string, capacity int64) PolicyResult {
+func RunPolicyTimeline(p *prep.Prepared, policy string, capacity int64) PolicyResult {
 	return runPolicy(p, policy, capacity, true)
 }
 
-func runPolicy(p *Prepared, policy string, capacity int64, timeline bool) PolicyResult {
+func runPolicy(p *prep.Prepared, policy string, capacity int64, timeline bool) PolicyResult {
 	r := PolicyResult{Policy: policy}
 	// TSPLIT iterates plan -> trial execution: when the run-time
 	// validation hits fragmentation the planner retries against a
@@ -196,7 +158,7 @@ func runPolicy(p *Prepared, policy string, capacity int64, timeline bool) Policy
 			continue
 		}
 		r.Plan = plan
-		res, err := Simulate(p, plan, simOptions(policy, capacity, timeline))
+		res, err := simulate(p, plan, simOptions(policy, capacity, timeline))
 		if err != nil {
 			r.Reason = err.Error()
 			continue

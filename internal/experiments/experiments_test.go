@@ -9,7 +9,7 @@ import (
 )
 
 func TestRunPolicyBase(t *testing.T) {
-	p, err := Prepare("vgg16", models.Config{BatchSize: 16}, device.TitanRTX)
+	p, err := prepare("vgg16", models.Config{BatchSize: 16}, device.TitanRTX)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +23,7 @@ func TestRunPolicyBase(t *testing.T) {
 }
 
 func TestRunPolicyUnknown(t *testing.T) {
-	p, _ := Prepare("vgg16", models.Config{BatchSize: 8}, device.TitanRTX)
+	p, _ := prepare("vgg16", models.Config{BatchSize: 8}, device.TitanRTX)
 	r := RunPolicy(p, "nope", 0)
 	if r.Feasible || r.Reason == "" {
 		t.Fatal("unknown policy must be infeasible with a reason")
@@ -32,7 +32,7 @@ func TestRunPolicyUnknown(t *testing.T) {
 
 func TestFeasibleRespectsCapacity(t *testing.T) {
 	feasible := func(dev device.Device) bool {
-		p, err := Prepare("vgg16", models.Config{BatchSize: 64}, dev)
+		p, err := prepare("vgg16", models.Config{BatchSize: 64}, dev)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -64,7 +64,7 @@ func (r FaultReport) Render() string {
 // memory pressure, while the swap-all floor stays reachable even when
 // a full-severity capacity shrink steals its worst-case bite.
 func FaultSweep(model string, cfg models.Config, dev device.Device, seed uint64) (FaultReport, error) {
-	p, err := Prepare(model, cfg, dev)
+	p, err := prepare(model, cfg, dev)
 	if err != nil {
 		return FaultReport{}, err
 	}

@@ -8,6 +8,7 @@ import (
 	"tsplit/internal/device"
 	"tsplit/internal/graph"
 	"tsplit/internal/models"
+	"tsplit/internal/prep"
 	"tsplit/internal/sim"
 )
 
@@ -45,7 +46,7 @@ var fig12Models = []string{"vgg16", "resnet50", "inceptionv4", "transformer"}
 // order.
 func throughputFigure(title string, dev device.Device, policies []string, cfg models.Config) *ThroughputFigure {
 	f := &ThroughputFigure{Title: title, Dev: dev, Series: map[string][]ThroughputSeries{}}
-	ts := newTemplates(dev)
+	ts := prep.NewTemplates(dev, Obs)
 	type cell struct {
 		model string
 		bi    int // index into fig12Batches[model]
@@ -64,7 +65,7 @@ func throughputFigure(title string, dev device.Device, policies []string, cfg mo
 		m, bi := cells[k].model, cells[k].bi
 		c := cfg
 		c.BatchSize = fig12Batches[m][bi]
-		p, err := ts.prepare(m, c)
+		p, err := ts.Prepare(m, c)
 		if err != nil {
 			return
 		}
@@ -73,7 +74,7 @@ func throughputFigure(title string, dev device.Device, policies []string, cfg mo
 				f.Series[m][pi].Thr[bi] = RunPolicy(p, pol, 0).Throughput(c.BatchSize)
 			}
 		}
-		p.release()
+		p.Release()
 	})
 	return f
 }
@@ -152,7 +153,7 @@ func Fig2aMemoryTimeline(dev device.Device, batch int) (*TimelineFigure, error) 
 		Lines:    map[string][]sim.TimelinePoint{},
 		Peaks:    map[string]int64{},
 	}
-	p, err := Prepare("vgg16", models.Config{BatchSize: batch}, dev)
+	p, err := prepare("vgg16", models.Config{BatchSize: batch}, dev)
 	if err != nil {
 		return nil, err
 	}
@@ -223,7 +224,7 @@ func Fig2bOverheadPCIe(dev device.Device, policy string) ([]OverheadRow, error) 
 	forEach(len(mods), func(i int) {
 		m := mods[i]
 		batch := fig2bBatches[m]
-		p, err := Prepare(m, models.Config{BatchSize: batch}, dev)
+		p, err := prepare(m, models.Config{BatchSize: batch}, dev)
 		if err != nil {
 			errs[i] = err
 			return

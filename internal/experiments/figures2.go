@@ -7,6 +7,7 @@ import (
 	"tsplit/internal/device"
 	"tsplit/internal/graph"
 	"tsplit/internal/models"
+	"tsplit/internal/prep"
 )
 
 // MemoryScalePoint is one cell of the paper's Fig. 1: the training
@@ -116,7 +117,7 @@ func Fig14aScaleUnderThroughput(dev device.Device, hi int) ([]ThroughputConstrai
 	// (model, policy) frontier searches concurrently; each produces its
 	// two pct rows, stitched back in sweep order. Every workload of
 	// the call is rebatched from one template per model.
-	ts := newTemplates(dev)
+	ts := prep.NewTemplates(dev, Obs)
 	maxScale := func(m, pol string) int {
 		return sampleScales(ts, []string{m}, []string{pol}, models.Config{}, hi)[0][0]
 	}
@@ -129,13 +130,13 @@ func Fig14aScaleUnderThroughput(dev device.Device, hi int) ([]ThroughputConstrai
 			errs[mi] = fmt.Errorf("experiments: base cannot train %s at all", m)
 			return
 		}
-		p, err := ts.prepare(m, models.Config{BatchSize: baseMax})
+		p, err := ts.Prepare(m, models.Config{BatchSize: baseMax})
 		if err != nil {
 			errs[mi] = err
 			return
 		}
 		baseThr[mi] = RunPolicy(p, "base", 0).Throughput(baseMax)
-		p.release()
+		p.Release()
 	})
 	if err := firstError(errs); err != nil {
 		return nil, err
@@ -149,12 +150,12 @@ func Fig14aScaleUnderThroughput(dev device.Device, hi int) ([]ThroughputConstrai
 		// throughput floor is met.
 		polMax := maxScale(m, pol)
 		thrAt := func(b int) float64 {
-			pp, err := ts.prepare(m, models.Config{BatchSize: b})
+			pp, err := ts.Prepare(m, models.Config{BatchSize: b})
 			if err != nil {
 				return 0
 			}
 			thr := RunPolicy(pp, pol, 0).Throughput(b)
-			pp.release()
+			pp.Release()
 			return thr
 		}
 		for _, pct := range []int{60, 50} {
@@ -215,7 +216,7 @@ func Fig14bStrategyMix(batch int) ([]StrategyMix, error) {
 	}
 	for _, dev := range []device.Device{device.TitanRTX, device.GTX1080Ti} {
 		batch := batches[dev.Name]
-		p, err := Prepare("vgg16", models.Config{BatchSize: batch}, dev)
+		p, err := prepare("vgg16", models.Config{BatchSize: batch}, dev)
 		if err != nil {
 			return nil, err
 		}

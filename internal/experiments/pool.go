@@ -14,7 +14,7 @@ import (
 // sample per forEach unit, tsplit_experiments_graph_builds_total, one
 // count per model graph built, and
 // tsplit_experiments_workload_slots_total, one count per workload slot
-// allocated (templates.go). The Registry is thread-safe, so the
+// allocated (prep.Templates). The Registry is thread-safe, so the
 // parallel sweeps record into it concurrently.
 var Obs obs.Recorder
 
@@ -38,11 +38,11 @@ var Trace *obs.Tracer
 // worker is live and a sweep allocates about one per worker per model.
 // The cell counter and the "experiments.cell" span therefore count
 // workloads prepared, not (model, policy) table cells; the graph-build
-// counter (buildGraph) counts the models.Build calls behind them, and
-// the slot counter the cold graphs and planners. Each
-// unit writes its results into slots no other unit writes, so the
-// assembled tables and figures are identical to a sequential sweep
-// regardless of completion order.
+// counter (buildGraph and the template sets) counts the models.Build
+// calls behind them, and the slot counter the cold graphs and
+// planners. Each unit writes its results into slots no other unit
+// writes, so the assembled tables and figures are identical to a
+// sequential sweep regardless of completion order.
 
 // forEach runs fn(i) for every i in [0, n), on up to GOMAXPROCS
 // workers. Work is handed out dynamically (units vary wildly in cost:

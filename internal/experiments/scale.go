@@ -5,13 +5,14 @@ import (
 
 	"tsplit/internal/device"
 	"tsplit/internal/models"
+	"tsplit/internal/prep"
 )
 
 // MaxSampleScale finds the largest batch size a policy can train
 // (paper Table IV / VI) by exponential probing followed by binary
 // search. hi bounds the search (0 = 4096).
 func MaxSampleScale(model, policy string, dev device.Device, cfg models.Config, hi int) int {
-	return sampleScales(newTemplates(dev), []string{model}, []string{policy}, cfg, hi)[0][0]
+	return sampleScales(prep.NewTemplates(dev, Obs), []string{model}, []string{policy}, cfg, hi)[0][0]
 }
 
 // MaxParamScale finds the largest integer parameter-scale multiplier k
@@ -25,14 +26,14 @@ func MaxParamScale(model, policy string, dev device.Device, cfg models.Config, h
 // once: result[m][p] is the largest trainable batch size. Every probe
 // point is rebatched from ts, so each model is built twice however
 // many points the searches visit.
-func sampleScales(ts *templates, mods, policies []string, cfg models.Config, hi int) [][]int {
+func sampleScales(ts *prep.Templates, mods, policies []string, cfg models.Config, hi int) [][]int {
 	if hi == 0 {
 		hi = 4096
 	}
-	return searchScales(mods, policies, hi, func(model string, b int) (*Prepared, error) {
+	return searchScales(mods, policies, hi, func(model string, b int) (*prep.Prepared, error) {
 		c := cfg
 		c.BatchSize = b
-		return ts.prepare(model, c)
+		return ts.Prepare(model, c)
 	})
 }
 
@@ -44,10 +45,10 @@ func paramScales(mods, policies []string, dev device.Device, cfg models.Config, 
 	if cfg.BatchSize == 0 {
 		cfg.BatchSize = 16
 	}
-	return searchScales(mods, policies, hi, func(model string, k int) (*Prepared, error) {
+	return searchScales(mods, policies, hi, func(model string, k int) (*prep.Prepared, error) {
 		c := cfg
 		c.ParamScale = float64(k)
-		return Prepare(model, c, dev)
+		return prepare(model, c, dev)
 	})
 }
 
@@ -101,7 +102,7 @@ func (c *scaleCursor) report(feasible bool) {
 // model's workload at a probe point: rebatched from a template into a
 // slot along the batch axis, which the group releases when its
 // verdicts are in, and built fresh along the parameter axis.
-func searchScales(mods, policies []string, hi int, prepare func(model string, n int) (*Prepared, error)) [][]int {
+func searchScales(mods, policies []string, hi int, prepare func(model string, n int) (*prep.Prepared, error)) [][]int {
 	type group struct{ model, n int }
 	cur := make([][]scaleCursor, len(mods))
 	feasible := make([][]bool, len(mods))
@@ -139,14 +140,14 @@ func searchScales(mods, policies []string, hi int, prepare func(model string, n 
 		}
 		forEach(len(distinct), func(k int) {
 			g := distinct[k]
-			prep, err := prepare(mods[g.model], g.n)
+			w, err := prepare(mods[g.model], g.n)
 			for p := range policies {
 				if cur[g.model][p].probe == g.n {
-					feasible[g.model][p] = err == nil && RunPolicy(prep, policies[p], 0).Feasible
+					feasible[g.model][p] = err == nil && RunPolicy(w, policies[p], 0).Feasible
 				}
 			}
 			if err == nil {
-				prep.release()
+				w.Release()
 			}
 		})
 		for m := range cur {

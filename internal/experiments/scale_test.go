@@ -13,6 +13,8 @@ import (
 	"tsplit/internal/device"
 	"tsplit/internal/graph"
 	"tsplit/internal/models"
+	"tsplit/internal/obs"
+	"tsplit/internal/prep"
 )
 
 // cursorSearch drives a scaleCursor to completion against a predicate,
@@ -139,7 +141,7 @@ func testPreparedShared(t *testing.T, cfg models.Config, small device.Device) {
 		plan []byte
 		r    PolicyResult
 	}
-	run := func(p *Prepared, policy string) outcome {
+	run := func(p *prep.Prepared, policy string) outcome {
 		r := RunPolicy(p, policy, 0)
 		var buf bytes.Buffer
 		if r.Plan != nil {
@@ -153,7 +155,7 @@ func testPreparedShared(t *testing.T, cfg models.Config, small device.Device) {
 	want := make([]outcome, len(Policies))
 	feasible := 0
 	for i, policy := range Policies {
-		own, err := Prepare("vgg16", cfg, small)
+		own, err := prepare("vgg16", cfg, small)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,7 +167,7 @@ func testPreparedShared(t *testing.T, cfg models.Config, small device.Device) {
 	if feasible == 0 || feasible == len(Policies) {
 		t.Fatalf("batch %d: %d of %d policies feasible; the workload should split them", cfg.BatchSize, feasible, len(Policies))
 	}
-	shared, err := Prepare("vgg16", cfg, small)
+	shared, err := prepare("vgg16", cfg, small)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,5 +194,36 @@ func testPreparedShared(t *testing.T, cfg models.Config, small device.Device) {
 	wg.Wait()
 	for i := range Policies {
 		check("concurrently", i, got[i])
+	}
+}
+
+// TestTable4GraphBuilds counts the work the Table IV search does: two
+// graph builds per model, however many batch sizes it probes.
+func TestTable4GraphBuilds(t *testing.T) {
+	reg := obs.NewRegistry()
+	Obs = reg
+	defer func() { Obs = nil }()
+	Table4MaxSampleScale(device.TitanRTX, 64)
+	if got, want := reg.Counter("tsplit_experiments_graph_builds_total"), int64(2*len(EvalModels)); got != want {
+		t.Fatalf("Table IV search made %d graph builds, want %d", got, want)
+	}
+	if cells := reg.Counter("tsplit_experiments_cells_total"); cells <= int64(len(EvalModels)) {
+		t.Fatalf("only %d probe points for %d models", cells, len(EvalModels))
+	}
+}
+
+// TestTable4WorkloadSlots counts the cold graphs and planners behind
+// the Table IV search: on one worker, every probe point of a model
+// recycles the slot the previous one released, so the search allocates
+// one slot per model however many points it probes.
+func TestTable4WorkloadSlots(t *testing.T) {
+	old := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(old)
+	reg := obs.NewRegistry()
+	Obs = reg
+	defer func() { Obs = nil }()
+	Table4MaxSampleScale(device.TitanRTX, 64)
+	if got, want := reg.Counter("tsplit_experiments_workload_slots_total"), int64(len(EvalModels)); got != want {
+		t.Fatalf("Table IV search allocated %d workload slots, want %d", got, want)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"tsplit/internal/device"
 	"tsplit/internal/graph"
 	"tsplit/internal/models"
+	"tsplit/internal/prep"
 )
 
 // EvalModels are the paper's six benchmark models (Sec. VI-A).
@@ -88,7 +89,7 @@ func scaleTable(title string, policies []string, scales [][]int) *ScaleTable {
 func Table4MaxSampleScale(dev device.Device, hi int) *ScaleTable {
 	return scaleTable(
 		fmt.Sprintf("Table IV: max sample scale on %s", dev.Name), scalePolicies,
-		sampleScales(newTemplates(dev), EvalModels, scalePolicies, models.Config{}, hi))
+		sampleScales(prep.NewTemplates(dev, Obs), EvalModels, scalePolicies, models.Config{}, hi))
 }
 
 // Table5MaxParamScale reproduces paper Table V: the largest
@@ -106,7 +107,7 @@ func Table5MaxParamScale(dev device.Device, hi int) *ScaleTable {
 func Table6MaxSampleVsOffload(dev device.Device, hi int) *ScaleTable {
 	return scaleTable(
 		fmt.Sprintf("Table VI: max sample scale vs offload baselines on %s", dev.Name), offloadPolicies,
-		sampleScales(newTemplates(dev), EvalModels, offloadPolicies, models.Config{Optimizer: graph.Adam}, hi))
+		sampleScales(prep.NewTemplates(dev, Obs), EvalModels, offloadPolicies, models.Config{Optimizer: graph.Adam}, hi))
 }
 
 // Table7MaxParamVsOffload reproduces paper Table VII: parameter scale

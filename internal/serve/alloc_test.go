@@ -122,7 +122,7 @@ func TestPlanBodyAllocations(t *testing.T) {
 	if herr != nil {
 		t.Fatal(herr)
 	}
-	a := accepted{req: req, wl: wl, key: planKey(wl.digest, wl.dev, req.Options)}
+	a := accepted{req: req, wl: wl, key: planKey(wl.digest, wl.Dev, req.Options)}
 	var body []byte
 	encode := func() {
 		if body, herr = encodePlanResponse(a, plan, nil); herr != nil {

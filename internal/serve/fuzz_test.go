@@ -157,29 +157,29 @@ func FuzzPlanRequest(f *testing.F) {
 		capacity := int64(math.MaxInt64)
 		switch req.Options.Policy {
 		case "tsplit", "tsplit-nosplit":
-			pl := wl.pool.Get(core.Options{
+			pl := wl.Planners.Get(core.Options{
 				Capacity:     req.Options.CapacityBytes,
 				DisableSplit: req.Options.DisableSplit || req.Options.Policy == "tsplit-nosplit",
 				PNums:        req.Options.PNums,
 				SafetyMargin: req.Options.SafetyMargin,
 			})
 			plan, err = pl.Plan()
-			wl.pool.Put(pl)
+			wl.Planners.Put(pl)
 			capacity = req.Options.CapacityBytes
 			if capacity <= 0 {
-				capacity = wl.dev.MemBytes
+				capacity = wl.Dev.MemBytes
 			}
 		default:
 			// The server cached this policy's plan; reproduce it the same
 			// way buildPlan does.
 			plan, err = baselines.Registry[req.Options.Policy](baselines.Inputs{
-				G: wl.g, Sched: wl.sched, Lv: wl.lv, Prof: wl.prof, Dev: wl.dev,
+				G: wl.G, Sched: wl.Sched, Lv: wl.Lv, Prof: wl.Prof, Dev: wl.Dev,
 			})
 		}
 		if err != nil {
 			t.Fatalf("server served a plan the planner now refuses (%s): %v", req.Options.Policy, err)
 		}
-		if violations := core.VerifyAt(plan, wl.g, wl.sched, wl.lv, capacity); len(violations) != 0 {
+		if violations := core.VerifyAt(plan, wl.G, wl.Sched, wl.Lv, capacity); len(violations) != 0 {
 			for _, v := range violations {
 				t.Errorf("accepted plan violates invariant: %s", v)
 			}

@@ -83,13 +83,13 @@ func TestPeakEndpointMatchesSimulator(t *testing.T) {
 	if herr != nil {
 		t.Fatalf("workload: %v", herr)
 	}
-	pl := wl.pool.Get(core.Options{})
+	pl := wl.Planners.Get(core.Options{})
 	plan, err := pl.Plan()
-	wl.pool.Put(pl)
+	wl.Planners.Put(pl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.New(g, sched, lv, plan, wl.dev, sim.Options{Recompute: sim.LRURecompute}).Run()
+	res, err := sim.New(g, sched, lv, plan, wl.Dev, sim.Options{Recompute: sim.LRURecompute}).Run()
 	if err != nil {
 		t.Fatalf("reference simulation: %v", err)
 	}

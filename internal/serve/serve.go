@@ -306,7 +306,7 @@ func (s *Server) accept(spanName string, ep *endpoint) http.HandlerFunc {
 			s.finish(w, start, sp, herr)
 			return
 		}
-		key := planKey(wl.digest, wl.dev, req.Options)
+		key := planKey(wl.digest, wl.Dev, req.Options)
 		sp.SetAttr("key", key)
 		s.answer(accepted{w: w, start: start, sp: sp, ctx: ctx, req: req, wl: wl, key: key}, ep)
 	}
@@ -439,7 +439,7 @@ func (s *Server) handlePeak(a accepted) ([]byte, *httpError) {
 		return nil, herr
 	}
 	wl := a.wl
-	simr := wl.sims.Get(wl.g, wl.sched, wl.lv, plan, wl.dev,
+	simr := wl.sims.Get(wl.G, wl.Sched, wl.Lv, plan, wl.Dev,
 		sim.Options{Capacity: opts.CapacityBytes, Recompute: sim.LRURecompute})
 	res, rerr := simr.Run()
 	wl.sims.Put(simr)
@@ -451,7 +451,7 @@ func (s *Server) handlePeak(a accepted) ([]byte, *httpError) {
 	return marshalBody(&PeakResponse{
 		Key:                a.key,
 		Model:              a.req.displayName(),
-		Device:             wl.dev.Name,
+		Device:             wl.Dev.Name,
 		Policy:             opts.Policy,
 		SimulatedPeakBytes: res.PeakBytes,
 		SimulatedPeakGiB:   float64(res.PeakBytes) / (1 << 30),
@@ -481,23 +481,17 @@ func (s *Server) buildPlan(o PlanOptions, wl *prepared) (*core.Plan, *core.PlanR
 	var err error
 	switch o.Policy {
 	case "tsplit", "tsplit-nosplit":
-		opts := core.Options{
+		plan, report, err = wl.Plan(core.Options{
 			Capacity:      o.CapacityBytes,
 			DisableSplit:  o.DisableSplit || o.Policy == "tsplit-nosplit",
 			PNums:         o.PNums,
 			SafetyMargin:  o.SafetyMargin,
 			CollectReport: o.Report,
 			Clock:         s.clock,
-		}
-		pl := wl.pool.Get(opts)
-		plan, err = pl.Plan()
-		if err == nil && o.Report {
-			report = pl.Report()
-		}
-		wl.pool.Put(pl)
+		})
 	default:
 		plan, err = baselines.Registry[o.Policy](baselines.Inputs{
-			G: wl.g, Sched: wl.sched, Lv: wl.lv, Prof: wl.prof, Dev: wl.dev,
+			G: wl.G, Sched: wl.Sched, Lv: wl.Lv, Prof: wl.Prof, Dev: wl.Dev,
 		})
 	}
 	if err != nil {
@@ -537,7 +531,7 @@ func encodePlanResponse(a accepted, plan *core.Plan, report *core.PlanReport) ([
 	b = append(b, `,"model":`...)
 	b = core.AppendJSONString(b, a.req.displayName())
 	b = append(b, `,"device":`...)
-	b = core.AppendJSONString(b, a.wl.dev.Name)
+	b = core.AppendJSONString(b, a.wl.Dev.Name)
 	b = append(b, `,"policy":`...)
 	b = core.AppendJSONString(b, a.req.Options.Policy)
 	b = append(b, `,"predicted_peak_bytes":`...)

@@ -149,9 +149,9 @@ func TestPlanBodyMatchesMarshal(t *testing.T) {
 				t.Fatal(err)
 			}
 			want, err := json.Marshal(&PlanResponse{
-				Key:                  planKey(wl.digest, wl.dev, pr.Options),
+				Key:                  planKey(wl.digest, wl.Dev, pr.Options),
 				Model:                pr.displayName(),
-				Device:               wl.dev.Name,
+				Device:               wl.Dev.Name,
 				Policy:               pr.Options.Policy,
 				PredictedPeakBytes:   plan.PredictedPeak,
 				PredictedPeakGiB:     float64(plan.PredictedPeak) / (1 << 30),

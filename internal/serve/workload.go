@@ -6,29 +6,21 @@ import (
 	"net/http"
 	"sync"
 
-	"tsplit/internal/core"
 	"tsplit/internal/device"
 	"tsplit/internal/graph"
 	"tsplit/internal/models"
 	"tsplit/internal/obs"
-	"tsplit/internal/profiler"
+	"tsplit/internal/prep"
 	"tsplit/internal/sim"
 	"tsplit/internal/workload"
 )
 
-// prepared is one resolved workload: the built graph with its
-// schedule, liveness, and device profile, a planner pool and a
-// simulator pool recycling arenas across requests, and the graph's
-// content digest (computed once — it feeds every plan key for this
-// workload).
+// prepared is one resolved workload, named by the request's display
+// name, plus what serve alone keeps for it: a simulator pool recycling
+// arenas across requests and the graph's content digest (computed
+// once — it feeds every plan key for this workload).
 type prepared struct {
-	name   string
-	g      *graph.Graph
-	sched  *graph.Schedule
-	lv     *graph.Liveness
-	prof   *profiler.Profile
-	dev    device.Device
-	pool   *core.PlannerPool
+	*prep.Prepared
 	sims   *sim.SimPool
 	digest [sha256.Size]byte
 }
@@ -148,10 +140,11 @@ func buildWorkload(req *PlanRequest, rec obs.Recorder) (*prepared, *httpError) {
 		return nil, errBadRequest("unknown device %q", req.Device)
 	}
 	var g *graph.Graph
+	var cfg models.Config
 	if req.Spec != nil {
 		g = workload.RandGraph(req.Spec.Seed)
 	} else {
-		cfg := models.Config{
+		cfg = models.Config{
 			BatchSize:  req.Config.BatchSize,
 			ParamScale: req.Config.ParamScale,
 			ImageSize:  req.Config.ImageSize,
@@ -162,23 +155,11 @@ func buildWorkload(req *PlanRequest, rec obs.Recorder) (*prepared, *httpError) {
 			return nil, &httpError{status: http.StatusNotFound, code: "unknown_model", message: err.Error()}
 		}
 	}
-	sched, err := graph.BuildSchedule(g)
+	p, err := prep.FromGraph(req.displayName(), g, cfg, dev)
 	if err != nil {
 		return nil, &httpError{status: http.StatusUnprocessableEntity, code: "unschedulable", message: err.Error()}
 	}
-	lv := graph.AnalyzeLiveness(g, sched)
-	prof := profiler.New(dev, sched)
 	sims := sim.NewSimPool()
 	sims.Obs = rec
-	return &prepared{
-		name:   req.displayName(),
-		g:      g,
-		sched:  sched,
-		lv:     lv,
-		prof:   prof,
-		dev:    dev,
-		pool:   core.NewPlannerPool(g, sched, lv, prof, dev),
-		sims:   sims,
-		digest: graphDigest(g),
-	}, nil
+	return &prepared{Prepared: p, sims: sims, digest: graphDigest(g)}, nil
 }

@@ -40,7 +40,7 @@ import (
 	"tsplit/internal/graph"
 	"tsplit/internal/models"
 	"tsplit/internal/obs"
-	"tsplit/internal/profiler"
+	"tsplit/internal/prep"
 	"tsplit/internal/resilient"
 	"tsplit/internal/serve"
 	"tsplit/internal/sim"
@@ -185,39 +185,30 @@ type PlanOptions struct {
 	Postmortem *Dumper
 }
 
-// Workload is a model prepared for planning and execution on a device:
-// graph, schedule, liveness, and profile.
+// Workload is a model prepared for planning and execution on a device.
+// Its fields come from the embedded prep.Prepared: Name, Cfg, Dev, the
+// graph G with its schedule Sched and liveness Lv, the profile Prof,
+// and Planners, the pool every Plan call borrows a planner from.
 type Workload struct {
-	Name  string
-	Cfg   ModelConfig
-	Dev   Device
-	G     *Graph
-	Sched *graph.Schedule
-	Lv    *graph.Liveness
-	Prof  *profiler.Profile
+	*prep.Prepared
 }
 
 // Load builds and profiles a zoo model for a device.
 func Load(model string, cfg ModelConfig, dev Device) (*Workload, error) {
-	g, err := models.Build(model, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return FromGraph(model, g, dev, cfg)
+	return workload(prep.Build(model, cfg, dev))
 }
 
 // FromGraph prepares a user-built graph (see package graph builders)
 // for planning on a device.
 func FromGraph(name string, g *Graph, dev Device, cfg ModelConfig) (*Workload, error) {
-	sched, err := graph.BuildSchedule(g)
+	return workload(prep.FromGraph(name, g, cfg, dev))
+}
+
+func workload(p *prep.Prepared, err error) (*Workload, error) {
 	if err != nil {
 		return nil, err
 	}
-	lv := graph.AnalyzeLiveness(g, sched)
-	return &Workload{
-		Name: name, Cfg: cfg, Dev: dev,
-		G: g, Sched: sched, Lv: lv, Prof: profiler.New(dev, sched),
-	}, nil
+	return &Workload{p}, nil
 }
 
 // BaselinePeakBytes returns the unmanaged memory requirement (the Base
@@ -230,7 +221,22 @@ func (w *Workload) IdealTime() float64 { return w.Prof.Total() }
 
 // Plan runs TSPLIT's model-guided planner (paper Algorithm 2).
 func (w *Workload) Plan(opts PlanOptions) (*Plan, error) {
-	pl := core.NewPlanner(w.G, w.Sched, w.Lv, w.Prof, w.Dev, core.Options{
+	plan, _, err := w.Prepared.Plan(opts.plannerOptions())
+	return plan, err
+}
+
+// PlanWithReport runs the planner with introspection enabled and
+// returns the plan together with its per-iteration decision report.
+func (w *Workload) PlanWithReport(opts PlanOptions) (*Plan, *PlanReport, error) {
+	o := opts.plannerOptions()
+	o.CollectReport = true
+	return w.Prepared.Plan(o)
+}
+
+// plannerOptions maps the options onto the planner's: the one mapping
+// every planning entry point shares.
+func (opts PlanOptions) plannerOptions() core.Options {
+	return core.Options{
 		Capacity:     opts.CapacityBytes,
 		DisableSplit: opts.DisableSplit,
 		PNums:        opts.PNums,
@@ -238,28 +244,7 @@ func (w *Workload) Plan(opts PlanOptions) (*Plan, error) {
 		Obs:          opts.Observe,
 		Trace:        opts.Trace,
 		Flight:       opts.Flight,
-	})
-	return pl.Plan()
-}
-
-// PlanWithReport runs the planner with introspection enabled and
-// returns the plan together with its per-iteration decision report.
-func (w *Workload) PlanWithReport(opts PlanOptions) (*Plan, *PlanReport, error) {
-	pl := core.NewPlanner(w.G, w.Sched, w.Lv, w.Prof, w.Dev, core.Options{
-		Capacity:      opts.CapacityBytes,
-		DisableSplit:  opts.DisableSplit,
-		PNums:         opts.PNums,
-		SafetyMargin:  opts.SafetyMargin,
-		Obs:           opts.Observe,
-		Trace:         opts.Trace,
-		Flight:        opts.Flight,
-		CollectReport: true,
-	})
-	plan, err := pl.Plan()
-	if err != nil {
-		return nil, nil, err
 	}
-	return plan, pl.Report(), nil
 }
 
 // VerifyPlan statically checks a plan — from the TSPLIT planner, a
@@ -382,7 +367,7 @@ func (w *Workload) RunResilient(po PlanOptions, fc FaultConfig, opts ...RunOptio
 		Faults:        fc,
 		SafetyMargin:  po.SafetyMargin,
 		Capacity:      po.CapacityBytes,
-		Planner:       core.Options{DisableSplit: po.DisableSplit, PNums: po.PNums},
+		Planner:       po.plannerOptions(),
 		Sim:           so,
 		CollectReport: true,
 		Obs:           rec,
@@ -407,19 +392,10 @@ func (w *Workload) AutoPlan(opts PlanOptions) (*Plan, Report, error) {
 	if cap == 0 {
 		cap = w.Dev.MemBytes
 	}
-	// One planner serves the whole reserve ladder: each attempt plans
-	// afresh at its reserve, reusing the planner's arenas.
-	pl := core.NewPlanner(w.G, w.Sched, w.Lv, w.Prof, w.Dev, core.Options{})
+	o := opts.plannerOptions()
 	for _, reserve := range core.ReserveLadder(cap) {
-		popts := core.Options{
-			Capacity:             opts.CapacityBytes,
-			DisableSplit:         opts.DisableSplit,
-			PNums:                opts.PNums,
-			FragmentationReserve: reserve,
-			Obs:                  opts.Observe,
-		}
-		pl.SetOptions(popts)
-		plan, err := pl.Plan()
+		o.FragmentationReserve = reserve
+		plan, _, err := w.Prepared.Plan(o)
 		if err != nil {
 			lastErr = err
 			continue

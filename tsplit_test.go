@@ -84,6 +84,30 @@ func TestAutoPlanBeatsPlainPlanOnHardCases(t *testing.T) {
 	}
 }
 
+// TestAutoPlanKeepsPlanOptions holds AutoPlan to the options Plan
+// honours: a 20% safety margin keeps the plan's predicted peak within
+// 80% of the device, and the tracer and flight ring see the planner.
+func TestAutoPlanKeepsPlanOptions(t *testing.T) {
+	w, err := tsplit.Load("vgg16", tsplit.ModelConfig{BatchSize: 128}, tsplit.GTX1080Ti)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, fl := tsplit.NewTracer(), tsplit.NewFlight(0)
+	plan, _, err := w.AutoPlan(tsplit.PlanOptions{SafetyMargin: 0.2, Trace: tr, Flight: fl})
+	if err != nil {
+		t.Fatalf("autoplan: %v", err)
+	}
+	if limit := w.Dev.MemBytes * 80 / 100; plan.PredictedPeak > limit {
+		t.Fatalf("predicted peak %d exceeds 80%% of capacity (%d)", plan.PredictedPeak, limit)
+	}
+	if roots := tr.Tree(); len(roots) == 0 || roots[0].Name != "planner.plan" {
+		t.Fatal("AutoPlan recorded no planner span")
+	}
+	if fl.Len() == 0 {
+		t.Fatal("AutoPlan recorded no flight event")
+	}
+}
+
 func TestDisableSplitAblation(t *testing.T) {
 	w, _ := tsplit.Load("vgg16", tsplit.ModelConfig{BatchSize: 96}, tsplit.GTX1080Ti)
 	plan, _, err := w.AutoPlan(tsplit.PlanOptions{DisableSplit: true})
