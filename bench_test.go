@@ -201,7 +201,7 @@ func BenchmarkAblation_PlannerGreedyRatio(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := experiments.PlanPolicy(p, "tsplit", 0); err != nil {
+		if _, _, err := p.PlanPolicy("tsplit", core.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -305,7 +305,7 @@ func benchSimWorkload(b *testing.B, model string, batch int) (*prep.Prepared, *c
 	if err != nil {
 		b.Fatal(err)
 	}
-	r := experiments.RunPolicy(p, "tsplit", 0)
+	r := experiments.RunPolicy(p, "tsplit")
 	if !r.Feasible {
 		b.Fatalf("tsplit infeasible on %s b%d: %s", model, batch, r.Reason)
 	}

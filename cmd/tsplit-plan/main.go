@@ -14,8 +14,10 @@ import (
 	"io"
 	"log"
 	"os"
+	"strings"
 
 	"tsplit/internal/core"
+	"tsplit/internal/device"
 
 	"tsplit"
 )
@@ -43,7 +45,7 @@ func main() {
 	batch := flag.Int("batch", 128, "batch size (sample scale)")
 	scale := flag.Float64("scale", 1, "parameter scale multiplier")
 	devName := flag.String("device", "TITAN RTX", "device profile name")
-	policy := flag.String("policy", "tsplit", "tsplit, tsplit-nosplit, or a baseline name")
+	policy := flag.String("policy", "tsplit", "policy: "+strings.Join(tsplit.Policies(), ", "))
 	augment := flag.Bool("augment", false, "materialize and summarize the augmented graph")
 	jsonPath := flag.String("json", "", "export the plan as JSON to this file (- for stdout)")
 	dotPath := flag.String("dot", "", "export the augmented graph as Graphviz DOT to this file")
@@ -51,18 +53,9 @@ func main() {
 	verbose := flag.Bool("v", false, "print every per-tensor decision")
 	flag.Parse()
 
-	var dev tsplit.Device
-	switch *devName {
-	case "TITAN RTX":
-		dev = tsplit.TitanRTX
-	case "GTX 1080Ti":
-		dev = tsplit.GTX1080Ti
-	case "V100":
-		dev = tsplit.V100
-	case "P100":
-		dev = tsplit.P100
-	default:
-		log.Fatalf("unknown device %q", *devName)
+	dev, err := device.ByName(*devName)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	w, err := tsplit.Load(*model, tsplit.ModelConfig{BatchSize: *batch, ParamScale: *scale}, dev)
@@ -73,23 +66,9 @@ func main() {
 	fmt.Printf("unmanaged peak: %.2f GiB, ideal iteration: %.3f s\n\n",
 		float64(w.BaselinePeakBytes())/(1<<30), w.IdealTime())
 
-	var plan *tsplit.Plan
-	var rep tsplit.Report
-	switch *policy {
-	case "tsplit", "tsplit-nosplit":
-		plan, rep, err = w.AutoPlan(tsplit.PlanOptions{DisableSplit: *policy == "tsplit-nosplit"})
-		if err != nil {
-			log.Fatalf("planning: %v", err)
-		}
-	default:
-		plan, err = w.PlanBaseline(*policy)
-		if err != nil {
-			log.Fatalf("planning: %v", err)
-		}
-		rep, err = w.Run(plan)
-		if err != nil {
-			log.Fatalf("%s cannot train this configuration: %v", *policy, err)
-		}
+	plan, rep, err := w.RunPolicy(*policy, tsplit.PlanOptions{})
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	if *verbose {

@@ -16,7 +16,7 @@ import (
 func main() {
 	const model = "vgg16"
 	dev := tsplit.TitanRTX
-	policies := []string{"base", "vdnn-all", "checkpoints", "superneurons"}
+	policies := []string{"base", "vdnn-all", "checkpoints", "superneurons", "tsplit"}
 
 	fmt.Printf("%s on %s\n\n", model, dev)
 	fmt.Printf("%-14s %8s %12s %10s %8s %8s\n", "policy", "batch", "images/s", "overhead", "peakGiB", "pcie%")
@@ -26,26 +26,17 @@ func main() {
 			log.Fatal(err)
 		}
 		for _, pol := range policies {
-			plan, err := w.PlanBaseline(pol)
-			if err != nil {
-				fmt.Printf("%-14s %8d %12s\n", pol, batch, "n/a")
-				continue
-			}
-			rep, err := w.Run(plan)
+			plan, rep, err := w.RunPolicy(pol, tsplit.PlanOptions{})
 			if err != nil {
 				fmt.Printf("%-14s %8d %12s\n", pol, batch, "OOM")
 				continue
 			}
-			fmt.Printf("%-14s %8d %12.1f %9.1f%% %8.1f %7.1f%%\n",
+			fmt.Printf("%-14s %8d %12.1f %9.1f%% %8.1f %7.1f%%",
 				pol, batch, rep.Throughput, rep.Overhead*100, rep.PeakGiB, rep.PCIeUtilization*100)
-		}
-		// TSPLIT plans against the same device.
-		plan, rep, err := w.AutoPlan(tsplit.PlanOptions{})
-		if err != nil {
-			fmt.Printf("%-14s %8d %12s\n", "tsplit", batch, "OOM")
-		} else {
-			fmt.Printf("%-14s %8d %12.1f %9.1f%% %8.1f %7.1f%%  (%s)\n",
-				"tsplit", batch, rep.Throughput, rep.Overhead*100, rep.PeakGiB, rep.PCIeUtilization*100, plan)
+			if pol == "tsplit" {
+				fmt.Printf("  (%s)", plan)
+			}
+			fmt.Println()
 		}
 		fmt.Println()
 	}

@@ -432,7 +432,9 @@ func (ci *candIndex) rebuildAll(i int) {
 }
 
 // setWindow caches a (re)validated window and everything derived from
-// restoreAt; the chain cache is marked stale for refreshCandChains.
+// restoreAt; the chain verdict is dropped and marked stale for
+// refreshCandChains, which leaves it dropped under DisableRecompute
+// (a pooled planner's last run may have walked the chain).
 func (ci *candIndex) setWindow(id, evictAt, restoreAt int) {
 	pl := ci.pl
 	t := pl.G.Tensors[id]
@@ -441,6 +443,7 @@ func (ci *candIndex) setWindow(id, evictAt, restoreAt int) {
 	h.restoreAt = int32(restoreAt)
 	h.bwdUses = int32(pl.backwardUsesFast(t, restoreAt))
 	h.microOK = pl.microRestorable(t, restoreAt)
+	h.chainOK = false
 	ci.chainStale[id] = true
 }
 

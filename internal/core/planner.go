@@ -94,16 +94,6 @@ type Options struct {
 	defaulted bool
 }
 
-// ReserveLadder lists the FragmentationReserve values the plan →
-// trial-execution loop escalates through on a device of the given
-// capacity: the default reserve (0), then 6, 13 and 21 percent of
-// capacity, and finally -1, which disables the reserve (when resident
-// parameters leave no slack, a reserve-free plan is the only feasible
-// one and the runtime validation still gates it).
-func ReserveLadder(capacity int64) []int64 {
-	return []int64{0, capacity * 6 / 100, capacity * 13 / 100, capacity * 21 / 100, -1}
-}
-
 func (o Options) withDefaults(dev device.Device) Options {
 	if o.defaulted {
 		return o

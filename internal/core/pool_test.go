@@ -233,14 +233,20 @@ func currentListsDiffer(a, b *candIndex) int {
 
 // historyVariants are the option changes the history walk draws from:
 // an option split pricing reads (PNums), ones it does not
-// (SafetyMargin, DisableSplit), and OffloadOptimizer, which moves
-// optimizer state off the device even in an empty plan.
+// (SafetyMargin, DisableSplit), OffloadOptimizer, which moves
+// optimizer state off the device even in an empty plan, and the
+// ablation knobs, DisableRecompute above all: it skips the chain
+// walks whose verdicts a planner caches across candidates.
 var historyVariants = []func(*Options){
 	func(*Options) {},
 	func(o *Options) { o.PNums = []int{2, 8} },
 	func(o *Options) { o.SafetyMargin = 0.1 },
 	func(o *Options) { o.DisableSplit = true },
 	func(o *Options) { o.OffloadOptimizer = true },
+	func(o *Options) { o.DisableRecompute = true },
+	func(o *Options) { o.PreferLargest = true },
+	func(o *Options) { o.SplitLookahead = 2 },
+	func(o *Options) { o.DisableGenTieBreak = true },
 }
 
 // historyStep runs one seeded step of the history walk on a pooled

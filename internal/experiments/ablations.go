@@ -45,15 +45,15 @@ func (r AblationReport) Render() string {
 }
 
 // planWith plans and simulates one planner configuration under a
-// memory budget, returning an ablation row.
-func planWith(p *prep.Prepared, name string, capacity int64, opts core.Options, simOpts sim.Options) AblationRow {
+// memory budget, returning an ablation row. The plan runs with its
+// policy's recompute strategy.
+func planWith(p *prep.Prepared, name string, capacity int64, opts core.Options) AblationRow {
 	opts.Capacity = capacity
-	plan, err := core.NewPlanner(p.G, p.Sched, p.Lv, p.Prof, p.Dev, opts).Plan()
+	plan, _, err := p.Plan(opts)
 	if err != nil {
 		return AblationRow{Name: name}
 	}
-	simOpts.Capacity = capacity
-	res, err := simulate(p, plan, simOpts)
+	res, err := p.Simulate(plan, sim.Options{Capacity: capacity, Recompute: prep.RecomputeOf(plan)})
 	if err != nil {
 		return AblationRow{Name: name}
 	}
@@ -76,13 +76,12 @@ func AblationGreedyOrdering() (AblationReport, error) {
 		return AblationReport{}, err
 	}
 	cap := p.Lv.Peak * 70 / 100
-	simo := sim.Options{Recompute: sim.LRURecompute}
 	return AblationReport{
 		Title: "Ablation 1: candidate selection (vgg16 b=256, 70% of unmanaged peak)",
 		Rows: []AblationRow{
-			planWith(p, "greedy min dT/dM (paper)", cap, core.Options{}, simo),
-			planWith(p, "largest-tensor-first", cap, core.Options{PreferLargest: true}, simo),
-			planWith(p, "swap-only", cap, core.Options{DisableRecompute: true}, simo),
+			planWith(p, "greedy min dT/dM (paper)", cap, core.Options{}),
+			planWith(p, "largest-tensor-first", cap, core.Options{PreferLargest: true}),
+			planWith(p, "swap-only", cap, core.Options{DisableRecompute: true}),
 		},
 	}, nil
 }
@@ -95,13 +94,13 @@ func AblationRecomputeStrategy() (AblationReport, error) {
 	if err != nil {
 		return AblationReport{}, err
 	}
-	plan, err := PlanPolicy(p, "checkpoints", 0)
+	plan, _, err := p.PlanPolicy("checkpoints", core.Options{})
 	if err != nil {
 		return AblationReport{}, err
 	}
 	rows := make([]AblationRow, 0, 3)
 	for _, st := range []sim.RecomputeStrategy{sim.MemoryCentric, sim.SpeedCentric, sim.LRURecompute} {
-		res, err := simulate(p, plan, sim.Options{Recompute: st})
+		res, err := p.Simulate(plan, sim.Options{Recompute: st})
 		if err != nil {
 			rows = append(rows, AblationRow{Name: st.String()})
 			continue
@@ -125,13 +124,12 @@ func AblationSplitLookahead() (AblationReport, error) {
 	if err != nil {
 		return AblationReport{}, err
 	}
-	simo := sim.Options{Recompute: sim.LRURecompute}
 	return AblationReport{
 		Title: "Ablation 3: split-candidate lookahead (vgg16 b=440, device capacity)",
 		Rows: []AblationRow{
-			planWith(p, "lookahead 8 (default)", 0, core.Options{SplitLookahead: 8}, simo),
-			planWith(p, "lookahead 2", 0, core.Options{SplitLookahead: 2}, simo),
-			planWith(p, "bottleneck op only", 0, core.Options{SplitLookahead: -1}, simo),
+			planWith(p, "lookahead 8 (default)", 0, core.Options{SplitLookahead: 8}),
+			planWith(p, "lookahead 2", 0, core.Options{SplitLookahead: 2}),
+			planWith(p, "bottleneck op only", 0, core.Options{SplitLookahead: -1}),
 		},
 	}, nil
 }
@@ -145,12 +143,11 @@ func AblationTieBreak() (AblationReport, error) {
 		return AblationReport{}, err
 	}
 	cap := p.Lv.Peak * 70 / 100
-	simo := sim.Options{Recompute: sim.LRURecompute}
 	return AblationReport{
 		Title: "Ablation 4: earlier-generated tie-break (resnet50 b=256, 70% of peak)",
 		Rows: []AblationRow{
-			planWith(p, "earlier-generated first", cap, core.Options{}, simo),
-			planWith(p, "no tie-break", cap, core.Options{DisableGenTieBreak: true}, simo),
+			planWith(p, "earlier-generated first", cap, core.Options{}),
+			planWith(p, "no tie-break", cap, core.Options{DisableGenTieBreak: true}),
 		},
 	}, nil
 }
@@ -163,13 +160,13 @@ func AblationPoolStrategy() (AblationReport, error) {
 	if err != nil {
 		return AblationReport{}, err
 	}
-	plan, err := PlanPolicy(p, "tsplit", 0)
+	plan, _, err := p.PlanPolicy("tsplit", core.Options{})
 	if err != nil {
 		return AblationReport{}, err
 	}
 	rows := make([]AblationRow, 0, 2)
 	for _, st := range []memorypool.Strategy{memorypool.BestFit, memorypool.FirstFit} {
-		res, err := simulate(p, plan, sim.Options{Recompute: sim.LRURecompute, PoolStrategy: st})
+		res, err := p.Simulate(plan, sim.Options{Recompute: prep.RecomputeOf(plan), PoolStrategy: st})
 		if err != nil {
 			rows = append(rows, AblationRow{Name: st.String()})
 			continue

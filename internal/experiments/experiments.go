@@ -13,10 +13,6 @@
 package experiments
 
 import (
-	"fmt"
-	"strings"
-
-	"tsplit/internal/baselines"
 	"tsplit/internal/core"
 	"tsplit/internal/device"
 	"tsplit/internal/graph"
@@ -46,10 +42,6 @@ func buildGraph(model string, cfg models.Config) (*graph.Graph, error) {
 	return models.Build(model, cfg)
 }
 
-// Policies lists every policy the evaluation compares, in table order.
-// "tsplit-nosplit" is the Fig. 14(a) ablation.
-var Policies = append(append([]string{}, baselines.Names...), "tsplit", "tsplit-nosplit")
-
 // PolicyResult is the outcome of one (workload, policy) run.
 type PolicyResult struct {
 	Policy   string
@@ -69,103 +61,13 @@ func (r PolicyResult) Throughput(batch int) float64 {
 	return r.Res.Throughput(batch)
 }
 
-// PlanPolicy produces the plan for a policy without simulating.
-func PlanPolicy(p *prep.Prepared, policy string, capacity int64) (*core.Plan, error) {
-	return planPolicyReserve(p, policy, capacity, 0)
-}
-
-func planPolicyReserve(p *prep.Prepared, policy string, capacity, reserve int64) (*core.Plan, error) {
-	switch policy {
-	case "tsplit", "tsplit-nosplit", "tsplit-offload":
-		opts := core.Options{
-			Capacity:             capacity,
-			DisableSplit:         policy == "tsplit-nosplit",
-			OffloadOptimizer:     policy == "tsplit-offload",
-			FragmentationReserve: reserve,
-		}
-		// TSPLIT's reserve ladder and the policies sharing this
-		// workload all plan on one set of recycled arenas.
-		plan, _, err := p.Plan(opts)
-		return plan, err
-	default:
-		b, ok := baselines.Registry[policy]
-		if !ok {
-			return nil, fmt.Errorf("experiments: unknown policy %q", policy)
-		}
-		return b(baselines.Inputs{G: p.G, Sched: p.Sched, Lv: p.Lv, Prof: p.Prof, Dev: p.Dev})
-	}
-}
-
-// simPool recycles simulator arenas across every simulation this
-// package runs. The sweeps are sharded over forEach workers; each
-// worker borrows an arena per cell and returns it after, so a sweep
-// reaches steady state after one cell per worker and stops allocating
-// simulator state entirely. Results are byte-identical to fresh
-// simulators, so the ordered per-index fold is untouched.
-var simPool = sim.NewSimPool()
-
-// simulate runs one simulation on simPool and returns its result.
-func simulate(p *prep.Prepared, plan *core.Plan, opts sim.Options) (sim.Result, error) {
-	s := simPool.Get(p.G, p.Sched, p.Lv, plan, p.Dev, opts)
-	res, err := s.Run()
-	simPool.Put(s)
-	return res, err
-}
-
-// simOptions returns the runtime configuration a policy uses:
-// SuperNeurons and TSPLIT run the LRU-hybrid recomputation cache
-// (paper Sec. V-D: TSPLIT "adopts an LRU-based recomputation
-// optimization"); the remaining policies use the memory-centric
-// strategy.
-func simOptions(policy string, capacity int64, timeline bool) sim.Options {
-	o := sim.Options{Capacity: capacity, CollectTimeline: timeline}
-	switch policy {
-	case "superneurons", "tsplit", "tsplit-nosplit", "tsplit-offload":
-		o.Recompute = sim.LRURecompute
-	}
-	return o
-}
-
-// RunPolicy plans and simulates one policy on a prepared workload.
-// capacity 0 uses the device's full memory.
-func RunPolicy(p *prep.Prepared, policy string, capacity int64) PolicyResult {
-	return runPolicy(p, policy, capacity, false)
-}
-
-// RunPolicyTimeline is RunPolicy with execution-trace collection
-// (Fig. 2(a)).
-func RunPolicyTimeline(p *prep.Prepared, policy string, capacity int64) PolicyResult {
-	return runPolicy(p, policy, capacity, true)
-}
-
-func runPolicy(p *prep.Prepared, policy string, capacity int64, timeline bool) PolicyResult {
-	r := PolicyResult{Policy: policy}
-	// TSPLIT iterates plan -> trial execution: when the run-time
-	// validation hits fragmentation the planner retries against a
-	// larger reserve (the real system's profile-and-replan loop).
-	reserves := []int64{0}
-	if strings.HasPrefix(policy, "tsplit") {
-		cap := capacity
-		if cap == 0 {
-			cap = p.Dev.MemBytes
-		}
-		reserves = core.ReserveLadder(cap)
-	}
-	for _, rv := range reserves {
-		plan, err := planPolicyReserve(p, policy, capacity, rv)
-		if err != nil {
-			r.Reason = err.Error()
-			continue
-		}
-		r.Plan = plan
-		res, err := simulate(p, plan, simOptions(policy, capacity, timeline))
-		if err != nil {
-			r.Reason = err.Error()
-			continue
-		}
-		r.Feasible = true
-		r.Res = res
-		return r
+// RunPolicy plans and simulates one policy on a prepared workload in
+// the device's memory (prep's plan → trial-run loop).
+func RunPolicy(p *prep.Prepared, policy string) PolicyResult {
+	plan, res, err := p.RunPolicy(policy, core.Options{}, sim.Options{})
+	r := PolicyResult{Policy: policy, Feasible: err == nil, Plan: plan, Res: res}
+	if err != nil {
+		r.Reason = err.Error()
 	}
 	return r
 }

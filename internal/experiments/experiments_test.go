@@ -13,7 +13,7 @@ func TestRunPolicyBase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := RunPolicy(p, "base", 0)
+	r := RunPolicy(p, "base")
 	if !r.Feasible {
 		t.Fatalf("base infeasible: %s", r.Reason)
 	}
@@ -24,7 +24,7 @@ func TestRunPolicyBase(t *testing.T) {
 
 func TestRunPolicyUnknown(t *testing.T) {
 	p, _ := prepare("vgg16", models.Config{BatchSize: 8}, device.TitanRTX)
-	r := RunPolicy(p, "nope", 0)
+	r := RunPolicy(p, "nope")
 	if r.Feasible || r.Reason == "" {
 		t.Fatal("unknown policy must be infeasible with a reason")
 	}
@@ -36,7 +36,7 @@ func TestFeasibleRespectsCapacity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return RunPolicy(p, "base", 0).Feasible
+		return RunPolicy(p, "base").Feasible
 	}
 	if !feasible(device.TitanRTX) {
 		t.Fatal("vgg16 batch 64 should fit a 24 GB device")

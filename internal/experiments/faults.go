@@ -4,12 +4,10 @@ import (
 	"fmt"
 	"strings"
 
-	"tsplit/internal/baselines"
 	"tsplit/internal/device"
 	"tsplit/internal/faults"
 	"tsplit/internal/models"
 	"tsplit/internal/resilient"
-	"tsplit/internal/sim"
 )
 
 // FaultRow is one severity cell of the fault-robustness sweep.
@@ -73,11 +71,7 @@ func FaultSweep(model string, cfg models.Config, dev device.Device, seed uint64)
 	// Cells share nothing but read-only inputs; sweep them concurrently.
 	forEach(len(severities), func(i int) {
 		sev := severities[i]
-		in := baselines.Inputs{G: p.G, Sched: p.Sched, Lv: p.Lv, Prof: p.Prof, Dev: p.Dev}
-		out, err := resilient.Run(in, resilient.Config{
-			Faults: faults.Config{Seed: seed, Severity: sev},
-			Sim:    sim.Options{Recompute: sim.LRURecompute},
-		})
+		out, err := resilient.Run(p, resilient.Config{Faults: faults.Config{Seed: seed, Severity: sev}})
 		if err != nil {
 			rows[i] = FaultRow{Severity: sev}
 			return

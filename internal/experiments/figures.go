@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"tsplit/internal/core"
 	"tsplit/internal/costmodel"
 	"tsplit/internal/device"
 	"tsplit/internal/graph"
@@ -71,7 +72,7 @@ func throughputFigure(title string, dev device.Device, policies []string, cfg mo
 		}
 		for pi, pol := range policies {
 			if applicable(m, pol) {
-				f.Series[m][pi].Thr[bi] = RunPolicy(p, pol, 0).Throughput(c.BatchSize)
+				f.Series[m][pi].Thr[bi] = RunPolicy(p, pol).Throughput(c.BatchSize)
 			}
 		}
 		p.Release()
@@ -158,12 +159,12 @@ func Fig2aMemoryTimeline(dev device.Device, batch int) (*TimelineFigure, error) 
 		return nil, err
 	}
 	for _, pol := range fig.Policies {
-		r := RunPolicyTimeline(p, pol, 0)
-		if !r.Feasible {
-			return nil, fmt.Errorf("experiments: %s infeasible for fig2a: %s", pol, r.Reason)
+		_, res, err := p.RunPolicy(pol, core.Options{}, sim.Options{CollectTimeline: true})
+		if err != nil {
+			return nil, fmt.Errorf("experiments: %s infeasible for fig2a: %w", pol, err)
 		}
-		fig.Lines[pol] = r.Res.Timeline
-		fig.Peaks[pol] = r.Res.PeakBytes
+		fig.Lines[pol] = res.Timeline
+		fig.Peaks[pol] = res.PeakBytes
 	}
 	return fig, nil
 }
@@ -229,7 +230,7 @@ func Fig2bOverheadPCIe(dev device.Device, policy string) ([]OverheadRow, error) 
 			errs[i] = err
 			return
 		}
-		r := RunPolicy(p, policy, 0)
+		r := RunPolicy(p, policy)
 		if !r.Feasible {
 			rows[i] = OverheadRow{Model: m, Batch: batch}
 			return

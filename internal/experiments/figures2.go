@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"tsplit/internal/core"
 	"tsplit/internal/device"
 	"tsplit/internal/graph"
 	"tsplit/internal/models"
@@ -135,7 +136,7 @@ func Fig14aScaleUnderThroughput(dev device.Device, hi int) ([]ThroughputConstrai
 			errs[mi] = err
 			return
 		}
-		baseThr[mi] = RunPolicy(p, "base", 0).Throughput(baseMax)
+		baseThr[mi] = RunPolicy(p, "base").Throughput(baseMax)
 		p.Release()
 	})
 	if err := firstError(errs); err != nil {
@@ -154,7 +155,7 @@ func Fig14aScaleUnderThroughput(dev device.Device, hi int) ([]ThroughputConstrai
 			if err != nil {
 				return 0
 			}
-			thr := RunPolicy(pp, pol, 0).Throughput(b)
+			thr := RunPolicy(pp, pol).Throughput(b)
 			pp.Release()
 			return thr
 		}
@@ -220,7 +221,7 @@ func Fig14bStrategyMix(batch int) ([]StrategyMix, error) {
 		if err != nil {
 			return nil, err
 		}
-		plan, err := PlanPolicy(p, "tsplit", 0)
+		plan, _, err := p.PlanPolicy("tsplit", core.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("experiments: tsplit cannot plan vgg16 batch %d on %s: %w", batch, dev.Name, err)
 		}

@@ -143,7 +143,7 @@ func searchScales(mods, policies []string, hi int, prepare func(model string, n 
 			w, err := prepare(mods[g.model], g.n)
 			for p := range policies {
 				if cur[g.model][p].probe == g.n {
-					feasible[g.model][p] = err == nil && RunPolicy(w, policies[p], 0).Feasible
+					feasible[g.model][p] = err == nil && RunPolicy(w, policies[p]).Feasible
 				}
 			}
 			if err == nil {

@@ -125,7 +125,8 @@ func TestJointTableMatchesPerPolicy(t *testing.T) {
 // planning and simulation, and its planner pool as safe to share: one
 // Prepared run by every policy forwards, backwards and from one
 // goroutine per policy at once (run under -race) gives the plan bytes
-// and simulation result a Prepared of its own gives each policy.
+// and simulation result a Prepared of its own gives each policy of
+// the table.
 func TestPreparedSharedAcrossPolicies(t *testing.T) {
 	small := device.TitanRTX
 	small.MemBytes = 6 << 30
@@ -142,7 +143,7 @@ func testPreparedShared(t *testing.T, cfg models.Config, small device.Device) {
 		r    PolicyResult
 	}
 	run := func(p *prep.Prepared, policy string) outcome {
-		r := RunPolicy(p, policy, 0)
+		r := RunPolicy(p, policy)
 		var buf bytes.Buffer
 		if r.Plan != nil {
 			if err := core.ExportJSON(&buf, r.Plan); err != nil {
@@ -152,9 +153,10 @@ func testPreparedShared(t *testing.T, cfg models.Config, small device.Device) {
 		r.Plan = nil
 		return outcome{buf.Bytes(), r}
 	}
-	want := make([]outcome, len(Policies))
+	policies := prep.PolicyNames()
+	want := make([]outcome, len(policies))
 	feasible := 0
-	for i, policy := range Policies {
+	for i, policy := range policies {
 		own, err := prepare("vgg16", cfg, small)
 		if err != nil {
 			t.Fatal(err)
@@ -164,8 +166,8 @@ func testPreparedShared(t *testing.T, cfg models.Config, small device.Device) {
 			feasible++
 		}
 	}
-	if feasible == 0 || feasible == len(Policies) {
-		t.Fatalf("batch %d: %d of %d policies feasible; the workload should split them", cfg.BatchSize, feasible, len(Policies))
+	if feasible == 0 || feasible == len(policies) {
+		t.Fatalf("batch %d: %d of %d policies feasible; the workload should split them", cfg.BatchSize, feasible, len(policies))
 	}
 	shared, err := prepare("vgg16", cfg, small)
 	if err != nil {
@@ -173,26 +175,26 @@ func testPreparedShared(t *testing.T, cfg models.Config, small device.Device) {
 	}
 	check := func(order string, i int, got outcome) {
 		if !bytes.Equal(got.plan, want[i].plan) || !reflect.DeepEqual(got.r, want[i].r) {
-			t.Errorf("batch %d %s: %s on the shared workload differs from its own workload", cfg.BatchSize, order, Policies[i])
+			t.Errorf("batch %d %s: %s on the shared workload differs from its own workload", cfg.BatchSize, order, policies[i])
 		}
 	}
-	for i := range Policies {
-		check("forwards", i, run(shared, Policies[i]))
+	for i := range policies {
+		check("forwards", i, run(shared, policies[i]))
 	}
-	for i := len(Policies) - 1; i >= 0; i-- {
-		check("backwards", i, run(shared, Policies[i]))
+	for i := len(policies) - 1; i >= 0; i-- {
+		check("backwards", i, run(shared, policies[i]))
 	}
-	got := make([]outcome, len(Policies))
+	got := make([]outcome, len(policies))
 	var wg sync.WaitGroup
-	for i := range Policies {
+	for i := range policies {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			got[i] = run(shared, Policies[i])
+			got[i] = run(shared, policies[i])
 		}(i)
 	}
 	wg.Wait()
-	for i := range Policies {
+	for i := range policies {
 		check("concurrently", i, got[i])
 	}
 }

@@ -1,12 +1,16 @@
 package prep
 
 import (
+	"slices"
 	"testing"
 
+	"tsplit/internal/baselines"
+	"tsplit/internal/core"
 	"tsplit/internal/device"
 	"tsplit/internal/graph"
 	"tsplit/internal/models"
 	"tsplit/internal/obs"
+	"tsplit/internal/sim"
 	"tsplit/internal/tensor"
 )
 
@@ -76,5 +80,99 @@ func TestTemplatesRecycleSlots(t *testing.T) {
 	}
 	if got := reg.Counter(WorkloadSlots); got != 1 {
 		t.Fatalf("%d workload slots for one borrower, want 1", got)
+	}
+}
+
+// TestPolicyTable pins the policy table: the baselines, then TSPLIT's
+// three entries, each name once. Every entry plans VGG-16 and its plan
+// carries the entry's name, which is how a plan finds its recompute
+// strategy again (tsplit's Workload.Run). Unknown names fail to plan
+// and to run.
+func TestPolicyTable(t *testing.T) {
+	want := append(slices.Clone(baselines.Names), "tsplit", "tsplit-nosplit", "tsplit-offload")
+	if got := PolicyNames(); !slices.Equal(got, want) {
+		t.Fatalf("policy table %v, want %v", got, want)
+	}
+	p, err := Build("vgg16", models.Config{BatchSize: 32}, device.TitanRTX)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range Policies {
+		pol := &Policies[i]
+		if got, _ := Lookup(pol.Name); got != pol {
+			t.Fatalf("%s: Lookup finds another entry; the name is not unique", pol.Name)
+		}
+		plan, _, err := p.PlanPolicy(pol.Name, core.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", pol.Name, err)
+		}
+		if plan.Name != pol.Name {
+			t.Fatalf("entry %s plans a plan named %s", pol.Name, plan.Name)
+		}
+	}
+	if _, err := Lookup("nope"); err == nil {
+		t.Fatal("Lookup found an unknown policy")
+	}
+	if got := RecomputeOf(core.NewPlan("hand-made", device.TitanRTX)); got != sim.LRURecompute {
+		t.Fatalf("a plan no policy names runs %v, want LRU-hybrid", got)
+	}
+	if _, _, err := p.PlanPolicy("nope", core.Options{}); err == nil {
+		t.Fatal("PlanPolicy accepted an unknown policy")
+	}
+	if _, _, err := p.RunPolicy("nope", core.Options{}, sim.Options{}); err == nil {
+		t.Fatal("RunPolicy accepted an unknown policy")
+	}
+}
+
+// TestRunPolicyLoop checks the plan → trial-run loop: a baseline runs
+// its plan once with its own recompute strategy, whatever strategy the
+// caller passes; a TSPLIT entry that fails its first trial run replans
+// down the reserve ladder, and returns its last plan with the error
+// when no rung fits.
+func TestRunPolicyLoop(t *testing.T) {
+	p, err := Build("vgg16", models.Config{BatchSize: 128}, device.TitanRTX)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, res, err := p.RunPolicy("checkpoints", core.Options{}, sim.Options{Recompute: sim.LRURecompute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := p.Simulate(plan, sim.Options{Recompute: sim.MemoryCentric})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.PeakBytes != want.PeakBytes || res.Time != want.Time {
+		t.Fatalf("checkpoints ran at peak %d, %gs; memory-centric runs it at %d, %gs", res.PeakBytes, res.Time, want.PeakBytes, want.Time)
+	}
+
+	// At 55% of VGG-16 b32's unmanaged peak the first plan fails its
+	// trial run and a later rung's plan runs; at 45% of b64's no plan
+	// runs, and the last one made comes back with the error.
+	for _, c := range []struct {
+		batch int
+		pct   int64
+		fits  bool
+	}{{32, 55, true}, {64, 45, false}} {
+		p, err := Build("vgg16", models.Config{BatchSize: c.batch}, device.TitanRTX)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := core.Options{Capacity: p.Lv.Peak * c.pct / 100}
+		so := sim.Options{Capacity: opts.Capacity}
+		first, _, err := p.PlanPolicy("tsplit", opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Simulate(first, sim.Options{Capacity: opts.Capacity, Recompute: sim.LRURecompute}); err == nil {
+			t.Fatalf("b%d at %d%%: the first rung runs; the ladder is not exercised", c.batch, c.pct)
+		}
+		plan, _, err := p.RunPolicy("tsplit", opts, so)
+		if (err == nil) != c.fits || plan == nil {
+			t.Fatalf("b%d at %d%%: the ladder returned plan %v, error %v", c.batch, c.pct, plan != nil, err)
+		}
+		if _, err := p.Simulate(plan, sim.Options{Capacity: opts.Capacity, Recompute: sim.LRURecompute}); (err == nil) != c.fits {
+			t.Fatalf("b%d at %d%%: the ladder's plan runs: %v, want %v", c.batch, c.pct, err == nil, c.fits)
+		}
 	}
 }

@@ -11,10 +11,10 @@ import (
 	"errors"
 	"fmt"
 
-	"tsplit/internal/baselines"
 	"tsplit/internal/core"
 	"tsplit/internal/faults"
 	"tsplit/internal/obs"
+	"tsplit/internal/prep"
 	"tsplit/internal/sim"
 )
 
@@ -42,7 +42,8 @@ type Config struct {
 	// SafetyMargin, Obs, and CollectReport are overridden per rung).
 	Planner core.Options
 	// Sim seeds the runtime options of every rung (Capacity, Faults,
-	// and Obs are overridden).
+	// Obs, Trace and Flight are overridden, and Recompute is the rung
+	// policy's, prep.Policies).
 	Sim sim.Options
 	// CollectReport attaches a PlanReport to the outcome.
 	CollectReport bool
@@ -101,7 +102,7 @@ func (o *Outcome) degradations() []string {
 // environment, descending the degradation ladder as needed. It
 // returns an error only when even the swap-all fallback cannot train
 // the configuration — a genuine capacity wall, not a transient.
-func Run(in baselines.Inputs, cfg Config) (Outcome, error) {
+func Run(p *prep.Prepared, cfg Config) (Outcome, error) {
 	inj := faults.New(cfg.Faults)
 	m0 := cfg.SafetyMargin
 	if m0 <= 0 && inj != nil {
@@ -132,9 +133,8 @@ func Run(in baselines.Inputs, cfg Config) (Outcome, error) {
 		cfg.Dumper.Trigger("ladder escalation: " + kind)
 	}
 
-	// One planner serves the whole ladder: each rung plans afresh at its
-	// margin, reusing the planner's arenas.
-	pl := core.NewPlanner(in.G, in.Sched, in.Lv, in.Prof, in.Dev, cfg.Planner)
+	// Each rung plans afresh at its margin on the workload's pooled
+	// planner arenas.
 	for i, m := range margins {
 		kind := "plan"
 		if i > 0 {
@@ -150,8 +150,7 @@ func Run(in baselines.Inputs, cfg Config) (Outcome, error) {
 		sp := rsp.StartSpan("resilient.rung")
 		sp.SetAttr("kind", kind)
 		sp.SetAttr("margin", fmt.Sprintf("%.2f", m))
-		pl.SetOptions(popts)
-		plan, err := pl.Plan()
+		plan, report, err := p.PlanPolicy("tsplit", popts)
 		if err != nil {
 			// Infeasible at this margin: tighter margins only shrink the
 			// budget further. Go straight to the fallback.
@@ -159,10 +158,10 @@ func Run(in baselines.Inputs, cfg Config) (Outcome, error) {
 			fail(kind, m, err)
 			break
 		}
-		res, rerr := runSim(in, plan, cfg, inj)
+		res, rerr := runSim(p, plan, cfg, inj)
 		sp.End()
 		if rerr == nil {
-			out.Plan, out.Result, out.Report = plan, res, pl.Report()
+			out.Plan, out.Result, out.Report = plan, res, report
 			out.Stages = append(out.Stages, Stage{Kind: kind, Margin: m})
 			if out.Report != nil {
 				out.Report.Degradations = out.degradations()
@@ -182,12 +181,12 @@ func Run(in baselines.Inputs, cfg Config) (Outcome, error) {
 	}
 	sp := rsp.StartSpan("resilient.rung")
 	sp.SetAttr("kind", "swap-all")
-	plan, err := baselines.VDNNAll(in)
+	plan, _, err := p.PlanPolicy("vdnn-all", core.Options{})
 	if err != nil {
 		sp.End()
 		return out, fmt.Errorf("resilient: swap-all fallback: %w", err)
 	}
-	res, rerr := runSim(in, plan, cfg, inj)
+	res, rerr := runSim(p, plan, cfg, inj)
 	sp.End()
 	if rerr != nil {
 		if cfg.Obs != nil {
@@ -204,22 +203,24 @@ func Run(in baselines.Inputs, cfg Config) (Outcome, error) {
 	if cfg.CollectReport {
 		out.Report = &core.PlanReport{
 			Policy:       plan.Name,
-			Device:       in.Dev.Name,
+			Device:       p.Dev.Name,
 			Degradations: out.degradations(),
 		}
 	}
 	return out, nil
 }
 
-// runSim executes one rung's plan under the shared injector. The
-// injector's per-event draws are keyed by event identity, not by draw
-// order, so every rung faces the same environment.
-func runSim(in baselines.Inputs, plan *core.Plan, cfg Config, inj *faults.Injector) (sim.Result, error) {
+// runSim executes one rung's plan, with its policy's recompute
+// strategy, under the shared injector. The injector's per-event draws
+// are keyed by event identity, not by draw order, so every rung faces
+// the same environment.
+func runSim(p *prep.Prepared, plan *core.Plan, cfg Config, inj *faults.Injector) (sim.Result, error) {
 	sopts := cfg.Sim
+	sopts.Recompute = prep.RecomputeOf(plan)
 	sopts.Capacity = cfg.Capacity
 	sopts.Faults = inj
 	sopts.Obs = cfg.Obs
 	sopts.Trace = cfg.Trace
 	sopts.Flight = cfg.Flight
-	return sim.New(in.G, in.Sched, in.Lv, plan, in.Dev, sopts).Run()
+	return p.Simulate(plan, sopts)
 }

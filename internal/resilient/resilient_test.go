@@ -4,30 +4,21 @@ import (
 	"strings"
 	"testing"
 
-	"tsplit/internal/baselines"
 	"tsplit/internal/core"
 	"tsplit/internal/device"
 	"tsplit/internal/faults"
-	"tsplit/internal/graph"
 	"tsplit/internal/models"
 	"tsplit/internal/obs"
-	"tsplit/internal/profiler"
-	"tsplit/internal/sim"
+	"tsplit/internal/prep"
 )
 
-func inputs(t *testing.T, model string, batch int) baselines.Inputs {
+func inputs(t *testing.T, model string, batch int) *prep.Prepared {
 	t.Helper()
-	g, err := models.Build(model, models.Config{BatchSize: batch})
+	p, err := prep.Build(model, models.Config{BatchSize: batch}, device.TitanRTX)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched, err := graph.BuildSchedule(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lv := graph.AnalyzeLiveness(g, sched)
-	return baselines.Inputs{G: g, Sched: sched, Lv: lv,
-		Prof: profiler.New(device.TitanRTX, sched), Dev: device.TitanRTX}
+	return p
 }
 
 // checkLadderOrder asserts the rung trail is a prefix of the only
@@ -130,7 +121,6 @@ func TestLadderInjectedOOMEscalatesInOrder(t *testing.T) {
 	out, err := Run(in, Config{
 		Faults:   faults.Config{Seed: 7, Severity: 0.9, Kinds: []faults.Kind{faults.CapacityShrink}},
 		Capacity: cap,
-		Sim:      sim.Options{Recompute: sim.LRURecompute},
 	})
 	if err != nil {
 		t.Fatalf("ladder aborted: %v", err)
@@ -157,7 +147,6 @@ func TestLadderNeverAbortsAtFullSeverity(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
 		out, err := Run(in, Config{
 			Faults: faults.Config{Seed: seed, Severity: 1},
-			Sim:    sim.Options{Recompute: sim.LRURecompute},
 		})
 		if err != nil {
 			t.Fatalf("seed %d: ladder aborted: %v", seed, err)
@@ -174,7 +163,6 @@ func TestLadderDeterministicTrail(t *testing.T) {
 	cfg := Config{
 		Faults:   faults.Config{Seed: 7, Severity: 0.9},
 		Capacity: in.Lv.Peak * 65 / 100,
-		Sim:      sim.Options{Recompute: sim.LRURecompute},
 	}
 	a, err := Run(in, cfg)
 	if err != nil {

@@ -126,6 +126,20 @@ func TestPeakEndpointMatchesSimulator(t *testing.T) {
 	if got := s.Metrics().Histogram("tsplit_serve_peak_seconds").Count; got != observed+1 {
 		t.Fatalf("tsplit_serve_peak_seconds count %d -> %d, want one lookup observation", observed, got)
 	}
+
+	// A baseline's peak is the policy table's simulation of it: the
+	// checkpoints plan runs memory-centric, as the evaluation runs it.
+	cw := postPeak(t, s, `{"model":"vgg16","config":{"batch_size":96},"device":"GTX 1080Ti","options":{"policy":"checkpoints"}}`)
+	if cw.Code != http.StatusOK {
+		t.Fatalf("checkpoints status %d: %s", cw.Code, cw.Body.String())
+	}
+	_, cres, err := wl.RunPolicy("checkpoints", core.Options{}, sim.Options{})
+	if err != nil {
+		t.Fatalf("checkpoints reference run: %v", err)
+	}
+	if got := decodePeak(t, cw).SimulatedPeakBytes; got != cres.PeakBytes {
+		t.Fatalf("/v1/peak returned %d for checkpoints, the policy table's simulation peaks at %d", got, cres.PeakBytes)
+	}
 }
 
 // TestPeakWithReportOption: "report" is part of the plan key, so

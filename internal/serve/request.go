@@ -5,13 +5,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sort"
 	"strconv"
 
-	"tsplit/internal/baselines"
 	"tsplit/internal/core"
 	"tsplit/internal/device"
 	"tsplit/internal/models"
+	"tsplit/internal/prep"
 )
 
 // Validation ceilings: a planning service fielding arbitrary clients
@@ -45,9 +44,9 @@ type ModelConfig struct {
 }
 
 // PlanOptions are the planner knobs a request may set. Policy selects
-// the producer: "tsplit" (default), "tsplit-nosplit" (the ablation),
-// or any baseline name (vdnn-conv, vdnn-all, checkpoints,
-// superneurons, zero-offload, fairscale-offload, base).
+// the producer, any name of the policy table (prep.Policies): "tsplit"
+// (default), "tsplit-nosplit", "tsplit-offload" or a baseline. The
+// other knobs apply to the tsplit policies only.
 type PlanOptions struct {
 	Policy        string  `json:"policy,omitempty"`
 	CapacityBytes int64   `json:"capacity_bytes,omitempty"`
@@ -153,13 +152,6 @@ func decodeRequest(body []byte) (*PlanRequest, *httpError) {
 	return &req, nil
 }
 
-// knownPolicies returns the sorted set of accepted policy names.
-func knownPolicies() []string {
-	names := append([]string{"tsplit", "tsplit-nosplit"}, baselines.Names...)
-	sort.Strings(names)
-	return names
-}
-
 // validateRequest normalizes and bounds-checks a decoded request in
 // place.
 func validateRequest(req *PlanRequest) *httpError {
@@ -205,13 +197,9 @@ func validateRequest(req *PlanRequest) *httpError {
 	if o.Policy == "" {
 		o.Policy = "tsplit"
 	}
-	switch o.Policy {
-	case "tsplit", "tsplit-nosplit":
-	default:
-		if _, ok := baselines.Registry[o.Policy]; !ok {
-			return &httpError{status: http.StatusNotFound, code: "unknown_policy",
-				message: fmt.Sprintf("unknown policy %q (have %v)", o.Policy, knownPolicies())}
-		}
+	pol, err := prep.Lookup(o.Policy)
+	if err != nil {
+		return &httpError{status: http.StatusNotFound, code: "unknown_policy", message: err.Error()}
 	}
 	if o.CapacityBytes < 0 {
 		return errBadRequest("options.capacity_bytes must be >= 0 (0 = device capacity)")
@@ -230,12 +218,10 @@ func validateRequest(req *PlanRequest) *httpError {
 	if len(o.PNums) == 0 {
 		o.PNums = nil // nil and [] must share a cache key
 	}
-	if o.Policy != "tsplit" && o.Policy != "tsplit-nosplit" {
-		// Baseline producers ignore planner knobs; normalize them out of
-		// the cache key so equivalent requests share an entry.
-		if o.DisableSplit || len(o.PNums) > 0 || o.SafetyMargin != 0 {
-			return errBadRequest("options.disable_split/pnums/safety_margin apply only to the tsplit policies")
-		}
+	if !pol.Planner && (o.DisableSplit || len(o.PNums) > 0 || o.SafetyMargin != 0) {
+		// Baseline producers ignore planner knobs; rejecting them keeps
+		// equivalent requests on one cache key.
+		return errBadRequest("options.disable_split/pnums/safety_margin apply only to the tsplit policies")
 	}
 	return nil
 }

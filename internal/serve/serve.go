@@ -14,9 +14,9 @@ import (
 	"sync"
 	"time"
 
-	"tsplit/internal/baselines"
 	"tsplit/internal/core"
 	"tsplit/internal/obs"
+	"tsplit/internal/prep"
 	"tsplit/internal/sim"
 )
 
@@ -424,7 +424,9 @@ func (s *Server) handlePlan(a accepted) ([]byte, *httpError) {
 }
 
 // handlePeak is /v1/peak's run step: plan the requested policy, then
-// run the plan through the simulator on the workload's pooled arenas.
+// run the plan through the simulator on the workload's pooled arenas,
+// with the policy's recompute strategy (prep.Policies), once: no
+// reserve ladder.
 // The peak it returns is the peak a fresh simulation (and the verify
 // tooling) reports — the fleet-packing signal the planner's static
 // estimate approximates. Plan and peak are pure functions of the key,
@@ -440,7 +442,7 @@ func (s *Server) handlePeak(a accepted) ([]byte, *httpError) {
 	}
 	wl := a.wl
 	simr := wl.sims.Get(wl.G, wl.Sched, wl.Lv, plan, wl.Dev,
-		sim.Options{Capacity: opts.CapacityBytes, Recompute: sim.LRURecompute})
+		sim.Options{Capacity: opts.CapacityBytes, Recompute: prep.RecomputeOf(plan)})
 	res, rerr := simr.Run()
 	wl.sims.Put(simr)
 	s.reg.Observe("tsplit_serve_peak_seconds", s.clock().Sub(peakStart).Seconds())
@@ -473,27 +475,18 @@ func errInternal(format string, args ...any) *httpError {
 	return &httpError{status: http.StatusInternalServerError, code: "internal", message: fmt.Sprintf(format, args...)}
 }
 
-// buildPlan runs the requested policy on pooled planner arenas,
-// returning the plan (and its report when asked for).
+// buildPlan plans the requested policy (on pooled planner arenas for
+// the tsplit policies), returning the plan and, when asked for, its
+// report.
 func (s *Server) buildPlan(o PlanOptions, wl *prepared) (*core.Plan, *core.PlanReport, *httpError) {
-	var plan *core.Plan
-	var report *core.PlanReport
-	var err error
-	switch o.Policy {
-	case "tsplit", "tsplit-nosplit":
-		plan, report, err = wl.Plan(core.Options{
-			Capacity:      o.CapacityBytes,
-			DisableSplit:  o.DisableSplit || o.Policy == "tsplit-nosplit",
-			PNums:         o.PNums,
-			SafetyMargin:  o.SafetyMargin,
-			CollectReport: o.Report,
-			Clock:         s.clock,
-		})
-	default:
-		plan, err = baselines.Registry[o.Policy](baselines.Inputs{
-			G: wl.G, Sched: wl.Sched, Lv: wl.Lv, Prof: wl.Prof, Dev: wl.Dev,
-		})
-	}
+	plan, report, err := wl.PlanPolicy(o.Policy, core.Options{
+		Capacity:      o.CapacityBytes,
+		DisableSplit:  o.DisableSplit,
+		PNums:         o.PNums,
+		SafetyMargin:  o.SafetyMargin,
+		CollectReport: o.Report,
+		Clock:         s.clock,
+	})
 	if err != nil {
 		return nil, nil, &httpError{status: http.StatusUnprocessableEntity,
 			code: "infeasible", message: err.Error()}

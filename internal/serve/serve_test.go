@@ -266,9 +266,9 @@ func TestReportRequested(t *testing.T) {
 	}
 }
 
-// TestErrorResponses covers the structured error surface. /v1/plan and
-// /v1/peak share the pipeline that produces it, so every row must hold
-// on both.
+// TestErrorResponses covers the structured error surface, and the
+// 200 of a request it must not reject. /v1/plan and /v1/peak share the
+// pipeline that produces it, so every row must hold on both.
 func TestErrorResponses(t *testing.T) {
 	s := New(Config{})
 	drained := New(Config{})
@@ -292,6 +292,7 @@ func TestErrorResponses(t *testing.T) {
 		{"pnum too small", `{"model":"vgg16","options":{"pnums":[1]}}`, http.StatusBadRequest, "bad_request"},
 		{"spec with config", `{"spec":{"seed":1},"config":{"batch_size":8}}`, http.StatusBadRequest, "bad_request"},
 		{"baseline with planner knobs", `{"model":"vgg16","options":{"policy":"vdnn-all","disable_split":true}}`, http.StatusBadRequest, "bad_request"},
+		{"every table policy is served", `{"model":"vgg16","options":{"policy":"tsplit-offload"}}`, http.StatusOK, ""},
 		{"infeasible", `{"model":"bert-large","config":{"batch_size":512},"device":"P100","options":{"capacity_bytes":1048576}}`, http.StatusUnprocessableEntity, "infeasible"},
 		{"body too large", `{"model":"` + strings.Repeat("a", maxBodyBytes) + `"}`, http.StatusRequestEntityTooLarge, "payload_too_large"},
 		{"not POST", ``, http.StatusMethodNotAllowed, "method_not_allowed"},
@@ -312,6 +313,9 @@ func TestErrorResponses(t *testing.T) {
 					srv.ServeHTTP(w, httptest.NewRequest(method, path, strings.NewReader(tc.body)))
 					if w.Code != tc.wantStatus {
 						t.Fatalf("status %d, want %d; body: %.200s", w.Code, tc.wantStatus, w.Body.String())
+					}
+					if w.Code == http.StatusOK {
+						return
 					}
 					eb := decodeError(t, w)
 					if eb.Error.Code != tc.wantCode {

@@ -1,17 +1,18 @@
 #!/bin/sh
 # Coverage gate for the planner core, the runtime simulator, the
 # observability layer, the static-analysis engine, the planning
-# service, and the workload preparer — the packages whose correctness
-# the differential, fault-injection, postmortem, lint-dogfood, and
-# serving layers lean on. Fails when any package's statement coverage drops below the
-# floor.
+# service, the workload preparer and its policy table, the baselines,
+# and the degradation ladder — the packages whose correctness the
+# differential, fault-injection, postmortem, lint-dogfood, and serving
+# layers lean on. Fails when any package's statement coverage drops
+# below the floor.
 set -eu
 
 GO=${GO:-go}
 FLOOR=80.0
 
 fail=0
-for pkg in ./internal/core ./internal/sim ./internal/obs ./internal/lint ./internal/serve ./internal/prep; do
+for pkg in ./internal/core ./internal/sim ./internal/obs ./internal/lint ./internal/serve ./internal/prep ./internal/resilient ./internal/baselines; do
 	profile=$(mktemp)
 	"$GO" test -count=1 -coverprofile="$profile" "$pkg" >/dev/null
 	total=$("$GO" tool cover -func="$profile" | awk 'END {gsub(/%/, "", $NF); print $NF}')

@@ -161,6 +161,10 @@ func Models() []string { return models.Names() }
 // Baselines lists the built-in baseline policy names.
 func Baselines() []string { return append([]string{}, baselines.Names...) }
 
+// Policies lists every policy name PlanBaseline and RunPolicy accept:
+// the baselines, then "tsplit", "tsplit-nosplit" and "tsplit-offload".
+func Policies() []string { return prep.PolicyNames() }
+
 // PlanOptions tunes the TSPLIT planner.
 type PlanOptions struct {
 	// CapacityBytes overrides the device memory budget (0 = device).
@@ -262,13 +266,10 @@ func (w *Workload) VerifyPlan(plan *Plan) []Violation {
 
 // PlanBaseline produces a baseline policy's plan ("base", "vdnn-conv",
 // "vdnn-all", "checkpoints", "superneurons", "zero-offload",
-// "fairscale-offload").
+// "fairscale-offload"), or a TSPLIT policy's under default options.
 func (w *Workload) PlanBaseline(policy string) (*Plan, error) {
-	b, ok := baselines.Registry[policy]
-	if !ok {
-		return nil, fmt.Errorf("tsplit: unknown baseline %q (have %v)", policy, baselines.Names)
-	}
-	return b(baselines.Inputs{G: w.G, Sched: w.Sched, Lv: w.Lv, Prof: w.Prof, Dev: w.Dev})
+	plan, _, err := w.PlanPolicy(policy, core.Options{})
+	return plan, err
 }
 
 // Report is a human-oriented summary of one simulated iteration.
@@ -309,13 +310,15 @@ func WithFlight(fl *Flight) RunOption { return func(o *sim.Options) { o.Flight =
 
 // Run simulates one training iteration under the plan and returns the
 // measurements, or an error when the plan does not fit the device
-// (OOM — the configuration cannot train).
+// (OOM — the configuration cannot train). The runtime recomputes as
+// the policy that produced the plan does (Policies); a plan no policy
+// names runs TSPLIT's LRU-hybrid strategy.
 func (w *Workload) Run(plan *Plan, opts ...RunOption) (Report, error) {
-	so := sim.Options{Recompute: sim.LRURecompute}
+	so := sim.Options{Recompute: prep.RecomputeOf(plan)}
 	for _, o := range opts {
 		o(&so)
 	}
-	res, err := sim.New(w.G, w.Sched, w.Lv, plan, w.Dev, so).Run()
+	res, err := w.Simulate(plan, so)
 	if err != nil {
 		return Report{}, err
 	}
@@ -347,7 +350,7 @@ func (w *Workload) report(res SimResult) Report {
 // baseline before ever aborting. The outcome records every ladder
 // rung attempted; the report summarizes the surviving rung's run.
 func (w *Workload) RunResilient(po PlanOptions, fc FaultConfig, opts ...RunOption) (ResilientOutcome, Report, error) {
-	so := sim.Options{Recompute: sim.LRURecompute}
+	var so sim.Options
 	for _, o := range opts {
 		o(&so)
 	}
@@ -363,7 +366,7 @@ func (w *Workload) RunResilient(po PlanOptions, fc FaultConfig, opts ...RunOptio
 	if fl == nil {
 		fl = so.Flight // WithFlight() likewise
 	}
-	out, err := resilient.Run(baselines.Inputs{G: w.G, Sched: w.Sched, Lv: w.Lv, Prof: w.Prof, Dev: w.Dev}, resilient.Config{
+	out, err := resilient.Run(w.Prepared, resilient.Config{
 		Faults:        fc,
 		SafetyMargin:  po.SafetyMargin,
 		Capacity:      po.CapacityBytes,
@@ -381,33 +384,26 @@ func (w *Workload) RunResilient(po PlanOptions, fc FaultConfig, opts ...RunOptio
 	return out, w.report(out.Result), nil
 }
 
-// AutoPlan runs the full plan → trial-execution → replan loop: when
+// AutoPlan runs TSPLIT's plan → trial-execution → replan loop: when
 // the runtime validation hits allocator fragmentation, the planner
 // retries against a larger reserve (how the real system iterates
 // between profiling and planning). It returns the first plan that
 // executes, along with its measurements.
 func (w *Workload) AutoPlan(opts PlanOptions) (*Plan, Report, error) {
-	var lastErr error
-	cap := opts.CapacityBytes
-	if cap == 0 {
-		cap = w.Dev.MemBytes
+	return w.RunPolicy("tsplit", opts)
+}
+
+// RunPolicy plans and simulates a named policy (Policies lists them):
+// TSPLIT's entries plan under opts and replan down the reserve ladder
+// like AutoPlan; a baseline ignores opts and runs once. The simulation
+// uses the device's full memory, whatever opts.CapacityBytes plans
+// against. It returns the plan that ran with its measurements.
+func (w *Workload) RunPolicy(policy string, opts PlanOptions) (*Plan, Report, error) {
+	plan, res, err := w.Prepared.RunPolicy(policy, opts.plannerOptions(), sim.Options{})
+	if err != nil {
+		return nil, Report{}, fmt.Errorf("tsplit: no feasible %s plan: %w", policy, err)
 	}
-	o := opts.plannerOptions()
-	for _, reserve := range core.ReserveLadder(cap) {
-		o.FragmentationReserve = reserve
-		plan, _, err := w.Prepared.Plan(o)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		rep, err := w.Run(plan)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		return plan, rep, nil
-	}
-	return nil, Report{}, fmt.Errorf("tsplit: no feasible plan: %w", lastErr)
+	return plan, w.report(res), nil
 }
 
 // Augment materializes a plan as an augmented dataflow graph with

@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"tsplit"
+	"tsplit/internal/core"
+	"tsplit/internal/sim"
 )
 
 func TestLoadAndRun(t *testing.T) {
@@ -56,6 +58,38 @@ func TestPlanBaseline(t *testing.T) {
 	}
 	if _, err := w.PlanBaseline("nope"); err == nil {
 		t.Fatal("unknown baseline must fail")
+	}
+}
+
+// TestRunMatchesPolicyTable: Run simulates a plan with the recompute
+// strategy of the policy that made it, so it measures a baseline's plan
+// as the evaluation's plan → trial-run loop does — memory-centric for
+// checkpoints, LRU-hybrid for SuperNeurons — and RunPolicy agrees.
+func TestRunMatchesPolicyTable(t *testing.T) {
+	w, err := tsplit.Load("vgg16", tsplit.ModelConfig{BatchSize: 128}, tsplit.TitanRTX)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pol := range []string{"checkpoints", "superneurons"} {
+		plan, err := w.PlanBaseline(pol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := w.Run(plan)
+		if err != nil {
+			t.Fatalf("%s: %v", pol, err)
+		}
+		_, want, err := w.Prepared.RunPolicy(pol, core.Options{}, sim.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", pol, err)
+		}
+		if rep.Raw.PeakBytes != want.PeakBytes || rep.IterationSeconds != want.Time {
+			t.Fatalf("%s: Run measures peak %d, %gs; the policy table's run %d, %gs", pol, rep.Raw.PeakBytes, rep.IterationSeconds, want.PeakBytes, want.Time)
+		}
+		_, rp, err := w.RunPolicy(pol, tsplit.PlanOptions{})
+		if err != nil || rp.Raw.PeakBytes != want.PeakBytes || rp.IterationSeconds != want.Time {
+			t.Fatalf("%s: RunPolicy measures peak %d, %gs (%v); want %d, %gs", pol, rp.Raw.PeakBytes, rp.IterationSeconds, err, want.PeakBytes, want.Time)
+		}
 	}
 }
 
