@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet fmt lint lint-audit build test race bench bench-guard verify-plans cover doctor-smoke serve-smoke ci
+.PHONY: all vet fmt lint lint-audit build test race bench bench-guard verify-plans cover doctor-smoke serve-smoke train-smoke ci
 
 all: ci
 
@@ -71,4 +71,11 @@ doctor-smoke:
 serve-smoke:
 	sh scripts/serve_smoke.sh
 
-ci: vet fmt lint lint-audit build race bench bench-guard verify-plans cover doctor-smoke serve-smoke
+# Float32 demo smoke: tsplit-train with its defaults and with a small
+# batch under a looser budget. Each run exits 1 when a planned step's
+# loss differs from the unconstrained run's.
+train-smoke:
+	$(GO) run ./cmd/tsplit-train
+	$(GO) run ./cmd/tsplit-train -batch 16 -steps 3 -budget 0.8
+
+ci: vet fmt lint lint-audit build race bench bench-guard verify-plans cover doctor-smoke serve-smoke train-smoke

@@ -19,7 +19,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"slices"
 	"strings"
@@ -158,24 +157,6 @@ func selectExps(spec string, exps []experiment) ([]experiment, error) {
 	return out, nil
 }
 
-// writeOut streams fn to stdout (path "-") or to path. The file Close
-// error is returned: metrics and span exports flush at Close, so a
-// dropped Close error is a silently truncated file.
-func writeOut(path string, fn func(io.Writer) error) error {
-	if path == "-" {
-		return fn(os.Stdout)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := fn(f); err != nil {
-		_ = f.Close() // the write error is the one to report
-		return err
-	}
-	return f.Close()
-}
-
 func main() {
 	os.Exit(benchMain())
 }
@@ -207,7 +188,7 @@ func benchMain() (code int) {
 		reg := obs.NewRegistry()
 		experiments.Obs = reg
 		defer func() {
-			if err := writeOut(*metrics, reg.WritePrometheus); err != nil {
+			if err := obs.WriteFile(*metrics, reg.WritePrometheus); err != nil {
 				fmt.Fprintf(os.Stderr, "metrics: %v\n", err)
 				code = 1
 			}
@@ -217,7 +198,7 @@ func benchMain() (code int) {
 		tr := obs.NewTracer(nil)
 		experiments.Trace = tr
 		defer func() {
-			if err := writeOut(*spans, tr.WriteJSON); err != nil {
+			if err := obs.WriteFile(*spans, tr.WriteJSON); err != nil {
 				fmt.Fprintf(os.Stderr, "spans: %v\n", err)
 				code = 1
 			}

@@ -16,29 +16,11 @@ import (
 	"os"
 	"strings"
 
-	"tsplit/internal/core"
 	"tsplit/internal/device"
+	"tsplit/internal/obs"
 
 	"tsplit"
 )
-
-// writeOut streams fn to stdout (path "-") or to path. The file Close
-// error is returned: exports are buffered and flushed at Close, so a
-// dropped Close error is a silently truncated plan file.
-func writeOut(path string, fn func(io.Writer) error) error {
-	if path == "-" {
-		return fn(os.Stdout)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := fn(f); err != nil {
-		_ = f.Close() // the write error is the one to report
-		return err
-	}
-	return f.Close()
-}
 
 func main() {
 	model := flag.String("model", "vgg16", "model name (see tsplit.Models)")
@@ -91,7 +73,7 @@ func main() {
 	}
 
 	if *jsonPath != "" {
-		if err := writeOut(*jsonPath, func(w io.Writer) error { return core.ExportJSON(w, plan) }); err != nil {
+		if err := obs.WriteFile(*jsonPath, func(w io.Writer) error { return tsplit.ExportPlanJSON(w, plan) }); err != nil {
 			log.Fatalf("json export: %v", err)
 		}
 	}
@@ -105,7 +87,7 @@ func main() {
 		fmt.Printf("  swap-out %d  swap-in %d  split %d  merge %d  recompute %d\n",
 			ag.SwapOuts, ag.SwapIns, ag.SplitOps, ag.MergeOps, ag.RecomputeOps)
 		if *dotPath != "" {
-			if err := writeOut(*dotPath, ag.DOT); err != nil {
+			if err := obs.WriteFile(*dotPath, ag.DOT); err != nil {
 				log.Fatalf("dot export: %v", err)
 			}
 		}

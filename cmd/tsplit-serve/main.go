@@ -68,15 +68,7 @@ func main() {
 
 	writeArtifacts := func() error {
 		if *metricsOut != "" {
-			f, err := os.Create(*metricsOut)
-			if err != nil {
-				return err
-			}
-			if err := reg.WritePrometheus(f); err != nil {
-				_ = f.Close() // the write error is the one to report
-				return err
-			}
-			if err := f.Close(); err != nil {
+			if err := obs.WriteFile(*metricsOut, reg.WritePrometheus); err != nil {
 				return err
 			}
 		}

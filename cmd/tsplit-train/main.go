@@ -3,7 +3,7 @@
 // budget, with the full TSPLIT pipeline: profile → plan → execute with
 // physical swap / recompute / micro-batch splitting. It demonstrates
 // that a planned run reproduces the unconstrained losses exactly while
-// staying under the budget.
+// staying under the budget, and exits 1 when any step's losses differ.
 //
 //	tsplit-train -batch 32 -steps 10 -budget 0.6
 //
@@ -22,14 +22,14 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"os"
 
 	"tsplit/internal/core"
 	"tsplit/internal/graph"
 	"tsplit/internal/hostexec"
 	"tsplit/internal/nn"
-	"tsplit/internal/sim"
+	"tsplit/internal/obs"
 	"tsplit/internal/tensor"
+	"tsplit/internal/workload"
 
 	"tsplit"
 )
@@ -105,33 +105,17 @@ func (o *outputs) writeSpans() {
 	if o.spans == "" {
 		return
 	}
-	if err := writeFile(o.spans, o.tr.WriteJSON); err != nil {
+	if err := obs.WriteFile(o.spans, o.tr.WriteJSON); err != nil {
 		log.Fatalf("writing spans: %v", err)
 	}
 	fmt.Printf("span tree written to %s\n", o.spans)
-}
-
-// writeFile opens path ("-" = stdout) and hands it to fn.
-func writeFile(path string, fn func(io.Writer) error) error {
-	if path == "-" {
-		return fn(os.Stdout)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := fn(f); err != nil {
-		_ = f.Close() // the fn error is the one worth reporting
-		return err
-	}
-	return f.Close()
 }
 
 func (o *outputs) writeMetrics() {
 	if o.metrics == "" {
 		return
 	}
-	if err := writeFile(o.metrics, o.reg.WritePrometheus); err != nil {
+	if err := obs.WriteFile(o.metrics, o.reg.WritePrometheus); err != nil {
 		log.Fatalf("writing metrics: %v", err)
 	}
 	fmt.Printf("metrics written to %s\n", o.metrics)
@@ -141,23 +125,23 @@ func (o *outputs) writeReport(rep *tsplit.PlanReport) {
 	if o.report == "" || rep == nil {
 		return
 	}
-	if err := writeFile(o.report, rep.WriteJSON); err != nil {
+	if err := obs.WriteFile(o.report, rep.WriteJSON); err != nil {
 		log.Fatalf("writing plan report: %v", err)
 	}
 	fmt.Printf("plan report (%d decisions) written to %s\n", len(rep.Decisions), o.report)
 }
 
-func (o *outputs) writeTrace(timeline []sim.TimelinePoint) {
+func (o *outputs) writeTrace(res tsplit.SimResult) {
 	if o.trace == "" {
 		return
 	}
-	if err := writeFile(o.trace, func(w io.Writer) error {
-		return sim.WriteChromeTraceSpans(w, timeline, o.tr.Tree())
+	if err := obs.WriteFile(o.trace, func(w io.Writer) error {
+		return tsplit.WriteTraceSpans(w, res, o.tr)
 	}); err != nil {
 		log.Fatalf("writing trace: %v", err)
 	}
 	fmt.Printf("trace (%d timeline points) written to %s — open in https://ui.perfetto.dev\n",
-		len(timeline), o.trace)
+		len(res.Timeline), o.trace)
 }
 
 // faultOpts groups the fault-injection flags.
@@ -203,7 +187,7 @@ func runZooFaulted(model string, batch int, budget float64, fo faultOpts, out *o
 		f.SwapRetries, f.SwapExhausted, f.BandwidthEvents, f.CapacityEvents, f.OpNoiseSeconds)
 
 	out.writeReport(outcome.Report)
-	out.writeTrace(rep.Raw.Timeline)
+	out.writeTrace(rep.Raw)
 	out.writeSpans()
 	out.writeMetrics()
 	out.finishDump()
@@ -248,7 +232,7 @@ func runZoo(model string, batch int, budget float64, out *outputs) {
 		rep.Throughput, rep.PeakGiB, rep.Overhead*100, rep.PCIeUtilization*100)
 
 	out.writeReport(report)
-	out.writeTrace(rep.Raw.Timeline)
+	out.writeTrace(rep.Raw)
 	out.writeSpans()
 	out.writeMetrics()
 	out.finishDump()
@@ -310,31 +294,25 @@ func main() {
 	tight := hostexec.New(g, w.Sched, plan, 42)
 	tight.Capacity = cap
 
-	r := nn.NewRNG(3)
+	src, err := workload.NewImageSource(images, 4, 3)
+	if err != nil {
+		log.Fatal(err)
+	}
+	mismatches := 0
 	for s := 1; s <= *steps; s++ {
-		img := nn.NewBuffer(images.Shape)
-		labels := make([]int, *batch)
-		for b := 0; b < *batch; b++ {
-			cls := r.Intn(4)
-			labels[b] = cls
-			oh, ow := (cls/2)*8, (cls%2)*8
-			for i := 0; i < 8; i++ {
-				for j := 0; j < 8; j++ {
-					img.Set(1, b, 0, oh+i, ow+j)
-				}
-			}
-		}
-		l1, err := free.Step(map[*graph.Tensor]*nn.Buffer{images: img.Clone()}, labels)
+		b := src.Next()
+		l1, err := free.Step(map[*graph.Tensor]*nn.Buffer{images: b.Inputs[images].Clone()}, b.Labels)
 		if err != nil {
 			log.Fatal(err)
 		}
-		l2, err := tight.Step(map[*graph.Tensor]*nn.Buffer{images: img}, labels)
+		l2, err := tight.Step(b.Inputs, b.Labels)
 		if err != nil {
 			log.Fatal(err)
 		}
 		match := "=="
 		if l1 != l2 {
 			match = "!!"
+			mismatches++
 		}
 		fmt.Printf("step %2d  loss %.6f %s %.6f\n", s, l1, match, l2)
 	}
@@ -348,9 +326,12 @@ func main() {
 		if err != nil {
 			log.Fatalf("simulating for trace: %v", err)
 		}
-		out.writeTrace(rep.Raw.Timeline)
+		out.writeTrace(rep.Raw)
 	}
 	out.writeSpans()
 	out.writeMetrics()
 	out.finishDump()
+	if mismatches > 0 {
+		log.Fatalf("%d of %d steps: the planned loss differs from the unconstrained one", mismatches, *steps)
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"tsplit"
+	"tsplit/internal/baselines"
 	"tsplit/internal/core"
 	"tsplit/internal/sim"
 )
@@ -45,13 +46,13 @@ func TestDifferentialPeakNeverExceedsPrediction(t *testing.T) {
 			} else {
 				t.Fatalf("tsplit planner must handle the paper's configurations: %v", err)
 			}
-			for _, policy := range tsplit.Baselines() {
+			for _, policy := range baselines.Names {
 				if p, err := w.PlanBaseline(policy); err == nil {
 					plans[policy] = p
 				}
 			}
 			ms := core.NewMemSim(w.G, w.Sched, w.Lv)
-			for _, name := range append([]string{"tsplit"}, tsplit.Baselines()...) {
+			for _, name := range append([]string{"tsplit"}, baselines.Names...) {
 				plan, ok := plans[name]
 				if !ok {
 					continue

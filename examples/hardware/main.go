@@ -20,7 +20,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		plan, rep, err := w.AutoPlan(tsplit.PlanOptions{})
+		plan, rep, err := w.RunPolicy("tsplit", tsplit.PlanOptions{})
 		if err != nil {
 			log.Fatalf("%s: %v", dev.Name, err)
 		}

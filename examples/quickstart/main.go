@@ -16,6 +16,7 @@ import (
 	"tsplit/internal/hostexec"
 	"tsplit/internal/nn"
 	"tsplit/internal/tensor"
+	"tsplit/internal/workload"
 
 	"tsplit"
 )
@@ -37,24 +38,6 @@ func buildCNN(batch int) (*graph.Graph, *graph.Tensor, *graph.Tensor) {
 		log.Fatal(err)
 	}
 	return g, images, labels
-}
-
-// synthBatch makes a linearly separable-ish synthetic batch: the class
-// sets the quadrant that lights up.
-func synthBatch(batch int, r interface{ Intn(int) int }, imgT *graph.Tensor) (*nn.Buffer, []int) {
-	img := nn.NewBuffer(imgT.Shape)
-	labels := make([]int, batch)
-	for b := 0; b < batch; b++ {
-		cls := r.Intn(4)
-		labels[b] = cls
-		oh, ow := (cls/2)*8, (cls%2)*8
-		for i := 0; i < 8; i++ {
-			for j := 0; j < 8; j++ {
-				img.Set(1, b, 0, oh+i, ow+j)
-			}
-		}
-	}
-	return img, labels
 }
 
 func main() {
@@ -86,15 +69,20 @@ func main() {
 	tight := hostexec.New(g, w.Sched, plan, 42)
 	tight.Capacity = budget
 
-	r := nn.NewRNG(7)
+	// Synthetic, linearly separable-ish batches: the class sets the
+	// quadrant that lights up.
+	src, err := workload.NewImageSource(imgT, 4, 7)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("step   loss(unconstrained)  loss(tsplit-planned)")
 	for step := 1; step <= 8; step++ {
-		img, labels := synthBatch(batch, r, imgT)
-		l1, err := free.Step(map[*graph.Tensor]*nn.Buffer{imgT: img.Clone()}, labels)
+		b := src.Next()
+		l1, err := free.Step(map[*graph.Tensor]*nn.Buffer{imgT: b.Inputs[imgT].Clone()}, b.Labels)
 		if err != nil {
 			log.Fatal(err)
 		}
-		l2, err := tight.Step(map[*graph.Tensor]*nn.Buffer{imgT: img}, labels)
+		l2, err := tight.Step(b.Inputs, b.Labels)
 		if err != nil {
 			log.Fatal(err)
 		}

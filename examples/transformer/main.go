@@ -32,7 +32,7 @@ func main() {
 			conv = "ok"
 		}
 		status := "OOM"
-		if _, rep, err := w.AutoPlan(tsplit.PlanOptions{}); err == nil {
+		if _, rep, err := w.RunPolicy("tsplit", tsplit.PlanOptions{}); err == nil {
 			status = fmt.Sprintf("%.1f seq/s", rep.Throughput)
 		}
 		fmt.Printf("%-8.1f %-8d %12.1f %14s %14s\n", k, hidden, peak, conv, status)
@@ -44,7 +44,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	plan, _, err := w.AutoPlan(tsplit.PlanOptions{})
+	plan, _, err := w.RunPolicy("tsplit", tsplit.PlanOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -417,39 +417,6 @@ func (p *Pool) ResetTo(capacity int64, strategy Strategy) {
 	p.stats = Stats{}
 }
 
-// DumpLayout renders the arena occupancy for diagnostics: each used
-// and free extent in address order.
-func (p *Pool) DumpLayout(maxRows int) string {
-	type ext struct {
-		off, size int64
-		used      bool
-	}
-	var exts []ext
-	for _, off := range p.used.appendOffsets(nil) {
-		size, _ := p.used.get(off)
-		exts = append(exts, ext{off, size, true})
-	}
-	for _, fb := range p.free {
-		exts = append(exts, ext{fb.off, fb.size, false})
-	}
-	sort.Slice(exts, func(i, j int) bool { return exts[i].off < exts[j].off })
-	var b []byte
-	rows := 0
-	for _, e := range exts {
-		if rows >= maxRows {
-			b = append(b, "...\n"...)
-			break
-		}
-		tag := "free"
-		if e.used {
-			tag = "USED"
-		}
-		b = append(b, fmt.Sprintf("%12d %10.1f MiB %s\n", e.off, float64(e.size)/(1<<20), tag)...)
-		rows++
-	}
-	return string(b)
-}
-
 // Compact repacks every allocated block to the bottom of the arena in
 // address order, eliminating external fragmentation, and returns the
 // offset remapping plus the bytes moved (the cost a runtime pays in

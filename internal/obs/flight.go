@@ -225,19 +225,31 @@ func ReadDumpFile(path string) (*Dump, error) {
 	return &d, nil
 }
 
-// FileSink returns a sink that writes each dump to path, overwriting:
-// the file always holds the most recent snapshot (the one closest to
-// the failure the postmortem cares about).
+// WriteFile hands fn the file at path, created or truncated, or
+// stdout when path is "-". It returns the Close error when fn
+// succeeds: exports flush at Close, so a dropped Close error is a
+// silently truncated file.
+func WriteFile(path string, fn func(io.Writer) error) error {
+	if path == "-" {
+		return fn(os.Stdout)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := fn(f); err != nil {
+		_ = f.Close() // the write error is the one to report
+		return err
+	}
+	return f.Close()
+}
+
+// FileSink returns a sink that writes each dump to path through
+// WriteFile, overwriting: the file always holds the most recent
+// snapshot (the one closest to the failure the postmortem cares
+// about).
 func FileSink(path string) func(*Dump) error {
 	return func(d *Dump) error {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := WriteDump(f, d); err != nil {
-			_ = f.Close() // the write error is the one to report
-			return err
-		}
-		return f.Close()
+		return WriteFile(path, func(w io.Writer) error { return WriteDump(w, d) })
 	}
 }

@@ -49,7 +49,7 @@ func resultDigest(r tsplit.SimResult) string {
 
 // TestLadderGolden pins both planner ladders end to end: the
 // resilient degradation ladder over the fault grid (stage trail, plan
-// JSON digest, simulated result digest) and Workload.AutoPlan's
+// JSON digest, simulated result digest) and RunPolicy("tsplit", …)'s
 // reserve ladder over the zoo. Any change to how a rung plans shows
 // up here as a moved digest.
 func TestLadderGolden(t *testing.T) {
@@ -87,7 +87,7 @@ func TestLadderGolden(t *testing.T) {
 		}
 		for _, budget := range ladderBudgets {
 			fmt.Fprintf(&got, "autoplan %s b=%.2f:", model, budget)
-			plan, rep, err := w.AutoPlan(tsplit.PlanOptions{CapacityBytes: ladderCapacity(w, budget)})
+			plan, rep, err := w.RunPolicy("tsplit", tsplit.PlanOptions{CapacityBytes: ladderCapacity(w, budget)})
 			if err != nil {
 				fmt.Fprintf(&got, " error: %v\n", err)
 				continue

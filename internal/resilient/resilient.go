@@ -30,33 +30,27 @@ const marginStep = 0.10
 type Config struct {
 	// Faults selects the injected environment (Severity <= 0: none).
 	Faults faults.Config
-	// SafetyMargin is the first rung's planning margin (0 with faults
-	// enabled: DefaultMargin).
-	SafetyMargin float64
 	// Margins overrides the ladder's margin sequence (nil: initial,
 	// +0.10, +0.20).
 	Margins []float64
-	// Capacity overrides the device memory budget (0 = device).
-	Capacity int64
-	// Planner seeds the planner options of every rung (Capacity,
-	// SafetyMargin, Obs, and CollectReport are overridden per rung).
+	// Planner holds every rung's planner options; a rung replaces only
+	// SafetyMargin. The other fields serve the whole run:
+	//   - Capacity is the memory budget the runtime enforces too
+	//     (0 = device);
+	//   - SafetyMargin is the first rung's margin (0 with faults
+	//     enabled: DefaultMargin);
+	//   - CollectReport attaches a PlanReport to the outcome;
+	//   - Obs receives planner, runtime, and ladder metrics;
+	//   - Trace records the run as a "resilient.run" span with one
+	//     "resilient.rung" child per ladder attempt;
+	//   - Flight receives ladder escalation events ("ladder.escalate",
+	//     "ladder.fallback", "ladder.abort").
+	// Obs, Trace and Flight reach the simulator of every rung as well.
 	Planner core.Options
 	// Sim seeds the runtime options of every rung (Capacity, Faults,
-	// Obs, Trace and Flight are overridden, and Recompute is the rung
-	// policy's, prep.Policies).
+	// Obs, Trace and Flight come from Planner and the injector, and
+	// Recompute is the rung policy's, prep.Policies).
 	Sim sim.Options
-	// CollectReport attaches a PlanReport to the outcome.
-	CollectReport bool
-	// Obs receives planner, runtime, and ladder metrics.
-	Obs obs.Recorder
-	// Trace records the run as a "resilient.run" span with one
-	// "resilient.rung" child per ladder attempt, and is threaded into
-	// the planner and simulator of every rung. Nil disables tracing.
-	Trace *obs.Tracer
-	// Flight receives ladder escalation events ("ladder.escalate",
-	// "ladder.fallback", "ladder.abort") and is threaded into the
-	// planner and simulator of every rung. Nil disables recording.
-	Flight *obs.Flight
 	// Dumper, when set, snapshots the flight ring, metrics, and span
 	// tree whenever the ladder escalates, falls back to swap-all, or
 	// aborts — the postmortem feed for tsplit-doctor.
@@ -104,7 +98,8 @@ func (o *Outcome) degradations() []string {
 // the configuration — a genuine capacity wall, not a transient.
 func Run(p *prep.Prepared, cfg Config) (Outcome, error) {
 	inj := faults.New(cfg.Faults)
-	m0 := cfg.SafetyMargin
+	po := cfg.Planner
+	m0 := po.SafetyMargin
 	if m0 <= 0 && inj != nil {
 		m0 = DefaultMargin
 	}
@@ -114,18 +109,18 @@ func Run(p *prep.Prepared, cfg Config) (Outcome, error) {
 	}
 
 	var out Outcome
-	if cfg.Obs != nil {
-		cfg.Obs.Add("tsplit_resilient_runs_total", 1)
+	if po.Obs != nil {
+		po.Obs.Add("tsplit_resilient_runs_total", 1)
 	}
-	rsp := cfg.Trace.StartSpan("resilient.run")
+	rsp := po.Trace.StartSpan("resilient.run")
 	defer rsp.End()
 	fail := func(kind string, margin float64, err error) {
 		out.Stages = append(out.Stages, Stage{Kind: kind, Margin: margin, Err: err.Error()})
 		out.Degraded = true
-		if cfg.Obs != nil {
-			cfg.Obs.Add("tsplit_resilient_degraded_total", 1, obs.L("stage", kind))
+		if po.Obs != nil {
+			po.Obs.Add("tsplit_resilient_degraded_total", 1, obs.L("stage", kind))
 		}
-		if fl := cfg.Flight; fl != nil {
+		if fl := po.Flight; fl != nil {
 			fl.Record("ladder.escalate", err.Error(),
 				obs.L("stage", kind),
 				obs.L("margin", fmt.Sprintf("%.2f", margin)))
@@ -140,13 +135,8 @@ func Run(p *prep.Prepared, cfg Config) (Outcome, error) {
 		if i > 0 {
 			kind = "replan"
 		}
-		popts := cfg.Planner
-		popts.Capacity = cfg.Capacity
+		popts := po
 		popts.SafetyMargin = m
-		popts.Obs = cfg.Obs
-		popts.CollectReport = cfg.CollectReport
-		popts.Trace = cfg.Trace
-		popts.Flight = cfg.Flight
 		sp := rsp.StartSpan("resilient.rung")
 		sp.SetAttr("kind", kind)
 		sp.SetAttr("margin", fmt.Sprintf("%.2f", m))
@@ -176,7 +166,7 @@ func Run(p *prep.Prepared, cfg Config) (Outcome, error) {
 
 	// Final rung: the swap-all baseline trades throughput for the
 	// smallest working set any policy here can offer.
-	if fl := cfg.Flight; fl != nil {
+	if fl := po.Flight; fl != nil {
 		fl.Record("ladder.fallback", "descending to swap-all baseline")
 	}
 	sp := rsp.StartSpan("resilient.rung")
@@ -189,10 +179,10 @@ func Run(p *prep.Prepared, cfg Config) (Outcome, error) {
 	res, rerr := runSim(p, plan, cfg, inj)
 	sp.End()
 	if rerr != nil {
-		if cfg.Obs != nil {
-			cfg.Obs.Add("tsplit_resilient_aborts_total", 1)
+		if po.Obs != nil {
+			po.Obs.Add("tsplit_resilient_aborts_total", 1)
 		}
-		if fl := cfg.Flight; fl != nil {
+		if fl := po.Flight; fl != nil {
 			fl.Record("ladder.abort", rerr.Error())
 		}
 		cfg.Dumper.Trigger("ladder abort: swap-all fallback failed")
@@ -200,7 +190,7 @@ func Run(p *prep.Prepared, cfg Config) (Outcome, error) {
 	}
 	out.Plan, out.Result = plan, res
 	out.Stages = append(out.Stages, Stage{Kind: "swap-all"})
-	if cfg.CollectReport {
+	if po.CollectReport {
 		out.Report = &core.PlanReport{
 			Policy:       plan.Name,
 			Device:       p.Dev.Name,
@@ -217,10 +207,10 @@ func Run(p *prep.Prepared, cfg Config) (Outcome, error) {
 func runSim(p *prep.Prepared, plan *core.Plan, cfg Config, inj *faults.Injector) (sim.Result, error) {
 	sopts := cfg.Sim
 	sopts.Recompute = prep.RecomputeOf(plan)
-	sopts.Capacity = cfg.Capacity
+	sopts.Capacity = cfg.Planner.Capacity
 	sopts.Faults = inj
-	sopts.Obs = cfg.Obs
-	sopts.Trace = cfg.Trace
-	sopts.Flight = cfg.Flight
+	sopts.Obs = cfg.Planner.Obs
+	sopts.Trace = cfg.Planner.Trace
+	sopts.Flight = cfg.Planner.Flight
 	return p.Simulate(plan, sopts)
 }

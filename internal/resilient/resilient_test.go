@@ -53,7 +53,7 @@ func checkLadderOrder(t *testing.T, stages []Stage) {
 // first rung wins and nothing is marked degraded.
 func TestLadderCleanRunNotDegraded(t *testing.T) {
 	in := inputs(t, "vgg16", 64)
-	out, err := Run(in, Config{CollectReport: true})
+	out, err := Run(in, Config{Planner: core.Options{CollectReport: true}})
 	if err != nil {
 		t.Fatalf("clean run: %v", err)
 	}
@@ -74,9 +74,8 @@ func TestLadderPlanFailureFallsBackToSwapAll(t *testing.T) {
 	in := inputs(t, "vgg16", 64)
 	reg := obs.NewRegistry()
 	out, err := Run(in, Config{
-		Margins:       []float64{0.89, 0.89, 0.89},
-		CollectReport: true,
-		Obs:           reg,
+		Margins: []float64{0.89, 0.89, 0.89},
+		Planner: core.Options{CollectReport: true, Obs: reg},
 	})
 	if err != nil {
 		t.Fatalf("ladder aborted: %v", err)
@@ -119,8 +118,8 @@ func TestLadderInjectedOOMEscalatesInOrder(t *testing.T) {
 	in := inputs(t, "vgg16", 96)
 	cap := in.Lv.Peak * 65 / 100
 	out, err := Run(in, Config{
-		Faults:   faults.Config{Seed: 7, Severity: 0.9, Kinds: []faults.Kind{faults.CapacityShrink}},
-		Capacity: cap,
+		Faults:  faults.Config{Seed: 7, Severity: 0.9, Kinds: []faults.Kind{faults.CapacityShrink}},
+		Planner: core.Options{Capacity: cap},
 	})
 	if err != nil {
 		t.Fatalf("ladder aborted: %v", err)
@@ -161,8 +160,8 @@ func TestLadderNeverAbortsAtFullSeverity(t *testing.T) {
 func TestLadderDeterministicTrail(t *testing.T) {
 	in := inputs(t, "vgg16", 96)
 	cfg := Config{
-		Faults:   faults.Config{Seed: 7, Severity: 0.9},
-		Capacity: in.Lv.Peak * 65 / 100,
+		Faults:  faults.Config{Seed: 7, Severity: 0.9},
+		Planner: core.Options{Capacity: in.Lv.Peak * 65 / 100},
 	}
 	a, err := Run(in, cfg)
 	if err != nil {

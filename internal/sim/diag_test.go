@@ -1,11 +1,6 @@
 package sim
 
-import (
-	"strings"
-	"testing"
-
-	"tsplit/internal/models"
-)
+import "testing"
 
 func TestRecomputeStrategyNames(t *testing.T) {
 	names := map[RecomputeStrategy]string{
@@ -17,31 +12,5 @@ func TestRecomputeStrategyNames(t *testing.T) {
 		if got := s.String(); got != want {
 			t.Errorf("%d.String() = %q, want %q", s, got, want)
 		}
-	}
-}
-
-func TestDiagnosticSurfaces(t *testing.T) {
-	b := mkbed(t, "vgg16", models.Config{BatchSize: 16})
-	s := New(b.g, b.sched, b.lv, b.baseline(t, "base"), b.dev, Options{})
-	if got := s.PoolLayout(4); got != "" {
-		t.Fatalf("layout before any run should be empty, got %q", got)
-	}
-	if _, err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.PoolLayout(4); got == "" {
-		t.Fatal("empty pool layout after a run")
-	}
-	res := s.DeviceResidents(0)
-	if len(res) == 0 {
-		t.Fatal("no device residents after a run (parameters stay resident)")
-	}
-	for _, line := range res {
-		if !strings.Contains(line, "GiB") {
-			t.Fatalf("resident line missing size: %q", line)
-		}
-	}
-	if huge := s.DeviceResidents(1 << 60); len(huge) != 0 {
-		t.Fatalf("impossible size filter matched: %v", huge)
 	}
 }

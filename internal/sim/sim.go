@@ -26,7 +26,6 @@ package sim
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"tsplit/internal/core"
 	"tsplit/internal/costmodel"
@@ -636,26 +635,4 @@ func (s *Simulator) prefetchAt(id int32) (int, bool) {
 		at = tp.RestoreAt
 	}
 	return at, true
-}
-
-// PoolLayout exposes the allocator layout for diagnostics.
-func (s *Simulator) PoolLayout(rows int) string {
-	if s.pool == nil {
-		return ""
-	}
-	return s.pool.DumpLayout(rows)
-}
-
-// DeviceResidents lists tensors currently on device at least minBytes
-// large, for diagnostics.
-func (s *Simulator) DeviceResidents(minBytes int64) []string {
-	var out []string
-	for id, st := range s.state {
-		t := s.G.Tensors[id]
-		if st == onDevice && t.Bytes() >= minBytes {
-			out = append(out, fmt.Sprintf("%-28s %7.2f GiB", t.Name, float64(t.Bytes())/(1<<30))) //lint:allow scratchreuse diagnostic dump, off the event loop
-		}
-	}
-	sort.Strings(out)
-	return out
 }

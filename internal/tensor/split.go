@@ -89,21 +89,3 @@ func MaxSplit(s Shape, axis int) int {
 	}
 	return s[axis]
 }
-
-// LargestPartBytes returns the byte size of the largest micro-tensor of
-// a pnum-way split of s along axis. This is the quantity the planner's
-// peak-memory model needs: after splitting, at most one micro-tensor of
-// the input and one of the output are live simultaneously on device.
-func LargestPartBytes(s Shape, axis, pnum int, dt DType) (int64, error) {
-	parts, err := Split(s, axis, pnum)
-	if err != nil {
-		return 0, err
-	}
-	var max int64
-	for _, p := range parts {
-		if b := p.Bytes(dt); b > max {
-			max = b
-		}
-	}
-	return max, nil
-}

@@ -154,16 +154,6 @@ func TestMaxSplit(t *testing.T) {
 	}
 }
 
-func TestLargestPartBytes(t *testing.T) {
-	b, err := LargestPartBytes(NewShape(7, 2), 0, 3, Float32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b != 3*2*4 { // the front-loaded part has 3 rows
-		t.Fatalf("largest part = %d bytes", b)
-	}
-}
-
 // Property: splitting preserves total element count, for any valid
 // (extent, pnum) pair.
 func TestSplitPreservesElements(t *testing.T) {

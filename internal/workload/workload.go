@@ -1,10 +1,7 @@
-// Package workload generates the synthetic training batches the
-// evaluation and the real-execution examples consume. The paper trains
-// on ImageNet (CNNs) and IWSLT2016 (Transformer); since operator time
-// and memory depend on tensor shapes, not values (paper Sec. V-B),
-// shape-faithful synthetic batches preserve every behaviour the
-// experiments measure, while a small structured-image generator gives
-// the real float32 engine something learnable.
+// Package workload generates the inputs the real-execution examples
+// and the property tests consume: structured quadrant images (class k
+// lights up quadrant k) that a small float32 classifier can actually
+// learn, and RandGraph's seeded random training graphs.
 package workload
 
 import (
@@ -16,39 +13,35 @@ import (
 
 // Batch is one training step's worth of data for the real engine.
 type Batch struct {
-	// Inputs maps graph input tensors to their value buffers (integer
-	// inputs such as token ids are carried as float32 indices).
+	// Inputs maps graph input tensors to their value buffers.
 	Inputs map[*graph.Tensor]*nn.Buffer
 	// Labels are the class ids aligned with the batch rows.
 	Labels []int
 }
 
-// ImageSource generates ImageNet-shaped image batches: uniform noise
-// for shape-only consumers, or structured quadrant images (class k
-// lights up quadrant k) that a small classifier can actually learn.
+// ImageSource generates learnable quadrant-image batches: each sample
+// draws a class k and lights up quadrant k of every channel.
 type ImageSource struct {
 	Images  *graph.Tensor
 	Classes int
-	// Structured selects learnable quadrant images (requires even
-	// spatial dims and Classes <= 4).
-	Structured bool
 
 	rng *nn.RNG
 }
 
 // NewImageSource creates a deterministic image batch source for the
-// NCHW graph input tensor images.
-func NewImageSource(images *graph.Tensor, classes int, structured bool, seed uint64) (*ImageSource, error) {
+// NCHW graph input tensor images, which needs even spatial dims; there
+// are 2 to 4 classes, one per quadrant.
+func NewImageSource(images *graph.Tensor, classes int, seed uint64) (*ImageSource, error) {
 	if images.Shape.Rank() != 4 {
 		return nil, fmt.Errorf("workload: image input must be NCHW, got %v", images.Shape)
 	}
-	if classes < 2 {
-		return nil, fmt.Errorf("workload: need at least 2 classes, got %d", classes)
+	if classes < 2 || classes > 4 {
+		return nil, fmt.Errorf("workload: need 2 to 4 classes, got %d", classes)
 	}
-	if structured && (classes > 4 || images.Shape[2]%2 != 0 || images.Shape[3]%2 != 0) {
-		return nil, fmt.Errorf("workload: structured images need <=4 classes and even spatial dims")
+	if images.Shape[2]%2 != 0 || images.Shape[3]%2 != 0 {
+		return nil, fmt.Errorf("workload: quadrant images need even spatial dims, got %v", images.Shape)
 	}
-	return &ImageSource{Images: images, Classes: classes, Structured: structured, rng: nn.NewRNG(seed)}, nil
+	return &ImageSource{Images: images, Classes: classes, rng: nn.NewRNG(seed)}, nil
 }
 
 // Next produces the next batch.
@@ -56,62 +49,18 @@ func (s *ImageSource) Next() Batch {
 	n := s.Images.Shape[0]
 	img := nn.NewBuffer(s.Images.Shape)
 	labels := make([]int, n)
-	if s.Structured {
-		h2, w2 := s.Images.Shape[2]/2, s.Images.Shape[3]/2
-		for b := 0; b < n; b++ {
-			cls := s.rng.Intn(s.Classes)
-			labels[b] = cls
-			oh, ow := (cls/2)*h2, (cls%2)*w2
-			for c := 0; c < s.Images.Shape[1]; c++ {
-				for i := 0; i < h2; i++ {
-					for j := 0; j < w2; j++ {
-						img.Set(1, b, c, oh+i, ow+j)
-					}
+	h2, w2 := s.Images.Shape[2]/2, s.Images.Shape[3]/2
+	for b := 0; b < n; b++ {
+		cls := s.rng.Intn(s.Classes)
+		labels[b] = cls
+		oh, ow := (cls/2)*h2, (cls%2)*w2
+		for c := 0; c < s.Images.Shape[1]; c++ {
+			for i := 0; i < h2; i++ {
+				for j := 0; j < w2; j++ {
+					img.Set(1, b, c, oh+i, ow+j)
 				}
 			}
 		}
-	} else {
-		nn.FillUniform(img, 1, s.rng)
-		for b := 0; b < n; b++ {
-			labels[b] = s.rng.Intn(s.Classes)
-		}
 	}
 	return Batch{Inputs: map[*graph.Tensor]*nn.Buffer{s.Images: img}, Labels: labels}
-}
-
-// SequenceSource generates IWSLT-shaped token-id batches for the
-// Transformer: random ids over the vocabulary with a deterministic
-// label per position.
-type SequenceSource struct {
-	IDs     *graph.Tensor
-	Vocab   int
-	Classes int
-
-	rng *nn.RNG
-}
-
-// NewSequenceSource creates a deterministic sequence batch source for
-// the [N, S] token-id input tensor.
-func NewSequenceSource(ids *graph.Tensor, vocab, classes int, seed uint64) (*SequenceSource, error) {
-	if ids.Shape.Rank() != 2 {
-		return nil, fmt.Errorf("workload: sequence input must be [N, S], got %v", ids.Shape)
-	}
-	if vocab < 2 || classes < 2 {
-		return nil, fmt.Errorf("workload: vocab and classes must be >= 2")
-	}
-	return &SequenceSource{IDs: ids, Vocab: vocab, Classes: classes, rng: nn.NewRNG(seed)}, nil
-}
-
-// Next produces the next batch: token ids in [0, vocab) and one label
-// per token position.
-func (s *SequenceSource) Next() Batch {
-	n, l := s.IDs.Shape[0], s.IDs.Shape[1]
-	ids := nn.NewBuffer(s.IDs.Shape)
-	labels := make([]int, n*l)
-	for i := 0; i < n*l; i++ {
-		tok := s.rng.Intn(s.Vocab)
-		ids.Data[i] = float32(tok)
-		labels[i] = tok % s.Classes
-	}
-	return Batch{Inputs: map[*graph.Tensor]*nn.Buffer{s.IDs: ids}, Labels: labels}
 }

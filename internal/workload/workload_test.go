@@ -15,7 +15,7 @@ func imageInput(t *testing.T, n, c, hw int) *graph.Tensor {
 
 func TestStructuredImagesAreClassSeparable(t *testing.T) {
 	img := imageInput(t, 8, 1, 16)
-	src, err := NewImageSource(img, 4, true, 1)
+	src, err := NewImageSource(img, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,8 +37,8 @@ func TestStructuredImagesAreClassSeparable(t *testing.T) {
 
 func TestImageSourceDeterministic(t *testing.T) {
 	img := imageInput(t, 4, 3, 8)
-	a, _ := NewImageSource(img, 4, false, 7)
-	b, _ := NewImageSource(img, 4, false, 7)
+	a, _ := NewImageSource(img, 4, 7)
+	b, _ := NewImageSource(img, 4, 7)
 	ba, bb := a.Next(), b.Next()
 	for i := range ba.Labels {
 		if ba.Labels[i] != bb.Labels[i] {
@@ -53,40 +53,14 @@ func TestImageSourceDeterministic(t *testing.T) {
 func TestImageSourceValidation(t *testing.T) {
 	g := graph.New()
 	bad := g.Input("x", tensor.NewShape(2, 3), tensor.Float32)
-	if _, err := NewImageSource(bad, 4, false, 1); err == nil {
+	if _, err := NewImageSource(bad, 4, 1); err == nil {
 		t.Fatal("rank-2 input must fail")
 	}
 	img := imageInput(t, 2, 1, 9)
-	if _, err := NewImageSource(img, 4, true, 1); err == nil {
-		t.Fatal("odd spatial dims must fail structured mode")
+	if _, err := NewImageSource(img, 4, 1); err == nil {
+		t.Fatal("odd spatial dims must fail")
 	}
-	if _, err := NewImageSource(imageInput(t, 2, 1, 8), 1, false, 1); err == nil {
+	if _, err := NewImageSource(imageInput(t, 2, 1, 8), 1, 1); err == nil {
 		t.Fatal("single class must fail")
-	}
-}
-
-func TestSequenceSource(t *testing.T) {
-	g := graph.New()
-	ids := g.Input("ids", tensor.NewShape(2, 5), tensor.Int32)
-	src, err := NewSequenceSource(ids, 100, 4, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := src.Next()
-	if len(b.Labels) != 10 {
-		t.Fatalf("labels %d", len(b.Labels))
-	}
-	buf := b.Inputs[ids]
-	for i, v := range buf.Data {
-		tok := int(v)
-		if tok < 0 || tok >= 100 {
-			t.Fatalf("token %d out of vocab", tok)
-		}
-		if b.Labels[i] != tok%4 {
-			t.Fatal("label rule violated")
-		}
-	}
-	if _, err := NewSequenceSource(ids, 1, 4, 3); err == nil {
-		t.Fatal("tiny vocab must fail")
 	}
 }

@@ -33,7 +33,6 @@ import (
 	"fmt"
 	"io"
 
-	"tsplit/internal/baselines"
 	"tsplit/internal/core"
 	"tsplit/internal/device"
 	"tsplit/internal/faults"
@@ -65,8 +64,6 @@ type (
 	// Registry is the built-in Recorder: thread-safe counters, gauges,
 	// and histograms with Prometheus text and JSON exposition.
 	Registry = obs.Registry
-	// Label is one metric label (use tsplit.L to build them).
-	Label = obs.Label
 	// PlanReport is the planner's structured introspection record: one
 	// entry per greedy iteration plus plan-level aggregates.
 	PlanReport = core.PlanReport
@@ -99,8 +96,6 @@ type (
 	// Dumper snapshots a Flight + Registry + Tracer into a Dump sink
 	// when triggered (ladder escalations trigger it automatically).
 	Dumper = obs.Dumper
-	// Diagnosis is tsplit-doctor's structured analysis of a Dump.
-	Diagnosis = obs.Diagnosis
 	// PlanServer is the planning service: an http.Handler exposing
 	// POST /v1/plan and POST /v1/peak, each with a content-addressed
 	// response cache, request coalescing, and admission control, plus
@@ -133,19 +128,9 @@ func NewTracer() *Tracer { return obs.NewTracer(nil) }
 // (n <= 0: a sensible default).
 func NewFlight(n int) *Flight { return obs.NewFlight(n, nil) }
 
-// Diagnose analyzes a postmortem dump (optionally against a baseline
-// dump) into the structured report tsplit-doctor renders.
-func Diagnose(d, baseline *Dump) *Diagnosis { return obs.Diagnose(d, baseline) }
-
-// ReadDumpFile loads a postmortem dump written by a Dumper file sink.
-func ReadDumpFile(path string) (*Dump, error) { return obs.ReadDumpFile(path) }
-
 // FileSink returns a Dumper sink overwriting path with each dump
 // (last trigger wins — the freshest postmortem is the useful one).
 func FileSink(path string) func(*Dump) error { return obs.FileSink(path) }
-
-// L builds a metric label.
-func L(key, value string) Label { return obs.L(key, value) }
 
 // Built-in device profiles (paper Sec. VI-A plus the Fig. 1 GPUs).
 var (
@@ -157,9 +142,6 @@ var (
 
 // Models lists the built-in model zoo names.
 func Models() []string { return models.Names() }
-
-// Baselines lists the built-in baseline policy names.
-func Baselines() []string { return append([]string{}, baselines.Names...) }
 
 // Policies lists every policy name PlanBaseline and RunPolicy accept:
 // the baselines, then "tsplit", "tsplit-nosplit" and "tsplit-offload".
@@ -354,29 +336,24 @@ func (w *Workload) RunResilient(po PlanOptions, fc FaultConfig, opts ...RunOptio
 	for _, o := range opts {
 		o(&so)
 	}
-	rec := po.Observe
-	if rec == nil {
-		rec = so.Obs // Observe() RunOption covers the whole ladder
+	// The run options' recorder, tracer and flight ring cover the
+	// whole ladder unless the plan options name their own.
+	popts := po.plannerOptions()
+	popts.CollectReport = true
+	if popts.Obs == nil {
+		popts.Obs = so.Obs
 	}
-	tr := po.Trace
-	if tr == nil {
-		tr = so.Trace // WithTrace() RunOption covers the whole ladder
+	if popts.Trace == nil {
+		popts.Trace = so.Trace
 	}
-	fl := po.Flight
-	if fl == nil {
-		fl = so.Flight // WithFlight() likewise
+	if popts.Flight == nil {
+		popts.Flight = so.Flight
 	}
 	out, err := resilient.Run(w.Prepared, resilient.Config{
-		Faults:        fc,
-		SafetyMargin:  po.SafetyMargin,
-		Capacity:      po.CapacityBytes,
-		Planner:       po.plannerOptions(),
-		Sim:           so,
-		CollectReport: true,
-		Obs:           rec,
-		Trace:         tr,
-		Flight:        fl,
-		Dumper:        po.Postmortem,
+		Faults:  fc,
+		Planner: popts,
+		Sim:     so,
+		Dumper:  po.Postmortem,
 	})
 	if err != nil {
 		return out, Report{}, err
@@ -384,18 +361,12 @@ func (w *Workload) RunResilient(po PlanOptions, fc FaultConfig, opts ...RunOptio
 	return out, w.report(out.Result), nil
 }
 
-// AutoPlan runs TSPLIT's plan → trial-execution → replan loop: when
-// the runtime validation hits allocator fragmentation, the planner
-// retries against a larger reserve (how the real system iterates
-// between profiling and planning). It returns the first plan that
-// executes, along with its measurements.
-func (w *Workload) AutoPlan(opts PlanOptions) (*Plan, Report, error) {
-	return w.RunPolicy("tsplit", opts)
-}
-
-// RunPolicy plans and simulates a named policy (Policies lists them):
-// TSPLIT's entries plan under opts and replan down the reserve ladder
-// like AutoPlan; a baseline ignores opts and runs once. The simulation
+// RunPolicy plans and simulates a named policy (Policies lists them).
+// TSPLIT's entries run the paper's plan → trial-execution → replan
+// loop: they plan under opts, and when the runtime validation hits
+// allocator fragmentation they replan against a larger reserve (how
+// the real system iterates between profiling and planning). A
+// baseline ignores opts and runs once. The simulation
 // uses the device's full memory, whatever opts.CapacityBytes plans
 // against. It returns the plan that ran with its measurements.
 func (w *Workload) RunPolicy(policy string, opts PlanOptions) (*Plan, Report, error) {

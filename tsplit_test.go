@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"tsplit"
+	"tsplit/internal/baselines"
 	"tsplit/internal/core"
 	"tsplit/internal/sim"
 )
@@ -43,7 +44,7 @@ func TestModelAndBaselineLists(t *testing.T) {
 	if len(ms) < 6 {
 		t.Fatalf("model zoo too small: %v", ms)
 	}
-	bs := tsplit.Baselines()
+	bs := baselines.Names
 	if len(bs) != 7 {
 		t.Fatalf("baselines: %v", bs)
 	}
@@ -51,7 +52,7 @@ func TestModelAndBaselineLists(t *testing.T) {
 
 func TestPlanBaseline(t *testing.T) {
 	w, _ := tsplit.Load("vgg16", tsplit.ModelConfig{BatchSize: 16}, tsplit.TitanRTX)
-	for _, pol := range tsplit.Baselines() {
+	for _, pol := range baselines.Names {
 		if _, err := w.PlanBaseline(pol); err != nil {
 			t.Fatalf("%s: %v", pol, err)
 		}
@@ -106,7 +107,7 @@ func TestAutoPlanBeatsPlainPlanOnHardCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, rep, err := w.AutoPlan(tsplit.PlanOptions{})
+	plan, rep, err := w.RunPolicy("tsplit", tsplit.PlanOptions{})
 	if err != nil {
 		t.Fatalf("autoplan: %v", err)
 	}
@@ -118,8 +119,8 @@ func TestAutoPlanBeatsPlainPlanOnHardCases(t *testing.T) {
 	}
 }
 
-// TestAutoPlanKeepsPlanOptions holds AutoPlan to the options Plan
-// honours: a 20% safety margin keeps the plan's predicted peak within
+// TestAutoPlanKeepsPlanOptions holds RunPolicy("tsplit", …) to the
+// options Plan honours: a 20% safety margin keeps the plan's predicted peak within
 // 80% of the device, and the tracer and flight ring see the planner.
 func TestAutoPlanKeepsPlanOptions(t *testing.T) {
 	w, err := tsplit.Load("vgg16", tsplit.ModelConfig{BatchSize: 128}, tsplit.GTX1080Ti)
@@ -127,7 +128,7 @@ func TestAutoPlanKeepsPlanOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr, fl := tsplit.NewTracer(), tsplit.NewFlight(0)
-	plan, _, err := w.AutoPlan(tsplit.PlanOptions{SafetyMargin: 0.2, Trace: tr, Flight: fl})
+	plan, _, err := w.RunPolicy("tsplit", tsplit.PlanOptions{SafetyMargin: 0.2, Trace: tr, Flight: fl})
 	if err != nil {
 		t.Fatalf("autoplan: %v", err)
 	}
@@ -135,16 +136,16 @@ func TestAutoPlanKeepsPlanOptions(t *testing.T) {
 		t.Fatalf("predicted peak %d exceeds 80%% of capacity (%d)", plan.PredictedPeak, limit)
 	}
 	if roots := tr.Tree(); len(roots) == 0 || roots[0].Name != "planner.plan" {
-		t.Fatal("AutoPlan recorded no planner span")
+		t.Fatal("RunPolicy recorded no planner span")
 	}
 	if fl.Len() == 0 {
-		t.Fatal("AutoPlan recorded no flight event")
+		t.Fatal("RunPolicy recorded no flight event")
 	}
 }
 
 func TestDisableSplitAblation(t *testing.T) {
 	w, _ := tsplit.Load("vgg16", tsplit.ModelConfig{BatchSize: 96}, tsplit.GTX1080Ti)
-	plan, _, err := w.AutoPlan(tsplit.PlanOptions{DisableSplit: true})
+	plan, _, err := w.RunPolicy("tsplit", tsplit.PlanOptions{DisableSplit: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +156,7 @@ func TestDisableSplitAblation(t *testing.T) {
 
 func TestAugmentExport(t *testing.T) {
 	w, _ := tsplit.Load("vgg16", tsplit.ModelConfig{BatchSize: 96}, tsplit.GTX1080Ti)
-	plan, _, err := w.AutoPlan(tsplit.PlanOptions{})
+	plan, _, err := w.RunPolicy("tsplit", tsplit.PlanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"tsplit"
+	"tsplit/internal/baselines"
 )
 
 // TestVerifyPlanAllModels is the acceptance gate for the plan-invariant
@@ -34,7 +35,7 @@ func TestVerifyPlanAllModels(t *testing.T) {
 			for _, v := range w.VerifyPlan(plan) {
 				t.Errorf("tsplit plan: %s", v)
 			}
-			for _, policy := range tsplit.Baselines() {
+			for _, policy := range baselines.Names {
 				bp, err := w.PlanBaseline(policy)
 				if err != nil {
 					continue // policy does not apply to this model (e.g. no conv layers)
