@@ -22,8 +22,9 @@ fmt:
 lint:
 	$(GO) run ./cmd/tsplit-lint -report lint_report.json
 
-# Every //lint:allow must carry a reason; this lists them all and
-# fails on reasonless suppressions.
+# Every //lint:allow must carry a reason and name a rule the suite
+# has; this lists them all and fails on reasonless suppressions and on
+# suppressions naming an unknown (retired or misspelled) rule.
 lint-audit:
 	$(GO) run ./cmd/tsplit-lint -audit
 
@@ -49,7 +50,7 @@ bench:
 bench-guard:
 	sh scripts/bench_guard.sh
 
-# Static plan-invariant verification (core.Verify) of the planner's and
+# Static plan-invariant verification (core.VerifyAt) of the planner's and
 # every applicable baseline's plans across the evaluation models.
 verify-plans:
 	$(GO) test -run 'TestVerifyPlanAllModels' -count=1 .

@@ -9,7 +9,7 @@
 //	tsplit-lint -rules maporder   # run a subset of rules
 //	tsplit-lint -changed HEAD~1   # report only packages changed vs a ref
 //	tsplit-lint -audit            # list every //lint:allow with its reason
-//	tsplit-lint -report out.json  # also write findings to a JSON report
+//	tsplit-lint -report out.json  # also write findings to a JSON report ("-": stdout)
 //	tsplit-lint -C path/to/module
 //
 // -changed narrows *reporting* to packages with .go files changed
@@ -21,7 +21,8 @@
 //
 // -audit lists every suppression in the module with its file:line,
 // rules, and reason, and exits 1 if any directive is missing its
-// reason — a suppression must never outlive its justification.
+// reason or names a rule the suite does not have — a suppression must
+// never outlive its justification or its rule.
 //
 // The exit status is 1 when findings remain, 2 on usage or load
 // errors. Suppress an intentional pattern with a
@@ -33,9 +34,11 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"tsplit/internal/lint"
+	"tsplit/internal/obs"
 )
 
 func main() {
@@ -44,8 +47,8 @@ func main() {
 	rules := flag.String("rules", "", "comma-separated rule subset (default: all rules)")
 	list := flag.Bool("list", false, "list the available rules and exit")
 	changed := flag.String("changed", "", "report findings only for packages changed vs this git ref")
-	audit := flag.Bool("audit", false, "list every //lint:allow suppression; fail on missing reasons")
-	report := flag.String("report", "", "also write the findings as a JSON report to this file")
+	audit := flag.Bool("audit", false, "list every //lint:allow suppression; fail on missing reasons and unknown rules")
+	report := flag.String("report", "", "also write the findings as a JSON report to this file (\"-\": stdout)")
 	flag.Parse()
 
 	if *list {
@@ -70,27 +73,24 @@ func main() {
 		os.Exit(runAudit(mod, *jsonOut))
 	}
 
-	var only func(string) bool
+	diags := lint.Run(mod.Pkgs, analyzers)
 	if *changed != "" {
 		pkgs, err := lint.ChangedPackages(mod, *changed)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "tsplit-lint: -changed %s unavailable, falling back to a full run: %v\n", *changed, err)
 		} else {
-			only = func(p string) bool { return pkgs[p] }
+			diags = mod.Within(diags, pkgs)
 		}
 	}
-	diags := lint.RunFiltered(mod.Pkgs, analyzers, only)
 
 	if *report != "" {
-		if err := writeReport(*report, diags); err != nil {
+		if err := obs.WriteFile(*report, func(w io.Writer) error { return writeJSON(w, diags) }); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
 	}
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(diags); err != nil {
+		if err := writeJSON(os.Stdout, diags); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
@@ -108,13 +108,12 @@ func main() {
 }
 
 // runAudit lists every suppression and returns the process exit code:
-// 1 when any //lint:allow is missing its reason.
+// 1 when any //lint:allow is missing its reason or names an unknown
+// rule.
 func runAudit(mod *lint.Module, jsonOut bool) int {
-	sites, missing := lint.Audit(mod.Pkgs)
+	sites, problems := lint.Audit(mod.Pkgs)
 	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(sites); err != nil {
+		if err := writeJSON(os.Stdout, sites); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 2
 		}
@@ -122,10 +121,10 @@ func runAudit(mod *lint.Module, jsonOut bool) int {
 		for _, s := range sites {
 			fmt.Println(s)
 		}
-		fmt.Fprintf(os.Stderr, "tsplit-lint: %d suppression(s), %d missing a reason\n", len(sites), len(missing))
+		fmt.Fprintf(os.Stderr, "tsplit-lint: %d suppression(s), %d audit finding(s)\n", len(sites), len(problems))
 	}
-	if len(missing) > 0 {
-		for _, d := range missing {
+	if len(problems) > 0 {
+		for _, d := range problems {
 			fmt.Fprintln(os.Stderr, d)
 		}
 		return 1
@@ -133,18 +132,9 @@ func runAudit(mod *lint.Module, jsonOut bool) int {
 	return 0
 }
 
-// writeReport writes the findings as an indented JSON array, closing
-// explicitly so a flush failure is not silently dropped.
-func writeReport(path string, diags []lint.Diagnostic) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
+// writeJSON writes v as indented JSON.
+func writeJSON(w io.Writer, v any) error {
+	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(diags); err != nil {
-		_ = f.Close() // the encode error is the one to report
-		return err
-	}
-	return f.Close()
+	return enc.Encode(v)
 }

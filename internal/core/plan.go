@@ -157,14 +157,6 @@ func NewPlan(name string, dev device.Device) *Plan {
 	}
 }
 
-// TensorOpt returns the memory option for t (Reside by default).
-func (p *Plan) TensorOpt(t *graph.Tensor) MemOpt {
-	if tp, ok := p.Tensors[t.ID]; ok {
-		return tp.Opt
-	}
-	return Reside
-}
-
 // SplitFor returns the split decision for op, if any.
 func (p *Plan) SplitFor(op *graph.Op) (OpSplit, bool) {
 	s, ok := p.Splits[op.ID]

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"tsplit/internal/device"
 	"tsplit/internal/graph"
 	"tsplit/internal/memorypool"
 	"tsplit/internal/tensor"
@@ -48,22 +47,11 @@ func (v Violation) String() string {
 	return fmt.Sprintf("%s(%s): %s", v.Invariant, v.Subject, v.Detail)
 }
 
-// Verify checks every plan invariant against the graph and device and
-// returns the violations found (nil for a safe plan). The schedule and
-// liveness are rebuilt from the graph; use VerifyAt to reuse existing
-// ones or to check against a non-device capacity.
-func Verify(p *Plan, g *graph.Graph, dev device.Device) []Violation {
-	sched, err := graph.BuildSchedule(g)
-	if err != nil {
-		return []Violation{{Invariant: "recompute-chain", Subject: "schedule", Detail: err.Error()}}
-	}
-	lv := graph.AnalyzeLiveness(g, sched)
-	return VerifyAt(p, g, sched, lv, dev.MemBytes)
-}
-
-// VerifyAt is Verify against an existing schedule/liveness pair and an
-// explicit capacity ceiling in bytes (0 disables the capacity check —
-// useful for plans built for a deliberately infeasible budget).
+// VerifyAt checks every plan invariant against the graph, its
+// schedule/liveness pair and an explicit capacity ceiling in bytes (0
+// disables the capacity check — useful for plans built for a
+// deliberately infeasible budget), and returns the violations found
+// (nil for a safe plan).
 func VerifyAt(p *Plan, g *graph.Graph, sched *graph.Schedule, lv *graph.Liveness, capacity int64) []Violation {
 	v := &verifier{p: p, g: g, sched: sched, lv: lv}
 	if v.indicesInRange() {

@@ -51,7 +51,8 @@ var Trace *obs.Tracer
 // Wait shape is load-bearing: the gojoin lint rule proves every
 // goroutine spawned here is joined before forEach returns, so no
 // worker can outlive the sweep holding references into the
-// caller-owned results slice.
+// caller-owned results slice (TestForEachCoversAllIndices fails
+// without the Wait).
 func forEach(n int, fn func(int)) {
 	if rec := Obs; rec != nil {
 		inner := fn

@@ -11,7 +11,14 @@ import (
 	"tsplit/internal/obs"
 )
 
+// TestForEachCoversAllIndices checks that forEach visits every index
+// exactly once and joins its workers: the call count is read right
+// after forEach returns, so a worker still running then (a missing
+// wg.Wait) shows up as a short count. GOMAXPROCS is forced to 4 so
+// the goroutine path runs even on a 1-CPU machine, where forEach
+// would otherwise take its inline loop.
 func TestForEachCoversAllIndices(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	for _, n := range []int{0, 1, 3, 100} {
 		var hits atomic.Int64
 		seen := make([]atomic.Bool, n)

@@ -334,16 +334,6 @@ func (g *Graph) CrossEntropyLoss(name string, logits, labels *Tensor) *Tensor {
 	return loss
 }
 
-// FindTensor returns the tensor with the given id, or nil.
-func (g *Graph) FindTensor(id int) *Tensor {
-	for _, t := range g.Tensors {
-		if t.ID == id {
-			return t
-		}
-	}
-	return nil
-}
-
 // Stats summarizes a graph for reports and docs.
 type Stats struct {
 	Ops           int

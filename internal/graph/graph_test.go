@@ -233,17 +233,6 @@ func TestStats(t *testing.T) {
 	}
 }
 
-func TestFindTensor(t *testing.T) {
-	g := tinyMLP(t, 4, SGD)
-	want := g.Tensors[3]
-	if got := g.FindTensor(want.ID); got != want {
-		t.Fatal("FindTensor by id failed")
-	}
-	if g.FindTensor(99999) != nil {
-		t.Fatal("unknown id should be nil")
-	}
-}
-
 func TestDoubleProducerPanics(t *testing.T) {
 	g := New()
 	x := g.Input("x", tensor.NewShape(1, 2), tensor.Float32)

@@ -233,13 +233,3 @@ func (o *Op) HasInput(t *Tensor) bool {
 	}
 	return false
 }
-
-// HasOutput reports whether t is one of o's outputs.
-func (o *Op) HasOutput(t *Tensor) bool {
-	for _, out := range o.Outputs {
-		if out == t {
-			return true
-		}
-	}
-	return false
-}

@@ -36,9 +36,6 @@ var (
 type GuardSpec struct {
 	// Lock is the sibling field name that guards the annotated field.
 	Lock string
-	// RW is true when the lock is a sync.RWMutex (RLock suffices for
-	// reads).
-	RW bool
 	// Owner is the struct's named type, when the field belongs to one
 	// (used in diagnostics).
 	Owner *types.Named
@@ -151,11 +148,10 @@ func (ann *Annotations) resolveGuard(pkg *Package, ts *ast.TypeSpec, st *ast.Str
 				continue
 			}
 			t := pkg.Info.TypeOf(field.Type)
-			rw, ok := mutexKind(t)
-			if !ok {
+			if _, ok := mutexKind(t); !ok {
 				return nil, fmt.Sprintf("lint:guardedby %s: field %s is %s, not a sync.Mutex or sync.RWMutex", lock, lock, t)
 			}
-			spec := &GuardSpec{Lock: lock, RW: rw}
+			spec := &GuardSpec{Lock: lock}
 			if tn, ok := pkg.Info.Defs[ts.Name].(*types.TypeName); ok {
 				spec.Owner, _ = tn.Type().(*types.Named)
 			}

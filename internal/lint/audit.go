@@ -2,15 +2,16 @@ package lint
 
 import (
 	"fmt"
+	"go/token"
 	"sort"
 	"strings"
 )
 
 // AllowSite is one //lint:allow directive found in the module. The
-// suppression mechanism (collectSuppressions) honors a directive with
-// or without a reason; the audit layer is what makes the reason
-// mandatory, so a suppression can never silently outlive the
-// justification it was added with.
+// suppression pass (filterSuppressed) honors a directive with or
+// without a reason; the audit layer is what makes the reason mandatory
+// and the rule names real, so a suppression can never silently outlive
+// the justification it was added with or the rule it was added for.
 type AllowSite struct {
 	File     string   `json:"file"`
 	Line     int      `json:"line"`
@@ -33,45 +34,38 @@ func (s AllowSite) String() string {
 }
 
 // Audit lists every //lint:allow directive in the packages, sorted by
-// file then line. Directives missing a reason are additionally
-// returned as diagnostics (rule "lint-audit") so the audit gate can
-// fail on them; these diagnostics deliberately bypass the suppression
-// pass — an allow cannot allow itself.
+// file then line. A directive missing its reason, or naming a rule
+// that Analyzers does not have (a retired or misspelled one), is
+// additionally returned as a diagnostic (rule "lint-audit") so the
+// audit gate can fail on it; these diagnostics deliberately bypass the
+// suppression pass — an allow cannot allow itself.
 func Audit(pkgs []*Package) ([]AllowSite, []Diagnostic) {
+	known := map[string]bool{}
+	for _, a := range Analyzers() {
+		known[a.Name] = true
+	}
 	var sites []AllowSite
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
-			pkgLine := pkg.Fset.Position(f.Package).Line
-			for _, cg := range f.Comments {
-				for _, c := range cg.List {
-					m := allowRe.FindStringSubmatch(c.Text)
-					if m == nil {
-						continue
-					}
-					pos := pkg.Fset.Position(c.Pos())
-					site := AllowSite{
-						File:     pos.Filename,
-						Line:     pos.Line,
-						Reason:   strings.TrimSpace(m[2]),
-						FileWide: pos.Line < pkgLine,
-					}
-					for _, rule := range strings.Split(m[1], ",") {
-						if rule = strings.TrimSpace(rule); rule != "" {
-							site.Rules = append(site.Rules, rule)
-						}
-					}
-					sites = append(sites, site)
-					if site.Reason == "" {
-						diags = append(diags, Diagnostic{
-							File: pos.Filename, Line: pos.Line, Col: pos.Column,
-							Rule: "lint-audit",
-							Message: fmt.Sprintf("lint:allow %s has no reason: every suppression must say why the pattern is safe",
-								strings.Join(site.Rules, ",")),
-						})
+			forEachAllow(pkg.Fset, f, func(site AllowSite, pos token.Position) {
+				sites = append(sites, site)
+				report := func(format string, args ...any) {
+					diags = append(diags, Diagnostic{
+						File: pos.Filename, Line: pos.Line, Col: pos.Column,
+						Rule: "lint-audit", Message: fmt.Sprintf(format, args...),
+					})
+				}
+				if site.Reason == "" {
+					report("lint:allow %s has no reason: every suppression must say why the pattern is safe",
+						strings.Join(site.Rules, ","))
+				}
+				for _, rule := range site.Rules {
+					if !known[rule] {
+						report("lint:allow names %q, which is not a rule of this suite (tsplit-lint -list): delete the suppression or fix the name", rule)
 					}
 				}
-			}
+			})
 		}
 	}
 	sort.Slice(sites, func(i, j int) bool {

@@ -55,11 +55,7 @@ func (fi *FuncInfo) String() string {
 
 // CallEdge is one static call site.
 type CallEdge struct {
-	Caller, Callee *FuncInfo
-	Site           *ast.CallExpr
-	// Recv is the receiver expression at the call site (nil for plain
-	// function calls).
-	Recv ast.Expr
+	Callee *FuncInfo
 	// ViaInterface marks edges added by interface-implementation
 	// resolution: the callee is a *possible* target, not the proven one.
 	ViaInterface bool
@@ -73,9 +69,6 @@ type CallGraph struct {
 	// them in reverse topological order of the condensation).
 	SCCs [][]*FuncInfo
 }
-
-// SameSCC reports whether a and b are mutually recursive.
-func (g *CallGraph) SameSCC(a, b *FuncInfo) bool { return a.scc == b.scc }
 
 // buildCallGraph collects the module's declared functions and resolves
 // the static call edges between them.
@@ -140,39 +133,39 @@ func (g *CallGraph) addEdges(fi *FuncInfo, named []*types.Named) {
 		switch fun := ast.Unparen(call.Fun).(type) {
 		case *ast.Ident:
 			if fn, ok := info.Uses[fun].(*types.Func); ok {
-				g.link(fi, fn, call, nil, false)
+				g.link(fi, fn, false)
 			}
 		case *ast.SelectorExpr:
 			if sel, ok := info.Selections[fun]; ok && sel.Kind() == types.MethodVal {
 				if types.IsInterface(sel.Recv()) {
-					g.linkInterface(fi, sel.Recv(), fun.Sel.Name, call, fun.X, named)
+					g.linkInterface(fi, sel.Recv(), fun.Sel.Name, named)
 				} else if fn, ok := sel.Obj().(*types.Func); ok {
-					g.link(fi, fn, call, fun.X, false)
+					g.link(fi, fn, false)
 				}
 				return true
 			}
 			// Qualified call: pkg.F(...).
 			if fn, ok := info.Uses[fun.Sel].(*types.Func); ok {
-				g.link(fi, fn, call, nil, false)
+				g.link(fi, fn, false)
 			}
 		}
 		return true
 	})
 }
 
-func (g *CallGraph) link(caller *FuncInfo, callee *types.Func, site *ast.CallExpr, recv ast.Expr, viaIface bool) {
+func (g *CallGraph) link(caller *FuncInfo, callee *types.Func, viaIface bool) {
 	ci, ok := g.Funcs[callee]
 	if !ok {
 		return // out-of-module target
 	}
-	e := &CallEdge{Caller: caller, Callee: ci, Site: site, Recv: recv, ViaInterface: viaIface}
+	e := &CallEdge{Callee: ci, ViaInterface: viaIface}
 	caller.Callees = append(caller.Callees, e)
 	ci.Callers = append(ci.Callers, e)
 }
 
 // linkInterface resolves a call through interface type iface to every
 // in-module named type implementing it, edge-marked ViaInterface.
-func (g *CallGraph) linkInterface(caller *FuncInfo, iface types.Type, method string, site *ast.CallExpr, recv ast.Expr, named []*types.Named) {
+func (g *CallGraph) linkInterface(caller *FuncInfo, iface types.Type, method string, named []*types.Named) {
 	it, ok := iface.Underlying().(*types.Interface)
 	if !ok {
 		return
@@ -191,7 +184,7 @@ func (g *CallGraph) linkInterface(caller *FuncInfo, iface types.Type, method str
 			continue
 		}
 		if fn, ok := sel.Obj().(*types.Func); ok {
-			g.link(caller, fn, site, recv, true)
+			g.link(caller, fn, true)
 		}
 	}
 }

@@ -11,9 +11,9 @@ import (
 // ChangedPackages returns the set of module package import paths that
 // contain a .go file changed relative to ref (committed, staged,
 // unstaged, or untracked), by shelling out to git. The result feeds
-// RunFiltered's reporting filter: the whole module is still loaded
-// and analyzed — interprocedural facts do not respect diff
-// boundaries — but findings are reported only for changed packages.
+// Within's reporting filter: the whole module is still loaded and
+// analyzed — interprocedural facts do not respect diff boundaries —
+// but findings are reported only for changed packages.
 //
 // Any git failure (not a repository, unknown ref, no git binary)
 // returns an error; the caller is expected to fall back to a full
@@ -40,6 +40,27 @@ func ChangedPackages(mod *Module, ref string) (map[string]bool, error) {
 		}
 	}
 	return pkgs, nil
+}
+
+// Within keeps the findings that fall in a file of one of the named
+// packages (import paths, as ChangedPackages returns them).
+func (m *Module) Within(diags []Diagnostic, pkgs map[string]bool) []Diagnostic {
+	files := map[string]bool{}
+	for _, pkg := range m.Pkgs {
+		if !pkgs[pkg.Path] {
+			continue
+		}
+		for _, f := range pkg.Files {
+			files[pkg.Fset.Position(f.Package).Filename] = true
+		}
+	}
+	kept := diags[:0]
+	for _, d := range diags {
+		if files[d.File] {
+			kept = append(kept, d)
+		}
+	}
+	return kept
 }
 
 // gitLines runs git -C dir args... and returns its non-empty output

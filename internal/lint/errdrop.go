@@ -72,7 +72,7 @@ func writableFiles(p *Pass, f *ast.File) map[types.Object]bool {
 		if !ok {
 			return true
 		}
-		fn := callee(p, call)
+		fn := callee(p.Info, call)
 		if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "os" {
 			return true
 		}
@@ -152,9 +152,9 @@ func resultHasError(t types.Type, errType types.Type) bool {
 }
 
 // callee resolves the called function object, when statically known.
-func callee(p *Pass, call *ast.CallExpr) *types.Func {
+func callee(info *types.Info, call *ast.CallExpr) *types.Func {
 	var id *ast.Ident
-	switch fun := call.Fun.(type) {
+	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		id = fun
 	case *ast.SelectorExpr:
@@ -162,12 +162,12 @@ func callee(p *Pass, call *ast.CallExpr) *types.Func {
 	default:
 		return nil
 	}
-	fn, _ := p.Info.Uses[id].(*types.Func)
+	fn, _ := info.Uses[id].(*types.Func)
 	return fn
 }
 
 func calleeName(p *Pass, call *ast.CallExpr) string {
-	if fn := callee(p, call); fn != nil {
+	if fn := callee(p.Info, call); fn != nil {
 		if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
 			return types.TypeString(recv.Type(), types.RelativeTo(p.Pkg)) + "." + fn.Name()
 		}
@@ -182,7 +182,7 @@ func calleeName(p *Pass, call *ast.CallExpr) string {
 // errExempt reports whether the call's discarded error is conventional:
 // printing to stdout/stderr, or writing into an in-memory buffer.
 func errExempt(p *Pass, call *ast.CallExpr) bool {
-	fn := callee(p, call)
+	fn := callee(p.Info, call)
 	if fn == nil {
 		return false
 	}

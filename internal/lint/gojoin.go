@@ -6,12 +6,12 @@ import (
 	"go/types"
 )
 
-// GoJoin requires every `go` statement in the planner, simulator, and
-// experiment packages to be provably joined. These packages share
-// pooled arenas and an invalidating candidate index; a goroutine that
-// outlives its spawner keeps references into recycled planner state,
-// which is exactly the class of use-after-reset bug the PlannerPool
-// contract excludes. Two join shapes are recognized:
+// GoJoin requires every `go` statement in the planner, simulator,
+// experiment and serve packages to be provably joined. These packages
+// share pooled arenas and an invalidating candidate index; a goroutine
+// that outlives its spawner keeps references into recycled planner
+// state, which is exactly the class of use-after-reset bug the
+// PlannerPool contract excludes. Two join shapes are recognized:
 //
 //   - WaitGroup: the goroutine calls wg.Done() (directly, deferred, or
 //     through a called function whose summary proves Done on the
@@ -82,12 +82,6 @@ func collectJoinContext(fi *FuncInfo) *joinContext {
 		receives: map[types.Object][]token.Pos{},
 	}
 	info := fi.Pkg.Info
-	objOf := func(e ast.Expr) types.Object {
-		if id, ok := ast.Unparen(e).(*ast.Ident); ok {
-			return info.Uses[id]
-		}
-		return nil
-	}
 	ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
@@ -95,7 +89,7 @@ func collectJoinContext(fi *FuncInfo) *joinContext {
 			if !ok {
 				return true
 			}
-			obj := objOf(sel.X)
+			obj := identObj(info, sel.X)
 			if obj == nil {
 				return true
 			}
@@ -107,12 +101,12 @@ func collectJoinContext(fi *FuncInfo) *joinContext {
 			}
 		case *ast.UnaryExpr:
 			if n.Op == token.ARROW {
-				if obj := objOf(n.X); obj != nil {
+				if obj := identObj(info, n.X); obj != nil {
 					ctx.receives[obj] = append(ctx.receives[obj], n.Pos())
 				}
 			}
 		case *ast.RangeStmt:
-			if obj := objOf(n.X); obj != nil {
+			if obj := identObj(info, n.X); obj != nil {
 				if _, ok := info.TypeOf(n.X).Underlying().(*types.Chan); ok {
 					ctx.receives[obj] = append(ctx.receives[obj], n.Pos())
 				}
@@ -159,12 +153,7 @@ func goroutineSignals(in *Interp, fi *FuncInfo, g *ast.GoStmt) (dones, sends map
 	dones = map[types.Object]bool{}
 	sends = map[types.Object]bool{}
 	info := fi.Pkg.Info
-	objOf := func(e ast.Expr) types.Object {
-		if id, ok := ast.Unparen(e).(*ast.Ident); ok {
-			return info.Uses[id]
-		}
-		return nil
-	}
+	done := func(obj types.Object) { dones[obj] = true }
 
 	if fl, ok := g.Call.Fun.(*ast.FuncLit); ok {
 		ast.Inspect(fl.Body, func(n ast.Node) bool {
@@ -172,15 +161,15 @@ func goroutineSignals(in *Interp, fi *FuncInfo, g *ast.GoStmt) (dones, sends map
 			case *ast.CallExpr:
 				if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok &&
 					sel.Sel.Name == "Done" && len(n.Args) == 0 {
-					if obj := objOf(sel.X); obj != nil {
-						dones[obj] = true
+					if obj := identObj(info, sel.X); obj != nil {
+						done(obj)
 					}
 				}
 				// Done through a summarized helper called inside the
 				// goroutine body.
-				addCalleeDones(in, info, n, objOf, dones)
+				in.doneArgs(info, n, done)
 			case *ast.SendStmt:
-				if obj := objOf(n.Chan); obj != nil {
+				if obj := identObj(info, n.Chan); obj != nil {
 					sends[obj] = true
 				}
 			}
@@ -190,25 +179,20 @@ func goroutineSignals(in *Interp, fi *FuncInfo, g *ast.GoStmt) (dones, sends map
 	}
 
 	// `go worker(&wg, i)`: the callee's summary proves the Done.
-	addCalleeDones(in, info, g.Call, objOf, dones)
+	in.doneArgs(info, g.Call, done)
 	return dones, sends
 }
 
-// addCalleeDones records Done-providing *sync.WaitGroup arguments of a
-// call, using the callee's interprocedural summary.
-func addCalleeDones(in *Interp, info *types.Info, call *ast.CallExpr, objOf func(ast.Expr) types.Object, dones map[types.Object]bool) {
-	var callee *types.Func
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		callee, _ = info.Uses[fun].(*types.Func)
-	case *ast.SelectorExpr:
-		callee, _ = info.Uses[fun.Sel].(*types.Func)
-	}
-	if callee == nil {
+// doneArgs calls fn with the object of every argument (`wg` or `&wg`)
+// that call's callee calls Done on, by the callee's interprocedural
+// summary.
+func (in *Interp) doneArgs(info *types.Info, call *ast.CallExpr, fn func(types.Object)) {
+	c := callee(info, call)
+	if c == nil {
 		return
 	}
-	sum := in.Summaries[callee]
-	if sum == nil || len(sum.DoneParams) == 0 {
+	sum := in.Summaries[c]
+	if sum == nil {
 		return
 	}
 	for j, arg := range call.Args {
@@ -217,14 +201,21 @@ func addCalleeDones(in *Interp, info *types.Info, call *ast.CallExpr, objOf func
 		}
 		e := ast.Unparen(arg)
 		if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.AND {
-			e = ast.Unparen(u.X)
+			e = u.X
 		}
-		if id, ok := e.(*ast.Ident); ok {
-			if obj := info.Uses[id]; obj != nil {
-				dones[obj] = true
-			}
+		if obj := identObj(info, e); obj != nil {
+			fn(obj)
 		}
 	}
+}
+
+// identObj returns the object a (parenthesized) identifier uses, or
+// nil for any other expression.
+func identObj(info *types.Info, e ast.Expr) types.Object {
+	if id, ok := ast.Unparen(e).(*ast.Ident); ok {
+		return info.Uses[id]
+	}
+	return nil
 }
 
 // isParam reports whether obj is a parameter of fi.
@@ -236,4 +227,54 @@ func isParam(fi *FuncInfo, obj types.Object) bool {
 		}
 	}
 	return false
+}
+
+// doneWalk records which *sync.WaitGroup parameters this function
+// calls Done on, directly or by forwarding the parameter to a callee
+// that does (the interprocedural half of the gojoin check:
+// `go worker(&wg)` joins when worker's summary proves the Done).
+func (in *Interp) doneWalk(fi *FuncInfo, sum *Summary) {
+	sig := fi.Fn.Type().(*types.Signature)
+	wgParams := map[types.Object]int{}
+	params := sig.Params()
+	for i := 0; i < params.Len(); i++ {
+		if isWaitGroupPtr(params.At(i).Type()) {
+			// Map the declaration object via the AST parameter list so
+			// body identifiers resolve to it.
+			wgParams[params.At(i)] = i
+		}
+	}
+	if len(wgParams) == 0 {
+		return
+	}
+	info := fi.Pkg.Info
+	done := func(obj types.Object) {
+		if idx, ok := wgParams[obj]; ok {
+			sum.DoneParams[idx] = true
+		}
+	}
+	ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "Done" && len(call.Args) == 0 {
+			done(identObj(info, sel.X))
+			return true
+		}
+		// Forwarding: wg passed to a callee whose summary calls Done
+		// on that parameter.
+		in.doneArgs(info, call, done)
+		return true
+	})
+}
+
+func isWaitGroupPtr(t types.Type) bool {
+	ptr, ok := t.(*types.Pointer)
+	if !ok {
+		return false
+	}
+	named, ok := ptr.Elem().(*types.Named)
+	return ok && named.Obj().Pkg() != nil &&
+		named.Obj().Pkg().Path() == "sync" && named.Obj().Name() == "WaitGroup"
 }

@@ -14,7 +14,6 @@ import (
 // graph's strongly connected components so every summary can consult
 // its callees' summaries.
 type Interp struct {
-	Pkgs      []*Package
 	Graph     *CallGraph
 	Ann       *Annotations
 	Summaries map[*types.Func]*Summary
@@ -87,13 +86,14 @@ type Summary struct {
 	// NilSafe reports whether the method guards its receiver against
 	// nil before any dereference (vacuously true for functions this
 	// contract does not apply to). nilPos/nilWhat locate the first
-	// offending dereference.
+	// offending dereference. Computed by nilWalk (nilsafe.go).
 	NilSafe bool
 	nilPos  token.Pos
 	nilWhat string
 
 	// DoneParams are the indices of *sync.WaitGroup parameters on
 	// which this function calls Done, directly or transitively.
+	// Computed by doneWalk (gojoin.go).
 	DoneParams map[int]bool
 }
 
@@ -101,7 +101,6 @@ type Summary struct {
 // all function summaries bottom-up.
 func NewInterp(pkgs []*Package) *Interp {
 	in := &Interp{
-		Pkgs:      pkgs,
 		Graph:     buildCallGraph(pkgs),
 		Ann:       collectAnnotations(pkgs),
 		Summaries: map[*types.Func]*Summary{},
@@ -640,377 +639,4 @@ func terminates(b *ast.BlockStmt) bool {
 		}
 	}
 	return false
-}
-
-// ---------------------------------------------------------------------
-// nilsafe: receiver nil-check-before-dereference
-// ---------------------------------------------------------------------
-
-// nilSim walks a method of a lint:nilsafe type, tracking whether a
-// nil-receiver guard has executed. Before the guard, any receiver
-// dereference — a field selector, or a call to a method that is not
-// itself nil-safe — is a contract violation. `if r == nil { return }`
-// (optionally `r == nil || more`) establishes the guard when its body
-// terminates; `if r != nil { ... }` guards its own body.
-type nilSim struct {
-	in      *Interp
-	fi      *FuncInfo
-	sum     *Summary
-	recv    types.Object
-	checked bool
-}
-
-func (in *Interp) nilWalk(fi *FuncInfo, sum *Summary) {
-	recvT := fi.Fn.Type().(*types.Signature).Recv()
-	if recvT == nil {
-		return
-	}
-	ptr, ok := recvT.Type().(*types.Pointer)
-	if !ok {
-		return // value receiver: never nil.
-	}
-	named, ok := ptr.Elem().(*types.Named)
-	if !ok || !in.Ann.NilSafe[named.Obj()] {
-		return
-	}
-	recv := receiverObj(fi)
-	if recv == nil {
-		return // unnamed receiver: the body cannot dereference it.
-	}
-	w := &nilSim{in: in, fi: fi, sum: sum, recv: recv}
-	w.stmts(fi.Decl.Body.List)
-}
-
-func (w *nilSim) deref(pos token.Pos, what string) {
-	if !w.sum.NilSafe {
-		return
-	}
-	w.sum.NilSafe = false
-	w.sum.nilPos = pos
-	w.sum.nilWhat = what
-}
-
-func (w *nilSim) isRecv(e ast.Expr) bool {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	if !ok {
-		return false
-	}
-	return w.fi.Pkg.Info.Uses[id] == w.recv
-}
-
-func (w *nilSim) stmts(list []ast.Stmt) {
-	for _, s := range list {
-		w.stmt(s)
-	}
-}
-
-func (w *nilSim) stmt(s ast.Stmt) {
-	switch s := s.(type) {
-	case nil:
-	case *ast.BlockStmt:
-		w.stmts(s.List)
-	case *ast.IfStmt:
-		w.stmt(s.Init)
-		switch kind, rest := w.guardKind(s.Cond); kind {
-		case guardIsNil:
-			// `if r == nil || rest { ... }`: rest only evaluates when
-			// r != nil; the body may run with r nil.
-			if rest != nil {
-				w.withChecked(true, func() { w.expr(rest) })
-			}
-			w.stmt(s.Body)
-			w.stmt(s.Else)
-			if terminates(s.Body) && s.Else == nil {
-				w.checked = true
-			}
-			return
-		case guardNonNil:
-			if rest != nil {
-				w.withChecked(true, func() { w.expr(rest) })
-			}
-			w.withChecked(true, func() { w.stmt(s.Body) })
-			w.stmt(s.Else)
-			return
-		default:
-			w.expr(s.Cond)
-			w.stmt(s.Body)
-			w.stmt(s.Else)
-		}
-	case *ast.ExprStmt:
-		w.expr(s.X)
-	case *ast.AssignStmt:
-		for _, e := range s.Rhs {
-			w.expr(e)
-		}
-		for _, e := range s.Lhs {
-			w.expr(e)
-		}
-	case *ast.ReturnStmt:
-		for _, e := range s.Results {
-			w.expr(e)
-		}
-	case *ast.IncDecStmt:
-		w.expr(s.X)
-	case *ast.DeferStmt:
-		w.expr(s.Call.Fun)
-		for _, a := range s.Call.Args {
-			w.expr(a)
-		}
-	case *ast.GoStmt:
-		w.expr(s.Call.Fun)
-		for _, a := range s.Call.Args {
-			w.expr(a)
-		}
-	case *ast.ForStmt:
-		w.stmt(s.Init)
-		if s.Cond != nil {
-			w.expr(s.Cond)
-		}
-		w.stmt(s.Body)
-		w.stmt(s.Post)
-	case *ast.RangeStmt:
-		w.expr(s.X)
-		w.stmt(s.Body)
-	case *ast.SwitchStmt:
-		w.stmt(s.Init)
-		if s.Tag != nil {
-			w.expr(s.Tag)
-		}
-		w.stmt(s.Body)
-	case *ast.TypeSwitchStmt:
-		w.stmt(s.Init)
-		w.stmt(s.Assign)
-		w.stmt(s.Body)
-	case *ast.SelectStmt:
-		w.stmt(s.Body)
-	case *ast.CaseClause:
-		for _, e := range s.List {
-			w.expr(e)
-		}
-		w.stmts(s.Body)
-	case *ast.CommClause:
-		w.stmt(s.Comm)
-		w.stmts(s.Body)
-	case *ast.LabeledStmt:
-		w.stmt(s.Stmt)
-	case *ast.SendStmt:
-		w.expr(s.Chan)
-		w.expr(s.Value)
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, v := range vs.Values {
-						w.expr(v)
-					}
-				}
-			}
-		}
-	}
-}
-
-func (w *nilSim) withChecked(v bool, fn func()) {
-	saved := w.checked
-	w.checked = v || saved
-	fn()
-	w.checked = saved
-}
-
-type guardClass int
-
-const (
-	guardNone guardClass = iota
-	guardIsNil
-	guardNonNil
-)
-
-// guardKind classifies an if-condition with respect to the receiver:
-// `r == nil` (possibly || rest) or `r != nil` (possibly && rest).
-func (w *nilSim) guardKind(cond ast.Expr) (guardClass, ast.Expr) {
-	be, ok := ast.Unparen(cond).(*ast.BinaryExpr)
-	if !ok {
-		return guardNone, nil
-	}
-	switch be.Op {
-	case token.EQL, token.NEQ:
-		if w.nilCompare(be) {
-			if be.Op == token.EQL {
-				return guardIsNil, nil
-			}
-			return guardNonNil, nil
-		}
-	case token.LOR:
-		if kind, _ := w.guardKind(be.X); kind == guardIsNil {
-			return guardIsNil, be.Y
-		}
-	case token.LAND:
-		if kind, _ := w.guardKind(be.X); kind == guardNonNil {
-			return guardNonNil, be.Y
-		}
-	}
-	return guardNone, nil
-}
-
-func (w *nilSim) nilCompare(be *ast.BinaryExpr) bool {
-	isNil := func(e ast.Expr) bool {
-		id, ok := ast.Unparen(e).(*ast.Ident)
-		return ok && id.Name == "nil"
-	}
-	return (w.isRecv(be.X) && isNil(be.Y)) || (isNil(be.X) && w.isRecv(be.Y))
-}
-
-func (w *nilSim) expr(e ast.Expr) {
-	switch e := e.(type) {
-	case nil:
-	case *ast.CallExpr:
-		if sel, ok := ast.Unparen(e.Fun).(*ast.SelectorExpr); ok && w.isRecv(sel.X) && !w.checked {
-			if !w.calleeNilSafe(sel.Sel) {
-				w.deref(sel.Pos(), fmt.Sprintf("calls %s.%s, which dereferences the receiver", w.recv.Name(), sel.Sel.Name))
-			}
-			for _, a := range e.Args {
-				w.expr(a)
-			}
-			return
-		}
-		w.expr(e.Fun)
-		for _, a := range e.Args {
-			w.expr(a)
-		}
-	case *ast.SelectorExpr:
-		if w.isRecv(e.X) && !w.checked {
-			w.deref(e.Pos(), fmt.Sprintf("accesses %s.%s", w.recv.Name(), e.Sel.Name))
-			return
-		}
-		w.expr(e.X)
-	case *ast.StarExpr:
-		if w.isRecv(e.X) && !w.checked {
-			w.deref(e.Pos(), fmt.Sprintf("dereferences *%s", w.recv.Name()))
-			return
-		}
-		w.expr(e.X)
-	case *ast.ParenExpr:
-		w.expr(e.X)
-	case *ast.UnaryExpr:
-		w.expr(e.X)
-	case *ast.BinaryExpr:
-		w.expr(e.X)
-		w.expr(e.Y)
-	case *ast.IndexExpr:
-		w.expr(e.X)
-		w.expr(e.Index)
-	case *ast.SliceExpr:
-		w.expr(e.X)
-		w.expr(e.Low)
-		w.expr(e.High)
-		w.expr(e.Max)
-	case *ast.TypeAssertExpr:
-		w.expr(e.X)
-	case *ast.CompositeLit:
-		for _, el := range e.Elts {
-			w.expr(el)
-		}
-	case *ast.KeyValueExpr:
-		w.expr(e.Value)
-	case *ast.FuncLit:
-		// The closure may run before any later guard; judge it under
-		// the state at its creation point.
-		w.stmts(e.Body.List)
-	}
-}
-
-// calleeNilSafe reports whether calling the named method on a nil
-// receiver is safe: it must be a pointer-receiver method whose summary
-// proved nil-safety. Value-receiver methods auto-dereference.
-func (w *nilSim) calleeNilSafe(sel *ast.Ident) bool {
-	fn, ok := w.fi.Pkg.Info.Uses[sel].(*types.Func)
-	if !ok {
-		return false
-	}
-	recv := fn.Type().(*types.Signature).Recv()
-	if recv == nil {
-		return false
-	}
-	if _, ok := recv.Type().(*types.Pointer); !ok {
-		return false
-	}
-	sum := w.in.Summaries[fn]
-	// A missing summary (mutual recursion inside one SCC, or an
-	// out-of-module method) is conservatively unsafe.
-	return sum != nil && sum.NilSafe
-}
-
-// ---------------------------------------------------------------------
-// gojoin support: WaitGroup Done-parameter propagation
-// ---------------------------------------------------------------------
-
-// doneWalk records which *sync.WaitGroup parameters this function
-// calls Done on, directly or by forwarding the parameter to a callee
-// that does (the interprocedural half of the gojoin check:
-// `go worker(&wg)` joins when worker's summary proves the Done).
-func (in *Interp) doneWalk(fi *FuncInfo, sum *Summary) {
-	sig := fi.Fn.Type().(*types.Signature)
-	wgParams := map[types.Object]int{}
-	params := sig.Params()
-	for i := 0; i < params.Len(); i++ {
-		if isWaitGroupPtr(params.At(i).Type()) {
-			// Map the declaration object via the AST parameter list so
-			// body identifiers resolve to it.
-			wgParams[params.At(i)] = i
-		}
-	}
-	if len(wgParams) == 0 {
-		return
-	}
-	info := fi.Pkg.Info
-	ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "Done" && len(call.Args) == 0 {
-			if id, ok := ast.Unparen(sel.X).(*ast.Ident); ok {
-				if idx, ok := wgParams[info.Uses[id]]; ok {
-					sum.DoneParams[idx] = true
-				}
-			}
-			return true
-		}
-		// Forwarding: wg passed to a callee whose summary calls Done
-		// on that parameter.
-		var callee *types.Func
-		switch fun := ast.Unparen(call.Fun).(type) {
-		case *ast.Ident:
-			callee, _ = info.Uses[fun].(*types.Func)
-		case *ast.SelectorExpr:
-			callee, _ = info.Uses[fun.Sel].(*types.Func)
-		}
-		if callee == nil {
-			return true
-		}
-		csum := in.Summaries[callee]
-		if csum == nil || len(csum.DoneParams) == 0 {
-			return true
-		}
-		for j, arg := range call.Args {
-			if !csum.DoneParams[j] {
-				continue
-			}
-			if id, ok := ast.Unparen(arg).(*ast.Ident); ok {
-				if idx, ok := wgParams[info.Uses[id]]; ok {
-					sum.DoneParams[idx] = true
-				}
-			}
-		}
-		return true
-	})
-}
-
-func isWaitGroupPtr(t types.Type) bool {
-	ptr, ok := t.(*types.Pointer)
-	if !ok {
-		return false
-	}
-	named, ok := ptr.Elem().(*types.Named)
-	return ok && named.Obj().Pkg() != nil &&
-		named.Obj().Pkg().Path() == "sync" && named.Obj().Name() == "WaitGroup"
 }

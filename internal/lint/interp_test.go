@@ -584,10 +584,10 @@ func top() { use(impl{}) }`
 			t.Fatalf("call graph is missing %s (have %d funcs)", want, len(byName))
 		}
 	}
-	if !in.Graph.SameSCC(byName["a"], byName["b"]) {
+	if byName["a"].scc != byName["b"].scc {
 		t.Errorf("mutually recursive a and b should share an SCC")
 	}
-	if in.Graph.SameSCC(byName["a"], byName["top"]) {
+	if byName["a"].scc == byName["top"].scc {
 		t.Errorf("top must not be in a/b's SCC")
 	}
 	var viaIface bool

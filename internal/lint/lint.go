@@ -27,8 +27,9 @@
 //
 // On top of the per-package rules, an interprocedural layer (a module
 // call graph plus per-function summaries computed bottom-up over its
-// SCCs — see callgraph.go and interp.go) checks declared concurrency
-// contracts:
+// SCCs — see callgraph.go and interp.go; the summary walkers only
+// nilsafe and gojoin use live in their rule files) checks declared
+// concurrency contracts:
 //
 //   - guardedby: a struct field annotated `// lint:guardedby mu` may
 //     only be read with mu held (RLock or Lock) and written with mu
@@ -39,7 +40,7 @@
 //     before any receiver dereference, transitively through called
 //     methods.
 //   - gojoin: every `go` statement in the planner/simulator/
-//     experiment packages must be provably joined — a WaitGroup
+//     experiment/serve packages must be provably joined — a WaitGroup
 //     Add/Done/Wait pairing (Done possibly through a summarized
 //     helper) or a channel-collect pattern — so worker pools cannot
 //     leak goroutines holding arena references.
@@ -47,7 +48,8 @@
 // Findings can be suppressed with a `//lint:allow <rule> <reason>`
 // comment: placed above the package clause it covers the whole file,
 // otherwise it covers the line it is on and the line below it. The
-// reason is mandatory (`tsplit-lint -audit` flags reasonless allows).
+// reason is mandatory and the rule must exist (`tsplit-lint -audit`
+// flags reasonless allows and allows naming an unknown rule).
 package lint
 
 import (
@@ -159,18 +161,13 @@ type ModulePass struct {
 	Interp *Interp
 
 	analyzer *Analyzer
-	only     func(path string) bool
 	out      *[]Diagnostic
 }
 
 // Reportf records a finding at pos, attributed to the package at
-// pkgPath. Findings outside the analyzer's package scope (or outside
-// the caller's -changed filter) are dropped.
+// pkgPath. Findings outside the analyzer's package scope are dropped.
 func (mp *ModulePass) Reportf(pkgPath string, pos token.Pos, format string, args ...any) {
 	if !mp.analyzer.appliesTo(pkgPath) {
-		return
-	}
-	if mp.only != nil && !mp.only(pkgPath) {
 		return
 	}
 	position := mp.Fset.Position(pos)
@@ -215,14 +212,6 @@ func ByName(names string) ([]*Analyzer, error) {
 // Run executes the analyzers over the packages, filters suppressed
 // findings, and returns the remainder sorted by position then rule.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	return RunFiltered(pkgs, analyzers, nil)
-}
-
-// RunFiltered is Run with a reporting filter: when only is non-nil,
-// findings are kept only for packages it accepts. The interprocedural
-// analyzers still see the whole module (call graphs do not respect
-// -changed boundaries); only the reporting is narrowed.
-func RunFiltered(pkgs []*Package, analyzers []*Analyzer, only func(path string) bool) []Diagnostic {
 	var diags []Diagnostic
 	var interp *Interp
 	for _, a := range analyzers {
@@ -232,9 +221,6 @@ func RunFiltered(pkgs []*Package, analyzers []*Analyzer, only func(path string) 
 		}
 	}
 	for _, pkg := range pkgs {
-		if only != nil && !only(pkg.Path) {
-			continue
-		}
 		for _, a := range analyzers {
 			if a.Run == nil || !a.appliesTo(pkg.Path) {
 				continue
@@ -253,7 +239,7 @@ func RunFiltered(pkgs []*Package, analyzers []*Analyzer, only func(path string) 
 			}
 			a.RunModule(&ModulePass{
 				Fset: pkgs[0].Fset, Pkgs: pkgs, Interp: interp,
-				analyzer: a, only: only, out: &diags,
+				analyzer: a, out: &diags,
 			})
 		}
 	}
@@ -278,19 +264,10 @@ func RunFiltered(pkgs []*Package, analyzers []*Analyzer, only func(path string) 
 // rule list and the (mandatory — see Audit) trailing reason.
 var allowRe = regexp.MustCompile(`^//\s*lint:allow\s+([a-z0-9_,-]+)[ \t]*(.*?)\s*$`)
 
-// suppressions holds the allow state of one file.
-type suppressions struct {
-	fileWide map[string]bool
-	// byLine[n] suppresses the named rules on line n.
-	byLine map[int]map[string]bool
-}
-
-// collectSuppressions scans a file's comments for lint:allow
-// directives. A directive above the package clause suppresses the rule
-// for the whole file; elsewhere it suppresses findings on its own line
-// and the immediately following line.
-func collectSuppressions(fset *token.FileSet, f *ast.File) suppressions {
-	s := suppressions{fileWide: map[string]bool{}, byLine: map[int]map[string]bool{}}
+// forEachAllow calls fn for every lint:allow directive in f, in source
+// order. A directive above the package clause is file-wide; elsewhere
+// it covers its own line and the immediately following line.
+func forEachAllow(fset *token.FileSet, f *ast.File, fn func(AllowSite, token.Position)) {
 	pkgLine := fset.Position(f.Package).Line
 	for _, cg := range f.Comments {
 		for _, c := range cg.List {
@@ -298,40 +275,50 @@ func collectSuppressions(fset *token.FileSet, f *ast.File) suppressions {
 			if m == nil {
 				continue
 			}
-			line := fset.Position(c.Pos()).Line
+			pos := fset.Position(c.Pos())
+			site := AllowSite{
+				File:     pos.Filename,
+				Line:     pos.Line,
+				Reason:   strings.TrimSpace(m[2]),
+				FileWide: pos.Line < pkgLine,
+			}
 			for _, rule := range strings.Split(m[1], ",") {
-				rule = strings.TrimSpace(rule)
-				if rule == "" {
-					continue
-				}
-				if line < pkgLine {
-					s.fileWide[rule] = true
-					continue
-				}
-				for _, l := range []int{line, line + 1} {
-					if s.byLine[l] == nil {
-						s.byLine[l] = map[string]bool{}
-					}
-					s.byLine[l][rule] = true
+				if rule = strings.TrimSpace(rule); rule != "" {
+					site.Rules = append(site.Rules, rule)
 				}
 			}
+			fn(site, pos)
 		}
 	}
-	return s
+}
+
+// allowKey is one suppressed (file, line, rule); line 0 stands for the
+// whole file.
+type allowKey struct {
+	file string
+	line int
+	rule string
 }
 
 func filterSuppressed(diags []Diagnostic, pkgs []*Package) []Diagnostic {
-	byFile := map[string]suppressions{}
+	allowed := map[allowKey]bool{}
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
-			name := pkg.Fset.Position(f.Package).Filename
-			byFile[name] = collectSuppressions(pkg.Fset, f)
+			forEachAllow(pkg.Fset, f, func(s AllowSite, _ token.Position) {
+				for _, rule := range s.Rules {
+					if s.FileWide {
+						allowed[allowKey{s.File, 0, rule}] = true
+						continue
+					}
+					allowed[allowKey{s.File, s.Line, rule}] = true
+					allowed[allowKey{s.File, s.Line + 1, rule}] = true
+				}
+			})
 		}
 	}
 	kept := diags[:0]
 	for _, d := range diags {
-		s, ok := byFile[d.File]
-		if ok && (s.fileWide[d.Rule] || s.byLine[d.Line][d.Rule]) {
+		if allowed[allowKey{d.File, 0, d.Rule}] || allowed[allowKey{d.File, d.Line, d.Rule}] {
 			continue
 		}
 		kept = append(kept, d)

@@ -148,10 +148,11 @@ func TestChangedPackages(t *testing.T) {
 	if _, err := exec.LookPath("git"); err != nil {
 		t.Skip("git not installed")
 	}
+	const dropsErr = "\n\nimport \"os\"\n\nfunc F() { os.Remove(\"x\") }\n"
 	dir := writeModule(t, map[string]string{
 		"go.mod":   testGoMod,
 		"a/a.go":   "package a\n",
-		"b/b.go":   "package b\n",
+		"b/b.go":   "package b" + dropsErr,
 		"b/doc.md": "prose\n",
 	})
 	git := func(args ...string) {
@@ -167,14 +168,10 @@ func TestChangedPackages(t *testing.T) {
 	git("add", ".")
 	git("commit", "-q", "-m", "seed")
 
-	mod, err := LoadModule(dir)
-	if err != nil {
-		t.Fatalf("LoadModule: %v", err)
-	}
-
-	// Unstaged change in a, untracked .go file in a new dir c, and a
-	// non-.go change in b (which must NOT mark b as changed).
-	if err := os.WriteFile(filepath.Join(dir, "a/a.go"), []byte("package a\n\nfunc A() {}\n"), 0o644); err != nil {
+	// Unstaged change in a (a dropped error, like the one committed in
+	// b), untracked .go file in a new dir c, and a non-.go change in b
+	// (which must NOT mark b as changed).
+	if err := os.WriteFile(filepath.Join(dir, "a/a.go"), []byte("package a"+dropsErr), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.MkdirAll(filepath.Join(dir, "c"), 0o755); err != nil {
@@ -187,6 +184,10 @@ func TestChangedPackages(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	mod, err := LoadModule(dir)
+	if err != nil {
+		t.Fatalf("LoadModule: %v", err)
+	}
 	pkgs, err := ChangedPackages(mod, "HEAD")
 	if err != nil {
 		t.Fatalf("ChangedPackages: %v", err)
@@ -201,10 +202,15 @@ func TestChangedPackages(t *testing.T) {
 		t.Errorf("non-.go change must not mark package b: %v", pkgs)
 	}
 
-	// RunFiltered narrows reporting to the changed set.
-	diags := RunFiltered(mod.Pkgs, Analyzers(), func(p string) bool { return pkgs[p] })
-	for _, d := range diags {
-		t.Errorf("unexpected finding: %s", d)
+	// Within narrows reporting to the changed set: a's finding stays,
+	// unchanged b's is dropped.
+	all := Run(mod.Pkgs, Analyzers())
+	if len(all) != 2 {
+		t.Fatalf("want one errdrop finding each in a and b, got %v", all)
+	}
+	diags := mod.Within(all, pkgs)
+	if len(diags) != 1 || diags[0].Rule != "errdrop" || filepath.Base(diags[0].File) != "a.go" {
+		t.Errorf("Within kept %v, want only a's errdrop finding", diags)
 	}
 }
 
@@ -236,11 +242,13 @@ func f(m map[int]int) {
 	}
 	//lint:allow floateq
 	_ = m
+	//lint:allow maporder,retiredrule kept after its rule was deleted
+	_ = m
 }`
 	pkg := checkSrc(t, corePath, "audit_case.go", src)
 	sites, missing := Audit([]*Package{pkg})
-	if len(sites) != 3 {
-		t.Fatalf("want 3 allow sites, got %v", sites)
+	if len(sites) != 4 {
+		t.Fatalf("want 4 allow sites, got %v", sites)
 	}
 	if !sites[0].FileWide || sites[0].Reason != "generated demo file" || sites[0].Rules[0] != "clockdet" {
 		t.Errorf("file-wide site parsed wrong: %+v", sites[0])
@@ -252,8 +260,15 @@ func f(m map[int]int) {
 	if sites[2].Reason != "" {
 		t.Errorf("reasonless site should have empty reason: %+v", sites[2])
 	}
-	if len(missing) != 1 || missing[0].Rule != "lint-audit" || missing[0].Line != sites[2].Line {
-		t.Fatalf("want one lint-audit finding at the reasonless site, got %v", missing)
+	if len(missing) != 2 || missing[0].Rule != "lint-audit" || missing[0].Line != sites[2].Line {
+		t.Fatalf("want lint-audit findings at the reasonless and the unknown-rule sites, got %v", missing)
+	}
+	// A reasoned allow naming a rule the suite does not have is a
+	// finding too, for that rule only: a retired rule leaves no dead
+	// suppression behind.
+	if missing[1].Rule != "lint-audit" || missing[1].Line != sites[3].Line ||
+		!strings.Contains(missing[1].Message, `"retiredrule"`) || strings.Contains(missing[1].Message, "maporder") {
+		t.Errorf("unknown-rule finding: %v", missing[1])
 	}
 	if !strings.Contains(sites[2].String(), "MISSING REASON") {
 		t.Errorf("listing should call out the missing reason: %s", sites[2])

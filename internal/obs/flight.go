@@ -29,7 +29,8 @@ type Event struct {
 // threads through planner, simulator, and ladder unconditionally.
 //
 // lint:nilsafe — every exported method must guard the receiver before
-// dereferencing it; tsplit-lint proves it.
+// dereferencing it; tsplit-lint proves it, and TestNilReceiverMethods
+// calls each one on a nil receiver.
 type Flight struct {
 	mu    sync.Mutex
 	clock Clock
@@ -136,7 +137,8 @@ type Dump struct {
 // modes of their own.
 //
 // lint:nilsafe — a nil *Dumper ignores triggers; every exported
-// method guards the receiver first.
+// method guards the receiver first (TestNilReceiverMethods calls each
+// one on a nil receiver).
 type Dumper struct {
 	Flight   *Flight
 	Registry *Registry

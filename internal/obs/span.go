@@ -23,7 +23,8 @@ import (
 //
 // lint:nilsafe — the no-op contract above is machine-checked: every
 // exported method must reach a nil-receiver guard before any
-// dereference, directly or through a transitively nil-safe method.
+// dereference, directly or through a transitively nil-safe method;
+// TestNilReceiverMethods calls each one on a nil receiver.
 type Tracer struct {
 	mu    sync.Mutex
 	clock Clock
@@ -46,7 +47,8 @@ func NewTracer(clock Clock) *Tracer {
 // (the experiment pool) give each goroutine its own root span.
 //
 // lint:nilsafe — a nil *Span (from a nil tracer's StartSpan) is a
-// no-op; every exported method guards the receiver first.
+// no-op; every exported method guards the receiver first
+// (TestNilReceiverMethods calls each one on a nil receiver).
 type Span struct {
 	tr       *Tracer
 	name     string

@@ -2,6 +2,8 @@ package obs
 
 import (
 	"bytes"
+	"io"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -66,6 +68,50 @@ func TestSpanNilSafety(t *testing.T) {
 	sp.End()
 	if tree := tr.Tree(); tree != nil {
 		t.Fatalf("nil tracer Tree = %v", tree)
+	}
+}
+
+// TestNilReceiverMethods calls every exported method of the types
+// whose nil pointer is a documented no-op (Tracer, Span, Flight,
+// Dumper) on a nil receiver, with zero-valued arguments and io.Discard
+// for an io.Writer, and fails on any panic. Reflection lists the
+// methods, so one added later is covered without editing this test.
+func TestNilReceiverMethods(t *testing.T) {
+	writer := reflect.TypeOf((*io.Writer)(nil)).Elem()
+	called := 0
+	for _, typ := range []reflect.Type{
+		reflect.TypeOf((*Tracer)(nil)),
+		reflect.TypeOf((*Span)(nil)),
+		reflect.TypeOf((*Flight)(nil)),
+		reflect.TypeOf((*Dumper)(nil)),
+	} {
+		for i := 0; i < typ.NumMethod(); i++ {
+			m := typ.Method(i)
+			args := []reflect.Value{reflect.Zero(typ)}
+			for j := 1; j < m.Type.NumIn(); j++ {
+				if in := m.Type.In(j); in == writer {
+					args = append(args, reflect.ValueOf(io.Discard))
+				} else {
+					args = append(args, reflect.Zero(in))
+				}
+			}
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("(%v).%s on a nil receiver panicked: %v", typ, m.Name, r)
+					}
+				}()
+				if m.Type.IsVariadic() {
+					m.Func.CallSlice(args)
+				} else {
+					m.Func.Call(args)
+				}
+			}()
+			called++
+		}
+	}
+	if called < 14 {
+		t.Fatalf("called %d methods, want at least the 14 these types had when this test was written", called)
 	}
 }
 

@@ -425,40 +425,3 @@ func (o *Occupancy) ReserveBack(transfer float64, from, to int) (start int, stal
 	}
 	return start, transfer
 }
-
-// At returns Oc_u for schedule index u.
-func (o *Occupancy) At(u int) float64 { return o.oc[u] }
-
-// PrefetchIndex returns the latest schedule index p at which a swap-in
-// of the given transfer duration can be issued and still complete
-// before op q, given current occupancy — the "swap-in begin" position
-// of paper Eq. 3. Prefetching as late as possible minimizes the memory
-// the restored tensor occupies. When even issuing at lo the transfer
-// cannot be hidden, lo is returned (the runtime will stall).
-func (o *Occupancy) PrefetchIndex(transfer float64, q, lo int) int {
-	if lo < 0 {
-		lo = 0
-	}
-	hi := q - 1
-	if hi < lo {
-		return lo
-	}
-	if o.FreeTime(lo, q-1) < transfer {
-		// PCIe is saturated: no start position hides the transfer, so
-		// issue as late as possible — the stall is the same wherever
-		// the copy is queued, but a late start keeps the tensor out of
-		// device memory longest.
-		return hi
-	}
-	// FreeTime(p, q-1) is non-increasing in p: binary search the
-	// largest p that still hides the transfer.
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if o.FreeTime(mid, q-1) >= transfer {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	return lo
-}

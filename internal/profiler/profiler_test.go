@@ -128,21 +128,6 @@ func TestStall(t *testing.T) {
 	}
 }
 
-func TestPrefetchIndexLate(t *testing.T) {
-	p := prof(t)
-	o := NewOccupancy(p)
-	q := len(p.T) - 1
-	// A tiny transfer can start right before q.
-	idx := o.PrefetchIndex(1e-12, q, 0)
-	if idx != q-1 {
-		t.Fatalf("tiny transfer prefetch at %d, want %d", idx, q-1)
-	}
-	// An impossible transfer issues as late as possible.
-	if idx := o.PrefetchIndex(1e9, q, 0); idx != q-1 {
-		t.Fatalf("impossible transfer prefetch at %d, want %d", idx, q-1)
-	}
-}
-
 func TestWindowStart(t *testing.T) {
 	p := prof(t)
 	q := len(p.T)

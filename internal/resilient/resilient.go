@@ -30,9 +30,6 @@ const marginStep = 0.10
 type Config struct {
 	// Faults selects the injected environment (Severity <= 0: none).
 	Faults faults.Config
-	// Margins overrides the ladder's margin sequence (nil: initial,
-	// +0.10, +0.20).
-	Margins []float64
 	// Planner holds every rung's planner options; a rung replaces only
 	// SafetyMargin. The other fields serve the whole run:
 	//   - Capacity is the memory budget the runtime enforces too
@@ -103,10 +100,7 @@ func Run(p *prep.Prepared, cfg Config) (Outcome, error) {
 	if m0 <= 0 && inj != nil {
 		m0 = DefaultMargin
 	}
-	margins := cfg.Margins
-	if margins == nil {
-		margins = []float64{m0, m0 + marginStep, m0 + 2*marginStep}
-	}
+	margins := []float64{m0, m0 + marginStep, m0 + 2*marginStep}
 
 	var out Outcome
 	if po.Obs != nil {

@@ -74,8 +74,7 @@ func TestLadderPlanFailureFallsBackToSwapAll(t *testing.T) {
 	in := inputs(t, "vgg16", 64)
 	reg := obs.NewRegistry()
 	out, err := Run(in, Config{
-		Margins: []float64{0.89, 0.89, 0.89},
-		Planner: core.Options{CollectReport: true, Obs: reg},
+		Planner: core.Options{SafetyMargin: 0.89, CollectReport: true, Obs: reg},
 	})
 	if err != nil {
 		t.Fatalf("ladder aborted: %v", err)

@@ -41,7 +41,7 @@ func faultRun(t *testing.T, b *bed, plan *core.Plan, cfg faults.Config) (Result,
 		t.Fatalf("faulted run: %v", err)
 	}
 	var trace, metrics bytes.Buffer
-	if err := WriteChromeTrace(&trace, res.Timeline); err != nil {
+	if err := WriteChromeTraceSpans(&trace, res.Timeline, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := reg.WriteJSON(&metrics); err != nil {

@@ -48,7 +48,7 @@ func runArtifacts(t *testing.T, s *Simulator, reg *obs.Registry) (Result, []byte
 		errStr = err.Error()
 	}
 	var trace, met bytes.Buffer
-	if err := WriteChromeTrace(&trace, res.Timeline); err != nil {
+	if err := WriteChromeTraceSpans(&trace, res.Timeline, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := reg.WritePrometheus(&met); err != nil {

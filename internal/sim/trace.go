@@ -66,10 +66,11 @@ func streamTIDs(timeline []TimelinePoint) map[string]int {
 	return tids
 }
 
-// WriteChromeTrace exports a timeline (Options.CollectTimeline) in
-// Chrome tracing format: open in chrome://tracing or https://ui.perfetto.dev
-// to see the compute stream overlapping the two copy streams — the
-// execution picture behind the paper's PCIe-utilization claims.
+// WriteChromeTraceSpans exports a timeline (Options.CollectTimeline)
+// in Chrome tracing format: open in chrome://tracing or
+// https://ui.perfetto.dev to see the compute stream overlapping the two
+// copy streams — the execution picture behind the paper's
+// PCIe-utilization claims.
 //
 // Beyond the "X" slices the trace carries:
 //   - "M" metadata naming the process and every stream lane;
@@ -79,23 +80,18 @@ func streamTIDs(timeline []TimelinePoint) map[string]int {
 //     swap-in that returns it;
 //   - args (bytes, tensor, memory) on every slice.
 //
-// Event order is fully deterministic: events are sorted by
-// (timestamp, thread, name) with a stable sort, so identical timelines
-// serialize identically.
-func WriteChromeTrace(w io.Writer, timeline []TimelinePoint) error {
-	return WriteChromeTraceSpans(w, timeline, nil)
-}
-
-// WriteChromeTraceSpans is WriteChromeTrace with an extra "spans"
-// lane: the flattened obs.Tracer span forest (planner phases, per-op
-// execution, ladder rungs) rendered as "X" slices on their own
-// thread row. Span timestamps are tracer-relative microseconds —
-// a separate timebase from the simulated-seconds timeline, kept on a
-// separate lane for exactly that reason. Open (never-ended) spans
-// render with zero duration and an open:true arg. Determinism
-// matches WriteChromeTrace: spans join the same stable
-// (timestamp, thread, name) sort, and span args marshal in sorted
-// key order.
+// A non-nil spans adds a "spans" lane: the flattened obs.Tracer span
+// forest (planner phases, per-op execution, ladder rungs) rendered as
+// "X" slices on their own thread row. Span timestamps are
+// tracer-relative microseconds — a separate timebase from the
+// simulated-seconds timeline, kept on a separate lane for exactly that
+// reason. Open (never-ended) spans render with zero duration and an
+// open:true arg.
+//
+// Event order is fully deterministic: events (spans included) are
+// sorted by (timestamp, thread, name) with a stable sort, and span args
+// marshal in sorted key order, so identical inputs serialize
+// identically.
 func WriteChromeTraceSpans(w io.Writer, timeline []TimelinePoint, spans []*obs.SpanNode) error {
 	tids := streamTIDs(timeline)
 	tr := chromeTrace{Metadata: map[string]string{"tool": "tsplit sim"}}

@@ -27,7 +27,7 @@ type decodedTrace struct {
 func decodeTrace(t *testing.T, timeline []TimelinePoint) (decodedTrace, []byte) {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, timeline); err != nil {
+	if err := WriteChromeTraceSpans(&buf, timeline, nil); err != nil {
 		t.Fatal(err)
 	}
 	var tr decodedTrace
@@ -146,7 +146,7 @@ func TestChromeTraceExport(t *testing.T) {
 
 	// Determinism: serializing the same timeline twice is byte-identical.
 	var buf2 bytes.Buffer
-	if err := WriteChromeTrace(&buf2, r.Timeline); err != nil {
+	if err := WriteChromeTraceSpans(&buf2, r.Timeline, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(raw, buf2.Bytes()) {

@@ -178,19 +178,6 @@ func (k Kind) String() string {
 	}
 }
 
-// IsResident reports whether tensors of this kind must stay on device
-// for the full iteration under every policy in the paper except the
-// offload baselines (ZeRO-Offload, FairScale-Offload), which relax it
-// for Parameter/ParamGrad/OptState.
-func (k Kind) IsResident() bool {
-	switch k {
-	case Parameter, OptState:
-		return true
-	default:
-		return false
-	}
-}
-
 // Evictable reports whether the kind participates in swap / recompute /
 // split planning (the paper plans over feature maps; gradients have
 // short lifetimes and inputs can be re-staged, so both are also fair

@@ -55,12 +55,6 @@ func TestEmptyShape(t *testing.T) {
 }
 
 func TestKindProperties(t *testing.T) {
-	if !Parameter.IsResident() || !OptState.IsResident() {
-		t.Error("parameters and optimizer state must be resident")
-	}
-	if FeatureMap.IsResident() || Gradient.IsResident() {
-		t.Error("activations must not be resident")
-	}
 	if !FeatureMap.Evictable() || !Input.Evictable() {
 		t.Error("feature maps and inputs are eviction candidates")
 	}

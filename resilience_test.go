@@ -65,7 +65,7 @@ func TestResilientAcceptance(t *testing.T) {
 					t.Fatalf("resilient run aborted: %v", err)
 				}
 				var trace, metrics bytes.Buffer
-				if err := tsplit.WriteTrace(&trace, out.Result); err != nil {
+				if err := tsplit.WriteTraceSpans(&trace, out.Result, nil); err != nil {
 					t.Fatal(err)
 				}
 				if err := reg.WriteJSON(&metrics); err != nil {

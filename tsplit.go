@@ -280,7 +280,7 @@ type RunOption func(*sim.Options)
 func Observe(r Recorder) RunOption { return func(o *sim.Options) { o.Obs = r } }
 
 // WithTimeline records the per-event execution timeline in the run's
-// Raw result, for export with WriteTrace.
+// Raw result, for export with WriteTraceSpans.
 func WithTimeline() RunOption { return func(o *sim.Options) { o.CollectTimeline = true } }
 
 // WithTrace records the run as a "sim.run" span with per-op children
@@ -388,23 +388,15 @@ func (w *Workload) Augment(plan *Plan) (*core.Augmented, error) {
 // paper's Sec. VI-D conversion path).
 func ExportPlanJSON(w io.Writer, plan *Plan) error { return core.ExportJSON(w, plan) }
 
-// WriteTrace exports a run's timeline (collect it with WithTimeline)
-// in Chrome tracing format for chrome://tracing or
-// https://ui.perfetto.dev.
-func WriteTrace(w io.Writer, res SimResult) error {
-	if len(res.Timeline) == 0 {
-		return fmt.Errorf("tsplit: result has no timeline (run with tsplit.WithTimeline())")
-	}
-	return sim.WriteChromeTrace(w, res.Timeline)
-}
-
-// WriteTraceSpans is WriteTrace plus the tracer's span forest on its
-// own "spans" lane (planner phases, per-op execution, ladder rungs).
-// Either side may be empty, but not both.
+// WriteTraceSpans exports a run's timeline (collect it with
+// WithTimeline) in Chrome tracing format for chrome://tracing or
+// https://ui.perfetto.dev, plus the tracer's span forest on its own
+// "spans" lane (planner phases, per-op execution, ladder rungs). Either
+// side may be empty (a nil tracer has no spans), but not both.
 func WriteTraceSpans(w io.Writer, res SimResult, tr *Tracer) error {
 	spans := tr.Tree()
 	if len(res.Timeline) == 0 && len(spans) == 0 {
-		return fmt.Errorf("tsplit: nothing to export (no timeline, no spans)")
+		return fmt.Errorf("tsplit: nothing to export (no spans, and no timeline: run with tsplit.WithTimeline())")
 	}
 	return sim.WriteChromeTraceSpans(w, res.Timeline, spans)
 }

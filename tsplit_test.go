@@ -173,7 +173,7 @@ func TestAugmentExport(t *testing.T) {
 }
 
 // TestObservabilitySurface exercises the full public observability
-// pipeline — PlanWithReport, Observe, WithTimeline, WriteTrace,
+// pipeline — PlanWithReport, Observe, WithTimeline, WriteTraceSpans,
 // Prometheus exposition — on the two acceptance models.
 func TestObservabilitySurface(t *testing.T) {
 	for _, tc := range []struct {
@@ -212,7 +212,7 @@ func TestObservabilitySurface(t *testing.T) {
 		}
 
 		var trace bytes.Buffer
-		if err := tsplit.WriteTrace(&trace, rep.Raw); err != nil {
+		if err := tsplit.WriteTraceSpans(&trace, rep.Raw, nil); err != nil {
 			t.Fatalf("%s: %v", tc.model, err)
 		}
 		var decoded map[string]any
@@ -255,8 +255,9 @@ func TestWriteTraceWithoutTimeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := tsplit.WriteTrace(&buf, rep.Raw); err == nil {
-		t.Fatal("WriteTrace must fail without a collected timeline")
+	err = tsplit.WriteTraceSpans(&buf, rep.Raw, nil)
+	if err == nil || !strings.Contains(err.Error(), "WithTimeline") {
+		t.Fatalf("WriteTraceSpans with neither a timeline nor spans: err = %v, want the WithTimeline guidance", err)
 	}
 }
 
