@@ -7,8 +7,13 @@
 package tsplit_test
 
 import (
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 
+	"tsplit"
 	"tsplit/internal/core"
 	"tsplit/internal/device"
 	"tsplit/internal/experiments"
@@ -346,6 +351,54 @@ func BenchmarkSimRunPooled_BERTLarge(b *testing.B) {
 			b.Fatal(err)
 		}
 		pool.Put(s)
+	}
+}
+
+// BenchmarkServeColdMiss is a /v1/plan miss on a workload the server
+// does not hold, one request per iteration, through the handler:
+// VGG-16, ResNet-50 and BERT-Large cycle through 12 batch sizes each,
+// 36 workloads, more than the server's 32-entry workload cache holds,
+// so every request names a cold workload, and each at a capacity of its
+// own, so every plan key is new. One untimed pass builds each model's
+// template; the timed requests rebatch the slots evicted workloads
+// release, as a long-running server does.
+func BenchmarkServeColdMiss(b *testing.B) {
+	type cold struct {
+		model string
+		batch int
+		peak  int64
+	}
+	var ws []cold
+	for k := 1; k <= 12; k++ {
+		for _, e := range []struct {
+			model string
+			batch int
+		}{{"vgg16", 64}, {"resnet50", 64}, {"bert-large", 16}} {
+			p, err := prep.Build(e.model, tsplitModelConfig(e.batch+k), device.TitanRTX)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ws = append(ws, cold{e.model, e.batch + k, p.Lv.Peak})
+		}
+	}
+	srv := tsplit.NewPlanServer(tsplit.PlanServerConfig{})
+	post := func(i int) {
+		w := ws[i%len(ws)]
+		body := fmt.Sprintf(`{"model":%q,"config":{"batch_size":%d},"options":{"capacity_bytes":%d}}`,
+			w.model, w.batch, w.peak*65/100+int64(i))
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/plan", strings.NewReader(body)))
+		if rec.Code != http.StatusOK || rec.Header().Get("X-Tsplit-Cache") != "miss" {
+			b.Fatalf("%s b%d: status %d, cache %q: %s", w.model, w.batch, rec.Code, rec.Header().Get("X-Tsplit-Cache"), rec.Body)
+		}
+	}
+	for i := range ws {
+		post(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		post(len(ws) + i)
 	}
 }
 

@@ -47,9 +47,12 @@ type Config struct {
 	transformerDims
 }
 
+// DefaultBatchSize is the batch a Config with BatchSize 0 builds at.
+const DefaultBatchSize = 32
+
 func (c Config) withDefaults() Config {
 	if c.BatchSize == 0 {
-		c.BatchSize = 32
+		c.BatchSize = DefaultBatchSize
 	}
 	if c.ParamScale == 0 {
 		c.ParamScale = 1

@@ -2,8 +2,8 @@
 // graph (FromGraph) on a device becomes the artifact TSPLIT's planner
 // consumes — graph, schedule, liveness and per-operator profile (paper
 // Sec. V-B) — with a planner pool, prepared once and planned and run
-// many times. A template set (templates.go) prepares one model at many
-// batch sizes in recycled slots.
+// many times. A Template (templates.go) prepares one model at many
+// batch sizes in recycled slots; a Templates set holds one per model.
 package prep
 
 import (
@@ -17,7 +17,7 @@ import (
 // Prepared bundles everything derived from one (graph, config, device)
 // triple: the training graph, its schedule, liveness, and profile,
 // plus the planner arenas built for them. Build and FromGraph prepare
-// one from scratch; a template set rebatches it into a recycled slot,
+// one from scratch; a Template rebatches it into a recycled slot,
 // with the same result field for field. Planning and simulating leave
 // the workload unchanged, so one Prepared serves every policy, in any
 // order and from several goroutines.
@@ -29,7 +29,7 @@ type Prepared struct {
 	Prof     *profiler.Profile
 	Planners *core.PlannerPool
 
-	slot *template // the template a rebatched workload returns to
+	slot *Template // the template a rebatched workload returns to
 }
 
 // Build builds a zoo model's training graph and prepares it.

@@ -83,6 +83,35 @@ func TestTemplatesRecycleSlots(t *testing.T) {
 	}
 }
 
+// TestTemplateKeepsReleasedSlots checks the bound on a template's free
+// slots: with keep 1, of two workloads released together only the
+// first is kept, so borrowing two again allocates one slot more. Batch
+// 0 prepares the models' default batch under its own label.
+func TestTemplateKeepsReleasedSlots(t *testing.T) {
+	reg := obs.NewRegistry()
+	tp, err := NewTemplate("resnet50", models.Config{}, device.TitanRTX, reg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := tp.Prepare(8), tp.Prepare(16)
+	a.Release()
+	b.Release()
+	c, d := tp.Prepare(0), tp.Prepare(4)
+	if c != a || d == b {
+		t.Fatal("the template kept other slots than the one it may keep")
+	}
+	if got := reg.Counter(WorkloadSlots); got != 3 {
+		t.Fatalf("%d slots allocated, want 3", got)
+	}
+	fr, err := Build("resnet50", models.Config{}, device.TitanRTX)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Cfg.BatchSize != 0 || c.Lv.Peak != fr.Lv.Peak {
+		t.Fatalf("batch 0 prepared as batch %d with peak %d; Build's default has peak %d", c.Cfg.BatchSize, c.Lv.Peak, fr.Lv.Peak)
+	}
+}
+
 // TestPolicyTable pins the policy table: the baselines, then TSPLIT's
 // three entries, each name once. Every entry plans VGG-16 and its plan
 // carries the entry's name, which is how a plan finds its recompute

@@ -19,9 +19,9 @@ type call[V any] struct {
 // blocks on the same call and shares its result — a value or an error.
 // The entry is removed when the leader completes, so a later request
 // for the same key consults the cache the leader populated rather than
-// running again. The server holds three: /v1/plan bodies and /v1/peak
+// running again. The server holds four: /v1/plan bodies and /v1/peak
 // bodies by plan key (their results for one key are different bodies),
-// and prepared workloads by workload id.
+// prepared workloads by workload id, and templates by template key.
 type flightGroup[V any] struct {
 	mu    sync.Mutex
 	calls map[string]*call[V] // lint:guardedby mu

@@ -3,6 +3,7 @@ package serve
 import (
 	"crypto/sha256"
 
+	"tsplit/internal/device"
 	"tsplit/internal/prep"
 )
 
@@ -10,7 +11,11 @@ import (
 // prepared workload with its plan-key digest, for the external
 // equivalence test (prepare_test.go).
 func BuildWorkload(req *PlanRequest) (*prep.Prepared, [sha256.Size]byte, error) {
-	wl, herr := buildWorkload(req, nil)
+	dev, err := device.ByName(req.Device)
+	if err != nil {
+		return nil, [sha256.Size]byte{}, err
+	}
+	wl, herr := buildWorkload(req, dev, nil)
 	if herr != nil {
 		return nil, [sha256.Size]byte{}, herr
 	}

@@ -122,8 +122,9 @@ func sameWorkload(rb, fr *prep.Prepared) string {
 // TestRebatchMatchesFreshBuild is the equivalence proof behind every
 // preparer. A workload rebatched from its model's template is field
 // for field the workload prep.Build builds, for every evaluation model
-// and BERT-Large, batches from 1 to 2048, both optimizers of the
-// experiments, and a non-default image size and sequence length. Each
+// and BERT-Large, batches from 1 to 2048 and 0 (the models' default),
+// both optimizers of the experiments, and a non-default image size and
+// sequence length. Each
 // model's batches go through one recycled slot, in a scrambled order,
 // so every one but the first is a rewrite in place of another batch.
 // Then, on three zoo configurations, the root API's Load and
@@ -144,7 +145,7 @@ func TestRebatchMatchesFreshBuild(t *testing.T) {
 		}
 	}
 	wls = append(wls, workload{"resnet50", models.Config{ImageSize: 160}}, workload{"transformer", models.Config{SeqLen: 64}})
-	batches := []int{2048, 1, 255, 3, 1024, 7, 64, 2, 16}
+	batches := []int{2048, 1, 255, 0, 3, 1024, 7, 64, 2, 16}
 	for _, w := range wls {
 		ts := prep.NewTemplates(dev, nil)
 		var slot *prep.Prepared

@@ -257,6 +257,20 @@ func (req *PlanRequest) workloadID() string {
 	return string(b)
 }
 
+// templateID is the workloadID of a zoo request with the batch
+// zeroed: the key of the template its workloads are rebatched from.
+func (req *PlanRequest) templateID() string {
+	r := *req
+	r.Config.BatchSize = 0
+	return r.workloadID()
+}
+
+// modelConfig is the zoo configuration a request names.
+func (req *PlanRequest) modelConfig() models.Config {
+	c := req.Config
+	return models.Config{BatchSize: c.BatchSize, ParamScale: c.ParamScale, ImageSize: c.ImageSize, SeqLen: c.SeqLen}
+}
+
 // displayName is the model label echoed in responses.
 func (req *PlanRequest) displayName() string {
 	if req.Spec != nil {

@@ -306,6 +306,10 @@ func (s *Server) accept(spanName string, ep *endpoint) http.HandlerFunc {
 			s.finish(w, start, sp, herr)
 			return
 		}
+		// The hold outlives every use of the workload: a run this
+		// request leads runs inside answer, and a run it waits on
+		// belongs to a request holding the workload itself.
+		defer wl.drop()
 		key := planKey(wl.digest, wl.Dev, req.Options)
 		sp.SetAttr("key", key)
 		s.answer(accepted{w: w, start: start, sp: sp, ctx: ctx, req: req, wl: wl, key: key}, ep)

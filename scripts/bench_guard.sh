@@ -1,10 +1,11 @@
 #!/bin/sh
-# bench_guard.sh — planner, simulator and sweep regression guard.
+# bench_guard.sh — planner, simulator, sweep and serve regression guard.
 #
 # Runs the Plan() benchmarks (with the default nil Recorder, i.e. the
 # observability no-op path), the simulator benchmarks (cold and pooled
-# arena) and one Table IV sweep, and fails if a deterministic count
-# regresses against the recorded baseline in bench_results.txt:
+# arena), one Table IV sweep and the serve cold-miss benchmark, and
+# fails if a deterministic count regresses against the recorded
+# baseline in bench_results.txt:
 #
 #   - allocs/op: > +10% (allocation counts are deterministic, so the
 #     tolerance only absorbs map-rehash jitter) — plus an absolute
@@ -45,18 +46,23 @@ GOMAXPROCS=1 go test -run '^$' \
 # within a fraction of a percent, so three iterations are enough.
 GOMAXPROCS=1 go test -run '^$' -bench 'BenchmarkTable4_MaxSampleScale$' \
     -benchtime 3x -benchmem . >>"$OUT" 2>&1 || { cat "$OUT"; exit 1; }
+# A serve cold miss: 72 requests are two passes of its 36 workloads, so
+# every run averages the same mix. A request that builds a workload
+# instead of rebatching a released slot allocates over 100x more.
+GOMAXPROCS=1 go test -run '^$' -bench 'BenchmarkServeColdMiss$' \
+    -benchtime 72x -benchmem . >>"$OUT" 2>&1 || { cat "$OUT"; exit 1; }
 
 awk '
     function field(unit,    i) { for (i = 2; i <= NF; i++) if ($i == unit) return $(i-1); return -1 }
     FNR == NR {
-        if ($1 ~ /^Benchmark(PlannerPlan|SimRun|SimRunPooled|Table4)_/ && field("allocs/op") >= 0) {
+        if ($1 ~ /^Benchmark((PlannerPlan|SimRun|SimRunPooled|Table4)_|ServeColdMiss)/ && field("allocs/op") >= 0) {
             base_allocs[$1] = field("allocs/op")
             base_bytes[$1] = field("B/op")
             base_ns[$1] = field("ns/op")
         }
         next
     }
-    $1 ~ /^Benchmark(PlannerPlan|SimRun|SimRunPooled|Table4)_/ {
+    $1 ~ /^Benchmark((PlannerPlan|SimRun|SimRunPooled|Table4)_|ServeColdMiss)/ {
         name = $1; sub(/-[0-9]+$/, "", name)   # strip the GOMAXPROCS suffix
         allocs = field("allocs/op"); ns = field("ns/op")
         if (allocs < 0) next
@@ -75,7 +81,7 @@ awk '
             (why == "" ? "ok" : "FAIL"), name, allocs, base_allocs[name], ns, base_ns[name], why
     }
     END {
-        if (seen < 8) { printf "bench-guard: only %d benchmark results parsed, want 8\n", seen; bad = 1 }
+        if (seen < 9) { printf "bench-guard: only %d benchmark results parsed, want 9\n", seen; bad = 1 }
         exit bad
     }
 ' "$BASELINE" "$OUT" || { cat "$OUT"; exit 1; }
