@@ -15,8 +15,7 @@ fmt:
 
 # Static-analysis suite: the determinism rules (maporder, clockdet,
 # floateq, errdrop, scratchreuse, spanpair) plus the interprocedural
-# concurrency contracts (guardedby, nilsafe, gojoin) over every
-# package in the module. Zero findings is the bar; suppress a
+# locking contract (guardedby) over every package in the module. Zero findings is the bar; suppress a
 # justified site with //lint:allow <rule> <reason>. Findings also land
 # in lint_report.json for CI artifact collection.
 lint:

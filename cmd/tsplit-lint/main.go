@@ -1,23 +1,14 @@
 // Command tsplit-lint runs the project's static-analysis suite over
 // the module: the per-package determinism rules (maporder, clockdet,
 // floateq, errdrop, scratchreuse, spanpair) and the interprocedural
-// concurrency-contract rules (guardedby, nilsafe, gojoin) built on
-// the module call graph.
+// locking-contract rule (guardedby) built on the module call graph.
 //
 //	tsplit-lint                   # lint the module rooted at .
 //	tsplit-lint -json             # machine-readable findings
 //	tsplit-lint -rules maporder   # run a subset of rules
-//	tsplit-lint -changed HEAD~1   # report only packages changed vs a ref
 //	tsplit-lint -audit            # list every //lint:allow with its reason
 //	tsplit-lint -report out.json  # also write findings to a JSON report ("-": stdout)
 //	tsplit-lint -C path/to/module
-//
-// -changed narrows *reporting* to packages with .go files changed
-// relative to the git ref (committed, staged, unstaged, or
-// untracked); the whole module is still loaded and analyzed, since
-// the interprocedural rules need every caller. If git fails (not a
-// repository, unknown ref) the tool warns and falls back to a full
-// run rather than linting nothing.
 //
 // -audit lists every suppression in the module with its file:line,
 // rules, and reason, and exits 1 if any directive is missing its
@@ -46,7 +37,6 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON array")
 	rules := flag.String("rules", "", "comma-separated rule subset (default: all rules)")
 	list := flag.Bool("list", false, "list the available rules and exit")
-	changed := flag.String("changed", "", "report findings only for packages changed vs this git ref")
 	audit := flag.Bool("audit", false, "list every //lint:allow suppression; fail on missing reasons and unknown rules")
 	report := flag.String("report", "", "also write the findings as a JSON report to this file (\"-\": stdout)")
 	flag.Parse()
@@ -74,15 +64,6 @@ func main() {
 	}
 
 	diags := lint.Run(mod.Pkgs, analyzers)
-	if *changed != "" {
-		pkgs, err := lint.ChangedPackages(mod, *changed)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tsplit-lint: -changed %s unavailable, falling back to a full run: %v\n", *changed, err)
-		} else {
-			diags = mod.Within(diags, pkgs)
-		}
-	}
-
 	if *report != "" {
 		if err := obs.WriteFile(*report, func(w io.Writer) error { return writeJSON(w, diags) }); err != nil {
 			fmt.Fprintln(os.Stderr, err)

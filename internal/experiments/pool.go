@@ -48,11 +48,10 @@ var Trace *obs.Tracer
 // workers. Work is handed out dynamically (units vary wildly in cost:
 // an infeasible workload fails fast, one near TSPLIT's frontier plans
 // up its whole reserve ladder). The Add-before-spawn / deferred-Done /
-// Wait shape is load-bearing: the gojoin lint rule proves every
-// goroutine spawned here is joined before forEach returns, so no
-// worker can outlive the sweep holding references into the
-// caller-owned results slice (TestForEachCoversAllIndices fails
-// without the Wait).
+// Wait shape is load-bearing: every goroutine spawned here is joined
+// before forEach returns, so no worker can outlive the sweep holding
+// references into the caller-owned results slice
+// (TestForEachCoversAllIndices fails without the Wait).
 func forEach(n int, fn func(int)) {
 	if rec := Obs; rec != nil {
 		inner := fn

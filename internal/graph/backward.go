@@ -97,6 +97,9 @@ func needsGrad(t *Tensor) (tensor.Kind, bool) {
 // saved forward tensors, with explicit Add ops where a tensor receives
 // gradients from several consumers.
 func (g *Graph) Differentiate(opt Optimizer) error {
+	if g.err != nil {
+		return g.err
+	}
 	if g.Loss == nil {
 		return fmt.Errorf("graph: Differentiate called before CrossEntropyLoss")
 	}

@@ -34,6 +34,9 @@ type Graph struct {
 	// gen is the graph's generation: drawn when the graph is built and
 	// drawn again each time Template.Rebatch rewrites it in place.
 	gen uint64
+
+	// err is the first shape error a builder method met (see Err).
+	err error
 }
 
 // generations hands out graph generations, process-wide, from 1.
@@ -110,11 +113,22 @@ func (g *Graph) feature(name string, shape tensor.Shape, dt tensor.DType) *Tenso
 	return g.NewTensor(name, shape, dt, tensor.FeatureMap)
 }
 
-// convOut returns the spatial output extent for a window op.
-func convOut(in, kernel, stride, pad int) int {
+// Err returns the first shape error met while building the graph — a
+// window op (convolution or pooling) whose window does not fit its
+// input — or nil. Such an op gets an output extent of 1 so building can
+// run to its end; the graph is then unusable, and Differentiate
+// returns the error.
+func (g *Graph) Err() error { return g.err }
+
+// convOut returns the spatial output extent for the window op name,
+// recording a collapsed extent as the graph's error.
+func (g *Graph) convOut(name string, in, kernel, stride, pad int) int {
 	out := (in+2*pad-kernel)/stride + 1
 	if out <= 0 {
-		panic(fmt.Sprintf("graph: window op collapses extent %d (k=%d s=%d p=%d)", in, kernel, stride, pad))
+		if g.err == nil {
+			g.err = fmt.Errorf("graph: window op %s collapses extent %d (k=%d s=%d p=%d)", name, in, kernel, stride, pad)
+		}
+		return 1
 	}
 	return out
 }
@@ -132,8 +146,8 @@ func (g *Graph) Conv2D(name string, x *Tensor, outC, kernel, stride, pad int) *T
 // (Sec. III-A).
 func (g *Graph) Conv2DRect(name string, x *Tensor, outC, kh, kw, sh, sw, ph, pw int) *Tensor {
 	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	oh := convOut(h, kh, sh, ph)
-	ow := convOut(w, kw, sw, pw)
+	oh := g.convOut(name, h, kh, sh, ph)
+	ow := g.convOut(name, w, kw, sw, pw)
 	weight := g.Param(name+".w", tensor.NewShape(outC, c, kh, kw))
 	bias := g.Param(name+".b", tensor.NewShape(outC))
 	y := g.feature(name+".y", tensor.NewShape(n, outC, oh, ow), x.DType)
@@ -212,8 +226,8 @@ func (g *Graph) AvgPool(name string, x *Tensor, kernel, stride, pad int) *Tensor
 
 func (g *Graph) pool(name string, kind OpKind, x *Tensor, kernel, stride, pad int) *Tensor {
 	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	oh := convOut(h, kernel, stride, pad)
-	ow := convOut(w, kernel, stride, pad)
+	oh := g.convOut(name, h, kernel, stride, pad)
+	ow := g.convOut(name, w, kernel, stride, pad)
 	y := g.feature(name+".y", tensor.NewShape(n, c, oh, ow), x.DType)
 	g.NewOp(name, kind, Forward, []*Tensor{x}, []*Tensor{y}, Attrs{
 		KernelH: kernel, KernelW: kernel, StrideH: stride, StrideW: stride, PadH: pad, PadW: pad,

@@ -1,10 +1,21 @@
 package graph
 
 import (
+	"strings"
 	"testing"
 
 	"tsplit/internal/tensor"
 )
+
+// liveAt reports whether t occupies device memory while op index i
+// executes.
+func liveAt(lv *Liveness, t *Tensor, i int) bool {
+	first := lv.FirstUse[t]
+	if first == -1 {
+		return true
+	}
+	return first <= i && i <= lv.LastUse[t]
+}
 
 // tinyMLP builds input -> dense -> relu -> dense -> loss.
 func tinyMLP(t *testing.T, batch int, opt Optimizer) *Graph {
@@ -89,6 +100,26 @@ func TestDifferentiateWithoutLoss(t *testing.T) {
 	g.Input("x", tensor.NewShape(1, 2), tensor.Float32)
 	if err := g.Differentiate(SGD); err == nil {
 		t.Fatal("expected error without a loss")
+	}
+}
+
+// TestCollapsedWindowIsAnError: a window larger than its padded input
+// is recorded as the graph's error (the first one wins), and
+// Differentiate refuses the graph.
+func TestCollapsedWindowIsAnError(t *testing.T) {
+	g := New()
+	x := g.Input("x", tensor.NewShape(1, 3, 1, 1), tensor.Float32)
+	labels := g.Input("labels", tensor.NewShape(1), tensor.Int32)
+	y := g.MaxPool("p", g.Conv2D("c", x, 4, 3, 2, 0), 3, 2, 0)
+	if g.Err() == nil || !strings.Contains(g.Err().Error(), "window op c collapses extent 1 (k=3 s=2 p=0)") {
+		t.Fatalf("Err() = %v, want the first collapse (op c)", g.Err())
+	}
+	if !y.Shape.Equal(tensor.NewShape(1, 4, 1, 1)) {
+		t.Fatalf("collapsed extents build as 1: got %v", y.Shape)
+	}
+	g.CrossEntropyLoss("loss", g.Dense("fc", g.Reshape("flat", y, tensor.NewShape(1, 4)), 2), labels)
+	if err := g.Differentiate(SGD); err != g.Err() {
+		t.Fatalf("Differentiate = %v, want the build error", err)
 	}
 }
 
@@ -180,7 +211,7 @@ func TestLivenessBasics(t *testing.T) {
 		if lv.FirstUse[p] != -1 {
 			t.Fatalf("param %s not resident", p.Name)
 		}
-		if !lv.LiveAt(p, 0) || !lv.LiveAt(p, len(s.Ops)-1) {
+		if !liveAt(lv, p, 0) || !liveAt(lv, p, len(s.Ops)-1) {
 			t.Fatalf("param %s liveness wrong", p.Name)
 		}
 	}
@@ -188,11 +219,11 @@ func TestLivenessBasics(t *testing.T) {
 	if lv.Peak <= lv.Resident {
 		t.Fatal("peak must exceed the resident footprint")
 	}
-	// Memory curve is consistent with LiveAt.
+	// Memory curve is consistent with liveAt.
 	for i := range s.Ops {
 		var sum int64
 		for _, tt := range g.Tensors {
-			if lv.LiveAt(tt, i) {
+			if liveAt(lv, tt, i) {
 				sum += tt.Bytes()
 			}
 		}

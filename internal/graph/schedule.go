@@ -184,13 +184,3 @@ func (lv *Liveness) curve(delta []int64) {
 		}
 	}
 }
-
-// LiveAt reports whether t occupies device memory while op index i
-// executes.
-func (lv *Liveness) LiveAt(t *Tensor, i int) bool {
-	first := lv.FirstUse[t]
-	if first == -1 {
-		return true
-	}
-	return first <= i && i <= lv.LastUse[t]
-}

@@ -8,29 +8,19 @@ import (
 	"regexp"
 )
 
-// Concurrency contracts are declared in source as annotation comments:
+// Locking contracts are declared in source as annotation comments:
 //
 //	type Registry struct {
 //		mu     sync.RWMutex
 //		series map[string]*series // lint:guardedby mu
 //	}
 //
-//	// Tracer is ... A nil *Tracer is a valid no-op.
-//	// lint:nilsafe
-//	type Tracer struct { ... }
-//
 // `lint:guardedby <lock>` on a struct field names a sibling field of
 // type sync.Mutex / sync.RWMutex (value or pointer) that must be held
 // whenever the annotated field is read (RLock or Lock) or written
-// (Lock only). `lint:nilsafe` on a type declaration promises that
-// every exported pointer-receiver method tolerates a nil receiver —
-// each must reach a nil-receiver guard before any receiver
-// dereference, directly or through transitively nil-safe methods.
+// (Lock only).
 
-var (
-	guardedByRe = regexp.MustCompile(`//\s*lint:guardedby\s+([A-Za-z_][A-Za-z0-9_]*)`)
-	nilSafeRe   = regexp.MustCompile(`//\s*lint:nilsafe\b`)
-)
+var guardedByRe = regexp.MustCompile(`//\s*lint:guardedby\s+([A-Za-z_][A-Za-z0-9_]*)`)
 
 // GuardSpec is one parsed `lint:guardedby` annotation.
 type GuardSpec struct {
@@ -54,19 +44,13 @@ type annProblem struct {
 type Annotations struct {
 	// Guarded maps an annotated struct field object to its guard spec.
 	Guarded map[*types.Var]*GuardSpec
-	// NilSafe is the set of type names annotated lint:nilsafe.
-	NilSafe map[*types.TypeName]bool
 	// Problems are malformed annotations.
 	Problems []annProblem
 }
 
-// collectAnnotations parses every guardedby / nilsafe annotation in the
-// module.
+// collectAnnotations parses every guardedby annotation in the module.
 func collectAnnotations(pkgs []*Package) *Annotations {
-	ann := &Annotations{
-		Guarded: map[*types.Var]*GuardSpec{},
-		NilSafe: map[*types.TypeName]bool{},
-	}
+	ann := &Annotations{Guarded: map[*types.Var]*GuardSpec{}}
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
 			for _, decl := range f.Decls {
@@ -79,7 +63,7 @@ func collectAnnotations(pkgs []*Package) *Annotations {
 					if !ok {
 						continue
 					}
-					ann.collectType(pkg, gd, ts)
+					ann.collectType(pkg, ts)
 				}
 			}
 		}
@@ -87,12 +71,7 @@ func collectAnnotations(pkgs []*Package) *Annotations {
 	return ann
 }
 
-func (ann *Annotations) collectType(pkg *Package, gd *ast.GenDecl, ts *ast.TypeSpec) {
-	if commentMatches(nilSafeRe, ts.Doc, ts.Comment, gd.Doc) {
-		if tn, ok := pkg.Info.Defs[ts.Name].(*types.TypeName); ok {
-			ann.NilSafe[tn] = true
-		}
-	}
+func (ann *Annotations) collectType(pkg *Package, ts *ast.TypeSpec) {
 	st, ok := ts.Type.(*ast.StructType)
 	if !ok {
 		return
@@ -181,18 +160,4 @@ func mutexKind(t types.Type) (rw, ok bool) {
 		return true, true
 	}
 	return false, false
-}
-
-func commentMatches(re *regexp.Regexp, groups ...*ast.CommentGroup) bool {
-	for _, cg := range groups {
-		if cg == nil {
-			continue
-		}
-		for _, c := range cg.List {
-			if re.MatchString(c.Text) {
-				return true
-			}
-		}
-	}
-	return false
 }

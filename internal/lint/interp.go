@@ -82,19 +82,6 @@ type Summary struct {
 	// (unguarded access on a non-receiver object, or a call site that
 	// fails a callee's requirement).
 	Violations []guardViol
-
-	// NilSafe reports whether the method guards its receiver against
-	// nil before any dereference (vacuously true for functions this
-	// contract does not apply to). nilPos/nilWhat locate the first
-	// offending dereference. Computed by nilWalk (nilsafe.go).
-	NilSafe bool
-	nilPos  token.Pos
-	nilWhat string
-
-	// DoneParams are the indices of *sync.WaitGroup parameters on
-	// which this function calls Done, directly or transitively.
-	// Computed by doneWalk (gojoin.go).
-	DoneParams map[int]bool
 }
 
 // NewInterp builds the call graph, parses annotations, and computes
@@ -115,16 +102,12 @@ func NewInterp(pkgs []*Package) *Interp {
 
 func (in *Interp) summarize(fi *FuncInfo) *Summary {
 	sum := &Summary{
-		FI:         fi,
-		Requires:   map[string]lockMode{},
-		reqSites:   map[string][]reqSite{},
-		NilSafe:    true,
-		DoneParams: map[int]bool{},
+		FI:       fi,
+		Requires: map[string]lockMode{},
+		reqSites: map[string][]reqSite{},
 	}
 	in.lockWalk(fi, sum)
 	in.finishRequires(fi, sum)
-	in.nilWalk(fi, sum)
-	in.doneWalk(fi, sum)
 	return sum
 }
 

@@ -5,12 +5,12 @@ import (
 	"testing"
 )
 
-// The interprocedural analyzers (guardedby, nilsafe, gojoin) are
-// tested the same way as the syntactic ones: synthetic packages,
-// golden "line:rule" expectations. Each table deliberately pairs a
-// positive case (the bug fires) with its minimal negative twin (add
-// the lock / the nil guard / the join and the finding disappears) —
-// the same property the dogfood gate relies on for the real module.
+// The interprocedural analyzer (guardedby) is tested the same way as
+// the syntactic ones: synthetic packages, golden "line:rule"
+// expectations. The table deliberately pairs a positive case (the bug
+// fires) with its minimal negative twin (add the lock and the finding
+// disappears) — the same property the dogfood gate relies on for the
+// real module.
 
 func TestGuardedBy(t *testing.T) {
 	cases := []struct {
@@ -284,279 +284,6 @@ func (s *S) Set(k, v int) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			expect(t, runOn(t, corePath, "guardedby_case.go", tc.src, GuardedBy), tc.want...)
-		})
-	}
-}
-
-func TestNilSafe(t *testing.T) {
-	cases := []struct {
-		name string
-		src  string
-		want []string
-	}{
-		{
-			name: "exported method dereferencing before any guard fires",
-			src: `package obs
-// lint:nilsafe
-type T struct{ n int }
-func (t *T) Get() int { return t.n }`,
-			want: []string{"4:nilsafe"},
-		},
-		{
-			name: "leading nil guard is clean",
-			src: `package obs
-// lint:nilsafe
-type T struct{ n int }
-func (t *T) Get() int {
-	if t == nil {
-		return 0
-	}
-	return t.n
-}`,
-			want: nil,
-		},
-		{
-			name: "guard combined with a deref in the same condition is clean (short-circuit)",
-			src: `package obs
-// lint:nilsafe
-type T struct{ n int }
-func (t *T) Bump() {
-	if t == nil || t.n > 0 {
-		return
-	}
-	t.n++
-}`,
-			want: nil,
-		},
-		{
-			name: "deref on the left of the guard fires",
-			src: `package obs
-// lint:nilsafe
-type T struct{ n int }
-func (t *T) Bump() {
-	if t.n > 0 || t == nil {
-		return
-	}
-	t.n++
-}`,
-			want: []string{"5:nilsafe"},
-		},
-		{
-			name: "non-nil guard wrapping the body is clean",
-			src: `package obs
-// lint:nilsafe
-type T struct{ n int }
-func (t *T) Bump() {
-	if t != nil {
-		t.n++
-	}
-}`,
-			want: nil,
-		},
-		{
-			name: "transitively nil-safe callee discharges the obligation",
-			src: `package obs
-// lint:nilsafe
-type T struct{ n int }
-func (t *T) get() int {
-	if t == nil {
-		return 0
-	}
-	return t.n
-}
-func (t *T) Get() int { return t.get() }`,
-			want: nil,
-		},
-		{
-			name: "calling an unguarded helper counts as a dereference",
-			src: `package obs
-// lint:nilsafe
-type T struct{ n int }
-func (t *T) get() int { return t.n }
-func (t *T) Get() int { return t.get() }`,
-			want: []string{"5:nilsafe"},
-		},
-		{
-			name: "unexported methods are not required to guard",
-			src: `package obs
-// lint:nilsafe
-type T struct{ n int }
-func (t *T) get() int { return t.n }`,
-			want: nil,
-		},
-		{
-			name: "guard must come before the deref, not after",
-			src: `package obs
-// lint:nilsafe
-type T struct{ n int }
-func (t *T) Get() int {
-	n := t.n
-	if t == nil {
-		return 0
-	}
-	return n
-}`,
-			want: []string{"5:nilsafe"},
-		},
-		{
-			name: "unannotated type is unconstrained",
-			src: `package obs
-type T struct{ n int }
-func (t *T) Get() int { return t.n }`,
-			want: nil,
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			expect(t, runOn(t, "tsplit/internal/obs", "nilsafe_case.go", tc.src, NilSafe), tc.want...)
-		})
-	}
-}
-
-func TestGoJoin(t *testing.T) {
-	cases := []struct {
-		name string
-		path string
-		src  string
-		want []string
-	}{
-		{
-			name: "fire-and-forget goroutine fires",
-			path: corePath,
-			src: `package core
-func f() {
-	go func() {}()
-}`,
-			want: []string{"3:gojoin"},
-		},
-		{
-			name: "waitgroup add/done/wait is clean",
-			path: corePath,
-			src: `package core
-import "sync"
-func f(n int) {
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-		}()
-	}
-	wg.Wait()
-}`,
-			want: nil,
-		},
-		{
-			name: "removing the Wait makes the same code fire",
-			path: corePath,
-			src: `package core
-import "sync"
-func f(n int) {
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-		}()
-	}
-}`,
-			want: []string{"7:gojoin"},
-		},
-		{
-			name: "channel collect after the spawn is clean",
-			path: corePath,
-			src: `package core
-func f() int {
-	ch := make(chan int, 1)
-	go func() {
-		ch <- 1
-	}()
-	return <-ch
-}`,
-			want: nil,
-		},
-		{
-			name: "sending on a channel nobody receives fires",
-			path: corePath,
-			src: `package core
-func f(ch chan int) {
-	go func() {
-		ch <- 1
-	}()
-}`,
-			want: []string{"3:gojoin"},
-		},
-		{
-			name: "range over the collect channel is a join",
-			path: corePath,
-			src: `package core
-func f(n int) int {
-	ch := make(chan int, n)
-	for i := 0; i < n; i++ {
-		go func() { ch <- 1 }()
-	}
-	s := 0
-	for i := 0; i < n; i++ {
-		s += <-ch
-	}
-	return s
-}`,
-			want: nil,
-		},
-		{
-			name: "named worker that Dones a WaitGroup parameter is joined",
-			path: corePath,
-			src: `package core
-import "sync"
-func worker(wg *sync.WaitGroup, i int) {
-	defer wg.Done()
-	_ = i
-}
-func f(n int) {
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go worker(&wg, i)
-	}
-	wg.Wait()
-}`,
-			want: nil,
-		},
-		{
-			name: "spawner taking the WaitGroup as a parameter delegates the join",
-			path: corePath,
-			src: `package core
-import "sync"
-func spawn(wg *sync.WaitGroup) {
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-	}()
-}`,
-			want: nil,
-		},
-		{
-			name: "goroutines outside the concurrency packages are not checked",
-			path: "tsplit/internal/models",
-			src: `package models
-func f() {
-	go func() {}()
-}`,
-			want: nil,
-		},
-		{
-			name: "goroutine in sim is checked",
-			path: "tsplit/internal/sim",
-			src: `package sim
-func f() {
-	go func() {}()
-}`,
-			want: []string{"3:gojoin"},
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			expect(t, runOn(t, tc.path, "gojoin_case.go", tc.src, GoJoin), tc.want...)
 		})
 	}
 }

@@ -27,23 +27,13 @@
 //
 // On top of the per-package rules, an interprocedural layer (a module
 // call graph plus per-function summaries computed bottom-up over its
-// SCCs — see callgraph.go and interp.go; the summary walkers only
-// nilsafe and gojoin use live in their rule files) checks declared
-// concurrency contracts:
+// SCCs — see callgraph.go and interp.go) checks declared locking
+// contracts:
 //
 //   - guardedby: a struct field annotated `// lint:guardedby mu` may
 //     only be read with mu held (RLock or Lock) and written with mu
 //     held exclusively — directly, or in a helper every caller of
 //     which provably holds the lock.
-//   - nilsafe: a type annotated `// lint:nilsafe` must guard every
-//     exported pointer-receiver method with a nil-receiver check
-//     before any receiver dereference, transitively through called
-//     methods.
-//   - gojoin: every `go` statement in the planner/simulator/
-//     experiment/serve packages must be provably joined — a WaitGroup
-//     Add/Done/Wait pairing (Done possibly through a summarized
-//     helper) or a channel-collect pattern — so worker pools cannot
-//     leak goroutines holding arena references.
 //
 // Findings can be suppressed with a `//lint:allow <rule> <reason>`
 // comment: placed above the package clause it covers the whole file,
@@ -182,7 +172,7 @@ func (mp *ModulePass) Reportf(pkgPath string, pos token.Pos, format string, args
 
 // Analyzers returns the project rule set, in reporting order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{MapOrder, ClockDet, FloatEq, ErrDrop, ScratchReuse, SpanPair, GuardedBy, NilSafe, GoJoin}
+	return []*Analyzer{MapOrder, ClockDet, FloatEq, ErrDrop, ScratchReuse, SpanPair, GuardedBy}
 }
 
 // ByName resolves a comma-separated rule list ("maporder,errdrop").

@@ -2,7 +2,6 @@ package lint
 
 import (
 	"os"
-	"os/exec"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -141,94 +140,6 @@ func TestLoadModuleDirsAndOrder(t *testing.T) {
 	}
 	if strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Errorf("packages/dirs:\n got %v\nwant %v", got, want)
-	}
-}
-
-func TestChangedPackages(t *testing.T) {
-	if _, err := exec.LookPath("git"); err != nil {
-		t.Skip("git not installed")
-	}
-	const dropsErr = "\n\nimport \"os\"\n\nfunc F() { os.Remove(\"x\") }\n"
-	dir := writeModule(t, map[string]string{
-		"go.mod":   testGoMod,
-		"a/a.go":   "package a\n",
-		"b/b.go":   "package b" + dropsErr,
-		"b/doc.md": "prose\n",
-	})
-	git := func(args ...string) {
-		t.Helper()
-		cmd := exec.Command("git", append([]string{
-			"-C", dir, "-c", "user.email=t@t", "-c", "user.name=t",
-		}, args...)...)
-		if out, err := cmd.CombinedOutput(); err != nil {
-			t.Fatalf("git %v: %v\n%s", args, err, out)
-		}
-	}
-	git("init", "-q")
-	git("add", ".")
-	git("commit", "-q", "-m", "seed")
-
-	// Unstaged change in a (a dropped error, like the one committed in
-	// b), untracked .go file in a new dir c, and a non-.go change in b
-	// (which must NOT mark b as changed).
-	if err := os.WriteFile(filepath.Join(dir, "a/a.go"), []byte("package a"+dropsErr), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.MkdirAll(filepath.Join(dir, "c"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "c/c.go"), []byte("package c\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "b/doc.md"), []byte("edited prose\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	mod, err := LoadModule(dir)
-	if err != nil {
-		t.Fatalf("LoadModule: %v", err)
-	}
-	pkgs, err := ChangedPackages(mod, "HEAD")
-	if err != nil {
-		t.Fatalf("ChangedPackages: %v", err)
-	}
-	if !pkgs["example.com/m/a"] {
-		t.Errorf("modified package a should be changed: %v", pkgs)
-	}
-	if !pkgs["example.com/m/c"] {
-		t.Errorf("untracked package c should be changed: %v", pkgs)
-	}
-	if pkgs["example.com/m/b"] {
-		t.Errorf("non-.go change must not mark package b: %v", pkgs)
-	}
-
-	// Within narrows reporting to the changed set: a's finding stays,
-	// unchanged b's is dropped.
-	all := Run(mod.Pkgs, Analyzers())
-	if len(all) != 2 {
-		t.Fatalf("want one errdrop finding each in a and b, got %v", all)
-	}
-	diags := mod.Within(all, pkgs)
-	if len(diags) != 1 || diags[0].Rule != "errdrop" || filepath.Base(diags[0].File) != "a.go" {
-		t.Errorf("Within kept %v, want only a's errdrop finding", diags)
-	}
-}
-
-func TestChangedPackagesFailsOutsideGit(t *testing.T) {
-	if _, err := exec.LookPath("git"); err != nil {
-		t.Skip("git not installed")
-	}
-	dir := writeModule(t, map[string]string{"go.mod": testGoMod, "a.go": "package m\n"})
-	// Guard against an enclosing repository above t.TempDir.
-	if out, err := exec.Command("git", "-C", dir, "rev-parse", "--git-dir").CombinedOutput(); err == nil {
-		t.Skipf("temp dir is inside a git repository (%s)", strings.TrimSpace(string(out)))
-	}
-	mod, err := LoadModule(dir)
-	if err != nil {
-		t.Fatalf("LoadModule: %v", err)
-	}
-	if _, err := ChangedPackages(mod, "HEAD"); err == nil {
-		t.Fatal("ChangedPackages outside a repository should error (the CLI falls back to a full run)")
 	}
 }
 

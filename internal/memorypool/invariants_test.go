@@ -39,7 +39,7 @@ func TestCheckInvariantsAfterSplitMergeCompact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parts, err := p.SplitUsed(b, 4)
+	parts, err := p.SplitUsedInto(b, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

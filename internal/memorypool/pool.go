@@ -255,22 +255,17 @@ func (p *Pool) insertFree(fb freeBlock) {
 	p.free[i] = fb
 }
 
-// SplitUsed partitions an allocated block into n consecutive
+// SplitUsedInto partitions an allocated block into n consecutive
 // sub-blocks that can then be freed independently — the in-place
 // tensor split of paper Sec. V-C ("share the same tensor with
 // different pointer address"). Sub-block boundaries are aligned; the
-// last sub-block absorbs the remainder.
-func (p *Pool) SplitUsed(b Block, n int) ([]Block, error) {
-	return p.SplitUsedInto(b, n, nil)
-}
-
-// SplitUsedInto is SplitUsed appending into dst (typically a reused
-// buffer resliced to [:0]), so the simulator's split hot path does not
-// allocate a fresh slice per split op.
+// last sub-block absorbs the remainder. The sub-blocks are appended to
+// dst (typically a reused buffer resliced to [:0]), so the simulator's
+// split hot path does not allocate a fresh slice per split op.
 func (p *Pool) SplitUsedInto(b Block, n int, dst []Block) ([]Block, error) {
 	size, ok := p.used.get(b.Offset)
 	if !ok {
-		return nil, fmt.Errorf("memorypool: SplitUsed of unallocated offset %d", b.Offset)
+		return nil, fmt.Errorf("memorypool: SplitUsedInto of unallocated offset %d", b.Offset)
 	}
 	if n < 1 || int64(n)*Alignment > size {
 		return nil, fmt.Errorf("memorypool: cannot split %d bytes into %d parts", size, n)

@@ -130,7 +130,7 @@ func TestHugeAllocationsSegregateAtTop(t *testing.T) {
 func TestSplitUsedAndIndependentFrees(t *testing.T) {
 	p := New(1<<20, BestFit)
 	b, _ := p.Alloc(10_000)
-	parts, err := p.SplitUsed(b, 3)
+	parts, err := p.SplitUsedInto(b, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,11 +160,11 @@ func TestSplitUsedAndIndependentFrees(t *testing.T) {
 
 func TestSplitUsedErrors(t *testing.T) {
 	p := New(1<<20, BestFit)
-	if _, err := p.SplitUsed(Block{Offset: 4096}, 2); err == nil {
+	if _, err := p.SplitUsedInto(Block{Offset: 4096}, 2, nil); err == nil {
 		t.Error("splitting unallocated block should fail")
 	}
 	b, _ := p.Alloc(Alignment)
-	if _, err := p.SplitUsed(b, 2); err == nil {
+	if _, err := p.SplitUsedInto(b, 2, nil); err == nil {
 		t.Error("splitting a minimal block should fail")
 	}
 }
@@ -172,7 +172,7 @@ func TestSplitUsedErrors(t *testing.T) {
 func TestMergeUsed(t *testing.T) {
 	p := New(1<<20, BestFit)
 	b, _ := p.Alloc(8192)
-	parts, _ := p.SplitUsed(b, 4)
+	parts, _ := p.SplitUsedInto(b, 4, nil)
 	merged, ok := p.MergeUsed(parts)
 	if !ok {
 		t.Fatal("adjacent parts should merge")

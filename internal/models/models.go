@@ -115,8 +115,13 @@ func Names() []string {
 	return names
 }
 
-// finish appends backward and optimizer ops unless ForwardOnly.
+// finish appends backward and optimizer ops unless ForwardOnly. A
+// configuration the model's window ops do not fit (an image smaller
+// than the network's receptive field) is an error either way.
 func finish(g *graph.Graph, cfg Config) (*graph.Graph, error) {
+	if err := g.Err(); err != nil {
+		return nil, err
+	}
 	if cfg.ForwardOnly {
 		return g, nil
 	}

@@ -1,6 +1,7 @@
 package models
 
 import (
+	"strings"
 	"testing"
 
 	"tsplit/internal/graph"
@@ -140,6 +141,29 @@ func TestForwardOnlySkipsBackward(t *testing.T) {
 func TestUnknownModel(t *testing.T) {
 	if _, err := Build("nope", Config{}); err == nil {
 		t.Fatal("expected error for unknown model")
+	}
+}
+
+// TestImageTooSmallIsAnError: an image smaller than a network's
+// receptive field is a build error, not a panic. Inception-v4's stem
+// shrinks 32 and 48 pixels to nothing; every other model builds at
+// both, and at 64.
+func TestImageTooSmallIsAnError(t *testing.T) {
+	for _, name := range Names() {
+		for _, size := range []int{32, 48, 64} {
+			for _, fwd := range []bool{false, true} {
+				g, err := Build(name, Config{BatchSize: 2, ImageSize: size, ForwardOnly: fwd})
+				if name == "inceptionv4" && size < 64 {
+					if err == nil || g != nil || !strings.Contains(err.Error(), "collapses extent") {
+						t.Errorf("%s at %d px (forward-only %v): graph %v, err %v; want a collapse error", name, size, fwd, g != nil, err)
+					}
+					continue
+				}
+				if err != nil {
+					t.Errorf("%s at %d px (forward-only %v): %v", name, size, fwd, err)
+				}
+			}
+		}
 	}
 }
 

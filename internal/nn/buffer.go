@@ -175,18 +175,3 @@ func SumInto(dst, src *Buffer) {
 		dst.Data[i] += v
 	}
 }
-
-// MaxAbsDiff returns the largest absolute element difference, for
-// numeric comparisons in tests.
-func MaxAbsDiff(a, b *Buffer) float64 {
-	if !a.Shape.Equal(b.Shape) {
-		return math.Inf(1)
-	}
-	var m float64
-	for i := range a.Data {
-		if d := math.Abs(float64(a.Data[i] - b.Data[i])); d > m {
-			m = d
-		}
-	}
-	return m
-}

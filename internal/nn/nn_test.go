@@ -9,6 +9,20 @@ import (
 	"tsplit/internal/tensor"
 )
 
+// maxAbsDiff returns the largest absolute element difference.
+func maxAbsDiff(a, b *Buffer) float64 {
+	if !a.Shape.Equal(b.Shape) {
+		return math.Inf(1)
+	}
+	var m float64
+	for i := range a.Data {
+		if d := math.Abs(float64(a.Data[i] - b.Data[i])); d > m {
+			m = d
+		}
+	}
+	return m
+}
+
 func randBuf(shape tensor.Shape, seed uint64) *Buffer {
 	b := NewBuffer(shape)
 	r := NewRNG(seed)
@@ -175,7 +189,7 @@ func TestSplitMergeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if MaxAbsDiff(b, back) != 0 {
+	if maxAbsDiff(b, back) != 0 {
 		t.Fatal("round trip not exact")
 	}
 }
@@ -195,7 +209,7 @@ func TestSplitMatMulEqualsWhole(t *testing.T) {
 			outs = append(outs, MatMul(p, w, bias))
 		}
 		merged, _ := MergeAxis0(outs)
-		if MaxAbsDiff(whole, merged) != 0 {
+		if maxAbsDiff(whole, merged) != 0 {
 			t.Fatalf("p=%d split matmul differs", pn)
 		}
 	}
@@ -212,7 +226,7 @@ func TestSplitConvEqualsWhole(t *testing.T) {
 		outs = append(outs, Conv2D(p, w, nil, at))
 	}
 	merged, _ := MergeAxis0(outs)
-	if MaxAbsDiff(whole, merged) != 0 {
+	if maxAbsDiff(whole, merged) != 0 {
 		t.Fatal("split conv differs")
 	}
 }
@@ -231,10 +245,10 @@ func TestSplitWeightGradSumMerges(t *testing.T) {
 		SumInto(dwSum, dw)
 		SumInto(dbSum, db)
 	}
-	if MaxAbsDiff(dwWhole, dwSum) > 1e-5 {
+	if maxAbsDiff(dwWhole, dwSum) > 1e-5 {
 		t.Fatal("weight gradient does not sum-merge")
 	}
-	if MaxAbsDiff(dbWhole, dbSum) > 1e-5 {
+	if maxAbsDiff(dbWhole, dbSum) > 1e-5 {
 		t.Fatal("bias gradient does not sum-merge")
 	}
 }
@@ -256,7 +270,7 @@ func TestQuickSplitReLUEqualsWhole(t *testing.T) {
 			outs = append(outs, ReLU(pp))
 		}
 		merged, err := MergeAxis0(outs)
-		return err == nil && MaxAbsDiff(whole, merged) == 0
+		return err == nil && maxAbsDiff(whole, merged) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

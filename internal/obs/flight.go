@@ -28,9 +28,9 @@ type Event struct {
 // drops everything at the cost of one nil check), so the same pointer
 // threads through planner, simulator, and ladder unconditionally.
 //
-// lint:nilsafe — every exported method must guard the receiver before
-// dereferencing it; tsplit-lint proves it, and TestNilReceiverMethods
-// calls each one on a nil receiver.
+// Nil-safety contract: every exported method must guard the receiver
+// before dereferencing it; TestNilReceiverMethods calls each one on a
+// nil receiver.
 type Flight struct {
 	mu    sync.Mutex
 	clock Clock
@@ -136,7 +136,7 @@ type Dump struct {
 // triggers fire from failure paths that must not gain new failure
 // modes of their own.
 //
-// lint:nilsafe — a nil *Dumper ignores triggers; every exported
+// Nil-safety contract: a nil *Dumper ignores triggers; every exported
 // method guards the receiver first (TestNilReceiverMethods calls each
 // one on a nil receiver).
 type Dumper struct {

@@ -21,10 +21,10 @@ import (
 // yields byte-identical JSON regardless of when (or on what machine)
 // it ran.
 //
-// lint:nilsafe — the no-op contract above is machine-checked: every
-// exported method must reach a nil-receiver guard before any
-// dereference, directly or through a transitively nil-safe method;
-// TestNilReceiverMethods calls each one on a nil receiver.
+// Nil-safety contract: every exported method must reach a
+// nil-receiver guard before any dereference, directly or through a
+// nil-safe method; TestNilReceiverMethods calls each one on a nil
+// receiver.
 type Tracer struct {
 	mu    sync.Mutex
 	clock Clock
@@ -46,8 +46,8 @@ func NewTracer(clock Clock) *Tracer {
 // A Span is not safe for concurrent mutation; concurrent subsystems
 // (the experiment pool) give each goroutine its own root span.
 //
-// lint:nilsafe — a nil *Span (from a nil tracer's StartSpan) is a
-// no-op; every exported method guards the receiver first
+// Nil-safety contract: a nil *Span (from a nil tracer's StartSpan) is
+// a no-op; every exported method guards the receiver first
 // (TestNilReceiverMethods calls each one on a nil receiver).
 type Span struct {
 	tr       *Tracer

@@ -294,6 +294,7 @@ func TestErrorResponses(t *testing.T) {
 		{"baseline with planner knobs", `{"model":"vgg16","options":{"policy":"vdnn-all","disable_split":true}}`, http.StatusBadRequest, "bad_request"},
 		{"every table policy is served", `{"model":"vgg16","options":{"policy":"tsplit-offload"}}`, http.StatusOK, ""},
 		{"infeasible", `{"model":"bert-large","config":{"batch_size":512},"device":"P100","options":{"capacity_bytes":1048576}}`, http.StatusUnprocessableEntity, "infeasible"},
+		{"image below the receptive field", `{"model":"inceptionv4","config":{"batch_size":2,"image_size":32}}`, http.StatusUnprocessableEntity, "unschedulable"},
 		{"body too large", `{"model":"` + strings.Repeat("a", maxBodyBytes) + `"}`, http.StatusRequestEntityTooLarge, "payload_too_large"},
 		{"not POST", ``, http.StatusMethodNotAllowed, "method_not_allowed"},
 		{"draining", `{"model":"vgg16"}`, http.StatusServiceUnavailable, "draining"},

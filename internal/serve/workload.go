@@ -238,7 +238,7 @@ func (wc *workloadCache) template(ctx context.Context, key string, req *PlanRequ
 		}
 		t, err := prep.NewTemplate(req.Model, req.modelConfig(), dev, wc.reg, wc.keep)
 		if err != nil {
-			return nil, &httpError{status: http.StatusUnprocessableEntity, code: "unschedulable", message: err.Error()}
+			return nil, buildError(req.Model, err)
 		}
 		wc.mu.Lock()
 		wc.templates.put(key, t)
@@ -275,7 +275,7 @@ func buildWorkload(req *PlanRequest, dev device.Device, rec obs.Recorder) (*prep
 		cfg = req.modelConfig()
 		g, err = models.Build(req.Model, cfg)
 		if err != nil {
-			return nil, &httpError{status: http.StatusNotFound, code: "unknown_model", message: err.Error()}
+			return nil, buildError(req.Model, err)
 		}
 	}
 	p, err := prep.FromGraph(req.displayName(), g, cfg, dev)
@@ -283,6 +283,17 @@ func buildWorkload(req *PlanRequest, dev device.Device, rec obs.Recorder) (*prep
 		return nil, &httpError{status: http.StatusUnprocessableEntity, code: "unschedulable", message: err.Error()}
 	}
 	return newPrepared(p, rec), nil
+}
+
+// buildError answers a failed build of a zoo model: 404 for a model
+// the zoo does not have, 422 for a configuration it cannot build (an
+// image smaller than the network's receptive field) or schedule. A
+// fresh build and a template build answer alike.
+func buildError(model string, err error) *httpError {
+	if !models.Known(model) {
+		return &httpError{status: http.StatusNotFound, code: "unknown_model", message: err.Error()}
+	}
+	return &httpError{status: http.StatusUnprocessableEntity, code: "unschedulable", message: err.Error()}
 }
 
 // newPrepared gives a prepared workload its simulator pool, reporting
