@@ -354,6 +354,37 @@ func BenchmarkSimRunPooled_BERTLarge(b *testing.B) {
 	}
 }
 
+// BenchmarkSimRunPooled_Checkpoints times the regeneration-heavy path:
+// ResNet-101 at batch 64 under the √N checkpoints baseline, whose
+// memory-centric recomputation replays each chain for every backward
+// consumer (about 32 k regenerated ops a run), on a recycled
+// Simulator. Its cost is almost all pool Alloc/FreeBlock.
+func BenchmarkSimRunPooled_Checkpoints(b *testing.B) {
+	p, err := prep.Build("resnet101", tsplitModelConfig(64), device.TitanRTX)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pol, err := prep.Lookup("checkpoints")
+	if err != nil {
+		b.Fatal(err)
+	}
+	plan, _, err := p.PlanPolicy(pol.Name, core.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := sim.Options{Recompute: pol.Recompute}
+	pool := sim.NewSimPool()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := pool.Get(p.G, p.Sched, p.Lv, plan, p.Dev, opts)
+		if _, err := s.Run(); err != nil {
+			b.Fatal(err)
+		}
+		pool.Put(s)
+	}
+}
+
 // BenchmarkServeColdMiss is a /v1/plan miss on a workload the server
 // does not hold, one request per iteration, through the handler:
 // VGG-16, ResNet-50 and BERT-Large cycle through 12 batch sizes each,

@@ -1,12 +1,41 @@
 package core
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
+	"sync"
 
 	"tsplit/internal/graph"
 	"tsplit/internal/profiler"
 )
+
+// finalizeScratch is FinalizeWindows' working storage: the occupancy
+// tracker with the profile it tracks, the decision IDs, the use points,
+// the chain sources' availability and the chain walker. Calls borrow
+// one from finalizers, so a sweep's baseline plans stop allocating it.
+type finalizeScratch struct {
+	prof   *profiler.Profile
+	occ    *profiler.Occupancy
+	ids    []int
+	points []int
+	until  []int
+	w      ChainWalker
+}
+
+var finalizers = sync.Pool{New: func() any { return new(finalizeScratch) }}
+
+// occupancy returns an empty tracker for prof: the scratch's own,
+// retimed (the profile may have been refreshed in place since), when it
+// last tracked prof, or a new one.
+func (fs *finalizeScratch) occupancy(prof *profiler.Profile) *profiler.Occupancy {
+	if fs.prof != prof {
+		fs.prof, fs.occ = prof, profiler.NewOccupancy(prof)
+	} else {
+		fs.occ.Retime()
+	}
+	return fs.occ
+}
 
 // FinalizeWindows fills in the eviction/restore/prefetch schedule
 // positions for every planned tensor whose producer only chose a
@@ -20,9 +49,11 @@ import (
 // the tensor in the schedule — for feature maps that is exactly the
 // forward-to-backward gap the out-of-core literature exploits.
 func FinalizeWindows(g *graph.Graph, sched *graph.Schedule, lv *graph.Liveness, prof *profiler.Profile, plan *Plan) {
-	occ := profiler.NewOccupancy(prof)
+	fs := finalizers.Get().(*finalizeScratch)
+	defer finalizers.Put(fs)
+	occ := fs.occupancy(prof)
 
-	ids := make([]int, 0, len(plan.Tensors))
+	ids := fs.ids[:0]
 	for id := range plan.Tensors {
 		ids = append(ids, id)
 	}
@@ -32,13 +63,13 @@ func FinalizeWindows(g *graph.Graph, sched *graph.Schedule, lv *graph.Liveness, 
 	// several tensors at the same FirstUse, and an unstable sort over
 	// map-ordered input would book their bandwidth in a different order
 	// each run.
-	sort.Ints(ids)
-	sort.SliceStable(ids, func(a, b int) bool {
-		ta, tb := plan.Tensors[ids[a]].Tensor, plan.Tensors[ids[b]].Tensor
-		return lv.FirstUse[ta] < lv.FirstUse[tb]
+	slices.Sort(ids)
+	slices.SortStableFunc(ids, func(a, b int) int {
+		return cmp.Compare(lv.FirstUse[plan.Tensors[a].Tensor], lv.FirstUse[plan.Tensors[b].Tensor])
 	})
+	fs.ids = ids
 
-	var points []int // production point, then the uses; one buffer for the whole call
+	points := fs.points[:0] // production point, then the uses; one buffer for the whole call
 	for _, id := range ids {
 		tp := plan.Tensors[id]
 		t := tp.Tensor
@@ -77,6 +108,7 @@ func FinalizeWindows(g *graph.Graph, sched *graph.Schedule, lv *graph.Liveness, 
 		}
 		plan.Tensors[id] = tp
 	}
+	fs.points = points
 
 	// Derive recompute-chain transients against the finalized plan. The
 	// runtime holds a regeneration's intermediates until the whole chain
@@ -94,7 +126,7 @@ func FinalizeWindows(g *graph.Graph, sched *graph.Schedule, lv *graph.Liveness, 
 	// plan.ChainTransients. (The TSPLIT planner instead maintains
 	// per-tensor ChainBytes estimates for the shallow chains it creates.)
 	var chainT []int64
-	var w ChainWalker    // one walker for the whole call; its visited set grows on first use
+	w := &fs.w           // the scratch's walker; its visited set grows on first use
 	var q finalizedAvail // q.until is built at the first recompute decision
 	for _, id := range ids {
 		tp, ok := plan.Tensors[id]
@@ -102,7 +134,8 @@ func FinalizeWindows(g *graph.Graph, sched *graph.Schedule, lv *graph.Liveness, 
 			continue
 		}
 		if q.until == nil {
-			q.until = availableUntil(g, lv, plan)
+			fs.until = availableUntil(fs.until, g, lv, plan)
+			q.until = fs.until
 		}
 		for _, c := range tp.Tensor.Consumers {
 			u := sched.Index[c]
@@ -110,7 +143,7 @@ func FinalizeWindows(g *graph.Graph, sched *graph.Schedule, lv *graph.Liveness, 
 				continue
 			}
 			q.u = u
-			chain, err := walkChain(&w, tp.Tensor, q, len(g.Ops), nil)
+			chain, err := walkChain(w, tp.Tensor, q, len(g.Ops), nil)
 			if err != nil {
 				continue // the verifier reports unrecoverable chains
 			}
@@ -151,9 +184,10 @@ func (q finalizedAvail) Avail(x *graph.Tensor) bool { return q.until[x.ID] >= q.
 // availableUntil returns, by tensor ID, the last schedule position at
 // which a finalized plan still has the tensor on device: a
 // recompute-planned tensor until its own eviction point, anything
-// else until its last scheduled use (forever when it has none).
-func availableUntil(g *graph.Graph, lv *graph.Liveness, plan *Plan) []int {
-	until := make([]int, len(g.Tensors)) // a tensor's ID is its index in g.Tensors
+// else until its last scheduled use (forever when it has none). It
+// fills dst's storage when it is large enough.
+func availableUntil(dst []int, g *graph.Graph, lv *graph.Liveness, plan *Plan) []int {
+	until := slices.Grow(dst[:0], len(g.Tensors))[:len(g.Tensors)] // a tensor's ID is its index in g.Tensors
 	for _, t := range g.Tensors {
 		until[t.ID] = lv.LastUse[t]
 		if until[t.ID] < 0 {

@@ -46,7 +46,8 @@ func TestCheckInvariantsAfterSplitMergeCompact(t *testing.T) {
 	if err := p.CheckInvariants(); err != nil {
 		t.Fatalf("after split: %v", err)
 	}
-	if _, ok := p.MergeUsed(parts); !ok {
+	merged, ok := p.MergeUsed(parts)
+	if !ok {
 		t.Fatal("merge of contiguous parts failed")
 	}
 	if err := p.CheckInvariants(); err != nil {
@@ -56,7 +57,7 @@ func TestCheckInvariantsAfterSplitMergeCompact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.FreeBlock(Block{Offset: b.Offset, Size: b.Size})
+	p.FreeBlock(merged)
 	_ = c
 	p.Compact()
 	if err := p.CheckInvariants(); err != nil {
@@ -64,8 +65,9 @@ func TestCheckInvariantsAfterSplitMergeCompact(t *testing.T) {
 	}
 }
 
-// The corruption tests reach into the pool's private state: each one
-// fabricates exactly the inconsistency CheckInvariants exists to catch.
+// The corruption tests reach into the pool's private state — the free
+// list, the stats and the slot table — and each one fabricates exactly
+// the inconsistency CheckInvariants exists to catch.
 func TestCheckInvariantsCorruption(t *testing.T) {
 	mustFail := func(t *testing.T, p *Pool, wantSub string) {
 		t.Helper()
@@ -81,7 +83,7 @@ func TestCheckInvariantsCorruption(t *testing.T) {
 	t.Run("overlapping used blocks", func(t *testing.T) {
 		p := New(1<<20, BestFit)
 		b, _ := p.Alloc(4096)
-		p.used.put(b.Offset+256, 4096)
+		p.claim(b.Offset+256, 4096)
 		p.stats.InUse += 4096
 		mustFail(t, p, "overlaps")
 	})
@@ -102,7 +104,7 @@ func TestCheckInvariantsCorruption(t *testing.T) {
 	t.Run("leaked bytes", func(t *testing.T) {
 		p := New(1<<20, BestFit)
 		b, _ := p.Alloc(4096)
-		p.used.del(b.Offset)
+		p.release(b.slot - 1)
 		p.stats.InUse -= b.Size
 		mustFail(t, p, "neither used nor free")
 	})
@@ -111,5 +113,22 @@ func TestCheckInvariantsCorruption(t *testing.T) {
 		p := New(1<<20, BestFit)
 		p.free = []freeBlock{{8192, 4096}, {0, 4096}}
 		mustFail(t, p, "not sorted")
+	})
+
+	t.Run("lost slot", func(t *testing.T) {
+		p := New(1<<20, BestFit)
+		b, _ := p.Alloc(4096)
+		p.FreeBlock(b)
+		p.spare = p.spare[:0]
+		mustFail(t, p, "slot table")
+	})
+
+	t.Run("live spare slot", func(t *testing.T) {
+		p := New(1<<20, BestFit)
+		a, _ := p.Alloc(4096)
+		b, _ := p.Alloc(4096)
+		p.FreeBlock(b)
+		p.spare[0] = a.slot - 1
+		mustFail(t, p, "spare slot")
 	})
 }

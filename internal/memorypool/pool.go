@@ -10,9 +10,10 @@
 package memorypool
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Strategy selects the free-block placement policy.
@@ -39,10 +40,20 @@ func (s Strategy) String() string {
 // alignment that real allocators round to.
 const Alignment = 256
 
-// Block is an allocated region handed back to the caller.
+// Block is an allocated region handed back to the caller. Besides its
+// extent it carries a handle into the pool's slot table, so the pool
+// finds a block it is handed without a search. Only a Block the pool
+// returned can be freed, split or merged, and only while its
+// allocation lives: the zero Block, a second free, and a copy that
+// outlived a split, a merge or the reuse of its slot are all refused.
+// Compact moves a block without changing its handle; the caller
+// rewrites its copies' Offset from the remap.
 type Block struct {
 	Offset int64
 	Size   int64 // aligned size actually reserved
+
+	slot int32  // index+1 into Pool.slots; 0: no block
+	gen  uint32 // the slot's generation when the block took it
 }
 
 // Stats summarizes pool behaviour over its lifetime.
@@ -63,6 +74,23 @@ type freeBlock struct {
 	off, size int64
 }
 
+// slot is one entry of the pool's table of live blocks. A released
+// slot goes on the spare list with its generation bumped, so a Block
+// copy that outlived its allocation never matches the slot's next
+// occupant.
+type slot struct {
+	off, size int64
+	gen       uint32
+	live      bool
+}
+
+// slotRef pairs a live block's offset with its slot, for Compact's
+// address-order walk.
+type slotRef struct {
+	off  int64
+	slot int32
+}
+
 // Pool is a best-fit/first-fit allocator over a fixed-size arena. It is
 // not safe for concurrent use; the simulator drives it from one
 // goroutine, as the real runtime drives its pool from the scheduling
@@ -71,27 +99,35 @@ type Pool struct {
 	capacity int64
 	strategy Strategy
 	free     []freeBlock // sorted by offset, coalesced
-	used     usedTable
 	stats    Stats
 
-	// scratch reused across Compact calls so the simulator's
-	// compaction path does not allocate fresh slices per event.
-	offScratch  []int64
-	sizeScratch []int64
+	// slots is the dense table of live blocks a Block's handle
+	// indexes; spare lists the released slots, reused last-in first-out.
+	slots []slot
+	spare []int32
+
+	// Compact's scratch and remap map, reused across calls so the
+	// simulator's compaction path allocates nothing per event.
+	refs  []slotRef
+	remap map[int64]int64
 }
+
+// initSlots presizes the slot table and the spare list, so a fresh
+// pool's first few hundred live blocks cost no regrowth.
+const initSlots = 256
 
 // New creates a pool over an arena of the given capacity in bytes.
 func New(capacity int64, strategy Strategy) *Pool {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("memorypool: non-positive capacity %d", capacity))
 	}
-	p := &Pool{
+	return &Pool{
 		capacity: capacity,
 		strategy: strategy,
 		free:     []freeBlock{{0, capacity}},
+		slots:    make([]slot, 0, initSlots),
+		spare:    make([]int32, 0, initSlots),
 	}
-	p.used.init(0)
-	return p
 }
 
 func align(n int64) int64 {
@@ -107,7 +143,8 @@ func (p *Pool) Capacity() int64 { return p.capacity }
 // InUse returns currently allocated bytes (aligned).
 func (p *Pool) InUse() int64 { return p.stats.InUse }
 
-// Free returns p.capacity - p.InUse().
+// Available returns the bytes not allocated, p.Capacity() - p.InUse(),
+// whether or not one free block holds them.
 func (p *Pool) Available() int64 { return p.capacity - p.stats.InUse }
 
 // hugeFraction: allocations larger than capacity/hugeFraction are
@@ -140,10 +177,15 @@ func (p *Pool) Alloc(size int64) (Block, error) {
 			}
 		}
 	case p.strategy == BestFit:
+		// The first block of minimal size wins, so the scan may stop
+		// at the first exact fit.
 		var best int64 = 1<<63 - 1
 		for i, fb := range p.free {
 			if fb.size >= size && fb.size < best {
 				best, idx = fb.size, i
+				if fb.size == size {
+					break
+				}
 			}
 		}
 	default: // FirstFit
@@ -159,25 +201,65 @@ func (p *Pool) Alloc(size int64) (Block, error) {
 		return Block{}, ErrNoFit
 	}
 	fb := p.free[idx]
-	var b Block
+	off := fb.off
 	switch {
 	case fb.size == size:
-		b = Block{Offset: fb.off, Size: size}
 		p.free = append(p.free[:idx], p.free[idx+1:]...)
 	case fromTop:
-		b = Block{Offset: fb.off + fb.size - size, Size: size}
-		p.free[idx] = freeBlock{fb.off, fb.size - size}
+		off = fb.off + fb.size - size
+		p.free[idx].size -= size
 	default:
-		b = Block{Offset: fb.off, Size: size}
 		p.free[idx] = freeBlock{fb.off + size, fb.size - size}
 	}
-	p.used.put(b.Offset, size)
+	return p.reserve(off, size), nil
+}
+
+// reserve counts a new allocation of [off, off+size) in the stats and
+// gives it a slot.
+func (p *Pool) reserve(off, size int64) Block {
 	p.stats.Allocs++
 	p.stats.InUse += size
 	if p.stats.InUse > p.stats.Peak {
 		p.stats.Peak = p.stats.InUse
 	}
-	return b, nil
+	return p.claim(off, size)
+}
+
+// claim records a live block in a slot — the most recently released
+// one, or a new one — and returns its handle.
+func (p *Pool) claim(off, size int64) Block {
+	var i int32
+	if n := len(p.spare); n > 0 {
+		i = p.spare[n-1]
+		p.spare = p.spare[:n-1]
+	} else {
+		p.slots = append(p.slots, slot{})
+		i = int32(len(p.slots) - 1)
+	}
+	s := &p.slots[i]
+	s.off, s.size, s.live = off, size, true
+	return Block{Offset: off, Size: size, slot: i + 1, gen: s.gen}
+}
+
+// release retires slot i: its generation moves on and it becomes the
+// next slot claim hands out.
+func (p *Pool) release(i int32) {
+	s := &p.slots[i]
+	s.live = false
+	s.gen++
+	p.spare = append(p.spare, i)
+}
+
+// lookup returns the slot of b when b is a live allocation of this
+// pool: its handle names a live slot of the same generation, at the
+// same offset.
+func (p *Pool) lookup(b Block) (int32, bool) {
+	i := b.slot - 1
+	if i < 0 || int(i) >= len(p.slots) {
+		return 0, false
+	}
+	s := &p.slots[i]
+	return i, s.live && s.gen == b.gen && s.off == b.Offset
 }
 
 // OOMError describes an Alloc(size) that just returned ErrNoFit: the
@@ -189,29 +271,19 @@ func (p *Pool) OOMError(size int64) error {
 }
 
 // FreeBlock returns a block to the pool, coalescing with neighbours.
-// Freeing an offset that is not allocated panics: it is a scheduler
-// bug, not a runtime condition.
+// Freeing a block that is not live — a second free, the zero Block, a
+// copy retired by a split or a merge — panics: it is a scheduler bug,
+// not a runtime condition.
 func (p *Pool) FreeBlock(b Block) {
-	size, ok := p.used.del(b.Offset)
+	i, ok := p.lookup(b)
 	if !ok {
 		panic(fmt.Sprintf("memorypool: free of unallocated offset %d", b.Offset))
 	}
+	size := p.slots[i].size
+	p.release(i)
 	p.stats.Frees++
 	p.stats.InUse -= size
-
-	i := sort.Search(len(p.free), func(i int) bool { return p.free[i].off > b.Offset })
-	p.free = append(p.free, freeBlock{})
-	copy(p.free[i+1:], p.free[i:])
-	p.free[i] = freeBlock{b.Offset, size}
-	// Coalesce with successor, then predecessor.
-	if i+1 < len(p.free) && p.free[i].off+p.free[i].size == p.free[i+1].off {
-		p.free[i].size += p.free[i+1].size
-		p.free = append(p.free[:i+1], p.free[i+2:]...)
-	}
-	if i > 0 && p.free[i-1].off+p.free[i-1].size == p.free[i].off {
-		p.free[i-1].size += p.free[i].size
-		p.free = append(p.free[:i], p.free[i+1:]...)
-	}
+	p.insertFree(b.Offset, size)
 }
 
 // AllocAt reserves size bytes at an exact offset, failing when any of
@@ -220,39 +292,64 @@ func (p *Pool) FreeBlock(b Block) {
 // in-place merge (paper Sec. V-C / Fig. 8 memory reuse).
 func (p *Pool) AllocAt(offset, size int64) (Block, error) {
 	size = align(size)
-	for i, fb := range p.free {
-		if fb.off > offset || fb.off+fb.size < offset+size {
-			continue
-		}
-		// Carve [offset, offset+size) out of fb.
-		tail := freeBlock{offset + size, fb.off + fb.size - offset - size}
-		head := freeBlock{fb.off, offset - fb.off}
-		repl := p.free[:i]
-		repl = append(repl, p.free[i+1:]...)
-		p.free = repl
-		if head.size > 0 {
-			p.insertFree(head)
-		}
-		if tail.size > 0 {
-			p.insertFree(tail)
-		}
-		p.used.put(offset, size)
-		p.stats.Allocs++
-		p.stats.InUse += size
-		if p.stats.InUse > p.stats.Peak {
-			p.stats.Peak = p.stats.InUse
-		}
-		return Block{Offset: offset, Size: size}, nil
+	// Only the last free block starting at or below offset can hold it.
+	i := p.freeAfter(offset) - 1
+	if i < 0 || p.free[i].off+p.free[i].size < offset+size {
+		p.stats.Failures++
+		return Block{}, fmt.Errorf("memorypool: range [%d,%d) not free", offset, offset+size)
 	}
-	p.stats.Failures++
-	return Block{}, fmt.Errorf("memorypool: range [%d,%d) not free", offset, offset+size)
+	// Carve [offset, offset+size) out of free block i.
+	fb := p.free[i]
+	head, tail := offset-fb.off, fb.off+fb.size-offset-size
+	switch {
+	case head > 0 && tail > 0:
+		p.free[i].size = head
+		p.insertFree(offset+size, tail)
+	case head > 0:
+		p.free[i].size = head
+	case tail > 0:
+		p.free[i] = freeBlock{offset + size, tail}
+	default:
+		p.free = append(p.free[:i], p.free[i+1:]...)
+	}
+	return p.reserve(offset, size), nil
 }
 
-func (p *Pool) insertFree(fb freeBlock) {
-	i := sort.Search(len(p.free), func(i int) bool { return p.free[i].off > fb.off })
-	p.free = append(p.free, freeBlock{})
-	copy(p.free[i+1:], p.free[i:])
-	p.free[i] = fb
+// freeAfter returns the index of the first free block whose offset is
+// above off (len(p.free) when none is).
+func (p *Pool) freeAfter(off int64) int {
+	lo, hi := 0, len(p.free)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if p.free[m].off > off {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	return lo
+}
+
+// insertFree returns [off, off+size) to the free list, coalescing in
+// place: a free neighbour that touches it is extended, and only an
+// extent with no free neighbour shifts the list to make room.
+func (p *Pool) insertFree(off, size int64) {
+	i := p.freeAfter(off)
+	prev := i > 0 && p.free[i-1].off+p.free[i-1].size == off
+	next := i < len(p.free) && off+size == p.free[i].off
+	switch {
+	case prev && next:
+		p.free[i-1].size += size + p.free[i].size
+		p.free = append(p.free[:i], p.free[i+1:]...)
+	case prev:
+		p.free[i-1].size += size
+	case next:
+		p.free[i] = freeBlock{off, size + p.free[i].size}
+	default:
+		p.free = append(p.free, freeBlock{})
+		copy(p.free[i+1:], p.free[i:])
+		p.free[i] = freeBlock{off, size}
+	}
 }
 
 // SplitUsedInto partitions an allocated block into n consecutive
@@ -261,25 +358,26 @@ func (p *Pool) insertFree(fb freeBlock) {
 // different pointer address"). Sub-block boundaries are aligned; the
 // last sub-block absorbs the remainder. The sub-blocks are appended to
 // dst (typically a reused buffer resliced to [:0]), so the simulator's
-// split hot path does not allocate a fresh slice per split op.
+// split hot path does not allocate a fresh slice per split op. b
+// itself is retired: only the sub-blocks live on.
 func (p *Pool) SplitUsedInto(b Block, n int, dst []Block) ([]Block, error) {
-	size, ok := p.used.get(b.Offset)
+	i, ok := p.lookup(b)
 	if !ok {
 		return nil, fmt.Errorf("memorypool: SplitUsedInto of unallocated offset %d", b.Offset)
 	}
+	size := p.slots[i].size
 	if n < 1 || int64(n)*Alignment > size {
 		return nil, fmt.Errorf("memorypool: cannot split %d bytes into %d parts", size, n)
 	}
 	part := align(size / int64(n))
-	p.used.del(b.Offset)
+	p.release(i)
 	off := b.Offset
-	for i := 0; i < n; i++ {
+	for k := 0; k < n; k++ {
 		sz := part
-		if i == n-1 {
+		if k == n-1 {
 			sz = b.Offset + size - off
 		}
-		dst = append(dst, Block{Offset: off, Size: sz})
-		p.used.put(off, sz)
+		dst = append(dst, p.claim(off, sz))
 		off += sz
 	}
 	return dst, nil
@@ -288,7 +386,8 @@ func (p *Pool) SplitUsedInto(b Block, n int, dst []Block) ([]Block, error) {
 // MergeUsed fuses allocated blocks into one when they are contiguous
 // and ascending — the in-place merge. It reports ok=false (and leaves
 // the pool unchanged) when the blocks are not adjacent, in which case
-// the caller must perform a physical merge copy.
+// the caller must perform a physical merge copy, or when one is not
+// live. The blocks it fuses are retired; only the returned one lives.
 func (p *Pool) MergeUsed(blocks []Block) (Block, bool) {
 	if len(blocks) == 0 {
 		return Block{}, false
@@ -300,18 +399,16 @@ func (p *Pool) MergeUsed(blocks []Block) (Block, bool) {
 	}
 	var total int64
 	for _, b := range blocks {
-		sz, ok := p.used.get(b.Offset)
-		if !ok || sz != b.Size {
+		i, ok := p.lookup(b)
+		if !ok || p.slots[i].size != b.Size {
 			return Block{}, false
 		}
-		total += sz
+		total += b.Size
 	}
 	for _, b := range blocks {
-		p.used.del(b.Offset)
+		p.release(b.slot - 1)
 	}
-	merged := Block{Offset: blocks[0].Offset, Size: total}
-	p.used.put(merged.Offset, total)
-	return merged, true
+	return p.claim(blocks[0].Offset, total), true
 }
 
 func (p *Pool) largestFree() int64 {
@@ -335,7 +432,7 @@ func (p *Pool) CheckInvariants() error {
 		off, size int64
 		used      bool
 	}
-	exts := make([]ext, 0, len(p.free)+p.used.len())
+	exts := make([]ext, 0, len(p.free)+len(p.slots))
 	for i, fb := range p.free {
 		if fb.size <= 0 {
 			return fmt.Errorf("memorypool: free block %d at offset %d has non-positive size %d", i, fb.off, fb.size)
@@ -349,20 +446,30 @@ func (p *Pool) CheckInvariants() error {
 		exts = append(exts, ext{fb.off, fb.size, false})
 	}
 	var inUse int64
-	offs := p.used.appendOffsets(make([]int64, 0, p.used.len()))
-	sort.Slice(offs, func(i, j int) bool { return offs[i] < offs[j] })
-	for _, off := range offs {
-		size, _ := p.used.get(off)
-		if size <= 0 {
-			return fmt.Errorf("memorypool: used block at offset %d has non-positive size %d", off, size)
+	live := 0
+	for _, s := range p.slots {
+		if !s.live {
+			continue
 		}
-		inUse += size
-		exts = append(exts, ext{off, size, true})
+		if s.size <= 0 {
+			return fmt.Errorf("memorypool: used block at offset %d has non-positive size %d", s.off, s.size)
+		}
+		live++
+		inUse += s.size
+		exts = append(exts, ext{s.off, s.size, true})
+	}
+	if live+len(p.spare) != len(p.slots) {
+		return fmt.Errorf("memorypool: slot table holds %d live and %d spare slots of %d", live, len(p.spare), len(p.slots))
+	}
+	for _, i := range p.spare {
+		if p.slots[i].live {
+			return fmt.Errorf("memorypool: spare slot %d holds the live block at offset %d", i, p.slots[i].off)
+		}
 	}
 	if inUse != p.stats.InUse {
 		return fmt.Errorf("memorypool: InUse stat %d disagrees with used-block sum %d", p.stats.InUse, inUse)
 	}
-	sort.SliceStable(exts, func(i, j int) bool { return exts[i].off < exts[j].off })
+	slices.SortStableFunc(exts, func(a, b ext) int { return cmp.Compare(a.off, b.off) })
 	var cursor int64
 	for _, e := range exts {
 		if e.off < cursor {
@@ -392,15 +499,29 @@ func (p *Pool) Stats() Stats {
 // counters (Allocs/Frees/Failures) intact.
 func (p *Pool) Reset() {
 	p.free = append(p.free[:0], freeBlock{0, p.capacity})
-	p.used.reset()
+	p.releaseAll()
 	p.stats.InUse = 0
+}
+
+// releaseAll retires every live slot, keeping the table's storage, so
+// no Block handed out before stays valid.
+func (p *Pool) releaseAll() {
+	p.spare = p.spare[:0]
+	for i := len(p.slots) - 1; i >= 0; i-- {
+		if s := &p.slots[i]; s.live {
+			s.live = false
+			s.gen++
+		}
+		p.spare = append(p.spare, int32(i))
+	}
 }
 
 // ResetTo reinitializes the pool in place to a (possibly different)
 // capacity and strategy with all statistics zeroed, as if freshly
-// constructed by New — but reusing the free list and used-table
-// storage. The pooled simulator calls this once per borrowed run, so a
-// recycled arena reports the same Peak/Allocs/Frees a fresh one would.
+// constructed by New — but reusing the free list and slot-table
+// storage; no Block handed out before stays valid. The pooled
+// simulator calls this once per borrowed run, so a recycled arena
+// reports the same Peak/Allocs/Frees a fresh one would.
 func (p *Pool) ResetTo(capacity int64, strategy Strategy) {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("memorypool: non-positive capacity %d", capacity))
@@ -408,7 +529,7 @@ func (p *Pool) ResetTo(capacity int64, strategy Strategy) {
 	p.capacity = capacity
 	p.strategy = strategy
 	p.free = append(p.free[:0], freeBlock{0, capacity})
-	p.used.reset()
+	p.releaseAll()
 	p.stats = Stats{}
 }
 
@@ -419,31 +540,38 @@ func (p *Pool) ResetTo(capacity int64, strategy Strategy) {
 // abstraction above the pool owns every data pointer (sTensor
 // indirection); real pooled DL allocators perform the same
 // re-placement at synchronization points.
+//
+// A moved block keeps its handle: a caller rewrites its copies' Offset
+// from the remap and may go on freeing them. The remap map is the
+// pool's own and is reused: it is valid until the next Compact, Reset
+// or ResetTo.
 func (p *Pool) Compact() (remap map[int64]int64, moved int64) {
-	offs := p.used.appendOffsets(p.offScratch[:0])
-	sort.Slice(offs, func(i, j int) bool { return offs[i] < offs[j] })
-	sizes := p.sizeScratch[:0]
-	for _, off := range offs {
-		sz, _ := p.used.get(off)
-		sizes = append(sizes, sz)
-	}
-	remap = make(map[int64]int64, len(offs))
-	p.used.reset()
-	var cursor int64
-	for i, off := range offs {
-		size := sizes[i]
-		remap[off] = cursor
-		p.used.put(cursor, size)
-		if off != cursor {
-			moved += size
+	refs := p.refs[:0]
+	for i, s := range p.slots {
+		if s.live {
+			refs = append(refs, slotRef{s.off, int32(i)})
 		}
-		cursor += size
 	}
-	p.offScratch = offs[:0]
-	p.sizeScratch = sizes[:0]
+	slices.SortFunc(refs, func(a, b slotRef) int { return cmp.Compare(a.off, b.off) })
+	if p.remap == nil {
+		p.remap = make(map[int64]int64, len(refs))
+	} else {
+		clear(p.remap)
+	}
+	var cursor int64
+	for _, r := range refs {
+		s := &p.slots[r.slot]
+		p.remap[r.off] = cursor
+		if r.off != cursor {
+			moved += s.size
+		}
+		s.off = cursor
+		cursor += s.size
+	}
+	p.refs = refs[:0]
 	p.free = p.free[:0]
 	if cursor < p.capacity {
 		p.free = append(p.free, freeBlock{cursor, p.capacity - cursor})
 	}
-	return remap, moved
+	return p.remap, moved
 }

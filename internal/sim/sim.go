@@ -347,7 +347,8 @@ type Simulator struct {
 	earlyCopied []bool
 	// pinned marks tensors the currently executing operator touches;
 	// the allocator's pressure valve may not evict them. pinnedIDs is
-	// the set-bit list so clearing is O(pins), not O(tensors).
+	// the set-bit list so clearing is O(pins), not O(tensors). Only
+	// LRURecompute runs read or set them.
 	pinned    []bool
 	pinnedIDs []int32
 	// residentB caches resident() per tensor for the current plan.
@@ -454,8 +455,12 @@ func (s *Simulator) clearLocals() {
 }
 
 // pin protects the tensors an operator touches from pressure eviction
-// while it executes.
+// while it executes. Only the LRU strategy evicts under pressure, so
+// only its runs pin.
 func (s *Simulator) pin(op *graph.Op) {
+	if s.Opts.Recompute != LRURecompute {
+		return
+	}
 	for _, t := range op.Inputs {
 		if !s.pinned[t.ID] {
 			s.pinned[t.ID] = true

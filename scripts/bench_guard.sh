@@ -3,7 +3,8 @@
 #
 # Runs the Plan() benchmarks (with the default nil Recorder, i.e. the
 # observability no-op path), the simulator benchmarks (cold and pooled
-# arena), one Table IV sweep and the serve cold-miss benchmark, and
+# arena, and the pooled regeneration-heavy Checkpoints run), one Table
+# IV sweep and the serve cold-miss benchmark, and
 # fails if a deterministic count regresses against the recorded
 # baseline in bench_results.txt:
 #
@@ -40,7 +41,7 @@ trap 'rm -f "$OUT"' EXIT
 # simulator pool) dominated allocs/op; 100x measures the steady state
 # the baseline records.
 GOMAXPROCS=1 go test -run '^$' \
-    -bench 'Benchmark(PlannerPlan_(VGG16|ResNet50|BERTLarge)|SimRun_(VGG16|ResNet50|BERTLarge)|SimRunPooled_BERTLarge)$' \
+    -bench 'Benchmark(PlannerPlan_(VGG16|ResNet50|BERTLarge)|SimRun_(VGG16|ResNet50|BERTLarge)|SimRunPooled_(BERTLarge|Checkpoints))$' \
     -benchtime 100x . >"$OUT" 2>&1 || { cat "$OUT"; exit 1; }
 # The sweep is ~0.4 s an iteration; its allocation counts repeat to
 # within a fraction of a percent, so three iterations are enough.
@@ -81,7 +82,7 @@ awk '
             (why == "" ? "ok" : "FAIL"), name, allocs, base_allocs[name], ns, base_ns[name], why
     }
     END {
-        if (seen < 9) { printf "bench-guard: only %d benchmark results parsed, want 9\n", seen; bad = 1 }
+        if (seen < 10) { printf "bench-guard: only %d benchmark results parsed, want 10\n", seen; bad = 1 }
         exit bad
     }
 ' "$BASELINE" "$OUT" || { cat "$OUT"; exit 1; }
