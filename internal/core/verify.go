@@ -421,14 +421,16 @@ func (v *verifier) checkPoolOffsets() {
 			ids = append(ids, si)
 		}
 		sort.Ints(ids)
-		sort.SliceStable(ids, func(a, b int) bool { return blocks[ids[a]].blk.Offset < blocks[ids[b]].blk.Offset })
+		sort.SliceStable(ids, func(a, b int) bool {
+			return pool.OffsetOf(blocks[ids[a]].blk) < pool.OffsetOf(blocks[ids[b]].blk)
+		})
 		for k := 1; k < len(ids); k++ {
 			prev, cur := blocks[ids[k-1]], blocks[ids[k]]
-			if prev.blk.Offset+prev.blk.Size > cur.blk.Offset {
+			po, co := pool.OffsetOf(prev.blk), pool.OffsetOf(cur.blk)
+			if po+prev.blk.Size > co {
 				v.addf("pool-offsets", cur.ev.t.Name,
 					"block [%d,%d) overlaps %s's block [%d,%d) at index %d",
-					cur.blk.Offset, cur.blk.Offset+cur.blk.Size,
-					prev.ev.t.Name, prev.blk.Offset, prev.blk.Offset+prev.blk.Size, i)
+					co, co+cur.blk.Size, prev.ev.t.Name, po, po+prev.blk.Size, i)
 			}
 		}
 	}

@@ -83,7 +83,7 @@ func TestCheckInvariantsCorruption(t *testing.T) {
 	t.Run("overlapping used blocks", func(t *testing.T) {
 		p := New(1<<20, BestFit)
 		b, _ := p.Alloc(4096)
-		p.claim(b.Offset+256, 4096)
+		p.claim(p.OffsetOf(b)+256, 4096)
 		p.stats.InUse += 4096
 		mustFail(t, p, "overlaps")
 	})

@@ -40,17 +40,16 @@ func (s Strategy) String() string {
 // alignment that real allocators round to.
 const Alignment = 256
 
-// Block is an allocated region handed back to the caller. Besides its
-// extent it carries a handle into the pool's slot table, so the pool
-// finds a block it is handed without a search. Only a Block the pool
-// returned can be freed, split or merged, and only while its
-// allocation lives: the zero Block, a second free, and a copy that
-// outlived a split, a merge or the reuse of its slot are all refused.
-// Compact moves a block without changing its handle; the caller
-// rewrites its copies' Offset from the remap.
+// Block is an allocated region handed back to the caller: its size and
+// a handle into the pool's slot table. The slot alone holds the
+// block's offset — the sTensor indirection of paper Sec. V-D — so
+// Compact moves a block without touching any copy of it, and OffsetOf
+// reads where it lives now. Only a Block the pool returned can be
+// freed, split or merged, and only while its allocation lives: the
+// zero Block, a second free, and a copy that outlived a split, a
+// merge, a Reset/ResetTo or the reuse of its slot are all refused.
 type Block struct {
-	Offset int64
-	Size   int64 // aligned size actually reserved
+	Size int64 // aligned size actually reserved
 
 	slot int32  // index+1 into Pool.slots; 0: no block
 	gen  uint32 // the slot's generation when the block took it
@@ -106,10 +105,9 @@ type Pool struct {
 	slots []slot
 	spare []int32
 
-	// Compact's scratch and remap map, reused across calls so the
+	// refs is Compact's scratch, reused across calls so the
 	// simulator's compaction path allocates nothing per event.
-	refs  []slotRef
-	remap map[int64]int64
+	refs []slotRef
 }
 
 // initSlots presizes the slot table and the spare list, so a fresh
@@ -238,7 +236,7 @@ func (p *Pool) claim(off, size int64) Block {
 	}
 	s := &p.slots[i]
 	s.off, s.size, s.live = off, size, true
-	return Block{Offset: off, Size: size, slot: i + 1, gen: s.gen}
+	return Block{Size: size, slot: i + 1, gen: s.gen}
 }
 
 // release retires slot i: its generation moves on and it becomes the
@@ -251,15 +249,25 @@ func (p *Pool) release(i int32) {
 }
 
 // lookup returns the slot of b when b is a live allocation of this
-// pool: its handle names a live slot of the same generation, at the
-// same offset.
+// pool: its handle names a live slot of the same generation.
 func (p *Pool) lookup(b Block) (int32, bool) {
 	i := b.slot - 1
 	if i < 0 || int(i) >= len(p.slots) {
 		return 0, false
 	}
 	s := &p.slots[i]
-	return i, s.live && s.gen == b.gen && s.off == b.Offset
+	return i, s.live && s.gen == b.gen
+}
+
+// OffsetOf returns where the live block b starts in the arena now,
+// after any Compact that moved it. Like FreeBlock, it panics when b is
+// not live.
+func (p *Pool) OffsetOf(b Block) int64 {
+	i, ok := p.lookup(b)
+	if !ok {
+		panic(fmt.Sprintf("memorypool: offset of unallocated block %+v", b))
+	}
+	return p.slots[i].off
 }
 
 // OOMError describes an Alloc(size) that just returned ErrNoFit: the
@@ -277,13 +285,13 @@ func (p *Pool) OOMError(size int64) error {
 func (p *Pool) FreeBlock(b Block) {
 	i, ok := p.lookup(b)
 	if !ok {
-		panic(fmt.Sprintf("memorypool: free of unallocated offset %d", b.Offset))
+		panic(fmt.Sprintf("memorypool: free of unallocated block %+v", b))
 	}
-	size := p.slots[i].size
+	off, size := p.slots[i].off, p.slots[i].size
 	p.release(i)
 	p.stats.Frees++
 	p.stats.InUse -= size
-	p.insertFree(b.Offset, size)
+	p.insertFree(off, size)
 }
 
 // AllocAt reserves size bytes at an exact offset, failing when any of
@@ -355,27 +363,33 @@ func (p *Pool) insertFree(off, size int64) {
 // SplitUsedInto partitions an allocated block into n consecutive
 // sub-blocks that can then be freed independently — the in-place
 // tensor split of paper Sec. V-C ("share the same tensor with
-// different pointer address"). Sub-block boundaries are aligned; the
-// last sub-block absorbs the remainder. The sub-blocks are appended to
+// different pointer address"). Sub-block boundaries are aligned: every
+// part but the last is size/n rounded up to Alignment — or rounded
+// down, when rounding up would leave the last part empty or negative —
+// and the last absorbs the remainder. The sub-blocks are appended to
 // dst (typically a reused buffer resliced to [:0]), so the simulator's
 // split hot path does not allocate a fresh slice per split op. b
 // itself is retired: only the sub-blocks live on.
 func (p *Pool) SplitUsedInto(b Block, n int, dst []Block) ([]Block, error) {
 	i, ok := p.lookup(b)
 	if !ok {
-		return nil, fmt.Errorf("memorypool: SplitUsedInto of unallocated offset %d", b.Offset)
+		return nil, fmt.Errorf("memorypool: SplitUsedInto of unallocated block %+v", b)
 	}
-	size := p.slots[i].size
+	off, size := p.slots[i].off, p.slots[i].size
 	if n < 1 || int64(n)*Alignment > size {
 		return nil, fmt.Errorf("memorypool: cannot split %d bytes into %d parts", size, n)
 	}
 	part := align(size / int64(n))
+	if int64(n-1)*part >= size {
+		// n*Alignment <= size, so the rounded-down part is >= Alignment.
+		part = size / int64(n) &^ (Alignment - 1)
+	}
 	p.release(i)
-	off := b.Offset
+	end := off + size
 	for k := 0; k < n; k++ {
 		sz := part
 		if k == n-1 {
-			sz = b.Offset + size - off
+			sz = end - off
 		}
 		dst = append(dst, p.claim(off, sz))
 		off += sz
@@ -392,23 +406,24 @@ func (p *Pool) MergeUsed(blocks []Block) (Block, bool) {
 	if len(blocks) == 0 {
 		return Block{}, false
 	}
-	for i := 1; i < len(blocks); i++ {
-		if blocks[i-1].Offset+blocks[i-1].Size != blocks[i].Offset {
-			return Block{}, false
-		}
-	}
-	var total int64
-	for _, b := range blocks {
+	var start, end int64
+	for k, b := range blocks {
 		i, ok := p.lookup(b)
-		if !ok || p.slots[i].size != b.Size {
+		if !ok {
 			return Block{}, false
 		}
-		total += b.Size
+		s := &p.slots[i]
+		if k == 0 {
+			start = s.off
+		} else if s.off != end {
+			return Block{}, false
+		}
+		end = s.off + s.size
 	}
 	for _, b := range blocks {
 		p.release(b.slot - 1)
 	}
-	return p.claim(blocks[0].Offset, total), true
+	return p.claim(start, end-start), true
 }
 
 func (p *Pool) largestFree() int64 {
@@ -535,17 +550,16 @@ func (p *Pool) ResetTo(capacity int64, strategy Strategy) {
 
 // Compact repacks every allocated block to the bottom of the arena in
 // address order, eliminating external fragmentation, and returns the
-// offset remapping plus the bytes moved (the cost a runtime pays in
-// device-to-device copies). Compaction is possible because the tensor
-// abstraction above the pool owns every data pointer (sTensor
-// indirection); real pooled DL allocators perform the same
-// re-placement at synchronization points.
+// bytes moved (the cost a runtime pays in device-to-device copies).
+// Compaction is possible because the slot, like the sTensor
+// indirection above the real runtime's pool, owns every block's
+// offset; real pooled DL allocators perform the same re-placement at
+// synchronization points.
 //
-// A moved block keeps its handle: a caller rewrites its copies' Offset
-// from the remap and may go on freeing them. The remap map is the
-// pool's own and is reused: it is valid until the next Compact, Reset
-// or ResetTo.
-func (p *Pool) Compact() (remap map[int64]int64, moved int64) {
+// A moved block keeps its handle, so every copy of it stays valid: the
+// caller goes on freeing, splitting and merging it, and OffsetOf
+// reports where it moved.
+func (p *Pool) Compact() (moved int64) {
 	refs := p.refs[:0]
 	for i, s := range p.slots {
 		if s.live {
@@ -553,15 +567,9 @@ func (p *Pool) Compact() (remap map[int64]int64, moved int64) {
 		}
 	}
 	slices.SortFunc(refs, func(a, b slotRef) int { return cmp.Compare(a.off, b.off) })
-	if p.remap == nil {
-		p.remap = make(map[int64]int64, len(refs))
-	} else {
-		clear(p.remap)
-	}
 	var cursor int64
 	for _, r := range refs {
 		s := &p.slots[r.slot]
-		p.remap[r.off] = cursor
 		if r.off != cursor {
 			moved += s.size
 		}
@@ -573,5 +581,5 @@ func (p *Pool) Compact() (remap map[int64]int64, moved int64) {
 	if cursor < p.capacity {
 		p.free = append(p.free, freeBlock{cursor, p.capacity - cursor})
 	}
-	return p.remap, moved
+	return moved
 }

@@ -68,14 +68,15 @@ func TestBestFitPicksSmallestHole(t *testing.T) {
 	d, _ := p.Alloc(2048)
 	e, _ := p.Alloc(1024) // guard so d's hole stays 2048
 	_, _, _ = a, c, e
+	hole := p.OffsetOf(d)
 	p.FreeBlock(b) // 4096 hole
 	p.FreeBlock(d) // 2048 hole
 	got, err := p.Alloc(2048)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Offset != d.Offset {
-		t.Fatalf("best-fit chose offset %d, want the 2048 hole at %d", got.Offset, d.Offset)
+	if p.OffsetOf(got) != hole {
+		t.Fatalf("best-fit chose offset %d, want the 2048 hole at %d", p.OffsetOf(got), hole)
 	}
 }
 
@@ -119,11 +120,11 @@ func TestHugeAllocationsSegregateAtTop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if huge.Offset+huge.Size != cap {
-		t.Fatalf("huge block at %d, want top of arena", huge.Offset)
+	if p.OffsetOf(huge)+huge.Size != cap {
+		t.Fatalf("huge block at %d, want top of arena", p.OffsetOf(huge))
 	}
-	if small.Offset != 0 {
-		t.Fatalf("small block at %d, want bottom", small.Offset)
+	if p.OffsetOf(small) != 0 {
+		t.Fatalf("small block at %d, want bottom", p.OffsetOf(small))
 	}
 }
 
@@ -140,7 +141,7 @@ func TestSplitUsedAndIndependentFrees(t *testing.T) {
 	var total int64
 	for i, part := range parts {
 		total += part.Size
-		if i > 0 && parts[i-1].Offset+parts[i-1].Size != part.Offset {
+		if i > 0 && p.OffsetOf(parts[i-1])+parts[i-1].Size != p.OffsetOf(part) {
 			t.Fatal("parts not contiguous")
 		}
 	}
@@ -160,7 +161,7 @@ func TestSplitUsedAndIndependentFrees(t *testing.T) {
 
 func TestSplitUsedErrors(t *testing.T) {
 	p := New(1<<20, BestFit)
-	if _, err := p.SplitUsedInto(Block{Offset: 4096}, 2, nil); err == nil {
+	if _, err := p.SplitUsedInto(Block{Size: 4096}, 2, nil); err == nil {
 		t.Error("splitting unallocated block should fail")
 	}
 	b, _ := p.Alloc(Alignment)
@@ -169,16 +170,39 @@ func TestSplitUsedErrors(t *testing.T) {
 	}
 }
 
+// TestSplitUsedIntoRoundsDownForLastPart: 1,280 bytes in 4 parts
+// rounds 320 up to 512, which would leave the last part -256 bytes;
+// the parts round down to 256 instead and the last takes the rest.
+func TestSplitUsedIntoRoundsDownForLastPart(t *testing.T) {
+	p := New(1<<20, BestFit)
+	b, _ := p.Alloc(1280)
+	off := p.OffsetOf(b)
+	parts, err := p.SplitUsedInto(b, 4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, want := range []int64{256, 256, 256, 512} {
+		if parts[k].Size != want || p.OffsetOf(parts[k]) != off {
+			t.Fatalf("part %d = %d bytes at %d, want %d at %d", k, parts[k].Size, p.OffsetOf(parts[k]), want, off)
+		}
+		off += want
+	}
+	if err := p.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestMergeUsed(t *testing.T) {
 	p := New(1<<20, BestFit)
 	b, _ := p.Alloc(8192)
+	off := p.OffsetOf(b)
 	parts, _ := p.SplitUsedInto(b, 4, nil)
 	merged, ok := p.MergeUsed(parts)
 	if !ok {
 		t.Fatal("adjacent parts should merge")
 	}
-	if merged.Offset != b.Offset || merged.Size != b.Size {
-		t.Fatalf("merged = %+v, want %+v", merged, b)
+	if p.OffsetOf(merged) != off || merged.Size != b.Size {
+		t.Fatalf("merged = %+v at %d, want %+v at %d", merged, p.OffsetOf(merged), b, off)
 	}
 	p.FreeBlock(merged)
 	if p.InUse() != 0 {
@@ -202,15 +226,16 @@ func TestMergeUsedRejectsNonAdjacent(t *testing.T) {
 func TestAllocAt(t *testing.T) {
 	p := New(1<<20, BestFit)
 	b, _ := p.Alloc(4096)
+	off := p.OffsetOf(b)
 	p.FreeBlock(b)
-	got, err := p.AllocAt(b.Offset, 4096)
+	got, err := p.AllocAt(off, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Offset != b.Offset {
-		t.Fatalf("offset %d", got.Offset)
+	if p.OffsetOf(got) != off {
+		t.Fatalf("offset %d", p.OffsetOf(got))
 	}
-	if _, err := p.AllocAt(b.Offset, 4096); err == nil {
+	if _, err := p.AllocAt(off, 4096); err == nil {
 		t.Fatal("occupied range must fail")
 	}
 }
@@ -239,24 +264,26 @@ func TestCompact(t *testing.T) {
 	for i := 1; i < 10; i += 2 {
 		p.FreeBlock(blocks[i])
 	}
-	remap, moved := p.Compact()
-	if moved == 0 {
-		t.Fatal("expected data movement")
+	if moved := p.Compact(); moved != 4*(1<<10) {
+		t.Fatalf("moved %d bytes, want the four blocks above the first hole", moved)
 	}
-	// Every surviving block is remapped and the pool is hole-free.
+	// Every surviving block is packed in address order, its copies
+	// still valid, and the pool is hole-free.
 	off := int64(0)
 	for i := 0; i < 10; i += 2 {
-		no, ok := remap[blocks[i].Offset]
-		if !ok {
-			t.Fatalf("block %d missing from remap", i)
-		}
-		if no != off {
-			t.Fatalf("block %d at %d, want %d", i, no, off)
+		if got := p.OffsetOf(blocks[i]); got != off {
+			t.Fatalf("block %d at %d, want %d", i, got, off)
 		}
 		off += blocks[i].Size
 	}
 	if st := p.Stats(); st.FreeBlocks != 1 {
 		t.Fatalf("still fragmented: %+v", st)
+	}
+	for i := 0; i < 10; i += 2 {
+		p.FreeBlock(blocks[i])
+	}
+	if p.InUse() != 0 {
+		t.Fatal("leak after freeing the compacted blocks")
 	}
 }
 

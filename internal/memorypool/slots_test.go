@@ -1,6 +1,7 @@
 package memorypool
 
 import (
+	"cmp"
 	"slices"
 	"testing"
 )
@@ -90,29 +91,34 @@ func (r *refPool) fits(off, size int64) bool {
 // TestSlotTableProperty drives the pool and refPool through the same
 // seeded random sequence of Alloc, AllocAt, FreeBlock, SplitUsedInto,
 // MergeUsed, Compact and ResetTo, under both strategies: every
-// placement must be the one the model derives, every live Block must
-// keep matching its model extent, CheckInvariants must hold after each
-// step, and every copy the pool retired — freed, split, merged or
-// reset away — must be refused.
+// placement must be the one the model derives, OffsetOf must report
+// every live Block at its model offset — across compactions too —
+// CheckInvariants must hold after each step, and every copy the pool
+// retired — freed, split, merged or reset away — must be refused.
 func TestSlotTableProperty(t *testing.T) {
+	roundedDown := 0
 	for seed := lcg(1); seed <= 8; seed++ {
 		rng := seed
 		ref := &refPool{capacity: 1 << 18, strategy: Strategy(seed % 2), used: map[int64]int64{}}
 		p := New(ref.capacity, ref.strategy)
 		var live, dead []Block
+		at := map[Block]int64{} // the model's offset of each live block
 
 		retire := func(i int) Block {
 			b := live[i]
 			live[i] = live[len(live)-1]
 			live = live[:len(live)-1]
-			delete(ref.used, b.Offset)
+			delete(ref.used, at[b])
+			delete(at, b)
 			dead = append(dead, b)
 			return b
 		}
-		adopt := func(b Block) {
+		adopt := func(b Block, off int64) {
 			live = append(live, b)
-			ref.used[b.Offset] = b.Size
+			at[b] = off
+			ref.used[off] = b.Size
 		}
+		byOffset := func(a, b Block) int { return cmp.Compare(at[a], at[b]) }
 
 		for step := 0; step < 3000; step++ {
 			switch op := rng.intn(100); {
@@ -130,10 +136,10 @@ func TestSlotTableProperty(t *testing.T) {
 					}
 					break
 				}
-				if err != nil || b.Offset != want || b.Size != align(size) {
+				if err != nil || p.OffsetOf(b) != want || b.Size != align(size) {
 					t.Fatalf("seed %d step %d: Alloc(%d) = %+v, %v; want offset %d", seed, step, size, b, err, want)
 				}
-				adopt(b)
+				adopt(b, want)
 			case op < 50: // AllocAt
 				off := int64(rng.intn(int(ref.capacity/Alignment))) * Alignment
 				size := int64(rng.intn(16)+1) * Alignment
@@ -143,51 +149,56 @@ func TestSlotTableProperty(t *testing.T) {
 					t.Fatalf("seed %d step %d: AllocAt(%d, %d) err %v, want fit %v", seed, step, off, size, err, want)
 				}
 				if err == nil {
-					if b.Offset != off || b.Size != size {
+					if p.OffsetOf(b) != off || b.Size != size {
 						t.Fatalf("seed %d step %d: AllocAt(%d, %d) = %+v", seed, step, off, size, b)
 					}
-					adopt(b)
+					adopt(b, off)
 				}
 			case op < 72: // FreeBlock
 				p.FreeBlock(retire(rng.intn(len(live))))
 			case op < 82: // SplitUsedInto
 				i := rng.intn(len(live))
 				b, n := live[i], rng.intn(4)+1
-				part := align(b.Size / int64(n))
 				if int64(n)*Alignment > b.Size {
 					if _, err := p.SplitUsedInto(b, n, nil); err == nil {
 						t.Fatalf("seed %d step %d: split of %d bytes into %d parts succeeded", seed, step, b.Size, n)
 					}
 					break
 				}
+				// Parts round up to Alignment, or down when rounding up
+				// would leave the last part empty or negative.
+				part := align(b.Size / int64(n))
 				if int64(n-1)*part >= b.Size {
-					break // the last part would be empty or negative, which the pool does not refuse
+					part = b.Size / int64(n) / Alignment * Alignment
+					roundedDown++
 				}
 				parts, err := p.SplitUsedInto(b, n, nil)
 				if err != nil {
 					t.Fatalf("seed %d step %d: SplitUsedInto(%+v, %d): %v", seed, step, b, n, err)
 				}
+				off := at[b]
+				end := off + b.Size
 				retire(i)
-				off := b.Offset
 				for k, q := range parts {
 					sz := part
 					if k == n-1 {
-						sz = b.Offset + b.Size - off
+						sz = end - off
 					}
-					if q.Offset != off || q.Size != sz {
+					if q.Size < Alignment || p.OffsetOf(q) != off || q.Size != sz {
 						t.Fatalf("seed %d step %d: part %d = %+v, want [%d, +%d)", seed, step, k, q, off, sz)
 					}
+					adopt(q, off)
 					off += sz
-					adopt(q)
 				}
 			case op < 92: // MergeUsed over a run of address-adjacent live blocks
-				slices.SortFunc(live, func(a, b Block) int { return int(a.Offset - b.Offset) })
+				slices.SortFunc(live, byOffset)
 				i := rng.intn(len(live))
 				j := i + 1
-				for j < len(live) && j-i < 4 && live[j-1].Offset+live[j-1].Size == live[j].Offset {
+				for j < len(live) && j-i < 4 && at[live[j-1]]+live[j-1].Size == at[live[j]] {
 					j++
 				}
 				run := slices.Clone(live[i:j])
+				start := at[run[0]]
 				merged, ok := p.MergeUsed(run)
 				if !ok {
 					t.Fatalf("seed %d step %d: MergeUsed of %d adjacent live blocks failed", seed, step, len(run))
@@ -197,30 +208,25 @@ func TestSlotTableProperty(t *testing.T) {
 					total += b.Size
 					retire(slices.Index(live, b))
 				}
-				if merged.Offset != run[0].Offset || merged.Size != total {
-					t.Fatalf("seed %d step %d: merged %+v, want [%d, +%d)", seed, step, merged, run[0].Offset, total)
+				if p.OffsetOf(merged) != start || merged.Size != total {
+					t.Fatalf("seed %d step %d: merged %+v, want [%d, +%d)", seed, step, merged, start, total)
 				}
-				adopt(merged)
-			case op < 97: // Compact
-				slices.SortFunc(live, func(a, b Block) int { return int(a.Offset - b.Offset) })
-				remap, moved := p.Compact()
+				adopt(merged, start)
+			case op < 97: // Compact: every live block packs down in address order
+				slices.SortFunc(live, byOffset)
+				moved := p.Compact()
 				var cursor, wantMoved int64
 				clear(ref.used)
-				for k := range live {
-					b := &live[k]
-					if remap[b.Offset] != cursor {
-						t.Fatalf("seed %d step %d: remap[%d] = %d, want %d", seed, step, b.Offset, remap[b.Offset], cursor)
-					}
-					if b.Offset != cursor {
+				for _, b := range live {
+					if at[b] != cursor {
 						wantMoved += b.Size
 					}
-					b.Offset = cursor
+					at[b] = cursor
 					ref.used[cursor] = b.Size
 					cursor += b.Size
 				}
-				if len(remap) != len(live) || moved != wantMoved {
-					t.Fatalf("seed %d step %d: Compact remapped %d blocks, moved %d; want %d, %d",
-						seed, step, len(remap), moved, len(live), wantMoved)
+				if moved != wantMoved {
+					t.Fatalf("seed %d step %d: Compact moved %d, want %d", seed, step, moved, wantMoved)
 				}
 			default: // ResetTo
 				for range live {
@@ -234,12 +240,12 @@ func TestSlotTableProperty(t *testing.T) {
 			}
 			var inUse int64
 			for _, b := range live {
-				if ref.used[b.Offset] != b.Size {
-					t.Fatalf("seed %d step %d: live block %+v disagrees with the model", seed, step, b)
+				if off := p.OffsetOf(b); off != at[b] || ref.used[off] != b.Size {
+					t.Fatalf("seed %d step %d: live block %+v at %d disagrees with the model's %d", seed, step, b, off, at[b])
 				}
 				inUse += b.Size
 			}
-			if p.InUse() != inUse || len(ref.used) != len(live) {
+			if p.InUse() != inUse || len(ref.used) != len(live) || len(at) != len(live) {
 				t.Fatalf("seed %d step %d: InUse %d, model %d over %d blocks", seed, step, p.InUse(), inUse, len(live))
 			}
 			if len(dead) > 0 {
@@ -248,10 +254,13 @@ func TestSlotTableProperty(t *testing.T) {
 			}
 		}
 	}
+	if roundedDown == 0 {
+		t.Fatal("no split reached the rounded-down part size")
+	}
 }
 
-// mustRefuse asserts that FreeBlock, SplitUsedInto and MergeUsed all
-// reject b and leave the pool unchanged.
+// mustRefuse asserts that FreeBlock, SplitUsedInto, MergeUsed and
+// OffsetOf all reject b and leave the pool unchanged.
 func mustRefuse(t *testing.T, p *Pool, b Block) {
 	t.Helper()
 	before := p.Stats()
@@ -261,31 +270,37 @@ func mustRefuse(t *testing.T, p *Pool, b Block) {
 	if _, ok := p.MergeUsed([]Block{b}); ok {
 		t.Fatalf("MergeUsed accepted retired block %+v", b)
 	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("FreeBlock accepted retired block %+v", b)
-			}
-		}()
-		p.FreeBlock(b)
-	}()
+	mustPanic(t, "FreeBlock", b, func() { p.FreeBlock(b) })
+	mustPanic(t, "OffsetOf", b, func() { p.OffsetOf(b) })
 	if p.Stats() != before {
 		t.Fatalf("refusing %+v changed the pool: %+v -> %+v", b, before, p.Stats())
 	}
 }
 
+func mustPanic(t *testing.T, what string, b Block, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("%s accepted retired block %+v", what, b)
+		}
+	}()
+	f()
+}
+
 // TestRetiredBlocksRefused: a double free, a Block{} literal, and a
-// copy that outlived a split, a merge, or its slot's reuse at the same
-// offset are each refused; a copy remapped after Compact is not.
+// copy that outlived a split, a merge, a Reset/ResetTo, or its slot's
+// reuse at the same offset are each refused; a copy taken before
+// Compact is not, and OffsetOf reports where it moved.
 func TestRetiredBlocksRefused(t *testing.T) {
 	p := New(1<<20, BestFit)
 	mustRefuse(t, p, Block{})
 
 	a, _ := p.Alloc(4096)
+	aOff := p.OffsetOf(a)
 	p.FreeBlock(a)
 	mustRefuse(t, p, a) // double free
 	reused, _ := p.Alloc(4096)
-	if reused.Offset != a.Offset || reused.slot != a.slot {
+	if p.OffsetOf(reused) != aOff || reused.slot != a.slot {
 		t.Fatalf("reallocation %+v did not reuse %+v's offset and slot", reused, a)
 	}
 	mustRefuse(t, p, a) // same slot, same offset, new generation
@@ -306,14 +321,16 @@ func TestRetiredBlocksRefused(t *testing.T) {
 	gap, _ := p.Alloc(1024)
 	moving, _ := p.Alloc(2048)
 	p.FreeBlock(gap)
-	remap, moved := p.Compact()
-	if moved == 0 {
+	if moved := p.Compact(); moved == 0 {
 		t.Fatal("compaction moved nothing")
 	}
-	mustRefuse(t, p, moving) // a copy not remapped has a stale offset
-	moving.Offset = remap[moving.Offset]
+	// The copy taken before Compact is still the live block: it now
+	// sits where gap was, right after merged, and frees fine.
+	if got, want := p.OffsetOf(moving), p.OffsetOf(merged)+merged.Size; got != want {
+		t.Fatalf("compacted block at %d, want %d", got, want)
+	}
 	p.FreeBlock(moving)
-	merged.Offset = remap[merged.Offset]
+	mustRefuse(t, p, moving)
 	p.FreeBlock(merged)
 
 	b, _ := p.Alloc(4096)
@@ -351,7 +368,7 @@ func TestPoolResetTo(t *testing.T) {
 }
 
 // TestSteadyStateAllocatesNothing: once the slot table, the free list
-// and Compact's remap have grown, a run of allocations, splits, merges,
+// and Compact's scratch have grown, a run of allocations, splits, merges,
 // frees and a compaction after ResetTo reuses their storage.
 func TestSteadyStateAllocatesNothing(t *testing.T) {
 	p := New(1<<20, BestFit)
@@ -378,9 +395,8 @@ func TestSteadyStateAllocatesNothing(t *testing.T) {
 		for i := 0; i < len(blocks); i += 2 {
 			p.FreeBlock(blocks[i])
 		}
-		remap, _ := p.Compact()
+		p.Compact()
 		for i := 1; i < len(blocks); i += 2 {
-			blocks[i].Offset = remap[blocks[i].Offset]
 			p.FreeBlock(blocks[i])
 		}
 	}

@@ -67,7 +67,7 @@ func (s *Simulator) run() (Result, error) {
 			return s.res, fmt.Errorf("sim: op %d %s: %w", i, op, err)
 		}
 		s.postOp(i, op)
-		s.clearLocals()
+		s.unpin()
 		osp.End()
 	}
 	s.res.Time = s.tc
@@ -170,41 +170,13 @@ func (s *Simulator) allocWait(bytes int64, at float64) (memorypool.Block, float6
 		}
 		if s.pool.Available() >= bytes && s.compactions < maxCompactions {
 			// Pure external fragmentation: defragment the arena. The
-			// sTensor indirection owns every pointer, so the runtime
-			// may migrate blocks, paying device-to-device copy time.
-			remap, moved := s.pool.Compact()
+			// pool's slots own every block's offset (the sTensor
+			// indirection), so blocks migrate under every copy the
+			// simulator holds, paying device-to-device copy time.
+			moved := s.pool.Compact()
 			if moved == 0 {
 				return memorypool.Block{}, at, fmt.Errorf("%w: need %d bytes, %d in use of %d (already compact)",
 					ErrOOM, bytes, s.pool.InUse(), s.pool.Capacity())
-			}
-			for id := range s.block {
-				if s.block[id].Size == 0 {
-					continue
-				}
-				if no, ok := remap[s.block[id].Offset]; ok {
-					s.block[id].Offset = no
-				}
-			}
-			for i := range s.pending {
-				if no, ok := remap[s.pending[i].block.Offset]; ok {
-					s.pending[i].block.Offset = no
-				}
-			}
-			for _, lb := range s.locals {
-				if lb == nil || lb.Size == 0 {
-					continue
-				}
-				if no, ok := remap[lb.Offset]; ok {
-					lb.Offset = no
-				}
-			}
-			for k := range s.hogs {
-				if !s.hogs[k].held {
-					continue
-				}
-				if no, ok := remap[s.hogs[k].blk.Offset]; ok {
-					s.hogs[k].blk.Offset = no
-				}
 			}
 			cost := 2 * float64(moved) / s.Dev.MemBandwidth // read + write
 			s.tc += cost
@@ -336,14 +308,14 @@ func (s *Simulator) execWhole(i int, op *graph.Op) error {
 	}
 	readyIn := ready
 
-	var wsBlock *memorypool.Block
+	var wsBlock memorypool.Block
 	if op.Workspace > 0 {
 		blk, r, err := s.allocWait(op.Workspace, ready)
 		if err != nil {
 			return err
 		}
 		ready = r
-		wsBlock = s.holdVal(blk)
+		wsBlock = blk
 	}
 	for _, out := range op.Outputs {
 		blk, r, err := s.allocWait(out.Bytes(), ready)
@@ -367,8 +339,8 @@ func (s *Simulator) execWhole(i int, op *graph.Op) error {
 	for _, out := range op.Outputs {
 		s.readyAt[out.ID] = end
 	}
-	if wsBlock != nil {
-		s.pool.FreeBlock(*wsBlock)
+	if wsBlock.Size > 0 {
+		s.pool.FreeBlock(wsBlock)
 	}
 
 	// CPU-offload transfer charges.

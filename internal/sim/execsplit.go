@@ -84,8 +84,7 @@ func (s *Simulator) execSplit(i int, op *graph.Op, sp core.OpSplit) error {
 	readyIn := ready
 
 	// Carve evict-as-consumed inputs in place. The partitions live in
-	// the reusable carve buffers; holds point into them (no further
-	// appends this op, so the addresses are stable).
+	// the reusable carve buffers.
 	if cap(s.carvedIns) < 2 {
 		s.carvedIns = make([]carvedInput, 0, 2)
 	}
@@ -103,9 +102,6 @@ func (s *Simulator) execSplit(i int, op *graph.Op, sp core.OpSplit) error {
 			s.carveBuf[ci] = blocks
 			s.block[t.ID] = memorypool.Block{}
 			carvedIns = append(carvedIns, carvedInput{t, blocks})
-			for k := range blocks {
-				s.hold(&blocks[k])
-			}
 		}
 	}
 	if mode == core.MergeCarveInPlace && (len(carvedIns) == 0 || carvedIns[0].t != in) {
@@ -126,14 +122,14 @@ func (s *Simulator) execSplit(i int, op *graph.Op, sp core.OpSplit) error {
 		perPart = np
 	}
 
-	var wsBlock *memorypool.Block
+	var wsBlock memorypool.Block
 	if ws := op.Workspace / int64(pn); ws > 0 {
 		blk, r, err := s.allocWait(ws, ready)
 		if err != nil {
 			return err
 		}
 		ready = r
-		wsBlock = s.holdVal(blk)
+		wsBlock = blk
 	}
 	// Reduction outputs (e.g. dW of a sample-split conv backward)
 	// accumulate across micro-operators: full-size from the start.
@@ -160,7 +156,7 @@ func (s *Simulator) execSplit(i int, op *graph.Op, sp core.OpSplit) error {
 
 	// Merge-mode set-up.
 	var restoreSlots []memorypool.Block // MergeRestoreInPlace region
-	var stageBuf *memorypool.Block      // staging buffer for both in-place modes
+	var stageBuf memorypool.Block       // staging buffer for both in-place modes
 	switch mode {
 	case core.MergeRestoreInPlace:
 		region, r, err := s.allocWait(outB, ready)
@@ -174,9 +170,6 @@ func (s *Simulator) execSplit(i int, op *graph.Op, sp core.OpSplit) error {
 		}
 		s.restoreSlots = slots
 		restoreSlots = slots
-		for k := range restoreSlots {
-			s.hold(&restoreSlots[k])
-		}
 	case core.MergeCarveInPlace:
 		// Verify the carved slots fit the staged micro-outputs.
 		for k, blk := range carvedIns[0].blocks {
@@ -192,7 +185,7 @@ func (s *Simulator) execSplit(i int, op *graph.Op, sp core.OpSplit) error {
 			mode = core.MergePhysical
 		} else {
 			ready = r
-			stageBuf = s.holdVal(blk)
+			stageBuf = blk
 		}
 	}
 	if mode == core.MergePhysical && restoreSlots != nil {
@@ -206,8 +199,8 @@ func (s *Simulator) execSplit(i int, op *graph.Op, sp core.OpSplit) error {
 	if cap(s.outBlocks) < pn {
 		s.outBlocks = make([]memorypool.Block, 0, 2*pn)
 	}
-	if cap(s.microPtrs) < len(sp.MicroIns) {
-		s.microPtrs = make([]*memorypool.Block, 0, 2*len(sp.MicroIns))
+	if cap(s.microBlocks) < len(sp.MicroIns) {
+		s.microBlocks = make([]memorypool.Block, 0, 2*len(sp.MicroIns))
 	}
 	outBlocks := s.outBlocks[:0]
 	for k := 0; k < pn; k++ {
@@ -216,9 +209,7 @@ func (s *Simulator) execSplit(i int, op *graph.Op, sp core.OpSplit) error {
 		// Stream in this micro-part of each micro-restored input. The
 		// stage tensor's slice lands directly in slot k of the output
 		// region; others use scratch blocks freed after the micro-op.
-		// Scratch blocks sit in arena slots (distinct per part, so the
-		// compaction remapper never sees a reused address within an op).
-		microPtrs := s.microPtrs[:0]
+		microBlocks := s.microBlocks[:0]
 		for mi, t := range sp.MicroIns {
 			if !s.microOn[mi] {
 				continue
@@ -232,7 +223,7 @@ func (s *Simulator) execSplit(i int, op *graph.Op, sp core.OpSplit) error {
 				if r > kready {
 					kready = r
 				}
-				microPtrs = append(microPtrs, s.holdVal(blk))
+				microBlocks = append(microBlocks, blk)
 			}
 			start := s.th
 			if kready > start {
@@ -247,23 +238,17 @@ func (s *Simulator) execSplit(i int, op *graph.Op, sp core.OpSplit) error {
 			}
 		}
 
-		// Micro output destination: slot k of the reused outBlocks
-		// buffer, registered with the compaction remapper by address —
-		// a value copy here would go stale if a later micro-part's
-		// allocation compacted the arena.
 		outBlocks = append(outBlocks, memorypool.Block{})
-		oblk := &outBlocks[k]
 		if mode == core.MergePhysical {
 			blk, r, err := s.allocWait(osz, kready)
 			if err != nil {
 				return err
 			}
-			*oblk = blk
+			outBlocks[k] = blk
 			if r > kready {
 				kready = r
 			}
 		}
-		s.hold(oblk)
 
 		start := s.tc
 		if kready > start {
@@ -291,8 +276,9 @@ func (s *Simulator) execSplit(i int, op *graph.Op, sp core.OpSplit) error {
 			blk := c.blocks[k]
 			switch {
 			case mode == core.MergeCarveInPlace && c.t == in:
+				off := s.pool.OffsetOf(blk)
 				s.pool.FreeBlock(blk)
-				ab, err := s.pool.AllocAt(blk.Offset, osz)
+				ab, err := s.pool.AllocAt(off, osz)
 				if err != nil {
 					ab, _, err = s.allocWait(osz, s.tc)
 					if err != nil {
@@ -300,7 +286,7 @@ func (s *Simulator) execSplit(i int, op *graph.Op, sp core.OpSplit) error {
 					}
 				}
 				s.chargeCopy(osz)
-				*oblk = ab
+				outBlocks[k] = ab
 			case sp.InOpt == core.Swap:
 				ds := s.td
 				if end > ds {
@@ -319,10 +305,10 @@ func (s *Simulator) execSplit(i int, op *graph.Op, sp core.OpSplit) error {
 			// Overwrite slot k (holding the consumed restore slice)
 			// with the staged micro-output.
 			s.chargeCopy(osz)
-			*oblk = restoreSlots[k]
+			outBlocks[k] = restoreSlots[k]
 		}
-		for _, p := range microPtrs {
-			s.pool.FreeBlock(*p)
+		for _, b := range microBlocks {
+			s.pool.FreeBlock(b)
 		}
 		if earlyOut {
 			ds := s.td
@@ -348,8 +334,8 @@ func (s *Simulator) execSplit(i int, op *graph.Op, sp core.OpSplit) error {
 		}
 	}
 
-	if stageBuf != nil {
-		s.pool.FreeBlock(*stageBuf)
+	if stageBuf.Size > 0 {
+		s.pool.FreeBlock(stageBuf)
 	}
 
 	// Merge the output micro-tensors for the (unsplit) consumer.
@@ -374,8 +360,8 @@ func (s *Simulator) execSplit(i int, op *graph.Op, sp core.OpSplit) error {
 	if earlyOut {
 		s.earlyCopied[out.ID] = true
 	}
-	if wsBlock != nil {
-		s.pool.FreeBlock(*wsBlock)
+	if wsBlock.Size > 0 {
+		s.pool.FreeBlock(wsBlock)
 	}
 	s.readyAt[out.ID] = s.tc
 	for _, o := range op.Outputs {

@@ -21,6 +21,8 @@
 // flat, dense-ID-indexed slices that reset() reinitializes in place,
 // so a Simulator recycled through a SimPool runs a full iteration with
 // near-zero heap allocation and byte-identical results to a fresh one.
+// Block offsets live only in the allocator's slots: a compaction moves
+// blocks under every copy the executor holds, and nothing is remapped.
 package sim
 
 import (
@@ -279,35 +281,6 @@ type hogEvent struct {
 // maxCompactions bounds defragmentation passes per iteration.
 const maxCompactions = 64
 
-// arenaChunk is the slab size of blockArena. Chunks are never
-// reallocated, so a *Block handed out by take stays valid for the
-// whole arena window.
-const arenaChunk = 64
-
-// blockArena hands out stable *memorypool.Block slots for the block
-// variables an executing operator holds across potential compactions
-// (workspaces, staged micro-outputs, streamed micro-inputs). Slots are
-// recycled per operator; every take within one window returns a
-// distinct address, so the compaction remapper never visits the same
-// pointer twice.
-type blockArena struct {
-	chunks [][]memorypool.Block
-	n      int
-}
-
-func (a *blockArena) take(b memorypool.Block) *memorypool.Block {
-	ci, si := a.n/arenaChunk, a.n%arenaChunk
-	if ci == len(a.chunks) {
-		a.chunks = append(a.chunks, make([]memorypool.Block, arenaChunk))
-	}
-	a.n++
-	p := &a.chunks[ci][si]
-	*p = b
-	return p
-}
-
-func (a *blockArena) reset() { a.n = 0 }
-
 // carvedInput pairs an evict-as-consumed split input with its in-place
 // partition (blocks aliases one of the Simulator's carve buffers).
 type carvedInput struct {
@@ -393,20 +366,12 @@ type Simulator struct {
 	pending freeHeap
 	pendSeq int64
 
-	// locals registers pointers to block variables held by the
-	// currently executing operator, so pool compaction can remap them
-	// alongside s.block and s.pending. Cleared after every operator.
-	// The pointers come from arena (stable addresses) or from the
-	// split scratch buffers below (append-stable within one op).
-	locals []*memorypool.Block
-	arena  blockArena
-
 	// Split-execution scratch, reused across split ops.
 	carveBuf     [2][]memorypool.Block
 	carvedIns    []carvedInput
 	restoreSlots []memorypool.Block
 	outBlocks    []memorypool.Block
-	microPtrs    []*memorypool.Block
+	microBlocks  []memorypool.Block
 	microOn      []bool
 
 	// Recompute-chain scratch: core's chain walker plus free lists of
@@ -433,21 +398,8 @@ type Simulator struct {
 	res Result
 }
 
-// hold registers a local block pointer for compaction remapping.
-func (s *Simulator) hold(b *memorypool.Block) { s.locals = append(s.locals, b) }
-
-// holdVal copies b into a stable arena slot, registers it for
-// compaction remapping, and returns the slot.
-func (s *Simulator) holdVal(b memorypool.Block) *memorypool.Block {
-	p := s.arena.take(b)
-	s.locals = append(s.locals, p)
-	return p
-}
-
-// clearLocals drops local registrations after an operator completes.
-func (s *Simulator) clearLocals() {
-	s.locals = s.locals[:0]
-	s.arena.reset()
+// unpin releases the pins of the operator that just completed.
+func (s *Simulator) unpin() {
 	for _, id := range s.pinnedIDs {
 		s.pinned[id] = false
 	}
@@ -530,8 +482,6 @@ func (s *Simulator) reset() {
 	s.lruHead = 0
 	s.tc, s.td, s.th = 0, 0, 0
 	s.compactions = 0
-	s.locals = s.locals[:0]
-	s.arena.reset()
 	s.pending = s.pending[:0]
 	s.pendSeq = 0
 	s.res = Result{}

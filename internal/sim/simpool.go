@@ -12,7 +12,7 @@ import (
 
 // SimPool recycles Simulators so steady-state simulation allocates
 // (almost) nothing: the event heap, the per-tensor mirrors, the
-// allocator's free list and used table and the split scratch carry
+// allocator's free list and slot table and the split scratch carry
 // over and are reinitialized in place by the next run's reset(); the
 // recompute-chain scratch (core's chain walker, whose epoch-stamped
 // visited set needs no reset, and the chain buffers' free lists)
@@ -97,8 +97,6 @@ func (p *SimPool) Put(s *Simulator) {
 	s.lruHead = 0
 	clear(s.pending)
 	s.pending = s.pending[:0]
-	clear(s.locals)
-	s.locals = s.locals[:0]
 	clear(s.carvedIns)
 	s.carvedIns = s.carvedIns[:0]
 	s.res = Result{}
