@@ -20,9 +20,10 @@ import (
 //     tensor's eviction window (event lists, built once per graph);
 //   - a committed plan entry for tensor x invalidates x itself
 //     (permanently — the planned set only grows within a run), every
-//     cached chain whose derivation queried x's availability (reverse
-//     dependency registry), and the split configurations of every
-//     position where x is an operator input;
+//     chain whose derivation queried x's availability (the reverse
+//     dependency registry, whose owners are candidate chains, split
+//     positions and committed recompute chains), and the split
+//     configurations of every position where x is an operator input;
 //   - a committed split on op o invalidates position o's configurations.
 //
 // Split configurations also outlive the run: a position's list is a
@@ -129,7 +130,7 @@ type posSlot struct {
 
 type candIndex struct {
 	pl     *Planner
-	nT     int // tensor ID space (maxTensorID+1)
+	nT     int // tensor ID space (len(G.Tensors))
 	n      int // schedule length
 	active bool
 	i      int // bottleneck the window state currently reflects
@@ -143,8 +144,9 @@ type candIndex struct {
 	// and scattering these fields across parallel arrays costs a cache
 	// miss per array per candidate.
 	hot []evictHot
-	// chainStale flags a cached chain for refreshCandChains;
-	// chainBytes is only read when the winner is materialized.
+	// chainStale flags a cached chain for refreshCandChains, or a
+	// committed recompute chain for refreshChainsDirty; chainBytes is
+	// only read when the winner is materialized.
 	chainStale []bool
 	chainBytes []int64
 
@@ -157,9 +159,13 @@ type candIndex struct {
 	evOff []int32
 	evIDs []int32
 
-	// Reverse chain-dependency registry. Owners are encoded in one
-	// epoch space: tensor id for eviction chains, nT+position for split
-	// configuration chains.
+	// Reverse chain-dependency registry, the one answer to "which
+	// chains read tensor x?". Owners are encoded in one epoch space:
+	// tensor id for a candidate's eviction chain and, once the tensor is
+	// planned (it never is a candidate again that run), for its
+	// committed recompute chain (Planner.refreshChainsDirty);
+	// nT+position for split configuration chains. chainStale marks the
+	// stale owners of both tensor-ID classes.
 	depEpoch []int32
 	revDep   [][]depRef
 
@@ -192,7 +198,7 @@ type candIndex struct {
 }
 
 func newCandIndex(pl *Planner) *candIndex {
-	nT := pl.maxTensorID + 1
+	nT := len(pl.G.Tensors)
 	n := len(pl.Sched.Ops)
 	ci := &candIndex{
 		pl: pl, nT: nT, n: n,
@@ -211,7 +217,7 @@ func newCandIndex(pl *Planner) *candIndex {
 	for _, t := range pl.G.Tensors {
 		ci.never[t.ID] = !t.Kind.Evictable()
 		ci.isFM[t.ID] = t.Kind == tensor.FeatureMap
-		g := pl.genOf[t.ID]
+		g := pl.firstOf[t.ID]
 		if g < 0 {
 			g = 0
 		}
@@ -255,7 +261,7 @@ func (ci *candIndex) buildEvents() {
 		if ci.never[t.ID] {
 			continue
 		}
-		addAt(pl.genOf[t.ID]+1, count)
+		addAt(pl.firstOf[t.ID]+1, count)
 		for _, u := range pl.usesOf[t.ID] {
 			addAt(u, count)
 			addAt(u+1, count)
@@ -281,7 +287,7 @@ func (ci *candIndex) buildEvents() {
 			ci.evIDs[cursor[p]] = int32(t.ID)
 			cursor[p]++
 		}
-		addAt(pl.genOf[t.ID]+1, put)
+		addAt(pl.firstOf[t.ID]+1, put)
 		for _, u := range pl.usesOf[t.ID] {
 			addAt(u, put)
 			addAt(u+1, put)
@@ -1015,7 +1021,7 @@ func (ci *candIndex) buildCfg(op *graph.Op, p int, in, out *graph.Tensor, dim te
 		}
 	}
 
-	gen := pl.genOf[in.ID]
+	gen := pl.firstOf[in.ID]
 	if gen < 0 {
 		gen = 0
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"slices"
 
 	"tsplit/internal/graph"
 	"tsplit/internal/tensor"
@@ -12,10 +11,11 @@ import (
 // kept live across greedy iterations (only the tensors and ops touched
 // by the committed decision are re-applied, instead of re-walking every
 // tensor as MemSim.Curve does), a resumable first-over-capacity scan,
-// dirty tracking for recompute-chain re-derivation, and a reusable
-// chain walker that scoring can run without per-call allocations. The
-// serial reference planner in the package tests bypasses all of it and
-// the two must produce byte-identical plans — see
+// the re-derivation of committed recompute chains that the candidate
+// index's dependency registry marked stale (candindex.go), and a
+// reusable chain walker that scoring can run without per-call
+// allocations. The serial reference planner in the package tests
+// bypasses all of it and the two must produce byte-identical plans — see
 // TestPlannerSerialParallelEquivalence and
 // TestIncrementalCurveMatchesFullRebuild.
 //
@@ -100,8 +100,8 @@ type memCurve struct {
 
 // newMemCurve sizes a curve for the schedule. The first reset derives
 // it.
-func newMemCurve(ms *MemSim, maxTensorID int) *memCurve {
-	n := len(ms.Sched.Ops)
+func newMemCurve(ms *MemSim) *memCurve {
+	n, nT := len(ms.Sched.Ops), len(ms.G.Tensors)
 	nBlocks := (n + (1 << curveBlockShift) - 1) >> curveBlockShift
 	return &memCurve{
 		ms: ms, n: n,
@@ -109,8 +109,8 @@ func newMemCurve(ms *MemSim, maxTensorID int) *memCurve {
 		blockAdd:    make([]int64, nBlocks),
 		rawMax:      make([]int64, nBlocks),
 		adj:         make([]int64, n),
-		applied:     make([][]span, maxTensorID+1),
-		changedMark: make([]bool, maxTensorID+1),
+		applied:     make([][]span, nT),
+		changedMark: make([]bool, nT),
 		memAt0:      make([]int64, n),
 		rawMax0:     make([]int64, nBlocks),
 		adj0:        make([]int64, n),
@@ -139,7 +139,7 @@ func (c *memCurve) reset(p *Plan) {
 	for _, id := range c.changedIDs {
 		c.changedMark[id] = false
 		t := c.ms.G.Tensors[id]
-		c.applied[id] = c.contributionsInto(t, c.applied[id][:0])
+		c.applied[id] = c.ms.chargesInto(t, c.plan, c.look, c.applied[id][:0])
 	}
 	c.changedIDs = c.changedIDs[:0]
 	c.minInc = c.n + 1
@@ -154,7 +154,7 @@ func (c *memCurve) derive() {
 	}
 	clear(c.delta)
 	for _, t := range c.ms.G.Tensors {
-		spans := c.contributionsInto(t, c.applied[t.ID][:0])
+		spans := c.ms.chargesInto(t, c.plan, c.look, c.applied[t.ID][:0])
 		for _, iv := range spans {
 			c.delta[iv.a] += iv.bytes
 			c.delta[iv.b+1] -= iv.bytes
@@ -255,29 +255,6 @@ func (c *memCurve) rangeAdd(a, b int, v int64) {
 	}
 }
 
-// contributionsInto appends tensor t's delta-array charges under the
-// current plan to buf: its residency spans plus, for a recompute
-// decision with a transient estimate, a point charge at every backward
-// consumer — exactly the per-tensor body of MemSim.Curve.
-func (c *memCurve) contributionsInto(t *graph.Tensor, buf []span) []span {
-	buf = c.ms.residencyInto(t, c.plan, c.look, buf)
-	var tp TensorPlan
-	var ok bool
-	if c.look != nil {
-		tp, ok = c.look(t.ID)
-	} else {
-		tp, ok = c.plan.Tensors[t.ID]
-	}
-	if ok && tp.Opt == Recompute && tp.ChainBytes > 0 {
-		for _, cons := range t.Consumers {
-			if u := c.ms.opPos[cons.ID]; u >= tp.RestoreAt {
-				buf = append(buf, span{u, u, tp.ChainBytes})
-			}
-		}
-	}
-	return buf
-}
-
 // update re-derives t's contributions after its plan entry changed,
 // subtracting the previously applied spans first. The old span set is
 // read out before its backing array is reused for the new one.
@@ -291,7 +268,7 @@ func (c *memCurve) update(t *graph.Tensor) {
 	for _, iv := range old {
 		c.rangeAdd(iv.a, iv.b, -iv.bytes)
 	}
-	spans := c.contributionsInto(t, old[:0])
+	spans := c.ms.chargesInto(t, c.plan, c.look, old[:0])
 	for _, iv := range spans {
 		// rangeAdd tracks minInc: added spans are where memory can
 		// increase.
@@ -398,123 +375,6 @@ func (c *memCurve) bottleneck(cap int64, prevBtl int) (i int, memAtI int64, foun
 	return 0, 0, false
 }
 
-// chainTracker decides which recompute chains must be re-derived after
-// a plan change. A chain derivation depends only on the availability
-// answers of the tensors it queried; if none of those tensors' plan
-// entries changed, re-deriving it would reproduce the same chain. The
-// tracker records the queried set per chain owner and marks an owner
-// dirty when any dependency (or the owner itself) changes, so
-// refreshChainsDirty touches exactly the chains the serial
-// refreshChains could have updated. All state is flat arrays indexed
-// by tensor ID — no maps, no steady-state allocations.
-type chainTracker struct {
-	// owners lists tensor IDs with a registered dependency set.
-	owners  []int32
-	isOwner []bool
-	// depsOf[owner] is the sorted, deduplicated set of tensor IDs whose
-	// availability the owner's last chain derivation queried.
-	depsOf [][]int32
-	dirty  []bool
-	// dirtyList holds the marked owners (unordered; refreshChainsDirty
-	// sorts before walking).
-	dirtyList []int32
-}
-
-func newChainTracker(maxTensorID int) *chainTracker {
-	return &chainTracker{
-		isOwner: make([]bool, maxTensorID+1),
-		depsOf:  make([][]int32, maxTensorID+1),
-		dirty:   make([]bool, maxTensorID+1),
-	}
-}
-
-func (ct *chainTracker) reset() {
-	for _, id := range ct.owners {
-		ct.isOwner[id] = false
-		ct.depsOf[id] = ct.depsOf[id][:0]
-	}
-	ct.owners = ct.owners[:0]
-	for _, id := range ct.dirtyList {
-		ct.dirty[id] = false
-	}
-	ct.dirtyList = ct.dirtyList[:0]
-}
-
-// markDirty forces re-derivation of owner's chain (used when the owner
-// itself gains or changes a recompute decision).
-func (ct *chainTracker) markDirty(owner int) {
-	if !ct.dirty[owner] {
-		ct.dirty[owner] = true
-		ct.dirtyList = append(ct.dirtyList, int32(owner))
-	}
-}
-
-// noteChanged marks every chain that queried tensor id as dirty.
-func (ct *chainTracker) noteChanged(id int) {
-	for _, owner := range ct.owners {
-		if ct.dirty[owner] {
-			continue
-		}
-		ds := ct.depsOf[owner]
-		lo, hi := 0, len(ds)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if int(ds[mid]) < id {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		if lo < len(ds) && int(ds[lo]) == id {
-			ct.markDirty(int(owner))
-		}
-	}
-}
-
-// setDeps registers owner's queried set (sorted, deduplicated into the
-// owner's pooled backing array).
-func (ct *chainTracker) setDeps(owner int, touched []int32) {
-	if !ct.isOwner[owner] {
-		ct.isOwner[owner] = true
-		ct.owners = append(ct.owners, int32(owner))
-	}
-	ds := ct.depsOf[owner][:0]
-	ds = append(ds, touched...)
-	sortDedupIDs(&ds)
-	ct.depsOf[owner] = ds
-}
-
-// drop forgets an owner that no longer holds a recompute decision.
-func (ct *chainTracker) drop(owner int) {
-	if ct.isOwner[owner] {
-		ct.isOwner[owner] = false
-		for k, o := range ct.owners {
-			if int(o) == owner {
-				ct.owners = append(ct.owners[:k], ct.owners[k+1:]...)
-				break
-			}
-		}
-		ct.depsOf[owner] = ct.depsOf[owner][:0]
-	}
-}
-
-// sortDedupIDs sorts ids ascending and removes duplicates in place.
-func sortDedupIDs(ids *[]int32) {
-	s := *ids
-	if len(s) < 2 {
-		return
-	}
-	slices.Sort(s)
-	w := 1
-	for i := 1; i < len(s); i++ {
-		if s[i] != s[w-1] {
-			s[w] = s[i]
-			w++
-		}
-	}
-	*ids = s[:w]
-}
-
 // availQuery is the allocation-free equivalent of availFn: the
 // availability predicate for recompute chains under plan p at backward
 // index r, answering from the planner's ID-indexed liveness arrays.
@@ -537,7 +397,7 @@ func (q availQuery) Avail(t *graph.Tensor) bool {
 		return true
 	case tensor.FeatureMap:
 		if !pl.tpSet[t.ID] || pl.tpMirror[t.ID].Opt == Reside {
-			return pl.genOf[t.ID] <= q.r && q.r <= pl.lastOf[t.ID]
+			return pl.firstOf[t.ID] <= q.r && q.r <= pl.lastOf[t.ID]
 		}
 		// A micro-restored tensor only ever returns in fragments
 		// streamed into its split consumer; chains may not pull it
@@ -581,10 +441,10 @@ type ChainWalker struct {
 	failed *graph.Tensor // the producer-less source of the last errChainNoProducer
 }
 
-// newChainWalker sizes the visited set for op IDs up to maxOpID; a
-// walk that meets a larger ID grows it.
-func newChainWalker(maxOpID int) *ChainWalker {
-	return &ChainWalker{seen: make([]int, maxOpID+1)}
+// newChainWalker sizes the visited set for nOps op IDs; a walk that
+// meets a larger ID grows it.
+func newChainWalker(nOps int) *ChainWalker {
+	return &ChainWalker{seen: make([]int, nOps)}
 }
 
 // walkChain is WalkChain with the planner's sentinel errors. When
@@ -642,62 +502,53 @@ type planDelta struct {
 }
 
 // noteChanges propagates a committed decision into the incremental
-// state: changed tensors are re-applied to the curve and dirty-checked
-// against every recorded chain dependency set, changed ops get their
-// footprint adjustment recomputed, tensors that now hold a recompute
-// decision are marked for (re-)derivation so their dependency sets
-// register, and the candidate index drops everything the commit could
-// have re-priced.
+// state: changed tensors are re-applied to the curve and handed to the
+// candidate index, which drops everything the commit could have
+// re-priced and marks stale every chain that queried them, committed
+// recompute chains included; a tensor that now holds a recompute
+// decision is marked for (re-)derivation so its dependency set
+// registers; changed ops get their footprint adjustment recomputed.
 func (pl *Planner) noteChanges(d planDelta) {
 	for _, t := range d.tensors {
 		pl.curve.update(t)
-		pl.ct.noteChanged(t.ID)
+		pl.ci.noteTensorPlanChanged(t.ID)
 		if pl.tpSet[t.ID] && pl.tpMirror[t.ID].Opt == Recompute {
-			pl.ct.markDirty(t.ID)
-		}
-		if pl.ci != nil && pl.ci.active {
-			pl.ci.noteTensorPlanChanged(t.ID)
+			pl.ci.chainStale[t.ID] = true
 		}
 	}
 	for _, op := range d.ops {
-		pl.curve.setAdj(pl.opIdx[op.ID], pl.ms.opFootprintAdjustment(op, pl.plan))
-		if pl.ci != nil && pl.ci.active {
-			pl.ci.noteSplitChanged(pl.opIdx[op.ID])
-		}
+		pl.curve.setAdj(pl.opPos[op.ID], pl.ms.opFootprintAdjustment(op, pl.plan))
+		pl.ci.noteSplitChanged(pl.opPos[op.ID])
 	}
 }
 
 // refreshChainsDirty is the incremental counterpart of refreshChains:
-// it re-derives only the chains whose queried dependency set
-// intersects the tensors changed since the last iteration. Chains
-// whose dependencies are untouched would re-derive identically, so
-// skipping them cannot diverge from the serial full refresh. It
-// returns the number of chains actually re-derived — planner
-// introspection reports it against the tracked-chain count to quantify
-// the incremental saving.
+// it re-derives only the committed recompute chains marked stale since
+// the last iteration — a chain whose queried dependencies are
+// untouched would re-derive identically, so skipping it cannot diverge
+// from the serial full refresh. A committed chain is registered in the
+// candidate index's reverse dependency registry under its tensor's ID,
+// which a planned tensor no longer uses as a candidate, so the index's
+// invalidation marks it exactly as it marks a candidate's chain. Chains
+// are re-derived in ascending ID order (recomputeIDs): each walk is
+// independent, but curve.update touches shared state. It returns the
+// number of chains re-derived — planner introspection reports it
+// against the committed count to quantify the incremental saving.
 func (pl *Planner) refreshChainsDirty() int {
-	ct := pl.ct
-	if len(ct.dirtyList) == 0 {
-		return 0
-	}
-	owners := ct.dirtyList
-	// Re-derive in ID order: each walk is independent, but curve.update
-	// touches shared state and the obs counters should not depend on
-	// mark order.
-	slices.Sort(owners)
+	ci := pl.ci
 	rederived := 0
-	for _, id32 := range owners {
+	for _, id32 := range pl.recomputeIDs {
 		id := int(id32)
-		ct.dirty[id] = false
-		if !pl.tpSet[id] || pl.tpMirror[id].Opt != Recompute {
-			ct.drop(id)
+		if !ci.chainStale[id] {
 			continue
 		}
-		tp := pl.tpMirror[id]
+		ci.chainStale[id] = false
+		ci.depEpoch[id]++
 		rederived++
+		tp := pl.tpMirror[id]
 		pl.touchScratch = pl.touchScratch[:0]
 		chain, err := walkChain(pl.walker, tp.Tensor, availQuery{pl, tp.RestoreAt}, len(pl.G.Ops), &pl.touchScratch)
-		ct.setDeps(id, pl.touchScratch)
+		ci.registerDeps(id32, pl.touchScratch)
 		if err != nil {
 			continue // as refreshChains: keep the last estimate
 		}
@@ -707,6 +558,5 @@ func (pl *Planner) refreshChainsDirty() int {
 			pl.curve.update(tp.Tensor)
 		}
 	}
-	ct.dirtyList = ct.dirtyList[:0]
 	return rederived
 }

@@ -25,13 +25,7 @@ func TestIncrementalCurveMatchesFullRebuild(t *testing.T) {
 		tb := newTestbed(t, model, models.Config{BatchSize: 8})
 		ms := NewMemSim(tb.g, tb.sched, tb.lv)
 		plan := NewPlan("prop", tb.dev)
-		maxID := 0
-		for _, x := range tb.g.Tensors {
-			if x.ID > maxID {
-				maxID = x.ID
-			}
-		}
-		curve := newMemCurve(ms, maxID)
+		curve := newMemCurve(ms)
 		curve.reset(plan)
 		rng := rand.New(rand.NewSource(42))
 
@@ -130,13 +124,7 @@ func TestBottleneckResumeMatchesFullScan(t *testing.T) {
 			tb := newTestbed(t, model, models.Config{BatchSize: 8})
 			ms := NewMemSim(tb.g, tb.sched, tb.lv)
 			plan := NewPlan("prop", tb.dev)
-			maxID := 0
-			for _, x := range tb.g.Tensors {
-				if x.ID > maxID {
-					maxID = x.ID
-				}
-			}
-			curve := newMemCurve(ms, maxID)
+			curve := newMemCurve(ms)
 			curve.reset(plan)
 			_, basePeak, _ := ms.Curve(plan)
 			cap := basePeak * capPct / 100
@@ -234,8 +222,9 @@ func TestOptionsWithDefaultsIdempotent(t *testing.T) {
 
 // TestDirtyChainRefreshMatchesFull plans a real workload on the
 // incremental path, then re-derives every recompute chain with the
-// serial full refresh and checks no estimate changes — i.e. the dirty
-// tracker never skipped a chain whose dependencies had changed.
+// serial full refresh and checks no estimate changes — i.e. the chain
+// registry never left a committed chain unmarked after one of its
+// dependencies changed.
 func TestDirtyChainRefreshMatchesFull(t *testing.T) {
 	tb := newTestbed(t, "bert-large", models.Config{BatchSize: 8})
 	capacity := tb.lv.Peak * 55 / 100

@@ -24,27 +24,17 @@ type MemSim struct {
 
 // NewMemSim builds the simulator from a graph and its schedule.
 func NewMemSim(g *graph.Graph, sched *graph.Schedule, lv *graph.Liveness) *MemSim {
-	ms := &MemSim{G: g, Sched: sched, Lv: lv}
-	maxT, maxO := 0, 0
-	for _, t := range g.Tensors {
-		if t.ID > maxT {
-			maxT = t.ID
-		}
+	ms := &MemSim{
+		G: g, Sched: sched, Lv: lv,
+		firstOf: make([]int, len(g.Tensors)),
+		lastOf:  make([]int, len(g.Tensors)),
+		opPos:   make([]int, len(g.Ops)),
 	}
-	for _, op := range g.Ops {
-		if op.ID > maxO {
-			maxO = op.ID
-		}
-	}
-	ms.firstOf = make([]int, maxT+1)
-	ms.lastOf = make([]int, maxT+1)
 	for _, t := range g.Tensors {
 		ms.firstOf[t.ID] = lv.FirstUse[t]
 		ms.lastOf[t.ID] = lv.LastUse[t]
 	}
-	ms.opPos = make([]int, maxO+1)
-	//lint:allow maporder — each op writes its own slot; order cannot matter
-	for op, i := range sched.Index {
+	for i, op := range sched.Ops {
 		ms.opPos[op.ID] = i
 	}
 	return ms
@@ -66,9 +56,9 @@ func (ms *MemSim) residency(t *graph.Tensor, p *Plan) []span {
 
 // residencyInto is residency appending into a caller-owned buffer, so
 // the incremental memory curve can re-derive a tensor's spans without
-// allocating (see memCurve.contributionsInto). A non-nil look replaces
-// the p.Tensors map read with an O(1) array mirror lookup (the
-// planner's tpMirror) — it must answer exactly what p.Tensors holds.
+// allocating (see chargesInto). A non-nil look replaces the p.Tensors
+// map read with an O(1) array mirror lookup (the planner's tpMirror) —
+// it must answer exactly what p.Tensors holds.
 func (ms *MemSim) residencyInto(t *graph.Tensor, p *Plan, look func(id int) (TensorPlan, bool), buf []span) []span {
 	n := len(ms.Sched.Ops)
 	first := ms.firstOf[t.ID]
@@ -115,13 +105,7 @@ func (ms *MemSim) residencyInto(t *graph.Tensor, p *Plan, look func(id int) (Ten
 		}
 	}
 
-	var tp TensorPlan
-	var ok bool
-	if look != nil {
-		tp, ok = look(t.ID)
-	} else {
-		tp, ok = p.Tensors[t.ID]
-	}
+	tp, ok := entryOf(t.ID, p, look)
 	if !ok || tp.Opt == Reside {
 		return append(buf, span{first, last, b})
 	}
@@ -150,25 +134,44 @@ func (ms *MemSim) residencyInto(t *graph.Tensor, p *Plan, look func(id int) (Ten
 	return buf
 }
 
+// entryOf answers p.Tensors[id], through look when it is non-nil.
+func entryOf(id int, p *Plan, look func(id int) (TensorPlan, bool)) (TensorPlan, bool) {
+	if look != nil {
+		return look(id)
+	}
+	tp, ok := p.Tensors[id]
+	return tp, ok
+}
+
+// chargesInto appends everything tensor t charges to the memory curve
+// under the plan: its residency spans plus, for a recompute decision
+// with a transient estimate, a one-index span at every backward
+// consumer, where the chain re-runs and its intermediates occupy the
+// device. Curve and the planner's incremental memCurve both charge
+// through it; look is as for residencyInto.
+func (ms *MemSim) chargesInto(t *graph.Tensor, p *Plan, look func(id int) (TensorPlan, bool), buf []span) []span {
+	buf = ms.residencyInto(t, p, look, buf)
+	if tp, ok := entryOf(t.ID, p, look); ok && tp.Opt == Recompute && tp.ChainBytes > 0 {
+		for _, c := range t.Consumers {
+			if u := ms.opPos[c.ID]; u >= tp.RestoreAt {
+				buf = append(buf, span{u, u, tp.ChainBytes})
+			}
+		}
+	}
+	return buf
+}
+
 // Curve returns the memory requirement at every schedule index under
 // the plan, the peak, and its index.
 func (ms *MemSim) Curve(p *Plan) (memAt []int64, peak int64, peakIdx int) {
 	n := len(ms.Sched.Ops)
 	delta := make([]int64, n+1)
+	var spans []span
 	for _, t := range ms.G.Tensors {
-		for _, iv := range ms.residency(t, p) {
+		spans = ms.chargesInto(t, p, nil, spans[:0])
+		for _, iv := range spans {
 			delta[iv.a] += iv.bytes
 			delta[iv.b+1] -= iv.bytes
-		}
-		if tp, ok := p.Tensors[t.ID]; ok && tp.Opt == Recompute && tp.ChainBytes > 0 {
-			// Each backward consumer re-runs the chain; its transient
-			// intermediates occupy the device at that point.
-			for _, c := range t.Consumers {
-				if u := ms.opPos[c.ID]; u >= tp.RestoreAt {
-					delta[u] += tp.ChainBytes
-					delta[u+1] -= tp.ChainBytes
-				}
-			}
 		}
 	}
 	memAt = make([]int64, n)

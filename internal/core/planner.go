@@ -144,7 +144,7 @@ func (o Options) withDefaults(dev device.Device) Options {
 // device.
 //
 // A planner is reusable: every Plan() call resets the pooled per-run
-// state (occupancy, curve, chain tracker, candidate index) in place,
+// state (occupancy, curve, candidate index) in place,
 // so steady-state planning allocates almost nothing (see PlannerPool
 // and DESIGN.md §7). A planner is not safe for concurrent use.
 type Planner struct {
@@ -169,21 +169,20 @@ type Planner struct {
 	// --- incremental planning state (see incremental.go, candindex.go) ---
 
 	curve *memCurve
-	ct    *chainTracker
 	ci    *candIndex
 	// ID-indexed mirrors of the liveness/schedule maps: the scoring
 	// loops run millions of lookups per plan and array indexing is
-	// several times cheaper than map access.
-	genOf       []int   // Lv.FirstUse by tensor ID
-	lastOf      []int   // Lv.LastUse by tensor ID
-	usesOf      [][]int // sorted consumer schedule indices by tensor ID
-	opIdx       []int   // schedule position by op ID
-	walker      *ChainWalker
-	maxTensorID int
+	// several times cheaper than map access. firstOf, lastOf and opPos
+	// alias the MemSim's arrays (one set, one index step).
+	firstOf []int   // Lv.FirstUse by tensor ID
+	lastOf  []int   // Lv.LastUse by tensor ID
+	usesOf  [][]int // sorted consumer schedule indices by tensor ID
+	opPos   []int   // schedule position by op ID
+	walker  *ChainWalker
 	// graphGen is the graph generation the arenas were derived for.
 	graphGen uint64
 	// touchScratch collects the tensor IDs a chain walk queried — the
-	// dependency set the chain tracker and candidate index register.
+	// dependency set the candidate index registers.
 	touchScratch []int32
 	// tpMirror/tpSet mirror plan.Tensors by tensor ID during a run:
 	// availability probes and split scoring run hundreds of thousands
@@ -216,10 +215,11 @@ type Planner struct {
 	statRederived int64
 	statSkipped   int64
 	statRescored  int64
-	// nRecompute counts committed recompute decisions — the number of
-	// chains the refresh passes are responsible for.
-	nRecompute int
-	statStart  time.Time
+	// recomputeIDs lists the tensors holding a committed recompute
+	// decision, ascending — the chains the refresh passes are
+	// responsible for.
+	recomputeIDs []int32
+	statStart    time.Time
 	// runSpan is the root span of the run in flight; phase spans
 	// attach under it (including from candindex.go). Nil whenever
 	// Options.Trace is nil — the nil-span no-op path.
@@ -266,12 +266,11 @@ func (pl *Planner) derive() {
 		pl.ms = NewMemSim(pl.G, pl.Sched, pl.Lv)
 		pl.initAccel()
 		pl.occ = profiler.NewOccupancy(pl.Prof)
-		pl.curve = newMemCurve(pl.ms, pl.maxTensorID)
+		pl.curve = newMemCurve(pl.ms)
 		// Route the curve's plan-entry reads through the tpMirror
 		// arrays: same answers as plan.Tensors, no map hashing on the
 		// span re-derivation hot path.
 		pl.curve.look = pl.tensorPlanByID
-		pl.ct = newChainTracker(pl.maxTensorID)
 		pl.ci = newCandIndex(pl)
 	}
 	pl.graphGen = gen
@@ -281,23 +280,12 @@ func (pl *Planner) derive() {
 }
 
 // initAccel precomputes the ID-indexed lookup arrays and the reusable
-// chain walker.
+// chain walker. IDs are dense (graph.Graph.Tensors), so every array is
+// sized by the graph.
 func (pl *Planner) initAccel() {
-	maxT, maxO := 0, 0
-	for _, t := range pl.G.Tensors {
-		if t.ID > maxT {
-			maxT = t.ID
-		}
-	}
-	for _, op := range pl.G.Ops {
-		if op.ID > maxO {
-			maxO = op.ID
-		}
-	}
-	pl.maxTensorID = maxT
-	pl.genOf = make([]int, maxT+1)
-	pl.lastOf = make([]int, maxT+1)
-	pl.usesOf = make([][]int, maxT+1)
+	nT := len(pl.G.Tensors)
+	pl.firstOf, pl.lastOf, pl.opPos = pl.ms.firstOf, pl.ms.lastOf, pl.ms.opPos
+	pl.usesOf = make([][]int, nT)
 	// The usesOf rows are carved from one array sized by the total
 	// consumer count; the 3-index slices keep any row from growing into
 	// the next.
@@ -307,20 +295,14 @@ func (pl *Planner) initAccel() {
 	}
 	all := make([]int, 0, nUses)
 	for _, t := range pl.G.Tensors {
-		pl.genOf[t.ID] = pl.Lv.FirstUse[t]
-		pl.lastOf[t.ID] = pl.Lv.LastUse[t]
 		start := len(all)
 		all = appendUses(all, t, pl.Sched)
 		pl.usesOf[t.ID] = all[start:len(all):len(all)]
 	}
-	pl.opIdx = make([]int, maxO+1)
-	for i, op := range pl.Sched.Ops {
-		pl.opIdx[op.ID] = i
-	}
-	pl.walker = newChainWalker(maxO)
-	pl.swapStallOf = make([]float64, maxT+1)
-	pl.tpMirror = make([]TensorPlan, maxT+1)
-	pl.tpSet = make([]bool, maxT+1)
+	pl.walker = newChainWalker(len(pl.G.Ops))
+	pl.swapStallOf = make([]float64, nT)
+	pl.tpMirror = make([]TensorPlan, nT)
+	pl.tpSet = make([]bool, nT)
 }
 
 // putTensorPlan commits a tensor's plan entry to both the plan map and
@@ -354,7 +336,7 @@ func (pl *Planner) tensorPlanByID(id int) (TensorPlan, bool) {
 // scoring buffers. The decision payload replaces the old
 // apply-closure: committing is a planner method (applyCandidate) that
 // also reports which tensors and ops it changed, which the incremental
-// curve and chain tracker need.
+// curve and candidate index need.
 type candidate struct {
 	valid   bool
 	isSplit bool
@@ -405,7 +387,7 @@ func (pl *Planner) Plan() (*Plan, error) {
 // beginRun derives the arenas for the workload (derive) and resets all
 // per-run state in place: a fresh Plan (the only per-run allocation —
 // previously returned plans must stay valid) and the pooled
-// occupancy/curve/chain-tracker/candidate-index scratch.
+// occupancy/curve/candidate-index scratch.
 func (pl *Planner) beginRun() {
 	pl.derive()
 	pl.plan = NewPlan("tsplit", pl.Dev)
@@ -436,7 +418,7 @@ func (pl *Planner) beginRun() {
 	pl.extraTime = 0
 	pl.statIters, pl.statCands, pl.statRederived, pl.statSkipped = 0, 0, 0, 0
 	pl.statRescored = 0
-	pl.nRecompute = 0
+	pl.recomputeIDs = pl.recomputeIDs[:0]
 	pl.report = nil
 	if pl.Opts.Obs != nil {
 		pl.statStart = pl.Opts.Clock()
@@ -448,7 +430,6 @@ func (pl *Planner) beginRun() {
 		}
 	}
 	pl.curve.reset(pl.plan)
-	pl.ct.reset()
 	pl.ci.deactivate()
 }
 
@@ -486,7 +467,7 @@ func (pl *Planner) greedyIncremental() error {
 		}
 		rederived := pl.refreshChainsDirty()
 		pl.statRederived += int64(rederived)
-		if skipped := pl.nRecompute - rederived; skipped > 0 {
+		if skipped := len(pl.recomputeIDs) - rederived; skipped > 0 {
 			pl.statSkipped += int64(skipped)
 		}
 		var peak int64
@@ -551,7 +532,7 @@ func (pl *Planner) decisionRecord(iter, i int, over, peak int64, scored, rederiv
 		OverBytes: over, PeakBefore: peak,
 		Candidates: scored, Kind: decisionKind(c),
 		Ratio: c.ratio, DeltaTSeconds: c.deltaT, DeltaMBytes: c.deltaM,
-		ChainsRederived: rederived, ChainsTracked: pl.nRecompute,
+		ChainsRederived: rederived, ChainsTracked: len(pl.recomputeIDs),
 	}
 	if c.isSplit {
 		d.Op = c.split.Op.Name
@@ -662,7 +643,7 @@ func (pl *Planner) applyEvict(c *candidate) planDelta {
 	tp := TensorPlan{Tensor: t, Opt: c.opt, EvictAt: c.evictAt, RestoreAt: c.restoreAt, PrefetchAt: c.restoreAt}
 	if c.opt == Recompute {
 		tp.ChainBytes = c.chainBytes
-		pl.nRecompute++
+		pl.addRecompute(t.ID)
 	}
 	if c.opt == Swap {
 		pl.occ.Reserve(c.transfer, c.evictAt+1, c.pos-1)
@@ -684,6 +665,14 @@ func (pl *Planner) applyEvict(c *candidate) planDelta {
 	pl.putTensorPlan(t.ID, tp)
 	pl.deltaT1[0] = t
 	return planDelta{tensors: pl.deltaT1[:1]}
+}
+
+// addRecompute records a committed recompute decision in recomputeIDs,
+// keeping the list ascending. A tensor is planned at most once per run,
+// and a recompute decision never changes its option after.
+func (pl *Planner) addRecompute(id int) {
+	k, _ := slices.BinarySearch(pl.recomputeIDs, int32(id))
+	pl.recomputeIDs = slices.Insert(pl.recomputeIDs, k, int32(id))
 }
 
 func (pl *Planner) applySplit(c *candidate) planDelta {
@@ -724,7 +713,7 @@ func (pl *Planner) applySplit(c *candidate) planDelta {
 	if c.splitNew && c.inOpt != Reside && c.restoreAt >= 0 {
 		tp := TensorPlan{Tensor: c.in, Opt: c.inOpt, EvictAt: c.evictAt, RestoreAt: c.restoreAt, PrefetchAt: c.restoreAt}
 		if c.inOpt == Recompute {
-			pl.nRecompute++
+			pl.addRecompute(c.in.ID)
 		}
 		if c.inOpt == Swap {
 			transfer := pl.Prof.TransferTime(c.in.Bytes())
@@ -801,7 +790,7 @@ func (pl *Planner) splitInOpts(in *graph.Tensor, dim tensor.SplitDim, i int) []M
 		return inOptsReside
 	}
 	for _, c := range in.Consumers {
-		if u := pl.opIdx[c.ID]; u > i && c.Phase == graph.Forward {
+		if u := pl.opPos[c.ID]; u > i && c.Phase == graph.Forward {
 			return inOptsReside // still needed whole in the forward pass
 		}
 	}
@@ -820,9 +809,9 @@ func (pl *Planner) splitInOpts(in *graph.Tensor, dim tensor.SplitDim, i int) []M
 
 // --- ID-indexed fast equivalents of the candidates.go helpers ---
 
-// evictionWindowFast is evictionWindow answering from usesOf/genOf.
+// evictionWindowFast is evictionWindow answering from usesOf/firstOf.
 func (pl *Planner) evictionWindowFast(t *graph.Tensor, i int) (evictAt, restoreAt int, ok bool) {
-	first := pl.genOf[t.ID]
+	first := pl.firstOf[t.ID]
 	if first >= i { // not yet produced, or produced at the bottleneck
 		return 0, 0, false
 	}
@@ -880,7 +869,7 @@ func (pl *Planner) backwardUsesFast(t *graph.Tensor, restoreAt int) int {
 func (pl *Planner) chainCostFast(chain []*graph.Op) float64 {
 	var s float64
 	for _, op := range chain {
-		s += pl.Prof.T[pl.opIdx[op.ID]]
+		s += pl.Prof.T[pl.opPos[op.ID]]
 	}
 	return s
 }
@@ -918,7 +907,7 @@ func (pl *Planner) earlyOutPass() {
 			continue
 		}
 		_, totalSplit := pl.Prof.Cost.SplitTimes(prod, pnum)
-		pi := pl.opIdx[prod.ID]
+		pi := pl.opPos[prod.ID]
 		degrade := totalSplit - pl.Prof.T[pi]
 		if degrade < 0 {
 			degrade = 0

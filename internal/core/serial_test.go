@@ -13,9 +13,9 @@ import (
 // as written — a full chain refresh, a full memory-curve rebuild, a
 // front-to-back bottleneck scan and a full candidate rescan on every
 // iteration. It shares the commit path and the scoring arithmetic with
-// Plan() but none of the incremental machinery (memory curve, chain
-// tracker, candidate index), so byte-identical plans from the two are
-// an end-to-end check of that machinery
+// Plan() but none of the incremental machinery (memory curve,
+// candidate index and its chain registry), so byte-identical plans
+// from the two are an end-to-end check of that machinery
 // (TestPlannerSerialParallelEquivalence).
 
 // planSerial is Plan() with greedySerial in place of greedyIncremental.
@@ -56,7 +56,7 @@ func (pl *Planner) greedySerial() error {
 		rederived := pl.refreshChains()
 		memAt, peak, _ := pl.ms.Curve(pl.plan)
 		pl.statRederived += int64(rederived)
-		if skipped := pl.nRecompute - rederived; skipped > 0 {
+		if skipped := len(pl.recomputeIDs) - rederived; skipped > 0 {
 			pl.statSkipped += int64(skipped)
 		}
 		if pl.report != nil {
@@ -245,7 +245,7 @@ func (pl *Planner) scoreEvictInto(t *graph.Tensor, i int, c *candidate, wk *Chai
 	if opt == Recompute && swapT <= 4*recompT+1e-6 && pl.microRestorable(t, restoreAt) {
 		opt, dT = Swap, swapT
 	}
-	gen := pl.genOf[t.ID]
+	gen := pl.firstOf[t.ID]
 	if gen < 0 {
 		gen = 0
 	}
@@ -420,7 +420,7 @@ func (pl *Planner) scoreSplitConfigInto(op *graph.Op, i int, in, out *graph.Tens
 		// simply freed as consumed, no regeneration ever needed.
 	}
 
-	gen := pl.genOf[in.ID]
+	gen := pl.firstOf[in.ID]
 	if gen < 0 {
 		gen = 0
 	}

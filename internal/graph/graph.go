@@ -16,6 +16,10 @@ import (
 // simulator only read), until their owner rebatches them in place
 // (Template.Rebatch), which draws a new Generation.
 type Graph struct {
+	// Ops and Tensors are in creation order, and an ID is its index:
+	// Ops[i].ID == i and Tensors[i].ID == i (NewOp, NewTensor and
+	// Template.Rebatch keep it), so ID-indexed arrays are sized by
+	// len(Ops) and len(Tensors).
 	Ops     []*Op
 	Tensors []*Tensor
 

@@ -87,7 +87,7 @@ func baseName(path string) string {
 
 // addParamNames marks the function's parameters as exempt append
 // targets: a buffer received from the caller is the caller's to
-// recycle (the residencyInto/contributionsInto pattern).
+// recycle (the residencyInto/chargesInto pattern).
 func addParamNames(ft *ast.FuncType, names map[string]bool) {
 	if ft.Params == nil {
 		return

@@ -84,19 +84,35 @@ func (c Config) scaled(channels int) int {
 // Builder constructs a training graph for a config.
 type Builder func(Config) (*graph.Graph, error)
 
-var registry = map[string]Builder{}
+// zooMinImageSize is the smallest input resolution the zoo is sized
+// for; a model whose window ops collapse a larger image registers its
+// own, higher minimum.
+const zooMinImageSize = 32
 
-func register(name string, b Builder) { registry[name] = b }
+type model struct {
+	build    Builder
+	minImage int
+}
+
+var registry = map[string]model{}
+
+func register(name string, minImage int, b Builder) { registry[name] = model{b, minImage} }
 
 // Build constructs the named model. Known names: vgg16, vgg19,
-// resnet50, resnet101, inceptionv4, transformer.
+// resnet50, resnet101, inceptionv4, transformer, bert-large.
 func Build(name string, cfg Config) (*graph.Graph, error) {
-	b, ok := registry[name]
+	m, ok := registry[name]
 	if !ok {
 		return nil, fmt.Errorf("models: unknown model %q (have %v)", name, Names())
 	}
-	return b(cfg)
+	return m.build(cfg)
 }
+
+// MinImageSize returns the smallest Config.ImageSize the named model
+// builds at (0 for an unknown model). A window op of Inception-V4
+// collapses an image under 59 pixels; every other model reports the
+// zoo-wide floor of 32.
+func MinImageSize(name string) int { return registry[name].minImage }
 
 // Known reports whether name is a registered model, without the
 // allocation and sort Names pays.

@@ -180,3 +180,29 @@ func TestKnownMatchesNames(t *testing.T) {
 		}
 	}
 }
+
+// TestMinImageSize holds each model to its reported minimum: it builds
+// there (at batch 1 and 2) and, where a smaller size is still at or
+// above the zoo floor, fails one pixel below.
+func TestMinImageSize(t *testing.T) {
+	for _, name := range Names() {
+		floor := MinImageSize(name)
+		if floor < zooMinImageSize {
+			t.Fatalf("%s: minimum %d below the zoo floor %d", name, floor, zooMinImageSize)
+		}
+		for _, batch := range []int{1, 2} {
+			if _, err := Build(name, Config{BatchSize: batch, ImageSize: floor}); err != nil {
+				t.Errorf("%s at its minimum image size %d, batch %d: %v", name, floor, batch, err)
+			}
+			if floor-1 < zooMinImageSize {
+				continue
+			}
+			if _, err := Build(name, Config{BatchSize: batch, ImageSize: floor - 1}); err == nil {
+				t.Errorf("%s builds at image size %d, below its reported minimum %d", name, floor-1, floor)
+			}
+		}
+	}
+	if got := MinImageSize("alexnet"); got != 0 {
+		t.Errorf("MinImageSize of an unknown model = %d, want 0", got)
+	}
+}

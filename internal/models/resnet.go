@@ -8,10 +8,10 @@ import (
 )
 
 func init() {
-	register("resnet50", func(cfg Config) (*graph.Graph, error) {
+	register("resnet50", zooMinImageSize, func(cfg Config) (*graph.Graph, error) {
 		return buildResNet(cfg, []int{3, 4, 6, 3})
 	})
-	register("resnet101", func(cfg Config) (*graph.Graph, error) {
+	register("resnet101", zooMinImageSize, func(cfg Config) (*graph.Graph, error) {
 		return buildResNet(cfg, []int{3, 4, 23, 3})
 	})
 }

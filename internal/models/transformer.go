@@ -9,8 +9,8 @@ import (
 )
 
 func init() {
-	register("transformer", buildTransformer)
-	register("bert-large", func(cfg Config) (*graph.Graph, error) {
+	register("transformer", zooMinImageSize, buildTransformer)
+	register("bert-large", zooMinImageSize, func(cfg Config) (*graph.Graph, error) {
 		cfg.transformerDepth = 24
 		cfg.transformerHidden = 1024
 		cfg.transformerHeads = 16

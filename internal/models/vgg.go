@@ -8,8 +8,8 @@ import (
 )
 
 func init() {
-	register("vgg16", func(cfg Config) (*graph.Graph, error) { return buildVGG(cfg, vgg16Blocks) })
-	register("vgg19", func(cfg Config) (*graph.Graph, error) { return buildVGG(cfg, vgg19Blocks) })
+	register("vgg16", zooMinImageSize, func(cfg Config) (*graph.Graph, error) { return buildVGG(cfg, vgg16Blocks) })
+	register("vgg19", zooMinImageSize, func(cfg Config) (*graph.Graph, error) { return buildVGG(cfg, vgg19Blocks) })
 }
 
 // Per-block convolution counts; channel plans are shared.

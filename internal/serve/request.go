@@ -175,8 +175,12 @@ func validateRequest(req *PlanRequest) *httpError {
 	if c.ImageSize < 0 || c.ImageSize > MaxImageSize {
 		return errBadRequest("config.image_size %d out of range [0, %d]", c.ImageSize, MaxImageSize)
 	}
-	if c.ImageSize != 0 && c.ImageSize < 32 {
-		return errBadRequest("config.image_size %d below minimum 32", c.ImageSize)
+	if c.ImageSize != 0 && req.Model != "" {
+		// Refused before any build: a smaller image collapses one of the
+		// model's window ops partway through building its graph.
+		if floor := models.MinImageSize(req.Model); c.ImageSize < floor {
+			return errBadRequest("config.image_size %d below minimum %d for %s", c.ImageSize, floor, req.Model)
+		}
 	}
 	if c.SeqLen < 0 || c.SeqLen > MaxSeqLen {
 		return errBadRequest("config.seq_len %d out of range [0, %d]", c.SeqLen, MaxSeqLen)

@@ -14,6 +14,7 @@ import (
 
 	"tsplit/internal/core"
 	"tsplit/internal/obs"
+	"tsplit/internal/prep"
 )
 
 var update = flag.Bool("update", false, "rewrite golden response files")
@@ -294,7 +295,7 @@ func TestErrorResponses(t *testing.T) {
 		{"baseline with planner knobs", `{"model":"vgg16","options":{"policy":"vdnn-all","disable_split":true}}`, http.StatusBadRequest, "bad_request"},
 		{"every table policy is served", `{"model":"vgg16","options":{"policy":"tsplit-offload"}}`, http.StatusOK, ""},
 		{"infeasible", `{"model":"bert-large","config":{"batch_size":512},"device":"P100","options":{"capacity_bytes":1048576}}`, http.StatusUnprocessableEntity, "infeasible"},
-		{"image below the receptive field", `{"model":"inceptionv4","config":{"batch_size":2,"image_size":32}}`, http.StatusUnprocessableEntity, "unschedulable"},
+		{"image below the receptive field", `{"model":"inceptionv4","config":{"batch_size":2,"image_size":32}}`, http.StatusBadRequest, "bad_request"},
 		{"body too large", `{"model":"` + strings.Repeat("a", maxBodyBytes) + `"}`, http.StatusRequestEntityTooLarge, "payload_too_large"},
 		{"not POST", ``, http.StatusMethodNotAllowed, "method_not_allowed"},
 		{"draining", `{"model":"vgg16"}`, http.StatusServiceUnavailable, "draining"},
@@ -331,6 +332,34 @@ func TestErrorResponses(t *testing.T) {
 				})
 			}
 		})
+	}
+}
+
+// TestImageBelowModelMinimum pins the per-model image floor: a size
+// under the model's minimum is refused with a message naming it, and
+// before any graph is built; the minimum itself is planned.
+func TestImageBelowModelMinimum(t *testing.T) {
+	s := New(Config{})
+	for _, path := range []string{"/v1/plan", "/v1/peak"} {
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, httptest.NewRequest(http.MethodPost, path,
+			strings.NewReader(`{"model":"inceptionv4","config":{"batch_size":2,"image_size":40}}`)))
+		if w.Code != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400; body: %.200s", path, w.Code, w.Body.String())
+		}
+		const want = "config.image_size 40 below minimum 59 for inceptionv4"
+		if eb := decodeError(t, w); eb.Error.Code != "bad_request" || eb.Error.Message != want {
+			t.Fatalf("%s: error %q %q, want bad_request %q", path, eb.Error.Code, eb.Error.Message, want)
+		}
+	}
+	if got := s.Metrics().Counter(prep.GraphBuilds); got != 0 {
+		t.Fatalf("refused requests built %d graphs", got)
+	}
+	if w := postPlan(t, s, `{"model":"inceptionv4","config":{"batch_size":2,"image_size":59}}`); w.Code != http.StatusOK {
+		t.Fatalf("image size 59: status %d; body: %.200s", w.Code, w.Body.String())
+	}
+	if got := s.Metrics().Counter(prep.GraphBuilds); got == 0 {
+		t.Fatal("the accepted request built no graph: the counter does not see builds")
 	}
 }
 
