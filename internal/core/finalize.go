@@ -11,11 +11,10 @@ import (
 )
 
 // finalizeScratch is FinalizeWindows' working storage: the occupancy
-// tracker with the profile it tracks, the decision IDs, the use points,
-// the chain sources' availability and the chain walker. Calls borrow
-// one from finalizers, so a sweep's baseline plans stop allocating it.
+// tracker, the decision IDs, the use points, the chain sources'
+// availability and the chain walker. Calls borrow one from finalizers,
+// so a sweep's baseline plans stop allocating it.
 type finalizeScratch struct {
-	prof   *profiler.Profile
 	occ    *profiler.Occupancy
 	ids    []int
 	points []int
@@ -26,13 +25,13 @@ type finalizeScratch struct {
 var finalizers = sync.Pool{New: func() any { return new(finalizeScratch) }}
 
 // occupancy returns an empty tracker for prof: the scratch's own,
-// retimed (the profile may have been refreshed in place since), when it
-// last tracked prof, or a new one.
+// retargeted (a profile may also have been refreshed in place since),
+// or a new one.
 func (fs *finalizeScratch) occupancy(prof *profiler.Profile) *profiler.Occupancy {
-	if fs.prof != prof {
-		fs.prof, fs.occ = prof, profiler.NewOccupancy(prof)
+	if fs.occ == nil {
+		fs.occ = profiler.NewOccupancy(prof)
 	} else {
-		fs.occ.Retime()
+		fs.occ.Retarget(prof)
 	}
 	return fs.occ
 }

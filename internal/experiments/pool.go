@@ -12,9 +12,12 @@ import (
 // every experiment in this package: tsplit_experiments_cells_total and
 // the tsplit_experiments_cell_seconds histogram, one count and one
 // sample per forEach unit, tsplit_experiments_graph_builds_total, one
-// count per model graph built, and
+// count per model graph built,
 // tsplit_experiments_workload_slots_total, one count per workload slot
-// allocated (prep.Templates). The Registry is thread-safe, so the
+// allocated (prep.Templates), and
+// tsplit_experiments_planner_arenas_total, one count per planner a
+// template set builds rather than adopts from the process's spare
+// list. The Registry is thread-safe, so the
 // parallel sweeps record into it concurrently.
 var Obs obs.Recorder
 
@@ -39,8 +42,9 @@ var Trace *obs.Tracer
 // The cell counter and the "experiments.cell" span therefore count
 // workloads prepared, not (model, policy) table cells; the graph-build
 // counter (buildGraph and the template sets) counts the models.Build
-// calls behind them, and the slot counter the cold graphs and
-// planners. Each unit writes its results into slots no other unit
+// calls behind them, the slot counter the cold graphs, and the arena
+// counter the cold planners, which a search after the process's first
+// no longer builds. Each unit writes its results into slots no other unit
 // writes, so the assembled tables and figures are identical to a
 // sequential sweep regardless of completion order.
 

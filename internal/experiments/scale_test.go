@@ -229,3 +229,34 @@ func TestTable4WorkloadSlots(t *testing.T) {
 		t.Fatalf("Table IV search allocated %d workload slots, want %d", got, want)
 	}
 }
+
+// TestTable4PlannerReuse counts the cold planners behind the Table IV
+// search. Its template set goes with it, but the planners its slots
+// borrowed stay on the process's spare list: on one worker, a second
+// search in the process adopts them all and builds none, and answers
+// the same table. On two workers, no configuration lists more than two
+// spares afterwards: one per slot the search had in use at once.
+func TestTable4PlannerReuse(t *testing.T) {
+	old := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(old)
+	reg := obs.NewRegistry()
+	Obs = reg
+	defer func() { Obs = nil }()
+	first := Table4MaxSampleScale(device.TitanRTX, 64)
+	built := reg.Counter(prep.PlannerArenas)
+	second := Table4MaxSampleScale(device.TitanRTX, 64)
+	if got := reg.Counter(prep.PlannerArenas) - built; got != 0 {
+		t.Fatalf("the second Table IV search built %d planners, want 0", got)
+	}
+	if !reflect.DeepEqual(first, second) {
+		t.Fatalf("the second search answered another table:\n%s\nwant\n%s", second.Render(), first.Render())
+	}
+
+	runtime.GOMAXPROCS(2)
+	Table4MaxSampleScale(device.TitanRTX, 64)
+	for _, m := range EvalModels {
+		if n := prep.SparePlanners(m, models.Config{}, device.TitanRTX); n > 2 {
+			t.Errorf("%s: %d spare planners after a search on 2 workers, want at most 2", m, n)
+		}
+	}
+}

@@ -125,16 +125,18 @@ func (g *Graph) feature(name string, shape tensor.Shape, dt tensor.DType) *Tenso
 func (g *Graph) Err() error { return g.err }
 
 // convOut returns the spatial output extent for the window op name,
-// recording a collapsed extent as the graph's error.
+// recording a collapsed extent as the graph's error: a window larger
+// than its padded input collapses, as frameworks reject it, though
+// truncating division would give it extent 1 when the gap is below the
+// stride.
 func (g *Graph) convOut(name string, in, kernel, stride, pad int) int {
-	out := (in+2*pad-kernel)/stride + 1
-	if out <= 0 {
+	if in+2*pad < kernel {
 		if g.err == nil {
 			g.err = fmt.Errorf("graph: window op %s collapses extent %d (k=%d s=%d p=%d)", name, in, kernel, stride, pad)
 		}
 		return 1
 	}
-	return out
+	return (in+2*pad-kernel)/stride + 1
 }
 
 // Conv2D applies a square-kernel 2-D convolution with its own weight

@@ -123,6 +123,24 @@ func TestCollapsedWindowIsAnError(t *testing.T) {
 	}
 }
 
+// TestWindowLargerThanPaddedInput: a 3×3 window of stride 2 and no
+// padding over a 2×2 input is larger than its input by less than the
+// stride, which truncating division would build as extent 1; it
+// collapses instead, and a window that fits exactly still builds.
+func TestWindowLargerThanPaddedInput(t *testing.T) {
+	g := New()
+	x := g.Input("x", tensor.NewShape(1, 3, 2, 2), tensor.Float32)
+	g.Conv2D("c", x, 4, 3, 2, 0)
+	if g.Err() == nil || !strings.Contains(g.Err().Error(), "window op c collapses extent 2 (k=3 s=2 p=0)") {
+		t.Fatalf("Err() = %v, want op c's collapse", g.Err())
+	}
+	g = New()
+	x = g.Input("x", tensor.NewShape(1, 3, 3, 3), tensor.Float32)
+	if y := g.Conv2D("c", x, 4, 3, 2, 0); g.Err() != nil || !y.Shape.Equal(tensor.NewShape(1, 4, 1, 1)) {
+		t.Fatalf("3×3 window over 3×3 input: shape %v, err %v", y.Shape, g.Err())
+	}
+}
+
 func TestOptimizerStates(t *testing.T) {
 	for _, tc := range []struct {
 		opt  Optimizer

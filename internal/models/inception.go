@@ -8,7 +8,7 @@ import (
 )
 
 func init() {
-	register("inceptionv4", 59, buildInceptionV4)
+	register("inceptionv4", 75, buildInceptionV4)
 }
 
 // incCtx threads the graph and scale config through the many helper

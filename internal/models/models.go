@@ -109,9 +109,9 @@ func Build(name string, cfg Config) (*graph.Graph, error) {
 }
 
 // MinImageSize returns the smallest Config.ImageSize the named model
-// builds at (0 for an unknown model). A window op of Inception-V4
-// collapses an image under 59 pixels; every other model reports the
-// zoo-wide floor of 32.
+// builds at (0 for an unknown model). A window of Inception-V4 is
+// larger than its padded input for an image under 75 pixels; every
+// other model reports the zoo-wide floor of 32.
 func MinImageSize(name string) int { return registry[name].minImage }
 
 // Known reports whether name is a registered model, without the

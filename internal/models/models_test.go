@@ -145,15 +145,15 @@ func TestUnknownModel(t *testing.T) {
 }
 
 // TestImageTooSmallIsAnError: an image smaller than a network's
-// receptive field is a build error, not a panic. Inception-v4's stem
-// shrinks 32 and 48 pixels to nothing; every other model builds at
-// both, and at 64.
+// receptive field is a build error, not a panic. Inception-v4
+// collapses 32, 48 and 64 pixels (its minimum is 75); every other
+// model builds at all three.
 func TestImageTooSmallIsAnError(t *testing.T) {
 	for _, name := range Names() {
 		for _, size := range []int{32, 48, 64} {
 			for _, fwd := range []bool{false, true} {
 				g, err := Build(name, Config{BatchSize: 2, ImageSize: size, ForwardOnly: fwd})
-				if name == "inceptionv4" && size < 64 {
+				if size < MinImageSize(name) {
 					if err == nil || g != nil || !strings.Contains(err.Error(), "collapses extent") {
 						t.Errorf("%s at %d px (forward-only %v): graph %v, err %v; want a collapse error", name, size, fwd, g != nil, err)
 					}
@@ -201,6 +201,15 @@ func TestMinImageSize(t *testing.T) {
 				t.Errorf("%s builds at image size %d, below its reported minimum %d", name, floor-1, floor)
 			}
 		}
+	}
+	// A window larger than its padded input collapses (graph.convOut),
+	// which moves Inception-v4's floor from the 59 that truncating
+	// division allowed to 75.
+	if got := MinImageSize("inceptionv4"); got != 75 {
+		t.Errorf("MinImageSize(inceptionv4) = %d, want 75", got)
+	}
+	if _, err := Build("inceptionv4", Config{BatchSize: 2, ImageSize: 74}); err == nil {
+		t.Error("inceptionv4 builds at image size 74")
 	}
 	if got := MinImageSize("alexnet"); got != 0 {
 		t.Errorf("MinImageSize of an unknown model = %d, want 0", got)

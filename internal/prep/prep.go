@@ -64,9 +64,10 @@ func (p *Prepared) fill(name string, cfg models.Config, dev device.Device) {
 
 // Plan plans the workload under opts on a planner borrowed from
 // Planners, and returns the plan with its report (nil unless
-// opts.CollectReport).
+// opts.CollectReport). A slot of a Templates set whose pool is empty
+// adopts a spare planner first (spares.go).
 func (p *Prepared) Plan(opts core.Options) (*core.Plan, *core.PlanReport, error) {
-	pl := p.Planners.Get(opts)
+	pl := p.planner(opts)
 	defer p.Planners.Put(pl)
 	plan, err := pl.Plan()
 	if err != nil {

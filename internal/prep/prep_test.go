@@ -1,6 +1,8 @@
 package prep
 
 import (
+	"bytes"
+	"fmt"
 	"slices"
 	"testing"
 
@@ -204,4 +206,122 @@ func TestRunPolicyLoop(t *testing.T) {
 			t.Fatalf("b%d at %d%%: the ladder's plan runs: %v, want %v", c.batch, c.pct, err == nil, c.fits)
 		}
 	}
+}
+
+// TestAdoptedPlannerCarriesNoHistory follows one planner across
+// template sets for every zoo model: it plans batches 8 and 24 in one
+// set's slot, goes to the spare list when the slot is released, and is
+// adopted by the next set's slot at batch 16, where its plan and
+// report must equal a fresh planner's at three budgets, and the set
+// builds no planner. A slot of another configuration (ParamScale 1.5)
+// is refused the spare: its set builds its own, plans as a fresh one
+// does, and the spare stays listed. No configuration ever lists more
+// planners than were borrowed at once, one here.
+func TestAdoptedPlannerCarriesNoHistory(t *testing.T) {
+	spares.mu.Lock()
+	clear(spares.m)
+	spares.mu.Unlock()
+	dev := device.TitanRTX
+	for _, model := range models.Names() {
+		reg := obs.NewRegistry()
+		first := NewTemplates(dev, reg)
+		var pl *core.Planner
+		for _, b := range []int{8, 24} {
+			p := prepare(t, first, model, models.Config{BatchSize: b})
+			matchFresh(t, p, 60, fmt.Sprintf("%s first set, batch %d", model, b))
+			pl = borrowed(p)
+			p.Release()
+		}
+		if got := reg.Counter(PlannerArenas); got != 1 {
+			t.Fatalf("%s: the first set built %d planners, want 1", model, got)
+		}
+		if n := SparePlanners(model, models.Config{}, dev); n != 1 {
+			t.Fatalf("%s: %d spare planners after the first set, want 1", model, n)
+		}
+
+		reg = obs.NewRegistry()
+		p := prepare(t, NewTemplates(dev, reg), model, models.Config{BatchSize: 16})
+		for _, pct := range []int64{50, 65, 80} {
+			matchFresh(t, p, pct, fmt.Sprintf("%s adopted at batch 16", model))
+		}
+		if borrowed(p) != pl {
+			t.Fatalf("%s: the second set's slot did not adopt the spare planner", model)
+		}
+		if got := reg.Counter(PlannerArenas); got != 0 {
+			t.Fatalf("%s: the second set built %d planners, want 0", model, got)
+		}
+		p.Release()
+
+		reg = obs.NewRegistry()
+		wide := models.Config{BatchSize: 16, ParamScale: 1.5}
+		p = prepare(t, NewTemplates(dev, reg), model, wide)
+		matchFresh(t, p, 65, fmt.Sprintf("%s at param scale 1.5", model))
+		if borrowed(p) == pl || reg.Counter(PlannerArenas) != 1 {
+			t.Fatalf("%s: a param-scale-1.5 slot took the scale-1 spare", model)
+		}
+		p.Release()
+		for _, cfg := range []models.Config{{}, wide} {
+			if n := SparePlanners(model, cfg, dev); n != 1 {
+				t.Fatalf("%s: %d spare planners at param scale %g, want 1", model, n, cfg.ParamScale)
+			}
+		}
+	}
+}
+
+func prepare(t *testing.T, ts *Templates, model string, cfg models.Config) *Prepared {
+	t.Helper()
+	p, err := ts.Prepare(model, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// borrowed returns the planner p's last Plan used, which its pool
+// holds, and leaves it there.
+func borrowed(p *Prepared) *core.Planner {
+	pl := p.Planners.Take()
+	p.Planners.Put(pl)
+	return pl
+}
+
+// matchFresh plans p through its slot and on a fresh planner, with
+// pct % of the memory above what no decision can move (inputs,
+// parameters, optimizer state), and fails unless the plans, reports
+// and errors are equal.
+func matchFresh(t *testing.T, p *Prepared, pct int64, where string) {
+	t.Helper()
+	var floor int64
+	for _, x := range p.G.Tensors {
+		if x.Producer == nil {
+			floor += x.Bytes()
+		}
+	}
+	opts := core.Options{Capacity: floor + (p.Lv.Peak-floor)*pct/100, FragmentationReserve: -1, CollectReport: true}
+	fresh := core.NewPlanner(p.G, p.Sched, p.Lv, p.Prof, p.Dev, opts)
+	wantPlan, wantErr := fresh.Plan()
+	want := outcome(t, wantPlan, fresh.Report(), wantErr)
+	plan, report, err := p.Plan(opts)
+	if err != nil {
+		plan = wantPlan // Plan returns no partial plan; the error must still match
+	}
+	if got := outcome(t, plan, report, err); got != want {
+		t.Fatalf("%s at %d%% of peak: slot planner diverged from a fresh one\n--- slot ---\n%s\n--- fresh ---\n%s", where, pct, got, want)
+	}
+}
+
+func outcome(t *testing.T, plan *core.Plan, report *core.PlanReport, err error) string {
+	t.Helper()
+	var b bytes.Buffer
+	if err := core.ExportJSON(&b, plan); err != nil {
+		t.Fatal(err)
+	}
+	if err != nil {
+		// A failed Plan returns no report.
+		return b.String() + "error: " + err.Error()
+	}
+	if err := report.WriteJSON(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
 }

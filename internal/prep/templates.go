@@ -9,11 +9,13 @@ import (
 	"tsplit/internal/obs"
 )
 
-// The counters a template records: graphs built and slots allocated.
-// Its users count their fresh builds under GraphBuilds too.
+// The counters a template records: graphs built and slots allocated,
+// and, for a Templates set, the planners its slots build rather than
+// adopt. Its users count their fresh builds under GraphBuilds too.
 const (
 	GraphBuilds   = "tsplit_experiments_graph_builds_total"
 	WorkloadSlots = "tsplit_experiments_workload_slots_total"
+	PlannerArenas = "tsplit_experiments_planner_arenas_total"
 )
 
 // Template prepares one model configuration on one device at any batch
@@ -23,7 +25,9 @@ const (
 // release when done; the next Prepare rebatches a released slot in
 // place, so its graph, profile and planners are recycled rather than
 // allocated (the paper's runtime pools device memory for the same
-// reason, Sec. V-D). A template's slots are dropped with it.
+// reason, Sec. V-D). A template's slots are dropped with it, and so are
+// the planners a slot owns; a Templates set's slots instead hand their
+// planners to the process-wide spare list on Release (spares.go).
 type Template struct {
 	model string
 	cfg   models.Config // BatchSize zeroed
@@ -31,6 +35,9 @@ type Template struct {
 	rec   obs.Recorder
 	keep  int
 	tp    *graph.Template
+	// spares marks a Templates set's template: its slots borrow
+	// planners through the spare list.
+	spares bool
 
 	mu   sync.Mutex
 	free []*Prepared // lint:guardedby mu
@@ -101,7 +108,10 @@ func (t *Template) Prepare(batch int) *Prepared {
 }
 
 // Release hands a workload back to the template it was rebatched
-// from, for the template's next Prepare to rebatch in place. The
+// from, for the template's next Prepare to rebatch in place. A slot of
+// a Templates set also hands its free planners to the spare list,
+// where any later set's slot of the same configuration may adopt
+// them; a template of NewTemplate's keeps them in the slot. The
 // caller must be done with the workload and with everything derived
 // from it: plans and simulation results point into its graph.
 // Workloads that Build or FromGraph prepared belong to no template and
@@ -110,6 +120,11 @@ func (p *Prepared) Release() {
 	t := p.slot
 	if t == nil {
 		return
+	}
+	if t.spares {
+		for pl := p.Planners.Take(); pl != nil; pl = p.Planners.Take() {
+			spares.put(t.spareKey(), pl)
+		}
 	}
 	t.mu.Lock()
 	if t.keep <= 0 || len(t.free) < t.keep {
@@ -121,7 +136,8 @@ func (p *Prepared) Release() {
 // Templates prepares workloads on one device along the batch axis, one
 // Template per model and configuration, each built by the first
 // Prepare that needs it. A set's templates and slots are dropped with
-// it.
+// it; its planners outlive it on the spare list (spares.go), so a
+// later set plans on warm arenas.
 type Templates struct {
 	dev device.Device
 	rec obs.Recorder
@@ -145,8 +161,9 @@ type lazyTemplate struct {
 }
 
 // NewTemplates returns an empty template set for dev. rec, when
-// non-nil, counts every graph the set builds as GraphBuilds and every
-// slot it allocates as WorkloadSlots.
+// non-nil, counts every graph the set builds as GraphBuilds, every
+// slot it allocates as WorkloadSlots and every planner it builds as
+// PlannerArenas.
 func NewTemplates(dev device.Device, rec obs.Recorder) *Templates {
 	return &Templates{dev: dev, rec: rec, m: map[templateKey]*lazyTemplate{}}
 }
@@ -164,7 +181,11 @@ func (ts *Templates) Prepare(model string, cfg models.Config) (*Prepared, error)
 		ts.m[key] = e
 	}
 	ts.mu.Unlock()
-	e.once.Do(func() { e.t, e.err = NewTemplate(model, key.cfg, ts.dev, ts.rec, 0) })
+	e.once.Do(func() {
+		if e.t, e.err = NewTemplate(model, key.cfg, ts.dev, ts.rec, 0); e.err == nil {
+			e.t.spares = true
+		}
+	})
 	if e.err != nil {
 		return nil, e.err
 	}

@@ -142,6 +142,33 @@ func NewOccupancy(p *Profile) *Occupancy {
 	return o
 }
 
+// Retarget points the tracker at another profile and clears every
+// reservation, as NewOccupancy(p) would build it, inside the tracker's
+// own arrays: a pooled tracker follows the workloads its owner plans.
+func (o *Occupancy) Retarget(p *Profile) {
+	o.prof = p
+	if n := len(p.T); n != len(o.oc) {
+		nBlocks := (n + (1 << occBlockShift) - 1) >> occBlockShift
+		o.oc, o.invT = resize(o.oc, n), resize(o.invT, n)
+		if o.full != nil {
+			o.full = resize(o.full, nBlocks)
+		}
+		if o.inner != nil {
+			o.inner, o.blockCum, o.dirty = resize(o.inner, n), resize(o.blockCum, nBlocks+1), resize(o.dirty, nBlocks)
+		}
+	}
+	o.Retime()
+}
+
+// resize returns s at length n, reusing its array when it is large
+// enough; the caller overwrites every element.
+func resize[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return make([]T, n)
+}
+
 // Clone copies the tracker (the planner snapshots candidates).
 func (o *Occupancy) Clone() *Occupancy {
 	c := &Occupancy{prof: o.prof, oc: make([]float64, len(o.oc))}

@@ -1,7 +1,9 @@
 package profiler
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"tsplit/internal/device"
@@ -147,5 +149,61 @@ func TestCloneIsIndependent(t *testing.T) {
 	o.Reserve(p.Total(), 0, len(p.T)-1)
 	if math.Abs(c.FreeTime(0, len(p.T)-1)-p.Total()) > 1e-12 {
 		t.Fatal("clone affected by original's reservation")
+	}
+}
+
+// mlpProf profiles an MLP of the given depth: deeper nets give longer
+// schedules, spanning more occupancy blocks.
+func mlpProf(t *testing.T, depth int) *Profile {
+	t.Helper()
+	g := graph.New()
+	h := g.Input("x", tensor.NewShape(8, 64), tensor.Float32)
+	labels := g.Input("l", tensor.NewShape(8), tensor.Int32)
+	for i := 0; i < depth; i++ {
+		h = g.ReLU(fmt.Sprintf("r%d", i), g.Dense(fmt.Sprintf("fc%d", i), h, 64+16*i))
+	}
+	g.CrossEntropyLoss("loss", g.Dense("out", h, 10), labels)
+	if err := g.Differentiate(graph.SGD); err != nil {
+		t.Fatal(err)
+	}
+	s, err := graph.BuildSchedule(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return New(device.TitanRTX, s)
+}
+
+// occupancyTrace books a fixed script of reservations and returns
+// every answer the tracker gives along the way.
+func occupancyTrace(o *Occupancy, p *Profile) []float64 {
+	n := len(p.T)
+	var out []float64
+	for k, frac := range []float64{0.3, 0.05, 0.7, 0.2} {
+		lo, hi := k*n/8, n-1-k*n/16
+		out = append(out, o.Reserve(frac*p.Span(lo, hi), lo, hi))
+		start, stall := o.ReserveBack(frac*p.Span(lo, hi), lo, hi)
+		out = append(out, float64(start), stall)
+		for u := -1; u < n; u++ {
+			out = append(out, o.FreeTime(0, u), o.Stall(p.Total()/4, u, n-1))
+		}
+	}
+	return out
+}
+
+// TestRetargetMatchesNew: a tracker retargeted to another profile,
+// shorter or longer than its own and after reservations on it, answers
+// exactly as a new tracker for that profile does.
+func TestRetargetMatchesNew(t *testing.T) {
+	short, long := mlpProf(t, 2), mlpProf(t, 40)
+	if len(long.T) <= 2<<occBlockShift {
+		t.Fatalf("the long profile has %d ops, want several blocks", len(long.T))
+	}
+	o := NewOccupancy(short)
+	occupancyTrace(o, short)
+	for _, p := range []*Profile{long, short, long, long} {
+		o.Retarget(p)
+		if got, want := occupancyTrace(o, p), occupancyTrace(NewOccupancy(p), p); !slices.Equal(got, want) {
+			t.Fatalf("retargeted to %d ops: answers differ from a new tracker's", len(p.T))
+		}
 	}
 }

@@ -343,11 +343,11 @@ func TestImageBelowModelMinimum(t *testing.T) {
 	for _, path := range []string{"/v1/plan", "/v1/peak"} {
 		w := httptest.NewRecorder()
 		s.ServeHTTP(w, httptest.NewRequest(http.MethodPost, path,
-			strings.NewReader(`{"model":"inceptionv4","config":{"batch_size":2,"image_size":40}}`)))
+			strings.NewReader(`{"model":"inceptionv4","config":{"batch_size":2,"image_size":74}}`)))
 		if w.Code != http.StatusBadRequest {
 			t.Fatalf("%s: status %d, want 400; body: %.200s", path, w.Code, w.Body.String())
 		}
-		const want = "config.image_size 40 below minimum 59 for inceptionv4"
+		const want = "config.image_size 74 below minimum 75 for inceptionv4"
 		if eb := decodeError(t, w); eb.Error.Code != "bad_request" || eb.Error.Message != want {
 			t.Fatalf("%s: error %q %q, want bad_request %q", path, eb.Error.Code, eb.Error.Message, want)
 		}
@@ -355,8 +355,8 @@ func TestImageBelowModelMinimum(t *testing.T) {
 	if got := s.Metrics().Counter(prep.GraphBuilds); got != 0 {
 		t.Fatalf("refused requests built %d graphs", got)
 	}
-	if w := postPlan(t, s, `{"model":"inceptionv4","config":{"batch_size":2,"image_size":59}}`); w.Code != http.StatusOK {
-		t.Fatalf("image size 59: status %d; body: %.200s", w.Code, w.Body.String())
+	if w := postPlan(t, s, `{"model":"inceptionv4","config":{"batch_size":2,"image_size":75}}`); w.Code != http.StatusOK {
+		t.Fatalf("image size 75: status %d; body: %.200s", w.Code, w.Body.String())
 	}
 	if got := s.Metrics().Counter(prep.GraphBuilds); got == 0 {
 		t.Fatal("the accepted request built no graph: the counter does not see builds")
