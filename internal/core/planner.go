@@ -238,34 +238,6 @@ func (pl *Planner) SetOptions(opts Options) {
 	pl.Opts = opts.withDefaults(pl.Dev)
 }
 
-// Rebind adopts the planner, with its arenas, for another set of
-// workload objects of the same topology — say the graph a later
-// template set builds for the same model and configuration — and
-// reports whether it did. It refuses when the tensor count, the op
-// count, the schedule's op order or the profile's device differs: the
-// arenas' topology half (the ID mirrors, use lists, window events, the
-// chain walker) is then another graph's. Otherwise it swaps the
-// planner's pointers, the MemSim's and the occupancy's, and forces the
-// next run to re-derive the size half, as a rebatch does; what an
-// earlier run derived is keyed to a graph the planner no longer sees.
-func (pl *Planner) Rebind(g *graph.Graph, sched *graph.Schedule, lv *graph.Liveness, prof *profiler.Profile) bool {
-	if prof.Dev != pl.Dev || len(g.Tensors) != len(pl.G.Tensors) || len(g.Ops) != len(pl.G.Ops) || len(sched.Ops) != len(pl.Sched.Ops) {
-		return false
-	}
-	for i, op := range sched.Ops {
-		if op.ID != pl.Sched.Ops[i].ID {
-			return false
-		}
-	}
-	pl.G, pl.Sched, pl.Lv, pl.Prof = g, sched, lv, prof
-	if pl.ms != nil {
-		pl.ms.G, pl.ms.Sched, pl.ms.Lv = g, sched, lv
-		pl.occ.Retarget(prof)
-		pl.graphGen = 0
-	}
-	return true
-}
-
 // Reset drops the last run's report before the planner is pooled. The
 // pooled scratch (curve, candidate index, occupancy), the plan-size
 // hint and the pristine split configuration lists are kept for reuse;

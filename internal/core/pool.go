@@ -20,11 +20,8 @@ import (
 // planner's next run sees the graph's new generation and re-derives
 // its size-dependent state inside the same arenas.
 //
-// A pool's planners belong to its workload. An owner that outlives
-// the workload can Take them when it is done with it and Rebind them
-// to a later workload of the same topology (prep's spare list does so
-// for template sets); an adopted planner is Put into the new
-// workload's pool like its own.
+// A pool's planners belong to its workload and live as long as it
+// does: a prep.Template slot keeps its pool across rebatches.
 //
 // Callers that plan the same workload repeatedly (hyper-parameter
 // sweeps, the serve path, benchmark drivers) Get a planner per task and
@@ -54,26 +51,18 @@ func NewPlannerPool(g *graph.Graph, sched *graph.Schedule, lv *graph.Liveness, p
 // Get returns a planner with opts applied: a recycled one when the
 // free list is non-empty, otherwise a freshly constructed one.
 func (pp *PlannerPool) Get(opts Options) *Planner {
-	pl := pp.Take()
+	pp.mu.Lock()
+	var pl *Planner
+	if n := len(pp.free); n > 0 {
+		pl = pp.free[n-1]
+		pp.free[n-1] = nil
+		pp.free = pp.free[:n-1]
+	}
+	pp.mu.Unlock()
 	if pl == nil {
 		return NewPlanner(pp.g, pp.sched, pp.lv, pp.prof, pp.dev, opts)
 	}
 	pl.SetOptions(opts)
-	return pl
-}
-
-// Take removes a planner from the free list and returns it with the
-// options of its last borrower, or nil when the list is empty.
-func (pp *PlannerPool) Take() *Planner {
-	pp.mu.Lock()
-	defer pp.mu.Unlock()
-	n := len(pp.free)
-	if n == 0 {
-		return nil
-	}
-	pl := pp.free[n-1]
-	pp.free[n-1] = nil
-	pp.free = pp.free[:n-1]
 	return pl
 }
 

@@ -432,49 +432,3 @@ func TestPristineListRederivedAfterChainDependency(t *testing.T) {
 	}
 	t.Fatal("no pristine list with a chain dependency outside its op's inputs")
 }
-
-// TestPlannerRebindRefusesOtherTopology: Rebind adopts a planner only
-// for a workload of the same topology on the same device. Another
-// model (VGG-19 against VGG-16's arenas), the same model's schedule
-// with two ops swapped and a profile for another device are refused,
-// and the planner still plans its own workload as a fresh one does. A
-// second build of VGG-16 at another batch is adopted, and planned as a
-// fresh planner plans it.
-func TestPlannerRebindRefusesOtherTopology(t *testing.T) {
-	tb := newTestbed(t, "vgg16", models.Config{BatchSize: 64})
-	opts := Options{Capacity: tb.lv.Peak * 60 / 100, FragmentationReserve: -1, CollectReport: true}
-	pl := NewPlanner(tb.g, tb.sched, tb.lv, tb.prof, tb.dev, opts)
-	want := planOutcome(t, pl)
-
-	other := newTestbed(t, "vgg19", models.Config{BatchSize: 64})
-	swapped := &graph.Schedule{Ops: slices.Clone(tb.sched.Ops)}
-	n := len(swapped.Ops)
-	swapped.Ops[n-1], swapped.Ops[n-2] = swapped.Ops[n-2], swapped.Ops[n-1]
-	for _, c := range []struct {
-		what  string
-		g     *graph.Graph
-		sched *graph.Schedule
-		prof  *profiler.Profile
-	}{
-		{"another model", other.g, other.sched, other.prof},
-		{"another op order", tb.g, swapped, tb.prof},
-		{"another device", tb.g, tb.sched, profiler.New(device.GTX1080Ti, tb.sched)},
-	} {
-		if pl.Rebind(c.g, c.sched, tb.lv, c.prof) {
-			t.Fatalf("Rebind accepted %s", c.what)
-		}
-	}
-	if got := planOutcome(t, pl); got != want {
-		t.Fatalf("a refused Rebind changed the planner's own plan\n--- after ---\n%s--- before ---\n%s", got, want)
-	}
-
-	next := newTestbed(t, "vgg16", models.Config{BatchSize: 96})
-	if !pl.Rebind(next.g, next.sched, next.lv, next.prof) {
-		t.Fatal("Rebind refused a second build of the same model")
-	}
-	opts.Capacity = next.lv.Peak * 60 / 100
-	pl.SetOptions(opts)
-	if got, want := planOutcome(t, pl), planOutcome(t, NewPlanner(next.g, next.sched, next.lv, next.prof, next.dev, opts)); got != want {
-		t.Fatalf("the rebound planner diverged from a fresh one\n--- rebound ---\n%s--- fresh ---\n%s", got, want)
-	}
-}

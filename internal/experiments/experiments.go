@@ -21,9 +21,16 @@ import (
 	"tsplit/internal/sim"
 )
 
+// templates holds the template of every model, configuration and
+// device the experiments have prepared along the batch axis, with its
+// released slots and their planners, for the life of the process: a
+// later search rebatches them without building a graph, a slot or a
+// planner again.
+var templates = prep.NewTemplates()
+
 // prepare prepares a workload from scratch, counting its graph build.
 // Calls that prepare one model at several batch sizes rebatch it from
-// a template set instead (prep.Templates).
+// templates instead.
 func prepare(model string, cfg models.Config, dev device.Device) (*prep.Prepared, error) {
 	g, err := buildGraph(model, cfg)
 	if err != nil {
@@ -33,8 +40,8 @@ func prepare(model string, cfg models.Config, dev device.Device) (*prep.Prepared
 }
 
 // buildGraph builds a model's training graph and counts the build in
-// Obs as prep.GraphBuilds, as the template sets count theirs; every
-// graph this package builds outside a template set goes through it.
+// Obs as prep.GraphBuilds, as templates counts its own; every graph
+// this package builds outside templates goes through it.
 func buildGraph(model string, cfg models.Config) (*graph.Graph, error) {
 	if rec := Obs; rec != nil {
 		rec.Add(prep.GraphBuilds, 1)

@@ -9,7 +9,6 @@ import (
 	"tsplit/internal/device"
 	"tsplit/internal/graph"
 	"tsplit/internal/models"
-	"tsplit/internal/prep"
 	"tsplit/internal/sim"
 )
 
@@ -47,7 +46,6 @@ var fig12Models = []string{"vgg16", "resnet50", "inceptionv4", "transformer"}
 // order.
 func throughputFigure(title string, dev device.Device, policies []string, cfg models.Config) *ThroughputFigure {
 	f := &ThroughputFigure{Title: title, Dev: dev, Series: map[string][]ThroughputSeries{}}
-	ts := prep.NewTemplates(dev, Obs)
 	type cell struct {
 		model string
 		bi    int // index into fig12Batches[model]
@@ -66,7 +64,7 @@ func throughputFigure(title string, dev device.Device, policies []string, cfg mo
 		m, bi := cells[k].model, cells[k].bi
 		c := cfg
 		c.BatchSize = fig12Batches[m][bi]
-		p, err := ts.Prepare(m, c)
+		p, err := templates.Prepare(m, c, dev, Obs)
 		if err != nil {
 			return
 		}

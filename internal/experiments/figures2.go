@@ -8,7 +8,6 @@ import (
 	"tsplit/internal/device"
 	"tsplit/internal/graph"
 	"tsplit/internal/models"
-	"tsplit/internal/prep"
 )
 
 // MemoryScalePoint is one cell of the paper's Fig. 1: the training
@@ -118,9 +117,8 @@ func Fig14aScaleUnderThroughput(dev device.Device, hi int) ([]ThroughputConstrai
 	// (model, policy) frontier searches concurrently; each produces its
 	// two pct rows, stitched back in sweep order. Every workload of
 	// the call is rebatched from one template per model.
-	ts := prep.NewTemplates(dev, Obs)
 	maxScale := func(m, pol string) int {
-		return sampleScales(ts, []string{m}, []string{pol}, models.Config{}, hi)[0][0]
+		return sampleScales(dev, []string{m}, []string{pol}, models.Config{}, hi)[0][0]
 	}
 	baseThr := make([]float64, len(mods))
 	errs := make([]error, len(mods))
@@ -131,7 +129,7 @@ func Fig14aScaleUnderThroughput(dev device.Device, hi int) ([]ThroughputConstrai
 			errs[mi] = fmt.Errorf("experiments: base cannot train %s at all", m)
 			return
 		}
-		p, err := ts.Prepare(m, models.Config{BatchSize: baseMax})
+		p, err := templates.Prepare(m, models.Config{BatchSize: baseMax}, dev, Obs)
 		if err != nil {
 			errs[mi] = err
 			return
@@ -151,7 +149,7 @@ func Fig14aScaleUnderThroughput(dev device.Device, hi int) ([]ThroughputConstrai
 		// throughput floor is met.
 		polMax := maxScale(m, pol)
 		thrAt := func(b int) float64 {
-			pp, err := ts.Prepare(m, models.Config{BatchSize: b})
+			pp, err := templates.Prepare(m, models.Config{BatchSize: b}, dev, Obs)
 			if err != nil {
 				return 0
 			}

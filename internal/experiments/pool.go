@@ -12,13 +12,10 @@ import (
 // every experiment in this package: tsplit_experiments_cells_total and
 // the tsplit_experiments_cell_seconds histogram, one count and one
 // sample per forEach unit, tsplit_experiments_graph_builds_total, one
-// count per model graph built,
+// count per model graph built, and
 // tsplit_experiments_workload_slots_total, one count per workload slot
-// allocated (prep.Templates), and
-// tsplit_experiments_planner_arenas_total, one count per planner a
-// template set builds rather than adopts from the process's spare
-// list. The Registry is thread-safe, so the
-// parallel sweeps record into it concurrently.
+// allocated (templates). The Registry is thread-safe, so the parallel
+// sweeps record into it concurrently.
 var Obs obs.Recorder
 
 // Clock times each sweep unit for the cell_seconds histogram. Tests
@@ -36,17 +33,17 @@ var Trace *obs.Tracer
 // tables one forEach unit is a (model, probe point) group, in the
 // throughput figures a (model, batch): the unit prepares that workload
 // once — along the batch axis by rebatching the model's template, which
-// the call's units share read-only, into a slot — runs it under every
-// policy that needs it, and releases the slot, so at most one slot per
-// worker is live and a sweep allocates about one per worker per model.
+// the units share read-only, into a slot — runs it under every policy
+// that needs it, and releases the slot, so at most one slot per worker
+// is live and the process allocates about one per worker per model.
 // The cell counter and the "experiments.cell" span therefore count
 // workloads prepared, not (model, policy) table cells; the graph-build
-// counter (buildGraph and the template sets) counts the models.Build
-// calls behind them, the slot counter the cold graphs, and the arena
-// counter the cold planners, which a search after the process's first
-// no longer builds. Each unit writes its results into slots no other unit
-// writes, so the assembled tables and figures are identical to a
-// sequential sweep regardless of completion order.
+// counter (buildGraph and templates) counts the models.Build calls
+// behind them, and the slot counter the cold graphs and planners,
+// which a search after the process's first no longer builds. Each unit
+// writes its results into slots no other unit writes, so the assembled
+// tables and figures are identical to a sequential sweep regardless of
+// completion order.
 
 // forEach runs fn(i) for every i in [0, n), on up to GOMAXPROCS
 // workers. Work is handed out dynamically (units vary wildly in cost:

@@ -12,7 +12,7 @@ import (
 // (paper Table IV / VI) by exponential probing followed by binary
 // search. hi bounds the search (0 = 4096).
 func MaxSampleScale(model, policy string, dev device.Device, cfg models.Config, hi int) int {
-	return sampleScales(prep.NewTemplates(dev, Obs), []string{model}, []string{policy}, cfg, hi)[0][0]
+	return sampleScales(dev, []string{model}, []string{policy}, cfg, hi)[0][0]
 }
 
 // MaxParamScale finds the largest integer parameter-scale multiplier k
@@ -24,16 +24,17 @@ func MaxParamScale(model, policy string, dev device.Device, cfg models.Config, h
 
 // sampleScales is MaxSampleScale for every (model, policy) pair at
 // once: result[m][p] is the largest trainable batch size. Every probe
-// point is rebatched from ts, so each model is built twice however
-// many points the searches visit.
-func sampleScales(ts *prep.Templates, mods, policies []string, cfg models.Config, hi int) [][]int {
+// point is rebatched from the model's template in templates, so each
+// model is built twice per process however many points the searches
+// visit.
+func sampleScales(dev device.Device, mods, policies []string, cfg models.Config, hi int) [][]int {
 	if hi == 0 {
 		hi = 4096
 	}
 	return searchScales(mods, policies, hi, func(model string, b int) (*prep.Prepared, error) {
 		c := cfg
 		c.BatchSize = b
-		return ts.Prepare(model, c)
+		return templates.Prepare(model, c, dev, Obs)
 	})
 }
 

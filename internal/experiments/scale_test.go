@@ -199,14 +199,24 @@ func testPreparedShared(t *testing.T, cfg models.Config, small device.Device) {
 	}
 }
 
+// freshTemplates gives the test an empty package template set and
+// restores the process's set when the test ends, so the graph and slot
+// counts the test reads do not depend on which tests ran before it.
+func freshTemplates(t *testing.T) {
+	old := templates
+	templates = prep.NewTemplates()
+	t.Cleanup(func() { templates = old })
+}
+
 // TestTable4GraphBuilds counts the work the Table IV search does: two
 // graph builds per model, however many batch sizes it probes.
 func TestTable4GraphBuilds(t *testing.T) {
+	freshTemplates(t)
 	reg := obs.NewRegistry()
 	Obs = reg
 	defer func() { Obs = nil }()
 	Table4MaxSampleScale(device.TitanRTX, 64)
-	if got, want := reg.Counter("tsplit_experiments_graph_builds_total"), int64(2*len(EvalModels)); got != want {
+	if got, want := reg.Counter(prep.GraphBuilds), int64(2*len(EvalModels)); got != want {
 		t.Fatalf("Table IV search made %d graph builds, want %d", got, want)
 	}
 	if cells := reg.Counter("tsplit_experiments_cells_total"); cells <= int64(len(EvalModels)) {
@@ -219,44 +229,47 @@ func TestTable4GraphBuilds(t *testing.T) {
 // recycles the slot the previous one released, so the search allocates
 // one slot per model however many points it probes.
 func TestTable4WorkloadSlots(t *testing.T) {
+	freshTemplates(t)
 	old := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(old)
 	reg := obs.NewRegistry()
 	Obs = reg
 	defer func() { Obs = nil }()
 	Table4MaxSampleScale(device.TitanRTX, 64)
-	if got, want := reg.Counter("tsplit_experiments_workload_slots_total"), int64(len(EvalModels)); got != want {
+	if got, want := reg.Counter(prep.WorkloadSlots), int64(len(EvalModels)); got != want {
 		t.Fatalf("Table IV search allocated %d workload slots, want %d", got, want)
 	}
 }
 
-// TestTable4PlannerReuse counts the cold planners behind the Table IV
-// search. Its template set goes with it, but the planners its slots
-// borrowed stay on the process's spare list: on one worker, a second
-// search in the process adopts them all and builds none, and answers
-// the same table. On two workers, no configuration lists more than two
-// spares afterwards: one per slot the search had in use at once.
-func TestTable4PlannerReuse(t *testing.T) {
+// TestTable4SecondSearchBuildsNothing: the templates, their slots and
+// the slots' planners outlive the Table IV search. On one worker, a
+// second search in the process builds no graph and allocates no slot,
+// and answers the same table. On two workers, a further search adds at
+// most one slot per model: the second one a model has in use at once.
+func TestTable4SecondSearchBuildsNothing(t *testing.T) {
+	freshTemplates(t)
 	old := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(old)
 	reg := obs.NewRegistry()
 	Obs = reg
 	defer func() { Obs = nil }()
 	first := Table4MaxSampleScale(device.TitanRTX, 64)
-	built := reg.Counter(prep.PlannerArenas)
+	builds, slots := reg.Counter(prep.GraphBuilds), reg.Counter(prep.WorkloadSlots)
 	second := Table4MaxSampleScale(device.TitanRTX, 64)
-	if got := reg.Counter(prep.PlannerArenas) - built; got != 0 {
-		t.Fatalf("the second Table IV search built %d planners, want 0", got)
+	if got := reg.Counter(prep.GraphBuilds) - builds; got != 0 {
+		t.Fatalf("the second Table IV search made %d graph builds, want 0", got)
+	}
+	if got := reg.Counter(prep.WorkloadSlots) - slots; got != 0 {
+		t.Fatalf("the second Table IV search allocated %d workload slots, want 0", got)
 	}
 	if !reflect.DeepEqual(first, second) {
 		t.Fatalf("the second search answered another table:\n%s\nwant\n%s", second.Render(), first.Render())
 	}
 
 	runtime.GOMAXPROCS(2)
+	slots = reg.Counter(prep.WorkloadSlots)
 	Table4MaxSampleScale(device.TitanRTX, 64)
-	for _, m := range EvalModels {
-		if n := prep.SparePlanners(m, models.Config{}, device.TitanRTX); n > 2 {
-			t.Errorf("%s: %d spare planners after a search on 2 workers, want at most 2", m, n)
-		}
+	if got := reg.Counter(prep.WorkloadSlots) - slots; got > int64(len(EvalModels)) {
+		t.Fatalf("a search on 2 workers allocated %d more workload slots, want at most %d", got, len(EvalModels))
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"tsplit/internal/device"
 	"tsplit/internal/graph"
 	"tsplit/internal/models"
-	"tsplit/internal/prep"
 )
 
 // EvalModels are the paper's six benchmark models (Sec. VI-A).
@@ -89,7 +88,7 @@ func scaleTable(title string, policies []string, scales [][]int) *ScaleTable {
 func Table4MaxSampleScale(dev device.Device, hi int) *ScaleTable {
 	return scaleTable(
 		fmt.Sprintf("Table IV: max sample scale on %s", dev.Name), scalePolicies,
-		sampleScales(prep.NewTemplates(dev, Obs), EvalModels, scalePolicies, models.Config{}, hi))
+		sampleScales(dev, EvalModels, scalePolicies, models.Config{}, hi))
 }
 
 // Table5MaxParamScale reproduces paper Table V: the largest
@@ -107,7 +106,7 @@ func Table5MaxParamScale(dev device.Device, hi int) *ScaleTable {
 func Table6MaxSampleVsOffload(dev device.Device, hi int) *ScaleTable {
 	return scaleTable(
 		fmt.Sprintf("Table VI: max sample scale vs offload baselines on %s", dev.Name), offloadPolicies,
-		sampleScales(prep.NewTemplates(dev, Obs), EvalModels, offloadPolicies, models.Config{Optimizer: graph.Adam}, hi))
+		sampleScales(dev, EvalModels, offloadPolicies, models.Config{Optimizer: graph.Adam}, hi))
 }
 
 // Table7MaxParamVsOffload reproduces paper Table VII: parameter scale

@@ -3,7 +3,8 @@
 // consumes — graph, schedule, liveness and per-operator profile (paper
 // Sec. V-B) — with a planner pool, prepared once and planned and run
 // many times. A Template (templates.go) prepares one model at many
-// batch sizes in recycled slots; a Templates set holds one per model.
+// batch sizes in recycled slots, each keeping its planners; a
+// Templates set holds one per model, configuration and device.
 package prep
 
 import (
@@ -64,10 +65,9 @@ func (p *Prepared) fill(name string, cfg models.Config, dev device.Device) {
 
 // Plan plans the workload under opts on a planner borrowed from
 // Planners, and returns the plan with its report (nil unless
-// opts.CollectReport). A slot of a Templates set whose pool is empty
-// adopts a spare planner first (spares.go).
+// opts.CollectReport).
 func (p *Prepared) Plan(opts core.Options) (*core.Plan, *core.PlanReport, error) {
-	pl := p.planner(opts)
+	pl := p.Planners.Get(opts)
 	defer p.Planners.Put(pl)
 	plan, err := pl.Plan()
 	if err != nil {

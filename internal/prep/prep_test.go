@@ -32,9 +32,9 @@ func TestBuildRejects(t *testing.T) {
 		t.Fatal("FromGraph accepted a cyclic graph")
 	}
 	reg := obs.NewRegistry()
-	ts := NewTemplates(device.TitanRTX, reg)
+	ts := NewTemplates()
 	for i := 0; i < 2; i++ {
-		if _, err := ts.Prepare("no-such-model", models.Config{BatchSize: 4}); err == nil {
+		if _, err := ts.Prepare("no-such-model", models.Config{BatchSize: 4}, device.TitanRTX, reg); err == nil {
 			t.Fatal("Prepare accepted an unknown model")
 		}
 	}
@@ -52,11 +52,11 @@ func TestBuildRejects(t *testing.T) {
 func TestTemplatesRecycleSlots(t *testing.T) {
 	dev := device.TitanRTX
 	reg := obs.NewRegistry()
-	ts := NewTemplates(dev, reg)
+	ts := NewTemplates()
 	var slot *Prepared
 	for _, b := range []int{16, 3, 40} {
 		cfg := models.Config{BatchSize: b, Optimizer: graph.Adam}
-		p, err := ts.Prepare("vgg16", cfg)
+		p, err := ts.Prepare("vgg16", cfg, dev, reg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,10 +95,10 @@ func TestTemplateKeepsReleasedSlots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := tp.Prepare(8), tp.Prepare(16)
+	a, b := tp.Prepare(8, reg), tp.Prepare(16, reg)
 	a.Release()
 	b.Release()
-	c, d := tp.Prepare(0), tp.Prepare(4)
+	c, d := tp.Prepare(0, reg), tp.Prepare(4, reg)
 	if c != a || d == b {
 		t.Fatal("the template kept other slots than the one it may keep")
 	}
@@ -208,69 +208,79 @@ func TestRunPolicyLoop(t *testing.T) {
 	}
 }
 
-// TestAdoptedPlannerCarriesNoHistory follows one planner across
-// template sets for every zoo model: it plans batches 8 and 24 in one
-// set's slot, goes to the spare list when the slot is released, and is
-// adopted by the next set's slot at batch 16, where its plan and
-// report must equal a fresh planner's at three budgets, and the set
-// builds no planner. A slot of another configuration (ParamScale 1.5)
-// is refused the spare: its set builds its own, plans as a fresh one
-// does, and the spare stays listed. No configuration ever lists more
-// planners than were borrowed at once, one here.
-func TestAdoptedPlannerCarriesNoHistory(t *testing.T) {
-	spares.mu.Lock()
-	clear(spares.m)
-	spares.mu.Unlock()
+// TestTemplatesKeyOnDevice prepares one model at one configuration
+// on two devices from one set: each device gets its own template, so
+// the second request does not recycle the first's released slot, and
+// each slot is labelled with, and profiled on, its own device as a
+// fresh build there is.
+func TestTemplatesKeyOnDevice(t *testing.T) {
+	ts := NewTemplates()
+	cfg := models.Config{BatchSize: 32}
+	var first *Prepared
+	for _, dev := range []device.Device{device.TitanRTX, device.GTX1080Ti} {
+		p := prepare(t, ts, "vgg16", cfg, dev, nil)
+		if p == first {
+			t.Fatalf("%s: Prepare recycled another device's slot", dev.Name)
+		}
+		first = p
+		fr, err := Build("vgg16", cfg, dev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Dev != dev || p.Prof.Total() != fr.Prof.Total() || p.Lv.Peak != fr.Lv.Peak {
+			t.Fatalf("%s: slot on %s with ideal %g, peak %d; a fresh build has %g, %d", dev.Name, p.Dev.Name, p.Prof.Total(), p.Lv.Peak, fr.Prof.Total(), fr.Lv.Peak)
+		}
+		p.Release()
+	}
+}
+
+// TestSlotPlannerCarriesNoHistory follows one slot's planner across
+// rebatches for every zoo model: it plans batch 8, then 24, then 16,
+// where its plan and report must equal a fresh planner's at 60 %, and
+// at 50, 65 and 80 % at batch 16. A slot of another configuration
+// (ParamScale 1.5) belongs to its own template, with its own planner,
+// and plans as a fresh one does. The set builds each template once
+// and one slot for each: four graphs and two slots.
+func TestSlotPlannerCarriesNoHistory(t *testing.T) {
 	dev := device.TitanRTX
 	for _, model := range models.Names() {
 		reg := obs.NewRegistry()
-		first := NewTemplates(dev, reg)
+		ts := NewTemplates()
 		var pl *core.Planner
-		for _, b := range []int{8, 24} {
-			p := prepare(t, first, model, models.Config{BatchSize: b})
-			matchFresh(t, p, 60, fmt.Sprintf("%s first set, batch %d", model, b))
-			pl = borrowed(p)
+		for _, c := range []struct {
+			batch int
+			pcts  []int64
+		}{{8, []int64{60}}, {24, []int64{60}}, {16, []int64{50, 65, 80}}} {
+			p := prepare(t, ts, model, models.Config{BatchSize: c.batch}, dev, reg)
+			for _, pct := range c.pcts {
+				matchFresh(t, p, pct, fmt.Sprintf("%s at batch %d", model, c.batch))
+			}
+			if pl == nil {
+				pl = borrowed(p)
+			} else if borrowed(p) != pl {
+				t.Fatalf("%s at batch %d: the slot planned on another planner", model, c.batch)
+			}
 			p.Release()
 		}
-		if got := reg.Counter(PlannerArenas); got != 1 {
-			t.Fatalf("%s: the first set built %d planners, want 1", model, got)
-		}
-		if n := SparePlanners(model, models.Config{}, dev); n != 1 {
-			t.Fatalf("%s: %d spare planners after the first set, want 1", model, n)
-		}
 
-		reg = obs.NewRegistry()
-		p := prepare(t, NewTemplates(dev, reg), model, models.Config{BatchSize: 16})
-		for _, pct := range []int64{50, 65, 80} {
-			matchFresh(t, p, pct, fmt.Sprintf("%s adopted at batch 16", model))
-		}
-		if borrowed(p) != pl {
-			t.Fatalf("%s: the second set's slot did not adopt the spare planner", model)
-		}
-		if got := reg.Counter(PlannerArenas); got != 0 {
-			t.Fatalf("%s: the second set built %d planners, want 0", model, got)
-		}
-		p.Release()
-
-		reg = obs.NewRegistry()
-		wide := models.Config{BatchSize: 16, ParamScale: 1.5}
-		p = prepare(t, NewTemplates(dev, reg), model, wide)
+		p := prepare(t, ts, model, models.Config{BatchSize: 16, ParamScale: 1.5}, dev, reg)
 		matchFresh(t, p, 65, fmt.Sprintf("%s at param scale 1.5", model))
-		if borrowed(p) == pl || reg.Counter(PlannerArenas) != 1 {
-			t.Fatalf("%s: a param-scale-1.5 slot took the scale-1 spare", model)
+		if borrowed(p) == pl {
+			t.Fatalf("%s: a param-scale-1.5 slot planned on the scale-1 planner", model)
 		}
 		p.Release()
-		for _, cfg := range []models.Config{{}, wide} {
-			if n := SparePlanners(model, cfg, dev); n != 1 {
-				t.Fatalf("%s: %d spare planners at param scale %g, want 1", model, n, cfg.ParamScale)
-			}
+		if got := reg.Counter(GraphBuilds); got != 4 {
+			t.Fatalf("%s: %d graph builds, want 4", model, got)
+		}
+		if got := reg.Counter(WorkloadSlots); got != 2 {
+			t.Fatalf("%s: %d workload slots, want 2", model, got)
 		}
 	}
 }
 
-func prepare(t *testing.T, ts *Templates, model string, cfg models.Config) *Prepared {
+func prepare(t *testing.T, ts *Templates, model string, cfg models.Config, dev device.Device, rec obs.Recorder) *Prepared {
 	t.Helper()
-	p, err := ts.Prepare(model, cfg)
+	p, err := ts.Prepare(model, cfg, dev, rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +290,7 @@ func prepare(t *testing.T, ts *Templates, model string, cfg models.Config) *Prep
 // borrowed returns the planner p's last Plan used, which its pool
 // holds, and leaves it there.
 func borrowed(p *Prepared) *core.Planner {
-	pl := p.Planners.Take()
+	pl := p.Planners.Get(core.Options{})
 	p.Planners.Put(pl)
 	return pl
 }

@@ -147,12 +147,12 @@ func TestRebatchMatchesFreshBuild(t *testing.T) {
 	wls = append(wls, workload{"resnet50", models.Config{ImageSize: 160}}, workload{"transformer", models.Config{SeqLen: 64}})
 	batches := []int{2048, 1, 255, 0, 3, 1024, 7, 64, 2, 16}
 	for _, w := range wls {
-		ts := prep.NewTemplates(dev, nil)
+		ts := prep.NewTemplates()
 		var slot *prep.Prepared
 		for _, b := range batches {
 			cfg := w.cfg
 			cfg.BatchSize = b
-			rb, err := ts.Prepare(w.model, cfg)
+			rb, err := ts.Prepare(w.model, cfg, dev, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -206,15 +206,15 @@ func TestRebatchMatchesFreshBuild(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ts := prep.NewTemplates(dev, nil)
+		ts := prep.NewTemplates()
 		other := w.cfg
 		other.BatchSize = 2 * w.cfg.BatchSize
-		first, err := ts.Prepare(w.model, other)
+		first, err := ts.Prepare(w.model, other, dev, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		first.Release()
-		slot, err := ts.Prepare(w.model, w.cfg)
+		slot, err := ts.Prepare(w.model, w.cfg, dev, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -261,7 +261,7 @@ func TestTemplatesPrepareConcurrent(t *testing.T) {
 		fresh[b] = fr
 	}
 	reg := obs.NewRegistry()
-	ts := prep.NewTemplates(device.TitanRTX, reg)
+	ts := prep.NewTemplates()
 	var wg sync.WaitGroup
 	for i := range batches {
 		wg.Add(1)
@@ -269,7 +269,7 @@ func TestTemplatesPrepareConcurrent(t *testing.T) {
 			defer wg.Done()
 			for round := 0; round < 3; round++ {
 				b := batches[(i+round*3)%len(batches)]
-				p, err := ts.Prepare("resnet50", models.Config{BatchSize: b})
+				p, err := ts.Prepare("resnet50", models.Config{BatchSize: b}, device.TitanRTX, reg)
 				if err != nil {
 					t.Error(err)
 					return

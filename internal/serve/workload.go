@@ -207,7 +207,7 @@ func (wc *workloadCache) build(ctx context.Context, req *PlanRequest) (*prepared
 		return nil, herr
 	}
 	if t != nil {
-		return newPrepared(t.Prepare(req.Config.BatchSize), wc.reg), nil
+		return newPrepared(t.Prepare(req.Config.BatchSize, wc.reg), wc.reg), nil
 	}
 	w, herr := buildWorkload(req, dev, wc.reg)
 	if herr == nil {

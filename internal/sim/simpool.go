@@ -17,8 +17,7 @@ import (
 // recompute-chain scratch (core's chain walker, whose epoch-stamped
 // visited set needs no reset, and the chain buffers' free lists)
 // carries over as is. Unlike core.PlannerPool — whose planners follow
-// one set of workload objects, rebatched or not, and move to another
-// only by an explicit Rebind to the same topology — a SimPool is
+// one set of workload objects, rebatched or not — a SimPool is
 // workload-free: Get retargets a recycled arena to any (graph,
 // schedule, plan, device), because sweep cells change workloads run to
 // run while a serving process replays the same few. Results are
