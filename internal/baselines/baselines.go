@@ -84,7 +84,7 @@ func VDNNConv(in Inputs) (*core.Plan, error) {
 		found = true
 		for _, t := range op.Inputs {
 			if t.Kind.Evictable() && backwardUsed(t) {
-				plan.Tensors[t.ID] = core.TensorPlan{Tensor: t, Opt: core.Swap}
+				plan.Tensors = append(plan.Tensors, core.TensorPlan{Tensor: t, Opt: core.Swap})
 			}
 		}
 	}
@@ -101,7 +101,7 @@ func VDNNAll(in Inputs) (*core.Plan, error) {
 	plan := core.NewPlan("vdnn-all", in.Dev)
 	for _, t := range in.G.Tensors {
 		if t.Kind.Evictable() && backwardUsed(t) {
-			plan.Tensors[t.ID] = core.TensorPlan{Tensor: t, Opt: core.Swap}
+			plan.Tensors = append(plan.Tensors, core.TensorPlan{Tensor: t, Opt: core.Swap})
 		}
 	}
 	core.FinalizeWindows(in.G, in.Sched, in.Lv, in.Prof, plan)
@@ -132,7 +132,7 @@ func Checkpoints(in Inputs) (*core.Plan, error) {
 		if (i+1)%seg == 0 {
 			continue // checkpoint boundary resides
 		}
-		plan.Tensors[t.ID] = core.TensorPlan{Tensor: t, Opt: core.Recompute}
+		plan.Tensors = append(plan.Tensors, core.TensorPlan{Tensor: t, Opt: core.Recompute})
 	}
 	core.FinalizeWindows(in.G, in.Sched, in.Lv, in.Prof, plan)
 	return plan, nil
@@ -169,9 +169,9 @@ func SuperNeurons(in Inputs) (*core.Plan, error) {
 			switch {
 			case op.Kind == graph.Conv2D:
 				hasConv = true
-				plan.Tensors[t.ID] = core.TensorPlan{Tensor: t, Opt: core.Swap}
+				plan.Tensors = append(plan.Tensors, core.TensorPlan{Tensor: t, Opt: core.Swap})
 			case cheapToRecompute(op.Kind):
-				plan.Tensors[t.ID] = core.TensorPlan{Tensor: t, Opt: core.Recompute}
+				plan.Tensors = append(plan.Tensors, core.TensorPlan{Tensor: t, Opt: core.Recompute})
 			}
 		}
 	}
@@ -181,7 +181,7 @@ func SuperNeurons(in Inputs) (*core.Plan, error) {
 	// The staged input batch is also swapped once consumed.
 	for _, t := range in.G.Inputs {
 		if t.Kind.Evictable() && backwardUsed(t) {
-			plan.Tensors[t.ID] = core.TensorPlan{Tensor: t, Opt: core.Swap}
+			plan.Tensors = append(plan.Tensors, core.TensorPlan{Tensor: t, Opt: core.Swap})
 		}
 	}
 	core.FinalizeWindows(in.G, in.Sched, in.Lv, in.Prof, plan)
@@ -207,7 +207,7 @@ func FairScaleOffload(in Inputs) (*core.Plan, error) {
 	plan.OffloadOptimizer = true
 	for _, t := range in.G.Tensors {
 		if t.Kind == tensor.FeatureMap && backwardUsed(t) {
-			plan.Tensors[t.ID] = core.TensorPlan{Tensor: t, Opt: core.Swap}
+			plan.Tensors = append(plan.Tensors, core.TensorPlan{Tensor: t, Opt: core.Swap})
 		}
 	}
 	core.FinalizeWindows(in.G, in.Sched, in.Lv, in.Prof, plan)

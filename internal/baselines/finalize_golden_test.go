@@ -5,7 +5,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 	"testing"
 
@@ -29,19 +28,13 @@ func TestFinalizeWindowsGolden(t *testing.T) {
 				fmt.Fprintf(&got, "%s/%s error: %v\n", model, policy, err)
 				continue
 			}
-			ids := make([]int, 0, len(plan.Tensors))
-			for id := range plan.Tensors {
-				ids = append(ids, id)
-			}
-			sort.Ints(ids)
 			h := sha256.New()
-			for _, id := range ids {
-				tp := plan.Tensors[id]
-				fmt.Fprintf(h, "%d %s %d %d %d %d %d %d\n", id, tp.Tensor.Name, tp.Opt,
+			for _, tp := range plan.Tensors {
+				fmt.Fprintf(h, "%d %s %d %d %d %d %d %d\n", tp.Tensor.ID, tp.Tensor.Name, tp.Opt,
 					tp.EvictAt, tp.RestoreAt, tp.PrefetchAt, tp.MicroRestore, tp.ChainBytes)
 			}
 			fmt.Fprintln(h, plan.ChainTransients)
-			fmt.Fprintf(&got, "%s/%s %d decisions %x\n", model, policy, len(ids), h.Sum(nil))
+			fmt.Fprintf(&got, "%s/%s %d decisions %x\n", model, policy, len(plan.Tensors), h.Sum(nil))
 		}
 	}
 	if *updateGolden {

@@ -406,12 +406,6 @@ func (ci *candIndex) rebuildAll(i int) {
 			ci.state[id] = candInvalid
 		}
 	}
-	//lint:allow maporder flag assignment per key is order-independent
-	for id := range pl.plan.Tensors {
-		if id < ci.nT {
-			ci.state[id] = candPlanned
-		}
-	}
 	for id := range ci.state {
 		if ci.state[id] != candInvalid {
 			continue
@@ -548,7 +542,7 @@ func (ci *candIndex) noteTensorPlanChanged(id int) {
 	// in the CSR cover every other read.
 	pl := ci.pl
 	if pl.tpSet[id] {
-		if r := pl.tpMirror[id].RestoreAt; r >= 0 && r < ci.n {
+		if r := pl.tplans[id].RestoreAt; r >= 0 && r < ci.n {
 			ci.pos[r].state = posUnbuilt
 		}
 	}
@@ -852,7 +846,7 @@ func (ci *candIndex) buildPos(p int) {
 	pl := ci.pl
 	op := pl.Sched.Ops[p]
 	s := &ci.pos[p]
-	cur, has := pl.plan.Splits[op.ID]
+	cur, has := pl.splits[op.ID], pl.spSet[op.ID]
 	undecided := !has && pl.inputsUndecided(op)
 	if undecided && s.pristine > 0 && s.state != posStale {
 		pl.statRescored += int64(s.pristine - 1)
@@ -904,7 +898,7 @@ func (ci *candIndex) buildPos(p int) {
 				if !pl.tpSet[t.ID] {
 					continue
 				}
-				tp := &pl.tpMirror[t.ID]
+				tp := &pl.tplans[t.ID]
 				if tp.Opt != Swap || tp.MicroRestore > 1 || tp.RestoreAt != p {
 					continue
 				}

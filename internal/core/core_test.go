@@ -78,7 +78,7 @@ func TestSwapReducesPeak(t *testing.T) {
 			big = x
 		}
 	}
-	plan.Tensors[big.ID] = TensorPlan{Tensor: big, Opt: Swap}
+	plan.Tensors = []TensorPlan{{Tensor: big, Opt: Swap}}
 	FinalizeWindows(tb.g, tb.sched, tb.lv, tb.prof, plan)
 	_, peak, _ := ms.Curve(plan)
 	if peak >= tb.lv.Peak {
@@ -309,7 +309,7 @@ func TestFinalizeWindowsLargestGap(t *testing.T) {
 	plan := NewPlan("test", tb.dev)
 	for _, x := range tb.g.Tensors {
 		if x.Kind == tensor.FeatureMap {
-			plan.Tensors[x.ID] = TensorPlan{Tensor: x, Opt: Swap}
+			plan.Tensors = append(plan.Tensors, TensorPlan{Tensor: x, Opt: Swap})
 		}
 	}
 	FinalizeWindows(tb.g, tb.sched, tb.lv, tb.prof, plan)
@@ -327,9 +327,9 @@ func TestFinalizeWindowsDropsUseless(t *testing.T) {
 	tb := newTestbed(t, "vgg16", models.Config{BatchSize: 8})
 	plan := NewPlan("test", tb.dev)
 	// The loss tensor has no gap worth evicting across.
-	plan.Tensors[tb.g.Loss.ID] = TensorPlan{Tensor: tb.g.Loss, Opt: Swap}
+	plan.Tensors = []TensorPlan{{Tensor: tb.g.Loss, Opt: Swap}}
 	FinalizeWindows(tb.g, tb.sched, tb.lv, tb.prof, plan)
-	if _, ok := plan.Tensors[tb.g.Loss.ID]; ok {
+	if _, ok := plan.Tensor(tb.g.Loss.ID); ok || len(plan.Tensors) != 0 {
 		t.Fatal("gapless tensor decision should be dropped")
 	}
 }

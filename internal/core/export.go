@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -72,14 +71,8 @@ func ExportJSON(w io.Writer, p *Plan) error {
 func AppendPlanJSON(dst []byte, p *Plan) []byte {
 	dst = AppendJSONString(append(dst, `{"policy":`...), p.Name)
 	dst = AppendJSONString(append(dst, `,"device":`...), p.Dev.Name)
-	ids := make([]int, 0, max(len(p.Tensors), len(p.Splits)))
-	for id := range p.Tensors {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
 	dst = append(dst, `,"tensors":`...)
-	for i, id := range ids {
-		tp := p.Tensors[id]
+	for i, tp := range p.Tensors {
 		dst = AppendJSONString(append(append(dst, listSep(i)), `{"tensor":`...), tp.Tensor.Name)
 		dst = strconv.AppendInt(append(dst, `,"bytes":`...), tp.Tensor.Bytes(), 10)
 		dst = AppendJSONString(append(dst, `,"opt":`...), tp.Opt.String())
@@ -93,15 +86,9 @@ func AppendPlanJSON(dst []byte, p *Plan) []byte {
 		}
 		dst = append(dst, '}')
 	}
-	dst = closeList(dst, len(ids))
-	ids = ids[:0]
-	for id := range p.Splits {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
+	dst = closeList(dst, len(p.Tensors))
 	dst = append(dst, `,"splits":`...)
-	for i, id := range ids {
-		sp := p.Splits[id]
+	for i, sp := range p.Splits {
 		dst = AppendJSONString(append(append(dst, listSep(i)), `{"op":`...), sp.Op.Name)
 		dst = strconv.AppendInt(append(dst, `,"p_num":`...), int64(sp.PNum), 10)
 		dst = AppendJSONString(append(dst, `,"dim":`...), sp.Dim.String())
@@ -118,7 +105,7 @@ func AppendPlanJSON(dst []byte, p *Plan) []byte {
 		}
 		dst = append(dst, '}')
 	}
-	dst = closeList(dst, len(ids))
+	dst = closeList(dst, len(p.Splits))
 	if p.OffloadOptimizer {
 		dst = append(dst, `,"offload_optimizer":true`...)
 	}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
-	"sort"
 	"strings"
 	"testing"
 
@@ -21,13 +20,7 @@ func ReferencePlanJSON(p *Plan) PlanJSON {
 		PeakGiB:  float64(p.PredictedPeak) / (1 << 30),
 		TimeSecs: p.PredictedTime,
 	}
-	ids := make([]int, 0, len(p.Tensors))
-	for id := range p.Tensors {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		tp := p.Tensors[id]
+	for _, tp := range p.Tensors {
 		out.Tensors = append(out.Tensors, TensorPlanJSON{
 			Tensor: tp.Tensor.Name, Bytes: tp.Tensor.Bytes(),
 			Opt: tp.Opt.String(), EvictAt: tp.EvictAt,
@@ -35,13 +28,7 @@ func ReferencePlanJSON(p *Plan) PlanJSON {
 			MicroRestore: tp.MicroRestore,
 		})
 	}
-	opIDs := make([]int, 0, len(p.Splits))
-	for id := range p.Splits {
-		opIDs = append(opIDs, id)
-	}
-	sort.Ints(opIDs)
-	for _, id := range opIDs {
-		sp := p.Splits[id]
+	for _, sp := range p.Splits {
 		sj := OpSplitJSON{
 			Op: sp.Op.Name, PNum: sp.PNum, Dim: sp.Dim.String(),
 			InOpt: sp.InOpt.String(), EarlyOut: sp.EarlyOut,

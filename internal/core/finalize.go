@@ -11,12 +11,11 @@ import (
 )
 
 // finalizeScratch is FinalizeWindows' working storage: the occupancy
-// tracker, the decision IDs, the use points, the chain sources'
-// availability and the chain walker. Calls borrow one from finalizers,
-// so a sweep's baseline plans stop allocating it.
+// tracker, the use points, the chain sources' availability and the
+// chain walker. Calls borrow one from finalizers, so a sweep's
+// baseline plans stop allocating it.
 type finalizeScratch struct {
 	occ    *profiler.Occupancy
-	ids    []int
 	points []int
 	until  []int
 	w      ChainWalker
@@ -47,30 +46,27 @@ func (fs *finalizeScratch) occupancy(prof *profiler.Profile) *profiler.Occupancy
 // The eviction window is the largest gap between consecutive uses of
 // the tensor in the schedule — for feature maps that is exactly the
 // forward-to-backward gap the out-of-core literature exploits.
+//
+// The producer may append its decisions in any order and repeat a
+// tensor: FinalizeWindows leaves plan.Tensors in ID order, one entry
+// (the first) per tensor.
 func FinalizeWindows(g *graph.Graph, sched *graph.Schedule, lv *graph.Liveness, prof *profiler.Profile, plan *Plan) {
 	fs := finalizers.Get().(*finalizeScratch)
 	defer finalizers.Put(fs)
 	occ := fs.occupancy(prof)
 
-	ids := fs.ids[:0]
-	for id := range plan.Tensors {
-		ids = append(ids, id)
-	}
 	// Process in production order so swap-out bandwidth is booked in
-	// the order the runtime will issue the copies. Sort by ID first and
-	// keep the production-order sort stable: multi-output ops produce
-	// several tensors at the same FirstUse, and an unstable sort over
-	// map-ordered input would book their bandwidth in a different order
-	// each run.
-	slices.Sort(ids)
-	slices.SortStableFunc(ids, func(a, b int) int {
-		return cmp.Compare(lv.FirstUse[plan.Tensors[a].Tensor], lv.FirstUse[plan.Tensors[b].Tensor])
+	// the order the runtime will issue the copies, the tensors of a
+	// multi-output op (one FirstUse) in ID order. The sort is stable, so
+	// a repeated tensor keeps its first entry.
+	slices.SortStableFunc(plan.Tensors, func(a, b TensorPlan) int {
+		return cmp.Or(cmp.Compare(lv.FirstUse[a.Tensor], lv.FirstUse[b.Tensor]), cmp.Compare(a.Tensor.ID, b.Tensor.ID))
 	})
-	fs.ids = ids
+	plan.Tensors = slices.CompactFunc(plan.Tensors, func(a, b TensorPlan) bool { return a.Tensor.ID == b.Tensor.ID })
 
 	points := fs.points[:0] // production point, then the uses; one buffer for the whole call
-	for _, id := range ids {
-		tp := plan.Tensors[id]
+	for i := range plan.Tensors {
+		tp := &plan.Tensors[i]
 		t := tp.Tensor
 		prod := lv.FirstUse[t]
 		if prod < 0 {
@@ -86,8 +82,9 @@ func FinalizeWindows(g *graph.Graph, sched *graph.Schedule, lv *graph.Liveness, 
 			}
 		}
 		if restoreAt == -1 || gap < 2 {
-			// No gap worth evicting across: drop the decision.
-			delete(plan.Tensors, id)
+			// No gap worth evicting across: drop the decision (the
+			// filter below removes the entry).
+			tp.Tensor = nil
 			continue
 		}
 		tp.EvictAt = evictAt
@@ -105,9 +102,13 @@ func FinalizeWindows(g *graph.Graph, sched *graph.Schedule, lv *graph.Liveness, 
 			}
 			tp.PrefetchAt = start
 		}
-		plan.Tensors[id] = tp
 	}
 	fs.points = points
+	plan.Tensors = slices.DeleteFunc(plan.Tensors, func(tp TensorPlan) bool { return tp.Tensor == nil })
+	slices.SortFunc(plan.Tensors, func(a, b TensorPlan) int { return cmp.Compare(a.Tensor.ID, b.Tensor.ID) })
+	if len(plan.Tensors) == 0 {
+		plan.Tensors = nil // an empty list is nil, as in every other plan
+	}
 
 	// Derive recompute-chain transients against the finalized plan. The
 	// runtime holds a regeneration's intermediates until the whole chain
@@ -127,9 +128,8 @@ func FinalizeWindows(g *graph.Graph, sched *graph.Schedule, lv *graph.Liveness, 
 	var chainT []int64
 	w := &fs.w           // the scratch's walker; its visited set grows on first use
 	var q finalizedAvail // q.until is built at the first recompute decision
-	for _, id := range ids {
-		tp, ok := plan.Tensors[id]
-		if !ok || tp.Opt != Recompute || tp.ChainBytes > 0 {
+	for _, tp := range plan.Tensors {
+		if tp.Opt != Recompute || tp.ChainBytes > 0 {
 			continue
 		}
 		if q.until == nil {
@@ -192,8 +192,10 @@ func availableUntil(dst []int, g *graph.Graph, lv *graph.Liveness, plan *Plan) [
 		if until[t.ID] < 0 {
 			until[t.ID] = math.MaxInt
 		}
-		if tp, planned := plan.Tensors[t.ID]; planned && tp.Opt == Recompute {
-			until[t.ID] = tp.EvictAt
+	}
+	for _, tp := range plan.Tensors {
+		if tp.Opt == Recompute {
+			until[tp.Tensor.ID] = tp.EvictAt
 		}
 	}
 	return until

@@ -45,7 +45,9 @@ const curveBlockShift = 5
 // per-schedule-index op footprint adjustment (workspace, or the split
 // footprint delta), folded directly into memAt.
 type memCurve struct {
-	ms   *MemSim
+	ms *MemSim
+	// plan supplies the plan-wide offload options; update hands in the
+	// decisions.
 	plan *Plan
 	n    int
 	// memAt[u] + blockAdd[u>>curveBlockShift] is the memory in use
@@ -83,12 +85,6 @@ type memCurve struct {
 	changedIDs  []int32
 	changedMark []bool
 
-	// look, when non-nil, answers plan-entry lookups from the owning
-	// planner's tpMirror arrays instead of the plan.Tensors map — same
-	// answers, no hashing. Standalone curves (tests, cold rebuilds)
-	// leave it nil and fall back to the map.
-	look func(id int) (TensorPlan, bool)
-
 	// minInc is the lowest index where memory may have *increased*
 	// since the last bottleneck search returned — the resume point of
 	// the first-over-capacity scan. Decreases (the usual effect of a
@@ -119,7 +115,8 @@ func newMemCurve(ms *MemSim) *memCurve {
 	}
 }
 
-// reset brings the curve to the empty plan p for a new Plan() call.
+// reset brings the curve to the empty plan, under p's offload
+// options, for a new Plan() call.
 // While the pristine snapshot holds, the materialized arrays are
 // copied back and only tensors whose spans diverged get their applied
 // set recomputed (under the new, empty plan) into their existing
@@ -139,22 +136,23 @@ func (c *memCurve) reset(p *Plan) {
 	for _, id := range c.changedIDs {
 		c.changedMark[id] = false
 		t := c.ms.G.Tensors[id]
-		c.applied[id] = c.ms.chargesInto(t, c.plan, c.look, c.applied[id][:0])
+		c.applied[id] = c.ms.chargesInto(t, c.plan, TensorPlan{}, c.applied[id][:0])
 	}
 	c.changedIDs = c.changedIDs[:0]
 	c.minInc = c.n + 1
 }
 
-// derive builds the curve for the current, empty plan in one full pass
-// — the only full pass the incremental path ever performs — and
-// snapshots it as the pristine state.
+// derive builds the curve for the empty plan (every tensor resident,
+// every op unsplit) in one full pass — the only full pass the
+// incremental path ever performs — and snapshots it as the pristine
+// state.
 func (c *memCurve) derive() {
 	for i, op := range c.ms.Sched.Ops {
-		c.adj[i] = c.ms.opFootprintAdjustment(op, c.plan)
+		c.adj[i] = op.Workspace
 	}
 	clear(c.delta)
 	for _, t := range c.ms.G.Tensors {
-		spans := c.ms.chargesInto(t, c.plan, c.look, c.applied[t.ID][:0])
+		spans := c.ms.chargesInto(t, c.plan, TensorPlan{}, c.applied[t.ID][:0])
 		for _, iv := range spans {
 			c.delta[iv.a] += iv.bytes
 			c.delta[iv.b+1] -= iv.bytes
@@ -255,10 +253,11 @@ func (c *memCurve) rangeAdd(a, b int, v int64) {
 	}
 }
 
-// update re-derives t's contributions after its plan entry changed,
-// subtracting the previously applied spans first. The old span set is
-// read out before its backing array is reused for the new one.
-func (c *memCurve) update(t *graph.Tensor) {
+// update re-derives t's contributions after its plan entry changed to
+// tp (the zero TensorPlan: none), subtracting the previously applied
+// spans first. The old span set is read out before its backing array
+// is reused for the new one.
+func (c *memCurve) update(t *graph.Tensor, tp TensorPlan) {
 	id := t.ID
 	if !c.changedMark[id] {
 		c.changedMark[id] = true
@@ -268,7 +267,7 @@ func (c *memCurve) update(t *graph.Tensor) {
 	for _, iv := range old {
 		c.rangeAdd(iv.a, iv.b, -iv.bytes)
 	}
-	spans := c.ms.chargesInto(t, c.plan, c.look, old[:0])
+	spans := c.ms.chargesInto(t, c.plan, tp, old[:0])
 	for _, iv := range spans {
 		// rangeAdd tracks minInc: added spans are where memory can
 		// increase.
@@ -390,19 +389,19 @@ func (q availQuery) Avail(t *graph.Tensor) bool {
 		return !pl.plan.ShardParams
 	case tensor.Input:
 		if pl.tpSet[t.ID] {
-			if tp := &pl.tpMirror[t.ID]; tp.Opt != Reside {
+			if tp := &pl.tplans[t.ID]; tp.Opt != Reside {
 				return tp.Opt == Swap && tp.MicroRestore <= 1 && tp.RestoreAt <= q.r
 			}
 		}
 		return true
 	case tensor.FeatureMap:
-		if !pl.tpSet[t.ID] || pl.tpMirror[t.ID].Opt == Reside {
+		if !pl.tpSet[t.ID] || pl.tplans[t.ID].Opt == Reside {
 			return pl.firstOf[t.ID] <= q.r && q.r <= pl.lastOf[t.ID]
 		}
 		// A micro-restored tensor only ever returns in fragments
 		// streamed into its split consumer; chains may not pull it
 		// back whole.
-		tp := &pl.tpMirror[t.ID]
+		tp := &pl.tplans[t.ID]
 		return tp.Opt == Swap && tp.MicroRestore <= 1 && tp.RestoreAt <= q.r && q.r <= pl.lastOf[t.ID]
 	default:
 		return false
@@ -510,14 +509,14 @@ type planDelta struct {
 // registers; changed ops get their footprint adjustment recomputed.
 func (pl *Planner) noteChanges(d planDelta) {
 	for _, t := range d.tensors {
-		pl.curve.update(t)
+		pl.curve.update(t, pl.tensor(t.ID))
 		pl.ci.noteTensorPlanChanged(t.ID)
-		if pl.tpSet[t.ID] && pl.tpMirror[t.ID].Opt == Recompute {
+		if pl.tpSet[t.ID] && pl.tplans[t.ID].Opt == Recompute {
 			pl.ci.chainStale[t.ID] = true
 		}
 	}
 	for _, op := range d.ops {
-		pl.curve.setAdj(pl.opPos[op.ID], pl.ms.opFootprintAdjustment(op, pl.plan))
+		pl.curve.setAdj(pl.opPos[op.ID], opFootprintAdjustment(op, pl.splits[op.ID]))
 		pl.ci.noteSplitChanged(pl.opPos[op.ID])
 	}
 }
@@ -545,7 +544,7 @@ func (pl *Planner) refreshChainsDirty() int {
 		ci.chainStale[id] = false
 		ci.depEpoch[id]++
 		rederived++
-		tp := pl.tpMirror[id]
+		tp := pl.tplans[id]
 		pl.touchScratch = pl.touchScratch[:0]
 		chain, err := walkChain(pl.walker, tp.Tensor, availQuery{pl, tp.RestoreAt}, len(pl.G.Ops), &pl.touchScratch)
 		ci.registerDeps(id32, pl.touchScratch)
@@ -554,8 +553,8 @@ func (pl *Planner) refreshChainsDirty() int {
 		}
 		if nb := chainTransientBytes(chain, tp.Tensor); nb != tp.ChainBytes {
 			tp.ChainBytes = nb
-			pl.putTensorPlan(id, tp)
-			pl.curve.update(tp.Tensor)
+			pl.putTensor(id, tp)
+			pl.curve.update(tp.Tensor, tp)
 		}
 	}
 	return rederived

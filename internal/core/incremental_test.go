@@ -10,6 +10,15 @@ import (
 	"tsplit/internal/tensor"
 )
 
+// randomEntry returns a random tensor decision of plan, which the
+// callers' check keeps in step with their draft.
+func randomEntry(rng *rand.Rand, plan *Plan) (TensorPlan, bool) {
+	if len(plan.Tensors) == 0 {
+		return TensorPlan{}, false
+	}
+	return plan.Tensors[rng.Intn(len(plan.Tensors))], true
+}
+
 // uses returns the schedule indices of t's consumers, ascending.
 func uses(t *graph.Tensor, sched *graph.Schedule) []int {
 	return appendUses(make([]int, 0, len(t.Consumers)), t, sched)
@@ -25,12 +34,14 @@ func TestIncrementalCurveMatchesFullRebuild(t *testing.T) {
 		tb := newTestbed(t, model, models.Config{BatchSize: 8})
 		ms := NewMemSim(tb.g, tb.sched, tb.lv)
 		plan := NewPlan("prop", tb.dev)
+		d := newDraft(len(tb.g.Tensors), len(tb.g.Ops))
 		curve := newMemCurve(ms)
 		curve.reset(plan)
 		rng := rand.New(rand.NewSource(42))
 
 		check := func(step int) {
 			t.Helper()
+			d.writeTo(plan)
 			wantMem, wantPeak, _ := ms.Curve(plan)
 			gotMem, gotPeak, _ := curve.scan()
 			if gotPeak != wantPeak {
@@ -55,7 +66,7 @@ func TestIncrementalCurveMatchesFullRebuild(t *testing.T) {
 			switch rng.Intn(5) {
 			case 0, 1: // evict a random unplanned tensor
 				x := tb.g.Tensors[rng.Intn(len(tb.g.Tensors))]
-				if _, planned := plan.Tensors[x.ID]; planned || !x.Kind.Evictable() {
+				if d.tpSet[x.ID] || !x.Kind.Evictable() {
 					continue
 				}
 				r, ok := randomUse(x)
@@ -73,19 +84,20 @@ func TestIncrementalCurveMatchesFullRebuild(t *testing.T) {
 				if tp.EvictAt < 0 {
 					tp.EvictAt = 0
 				}
-				plan.Tensors[x.ID] = tp
-				curve.update(x)
+				d.putTensor(x.ID, tp)
+				curve.update(x, tp)
 			case 2: // perturb a chain estimate or micro-restore factor
-				for id, tp := range plan.Tensors {
-					if tp.Opt == Recompute {
-						tp.ChainBytes = int64(rng.Intn(1 << 20))
-					} else {
-						tp.MicroRestore = []int{0, 2, 4}[rng.Intn(3)]
-					}
-					plan.Tensors[id] = tp
-					curve.update(tp.Tensor)
-					break
+				tp, ok := randomEntry(rng, plan)
+				if !ok {
+					continue
 				}
+				if tp.Opt == Recompute {
+					tp.ChainBytes = int64(rng.Intn(1 << 20))
+				} else {
+					tp.MicroRestore = []int{0, 2, 4}[rng.Intn(3)]
+				}
+				d.putTensor(tp.Tensor.ID, tp)
+				curve.update(tp.Tensor, tp)
 			case 3: // split a random op
 				op := tb.sched.Ops[rng.Intn(len(tb.sched.Ops))]
 				dim := tensor.DimSample
@@ -95,14 +107,16 @@ func TestIncrementalCurveMatchesFullRebuild(t *testing.T) {
 				if in, out := SplitTensors(op, dim); in == nil || out == nil {
 					continue
 				}
-				plan.Splits[op.ID] = OpSplit{Op: op, PNum: []int{2, 4, 8}[rng.Intn(3)], Dim: dim, InOpt: []MemOpt{Reside, Swap, Recompute}[rng.Intn(3)]}
-				curve.setAdj(tb.sched.Index[op], ms.opFootprintAdjustment(op, plan))
+				sp := OpSplit{Op: op, PNum: []int{2, 4, 8}[rng.Intn(3)], Dim: dim, InOpt: []MemOpt{Reside, Swap, Recompute}[rng.Intn(3)]}
+				d.putSplit(sp)
+				curve.setAdj(tb.sched.Index[op], opFootprintAdjustment(op, sp))
 			case 4: // revert a random decision
-				for id, tp := range plan.Tensors {
-					delete(plan.Tensors, id)
-					curve.update(tp.Tensor)
-					break
+				tp, ok := randomEntry(rng, plan)
+				if !ok {
+					continue
 				}
+				d.tpSet[tp.Tensor.ID] = false
+				curve.update(tp.Tensor, TensorPlan{})
 			}
 			check(step)
 		}
@@ -124,6 +138,7 @@ func TestBottleneckResumeMatchesFullScan(t *testing.T) {
 			tb := newTestbed(t, model, models.Config{BatchSize: 8})
 			ms := NewMemSim(tb.g, tb.sched, tb.lv)
 			plan := NewPlan("prop", tb.dev)
+			d := newDraft(len(tb.g.Tensors), len(tb.g.Ops))
 			curve := newMemCurve(ms)
 			curve.reset(plan)
 			_, basePeak, _ := ms.Curve(plan)
@@ -133,6 +148,7 @@ func TestBottleneckResumeMatchesFullScan(t *testing.T) {
 			prevBtl := 0
 			check := func(step int) {
 				t.Helper()
+				d.writeTo(plan)
 				mem, _, _ := ms.Curve(plan)
 				wantI, wantFound := 0, false
 				var wantMem int64
@@ -157,7 +173,7 @@ func TestBottleneckResumeMatchesFullScan(t *testing.T) {
 				switch rng.Intn(4) {
 				case 0, 1: // evict a random unplanned tensor
 					x := tb.g.Tensors[rng.Intn(len(tb.g.Tensors))]
-					if _, planned := plan.Tensors[x.ID]; planned || !x.Kind.Evictable() {
+					if d.tpSet[x.ID] || !x.Kind.Evictable() {
 						continue
 					}
 					us := uses(x, tb.sched)
@@ -173,21 +189,23 @@ func TestBottleneckResumeMatchesFullScan(t *testing.T) {
 					if tp.EvictAt < 0 {
 						tp.EvictAt = 0
 					}
-					plan.Tensors[x.ID] = tp
-					curve.update(x)
+					d.putTensor(x.ID, tp)
+					curve.update(x, tp)
 				case 2: // split a random op
 					op := tb.sched.Ops[rng.Intn(len(tb.sched.Ops))]
 					if in, out := SplitTensors(op, tensor.DimSample); in == nil || out == nil {
 						continue
 					}
-					plan.Splits[op.ID] = OpSplit{Op: op, PNum: []int{2, 4}[rng.Intn(2)], Dim: tensor.DimSample, InOpt: Reside}
-					curve.setAdj(tb.sched.Index[op], ms.opFootprintAdjustment(op, plan))
+					sp := OpSplit{Op: op, PNum: []int{2, 4}[rng.Intn(2)], Dim: tensor.DimSample, InOpt: Reside}
+					d.putSplit(sp)
+					curve.setAdj(tb.sched.Index[op], opFootprintAdjustment(op, sp))
 				case 3: // revert a random decision (memory increases again)
-					for id, tp := range plan.Tensors {
-						delete(plan.Tensors, id)
-						curve.update(tp.Tensor)
-						break
+					tp, ok := randomEntry(rng, plan)
+					if !ok {
+						continue
 					}
+					d.tpSet[tp.Tensor.ID] = false
+					curve.update(tp.Tensor, TensorPlan{})
 				}
 				check(step)
 			}
@@ -233,19 +251,18 @@ func TestDirtyChainRefreshMatchesFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := make(map[int]int64)
-	for id, tp := range plan.Tensors {
-		if tp.Opt == Recompute {
-			before[id] = tp.ChainBytes
-		}
-	}
-	if len(before) == 0 {
-		t.Skip("plan contains no recompute decisions")
-	}
 	pl.refreshChains()
-	for id, want := range before {
-		if got := plan.Tensors[id].ChainBytes; got != want {
-			t.Errorf("tensor %d: stale chain estimate %d, full refresh gives %d", id, want, got)
+	recomputes := 0
+	for _, tp := range plan.Tensors {
+		if tp.Opt != Recompute {
+			continue
 		}
+		recomputes++
+		if got := pl.tplans[tp.Tensor.ID].ChainBytes; got != tp.ChainBytes {
+			t.Errorf("tensor %d: stale chain estimate %d, full refresh gives %d", tp.Tensor.ID, tp.ChainBytes, got)
+		}
+	}
+	if recomputes == 0 {
+		t.Skip("plan contains no recompute decisions")
 	}
 }

@@ -47,19 +47,14 @@ type span struct {
 	bytes int64
 }
 
-// residency returns the device-residency spans of tensor t under the
-// plan. Most tensors have one span; evicted tensors have two (before
-// eviction, after restore); sharded parameters have one per consumer.
-func (ms *MemSim) residency(t *graph.Tensor, p *Plan) []span {
-	return ms.residencyInto(t, p, nil, nil)
-}
-
-// residencyInto is residency appending into a caller-owned buffer, so
-// the incremental memory curve can re-derive a tensor's spans without
-// allocating (see chargesInto). A non-nil look replaces the p.Tensors
-// map read with an O(1) array mirror lookup (the planner's tpMirror) —
-// it must answer exactly what p.Tensors holds.
-func (ms *MemSim) residencyInto(t *graph.Tensor, p *Plan, look func(id int) (TensorPlan, bool), buf []span) []span {
+// residencyInto appends the device-residency spans of tensor t to buf
+// — a caller-owned buffer, so the incremental memory curve can
+// re-derive a tensor's spans without allocating (see chargesInto) —
+// under the plan's offload options and t's decision tp (the zero
+// TensorPlan when it has none). Most tensors have one span; evicted
+// tensors have two (before eviction, after restore); sharded
+// parameters have one per consumer.
+func (ms *MemSim) residencyInto(t *graph.Tensor, p *Plan, tp TensorPlan, buf []span) []span {
 	n := len(ms.Sched.Ops)
 	first := ms.firstOf[t.ID]
 	last := ms.lastOf[t.ID]
@@ -105,8 +100,7 @@ func (ms *MemSim) residencyInto(t *graph.Tensor, p *Plan, look func(id int) (Ten
 		}
 	}
 
-	tp, ok := entryOf(t.ID, p, look)
-	if !ok || tp.Opt == Reside {
+	if tp.Opt == Reside {
 		return append(buf, span{first, last, b})
 	}
 	// Evicted after EvictAt; back on device from the prefetch (swap) or
@@ -134,24 +128,15 @@ func (ms *MemSim) residencyInto(t *graph.Tensor, p *Plan, look func(id int) (Ten
 	return buf
 }
 
-// entryOf answers p.Tensors[id], through look when it is non-nil.
-func entryOf(id int, p *Plan, look func(id int) (TensorPlan, bool)) (TensorPlan, bool) {
-	if look != nil {
-		return look(id)
-	}
-	tp, ok := p.Tensors[id]
-	return tp, ok
-}
-
 // chargesInto appends everything tensor t charges to the memory curve
 // under the plan: its residency spans plus, for a recompute decision
 // with a transient estimate, a one-index span at every backward
 // consumer, where the chain re-runs and its intermediates occupy the
 // device. Curve and the planner's incremental memCurve both charge
-// through it; look is as for residencyInto.
-func (ms *MemSim) chargesInto(t *graph.Tensor, p *Plan, look func(id int) (TensorPlan, bool), buf []span) []span {
-	buf = ms.residencyInto(t, p, look, buf)
-	if tp, ok := entryOf(t.ID, p, look); ok && tp.Opt == Recompute && tp.ChainBytes > 0 {
+// through it; p and tp are as for residencyInto.
+func (ms *MemSim) chargesInto(t *graph.Tensor, p *Plan, tp TensorPlan, buf []span) []span {
+	buf = ms.residencyInto(t, p, tp, buf)
+	if tp.Opt == Recompute && tp.ChainBytes > 0 {
 		for _, c := range t.Consumers {
 			if u := ms.opPos[c.ID]; u >= tp.RestoreAt {
 				buf = append(buf, span{u, u, tp.ChainBytes})
@@ -168,7 +153,8 @@ func (ms *MemSim) Curve(p *Plan) (memAt []int64, peak int64, peakIdx int) {
 	delta := make([]int64, n+1)
 	var spans []span
 	for _, t := range ms.G.Tensors {
-		spans = ms.chargesInto(t, p, nil, spans[:0])
+		tp, _ := p.Tensor(t.ID)
+		spans = ms.chargesInto(t, p, tp, spans[:0])
 		for _, iv := range spans {
 			delta[iv.a] += iv.bytes
 			delta[iv.b+1] -= iv.bytes
@@ -178,7 +164,8 @@ func (ms *MemSim) Curve(p *Plan) (memAt []int64, peak int64, peakIdx int) {
 	var run int64
 	for i := 0; i < n; i++ {
 		run += delta[i]
-		memAt[i] = run + ms.opFootprintAdjustment(ms.Sched.Ops[i], p)
+		sp, _ := p.SplitFor(ms.Sched.Ops[i])
+		memAt[i] = run + opFootprintAdjustment(ms.Sched.Ops[i], sp)
 		if p.ChainTransients != nil {
 			memAt[i] += p.ChainTransients[i]
 		}
@@ -191,11 +178,11 @@ func (ms *MemSim) Curve(p *Plan) (memAt []int64, peak int64, peakIdx int) {
 }
 
 // opFootprintAdjustment returns the op's own execution footprint on
-// top of the interval-based live set: the full workspace when unsplit,
-// or the reduced split footprint delta when the op is split.
-func (ms *MemSim) opFootprintAdjustment(op *graph.Op, p *Plan) int64 {
-	sp, ok := p.Splits[op.ID]
-	if !ok {
+// top of the interval-based live set under its split decision sp: the
+// full workspace when unsplit (the zero OpSplit), or the reduced split
+// footprint delta when the op is split.
+func opFootprintAdjustment(op *graph.Op, sp OpSplit) int64 {
+	if sp.Op == nil {
 		return op.Workspace
 	}
 	return splitAdjustment(op, sp)

@@ -10,8 +10,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"tsplit/internal/device"
@@ -107,18 +108,23 @@ type OpSplit struct {
 }
 
 // Plan is a complete memory-management strategy configuration C of
-// paper Eq. 1 for one graph/schedule/device triple.
+// paper Eq. 1 for one graph/schedule/device triple: the tensor and
+// split decisions are two lists, each in strictly ascending ID order
+// with one entry per ID, so every walk over a plan is a plain range in
+// a fixed order.
 type Plan struct {
 	// Name identifies the policy that produced the plan ("tsplit",
 	// "vdnn-all", ...).
 	Name string
 	// Dev is the device the plan was made for.
 	Dev device.Device
-	// Tensors maps tensor ID to its non-reside decision. Absent means
-	// reside.
-	Tensors map[int]TensorPlan
-	// Splits maps op ID to its split decision. Absent means unsplit.
-	Splits map[int]OpSplit
+	// Tensors lists the non-reside decisions in strictly ascending
+	// Tensor.ID order. A tensor without an entry resides. Tensor finds
+	// one by ID.
+	Tensors []TensorPlan
+	// Splits lists the split decisions in strictly ascending Op.ID
+	// order. An op without an entry runs unsplit. SplitFor finds one.
+	Splits []OpSplit
 
 	// OffloadOptimizer moves optimizer state and the parameter update
 	// computation to the CPU (ZeRO-Offload): optimizer state never
@@ -147,20 +153,29 @@ type Plan struct {
 	ChainTransients []int64
 }
 
-// NewPlan returns an empty (all-reside) plan.
+// NewPlan returns an empty (all-reside) plan: both lists nil.
 func NewPlan(name string, dev device.Device) *Plan {
-	return &Plan{
-		Name:    name,
-		Dev:     dev,
-		Tensors: make(map[int]TensorPlan),
-		Splits:  make(map[int]OpSplit),
-	}
+	return &Plan{Name: name, Dev: dev}
 }
 
-// SplitFor returns the split decision for op, if any.
+// Tensor returns the decision for the tensor with ID id, if any, by a
+// binary search of Tensors.
+func (p *Plan) Tensor(id int) (TensorPlan, bool) {
+	k, ok := slices.BinarySearchFunc(p.Tensors, id, func(tp TensorPlan, id int) int { return cmp.Compare(tp.Tensor.ID, id) })
+	if !ok {
+		return TensorPlan{}, false
+	}
+	return p.Tensors[k], true
+}
+
+// SplitFor returns the split decision for op, if any, by a binary
+// search of Splits.
 func (p *Plan) SplitFor(op *graph.Op) (OpSplit, bool) {
-	s, ok := p.Splits[op.ID]
-	return s, ok
+	k, ok := slices.BinarySearchFunc(p.Splits, op.ID, func(sp OpSplit, id int) int { return cmp.Compare(sp.Op.ID, id) })
+	if !ok {
+		return OpSplit{}, false
+	}
+	return p.Splits[k], true
 }
 
 // Counts reports how many tensors use each option and how many ops are
@@ -173,7 +188,6 @@ type Counts struct {
 // Counts summarizes the plan.
 func (p *Plan) Counts() Counts {
 	var c Counts
-	//lint:allow maporder integer tallies are commutative; no order-dependent state
 	for _, tp := range p.Tensors {
 		switch tp.Opt {
 		case Swap:
@@ -201,23 +215,11 @@ func (p *Plan) String() string {
 func (p *Plan) Describe() string {
 	var b strings.Builder
 	fmt.Fprintln(&b, p.String())
-	ids := make([]int, 0, len(p.Tensors))
-	for id := range p.Tensors {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		tp := p.Tensors[id]
+	for _, tp := range p.Tensors {
 		fmt.Fprintf(&b, "  %-9s %-40s %8.1f MiB evict@%d restore@%d prefetch@%d\n",
 			tp.Opt, tp.Tensor.Name, float64(tp.Tensor.Bytes())/(1<<20), tp.EvictAt, tp.RestoreAt, tp.PrefetchAt)
 	}
-	opIDs := make([]int, 0, len(p.Splits))
-	for id := range p.Splits {
-		opIDs = append(opIDs, id)
-	}
-	sort.Ints(opIDs)
-	for _, id := range opIDs {
-		s := p.Splits[id]
+	for _, s := range p.Splits {
 		fmt.Fprintf(&b, "  split     %-40s p_num=%d dim=%s in=%s early-out=%v\n",
 			s.Op.Name, s.PNum, s.Dim, s.InOpt, s.EarlyOut)
 	}

@@ -155,9 +155,12 @@ type Planner struct {
 	Dev   device.Device
 	Opts  Options
 
-	ms        *MemSim
-	occ       *profiler.Occupancy
-	plan      *Plan
+	ms  *MemSim
+	occ *profiler.Occupancy
+	// plan is the run's result: its name, options and predictions are
+	// set as the run goes, its decision lists from draft at the finish.
+	plan *Plan
+	draft
 	extraTime float64
 	// Unhidden swap-out time per tensor ID so the early-out refinement
 	// knows where splitting a producer helps. ID-indexed array plus an
@@ -184,13 +187,6 @@ type Planner struct {
 	// touchScratch collects the tensor IDs a chain walk queried — the
 	// dependency set the candidate index registers.
 	touchScratch []int32
-	// tpMirror/tpSet mirror plan.Tensors by tensor ID during a run:
-	// availability probes and split scoring run hundreds of thousands
-	// of entry lookups per plan, and array indexing beats map access
-	// severalfold. Every planning-time write must go through
-	// putTensorPlan so the mirror never diverges from the map.
-	tpMirror []TensorPlan
-	tpSet    []bool
 	// Fold scratch for the candidate-index scan (candindex.go): the
 	// scan writes each priced candidate into foldTmp and keeps the
 	// running winners in foldPos/foldBest, so pricing allocates nothing.
@@ -200,10 +196,6 @@ type Planner struct {
 	deltaT1 [1]*graph.Tensor
 	deltaO1 [1]*graph.Op
 	deltaTN []*graph.Tensor
-
-	// lastTensors/lastSplits are the decision counts of the last
-	// successful run: beginRun pre-sizes the next plan's maps from them.
-	lastTensors, lastSplits int
 
 	// --- observability state (see report.go) ---
 
@@ -239,8 +231,8 @@ func (pl *Planner) SetOptions(opts Options) {
 }
 
 // Reset drops the last run's report before the planner is pooled. The
-// pooled scratch (curve, candidate index, occupancy), the plan-size
-// hint and the pristine split configuration lists are kept for reuse;
+// pooled scratch (curve, candidate index, occupancy, draft) and the
+// pristine split configuration lists are kept for reuse;
 // the scratch is reset in place at the top of every run regardless.
 func (pl *Planner) Reset() {
 	pl.report = nil
@@ -267,10 +259,6 @@ func (pl *Planner) derive() {
 		pl.initAccel()
 		pl.occ = profiler.NewOccupancy(pl.Prof)
 		pl.curve = newMemCurve(pl.ms)
-		// Route the curve's plan-entry reads through the tpMirror
-		// arrays: same answers as plan.Tensors, no map hashing on the
-		// span re-derivation hot path.
-		pl.curve.look = pl.tensorPlanByID
 		pl.ci = newCandIndex(pl)
 	}
 	pl.graphGen = gen
@@ -301,16 +289,74 @@ func (pl *Planner) initAccel() {
 	}
 	pl.walker = newChainWalker(len(pl.G.Ops))
 	pl.swapStallOf = make([]float64, nT)
-	pl.tpMirror = make([]TensorPlan, nT)
-	pl.tpSet = make([]bool, nT)
+	pl.draft = newDraft(nT, len(pl.G.Ops))
 }
 
-// putTensorPlan commits a tensor's plan entry to both the plan map and
-// the planner's ID-indexed mirror.
-func (pl *Planner) putTensorPlan(id int, tp TensorPlan) {
-	pl.plan.Tensors[id] = tp
-	pl.tpMirror[id] = tp
-	pl.tpSet[id] = true
+// draft is a plan under construction, indexed by ID: the planner's
+// working store. Scoring looks entries up hundreds of thousands of
+// times per plan; finishRun writes the plan's two ID-ordered lists
+// from it once.
+type draft struct {
+	tplans []TensorPlan // by tensor ID; an entry where tpSet
+	tpSet  []bool
+	splits []OpSplit // by op ID; an entry where spSet
+	spSet  []bool
+}
+
+func newDraft(nT, nOps int) draft {
+	return draft{
+		tplans: make([]TensorPlan, nT), tpSet: make([]bool, nT),
+		splits: make([]OpSplit, nOps), spSet: make([]bool, nOps),
+	}
+}
+
+// tensor returns tensor id's entry, or the zero TensorPlan (reside).
+func (d *draft) tensor(id int) TensorPlan {
+	if d.tpSet[id] {
+		return d.tplans[id]
+	}
+	return TensorPlan{}
+}
+
+func (d *draft) putTensor(id int, tp TensorPlan) {
+	d.tplans[id] = tp
+	d.tpSet[id] = true
+}
+
+func (d *draft) putSplit(sp OpSplit) {
+	d.splits[sp.Op.ID] = sp
+	d.spSet[sp.Op.ID] = true
+}
+
+// writeTo sets p's decision lists from the draft: ID order, exact
+// size, and storage of their own, so p shares nothing with the next
+// run. An empty list is nil.
+func (d *draft) writeTo(p *Plan) {
+	p.Tensors = entries(d.tplans, d.tpSet)
+	p.Splits = entries(d.splits, d.spSet)
+}
+
+// entries returns the elements of all whose set flag is up, in index
+// order, in a new exact-size slice (nil when there are none).
+func entries[T any](all []T, set []bool) []T {
+	n := 0
+	for _, ok := range set {
+		if ok {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]T, n)
+	k := 0
+	for id, ok := range set {
+		if ok {
+			out[k] = all[id]
+			k++
+		}
+	}
+	return out
 }
 
 // inputsUndecided reports whether none of op's inputs has a plan entry.
@@ -321,15 +367,6 @@ func (pl *Planner) inputsUndecided(op *graph.Op) bool {
 		}
 	}
 	return true
-}
-
-// tensorPlanByID answers plan.Tensors[id] from the ID-indexed mirror
-// — hot-path replacement for the map read (see memCurve.look).
-func (pl *Planner) tensorPlanByID(id int) (TensorPlan, bool) {
-	if pl.tpSet[id] {
-		return pl.tpMirror[id], true
-	}
-	return TensorPlan{}, false
 }
 
 // candidate is one scored planning action, held by value in the
@@ -385,21 +422,12 @@ func (pl *Planner) Plan() (*Plan, error) {
 }
 
 // beginRun derives the arenas for the workload (derive) and resets all
-// per-run state in place: a fresh Plan (the only per-run allocation —
-// previously returned plans must stay valid) and the pooled
-// occupancy/curve/candidate-index scratch.
+// per-run state in place: a fresh Plan (previously returned plans must
+// stay valid) and the pooled draft/occupancy/curve/candidate-index
+// scratch.
 func (pl *Planner) beginRun() {
 	pl.derive()
 	pl.plan = NewPlan("tsplit", pl.Dev)
-	// Similar workloads commit similar decision counts: pre-size the maps
-	// to the last run's so steady-state runs skip the incremental-growth
-	// rehashes.
-	if n := pl.lastTensors; n > 0 {
-		pl.plan.Tensors = make(map[int]TensorPlan, n)
-	}
-	if n := pl.lastSplits; n > 0 {
-		pl.plan.Splits = make(map[int]OpSplit, n)
-	}
 	if pl.Opts.DisableSplit {
 		pl.plan.Name = "tsplit-nosplit"
 	}
@@ -412,9 +440,8 @@ func (pl *Planner) beginRun() {
 		pl.swapStallOf[id] = 0
 	}
 	pl.swapStallIDs = pl.swapStallIDs[:0]
-	for id := range pl.tpSet {
-		pl.tpSet[id] = false
-	}
+	clear(pl.tpSet)
+	clear(pl.spSet)
 	pl.extraTime = 0
 	pl.statIters, pl.statCands, pl.statRederived, pl.statSkipped = 0, 0, 0, 0
 	pl.statRescored = 0
@@ -434,10 +461,11 @@ func (pl *Planner) beginRun() {
 }
 
 // finishRun completes a run: the early-out refinement, the final peak
-// from the incremental curve, observation, and the plan-size hint for
-// the next run.
+// from the incremental curve, the plan's decision lists and
+// observation. A failed run returns the partial plan built so far.
 func (pl *Planner) finishRun(err error) (*Plan, error) {
 	if err != nil {
+		pl.draft.writeTo(pl.plan)
 		return pl.plan, err
 	}
 	fsp := pl.runSpan.StartSpan("planner.finalize")
@@ -445,11 +473,11 @@ func (pl *Planner) finishRun(err error) (*Plan, error) {
 		pl.earlyOutPass()
 	}
 	_, peak, _ := pl.curve.scan()
+	pl.draft.writeTo(pl.plan)
 	fsp.End()
 	pl.plan.PredictedPeak = peak
 	pl.plan.PredictedTime = pl.Prof.Total() + pl.extraTime
 	pl.finishObservation(peak)
-	pl.lastTensors, pl.lastSplits = len(pl.plan.Tensors), len(pl.plan.Splits)
 	return pl.plan, nil
 }
 
@@ -594,15 +622,10 @@ func (pl *Planner) finishObservation(finalPeak int64) {
 		r.ChainsSkipped = pl.statSkipped
 		r.CandidatesRescored = pl.statRescored
 		r.MeanPCIeOccupancy = pl.occ.Mean()
-		ids := make([]int, 0, len(pl.plan.Splits))
-		for id, sp := range pl.plan.Splits {
+		for _, sp := range pl.plan.Splits {
 			if sp.EarlyOut {
-				ids = append(ids, id)
+				r.EarlyOutSplits = append(r.EarlyOutSplits, sp.Op.Name)
 			}
-		}
-		slices.Sort(ids)
-		for _, id := range ids {
-			r.EarlyOutSplits = append(r.EarlyOutSplits, pl.plan.Splits[id].Op.Name)
 		}
 	}
 	rec := pl.Opts.Obs
@@ -662,7 +685,7 @@ func (pl *Planner) applyEvict(c *candidate) planDelta {
 		pl.swapStallOf[t.ID] = c.stallOut
 		pl.swapStallIDs = append(pl.swapStallIDs, int32(t.ID))
 	}
-	pl.putTensorPlan(t.ID, tp)
+	pl.putTensor(t.ID, tp)
 	pl.deltaT1[0] = t
 	return planDelta{tensors: pl.deltaT1[:1]}
 }
@@ -682,11 +705,11 @@ func (pl *Planner) applySplit(c *candidate) planDelta {
 	}
 	pl.deltaO1[0] = op
 	d := planDelta{ops: pl.deltaO1[:1], tensors: pl.deltaTN[:0]}
-	if old, ok := pl.plan.Splits[op.ID]; ok {
+	if pl.spSet[op.ID] {
 		// Replacing the op's split: inputs the new decision no longer
 		// micro-restores must not keep a stale MicroRestore (it would
 		// break the split-balance invariant and skew the memory curve).
-		for _, t := range old.MicroIns {
+		for _, t := range pl.splits[op.ID].MicroIns {
 			kept := false
 			for _, nt := range c.split.MicroIns {
 				if nt == t {
@@ -697,17 +720,17 @@ func (pl *Planner) applySplit(c *candidate) planDelta {
 			if kept {
 				continue
 			}
-			tp := pl.plan.Tensors[t.ID]
+			tp := pl.tensor(t.ID)
 			tp.MicroRestore = 0
-			pl.putTensorPlan(t.ID, tp)
+			pl.putTensor(t.ID, tp)
 			d.tensors = append(d.tensors, t)
 		}
 	}
-	pl.plan.Splits[op.ID] = c.split
+	pl.putSplit(c.split)
 	for _, t := range c.split.MicroIns {
-		tp := pl.plan.Tensors[t.ID]
+		tp := pl.tensor(t.ID)
 		tp.MicroRestore = c.split.PNum
-		pl.putTensorPlan(t.ID, tp)
+		pl.putTensor(t.ID, tp)
 		d.tensors = append(d.tensors, t)
 	}
 	if c.splitNew && c.inOpt != Reside && c.restoreAt >= 0 {
@@ -726,7 +749,7 @@ func (pl *Planner) applySplit(c *candidate) planDelta {
 			}
 			tp.PrefetchAt = start
 		}
-		pl.putTensorPlan(c.in.ID, tp)
+		pl.putTensor(c.in.ID, tp)
 		d.tensors = append(d.tensors, c.in)
 	}
 	pl.deltaTN = d.tensors[:0]
@@ -889,13 +912,9 @@ func (pl *Planner) earlyOutPass() {
 		if stall <= 0 {
 			continue
 		}
-		tp := pl.plan.Tensors[id]
-		t := tp.Tensor
+		t := pl.tplans[id].Tensor
 		prod := t.Producer
-		if prod == nil {
-			continue
-		}
-		if _, already := pl.plan.Splits[prod.ID]; already {
+		if prod == nil || pl.spSet[prod.ID] {
 			continue
 		}
 		in, out := SplitTensors(prod, tensor.DimSample)
@@ -919,10 +938,11 @@ func (pl *Planner) earlyOutPass() {
 		if gain <= degrade {
 			continue
 		}
-		pl.plan.Splits[prod.ID] = OpSplit{Op: prod, PNum: pnum, Dim: tensor.DimSample, InOpt: Reside, EarlyOut: true}
+		sp := OpSplit{Op: prod, PNum: pnum, Dim: tensor.DimSample, InOpt: Reside, EarlyOut: true}
+		pl.putSplit(sp)
 		// Keep the curve coherent: the final peak comes from
 		// curve.scan(), which must see the split's footprint change.
-		pl.curve.setAdj(pi, pl.ms.opFootprintAdjustment(prod, pl.plan))
+		pl.curve.setAdj(pi, opFootprintAdjustment(prod, sp))
 		pl.extraTime -= gain - degrade
 	}
 }

@@ -9,38 +9,24 @@ package core
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"strings"
 	"testing"
 
 	"tsplit/internal/models"
 )
 
-// canonicalPlan renders every decision of a plan in a deterministic
-// order (maps serialized by sorted key) so two plans can be compared
-// byte for byte.
+// canonicalPlan renders every decision of a plan, in the plan's ID
+// order, so two plans can be compared byte for byte.
 func canonicalPlan(p *Plan) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "name=%s offload=%v shard=%v\n", p.Name, p.OffloadOptimizer, p.ShardParams)
 	fmt.Fprintf(&b, "time=%.17g peak=%d\n", p.PredictedTime, p.PredictedPeak)
-	tids := make([]int, 0, len(p.Tensors))
-	for id := range p.Tensors {
-		tids = append(tids, id)
-	}
-	sort.Ints(tids)
-	for _, id := range tids {
-		tp := p.Tensors[id]
+	for _, tp := range p.Tensors {
 		fmt.Fprintf(&b, "t%d %s opt=%v evict=%d restore=%d prefetch=%d micro=%d chain=%d\n",
-			id, tp.Tensor.Name, tp.Opt, tp.EvictAt, tp.RestoreAt, tp.PrefetchAt, tp.MicroRestore, tp.ChainBytes)
+			tp.Tensor.ID, tp.Tensor.Name, tp.Opt, tp.EvictAt, tp.RestoreAt, tp.PrefetchAt, tp.MicroRestore, tp.ChainBytes)
 	}
-	oids := make([]int, 0, len(p.Splits))
-	for id := range p.Splits {
-		oids = append(oids, id)
-	}
-	sort.Ints(oids)
-	for _, id := range oids {
-		sp := p.Splits[id]
-		fmt.Fprintf(&b, "op%d %s pnum=%d dim=%v inopt=%v earlyout=%v", id, sp.Op.Name, sp.PNum, sp.Dim, sp.InOpt, sp.EarlyOut)
+	for _, sp := range p.Splits {
+		fmt.Fprintf(&b, "op%d %s pnum=%d dim=%v inopt=%v earlyout=%v", sp.Op.ID, sp.Op.Name, sp.PNum, sp.Dim, sp.InOpt, sp.EarlyOut)
 		if sp.In2 != nil {
 			fmt.Fprintf(&b, " in2=%d", sp.In2.ID)
 		}

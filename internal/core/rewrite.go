@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"tsplit/internal/graph"
 	"tsplit/internal/tensor"
@@ -71,15 +70,9 @@ func Augment(g *graph.Graph, sched *graph.Schedule, lv *graph.Liveness, plan *Pl
 			rw.cur[t] = rw.instance(t, t.Name)
 		}
 	}
-	// Tensor-ID order keeps the inserted memory operators (and so the
-	// whole augmented graph) deterministic; Plan.Tensors is a map.
-	ids := make([]int, 0, len(plan.Tensors))
-	for id := range plan.Tensors {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		tp := plan.Tensors[id]
+	// Plan.Tensors is in tensor-ID order, which keeps the inserted
+	// memory operators (and so the whole augmented graph) deterministic.
+	for _, tp := range plan.Tensors {
 		if tp.Opt == Swap && tp.RestoreAt >= 0 {
 			at := tp.PrefetchAt
 			if at < 0 || at > tp.RestoreAt {
@@ -122,7 +115,7 @@ func (rw *rewriter) mapInput(t *graph.Tensor) (*graph.Tensor, error) {
 	if inst := rw.cur[t]; inst != nil {
 		return inst, nil
 	}
-	tp, ok := rw.plan.Tensors[t.ID]
+	tp, ok := rw.plan.Tensor(t.ID)
 	if !ok {
 		return nil, fmt.Errorf("core: rewrite needs %s but it has no device instance and no plan", t.Name)
 	}
@@ -242,7 +235,7 @@ func (rw *rewriter) cloneOp(op *graph.Op) error {
 // point is schedule index i.
 func (rw *rewriter) applyEvictions(i int) {
 	for _, in := range rw.evictAgenda[i] {
-		tp, ok := rw.plan.Tensors[in.ID]
+		tp, ok := rw.plan.Tensor(in.ID)
 		if !ok || rw.cur[in] == nil {
 			continue
 		}

@@ -138,7 +138,7 @@ func TestAugmentRecomputeDuplicatesForward(t *testing.T) {
 	if target == nil {
 		t.Fatal("tensor not found")
 	}
-	plan.Tensors[target.ID] = TensorPlan{Tensor: target, Opt: Recompute}
+	plan.Tensors = []TensorPlan{{Tensor: target, Opt: Recompute}}
 	FinalizeWindows(tb.g, tb.sched, tb.lv, tb.prof, plan)
 	ag, err := Augment(tb.g, tb.sched, tb.lv, plan)
 	if err != nil {

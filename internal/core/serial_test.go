@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"tsplit/internal/graph"
 	"tsplit/internal/tensor"
@@ -27,10 +26,14 @@ func (pl *Planner) planSerial() (*Plan, error) {
 	pl.beginRun()
 	err := pl.greedySerial()
 	for _, t := range pl.G.Tensors {
-		pl.curve.update(t)
+		pl.curve.update(t, pl.tensor(t.ID))
 	}
 	for i, op := range pl.Sched.Ops {
-		pl.curve.setAdj(i, pl.ms.opFootprintAdjustment(op, pl.plan))
+		var sp OpSplit
+		if pl.spSet[op.ID] {
+			sp = pl.splits[op.ID]
+		}
+		pl.curve.setAdj(i, opFootprintAdjustment(op, sp))
 	}
 	plan, err := pl.finishRun(err)
 	if err != nil {
@@ -54,6 +57,7 @@ func (pl *Planner) greedySerial() error {
 			return fmt.Errorf("core: planning did not converge in %d iterations", iter)
 		}
 		rederived := pl.refreshChains()
+		pl.draft.writeTo(pl.plan)
 		memAt, peak, _ := pl.ms.Curve(pl.plan)
 		pl.statRederived += int64(rederived)
 		if skipped := len(pl.recomputeIDs) - rederived; skipped > 0 {
@@ -107,17 +111,10 @@ func (pl *Planner) greedySerial() error {
 // refreshChainsDirty (incremental.go) re-derives only affected chains.
 // It returns the number of chains re-derived (here: all of them).
 func (pl *Planner) refreshChains() int {
-	// Each re-derivation is independent, but walk in tensor-ID order so
-	// the reference path touches the plan deterministically (maporder).
-	ids := make([]int, 0, len(pl.plan.Tensors))
-	for id := range pl.plan.Tensors {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
 	n := 0
-	for _, id := range ids {
-		tp := pl.plan.Tensors[id]
-		if tp.Opt != Recompute {
+	for id, planned := range pl.tpSet {
+		tp := pl.tplans[id]
+		if !planned || tp.Opt != Recompute {
 			continue
 		}
 		n++
@@ -126,7 +123,7 @@ func (pl *Planner) refreshChains() int {
 			continue
 		}
 		tp.ChainBytes = chainTransientBytes(chain, tp.Tensor)
-		pl.putTensorPlan(id, tp)
+		pl.putTensor(id, tp)
 	}
 	return n
 }
@@ -206,7 +203,7 @@ func (pl *Planner) scoreEvictInto(t *graph.Tensor, i int, c *candidate, wk *Chai
 	if !t.Kind.Evictable() {
 		return
 	}
-	if _, planned := pl.plan.Tensors[t.ID]; planned {
+	if pl.tpSet[t.ID] {
 		return
 	}
 	evictAt, restoreAt, ok := pl.evictionWindowFast(t, i)
@@ -274,7 +271,7 @@ func (pl *Planner) scoreEvictInto(t *graph.Tensor, i int, c *candidate, wk *Chai
 func (pl *Planner) scoreSplitInto(j int, c *candidate, wk *ChainWalker) {
 	c.valid = false
 	op := pl.Sched.Ops[j]
-	cur, has := pl.plan.Splits[op.ID]
+	cur, has := pl.splits[op.ID], pl.spSet[op.ID]
 	var best *candidate
 	var tmp candidate
 	var curOpt [1]MemOpt
@@ -336,7 +333,7 @@ func (pl *Planner) scoreSplitConfigInto(op *graph.Op, i int, in, out *graph.Tens
 	var microB int64
 	if dim == tensor.DimSample {
 		for _, t := range op.Inputs {
-			tp, planned := pl.plan.Tensors[t.ID]
+			tp, planned := pl.tplans[t.ID], pl.tpSet[t.ID]
 			if !planned || tp.Opt != Swap || tp.MicroRestore > 1 || tp.RestoreAt != i {
 				continue
 			}

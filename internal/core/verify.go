@@ -31,6 +31,12 @@ import (
 //	                    tensors, without cycles, within the chain cap
 //	pool-offsets        the plan's residency spans replay through the
 //	                    best-fit pool without overlapping allocations
+//	plan-order          each decision list is in strictly ascending ID
+//	                    order, one entry per ID
+//
+// A nil tensor or op in a decision list is reported under
+// restore-before-use or split-balance, with the entry's position as
+// subject.
 
 // Violation is one broken plan invariant.
 type Violation struct {
@@ -54,16 +60,21 @@ func (v Violation) String() string {
 // (nil for a safe plan).
 func VerifyAt(p *Plan, g *graph.Graph, sched *graph.Schedule, lv *graph.Liveness, capacity int64) []Violation {
 	v := &verifier{p: p, g: g, sched: sched, lv: lv}
-	if v.indicesInRange() {
-		// Curve indexes its delta array by the plan's schedule positions;
-		// only replay plans whose windows stay on the schedule (the
-		// window check below reports the out-of-range entries).
-		v.checkCapacity(capacity)
+	// The other checks find entries by binary search, so they run on
+	// well-formed lists only.
+	if v.checkLists() {
+		if v.indicesInRange() {
+			// Curve indexes its delta array by the plan's schedule
+			// positions; only replay plans whose windows stay on the
+			// schedule (the window check below reports the out-of-range
+			// entries).
+			v.checkCapacity(capacity)
+		}
+		v.checkWindows()
+		v.checkSplitBalance()
+		v.checkRecomputeChains()
+		v.checkPoolOffsets()
 	}
-	v.checkWindows()
-	v.checkSplitBalance()
-	v.checkRecomputeChains()
-	v.checkPoolOffsets()
 	sort.Slice(v.out, func(i, j int) bool {
 		a, b := v.out[i], v.out[j]
 		if a.Invariant != b.Invariant {
@@ -92,32 +103,56 @@ func (v *verifier) addf(invariant, subject, format string, args ...any) {
 	})
 }
 
-// tensorIDs returns the plan's decided tensor IDs in ascending order,
-// so every check visits the plan deterministically.
-func (v *verifier) tensorIDs() []int {
-	ids := make([]int, 0, len(v.p.Tensors))
-	for id := range v.p.Tensors {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
+// checkLists verifies the shape of the plan's two decision lists — no
+// nil tensor or op, strictly ascending IDs — and reports whether both
+// are well-formed.
+func (v *verifier) checkLists() bool {
+	tOK := checkList(v, v.p.Tensors, "Tensors", "restore-before-use", "plan entry has a nil tensor",
+		func(tp TensorPlan) (int, string, bool) {
+			if tp.Tensor == nil {
+				return 0, "", false
+			}
+			return tp.Tensor.ID, tp.Tensor.Name, true
+		})
+	sOK := checkList(v, v.p.Splits, "Splits", "split-balance", "split entry has a nil op",
+		func(sp OpSplit) (int, string, bool) {
+			if sp.Op == nil {
+				return 0, "", false
+			}
+			return sp.Op.ID, sp.Op.Name, true
+		})
+	return tOK && sOK
 }
 
-func (v *verifier) splitOpIDs() []int {
-	ids := make([]int, 0, len(v.p.Splits))
-	for id := range v.p.Splits {
-		ids = append(ids, id)
+// checkList reports list's entries without a subject (under
+// nilInvariant) and those out of strictly ascending ID order, where key
+// gives an entry's ID and name or false when it has no subject, and
+// reports whether the list is well-formed.
+func checkList[T any](v *verifier, list []T, field, nilInvariant, nilDetail string, key func(T) (int, string, bool)) bool {
+	ok, last := true, -1
+	for k, e := range list {
+		id, name, has := key(e)
+		switch {
+		case !has:
+			v.addf(nilInvariant, fmt.Sprintf("%s[%d]", field, k), "%s", nilDetail)
+		case id == last:
+			v.addf("plan-order", name, "%s[%d] repeats ID %d", field, k, id)
+		case id < last:
+			v.addf("plan-order", name, "%s[%d] has ID %d after ID %d", field, k, id, last)
+		default:
+			last = id
+			continue
+		}
+		ok = false
 	}
-	sort.Ints(ids)
-	return ids
+	return ok
 }
 
 // indicesInRange reports whether every decided schedule position lies
 // inside [0, n), which the memory simulation assumes.
 func (v *verifier) indicesInRange() bool {
 	n := len(v.sched.Ops)
-	for _, id := range v.tensorIDs() {
-		tp := v.p.Tensors[id]
+	for _, tp := range v.p.Tensors {
 		if tp.EvictAt >= n || tp.RestoreAt >= n || tp.PrefetchAt >= n {
 			return false
 		}
@@ -146,13 +181,8 @@ func (v *verifier) checkCapacity(capacity int64) {
 // the prefetch is issued inside the eviction gap.
 func (v *verifier) checkWindows() {
 	n := len(v.sched.Ops)
-	for _, id := range v.tensorIDs() {
-		tp := v.p.Tensors[id]
+	for _, tp := range v.p.Tensors {
 		t := tp.Tensor
-		if t == nil {
-			v.addf("restore-before-use", fmt.Sprintf("tensor#%d", id), "plan entry has a nil tensor")
-			continue
-		}
 		if tp.Opt == Reside {
 			continue
 		}
@@ -205,13 +235,8 @@ func (v *verifier) checkWindows() {
 func (v *verifier) checkSplitBalance() {
 	// Forward direction: split decisions reference coherent tensors.
 	claimed := map[int]int{} // tensor ID -> claiming op ID
-	for _, opID := range v.splitOpIDs() {
-		sp := v.p.Splits[opID]
+	for _, sp := range v.p.Splits {
 		op := sp.Op
-		if op == nil {
-			v.addf("split-balance", fmt.Sprintf("op#%d", opID), "split entry has a nil op")
-			continue
-		}
 		name := op.Name
 		if sp.PNum < 2 {
 			v.addf("split-balance", name, "p_num %d: a split needs at least 2 parts", sp.PNum)
@@ -233,8 +258,8 @@ func (v *verifier) checkSplitBalance() {
 					"micro-restored %s is already claimed by op #%d (one split consumer per tensor)", t.Name, prev)
 				continue
 			}
-			claimed[t.ID] = opID
-			tp, ok := v.p.Tensors[t.ID]
+			claimed[t.ID] = op.ID
+			tp, ok := v.p.Tensor(t.ID)
 			switch {
 			case !ok:
 				v.addf("split-balance", name, "micro-restored %s has no plan entry", t.Name)
@@ -250,12 +275,11 @@ func (v *verifier) checkSplitBalance() {
 		}
 	}
 	// Reverse direction: no orphan micro-restore decisions.
-	for _, id := range v.tensorIDs() {
-		tp := v.p.Tensors[id]
-		if tp.MicroRestore <= 1 || tp.Tensor == nil {
+	for _, tp := range v.p.Tensors {
+		if tp.MicroRestore <= 1 {
 			continue
 		}
-		if _, ok := claimed[id]; !ok {
+		if _, ok := claimed[tp.Tensor.ID]; !ok {
 			v.addf("split-balance", tp.Tensor.Name,
 				"MicroRestore %d but no split consumer lists the tensor in MicroIns", tp.MicroRestore)
 		}
@@ -269,9 +293,8 @@ func (v *verifier) checkSplitBalance() {
 // recompute decisions) and chains longer than the schedule.
 func (v *verifier) checkRecomputeChains() {
 	onStack := map[int]bool{} // op IDs on the current DFS path
-	for _, id := range v.tensorIDs() {
-		tp := v.p.Tensors[id]
-		if tp.Opt != Recompute || tp.Tensor == nil {
+	for _, tp := range v.p.Tensors {
+		if tp.Opt != Recompute {
 			continue
 		}
 		count := 0
@@ -332,7 +355,7 @@ func (v *verifier) availableAt(t *graph.Tensor, r int) bool {
 		// offloaded variants keep a host master copy to stage from).
 		return true
 	case tensor.FeatureMap:
-		tp, ok := v.p.Tensors[t.ID]
+		tp, ok := v.p.Tensor(t.ID)
 		if !ok || tp.Opt == Reside {
 			return v.lv.FirstUse[t] <= r && r <= v.lv.LastUse[t]
 		}
@@ -366,7 +389,8 @@ func (v *verifier) checkPoolOffsets() {
 	var spans []ev
 	var arena int64
 	for _, t := range v.g.Tensors {
-		for _, iv := range ms.residency(t, v.p) {
+		tp, _ := v.p.Tensor(t.ID)
+		for _, iv := range ms.residencyInto(t, v.p, tp, nil) {
 			if iv.a > iv.b || iv.a < 0 || iv.b >= n {
 				v.addf("pool-offsets", t.Name, "residency span [%d,%d] outside schedule [0,%d)", iv.a, iv.b, n)
 				continue

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -53,7 +54,7 @@ func TestVerifyBaselinePlansAreClean(t *testing.T) {
 	p := NewPlan("vdnn-style", tb.dev)
 	for _, tn := range tb.g.Tensors {
 		if tn.Kind == tensor.FeatureMap && len(tn.Consumers) >= 2 && tn.Bytes() > 1<<20 {
-			p.Tensors[tn.ID] = TensorPlan{Tensor: tn, Opt: Swap}
+			p.Tensors = append(p.Tensors, TensorPlan{Tensor: tn, Opt: Swap})
 		}
 	}
 	FinalizeWindows(tb.g, tb.sched, tb.lv, tb.prof, p)
@@ -83,15 +84,13 @@ func requireViolation(t *testing.T, vs []Violation, invariant string, allowOther
 	}
 }
 
-// firstSwap returns the ID of the first whole-restored swap decision.
+// firstSwap returns the position in p.Tensors of the first
+// whole-restored swap decision.
 func firstSwap(p *Plan) (int, bool) {
-	best, ok := -1, false
-	for id, tp := range p.Tensors {
-		if tp.Opt == Swap && tp.MicroRestore <= 1 && tp.RestoreAt >= 0 && (!ok || id < best) {
-			best, ok = id, true
-		}
-	}
-	return best, ok
+	k := slices.IndexFunc(p.Tensors, func(tp TensorPlan) bool {
+		return tp.Opt == Swap && tp.MicroRestore <= 1 && tp.RestoreAt >= 0
+	})
+	return k, k >= 0
 }
 
 func TestVerifyCapacityViolation(t *testing.T) {
@@ -106,13 +105,13 @@ func TestVerifyCapacityViolation(t *testing.T) {
 func TestVerifyRestoreBeforeUseViolation(t *testing.T) {
 	tb := newTestbed(t, "vgg16", models.Config{BatchSize: 16})
 	p, cap := planUnderPressure(t, tb)
-	id, ok := firstSwap(p)
+	k, ok := firstSwap(p)
 	if !ok {
 		t.Fatal("pressure plan has no swap decision to mutate")
 	}
-	tp := p.Tensors[id]
+	tp := p.Tensors[k]
 	tp.RestoreAt = tp.EvictAt // restored exactly when evicted: never legal
-	p.Tensors[id] = tp
+	p.Tensors[k] = tp
 	requireViolation(t, VerifyAt(p, tb.g, tb.sched, tb.lv, cap), "restore-before-use",
 		// Collapsing the window can also starve a recompute chain that
 		// relied on the tensor being back by its old RestoreAt.
@@ -144,12 +143,12 @@ func TestVerifyConsumerInEvictionGap(t *testing.T) {
 		t.Fatal("no tensor with an intermediate consumer")
 	}
 	p := NewPlan("mutated", tb.dev)
-	p.Tensors[victim.ID] = TensorPlan{
+	p.Tensors = []TensorPlan{{
 		Tensor: victim, Opt: Swap,
 		EvictAt:    tb.lv.FirstUse[victim],
 		RestoreAt:  tb.lv.LastUse[victim],
 		PrefetchAt: tb.lv.LastUse[victim],
-	}
+	}}
 	vs := VerifyAt(p, tb.g, tb.sched, tb.lv, 0)
 	requireViolation(t, vs, "restore-before-use")
 	for _, v := range vs {
@@ -162,13 +161,13 @@ func TestVerifyConsumerInEvictionGap(t *testing.T) {
 func TestVerifyPrefetchWindowViolation(t *testing.T) {
 	tb := newTestbed(t, "vgg16", models.Config{BatchSize: 16})
 	p, cap := planUnderPressure(t, tb)
-	id, ok := firstSwap(p)
+	k, ok := firstSwap(p)
 	if !ok {
 		t.Fatal("pressure plan has no swap decision to mutate")
 	}
-	tp := p.Tensors[id]
+	tp := p.Tensors[k]
 	tp.PrefetchAt = tp.EvictAt // prefetch issued while still evicting
-	p.Tensors[id] = tp
+	p.Tensors[k] = tp
 	requireViolation(t, VerifyAt(p, tb.g, tb.sched, tb.lv, cap), "restore-before-use")
 }
 
@@ -178,13 +177,13 @@ func TestVerifySplitBalanceViolations(t *testing.T) {
 
 	t.Run("orphan micro-restore", func(t *testing.T) {
 		mut := clonePlan(p)
-		id, ok := firstSwap(mut)
+		k, ok := firstSwap(mut)
 		if !ok {
 			t.Fatal("no swap decision to mutate")
 		}
-		tp := mut.Tensors[id]
+		tp := mut.Tensors[k]
 		tp.MicroRestore = 4 // no split consumer claims it
-		mut.Tensors[id] = tp
+		mut.Tensors[k] = tp
 		requireViolation(t, VerifyAt(mut, tb.g, tb.sched, tb.lv, cap), "split-balance",
 			// Fraction-resident accounting shifts the curve too.
 			"capacity", "recompute-chain")
@@ -195,15 +194,7 @@ func TestVerifySplitBalanceViolations(t *testing.T) {
 	}
 	t.Run("degenerate p_num", func(t *testing.T) {
 		mut := clonePlan(p)
-		opID := -1
-		for id := range mut.Splits {
-			if opID == -1 || id < opID {
-				opID = id
-			}
-		}
-		sp := mut.Splits[opID]
-		sp.PNum = 1
-		mut.Splits[opID] = sp
+		mut.Splits[0].PNum = 1
 		requireViolation(t, VerifyAt(mut, tb.g, tb.sched, tb.lv, cap), "split-balance",
 			"capacity")
 	})
@@ -225,7 +216,7 @@ func TestVerifyRecomputeChainViolation(t *testing.T) {
 	}
 	p := NewPlan("mutated", tb.dev)
 	last := tb.lv.LastUse[input]
-	p.Tensors[input.ID] = TensorPlan{Tensor: input, Opt: Recompute, EvictAt: 0, RestoreAt: last}
+	p.Tensors = []TensorPlan{{Tensor: input, Opt: Recompute, EvictAt: 0, RestoreAt: last}}
 	requireViolation(t, VerifyAt(p, tb.g, tb.sched, tb.lv, 0), "recompute-chain",
 		"restore-before-use")
 }
@@ -233,31 +224,23 @@ func TestVerifyRecomputeChainViolation(t *testing.T) {
 func TestVerifyPoolOffsetsViolation(t *testing.T) {
 	tb := newTestbed(t, "vgg16", models.Config{BatchSize: 16})
 	p, cap := planUnderPressure(t, tb)
-	id, ok := firstSwap(p)
+	k, ok := firstSwap(p)
 	if !ok {
 		t.Fatal("pressure plan has no swap decision to mutate")
 	}
-	tp := p.Tensors[id]
+	tp := p.Tensors[k]
 	tp.EvictAt = len(tb.sched.Ops) // residency span runs off the schedule
-	p.Tensors[id] = tp
+	p.Tensors[k] = tp
 	requireViolation(t, VerifyAt(p, tb.g, tb.sched, tb.lv, cap), "pool-offsets",
 		"restore-before-use", "capacity", "recompute-chain")
 }
 
-// clonePlan copies a plan shallowly but with fresh decision maps, so a
-// test can mutate one decision without disturbing the original.
+// clonePlan copies a plan shallowly but with fresh decision lists, so
+// a test can mutate one decision without disturbing the original.
 func clonePlan(p *Plan) *Plan {
 	c := *p
-	c.Tensors = make(map[int]TensorPlan, len(p.Tensors))
-	//lint:allow maporder copying map to map; destination order is irrelevant
-	for id, tp := range p.Tensors {
-		c.Tensors[id] = tp
-	}
-	c.Splits = make(map[int]OpSplit, len(p.Splits))
-	//lint:allow maporder copying map to map; destination order is irrelevant
-	for id, sp := range p.Splits {
-		c.Splits[id] = sp
-	}
+	c.Tensors = slices.Clone(p.Tensors)
+	c.Splits = slices.Clone(p.Splits)
 	return &c
 }
 
@@ -282,8 +265,10 @@ func TestVerifyRecomputeCycleViolation(t *testing.T) {
 		LastUse:  map[*graph.Tensor]int{ta: 1, tb: 1},
 	}
 	p := NewPlan("cyclic", device.TitanRTX)
-	p.Tensors[ta.ID] = TensorPlan{Tensor: ta, Opt: Recompute, EvictAt: 0, RestoreAt: 1}
-	p.Tensors[tb.ID] = TensorPlan{Tensor: tb, Opt: Recompute, EvictAt: 1, RestoreAt: -1}
+	p.Tensors = []TensorPlan{
+		{Tensor: ta, Opt: Recompute, EvictAt: 0, RestoreAt: 1},
+		{Tensor: tb, Opt: Recompute, EvictAt: 1, RestoreAt: -1},
+	}
 	vs := VerifyAt(p, g, sched, lv, 0)
 	requireViolation(t, vs, "recompute-chain")
 	found := false
@@ -347,33 +332,33 @@ func FuzzVerifyPlan(f *testing.F) {
 		mut := clonePlan(plan)
 		switch mutSel % 4 {
 		case 0: // collapse a swap window
-			id, ok := firstSwap(mut)
+			k, ok := firstSwap(mut)
 			if !ok {
 				t.Skip("no swap decision to mutate")
 			}
-			tp := mut.Tensors[id]
+			tp := mut.Tensors[k]
 			tp.RestoreAt = tp.EvictAt
-			mut.Tensors[id] = tp
+			mut.Tensors[k] = tp
 		case 1: // prefetch outside the eviction window
-			id, ok := firstSwap(mut)
+			k, ok := firstSwap(mut)
 			if !ok {
 				t.Skip("no swap decision to mutate")
 			}
-			tp := mut.Tensors[id]
+			tp := mut.Tensors[k]
 			tp.PrefetchAt = tp.EvictAt
-			mut.Tensors[id] = tp
+			mut.Tensors[k] = tp
 		case 2: // shrink the ceiling below the plan's real peak
 			ms := NewMemSim(tb.g, tb.sched, tb.lv)
 			_, peak, _ := ms.Curve(mut)
 			capacity = peak - 1
 		case 3: // orphan micro-restore
-			id, ok := firstSwap(mut)
+			k, ok := firstSwap(mut)
 			if !ok {
 				t.Skip("no swap decision to mutate")
 			}
-			tp := mut.Tensors[id]
+			tp := mut.Tensors[k]
 			tp.MicroRestore = 7
-			mut.Tensors[id] = tp
+			mut.Tensors[k] = tp
 		}
 		if vs := VerifyAt(mut, tb.g, tb.sched, tb.lv, capacity); len(vs) == 0 {
 			t.Fatalf("mutation %d produced no violation", mutSel%4)
@@ -445,5 +430,67 @@ func TestVerifyViolationsSortedAndStringy(t *testing.T) {
 	}
 	if s := vs[0].String(); !strings.Contains(s, "capacity(") {
 		t.Fatalf("String() = %q, want invariant(subject): detail form", s)
+	}
+}
+
+// TestVerifyMalformedLists pins the verifier's check of the decision
+// lists' shape, which a plan arriving through the public API may
+// break: one hand-built plan per defect — an out-of-order entry, a
+// repeated ID and a nil tensor or op in either list — must trip
+// exactly the named invariant, a nil entry with its position as
+// subject.
+func TestVerifyMalformedLists(t *testing.T) {
+	tb := newTestbed(t, "vgg16", models.Config{BatchSize: 8})
+	clean := NewPlan("lists", tb.dev)
+	for _, tn := range tb.g.Tensors {
+		if tn.Kind == tensor.FeatureMap && len(tn.Consumers) >= 2 && tn.Bytes() > 1<<20 {
+			clean.Tensors = append(clean.Tensors, TensorPlan{Tensor: tn, Opt: Swap})
+		}
+	}
+	FinalizeWindows(tb.g, tb.sched, tb.lv, tb.prof, clean)
+	for _, op := range tb.g.Ops {
+		if in, out := SplitTensors(op, tensor.DimSample); in != nil && out != nil && len(clean.Splits) < 3 {
+			clean.Splits = append(clean.Splits, OpSplit{Op: op, PNum: 2, Dim: tensor.DimSample, InOpt: Reside})
+		}
+	}
+	if len(clean.Tensors) < 3 || len(clean.Splits) < 3 {
+		t.Fatalf("want 3 decisions of each kind, have %d tensors and %d splits", len(clean.Tensors), len(clean.Splits))
+	}
+	mustVerifyClean(t, tb, clean, 0)
+
+	for _, tc := range []struct {
+		name, invariant, subject string
+		mutate                   func(p *Plan)
+	}{
+		{"tensors out of order", "plan-order", clean.Tensors[0].Tensor.Name, func(p *Plan) {
+			p.Tensors[0], p.Tensors[1] = p.Tensors[1], p.Tensors[0]
+		}},
+		{"tensor repeated", "plan-order", clean.Tensors[1].Tensor.Name, func(p *Plan) {
+			p.Tensors[2] = p.Tensors[1]
+		}},
+		{"nil tensor", "restore-before-use", "Tensors[1]", func(p *Plan) {
+			p.Tensors[1].Tensor = nil
+		}},
+		{"splits out of order", "plan-order", clean.Splits[0].Op.Name, func(p *Plan) {
+			p.Splits[0], p.Splits[1] = p.Splits[1], p.Splits[0]
+		}},
+		{"split repeated", "plan-order", clean.Splits[1].Op.Name, func(p *Plan) {
+			p.Splits[2] = p.Splits[1]
+		}},
+		{"nil op", "split-balance", "Splits[2]", func(p *Plan) {
+			p.Splits[2].Op = nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := clonePlan(clean)
+			tc.mutate(p)
+			vs := VerifyAt(p, tb.g, tb.sched, tb.lv, 0)
+			requireViolation(t, vs, tc.invariant)
+			for _, v := range vs {
+				if v.Subject != tc.subject {
+					t.Errorf("violation %s: want subject %s", v, tc.subject)
+				}
+			}
+		})
 	}
 }

@@ -87,7 +87,7 @@ func TestPlanNumericParity(t *testing.T) {
 	swapAll := core.NewPlan("swap-all", device.TitanRTX)
 	for _, x := range g.Tensors {
 		if x.Kind == tensor.FeatureMap {
-			swapAll.Tensors[x.ID] = core.TensorPlan{Tensor: x, Opt: core.Swap}
+			swapAll.Tensors = append(swapAll.Tensors, core.TensorPlan{Tensor: x, Opt: core.Swap})
 		}
 	}
 	core.FinalizeWindows(g, sched, lv, prof, swapAll)
@@ -105,7 +105,7 @@ func TestPlanNumericParity(t *testing.T) {
 	rc := core.NewPlan("recompute", device.TitanRTX)
 	for _, x := range g.Tensors {
 		if x.Kind == tensor.FeatureMap && x.Producer != nil {
-			rc.Tensors[x.ID] = core.TensorPlan{Tensor: x, Opt: core.Recompute}
+			rc.Tensors = append(rc.Tensors, core.TensorPlan{Tensor: x, Opt: core.Recompute})
 		}
 	}
 	core.FinalizeWindows(g, sched, lv, prof, rc)
@@ -130,7 +130,7 @@ func TestSplitPlanNumericParity(t *testing.T) {
 			if op.Kind == graph.CrossEntropy || (op.FwdOp != nil && op.FwdOp.Kind == graph.CrossEntropy) {
 				continue
 			}
-			split.Splits[op.ID] = core.OpSplit{Op: op, PNum: 4, Dim: tensor.DimSample, InOpt: core.Reside}
+			split.Splits = append(split.Splits, core.OpSplit{Op: op, PNum: 4, Dim: tensor.DimSample, InOpt: core.Reside})
 		}
 	}
 	if len(split.Splits) == 0 {
@@ -227,7 +227,7 @@ func TestLayerNormModelParity(t *testing.T) {
 	rc := core.NewPlan("recompute", device.TitanRTX)
 	for _, tt := range g.Tensors {
 		if tt.Kind == tensor.FeatureMap && tt.Producer != nil {
-			rc.Tensors[tt.ID] = core.TensorPlan{Tensor: tt, Opt: core.Recompute}
+			rc.Tensors = append(rc.Tensors, core.TensorPlan{Tensor: tt, Opt: core.Recompute})
 		}
 	}
 	core.FinalizeWindows(g, sched, lv, prof, rc)

@@ -59,7 +59,7 @@ func (s *Simulator) run() (Result, error) {
 		var err error
 		pureCompute += s.opTime[i]
 		if si := s.splitIdx[op.ID]; si >= 0 {
-			err = s.execSplit(i, op, s.splitList[si])
+			err = s.execSplit(i, op, s.Plan.Splits[si])
 		} else {
 			err = s.execWhole(i, op)
 		}

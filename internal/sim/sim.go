@@ -27,7 +27,6 @@ package sim
 
 import (
 	"fmt"
-	"slices"
 
 	"tsplit/internal/core"
 	"tsplit/internal/costmodel"
@@ -328,13 +327,10 @@ type Simulator struct {
 	residentB []bool
 
 	// Dense plan mirrors: tplans[id]/planned[id] mirror Plan.Tensors,
-	// splitIdx[opID] indexes splitList (-1: unsplit), and planIDs is
-	// the sorted key list the deterministic walks use.
-	tplans    []core.TensorPlan
-	planned   []bool
-	planIDs   []int32
-	splitIdx  []int32
-	splitList []core.OpSplit
+	// and splitIdx[opID] indexes Plan.Splits (-1: unsplit).
+	tplans   []core.TensorPlan
+	planned  []bool
+	splitIdx []int32
 	// schedIdx maps op ID -> schedule index.
 	schedIdx []int32
 
@@ -501,27 +497,16 @@ func (s *Simulator) reset() {
 		}
 	}
 
-	// Dense plan mirrors, visited in tensor-ID order so every
-	// plan-driven walk (prefetch issue in particular) is deterministic
-	// regardless of Plan.Tensors map iteration.
+	// Dense plan mirrors.
 	s.tplans = grow(s.tplans, nT)
 	s.planned = grow(s.planned, nT)
-	s.planIDs = s.planIDs[:0]
-	//lint:allow maporder key collection; sorted before use
-	for id := range s.Plan.Tensors {
-		s.planIDs = append(s.planIDs, int32(id))
-	}
-	slices.Sort(s.planIDs)
-	for _, id := range s.planIDs {
-		s.tplans[id] = s.Plan.Tensors[int(id)]
-		s.planned[id] = true
+	for _, tp := range s.Plan.Tensors {
+		s.tplans[tp.Tensor.ID] = tp
+		s.planned[tp.Tensor.ID] = true
 	}
 	s.splitIdx = growFill(s.splitIdx, nOps, -1)
-	s.splitList = s.splitList[:0]
-	//lint:allow maporder each entry is indexed independently by op ID
-	for opID, spl := range s.Plan.Splits {
-		s.splitIdx[opID] = int32(len(s.splitList))
-		s.splitList = append(s.splitList, spl)
+	for k, spl := range s.Plan.Splits {
+		s.splitIdx[spl.Op.ID] = int32(k)
 	}
 	s.schedIdx = grow(s.schedIdx, nOps)
 	for i, op := range s.Sched.Ops {
@@ -534,11 +519,11 @@ func (s *Simulator) reset() {
 		}
 	}
 
-	// Prefetch agenda in CSR form, filled in tensor-ID order per
-	// schedule point (the order the map-based agenda was issued in).
+	// Prefetch agenda in CSR form, filled in tensor-ID order (the
+	// plan's) per schedule point.
 	s.prefStart = grow(s.prefStart, nSched+1)
-	for _, id := range s.planIDs {
-		if at, ok := s.prefetchAt(id); ok {
+	for _, tp := range s.Plan.Tensors {
+		if at, ok := prefetchAt(tp); ok {
 			s.prefStart[at+1]++
 		}
 	}
@@ -548,9 +533,9 @@ func (s *Simulator) reset() {
 	s.prefTensors = grow(s.prefTensors, int(s.prefStart[nSched]))
 	s.prefCur = grow(s.prefCur, nSched)
 	copy(s.prefCur, s.prefStart[:nSched])
-	for _, id := range s.planIDs {
-		if at, ok := s.prefetchAt(id); ok {
-			s.prefTensors[s.prefCur[at]] = s.tplans[id].Tensor
+	for _, tp := range s.Plan.Tensors {
+		if at, ok := prefetchAt(tp); ok {
+			s.prefTensors[s.prefCur[at]] = tp.Tensor
 			s.prefCur[at]++
 		}
 	}
@@ -578,10 +563,9 @@ func growFill(buf []int32, n int, v int32) []int32 {
 	return buf
 }
 
-// prefetchAt returns the schedule index at which planned tensor id's
-// swap-in prefetch is issued, if the plan swaps it back in whole.
-func (s *Simulator) prefetchAt(id int32) (int, bool) {
-	tp := &s.tplans[id]
+// prefetchAt returns the schedule index at which tp's swap-in
+// prefetch is issued, if the plan swaps its tensor back in whole.
+func prefetchAt(tp core.TensorPlan) (int, bool) {
 	if tp.Opt != core.Swap || tp.MicroRestore > 1 || tp.RestoreAt < 0 {
 		return 0, false
 	}

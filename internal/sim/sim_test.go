@@ -282,7 +282,7 @@ func TestRegenerateFailureError(t *testing.T) {
 		t.Fatalf("%s has a single use position %d", x.Name, uses[0])
 	}
 	plan := core.NewPlan("recompute-input", b.dev)
-	plan.Tensors[x.ID] = core.TensorPlan{Tensor: x, Opt: core.Recompute, EvictAt: uses[0], RestoreAt: uses[1]}
+	plan.Tensors = []core.TensorPlan{{Tensor: x, Opt: core.Recompute, EvictAt: uses[0], RestoreAt: uses[1]}}
 	want := fmt.Sprintf("sim: op %d %s: regenerating %s: core: recompute source %s has no producer and is not available",
 		uses[1], b.sched.Ops[uses[1]], x.Name, x.Name)
 	check := func(label string, s *Simulator) {
@@ -357,8 +357,10 @@ func TestRegenerateReenters(t *testing.T) {
 	}
 	lv := graph.AnalyzeLiveness(g, sched)
 	plan := core.NewPlan("reenter", device.TitanRTX)
-	plan.Tensors[w.ID] = core.TensorPlan{Tensor: w, Opt: core.Recompute, EvictAt: 9, RestoreAt: 14}
-	plan.Tensors[tt.ID] = core.TensorPlan{Tensor: tt, Opt: core.Recompute, EvictAt: 13, RestoreAt: 18}
+	plan.Tensors = []core.TensorPlan{ // w precedes t in ID order
+		{Tensor: w, Opt: core.Recompute, EvictAt: 9, RestoreAt: 14},
+		{Tensor: tt, Opt: core.Recompute, EvictAt: 13, RestoreAt: 18},
+	}
 	opts := Options{Recompute: LRURecompute, Capacity: 9*unit + unit/2}
 	want, err := New(g, sched, lv, plan, device.TitanRTX, opts).Run()
 	if err != nil {

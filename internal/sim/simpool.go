@@ -88,9 +88,6 @@ func (p *SimPool) Put(s *Simulator) {
 	clear(s.hogs)
 	s.hogs = s.hogs[:0]
 	clear(s.tplans)
-	clear(s.splitList)
-	s.splitList = s.splitList[:0]
-	s.planIDs = s.planIDs[:0]
 	clear(s.prefTensors)
 	clear(s.lruCache)
 	s.lruCache = s.lruCache[:0]

@@ -3,7 +3,8 @@
 # runtime simulator and its pooled allocator (the only owner of every
 # block's placement), the observability layer, the static-analysis
 # engine, the planning service, the workload preparer and its policy
-# table, the baselines, and the degradation ladder — the packages
+# table, the baselines, the degradation ladder, and the float32 host
+# executor that replays plans for real — the packages
 # whose correctness the differential, fault-injection, postmortem,
 # lint-dogfood, and serving layers lean on. Fails when any package's
 # statement coverage drops below the floor.
@@ -13,7 +14,7 @@ GO=${GO:-go}
 FLOOR=80.0
 
 fail=0
-for pkg in ./internal/core ./internal/graph ./internal/sim ./internal/memorypool ./internal/obs ./internal/lint ./internal/serve ./internal/prep ./internal/resilient ./internal/baselines; do
+for pkg in ./internal/core ./internal/graph ./internal/sim ./internal/memorypool ./internal/obs ./internal/lint ./internal/serve ./internal/prep ./internal/resilient ./internal/baselines ./internal/hostexec; do
 	profile=$(mktemp)
 	"$GO" test -count=1 -coverprofile="$profile" "$pkg" >/dev/null
 	total=$("$GO" tool cover -func="$profile" | awk 'END {gsub(/%/, "", $NF); print $NF}')

@@ -61,10 +61,10 @@ func TestVerifyPlanReportsTampering(t *testing.T) {
 		t.Fatal(err)
 	}
 	tampered := false
-	for id, tp := range plan.Tensors {
+	for k, tp := range plan.Tensors {
 		if tp.Opt != 0 && tp.RestoreAt > tp.EvictAt && tp.MicroRestore <= 1 {
 			tp.RestoreAt = tp.EvictAt
-			plan.Tensors[id] = tp
+			plan.Tensors[k] = tp
 			tampered = true
 			break
 		}
