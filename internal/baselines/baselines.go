@@ -34,6 +34,10 @@ type Inputs struct {
 	Lv    *graph.Liveness
 	Prof  *profiler.Profile
 	Dev   device.Device
+	// Store, when non-nil, holds the plan's lists (see core.PlanStore):
+	// the plan lives until the store's next use. Nil gives the plan
+	// lists of its own.
+	Store *core.PlanStore
 }
 
 // Planner produces a plan for a policy, or an error when the policy
@@ -71,71 +75,92 @@ func Base(in Inputs) (*core.Plan, error) {
 	return core.NewPlan("base", in.Dev), nil
 }
 
+// decide builds a rule's plan: rule walks the workload and calls add
+// once per decision, or returns an error when the policy does not
+// apply. It walks twice, once to count the decisions and once to write
+// them into a list sized once from the count (in.Store's, or one of
+// its own), and FinalizeWindows then places their windows.
+func decide(in Inputs, name string, rule func(add func(*graph.Tensor, core.MemOpt)) error) (*core.Plan, error) {
+	n := 0
+	if err := rule(func(*graph.Tensor, core.MemOpt) { n++ }); err != nil {
+		return nil, err
+	}
+	plan := core.NewPlan(name, in.Dev)
+	plan.Tensors = in.Store.Tensors(n)
+	// The rule walks as it did when counting, so its error is nil again.
+	_ = rule(func(t *graph.Tensor, opt core.MemOpt) {
+		plan.Tensors = append(plan.Tensors, core.TensorPlan{Tensor: t, Opt: opt})
+	})
+	core.FinalizeWindows(in.G, in.Sched, in.Lv, in.Prof, plan, in.Store)
+	return plan, nil
+}
+
 // VDNNConv virtualizes the inputs of convolution layers (vDNN's
 // conv-only policy). Models without convolutions cannot benefit at
 // all, which the paper marks ×.
 func VDNNConv(in Inputs) (*core.Plan, error) {
-	plan := core.NewPlan("vdnn-conv", in.Dev)
-	found := false
-	for _, op := range in.G.Ops {
-		if op.Kind != graph.Conv2D || op.Phase != graph.Forward {
-			continue
-		}
-		found = true
-		for _, t := range op.Inputs {
-			if t.Kind.Evictable() && backwardUsed(t) {
-				plan.Tensors = append(plan.Tensors, core.TensorPlan{Tensor: t, Opt: core.Swap})
+	return decide(in, "vdnn-conv", func(add func(*graph.Tensor, core.MemOpt)) error {
+		found := false
+		for _, op := range in.G.Ops {
+			if op.Kind != graph.Conv2D || op.Phase != graph.Forward {
+				continue
+			}
+			found = true
+			for _, t := range op.Inputs {
+				if t.Kind.Evictable() && backwardUsed(t) {
+					add(t, core.Swap)
+				}
 			}
 		}
-	}
-	if !found {
-		return nil, fmt.Errorf("baselines: vdnn-conv has no convolution layers to offload")
-	}
-	core.FinalizeWindows(in.G, in.Sched, in.Lv, in.Prof, plan)
-	return plan, nil
+		if !found {
+			return fmt.Errorf("baselines: vdnn-conv has no convolution layers to offload")
+		}
+		return nil
+	})
 }
 
 // VDNNAll swaps every feature map regardless of demand (vDNN's
 // all-layer policy — maximal scale, worst overhead).
 func VDNNAll(in Inputs) (*core.Plan, error) {
-	plan := core.NewPlan("vdnn-all", in.Dev)
-	for _, t := range in.G.Tensors {
-		if t.Kind.Evictable() && backwardUsed(t) {
-			plan.Tensors = append(plan.Tensors, core.TensorPlan{Tensor: t, Opt: core.Swap})
+	return decide(in, "vdnn-all", func(add func(*graph.Tensor, core.MemOpt)) error {
+		for _, t := range in.G.Tensors {
+			if t.Kind.Evictable() && backwardUsed(t) {
+				add(t, core.Swap)
+			}
 		}
-	}
-	core.FinalizeWindows(in.G, in.Sched, in.Lv, in.Prof, plan)
-	return plan, nil
+		return nil
+	})
 }
 
 // Checkpoints implements sqrt(N) gradient checkpointing (Chen et al.):
 // forward activations are segmented; segment boundaries reside,
 // interior activations are recomputed from the nearest boundary.
 func Checkpoints(in Inputs) (*core.Plan, error) {
-	plan := core.NewPlan("checkpoints", in.Dev)
-	var acts []*graph.Tensor
-	for _, op := range in.Sched.Ops {
-		if op.Phase != graph.Forward {
-			continue
-		}
-		for _, t := range op.Outputs {
-			if t.Kind == tensor.FeatureMap && backwardUsed(t) {
-				acts = append(acts, t)
+	// acts calls visit on each forward activation, in schedule order.
+	acts := func(visit func(*graph.Tensor)) {
+		for _, op := range in.Sched.Ops {
+			if op.Phase != graph.Forward {
+				continue
+			}
+			for _, t := range op.Outputs {
+				if t.Kind == tensor.FeatureMap && backwardUsed(t) {
+					visit(t)
+				}
 			}
 		}
 	}
-	if len(acts) == 0 {
-		return plan, nil
-	}
-	seg := int(math.Ceil(math.Sqrt(float64(len(acts)))))
-	for i, t := range acts {
-		if (i+1)%seg == 0 {
-			continue // checkpoint boundary resides
-		}
-		plan.Tensors = append(plan.Tensors, core.TensorPlan{Tensor: t, Opt: core.Recompute})
-	}
-	core.FinalizeWindows(in.G, in.Sched, in.Lv, in.Prof, plan)
-	return plan, nil
+	n := 0
+	acts(func(*graph.Tensor) { n++ })
+	seg := int(math.Ceil(math.Sqrt(float64(n))))
+	return decide(in, "checkpoints", func(add func(*graph.Tensor, core.MemOpt)) error {
+		i := 0
+		acts(func(t *graph.Tensor) {
+			if i++; i%seg != 0 { // every seg-th activation is a checkpoint boundary and resides
+				add(t, core.Recompute)
+			}
+		})
+		return nil
+	})
 }
 
 // cheapToRecompute lists the layer types SuperNeurons regenerates
@@ -156,36 +181,36 @@ func cheapToRecompute(k graph.OpKind) bool {
 // convolution layers there are no checkpoints to recompute from, which
 // the paper marks ×.
 func SuperNeurons(in Inputs) (*core.Plan, error) {
-	plan := core.NewPlan("superneurons", in.Dev)
-	hasConv := false
-	for _, op := range in.Sched.Ops {
-		if op.Phase != graph.Forward {
-			continue
-		}
-		for _, t := range op.Outputs {
-			if t.Kind != tensor.FeatureMap || !backwardUsed(t) {
+	return decide(in, "superneurons", func(add func(*graph.Tensor, core.MemOpt)) error {
+		hasConv := false
+		for _, op := range in.Sched.Ops {
+			if op.Phase != graph.Forward {
 				continue
 			}
-			switch {
-			case op.Kind == graph.Conv2D:
-				hasConv = true
-				plan.Tensors = append(plan.Tensors, core.TensorPlan{Tensor: t, Opt: core.Swap})
-			case cheapToRecompute(op.Kind):
-				plan.Tensors = append(plan.Tensors, core.TensorPlan{Tensor: t, Opt: core.Recompute})
+			for _, t := range op.Outputs {
+				if t.Kind != tensor.FeatureMap || !backwardUsed(t) {
+					continue
+				}
+				switch {
+				case op.Kind == graph.Conv2D:
+					hasConv = true
+					add(t, core.Swap)
+				case cheapToRecompute(op.Kind):
+					add(t, core.Recompute)
+				}
 			}
 		}
-	}
-	if !hasConv {
-		return nil, fmt.Errorf("baselines: superneurons has no convolution layers as swap checkpoints")
-	}
-	// The staged input batch is also swapped once consumed.
-	for _, t := range in.G.Inputs {
-		if t.Kind.Evictable() && backwardUsed(t) {
-			plan.Tensors = append(plan.Tensors, core.TensorPlan{Tensor: t, Opt: core.Swap})
+		if !hasConv {
+			return fmt.Errorf("baselines: superneurons has no convolution layers as swap checkpoints")
 		}
-	}
-	core.FinalizeWindows(in.G, in.Sched, in.Lv, in.Prof, plan)
-	return plan, nil
+		// The staged input batch is also swapped once consumed.
+		for _, t := range in.G.Inputs {
+			if t.Kind.Evictable() && backwardUsed(t) {
+				add(t, core.Swap)
+			}
+		}
+		return nil
+	})
 }
 
 // ZeroOffload keeps optimizer state and the parameter update on the
@@ -202,14 +227,15 @@ func ZeroOffload(in Inputs) (*core.Plan, error) {
 // weights around their uses, runs the optimizer on the CPU, and copies
 // intermediate activations between CPU and GPU.
 func FairScaleOffload(in Inputs) (*core.Plan, error) {
-	plan := core.NewPlan("fairscale-offload", in.Dev)
+	plan, _ := decide(in, "fairscale-offload", func(add func(*graph.Tensor, core.MemOpt)) error { // applies to every model
+		for _, t := range in.G.Tensors {
+			if t.Kind == tensor.FeatureMap && backwardUsed(t) {
+				add(t, core.Swap)
+			}
+		}
+		return nil
+	})
 	plan.ShardParams = true
 	plan.OffloadOptimizer = true
-	for _, t := range in.G.Tensors {
-		if t.Kind == tensor.FeatureMap && backwardUsed(t) {
-			plan.Tensors = append(plan.Tensors, core.TensorPlan{Tensor: t, Opt: core.Swap})
-		}
-	}
-	core.FinalizeWindows(in.G, in.Sched, in.Lv, in.Prof, plan)
 	return plan, nil
 }

@@ -79,7 +79,7 @@ func TestSwapReducesPeak(t *testing.T) {
 		}
 	}
 	plan.Tensors = []TensorPlan{{Tensor: big, Opt: Swap}}
-	FinalizeWindows(tb.g, tb.sched, tb.lv, tb.prof, plan)
+	FinalizeWindows(tb.g, tb.sched, tb.lv, tb.prof, plan, nil)
 	_, peak, _ := ms.Curve(plan)
 	if peak >= tb.lv.Peak {
 		t.Fatalf("swapping the largest tensor did not reduce the peak: %d vs %d", peak, tb.lv.Peak)
@@ -312,7 +312,7 @@ func TestFinalizeWindowsLargestGap(t *testing.T) {
 			plan.Tensors = append(plan.Tensors, TensorPlan{Tensor: x, Opt: Swap})
 		}
 	}
-	FinalizeWindows(tb.g, tb.sched, tb.lv, tb.prof, plan)
+	FinalizeWindows(tb.g, tb.sched, tb.lv, tb.prof, plan, nil)
 	for _, tp := range plan.Tensors {
 		if tp.RestoreAt <= tp.EvictAt {
 			t.Fatalf("%s: restore %d <= evict %d", tp.Tensor.Name, tp.RestoreAt, tp.EvictAt)
@@ -328,7 +328,7 @@ func TestFinalizeWindowsDropsUseless(t *testing.T) {
 	plan := NewPlan("test", tb.dev)
 	// The loss tensor has no gap worth evicting across.
 	plan.Tensors = []TensorPlan{{Tensor: tb.g.Loss, Opt: Swap}}
-	FinalizeWindows(tb.g, tb.sched, tb.lv, tb.prof, plan)
+	FinalizeWindows(tb.g, tb.sched, tb.lv, tb.prof, plan, nil)
 	if _, ok := plan.Tensor(tb.g.Loss.ID); ok || len(plan.Tensors) != 0 {
 		t.Fatal("gapless tensor decision should be dropped")
 	}

@@ -49,8 +49,11 @@ func (fs *finalizeScratch) occupancy(prof *profiler.Profile) *profiler.Occupancy
 //
 // The producer may append its decisions in any order and repeat a
 // tensor: FinalizeWindows leaves plan.Tensors in ID order, one entry
-// (the first) per tensor.
-func FinalizeWindows(g *graph.Graph, sched *graph.Schedule, lv *graph.Liveness, prof *profiler.Profile, plan *Plan) {
+// (the first) per tensor, in the list's own array. It builds
+// plan.ChainTransients in st's storage (see PlanStore), or in a new
+// array when st is nil; a producer that built plan.Tensors in st
+// passes the same st.
+func FinalizeWindows(g *graph.Graph, sched *graph.Schedule, lv *graph.Liveness, prof *profiler.Profile, plan *Plan, st *PlanStore) {
 	fs := finalizers.Get().(*finalizeScratch)
 	defer finalizers.Put(fs)
 	occ := fs.occupancy(prof)
@@ -159,8 +162,7 @@ func FinalizeWindows(g *graph.Graph, sched *graph.Schedule, lv *graph.Liveness, 
 			}
 			if b := sum + ws; b > 0 {
 				if chainT == nil {
-					//lint:allow scratchreuse lazy one-shot allocation, taken at most once per finalize
-					chainT = make([]int64, len(sched.Ops))
+					chainT = st.chainTransients(len(sched.Ops))
 				}
 				if b > chainT[u] {
 					chainT[u] = b

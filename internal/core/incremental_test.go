@@ -41,7 +41,7 @@ func TestIncrementalCurveMatchesFullRebuild(t *testing.T) {
 
 		check := func(step int) {
 			t.Helper()
-			d.writeTo(plan)
+			d.writeTo(plan, nil)
 			wantMem, wantPeak, _ := ms.Curve(plan)
 			gotMem, gotPeak, _ := curve.scan()
 			if gotPeak != wantPeak {
@@ -148,7 +148,7 @@ func TestBottleneckResumeMatchesFullScan(t *testing.T) {
 			prevBtl := 0
 			check := func(step int) {
 				t.Helper()
-				d.writeTo(plan)
+				d.writeTo(plan, nil)
 				mem, _, _ := ms.Curve(plan)
 				wantI, wantFound := 0, false
 				var wantMem int64

@@ -112,6 +112,10 @@ type OpSplit struct {
 // split decisions are two lists, each in strictly ascending ID order
 // with one entry per ID, so every walk over a plan is a plain range in
 // a fixed order.
+//
+// A plan's lists have storage of their own unless its producer was
+// handed a PlanStore: such a plan lives only until the store's next
+// use, and only a caller that drops it after its verdict asks for one.
 type Plan struct {
 	// Name identifies the policy that produced the plan ("tsplit",
 	// "vdnn-all", ...).
@@ -158,6 +162,64 @@ func NewPlan(name string, dev device.Device) *Plan {
 	return &Plan{Name: name, Dev: dev}
 }
 
+// PlanStore is reusable backing storage for plans that die with their
+// verdict: a trial run's plan, simulated once for a feasibility verdict
+// or a throughput and then dropped. A producer given a store (the
+// Planner's PlanIn, a baseline's Inputs.Store, FinalizeWindows) builds
+// the plan's Tensors, Splits and ChainTransients in the store's arrays,
+// growing them when they are too small, so the next plan built in the
+// same store writes over the last one. Such a plan meets every plan
+// invariant (ascending IDs, nil lists when empty); it is valid only
+// until the store's next use, so no keeper (a cache, a report, an API
+// caller) may hold one. The storage lives beside the plan, not inside
+// it: an empty plan's nil lists would otherwise drop it.
+//
+// A nil *PlanStore is the fresh path: exact-size lists that share
+// nothing, which every plan that is kept gets. A store serves one
+// goroutine at a time.
+type PlanStore struct {
+	tensors []TensorPlan
+	splits  []OpSplit
+	chain   []int64
+}
+
+// Tensors returns an empty tensor list with room for n entries, for a
+// producer to append its decisions to: the store's array, grown if
+// need be, or a new one of capacity n on the fresh path.
+func (st *PlanStore) Tensors(n int) []TensorPlan {
+	if st == nil {
+		return make([]TensorPlan, 0, n)
+	}
+	return room(&st.tensors, n)
+}
+
+// splitList is Tensors for the split list.
+func (st *PlanStore) splitList(n int) []OpSplit {
+	if st == nil {
+		return make([]OpSplit, 0, n)
+	}
+	return room(&st.splits, n)
+}
+
+// chainTransients returns n zeroed per-schedule-index charges: the
+// store's array, grown if need be and cleared, or a new one on the
+// fresh path.
+func (st *PlanStore) chainTransients(n int) []int64 {
+	if st == nil {
+		return make([]int64, n)
+	}
+	c := room(&st.chain, n)[:n]
+	clear(c)
+	return c
+}
+
+// room returns *buf emptied, with capacity for n elements; *buf keeps
+// the array, grown if it was too small.
+func room[T any](buf *[]T, n int) []T {
+	*buf = slices.Grow((*buf)[:0], n)
+	return *buf
+}
+
 // Tensor returns the decision for the tensor with ID id, if any, by a
 // binary search of Tensors.
 func (p *Plan) Tensor(id int) (TensorPlan, bool) {
@@ -181,8 +243,8 @@ func (p *Plan) SplitFor(op *graph.Op) (OpSplit, bool) {
 // Counts reports how many tensors use each option and how many ops are
 // split — the summary Fig. 14(b) style reports use.
 type Counts struct {
-	Reside, Swap, Recompute, SplitOps int
-	SwapBytes, RecomputeBytes         int64
+	Swap, Recompute, SplitOps int
+	SwapBytes, RecomputeBytes int64
 }
 
 // Counts summarizes the plan.

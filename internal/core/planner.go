@@ -329,34 +329,37 @@ func (d *draft) putSplit(sp OpSplit) {
 }
 
 // writeTo sets p's decision lists from the draft: ID order, exact
-// size, and storage of their own, so p shares nothing with the next
-// run. An empty list is nil.
-func (d *draft) writeTo(p *Plan) {
-	p.Tensors = entries(d.tplans, d.tpSet)
-	p.Splits = entries(d.splits, d.spSet)
+// size, nil when empty, in st's storage, or on the fresh path (st nil)
+// in storage of their own, so p shares nothing with the next run.
+func (d *draft) writeTo(p *Plan, st *PlanStore) {
+	p.Tensors = entries(st.Tensors(setCount(d.tpSet)), d.tplans, d.tpSet)
+	p.Splits = entries(st.splitList(setCount(d.spSet)), d.splits, d.spSet)
 }
 
-// entries returns the elements of all whose set flag is up, in index
-// order, in a new exact-size slice (nil when there are none).
-func entries[T any](all []T, set []bool) []T {
+// setCount returns how many flags of set are up.
+func setCount(set []bool) int {
 	n := 0
 	for _, ok := range set {
 		if ok {
 			n++
 		}
 	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]T, n)
-	k := 0
+	return n
+}
+
+// entries appends the elements of all whose set flag is up to list,
+// which has room for them, in index order, and returns it (nil when
+// there are none).
+func entries[T any](list []T, all []T, set []bool) []T {
 	for id, ok := range set {
 		if ok {
-			out[k] = all[id]
-			k++
+			list = append(list, all[id])
 		}
 	}
-	return out
+	if len(list) == 0 {
+		return nil
+	}
+	return list
 }
 
 // inputsUndecided reports whether none of op's inputs has a plan entry.
@@ -408,14 +411,21 @@ type candidate struct {
 // the paper's Tables IV/V).
 var ErrInfeasible = fmt.Errorf("core: no strategy can fit the schedule in device memory")
 
-// Plan runs Algorithm 2 and returns the strategy configuration. On
-// failure the partial plan built so far is returned alongside the
-// error, for diagnostics.
+// Plan runs Algorithm 2 and returns the strategy configuration, with
+// decision lists of its own. On failure the partial plan built so far
+// is returned alongside the error, for diagnostics.
 func (pl *Planner) Plan() (*Plan, error) {
+	return pl.PlanIn(nil)
+}
+
+// PlanIn is Plan with the plan's decision lists built in st's storage
+// (see PlanStore): the returned plan, partial or not, lives until st's
+// next use. A nil st is Plan.
+func (pl *Planner) PlanIn(st *PlanStore) (*Plan, error) {
 	sp := pl.Opts.Trace.StartSpan("planner.plan")
 	pl.runSpan = sp
 	pl.beginRun()
-	plan, err := pl.finishRun(pl.greedyIncremental())
+	plan, err := pl.finishRun(pl.greedyIncremental(), st)
 	sp.End()
 	pl.runSpan = nil
 	return plan, err
@@ -462,10 +472,11 @@ func (pl *Planner) beginRun() {
 
 // finishRun completes a run: the early-out refinement, the final peak
 // from the incremental curve, the plan's decision lists and
-// observation. A failed run returns the partial plan built so far.
-func (pl *Planner) finishRun(err error) (*Plan, error) {
+// observation, the lists written in st. A failed run returns the
+// partial plan built so far.
+func (pl *Planner) finishRun(err error, st *PlanStore) (*Plan, error) {
 	if err != nil {
-		pl.draft.writeTo(pl.plan)
+		pl.draft.writeTo(pl.plan, st)
 		return pl.plan, err
 	}
 	fsp := pl.runSpan.StartSpan("planner.finalize")
@@ -473,7 +484,7 @@ func (pl *Planner) finishRun(err error) (*Plan, error) {
 		pl.earlyOutPass()
 	}
 	_, peak, _ := pl.curve.scan()
-	pl.draft.writeTo(pl.plan)
+	pl.draft.writeTo(pl.plan, st)
 	fsp.End()
 	pl.plan.PredictedPeak = peak
 	pl.plan.PredictedTime = pl.Prof.Total() + pl.extraTime

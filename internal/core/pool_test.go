@@ -157,6 +157,36 @@ func TestPlannerRepeatPlanAllocs(t *testing.T) {
 	}
 }
 
+// TestPlannerPlanInAllocs pins the store path: repeated PlanIn calls
+// on one planner and one PlanStore allocate the returned plan and
+// nothing else, and each plan equals the fresh one.
+func TestPlannerPlanInAllocs(t *testing.T) {
+	tb := newTestbed(t, "bert-large", models.Config{BatchSize: 8})
+	_, peak, _ := NewMemSim(tb.g, tb.sched, tb.lv).Curve(NewPlan("none", tb.dev))
+	pl := NewPlanner(tb.g, tb.sched, tb.lv, tb.prof, tb.dev,
+		Options{Capacity: peak * 60 / 100, FragmentationReserve: -1})
+	want, err := pl.Plan()
+	if err != nil {
+		t.Fatalf("fresh plan: %v", err)
+	}
+	st := new(PlanStore)
+	got, err := pl.PlanIn(st)
+	if err != nil {
+		t.Fatalf("plan in a store: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("the plan built in a store differs from the fresh plan")
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := pl.PlanIn(st); err != nil {
+			t.Fatalf("repeat plan: %v", err)
+		}
+	})
+	if allocs > 1 {
+		t.Errorf("repeated PlanIn allocates %.0f times, want <= 1", allocs)
+	}
+}
+
 // historyCase is one graph the history-independence test walks.
 type historyCase struct {
 	name  string

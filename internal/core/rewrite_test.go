@@ -139,7 +139,7 @@ func TestAugmentRecomputeDuplicatesForward(t *testing.T) {
 		t.Fatal("tensor not found")
 	}
 	plan.Tensors = []TensorPlan{{Tensor: target, Opt: Recompute}}
-	FinalizeWindows(tb.g, tb.sched, tb.lv, tb.prof, plan)
+	FinalizeWindows(tb.g, tb.sched, tb.lv, tb.prof, plan, nil)
 	ag, err := Augment(tb.g, tb.sched, tb.lv, plan)
 	if err != nil {
 		t.Fatal(err)

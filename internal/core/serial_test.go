@@ -35,7 +35,7 @@ func (pl *Planner) planSerial() (*Plan, error) {
 		}
 		pl.curve.setAdj(i, opFootprintAdjustment(op, sp))
 	}
-	plan, err := pl.finishRun(err)
+	plan, err := pl.finishRun(err, nil)
 	if err != nil {
 		return plan, err
 	}
@@ -57,7 +57,7 @@ func (pl *Planner) greedySerial() error {
 			return fmt.Errorf("core: planning did not converge in %d iterations", iter)
 		}
 		rederived := pl.refreshChains()
-		pl.draft.writeTo(pl.plan)
+		pl.draft.writeTo(pl.plan, nil)
 		memAt, peak, _ := pl.ms.Curve(pl.plan)
 		pl.statRederived += int64(rederived)
 		if skipped := len(pl.recomputeIDs) - rederived; skipped > 0 {

@@ -57,7 +57,7 @@ func TestVerifyBaselinePlansAreClean(t *testing.T) {
 			p.Tensors = append(p.Tensors, TensorPlan{Tensor: tn, Opt: Swap})
 		}
 	}
-	FinalizeWindows(tb.g, tb.sched, tb.lv, tb.prof, p)
+	FinalizeWindows(tb.g, tb.sched, tb.lv, tb.prof, p, nil)
 	mustVerifyClean(t, tb, p, 0)
 }
 
@@ -447,7 +447,7 @@ func TestVerifyMalformedLists(t *testing.T) {
 			clean.Tensors = append(clean.Tensors, TensorPlan{Tensor: tn, Opt: Swap})
 		}
 	}
-	FinalizeWindows(tb.g, tb.sched, tb.lv, tb.prof, clean)
+	FinalizeWindows(tb.g, tb.sched, tb.lv, tb.prof, clean, nil)
 	for _, op := range tb.g.Ops {
 		if in, out := SplitTensors(op, tensor.DimSample); in != nil && out != nil && len(clean.Splits) < 3 {
 			clean.Splits = append(clean.Splits, OpSplit{Op: op, PNum: 2, Dim: tensor.DimSample, InOpt: Reside})

@@ -13,6 +13,8 @@
 package experiments
 
 import (
+	"sync"
+
 	"tsplit/internal/core"
 	"tsplit/internal/device"
 	"tsplit/internal/graph"
@@ -69,12 +71,27 @@ func (r PolicyResult) Throughput(batch int) float64 {
 }
 
 // RunPolicy plans and simulates one policy on a prepared workload in
-// the device's memory (prep's plan → trial-run loop).
+// the device's memory (prep's plan → trial-run loop). The result's
+// plan is its own.
 func RunPolicy(p *prep.Prepared, policy string) PolicyResult {
-	plan, res, err := p.RunPolicy(policy, core.Options{}, sim.Options{})
+	return runPolicy(p, policy, nil)
+}
+
+// runPolicy is RunPolicy with the plans built in st
+// (prep.RunStore): the result's plan lives until st's next use, so
+// only a caller that reads the verdict or the throughput and drops the
+// plan passes one.
+func runPolicy(p *prep.Prepared, policy string, st *prep.RunStore) PolicyResult {
+	plan, res, err := p.RunPolicyIn(policy, core.Options{}, sim.Options{}, st)
 	r := PolicyResult{Policy: policy, Feasible: err == nil, Plan: plan, Res: res}
 	if err != nil {
 		r.Reason = err.Error()
 	}
 	return r
 }
+
+// runStores lends plan storage to the sweep units that keep only
+// verdicts and throughputs (searchScales, throughputFigure): a unit
+// borrows one RunStore for the policies it runs and returns it when
+// they are done, so a sweep stops allocating the plans it drops.
+var runStores = sync.Pool{New: func() any { return new(prep.RunStore) }}

@@ -9,6 +9,7 @@ import (
 	"tsplit/internal/device"
 	"tsplit/internal/graph"
 	"tsplit/internal/models"
+	"tsplit/internal/prep"
 	"tsplit/internal/sim"
 )
 
@@ -43,7 +44,8 @@ var fig12Models = []string{"vgg16", "resnet50", "inceptionv4", "transformer"}
 // (model, batch) workload is rebatched from the model's template and
 // run under every applicable policy, so the workloads run concurrently
 // and their throughputs are stitched into per-policy series in legend
-// order.
+// order. A cell keeps only throughputs, so it builds its plans in a
+// borrowed RunStore.
 func throughputFigure(title string, dev device.Device, policies []string, cfg models.Config) *ThroughputFigure {
 	f := &ThroughputFigure{Title: title, Dev: dev, Series: map[string][]ThroughputSeries{}}
 	type cell struct {
@@ -68,11 +70,13 @@ func throughputFigure(title string, dev device.Device, policies []string, cfg mo
 		if err != nil {
 			return
 		}
+		st := runStores.Get().(*prep.RunStore)
 		for pi, pol := range policies {
 			if applicable(m, pol) {
-				f.Series[m][pi].Thr[bi] = RunPolicy(p, pol).Throughput(c.BatchSize)
+				f.Series[m][pi].Thr[bi] = runPolicy(p, pol, st).Throughput(c.BatchSize)
 			}
 		}
+		runStores.Put(st)
 		p.Release()
 	})
 	return f

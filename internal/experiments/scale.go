@@ -99,10 +99,11 @@ func (c *scaleCursor) report(feasible bool) {
 // cursor is waiting on that point, and releases it. The groups of a
 // round fan out over forEach and share nothing mutable (prepare must
 // be safe for concurrent use); each cursor waits on exactly one
-// point, so exactly one group writes its verdict. prepare returns a
-// model's workload at a probe point: rebatched from a template into a
-// slot along the batch axis, which the group releases when its
-// verdicts are in, and built fresh along the parameter axis.
+// point, so exactly one group writes its verdict. A group keeps only
+// verdicts, so it builds its plans in a borrowed RunStore. prepare
+// returns a model's workload at a probe point: rebatched from a
+// template into a slot along the batch axis, which the group releases
+// when its verdicts are in, and built fresh along the parameter axis.
 func searchScales(mods, policies []string, hi int, prepare func(model string, n int) (*prep.Prepared, error)) [][]int {
 	type group struct{ model, n int }
 	cur := make([][]scaleCursor, len(mods))
@@ -142,11 +143,13 @@ func searchScales(mods, policies []string, hi int, prepare func(model string, n 
 		forEach(len(distinct), func(k int) {
 			g := distinct[k]
 			w, err := prepare(mods[g.model], g.n)
+			st := runStores.Get().(*prep.RunStore)
 			for p := range policies {
 				if cur[g.model][p].probe == g.n {
-					feasible[g.model][p] = err == nil && RunPolicy(w, policies[p]).Feasible
+					feasible[g.model][p] = err == nil && runPolicy(w, policies[p], st).Feasible
 				}
 			}
+			runStores.Put(st)
 			if err == nil {
 				w.Release()
 			}

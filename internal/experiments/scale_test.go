@@ -273,3 +273,27 @@ func TestTable4SecondSearchBuildsNothing(t *testing.T) {
 		t.Fatalf("a search on 2 workers allocated %d more workload slots, want at most %d", got, len(EvalModels))
 	}
 }
+
+// TestTable4SecondSearchAllocBytes pins the bytes a warm Table IV
+// search allocates. On one worker, the second search plans every probe
+// point on warm planners in a borrowed plan store (prep.RunStore), so
+// the plans it drops after their verdicts allocate nothing; what is
+// left is the search's own bookkeeping and the returned table, about
+// 60 KB. Fresh plans for every (probe point, policy, rung) allocate
+// about 4.5 MB.
+func TestTable4SecondSearchAllocBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's runtime allocates on its own and drops pooled plan stores at random")
+	}
+	old := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(old)
+	Table4MaxSampleScale(device.TitanRTX, 64)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	Table4MaxSampleScale(device.TitanRTX, 64)
+	runtime.ReadMemStats(&after)
+	const bound = 1 << 20
+	if got := after.TotalAlloc - before.TotalAlloc; got > bound {
+		t.Fatalf("the second Table IV search allocated %d bytes, want at most %d", got, bound)
+	}
+}

@@ -90,7 +90,7 @@ func TestPlanNumericParity(t *testing.T) {
 			swapAll.Tensors = append(swapAll.Tensors, core.TensorPlan{Tensor: x, Opt: core.Swap})
 		}
 	}
-	core.FinalizeWindows(g, sched, lv, prof, swapAll)
+	core.FinalizeWindows(g, sched, lv, prof, swapAll, nil)
 	got, e := trainLosses(t, g, images, swapAll, 0, 6)
 	for i := range ref {
 		if got[i] != ref[i] {
@@ -108,7 +108,7 @@ func TestPlanNumericParity(t *testing.T) {
 			rc.Tensors = append(rc.Tensors, core.TensorPlan{Tensor: x, Opt: core.Recompute})
 		}
 	}
-	core.FinalizeWindows(g, sched, lv, prof, rc)
+	core.FinalizeWindows(g, sched, lv, prof, rc, nil)
 	got, e = trainLosses(t, g, images, rc, 0, 6)
 	for i := range ref {
 		if got[i] != ref[i] {
@@ -230,7 +230,7 @@ func TestLayerNormModelParity(t *testing.T) {
 			rc.Tensors = append(rc.Tensors, core.TensorPlan{Tensor: tt, Opt: core.Recompute})
 		}
 	}
-	core.FinalizeWindows(g, sched, lv, prof, rc)
+	core.FinalizeWindows(g, sched, lv, prof, rc, nil)
 	got, e := trainLosses(t, g, x, rc, 0, 6)
 	for i := range ref {
 		if got[i] != ref[i] {

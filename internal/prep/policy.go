@@ -75,19 +75,25 @@ func RecomputeOf(plan *core.Plan) sim.RecomputeStrategy {
 // PlanPolicy plans the named policy on the workload. A TSPLIT entry
 // plans under opts plus its own DisableSplit or OffloadOptimizer on a
 // planner borrowed from Planners, with the report opts.CollectReport
-// asks for; a baseline ignores opts.
+// asks for; a baseline ignores opts. The plan's lists are its own.
 func (p *Prepared) PlanPolicy(name string, opts core.Options) (*core.Plan, *core.PlanReport, error) {
+	return p.planPolicy(name, opts, nil)
+}
+
+// planPolicy is PlanPolicy with the plan's lists built in st
+// (core.PlanStore).
+func (p *Prepared) planPolicy(name string, opts core.Options, st *core.PlanStore) (*core.Plan, *core.PlanReport, error) {
 	pol, err := Lookup(name)
 	if err != nil {
 		return nil, nil, err
 	}
 	if !pol.Planner {
-		plan, err := baselines.Registry[pol.Name](baselines.Inputs{G: p.G, Sched: p.Sched, Lv: p.Lv, Prof: p.Prof, Dev: p.Dev})
+		plan, err := baselines.Registry[pol.Name](baselines.Inputs{G: p.G, Sched: p.Sched, Lv: p.Lv, Prof: p.Prof, Dev: p.Dev, Store: st})
 		return plan, nil, err
 	}
 	opts.DisableSplit = opts.DisableSplit || pol.disableSplit
 	opts.OffloadOptimizer = opts.OffloadOptimizer || pol.offload
-	return p.Plan(opts)
+	return p.planIn(opts, st)
 }
 
 // sims recycles simulator arenas across every Simulate in the process:
@@ -110,8 +116,24 @@ func (p *Prepared) Simulate(plan *core.Plan, so sim.Options) (sim.Result, error)
 // allocator fragmentation say, it replans at the next reserve of the
 // ladder, as the real system iterates between profiling and planning.
 // It returns the last plan it made (nil when none) and the result of
-// the run that succeeded, or the error of the last attempt.
+// the run that succeeded, or the error of the last attempt. Every plan
+// has lists of its own.
 func (p *Prepared) RunPolicy(name string, opts core.Options, so sim.Options) (*core.Plan, sim.Result, error) {
+	return p.RunPolicyIn(name, opts, so, nil)
+}
+
+// RunStore is reusable storage for the plans of RunPolicyIn: two plan
+// stores (core.PlanStore), which the rungs of the reserve ladder
+// alternate between, so a rung never writes over the last plan made
+// before it — the plan RunPolicyIn returns when every later rung
+// fails. A RunStore belongs to one caller at a time, never to a
+// Prepared, which several goroutines share.
+type RunStore [2]core.PlanStore
+
+// RunPolicyIn is RunPolicy for a caller that keeps only the verdict:
+// with a non-nil st, every rung builds its plan in st, and the returned
+// plan lives until st's next use. A nil st is RunPolicy.
+func (p *Prepared) RunPolicyIn(name string, opts core.Options, so sim.Options, st *RunStore) (*core.Plan, sim.Result, error) {
 	pol, err := Lookup(name)
 	if err != nil {
 		return nil, sim.Result{}, err
@@ -126,9 +148,10 @@ func (p *Prepared) RunPolicy(name string, opts core.Options, so sim.Options) (*c
 		reserves = reserves[:1]
 	}
 	var last *core.Plan
+	bank := 0 // the half of st the next rung plans in: not last's
 	for _, rv := range reserves {
 		opts.FragmentationReserve = rv
-		plan, _, perr := p.PlanPolicy(name, opts)
+		plan, _, perr := p.planPolicy(name, opts, st.bank(bank))
 		if perr != nil {
 			err = perr
 			continue
@@ -139,8 +162,18 @@ func (p *Prepared) RunPolicy(name string, opts core.Options, so sim.Options) (*c
 			return plan, res, nil
 		}
 		err = rerr
+		bank = 1 - bank
 	}
 	return last, sim.Result{}, err
+}
+
+// bank returns st's i-th plan store, or nil (fresh plans) when st is
+// nil.
+func (st *RunStore) bank(i int) *core.PlanStore {
+	if st == nil {
+		return nil
+	}
+	return &st[i]
 }
 
 // reserveLadder lists the FragmentationReserve values RunPolicy

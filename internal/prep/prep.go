@@ -67,9 +67,14 @@ func (p *Prepared) fill(name string, cfg models.Config, dev device.Device) {
 // Planners, and returns the plan with its report (nil unless
 // opts.CollectReport).
 func (p *Prepared) Plan(opts core.Options) (*core.Plan, *core.PlanReport, error) {
+	return p.planIn(opts, nil)
+}
+
+// planIn is Plan with the plan's lists built in st (core.PlanStore).
+func (p *Prepared) planIn(opts core.Options, st *core.PlanStore) (*core.Plan, *core.PlanReport, error) {
 	pl := p.Planners.Get(opts)
 	defer p.Planners.Put(pl)
-	plan, err := pl.Plan()
+	plan, err := pl.PlanIn(st)
 	if err != nil {
 		return nil, nil, err
 	}
