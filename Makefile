@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet fmt lint lint-audit build test race bench bench-guard verify-plans cover doctor-smoke serve-smoke train-smoke ci
+.PHONY: all vet fmt lint lint-audit build test race shuffle bench bench-guard verify-plans cover doctor-smoke serve-smoke train-smoke ci
 
 all: ci
 
@@ -35,6 +35,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Order independence: the packages whose values keep reusable state
+# (experiments' Sweep, prep's templates, serve's caches) run their
+# tests twice, each time in a random order; -shuffle prints the seed
+# that reproduces a failure.
+shuffle:
+	$(GO) test -shuffle=on -count=2 ./internal/experiments ./internal/prep ./internal/serve
 
 # One iteration per planner/simulator benchmark: a smoke check that
 # the benchmarks build and run, not a measurement (use -benchtime=100x
@@ -78,4 +85,4 @@ train-smoke:
 	$(GO) run ./cmd/tsplit-train
 	$(GO) run ./cmd/tsplit-train -batch 16 -steps 3 -budget 0.8
 
-ci: vet fmt lint lint-audit build race bench bench-guard verify-plans cover doctor-smoke serve-smoke train-smoke
+ci: vet fmt lint lint-audit build race shuffle bench bench-guard verify-plans cover doctor-smoke serve-smoke train-smoke

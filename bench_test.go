@@ -31,12 +31,17 @@ const (
 	benchHiParam  = 16
 )
 
+// sweep runs every experiment benchmark. It lives as long as the test
+// binary, so a benchmark's timed runs rebatch the templates, slots and
+// arenas its first run built, as a process that keeps its Sweep does.
+var sweep experiments.Sweep
+
 // BenchmarkFig1_BERTMemoryScale regenerates paper Fig. 1: BERT-Large
 // memory requirement across the sample × parameter scale grid with
 // per-GPU trainability.
 func BenchmarkFig1_BERTMemoryScale(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		grid, caps, err := experiments.Fig1BERTMemoryScale()
+		grid, caps, err := sweep.Fig1BERTMemoryScale()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -50,7 +55,7 @@ func BenchmarkFig1_BERTMemoryScale(b *testing.B) {
 // memory footprint over time of SuperNeurons vs TSPLIT on VGG-16.
 func BenchmarkFig2a_MemoryTimeline(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig2aMemoryTimeline(device.TitanRTX, 256); err != nil {
+		if _, err := sweep.Fig2aMemoryTimeline(device.TitanRTX, 256); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -60,7 +65,7 @@ func BenchmarkFig2a_MemoryTimeline(b *testing.B) {
 // SuperNeurons' overhead and PCIe utilization across the CNN models.
 func BenchmarkFig2b_OverheadPCIe(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig2bOverheadPCIe(device.TitanRTX, "superneurons")
+		rows, err := sweep.Fig2bOverheadPCIe(device.TitanRTX, "superneurons")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -74,7 +79,7 @@ func BenchmarkFig2b_OverheadPCIe(b *testing.B) {
 // size distribution of BERT-Large.
 func BenchmarkTable2_TensorSizes(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Table2TensorSizes(32, 512); err != nil {
+		if _, err := sweep.Table2TensorSizes(32, 512); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -84,7 +89,7 @@ func BenchmarkTable2_TensorSizes(b *testing.B) {
 // execution time vs partition count.
 func BenchmarkFig5_OpSplitCurves(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig5OpSplitCurves(device.TitanRTX, 64); err != nil {
+		if _, err := sweep.Fig5OpSplitCurves(device.TitanRTX, 64); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -94,7 +99,7 @@ func BenchmarkFig5_OpSplitCurves(b *testing.B) {
 // maximum trainable batch size per model × policy on the Titan RTX.
 func BenchmarkTable4_MaxSampleScale(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t := experiments.Table4MaxSampleScale(device.TitanRTX, benchHiSample)
+		t := sweep.Table4MaxSampleScale(device.TitanRTX, benchHiSample)
 		if t.Get("vgg16", "tsplit") <= 0 {
 			b.Fatal("tsplit cannot train vgg16?")
 		}
@@ -105,7 +110,7 @@ func BenchmarkTable4_MaxSampleScale(b *testing.B) {
 // parameter-scale multiplier per model × policy at batch 16.
 func BenchmarkTable5_MaxParamScale(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t := experiments.Table5MaxParamScale(device.TitanRTX, benchHiParam)
+		t := sweep.Table5MaxParamScale(device.TitanRTX, benchHiParam)
 		if t.Get("resnet50", "tsplit") <= 0 {
 			b.Fatal("tsplit cannot scale resnet50?")
 		}
@@ -116,7 +121,7 @@ func BenchmarkTable5_MaxParamScale(b *testing.B) {
 // vs sample size for four models on the Titan RTX.
 func BenchmarkFig12_ThroughputRTX(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		f := experiments.Fig12ThroughputRTX()
+		f := sweep.Fig12ThroughputRTX()
 		if len(f.Series) == 0 {
 			b.Fatal("empty figure")
 		}
@@ -127,7 +132,7 @@ func BenchmarkFig12_ThroughputRTX(b *testing.B) {
 // sweep on the GTX 1080Ti.
 func BenchmarkFig13_Throughput1080Ti(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		f := experiments.Fig13Throughput1080Ti()
+		f := sweep.Fig13Throughput1080Ti()
 		if len(f.Series) == 0 {
 			b.Fatal("empty figure")
 		}
@@ -139,7 +144,7 @@ func BenchmarkFig13_Throughput1080Ti(b *testing.B) {
 // TSPLIT w/o Split and TSPLIT.
 func BenchmarkFig14a_ScaleUnderThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig14aScaleUnderThroughput(device.TitanRTX, benchHiSample)
+		rows, err := sweep.Fig14aScaleUnderThroughput(device.TitanRTX, benchHiSample)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -153,7 +158,7 @@ func BenchmarkFig14a_ScaleUnderThroughput(b *testing.B) {
 // swap-vs-recompute byte mix on the Titan RTX vs the GTX 1080Ti.
 func BenchmarkFig14b_StrategyMix(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig14bStrategyMix(0)
+		rows, err := sweep.Fig14bStrategyMix(0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -167,7 +172,7 @@ func BenchmarkFig14b_StrategyMix(b *testing.B) {
 // sample scale against ZeRO-Offload and FairScale-Offload.
 func BenchmarkTable6_MaxSampleVsOffload(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t := experiments.Table6MaxSampleVsOffload(device.TitanRTX, benchHiSample)
+		t := sweep.Table6MaxSampleVsOffload(device.TitanRTX, benchHiSample)
 		if t.Get("vgg16", "tsplit-offload") <= 0 {
 			b.Fatal("tsplit missing")
 		}
@@ -178,7 +183,7 @@ func BenchmarkTable6_MaxSampleVsOffload(b *testing.B) {
 // parameter scale against the offload baselines.
 func BenchmarkTable7_MaxParamVsOffload(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t := experiments.Table7MaxParamVsOffload(device.TitanRTX, benchHiParam)
+		t := sweep.Table7MaxParamVsOffload(device.TitanRTX, benchHiParam)
 		if t.Get("transformer", "tsplit-offload") <= 0 {
 			b.Fatal("tsplit missing")
 		}
@@ -189,7 +194,7 @@ func BenchmarkTable7_MaxParamVsOffload(b *testing.B) {
 // throughput against the offload baselines.
 func BenchmarkFig15_ThroughputVsOffload(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		f := experiments.Fig15ThroughputVsOffload()
+		f := sweep.Fig15ThroughputVsOffload()
 		if len(f.Series) == 0 {
 			b.Fatal("empty figure")
 		}
@@ -219,8 +224,8 @@ func BenchmarkAblation_SplitVsNoSplit(b *testing.B) {
 	small := device.TitanRTX
 	small.MemBytes = 6 << 30
 	for i := 0; i < b.N; i++ {
-		with := experiments.MaxSampleScale("vgg16", "tsplit", small, tsplitModelConfig(0), 256)
-		without := experiments.MaxSampleScale("vgg16", "tsplit-nosplit", small, tsplitModelConfig(0), 256)
+		with := sweep.MaxSampleScale("vgg16", "tsplit", small, tsplitModelConfig(0), 256)
+		without := sweep.MaxSampleScale("vgg16", "tsplit-nosplit", small, tsplitModelConfig(0), 256)
 		if with < without {
 			b.Fatalf("split (%d) below no-split (%d)", with, without)
 		}
@@ -438,7 +443,7 @@ func BenchmarkServeColdMiss(b *testing.B) {
 // tie-break, pool placement).
 func BenchmarkAblation_DesignChoices(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		reports, err := experiments.AllAblations()
+		reports, err := sweep.AllAblations()
 		if err != nil {
 			b.Fatal(err)
 		}

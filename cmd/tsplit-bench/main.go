@@ -36,89 +36,90 @@ type experiment struct {
 	run func() (string, error)
 }
 
-// catalog lists every experiment in run order. hi and hiParam are the
-// scale-search upper bounds (0 = the paper's defaults).
-func catalog(hi, hiParam int) []experiment {
+// catalog lists every experiment in run order, each run on s. hi and
+// hiParam are the scale-search upper bounds (0 = the paper's
+// defaults).
+func catalog(s *experiments.Sweep, hi, hiParam int) []experiment {
 	return []experiment{
 		{"fig1", func() (string, error) {
-			grid, caps, err := experiments.Fig1BERTMemoryScale()
+			grid, caps, err := s.Fig1BERTMemoryScale()
 			if err != nil {
 				return "", err
 			}
 			return experiments.RenderFig1(grid, caps), nil
 		}},
 		{"fig2a", func() (string, error) {
-			fig, err := experiments.Fig2aMemoryTimeline(device.TitanRTX, 256)
+			fig, err := s.Fig2aMemoryTimeline(device.TitanRTX, 256)
 			if err != nil {
 				return "", err
 			}
 			return fig.Render(), nil
 		}},
 		{"fig2b", func() (string, error) {
-			rows, err := experiments.Fig2bOverheadPCIe(device.TitanRTX, "superneurons")
+			rows, err := s.Fig2bOverheadPCIe(device.TitanRTX, "superneurons")
 			if err != nil {
 				return "", err
 			}
 			return experiments.RenderOverhead("superneurons", rows), nil
 		}},
 		{"table2", func() (string, error) {
-			buckets, err := experiments.Table2TensorSizes(32, 512)
+			buckets, err := s.Table2TensorSizes(32, 512)
 			if err != nil {
 				return "", err
 			}
 			return experiments.RenderTable2(buckets), nil
 		}},
 		{"fig5", func() (string, error) {
-			curves, err := experiments.Fig5OpSplitCurves(device.TitanRTX, 64)
+			curves, err := s.Fig5OpSplitCurves(device.TitanRTX, 64)
 			if err != nil {
 				return "", err
 			}
 			return experiments.RenderFig5(curves), nil
 		}},
 		{"table4", func() (string, error) {
-			return experiments.Table4MaxSampleScale(device.TitanRTX, hi).Render(), nil
+			return s.Table4MaxSampleScale(device.TitanRTX, hi).Render(), nil
 		}},
 		{"table5", func() (string, error) {
-			return experiments.Table5MaxParamScale(device.TitanRTX, hiParam).Render(), nil
+			return s.Table5MaxParamScale(device.TitanRTX, hiParam).Render(), nil
 		}},
 		{"fig12", func() (string, error) {
-			return experiments.Fig12ThroughputRTX().Render(), nil
+			return s.Fig12ThroughputRTX().Render(), nil
 		}},
 		{"fig13", func() (string, error) {
-			return experiments.Fig13Throughput1080Ti().Render(), nil
+			return s.Fig13Throughput1080Ti().Render(), nil
 		}},
 		{"fig14a", func() (string, error) {
-			rows, err := experiments.Fig14aScaleUnderThroughput(device.TitanRTX, hi)
+			rows, err := s.Fig14aScaleUnderThroughput(device.TitanRTX, hi)
 			if err != nil {
 				return "", err
 			}
 			return experiments.RenderFig14a(rows), nil
 		}},
 		{"fig14b", func() (string, error) {
-			rows, err := experiments.Fig14bStrategyMix(0)
+			rows, err := s.Fig14bStrategyMix(0)
 			if err != nil {
 				return "", err
 			}
 			return experiments.RenderFig14b(rows), nil
 		}},
 		{"table6", func() (string, error) {
-			return experiments.Table6MaxSampleVsOffload(device.TitanRTX, hi).Render(), nil
+			return s.Table6MaxSampleVsOffload(device.TitanRTX, hi).Render(), nil
 		}},
 		{"table7", func() (string, error) {
-			return experiments.Table7MaxParamVsOffload(device.TitanRTX, hiParam).Render(), nil
+			return s.Table7MaxParamVsOffload(device.TitanRTX, hiParam).Render(), nil
 		}},
 		{"fig15", func() (string, error) {
-			return experiments.Fig15ThroughputVsOffload().Render(), nil
+			return s.Fig15ThroughputVsOffload().Render(), nil
 		}},
 		{"faults", func() (string, error) {
-			rep, err := experiments.FaultSweep("vgg16", models.Config{BatchSize: 96}, device.GTX1080Ti, 42)
+			rep, err := s.FaultSweep("vgg16", models.Config{BatchSize: 96}, device.GTX1080Ti, 42)
 			if err != nil {
 				return "", err
 			}
 			return rep.Render(), nil
 		}},
 		{"ablations", func() (string, error) {
-			reports, err := experiments.AllAblations()
+			reports, err := s.AllAblations()
 			if err != nil {
 				return "", err
 			}
@@ -178,7 +179,8 @@ func benchMain() (code int) {
 		hi = 512
 		hiParam = 16
 	}
-	exps, err := selectExps(*exp, catalog(hi, hiParam))
+	var sweep experiments.Sweep
+	exps, err := selectExps(*exp, catalog(&sweep, hi, hiParam))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tsplit-bench: %v\n", err)
 		return 2
@@ -186,7 +188,7 @@ func benchMain() (code int) {
 
 	if *metrics != "" {
 		reg := obs.NewRegistry()
-		experiments.Obs = reg
+		sweep.Obs = reg
 		defer func() {
 			if err := obs.WriteFile(*metrics, reg.WritePrometheus); err != nil {
 				fmt.Fprintf(os.Stderr, "metrics: %v\n", err)
@@ -196,7 +198,7 @@ func benchMain() (code int) {
 	}
 	if *spans != "" {
 		tr := obs.NewTracer(nil)
-		experiments.Trace = tr
+		sweep.Trace = tr
 		defer func() {
 			if err := obs.WriteFile(*spans, tr.WriteJSON); err != nil {
 				fmt.Fprintf(os.Stderr, "spans: %v\n", err)

@@ -4,13 +4,15 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"tsplit/internal/experiments"
 )
 
 // TestSelectExps checks -exp resolution: known ids select in catalog
 // order, and any unknown id is an error that names it and lists every
 // valid id.
 func TestSelectExps(t *testing.T) {
-	exps := catalog(0, 0)
+	exps := catalog(new(experiments.Sweep), 0, 0)
 	all := make([]string, len(exps))
 	for i, e := range exps {
 		all[i] = e.id

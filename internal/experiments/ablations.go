@@ -70,8 +70,8 @@ func planWith(p *prep.Prepared, name string, capacity int64, opts core.Options) 
 // AblationGreedyOrdering compares the paper's min-ΔT/ΔM greedy against
 // largest-tensor-first and swap-only candidate selection (DESIGN.md
 // ablation 1) on a memory-over-subscribed VGG-16.
-func AblationGreedyOrdering() (AblationReport, error) {
-	p, err := prepare("vgg16", models.Config{BatchSize: 256}, device.TitanRTX)
+func (s *Sweep) AblationGreedyOrdering() (AblationReport, error) {
+	p, err := s.prepare("vgg16", models.Config{BatchSize: 256}, device.TitanRTX)
 	if err != nil {
 		return AblationReport{}, err
 	}
@@ -89,8 +89,8 @@ func AblationGreedyOrdering() (AblationReport, error) {
 // AblationRecomputeStrategy compares memory-centric, speed-centric and
 // LRU-hybrid recomputation (paper Sec. V-D; DESIGN.md ablation 2) on a
 // checkpoint-heavy plan.
-func AblationRecomputeStrategy() (AblationReport, error) {
-	p, err := prepare("vgg16", models.Config{BatchSize: 192}, device.TitanRTX)
+func (s *Sweep) AblationRecomputeStrategy() (AblationReport, error) {
+	p, err := s.prepare("vgg16", models.Config{BatchSize: 192}, device.TitanRTX)
 	if err != nil {
 		return AblationReport{}, err
 	}
@@ -116,11 +116,11 @@ func AblationRecomputeStrategy() (AblationReport, error) {
 
 // AblationSplitLookahead measures the bottleneck-lookahead window for
 // split candidates (DESIGN.md ablation 3).
-func AblationSplitLookahead() (AblationReport, error) {
+func (s *Sweep) AblationSplitLookahead() (AblationReport, error) {
 	// Near the feasibility frontier splitting (with micro-granular
 	// restore) is load-bearing, so the lookahead decides whether the
 	// planner finds the split that breaks each backward bottleneck.
-	p, err := prepare("vgg16", models.Config{BatchSize: 440}, device.TitanRTX)
+	p, err := s.prepare("vgg16", models.Config{BatchSize: 440}, device.TitanRTX)
 	if err != nil {
 		return AblationReport{}, err
 	}
@@ -137,8 +137,8 @@ func AblationSplitLookahead() (AblationReport, error) {
 // AblationTieBreak measures the earlier-generated-tensor preference on
 // near-tied ratios (the paper's Sec. IV-C observation; DESIGN.md
 // ablation 4).
-func AblationTieBreak() (AblationReport, error) {
-	p, err := prepare("resnet50", models.Config{BatchSize: 256}, device.TitanRTX)
+func (s *Sweep) AblationTieBreak() (AblationReport, error) {
+	p, err := s.prepare("resnet50", models.Config{BatchSize: 256}, device.TitanRTX)
 	if err != nil {
 		return AblationReport{}, err
 	}
@@ -155,8 +155,8 @@ func AblationTieBreak() (AblationReport, error) {
 // AblationPoolStrategy compares best-fit and first-fit placement
 // (paper Sec. V-C's choice; DESIGN.md ablation 5) under the same
 // TSPLIT plan.
-func AblationPoolStrategy() (AblationReport, error) {
-	p, err := prepare("vgg16", models.Config{BatchSize: 320}, device.TitanRTX)
+func (s *Sweep) AblationPoolStrategy() (AblationReport, error) {
+	p, err := s.prepare("vgg16", models.Config{BatchSize: 320}, device.TitanRTX)
 	if err != nil {
 		return AblationReport{}, err
 	}
@@ -181,19 +181,19 @@ func AblationPoolStrategy() (AblationReport, error) {
 }
 
 // AllAblations runs every design-choice sweep of DESIGN.md §4.
-func AllAblations() ([]AblationReport, error) {
+func (s *Sweep) AllAblations() ([]AblationReport, error) {
 	fns := []func() (AblationReport, error){
-		AblationGreedyOrdering,
-		AblationRecomputeStrategy,
-		AblationSplitLookahead,
-		AblationTieBreak,
-		AblationPoolStrategy,
+		s.AblationGreedyOrdering,
+		s.AblationRecomputeStrategy,
+		s.AblationSplitLookahead,
+		s.AblationTieBreak,
+		s.AblationPoolStrategy,
 	}
 	// The sweeps prepare and simulate disjoint workloads, so they run
 	// concurrently; reports keep the DESIGN.md §4 order.
 	out := make([]AblationReport, len(fns))
 	errs := make([]error, len(fns))
-	forEach(len(fns), func(i int) {
+	s.forEach(len(fns), func(i int) {
 		out[i], errs[i] = fns[i]()
 	})
 	if err := firstError(errs); err != nil {

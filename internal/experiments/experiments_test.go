@@ -9,7 +9,7 @@ import (
 )
 
 func TestRunPolicyBase(t *testing.T) {
-	p, err := prepare("vgg16", models.Config{BatchSize: 16}, device.TitanRTX)
+	p, err := new(Sweep).prepare("vgg16", models.Config{BatchSize: 16}, device.TitanRTX)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +23,7 @@ func TestRunPolicyBase(t *testing.T) {
 }
 
 func TestRunPolicyUnknown(t *testing.T) {
-	p, _ := prepare("vgg16", models.Config{BatchSize: 8}, device.TitanRTX)
+	p, _ := new(Sweep).prepare("vgg16", models.Config{BatchSize: 8}, device.TitanRTX)
 	r := RunPolicy(p, "nope")
 	if r.Feasible || r.Reason == "" {
 		t.Fatal("unknown policy must be infeasible with a reason")
@@ -32,7 +32,7 @@ func TestRunPolicyUnknown(t *testing.T) {
 
 func TestFeasibleRespectsCapacity(t *testing.T) {
 	feasible := func(dev device.Device) bool {
-		p, err := prepare("vgg16", models.Config{BatchSize: 64}, dev)
+		p, err := new(Sweep).prepare("vgg16", models.Config{BatchSize: 64}, dev)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,9 +97,10 @@ func TestMaxSampleScaleOrdering(t *testing.T) {
 	// tsplit >= superneurons >= base.
 	small := device.TitanRTX
 	small.MemBytes = 6 << 30
-	base := MaxSampleScale("vgg16", "base", small, models.Config{}, 256)
-	sn := MaxSampleScale("vgg16", "superneurons", small, models.Config{}, 256)
-	ts := MaxSampleScale("vgg16", "tsplit", small, models.Config{}, 256)
+	var s Sweep
+	base := s.MaxSampleScale("vgg16", "base", small, models.Config{}, 256)
+	sn := s.MaxSampleScale("vgg16", "superneurons", small, models.Config{}, 256)
+	ts := s.MaxSampleScale("vgg16", "tsplit", small, models.Config{}, 256)
 	if base <= 0 {
 		t.Fatal("base cannot train at all")
 	}
@@ -112,7 +113,7 @@ func TestMaxSampleScaleOrdering(t *testing.T) {
 }
 
 func TestTable2Renders(t *testing.T) {
-	buckets, err := Table2TensorSizes(8, 128)
+	buckets, err := new(Sweep).Table2TensorSizes(8, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +130,7 @@ func TestTable2Renders(t *testing.T) {
 }
 
 func TestFig5Curves(t *testing.T) {
-	curves, err := Fig5OpSplitCurves(device.TitanRTX, 32)
+	curves, err := new(Sweep).Fig5OpSplitCurves(device.TitanRTX, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +150,7 @@ func TestFig5Curves(t *testing.T) {
 }
 
 func TestFig1Grid(t *testing.T) {
-	grid, caps, err := Fig1BERTMemoryScale()
+	grid, caps, err := new(Sweep).Fig1BERTMemoryScale()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +176,7 @@ func TestFig1Grid(t *testing.T) {
 }
 
 func TestFig2aTimeline(t *testing.T) {
-	fig, err := Fig2aMemoryTimeline(device.TitanRTX, 192)
+	fig, err := new(Sweep).Fig2aMemoryTimeline(device.TitanRTX, 192)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +214,7 @@ func TestApplicable(t *testing.T) {
 }
 
 func TestFig14bStrategyMix(t *testing.T) {
-	rows, err := Fig14bStrategyMix(160)
+	rows, err := new(Sweep).Fig14bStrategyMix(160)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,15 +61,15 @@ func (r FaultReport) Render() string {
 // unmanaged peak already exceeds it, so the planner is under real
 // memory pressure, while the swap-all floor stays reachable even when
 // a full-severity capacity shrink steals its worst-case bite.
-func FaultSweep(model string, cfg models.Config, dev device.Device, seed uint64) (FaultReport, error) {
-	p, err := prepare(model, cfg, dev)
+func (s *Sweep) FaultSweep(model string, cfg models.Config, dev device.Device, seed uint64) (FaultReport, error) {
+	p, err := s.prepare(model, cfg, dev)
 	if err != nil {
 		return FaultReport{}, err
 	}
 	severities := []float64{0, 0.15, 0.3, 0.6, 1.0}
 	rows := make([]FaultRow, len(severities))
 	// Cells share nothing but read-only inputs; sweep them concurrently.
-	forEach(len(severities), func(i int) {
+	s.forEach(len(severities), func(i int) {
 		sev := severities[i]
 		out, err := resilient.Run(p, resilient.Config{Faults: faults.Config{Seed: seed, Severity: sev}})
 		if err != nil {

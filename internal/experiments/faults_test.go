@@ -8,7 +8,7 @@ import (
 )
 
 func TestFaultSweepGracefulDegradation(t *testing.T) {
-	rep, err := FaultSweep("vgg16", models.Config{BatchSize: 96}, device.GTX1080Ti, 7)
+	rep, err := new(Sweep).FaultSweep("vgg16", models.Config{BatchSize: 96}, device.GTX1080Ti, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,11 +40,12 @@ func TestFaultSweepGracefulDegradation(t *testing.T) {
 }
 
 func TestFaultSweepDeterministic(t *testing.T) {
-	a, err := FaultSweep("vgg16", models.Config{BatchSize: 96}, device.GTX1080Ti, 11)
+	var s Sweep
+	a, err := s.FaultSweep("vgg16", models.Config{BatchSize: 96}, device.GTX1080Ti, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := FaultSweep("vgg16", models.Config{BatchSize: 96}, device.GTX1080Ti, 11)
+	b, err := s.FaultSweep("vgg16", models.Config{BatchSize: 96}, device.GTX1080Ti, 11)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 	"tsplit/internal/device"
 	"tsplit/internal/graph"
 	"tsplit/internal/models"
-	"tsplit/internal/prep"
 	"tsplit/internal/sim"
 )
 
@@ -45,8 +44,8 @@ var fig12Models = []string{"vgg16", "resnet50", "inceptionv4", "transformer"}
 // run under every applicable policy, so the workloads run concurrently
 // and their throughputs are stitched into per-policy series in legend
 // order. A cell keeps only throughputs, so it builds its plans in a
-// borrowed RunStore.
-func throughputFigure(title string, dev device.Device, policies []string, cfg models.Config) *ThroughputFigure {
+// RunStore borrowed from s.
+func (s *Sweep) throughputFigure(title string, dev device.Device, policies []string, cfg models.Config) *ThroughputFigure {
 	f := &ThroughputFigure{Title: title, Dev: dev, Series: map[string][]ThroughputSeries{}}
 	type cell struct {
 		model string
@@ -62,21 +61,21 @@ func throughputFigure(title string, dev device.Device, policies []string, cfg mo
 			f.Series[m] = append(f.Series[m], ThroughputSeries{Policy: pol, Batch: batches, Thr: make([]float64, len(batches))})
 		}
 	}
-	forEach(len(cells), func(k int) {
+	s.forEach(len(cells), func(k int) {
 		m, bi := cells[k].model, cells[k].bi
 		c := cfg
 		c.BatchSize = fig12Batches[m][bi]
-		p, err := templates.Prepare(m, c, dev, Obs)
+		p, err := s.templates.Prepare(m, c, dev, s.Obs)
 		if err != nil {
 			return
 		}
-		st := runStores.Get().(*prep.RunStore)
+		st := s.store()
 		for pi, pol := range policies {
 			if applicable(m, pol) {
 				f.Series[m][pi].Thr[bi] = runPolicy(p, pol, st).Throughput(c.BatchSize)
 			}
 		}
-		runStores.Put(st)
+		s.stores.Put(st)
 		p.Release()
 	})
 	return f
@@ -88,20 +87,20 @@ var fig12Policies = []string{"vdnn-conv", "vdnn-all", "checkpoints", "superneuro
 // Fig12ThroughputRTX reproduces paper Fig. 12: throughput vs sample
 // size on the Titan RTX. The paper plots speedup over vDNN; Render
 // normalizes accordingly.
-func Fig12ThroughputRTX() *ThroughputFigure {
-	return throughputFigure("Fig. 12: throughput vs sample size (TITAN RTX)", device.TitanRTX, fig12Policies, models.Config{})
+func (s *Sweep) Fig12ThroughputRTX() *ThroughputFigure {
+	return s.throughputFigure("Fig. 12: throughput vs sample size (TITAN RTX)", device.TitanRTX, fig12Policies, models.Config{})
 }
 
 // Fig13Throughput1080Ti reproduces paper Fig. 13 on the GTX 1080Ti
 // (~70% of the RTX's FP32 throughput, 11 GB).
-func Fig13Throughput1080Ti() *ThroughputFigure {
-	return throughputFigure("Fig. 13: throughput vs sample size (GTX 1080Ti)", device.GTX1080Ti, fig12Policies, models.Config{})
+func (s *Sweep) Fig13Throughput1080Ti() *ThroughputFigure {
+	return s.throughputFigure("Fig. 13: throughput vs sample size (GTX 1080Ti)", device.GTX1080Ti, fig12Policies, models.Config{})
 }
 
 // Fig15ThroughputVsOffload reproduces paper Fig. 15: throughput
 // against the PyTorch offload baselines (Adam optimizer).
-func Fig15ThroughputVsOffload() *ThroughputFigure {
-	return throughputFigure("Fig. 15: throughput vs offload baselines (TITAN RTX)",
+func (s *Sweep) Fig15ThroughputVsOffload() *ThroughputFigure {
+	return s.throughputFigure("Fig. 15: throughput vs offload baselines (TITAN RTX)",
 		device.TitanRTX, []string{"zero-offload", "fairscale-offload", "tsplit-offload"},
 		models.Config{Optimizer: graph.Adam})
 }
@@ -149,14 +148,14 @@ type TimelineFigure struct {
 
 // Fig2aMemoryTimeline reproduces paper Fig. 2(a): SuperNeurons'
 // repeated memory peaks vs TSPLIT's flattened footprint on VGG-16.
-func Fig2aMemoryTimeline(dev device.Device, batch int) (*TimelineFigure, error) {
+func (s *Sweep) Fig2aMemoryTimeline(dev device.Device, batch int) (*TimelineFigure, error) {
 	fig := &TimelineFigure{
 		Model: "vgg16", Batch: batch,
 		Policies: []string{"superneurons", "tsplit"},
 		Lines:    map[string][]sim.TimelinePoint{},
 		Peaks:    map[string]int64{},
 	}
-	p, err := prepare("vgg16", models.Config{BatchSize: batch}, dev)
+	p, err := s.prepare("vgg16", models.Config{BatchSize: batch}, dev)
 	if err != nil {
 		return nil, err
 	}
@@ -220,14 +219,14 @@ var fig2bBatches = map[string]int{
 // performance overhead (25~45% in the paper) and PCIe utilization
 // (~45.6% average) across the five CNN models under memory
 // over-subscription.
-func Fig2bOverheadPCIe(dev device.Device, policy string) ([]OverheadRow, error) {
+func (s *Sweep) Fig2bOverheadPCIe(dev device.Device, policy string) ([]OverheadRow, error) {
 	mods := []string{"vgg16", "vgg19", "resnet50", "resnet101", "inceptionv4"}
 	rows := make([]OverheadRow, len(mods))
 	errs := make([]error, len(mods))
-	forEach(len(mods), func(i int) {
+	s.forEach(len(mods), func(i int) {
 		m := mods[i]
 		batch := fig2bBatches[m]
-		p, err := prepare(m, models.Config{BatchSize: batch}, dev)
+		p, err := s.prepare(m, models.Config{BatchSize: batch}, dev)
 		if err != nil {
 			errs[i] = err
 			return
@@ -279,8 +278,8 @@ type SplitCurve struct {
 
 // Fig5OpSplitCurves reproduces paper Fig. 5: how operator execution
 // time changes with the partition number, per operator type.
-func Fig5OpSplitCurves(dev device.Device, batch int) ([]SplitCurve, error) {
-	g, err := buildGraph("vgg16", models.Config{BatchSize: batch, ForwardOnly: true})
+func (s *Sweep) Fig5OpSplitCurves(dev device.Device, batch int) ([]SplitCurve, error) {
+	g, err := s.buildGraph("vgg16", models.Config{BatchSize: batch, ForwardOnly: true})
 	if err != nil {
 		return nil, err
 	}

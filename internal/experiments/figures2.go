@@ -24,7 +24,7 @@ type MemoryScalePoint struct {
 // memory over the sample × parameter scale grid, plus the maximum
 // trainable scale product for each mainstream GPU (the figure's black
 // capacity lines).
-func Fig1BERTMemoryScale() ([]MemoryScalePoint, map[string]int64, error) {
+func (s *Sweep) Fig1BERTMemoryScale() ([]MemoryScalePoint, map[string]int64, error) {
 	batches := []int{4, 8, 16, 32, 64}
 	scales := []float64{0.75, 1.0, 1.25, 1.5, 2.0}
 	type cell struct {
@@ -39,9 +39,9 @@ func Fig1BERTMemoryScale() ([]MemoryScalePoint, map[string]int64, error) {
 	}
 	grid := make([]MemoryScalePoint, len(cells))
 	errs := make([]error, len(cells))
-	forEach(len(cells), func(i int) {
+	s.forEach(len(cells), func(i int) {
 		b, k := cells[i].batch, cells[i].scale
-		g, err := buildGraph("bert-large", models.Config{BatchSize: b, ParamScale: k})
+		g, err := s.buildGraph("bert-large", models.Config{BatchSize: b, ParamScale: k})
 		if err != nil {
 			errs[i] = err
 			return
@@ -107,7 +107,7 @@ type ThroughputConstrainedScale struct {
 // Fig14aScaleUnderThroughput reproduces paper Fig. 14(a): max sample
 // size under 60% / 50% of Base throughput, comparing SuperNeurons,
 // TSPLIT w/o Split and TSPLIT on VGG-16 and ResNet-101.
-func Fig14aScaleUnderThroughput(dev device.Device, hi int) ([]ThroughputConstrainedScale, error) {
+func (s *Sweep) Fig14aScaleUnderThroughput(dev device.Device, hi int) ([]ThroughputConstrainedScale, error) {
 	if hi == 0 {
 		hi = 2048
 	}
@@ -118,18 +118,18 @@ func Fig14aScaleUnderThroughput(dev device.Device, hi int) ([]ThroughputConstrai
 	// two pct rows, stitched back in sweep order. Every workload of
 	// the call is rebatched from one template per model.
 	maxScale := func(m, pol string) int {
-		return sampleScales(dev, []string{m}, []string{pol}, models.Config{}, hi)[0][0]
+		return s.sampleScales(dev, []string{m}, []string{pol}, models.Config{}, hi)[0][0]
 	}
 	baseThr := make([]float64, len(mods))
 	errs := make([]error, len(mods))
-	forEach(len(mods), func(mi int) {
+	s.forEach(len(mods), func(mi int) {
 		m := mods[mi]
 		baseMax := maxScale(m, "base")
 		if baseMax == 0 {
 			errs[mi] = fmt.Errorf("experiments: base cannot train %s at all", m)
 			return
 		}
-		p, err := templates.Prepare(m, models.Config{BatchSize: baseMax}, dev, Obs)
+		p, err := s.templates.Prepare(m, models.Config{BatchSize: baseMax}, dev, s.Obs)
 		if err != nil {
 			errs[mi] = err
 			return
@@ -141,7 +141,7 @@ func Fig14aScaleUnderThroughput(dev device.Device, hi int) ([]ThroughputConstrai
 		return nil, err
 	}
 	results := make([][]ThroughputConstrainedScale, len(mods)*len(pols))
-	forEach(len(results), func(k int) {
+	s.forEach(len(results), func(k int) {
 		m, pol := mods[k/len(pols)], pols[k%len(pols)]
 		// Throughput rises then falls with batch size, so the
 		// constraint binds on the falling side: start from the
@@ -149,7 +149,7 @@ func Fig14aScaleUnderThroughput(dev device.Device, hi int) ([]ThroughputConstrai
 		// throughput floor is met.
 		polMax := maxScale(m, pol)
 		thrAt := func(b int) float64 {
-			pp, err := templates.Prepare(m, models.Config{BatchSize: b}, dev, Obs)
+			pp, err := s.templates.Prepare(m, models.Config{BatchSize: b}, dev, s.Obs)
 			if err != nil {
 				return 0
 			}
@@ -206,7 +206,7 @@ type StrategyMix struct {
 // swap (and less recompute) on the slower GTX 1080Ti because its
 // recomputation is relatively more expensive. Each device is put under
 // comparable relative memory pressure (batch 0 = pick per device).
-func Fig14bStrategyMix(batch int) ([]StrategyMix, error) {
+func (s *Sweep) Fig14bStrategyMix(batch int) ([]StrategyMix, error) {
 	var rows []StrategyMix
 	batches := map[string]int{device.TitanRTX.Name: batch, device.GTX1080Ti.Name: batch}
 	if batch == 0 {
@@ -215,7 +215,7 @@ func Fig14bStrategyMix(batch int) ([]StrategyMix, error) {
 	}
 	for _, dev := range []device.Device{device.TitanRTX, device.GTX1080Ti} {
 		batch := batches[dev.Name]
-		p, err := prepare("vgg16", models.Config{BatchSize: batch}, dev)
+		p, err := s.prepare("vgg16", models.Config{BatchSize: batch}, dev)
 		if err != nil {
 			return nil, err
 		}

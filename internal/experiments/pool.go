@@ -8,27 +8,6 @@ import (
 	"tsplit/internal/obs"
 )
 
-// Obs, when set before a sweep starts, receives per-unit metrics from
-// every experiment in this package: tsplit_experiments_cells_total and
-// the tsplit_experiments_cell_seconds histogram, one count and one
-// sample per forEach unit, tsplit_experiments_graph_builds_total, one
-// count per model graph built, and
-// tsplit_experiments_workload_slots_total, one count per workload slot
-// allocated (templates). The Registry is thread-safe, so the parallel
-// sweeps record into it concurrently.
-var Obs obs.Recorder
-
-// Clock times each sweep unit for the cell_seconds histogram. Tests
-// that assert on recorded metrics substitute a fake; everything the
-// sweeps *compute* is independent of it.
-var Clock obs.Clock = obs.Wall
-
-// Trace, when set before a sweep starts, records one "experiments.cell"
-// span per forEach unit. Tracer.StartSpan is mutex-protected, so the
-// concurrent pool records root spans safely; within a worker the cell
-// span is single-goroutine, honoring the per-span-tree contract.
-var Trace *obs.Tracer
-
 // The experiment sweeps parallelise over workloads. In the scale
 // tables one forEach unit is a (model, probe point) group, in the
 // throughput figures a (model, batch): the unit prepares that workload
@@ -39,8 +18,8 @@ var Trace *obs.Tracer
 // The cell counter and the "experiments.cell" span therefore count
 // workloads prepared, not (model, policy) table cells; the graph-build
 // counter (buildGraph and templates) counts the models.Build calls
-// behind them, and the slot counter the cold graphs and planners,
-// which a search after the process's first no longer builds. Each unit
+// behind them, and the slot counter the cold graphs and arenas, which
+// a Sweep's searches after its first no longer build. Each unit
 // writes its results into slots no other unit writes, so the assembled
 // tables and figures are identical to a sequential sweep regardless of
 // completion order.
@@ -53,17 +32,17 @@ var Trace *obs.Tracer
 // before forEach returns, so no worker can outlive the sweep holding
 // references into the caller-owned results slice
 // (TestForEachCoversAllIndices fails without the Wait).
-func forEach(n int, fn func(int)) {
-	if rec := Obs; rec != nil {
+func (s *Sweep) forEach(n int, fn func(int)) {
+	if rec := s.Obs; rec != nil {
 		inner := fn
 		fn = func(i int) {
-			start := Clock()
+			start := obs.Wall()
 			inner(i)
-			rec.Observe("tsplit_experiments_cell_seconds", Clock().Sub(start).Seconds())
+			rec.Observe("tsplit_experiments_cell_seconds", obs.Wall().Sub(start).Seconds())
 			rec.Add("tsplit_experiments_cells_total", 1)
 		}
 	}
-	if tr := Trace; tr != nil {
+	if tr := s.Trace; tr != nil {
 		inner := fn
 		fn = func(i int) {
 			sp := tr.StartSpan("experiments.cell")

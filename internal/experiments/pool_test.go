@@ -22,7 +22,7 @@ func TestForEachCoversAllIndices(t *testing.T) {
 	for _, n := range []int{0, 1, 3, 100} {
 		var hits atomic.Int64
 		seen := make([]atomic.Bool, n)
-		forEach(n, func(i int) {
+		new(Sweep).forEach(n, func(i int) {
 			if seen[i].Swap(true) {
 				t.Errorf("n=%d: index %d visited twice", n, i)
 			}
@@ -45,18 +45,17 @@ func TestFirstError(t *testing.T) {
 }
 
 // TestForEachObserved checks the per-cell instrumentation: with a
-// Registry installed as Obs, a fan-out records one cell count and one
-// duration sample per index, concurrently (run under -race).
+// Registry as the Sweep's Obs, a fan-out records one cell count and
+// one duration sample per index, concurrently (run under -race).
 func TestForEachObserved(t *testing.T) {
 	old := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(old)
 	reg := obs.NewRegistry()
-	Obs = reg
-	defer func() { Obs = nil }()
+	s := Sweep{Obs: reg}
 
 	const n = 64
 	var hits atomic.Int64
-	forEach(n, func(i int) { hits.Add(1) })
+	s.forEach(n, func(i int) { hits.Add(1) })
 	if hits.Load() != n {
 		t.Fatalf("%d calls for %d cells", hits.Load(), n)
 	}
@@ -81,8 +80,9 @@ func TestConcurrentSweepsDeterministic(t *testing.T) {
 	small := device.TitanRTX
 	small.MemBytes = 6 << 30
 
-	t1 := Table4MaxSampleScale(small, 48)
-	t2 := Table4MaxSampleScale(small, 48)
+	var s Sweep
+	t1 := s.Table4MaxSampleScale(small, 48)
+	t2 := s.Table4MaxSampleScale(small, 48)
 	if !reflect.DeepEqual(t1, t2) {
 		t.Fatalf("Table IV not deterministic:\n%s\nvs\n%s", t1.Render(), t2.Render())
 	}
@@ -90,11 +90,11 @@ func TestConcurrentSweepsDeterministic(t *testing.T) {
 		t.Fatal("base cannot train vgg16 at all")
 	}
 
-	rows1, err := Fig2bOverheadPCIe(device.TitanRTX, "superneurons")
+	rows1, err := s.Fig2bOverheadPCIe(device.TitanRTX, "superneurons")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows2, err := Fig2bOverheadPCIe(device.TitanRTX, "superneurons")
+	rows2, err := s.Fig2bOverheadPCIe(device.TitanRTX, "superneurons")
 	if err != nil {
 		t.Fatal(err)
 	}

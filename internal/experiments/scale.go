@@ -11,45 +11,45 @@ import (
 // MaxSampleScale finds the largest batch size a policy can train
 // (paper Table IV / VI) by exponential probing followed by binary
 // search. hi bounds the search (0 = 4096).
-func MaxSampleScale(model, policy string, dev device.Device, cfg models.Config, hi int) int {
-	return sampleScales(dev, []string{model}, []string{policy}, cfg, hi)[0][0]
+func (s *Sweep) MaxSampleScale(model, policy string, dev device.Device, cfg models.Config, hi int) int {
+	return s.sampleScales(dev, []string{model}, []string{policy}, cfg, hi)[0][0]
 }
 
 // MaxParamScale finds the largest integer parameter-scale multiplier k
 // (channels / hidden size ×k, paper Table V / VII) trainable at the
 // paper's fixed batch of 16.
-func MaxParamScale(model, policy string, dev device.Device, cfg models.Config, hi int) int {
-	return paramScales([]string{model}, []string{policy}, dev, cfg, hi)[0][0]
+func (s *Sweep) MaxParamScale(model, policy string, dev device.Device, cfg models.Config, hi int) int {
+	return s.paramScales([]string{model}, []string{policy}, dev, cfg, hi)[0][0]
 }
 
 // sampleScales is MaxSampleScale for every (model, policy) pair at
 // once: result[m][p] is the largest trainable batch size. Every probe
-// point is rebatched from the model's template in templates, so each
-// model is built twice per process however many points the searches
+// point is rebatched from the model's template in s's templates, so
+// each model is built twice per Sweep however many points its searches
 // visit.
-func sampleScales(dev device.Device, mods, policies []string, cfg models.Config, hi int) [][]int {
+func (s *Sweep) sampleScales(dev device.Device, mods, policies []string, cfg models.Config, hi int) [][]int {
 	if hi == 0 {
 		hi = 4096
 	}
-	return searchScales(mods, policies, hi, func(model string, b int) (*prep.Prepared, error) {
+	return s.searchScales(mods, policies, hi, func(model string, b int) (*prep.Prepared, error) {
 		c := cfg
 		c.BatchSize = b
-		return templates.Prepare(model, c, dev, Obs)
+		return s.templates.Prepare(model, c, dev, s.Obs)
 	})
 }
 
 // paramScales is MaxParamScale for every (model, policy) pair at once.
-func paramScales(mods, policies []string, dev device.Device, cfg models.Config, hi int) [][]int {
+func (s *Sweep) paramScales(mods, policies []string, dev device.Device, cfg models.Config, hi int) [][]int {
 	if hi == 0 {
 		hi = 128
 	}
 	if cfg.BatchSize == 0 {
 		cfg.BatchSize = 16
 	}
-	return searchScales(mods, policies, hi, func(model string, k int) (*prep.Prepared, error) {
+	return s.searchScales(mods, policies, hi, func(model string, k int) (*prep.Prepared, error) {
 		c := cfg
 		c.ParamScale = float64(k)
-		return prepare(model, c, dev)
+		return s.prepare(model, c, dev)
 	})
 }
 
@@ -100,11 +100,11 @@ func (c *scaleCursor) report(feasible bool) {
 // round fan out over forEach and share nothing mutable (prepare must
 // be safe for concurrent use); each cursor waits on exactly one
 // point, so exactly one group writes its verdict. A group keeps only
-// verdicts, so it builds its plans in a borrowed RunStore. prepare
+// verdicts, so it builds its plans in a RunStore borrowed from s. prepare
 // returns a model's workload at a probe point: rebatched from a
 // template into a slot along the batch axis, which the group releases
 // when its verdicts are in, and built fresh along the parameter axis.
-func searchScales(mods, policies []string, hi int, prepare func(model string, n int) (*prep.Prepared, error)) [][]int {
+func (s *Sweep) searchScales(mods, policies []string, hi int, prepare func(model string, n int) (*prep.Prepared, error)) [][]int {
 	type group struct{ model, n int }
 	cur := make([][]scaleCursor, len(mods))
 	feasible := make([][]bool, len(mods))
@@ -140,16 +140,16 @@ func searchScales(mods, policies []string, hi int, prepare func(model string, n 
 				distinct = append(distinct, g)
 			}
 		}
-		forEach(len(distinct), func(k int) {
+		s.forEach(len(distinct), func(k int) {
 			g := distinct[k]
 			w, err := prepare(mods[g.model], g.n)
-			st := runStores.Get().(*prep.RunStore)
+			st := s.store()
 			for p := range policies {
 				if cur[g.model][p].probe == g.n {
 					feasible[g.model][p] = err == nil && runPolicy(w, policies[p], st).Feasible
 				}
 			}
-			runStores.Put(st)
+			s.stores.Put(st)
 			if err == nil {
 				w.Release()
 			}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -83,22 +84,23 @@ func TestJointTableMatchesPerPolicy(t *testing.T) {
 	small := device.TitanRTX
 	small.MemBytes = 6 << 30
 	adam := models.Config{Optimizer: graph.Adam}
+	var s Sweep
 	cases := []struct {
 		table    *ScaleTable
 		policies []string
 		search   func(model, policy string) int
 	}{
-		{Table4MaxSampleScale(small, 40), scalePolicies, func(m, p string) int {
-			return MaxSampleScale(m, p, small, models.Config{}, 40)
+		{s.Table4MaxSampleScale(small, 40), scalePolicies, func(m, p string) int {
+			return s.MaxSampleScale(m, p, small, models.Config{}, 40)
 		}},
-		{Table5MaxParamScale(small, 6), scalePolicies, func(m, p string) int {
-			return MaxParamScale(m, p, small, models.Config{}, 6)
+		{s.Table5MaxParamScale(small, 6), scalePolicies, func(m, p string) int {
+			return s.MaxParamScale(m, p, small, models.Config{}, 6)
 		}},
-		{Table6MaxSampleVsOffload(small, 40), offloadPolicies, func(m, p string) int {
-			return MaxSampleScale(m, p, small, adam, 40)
+		{s.Table6MaxSampleVsOffload(small, 40), offloadPolicies, func(m, p string) int {
+			return s.MaxSampleScale(m, p, small, adam, 40)
 		}},
-		{Table7MaxParamVsOffload(small, 6), offloadPolicies, func(m, p string) int {
-			return MaxParamScale(m, p, small, adam, 6)
+		{s.Table7MaxParamVsOffload(small, 6), offloadPolicies, func(m, p string) int {
+			return s.MaxParamScale(m, p, small, adam, 6)
 		}},
 	}
 	for _, c := range cases {
@@ -156,8 +158,9 @@ func testPreparedShared(t *testing.T, cfg models.Config, small device.Device) {
 	policies := prep.PolicyNames()
 	want := make([]outcome, len(policies))
 	feasible := 0
+	var s Sweep
 	for i, policy := range policies {
-		own, err := prepare("vgg16", cfg, small)
+		own, err := s.prepare("vgg16", cfg, small)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +172,7 @@ func testPreparedShared(t *testing.T, cfg models.Config, small device.Device) {
 	if feasible == 0 || feasible == len(policies) {
 		t.Fatalf("batch %d: %d of %d policies feasible; the workload should split them", cfg.BatchSize, feasible, len(policies))
 	}
-	shared, err := prepare("vgg16", cfg, small)
+	shared, err := s.prepare("vgg16", cfg, small)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,23 +202,12 @@ func testPreparedShared(t *testing.T, cfg models.Config, small device.Device) {
 	}
 }
 
-// freshTemplates gives the test an empty package template set and
-// restores the process's set when the test ends, so the graph and slot
-// counts the test reads do not depend on which tests ran before it.
-func freshTemplates(t *testing.T) {
-	old := templates
-	templates = prep.NewTemplates()
-	t.Cleanup(func() { templates = old })
-}
-
 // TestTable4GraphBuilds counts the work the Table IV search does: two
 // graph builds per model, however many batch sizes it probes.
 func TestTable4GraphBuilds(t *testing.T) {
-	freshTemplates(t)
 	reg := obs.NewRegistry()
-	Obs = reg
-	defer func() { Obs = nil }()
-	Table4MaxSampleScale(device.TitanRTX, 64)
+	s := Sweep{Obs: reg}
+	s.Table4MaxSampleScale(device.TitanRTX, 64)
 	if got, want := reg.Counter(prep.GraphBuilds), int64(2*len(EvalModels)); got != want {
 		t.Fatalf("Table IV search made %d graph builds, want %d", got, want)
 	}
@@ -224,38 +216,35 @@ func TestTable4GraphBuilds(t *testing.T) {
 	}
 }
 
-// TestTable4WorkloadSlots counts the cold graphs and planners behind
-// the Table IV search: on one worker, every probe point of a model
+// TestTable4WorkloadSlots counts the cold graphs and arenas behind the
+// Table IV search: on one worker, every probe point of a model
 // recycles the slot the previous one released, so the search allocates
 // one slot per model however many points it probes.
 func TestTable4WorkloadSlots(t *testing.T) {
-	freshTemplates(t)
 	old := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(old)
 	reg := obs.NewRegistry()
-	Obs = reg
-	defer func() { Obs = nil }()
-	Table4MaxSampleScale(device.TitanRTX, 64)
+	s := Sweep{Obs: reg}
+	s.Table4MaxSampleScale(device.TitanRTX, 64)
 	if got, want := reg.Counter(prep.WorkloadSlots), int64(len(EvalModels)); got != want {
 		t.Fatalf("Table IV search allocated %d workload slots, want %d", got, want)
 	}
 }
 
 // TestTable4SecondSearchBuildsNothing: the templates, their slots and
-// the slots' planners outlive the Table IV search. On one worker, a
-// second search in the process builds no graph and allocates no slot,
-// and answers the same table. On two workers, a further search adds at
-// most one slot per model: the second one a model has in use at once.
+// the slots' arenas outlive the Table IV search. On one worker, a
+// second search on the same Sweep builds no graph and allocates no
+// slot, and answers the same table. On two workers, a further search
+// adds at most one slot per model: the second one a model has in use
+// at once.
 func TestTable4SecondSearchBuildsNothing(t *testing.T) {
-	freshTemplates(t)
 	old := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(old)
 	reg := obs.NewRegistry()
-	Obs = reg
-	defer func() { Obs = nil }()
-	first := Table4MaxSampleScale(device.TitanRTX, 64)
+	s := Sweep{Obs: reg}
+	first := s.Table4MaxSampleScale(device.TitanRTX, 64)
 	builds, slots := reg.Counter(prep.GraphBuilds), reg.Counter(prep.WorkloadSlots)
-	second := Table4MaxSampleScale(device.TitanRTX, 64)
+	second := s.Table4MaxSampleScale(device.TitanRTX, 64)
 	if got := reg.Counter(prep.GraphBuilds) - builds; got != 0 {
 		t.Fatalf("the second Table IV search made %d graph builds, want 0", got)
 	}
@@ -268,32 +257,74 @@ func TestTable4SecondSearchBuildsNothing(t *testing.T) {
 
 	runtime.GOMAXPROCS(2)
 	slots = reg.Counter(prep.WorkloadSlots)
-	Table4MaxSampleScale(device.TitanRTX, 64)
+	s.Table4MaxSampleScale(device.TitanRTX, 64)
 	if got := reg.Counter(prep.WorkloadSlots) - slots; got > int64(len(EvalModels)) {
 		t.Fatalf("a search on 2 workers allocated %d more workload slots, want at most %d", got, len(EvalModels))
 	}
 }
 
 // TestTable4SecondSearchAllocBytes pins the bytes a warm Table IV
-// search allocates. On one worker, the second search plans every probe
-// point on warm planners in a borrowed plan store (prep.RunStore), so
-// the plans it drops after their verdicts allocate nothing; what is
-// left is the search's own bookkeeping and the returned table, about
-// 60 KB. Fresh plans for every (probe point, policy, rung) allocate
-// about 4.5 MB.
+// search allocates. On one worker, the second search on a Sweep plans
+// every probe point on warm planners in a borrowed plan store
+// (prep.RunStore) and runs it on its slot's warm simulators, so the
+// plans it drops after their verdicts allocate nothing; what is left
+// is the search's own bookkeeping and the returned table, about 60 KB.
+// Fresh plans for every (probe point, policy, rung) allocate about
+// 4.5 MB.
 func TestTable4SecondSearchAllocBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's runtime allocates on its own and drops pooled plan stores at random")
 	}
 	old := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(old)
-	Table4MaxSampleScale(device.TitanRTX, 64)
+	var s Sweep
+	s.Table4MaxSampleScale(device.TitanRTX, 64)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	Table4MaxSampleScale(device.TitanRTX, 64)
+	s.Table4MaxSampleScale(device.TitanRTX, 64)
 	runtime.ReadMemStats(&after)
 	const bound = 1 << 20
 	if got := after.TotalAlloc - before.TotalAlloc; got > bound {
 		t.Fatalf("the second Table IV search allocated %d bytes, want at most %d", got, bound)
+	}
+}
+
+// TestSweepHistoryIndependent: what a Sweep ran before does not change
+// what it answers. Tables IV and VI and Figs. 12 and 13, each on a
+// fresh Sweep, encode to the same JSON as on one Sweep that runs all
+// four forwards and then backwards, so every experiment runs once
+// after the others have filled the templates, slots, planners,
+// simulators and plan stores it reuses. Four workers make the slots'
+// hand-outs vary run to run.
+func TestSweepHistoryIndependent(t *testing.T) {
+	old := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(old)
+	exps := []struct {
+		name string
+		run  func(*Sweep) any
+	}{
+		{"Table IV", func(s *Sweep) any { return s.Table4MaxSampleScale(device.TitanRTX, 64) }},
+		{"Table VI", func(s *Sweep) any { return s.Table6MaxSampleVsOffload(device.TitanRTX, 64) }},
+		{"Fig. 12", func(s *Sweep) any { return s.Fig12ThroughputRTX() }},
+		{"Fig. 13", func(s *Sweep) any { return s.Fig13Throughput1080Ti() }},
+	}
+	encode := func(v any) []byte {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	fresh := make([][]byte, len(exps))
+	for i, e := range exps {
+		fresh[i] = encode(e.run(new(Sweep)))
+	}
+	var reused Sweep
+	for _, order := range [][]int{{0, 1, 2, 3}, {3, 2, 1, 0}} {
+		for _, i := range order {
+			if got := encode(exps[i].run(&reused)); !bytes.Equal(got, fresh[i]) {
+				t.Errorf("%s in order %v on a reused Sweep:\n%s\nwant, as on a fresh Sweep:\n%s", exps[i].name, order, got, fresh[i])
+			}
+		}
 	}
 }

@@ -85,36 +85,36 @@ func scaleTable(title string, policies []string, scales [][]int) *ScaleTable {
 // Table4MaxSampleScale reproduces paper Table IV: the largest batch
 // size each policy trains per model on the Titan RTX. hi bounds the
 // search (0 = 4096; tests pass smaller bounds).
-func Table4MaxSampleScale(dev device.Device, hi int) *ScaleTable {
+func (s *Sweep) Table4MaxSampleScale(dev device.Device, hi int) *ScaleTable {
 	return scaleTable(
 		fmt.Sprintf("Table IV: max sample scale on %s", dev.Name), scalePolicies,
-		sampleScales(dev, EvalModels, scalePolicies, models.Config{}, hi))
+		s.sampleScales(dev, EvalModels, scalePolicies, models.Config{}, hi))
 }
 
 // Table5MaxParamScale reproduces paper Table V: the largest
 // parameter-scale multiplier (channels / hidden ×k) trainable at
 // batch 16.
-func Table5MaxParamScale(dev device.Device, hi int) *ScaleTable {
+func (s *Sweep) Table5MaxParamScale(dev device.Device, hi int) *ScaleTable {
 	return scaleTable(
 		fmt.Sprintf("Table V: max parameter scale (batch 16) on %s", dev.Name), scalePolicies,
-		paramScales(EvalModels, scalePolicies, dev, models.Config{BatchSize: 16}, hi))
+		s.paramScales(EvalModels, scalePolicies, dev, models.Config{BatchSize: 16}, hi))
 }
 
 // Table6MaxSampleVsOffload reproduces paper Table VI: sample scale
 // against the PyTorch offload baselines (Adam optimizer states give
 // ZeRO-Offload something to offload, as in the paper's setting).
-func Table6MaxSampleVsOffload(dev device.Device, hi int) *ScaleTable {
+func (s *Sweep) Table6MaxSampleVsOffload(dev device.Device, hi int) *ScaleTable {
 	return scaleTable(
 		fmt.Sprintf("Table VI: max sample scale vs offload baselines on %s", dev.Name), offloadPolicies,
-		sampleScales(dev, EvalModels, offloadPolicies, models.Config{Optimizer: graph.Adam}, hi))
+		s.sampleScales(dev, EvalModels, offloadPolicies, models.Config{Optimizer: graph.Adam}, hi))
 }
 
 // Table7MaxParamVsOffload reproduces paper Table VII: parameter scale
 // against the offload baselines.
-func Table7MaxParamVsOffload(dev device.Device, hi int) *ScaleTable {
+func (s *Sweep) Table7MaxParamVsOffload(dev device.Device, hi int) *ScaleTable {
 	return scaleTable(
 		fmt.Sprintf("Table VII: max parameter scale (batch 16) vs offload baselines on %s", dev.Name), offloadPolicies,
-		paramScales(EvalModels, offloadPolicies, dev, models.Config{BatchSize: 16, Optimizer: graph.Adam}, hi))
+		s.paramScales(EvalModels, offloadPolicies, dev, models.Config{BatchSize: 16, Optimizer: graph.Adam}, hi))
 }
 
 // SizeBucket is one row of the paper's Table II tensor-size histogram.
@@ -128,8 +128,8 @@ type SizeBucket struct {
 // Table2TensorSizes reproduces paper Table II: the distribution of
 // tensor sizes in BERT-Large, demonstrating how many >500 MB tensors a
 // large model carries.
-func Table2TensorSizes(batch, seqLen int) ([]SizeBucket, error) {
-	g, err := buildGraph("bert-large", models.Config{BatchSize: batch, SeqLen: seqLen})
+func (s *Sweep) Table2TensorSizes(batch, seqLen int) ([]SizeBucket, error) {
+	g, err := s.buildGraph("bert-large", models.Config{BatchSize: batch, SeqLen: seqLen})
 	if err != nil {
 		return nil, err
 	}

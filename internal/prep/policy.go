@@ -96,17 +96,13 @@ func (p *Prepared) planPolicy(name string, opts core.Options, st *core.PlanStore
 	return p.planIn(opts, st)
 }
 
-// sims recycles simulator arenas across every Simulate in the process:
-// a sweep stops allocating simulator state after one cell per worker.
-// Pooled results are byte-identical to a fresh simulator's.
-var sims = sim.NewSimPool()
-
 // Simulate runs one training iteration of the workload under plan and
-// so on a pooled simulator.
+// so on a simulator borrowed from Sims. Pooled results are
+// byte-identical to a fresh simulator's.
 func (p *Prepared) Simulate(plan *core.Plan, so sim.Options) (sim.Result, error) {
-	s := sims.Get(p.G, p.Sched, p.Lv, plan, p.Dev, so)
+	s := p.Sims.Get(p.G, p.Sched, p.Lv, plan, p.Dev, so)
 	res, err := s.Run()
-	sims.Put(s)
+	p.Sims.Put(s)
 	return res, err
 }
 

@@ -1,10 +1,13 @@
 // Package prep prepares workloads: a zoo model (Build) or a built
 // graph (FromGraph) on a device becomes the artifact TSPLIT's planner
 // consumes — graph, schedule, liveness and per-operator profile (paper
-// Sec. V-B) — with a planner pool, prepared once and planned and run
-// many times. A Template (templates.go) prepares one model at many
-// batch sizes in recycled slots, each keeping its planners; a
-// Templates set holds one per model, configuration and device.
+// Sec. V-B) — with the planner and simulator pools that plan and run
+// it, prepared once and planned and run many times. A workload owns
+// its arenas: nothing in this package outlives the workloads and
+// templates its callers keep. A Template (templates.go) prepares one
+// model at many batch sizes in recycled slots, each keeping its
+// planners and simulators; a Templates set holds one per model,
+// configuration and device.
 package prep
 
 import (
@@ -13,15 +16,16 @@ import (
 	"tsplit/internal/graph"
 	"tsplit/internal/models"
 	"tsplit/internal/profiler"
+	"tsplit/internal/sim"
 )
 
 // Prepared bundles everything derived from one (graph, config, device)
 // triple: the training graph, its schedule, liveness, and profile,
-// plus the planner arenas built for them. Build and FromGraph prepare
-// one from scratch; a Template rebatches it into a recycled slot,
-// with the same result field for field. Planning and simulating leave
-// the workload unchanged, so one Prepared serves every policy, in any
-// order and from several goroutines.
+// plus the planner and simulator arenas that serve it. Build and
+// FromGraph prepare one from scratch; a Template rebatches it into a
+// recycled slot, with the same result field for field. Planning and
+// simulating leave the workload unchanged, so one Prepared serves
+// every policy, in any order and from several goroutines.
 type Prepared struct {
 	Name string
 	Cfg  models.Config
@@ -29,6 +33,7 @@ type Prepared struct {
 	graph.Workload
 	Prof     *profiler.Profile
 	Planners *core.PlannerPool
+	Sims     *sim.SimPool
 
 	slot *Template // the template a rebatched workload returns to
 }
@@ -55,12 +60,14 @@ func FromGraph(name string, g *graph.Graph, cfg models.Config, dev device.Device
 	return p, nil
 }
 
-// fill labels p's workload, profiles it and gives it an empty planner
-// pool: the step a fresh build and a new template slot share.
+// fill labels p's workload, profiles it and gives it empty planner and
+// simulator pools: the step a fresh build and a new template slot
+// share.
 func (p *Prepared) fill(name string, cfg models.Config, dev device.Device) {
 	p.Name, p.Cfg, p.Dev = name, cfg, dev
 	p.Prof = profiler.New(dev, p.Sched)
 	p.Planners = core.NewPlannerPool(p.G, p.Sched, p.Lv, p.Prof, dev)
+	p.Sims = sim.NewSimPool()
 }
 
 // Plan plans the workload under opts on a planner borrowed from

@@ -32,7 +32,7 @@ func TestBuildRejects(t *testing.T) {
 		t.Fatal("FromGraph accepted a cyclic graph")
 	}
 	reg := obs.NewRegistry()
-	ts := NewTemplates()
+	ts := new(Templates)
 	for i := 0; i < 2; i++ {
 		if _, err := ts.Prepare("no-such-model", models.Config{BatchSize: 4}, device.TitanRTX, reg); err == nil {
 			t.Fatal("Prepare accepted an unknown model")
@@ -52,7 +52,7 @@ func TestBuildRejects(t *testing.T) {
 func TestTemplatesRecycleSlots(t *testing.T) {
 	dev := device.TitanRTX
 	reg := obs.NewRegistry()
-	ts := NewTemplates()
+	ts := new(Templates)
 	var slot *Prepared
 	for _, b := range []int{16, 3, 40} {
 		cfg := models.Config{BatchSize: b, Optimizer: graph.Adam}
@@ -214,7 +214,7 @@ func TestRunPolicyLoop(t *testing.T) {
 // each slot is labelled with, and profiled on, its own device as a
 // fresh build there is.
 func TestTemplatesKeyOnDevice(t *testing.T) {
-	ts := NewTemplates()
+	ts := new(Templates)
 	cfg := models.Config{BatchSize: 32}
 	var first *Prepared
 	for _, dev := range []device.Device{device.TitanRTX, device.GTX1080Ti} {
@@ -245,7 +245,7 @@ func TestSlotPlannerCarriesNoHistory(t *testing.T) {
 	dev := device.TitanRTX
 	for _, model := range models.Names() {
 		reg := obs.NewRegistry()
-		ts := NewTemplates()
+		ts := new(Templates)
 		var pl *core.Planner
 		for _, c := range []struct {
 			batch int

@@ -94,7 +94,7 @@ var recyclePoints = []struct {
 // (Describe and JSON, the last plan made when every rung fails) a
 // fresh run gives.
 func TestRecycledRunsMatchFresh(t *testing.T) {
-	ts := NewTemplates()
+	ts := new(Templates)
 	st := new(RunStore)
 	trails := map[string]bool{}
 	for _, pt := range recyclePoints {

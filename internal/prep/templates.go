@@ -21,10 +21,10 @@ const (
 // every Prepare rebatches from it, which skips building, scheduling and
 // analysing the graph again. Workloads live in slots that their users
 // release when done; the next Prepare rebatches a released slot in
-// place, so its graph, profile and planners are recycled rather than
-// allocated (the paper's runtime pools device memory for the same
-// reason, Sec. V-D). A slot keeps its planners for as long as the
-// template keeps the slot.
+// place, so its graph, profile, planners and simulators are recycled
+// rather than allocated (the paper's runtime pools device memory for
+// the same reason, Sec. V-D). A slot keeps its planner and simulator
+// pools for as long as the template keeps the slot.
 type Template struct {
 	model string
 	cfg   models.Config // BatchSize zeroed
@@ -100,11 +100,11 @@ func (t *Template) Prepare(batch int, rec obs.Recorder) *Prepared {
 	return p
 }
 
-// Release hands a workload, with the planners its pool holds, back to
-// the template it was rebatched from, for the template's next Prepare
-// to rebatch in place. The caller must be done with the workload and
-// with everything derived from it: plans and simulation results point
-// into its graph. Workloads that Build or FromGraph prepared belong to
+// Release hands a workload, with the planners and simulators its pools
+// hold, back to the template it was rebatched from, for the template's
+// next Prepare to rebatch in place. The caller must be done with the
+// workload and with everything derived from it: plans and simulation
+// results point into its graph. Workloads that Build or FromGraph prepared belong to
 // no template and are left to the garbage collector.
 func (p *Prepared) Release() {
 	t := p.slot
@@ -121,7 +121,7 @@ func (p *Prepared) Release() {
 // Templates prepares workloads along the batch axis, one Template per
 // model, configuration and device, each built by the first Prepare
 // that needs it and kept, with every slot it ever had in use at once,
-// for as long as the set lives.
+// for as long as the set lives. The zero value is an empty set.
 type Templates struct {
 	mu sync.Mutex
 	m  map[templateKey]*lazyTemplate // lint:guardedby mu
@@ -143,11 +143,6 @@ type lazyTemplate struct {
 	err  error
 }
 
-// NewTemplates returns an empty template set.
-func NewTemplates() *Templates {
-	return &Templates{m: map[templateKey]*lazyTemplate{}}
-}
-
 // Prepare returns the workload cfg names on dev, as Template.Prepare
 // does, from the set's template for model, cfg with BatchSize zeroed,
 // and dev. rec, when non-nil, counts the graphs this call builds as
@@ -157,6 +152,9 @@ func (ts *Templates) Prepare(model string, cfg models.Config, dev device.Device,
 	key := templateKey{model, cfg, dev}
 	key.cfg.BatchSize = 0
 	ts.mu.Lock()
+	if ts.m == nil {
+		ts.m = map[templateKey]*lazyTemplate{}
+	}
 	e := ts.m[key]
 	if e == nil {
 		e = &lazyTemplate{}

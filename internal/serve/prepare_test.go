@@ -147,7 +147,7 @@ func TestRebatchMatchesFreshBuild(t *testing.T) {
 	wls = append(wls, workload{"resnet50", models.Config{ImageSize: 160}}, workload{"transformer", models.Config{SeqLen: 64}})
 	batches := []int{2048, 1, 255, 0, 3, 1024, 7, 64, 2, 16}
 	for _, w := range wls {
-		ts := prep.NewTemplates()
+		ts := new(prep.Templates)
 		var slot *prep.Prepared
 		for _, b := range batches {
 			cfg := w.cfg
@@ -206,7 +206,7 @@ func TestRebatchMatchesFreshBuild(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ts := prep.NewTemplates()
+		ts := new(prep.Templates)
 		other := w.cfg
 		other.BatchSize = 2 * w.cfg.BatchSize
 		first, err := ts.Prepare(w.model, other, dev, nil)
@@ -261,7 +261,7 @@ func TestTemplatesPrepareConcurrent(t *testing.T) {
 		fresh[b] = fr
 	}
 	reg := obs.NewRegistry()
-	ts := prep.NewTemplates()
+	ts := new(prep.Templates)
 	var wg sync.WaitGroup
 	for i := range batches {
 		wg.Add(1)

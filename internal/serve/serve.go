@@ -445,10 +445,7 @@ func (s *Server) handlePeak(a accepted) ([]byte, *httpError) {
 		return nil, herr
 	}
 	wl := a.wl
-	simr := wl.sims.Get(wl.G, wl.Sched, wl.Lv, plan, wl.Dev,
-		sim.Options{Capacity: opts.CapacityBytes, Recompute: prep.RecomputeOf(plan)})
-	res, rerr := simr.Run()
-	wl.sims.Put(simr)
+	res, rerr := wl.Simulate(plan, sim.Options{Capacity: opts.CapacityBytes, Recompute: prep.RecomputeOf(plan)})
 	s.reg.Observe("tsplit_serve_peak_seconds", s.clock().Sub(peakStart).Seconds())
 	if rerr != nil {
 		return nil, &httpError{status: http.StatusUnprocessableEntity,

@@ -181,6 +181,36 @@ func TestEvictedSlotWaitsForHolder(t *testing.T) {
 	}
 }
 
+// TestRecycledSlotKeepsItsSimulators: a workload rebatched into a
+// released slot runs its peaks on the simulators the slot kept.
+// Through a one-entry workload cache, batch 8 builds fresh, batch 16
+// builds the template into a new slot, and batch 24 into a second one
+// while 16 holds the first, evicting 16. Batch 32 is rebatched into
+// 16's slot, so its first /v1/peak recycles the arena 16's peak left
+// there (one reuse hit), and answers a fresh server's bytes.
+func TestRecycledSlotKeepsItsSimulators(t *testing.T) {
+	const capacity = 3 << 30
+	s := New(Config{WorkloadEntries: 1})
+	for _, b := range []int{8, 16, 24} {
+		if r := postTo(s, "/v1/peak", batchReq(b, capacity)); r.code != http.StatusOK {
+			t.Fatalf("batch %d: status %d, body %s", b, r.code, r.body)
+		}
+	}
+	reg := s.Metrics()
+	slots, hits := reg.Counter(prep.WorkloadSlots), reg.Counter("tsplit_simpool_reuse_hits_total")
+	got := postTo(s, "/v1/peak", batchReq(32, capacity))
+	want := postTo(New(Config{}), "/v1/peak", batchReq(32, capacity))
+	if got.code != http.StatusOK || !bytes.Equal(got.body, want.body) {
+		t.Fatalf("batch 32: status %d, or other bytes than a fresh server's:\n%s\nwant\n%s", got.code, got.body, want.body)
+	}
+	if n := reg.Counter(prep.WorkloadSlots) - slots; n != 0 {
+		t.Fatalf("batch 32 allocated %d slots; it should recycle batch 16's", n)
+	}
+	if n := reg.Counter("tsplit_simpool_reuse_hits_total") - hits; n != 1 {
+		t.Fatalf("batch 32's first peak recycled %d simulators, want the 1 its slot kept", n)
+	}
+}
+
 // TestTemplateSoak has two clients ask one model for a shared mix of
 // batches and budgets through a two-entry workload cache, so builds
 // coalesce, workloads are evicted while the other client holds them,

@@ -12,17 +12,16 @@ import (
 	"tsplit/internal/models"
 	"tsplit/internal/obs"
 	"tsplit/internal/prep"
-	"tsplit/internal/sim"
 	"tsplit/internal/workload"
 )
 
 // prepared is one resolved workload, named by the request's display
-// name, plus what serve alone keeps for it: a simulator pool recycling
-// arenas across requests, the graph's content digest (computed once —
-// it feeds every plan key for this workload) and its users.
+// name, plus what serve alone keeps for it: the graph's content digest
+// (computed once — it feeds every plan key for this workload) and its
+// users. Its planner and simulator arenas are the workload's own
+// (prep.Prepared), so a slot rebatched for another id keeps them warm.
 type prepared struct {
 	*prep.Prepared
-	sims   *sim.SimPool
 	digest [sha256.Size]byte
 
 	// refs counts the workload's users: the cache while the workload
@@ -296,10 +295,9 @@ func buildError(model string, err error) *httpError {
 	return &httpError{status: http.StatusUnprocessableEntity, code: "unschedulable", message: err.Error()}
 }
 
-// newPrepared gives a prepared workload its simulator pool, reporting
-// to rec, and its digest.
+// newPrepared points a prepared workload's simulator pool at rec and
+// digests its graph.
 func newPrepared(p *prep.Prepared, rec obs.Recorder) *prepared {
-	sims := sim.NewSimPool()
-	sims.Obs = rec
-	return &prepared{Prepared: p, sims: sims, digest: graphDigest(p.G)}
+	p.Sims.Obs = rec
+	return &prepared{Prepared: p, digest: graphDigest(p.G)}
 }

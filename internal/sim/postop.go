@@ -125,9 +125,14 @@ func (s *Simulator) regenerate(t *graph.Tensor, at float64) (float64, error) {
 	}
 	// The walked chain lives only until the next walk, and executing
 	// it re-enters regenerate through ensureInput (LRU drops under
-	// pressure): run a copy from the free list.
+	// pressure): run a copy from the free list. Both buffers go back on
+	// every exit, an OOM's included.
 	chain := append(take(&s.chainFree), walked...)
 	fresh := take(&s.freshFree)
+	defer func() {
+		put(&s.freshFree, fresh)
+		put(&s.chainFree, chain)
+	}()
 	for _, c := range chain {
 		s.pin(c)
 		ready := at
@@ -194,8 +199,6 @@ func (s *Simulator) regenerate(t *graph.Tensor, at float64) (float64, error) {
 			s.lruCache = append(s.lruCache, x)
 		}
 	}
-	put(&s.freshFree, fresh)
-	put(&s.chainFree, chain)
 	if s.state[t.ID] != onDevice {
 		return 0, fmt.Errorf("regenerating %s: chain did not produce it", t.Name)
 	}

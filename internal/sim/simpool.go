@@ -16,14 +16,14 @@ import (
 // over and are reinitialized in place by the next run's reset(); the
 // recompute-chain scratch (core's chain walker, whose epoch-stamped
 // visited set needs no reset, and the chain buffers' free lists)
-// carries over as is. Unlike core.PlannerPool — whose planners follow
-// one set of workload objects, rebatched or not — a SimPool is
-// workload-free: Get retargets a recycled arena to any (graph,
-// schedule, plan, device), because sweep cells change workloads run to
-// run while a serving process replays the same few. Results are
-// byte-identical to a fresh New(...).Run(), on a graph rebatched in
-// place too: the op-time cache keys on the graph's generation as well
-// as its pointer.
+// carries over as is. Arenas belong to the workload: each
+// prep.Prepared owns one SimPool beside its core.PlannerPool, and a
+// template slot keeps both across rebatches; nothing keeps a
+// process-wide pool. Get still retargets a recycled arena to any
+// (graph, schedule, plan, device), so a slot rebatched to another
+// batch size reuses its arenas. Results are byte-identical to a fresh
+// New(...).Run(), on a graph rebatched in place too: the op-time cache
+// keys on the graph's generation as well as its pointer.
 //
 // A SimPool is safe for concurrent Get/Put; each borrowed Simulator is
 // still single-goroutine, like the real runtime's scheduling thread.

@@ -183,3 +183,36 @@ type peakMismatch struct{ got, want int64 }
 func errMismatch(got, want int64) error { return peakMismatch{got, want} }
 
 func (e peakMismatch) Error() string { return "concurrent pooled peak diverged" }
+
+// TestRegenerateOOMReturnsBuffers: a pooled run that runs out of
+// memory in the middle of a regeneration returns the chain and output
+// buffers it took from the arena's free lists. A Transformer's
+// checkpoints plan under memory-centric recomputation regenerates on
+// every backward consumer, and squeezed below its peak it runs out of
+// memory inside a regeneration. After a run at the plan's own peak has
+// stocked the free lists, a squeezed run leaves them holding what they
+// held before it.
+func TestRegenerateOOMReturnsBuffers(t *testing.T) {
+	b := mkbed(t, "transformer", models.Config{BatchSize: 64})
+	plan := b.baseline(t, "checkpoints")
+	fits := Options{Recompute: MemoryCentric}
+	peak := b.run(t, plan, fits).PeakBytes
+	for k := int64(15); k >= 9; k-- {
+		pool := NewSimPool()
+		s := pool.Get(b.g, b.sched, b.lv, plan, b.dev, fits)
+		if _, err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		pool.Put(s)
+		s = pool.Get(b.g, b.sched, b.lv, plan, b.dev, Options{Recompute: MemoryCentric, Capacity: peak * k / 16})
+		chains, outs := len(s.chainFree), len(s.freshFree)
+		res, err := s.Run()
+		if err == nil || res.RecomputedOps == 0 {
+			t.Fatalf("capacity %d/16 of peak: ran with %d regenerated ops and error %v; the test needs an OOM after regenerations", k, res.RecomputedOps, err)
+		}
+		if len(s.chainFree) != chains || len(s.freshFree) != outs {
+			t.Errorf("capacity %d/16 of peak: OOM after %d regenerated ops left %d chain and %d output buffers on the free lists, want %d and %d",
+				k, res.RecomputedOps, len(s.chainFree), len(s.freshFree), chains, outs)
+		}
+	}
+}
